@@ -14,6 +14,12 @@ Values are numpy arrays, float32 by default, float64 when a graph is
 constructed with dtype=np.float64 (used by gradient-check tests).
 Scalars are 0-d arrays. Stored values are never mutated in place.
 
+Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
+``_BACKWARD``. Eager building and ``forward`` replay run the same kernel
+through one helper that casts to the graph dtype and applies the
+non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
+multiply-adds.
+
 Multiply-add accounting (used by the complexity checks): matmul of
 (m,k)@(k,n) counts m*k*n; the GRU cell counts its six matmuls plus ten
 elementwise passes; layer norm 4 per element; softmaxes 3 per element;
@@ -36,35 +42,10 @@ __all__ = [
     "bind_arrays",
     "finite_diff_check",
     "forward",
+    "init_block",
+    "init_normal",
     "named_arrays",
 ]
-
-# Every op kind the engine registers. The model uses all of them.
-OP_KINDS = (
-    "input",
-    "const",
-    "matmul",
-    "transpose",
-    "add",
-    "scale",
-    "row_softmax",
-    "col_softmax",
-    "sigmoid",
-    "relu",
-    "layer_norm",
-    "gru_cell",
-    "mean_pool",
-    "concat",
-    "mul",
-    "squared_error",
-    "cosine",
-    "log",
-    "exp",
-    "clamp",
-    "gather_rows",
-    "reduce_sum",
-    "stop_gradient",
-)
 
 _LN_EPS = 1e-5
 _COS_TINY = 1e-12
@@ -132,14 +113,13 @@ class Graph:
         if name in self._inputs:
             raise GraphError(f"duplicate input name {name!r}")
         arr = self._coerce(value, f"input {name!r}")
-        node = self._append("input", (), arr, aux=name)
+        node = self._append("input", (), aux=name, value=arr)
         self._inputs[name] = node.idx
         return node
 
     def const(self, value) -> Node:
         """A fixed leaf; never rebound, never differentiated."""
-        arr = self._coerce(value, "const")
-        return self._append("const", (), arr)
+        return self._append("const", (), value=self._coerce(value, "const"))
 
     # ------------------------------------------------------------------- ops
 
@@ -151,13 +131,13 @@ class Graph:
             )
         m, k = va.shape
         n = vb.shape[1]
-        return self._append("matmul", (a.idx, b.idx), va @ vb, madds=m * k * n)
+        return self._append("matmul", (a.idx, b.idx), madds=m * k * n)
 
     def transpose(self, a: Node) -> Node:
         va = a.value
         if va.ndim != 2:
             raise GraphError(f"transpose needs 2-d operand, got {va.shape}")
-        return self._append("transpose", (a.idx,), va.T.copy())
+        return self._append("transpose", (a.idx,))
 
     def add(self, a: Node, b: Node) -> Node:
         va, vb = a.value, b.value
@@ -169,30 +149,28 @@ class Graph:
             )
             if not row_bias:
                 raise GraphError(f"add shape mismatch {va.shape} + {vb.shape}")
-        return self._append("add", (a.idx, b.idx), va + vb, madds=int(np.prod(va.shape)))
+        return self._append("add", (a.idx, b.idx), madds=int(np.prod(va.shape)))
 
     def scale(self, a: Node, c: float) -> Node:
-        c = float(c)
-        return self._append("scale", (a.idx,), a.value * self.dtype.type(c),
-                            aux=c, madds=a.value.size)
+        return self._append("scale", (a.idx,), aux=float(c), madds=a.value.size)
 
     def row_softmax(self, a: Node) -> Node:
-        va = a.value
-        if va.ndim != 2:
-            raise GraphError(f"row_softmax needs 2-d operand, got {va.shape}")
-        return self._append("row_softmax", (a.idx,), _row_softmax(va), madds=3 * va.size)
+        return self._softmax("row_softmax", a, axis=1)
 
     def col_softmax(self, a: Node) -> Node:
+        return self._softmax("col_softmax", a, axis=0)
+
+    def _softmax(self, op: str, a: Node, axis: int) -> Node:
         va = a.value
         if va.ndim != 2:
-            raise GraphError(f"col_softmax needs 2-d operand, got {va.shape}")
-        return self._append("col_softmax", (a.idx,), _col_softmax(va), madds=3 * va.size)
+            raise GraphError(f"{op} needs 2-d operand, got {va.shape}")
+        return self._append(op, (a.idx,), aux=axis, madds=3 * va.size)
 
     def sigmoid(self, a: Node) -> Node:
-        return self._append("sigmoid", (a.idx,), _sigmoid(a.value), madds=a.value.size)
+        return self._append("sigmoid", (a.idx,), madds=a.value.size)
 
     def relu(self, a: Node) -> Node:
-        return self._append("relu", (a.idx,), np.maximum(a.value, 0), madds=a.value.size)
+        return self._append("relu", (a.idx,), madds=a.value.size)
 
     def layer_norm(self, a: Node, gamma: Node, beta: Node) -> Node:
         va = a.value
@@ -201,11 +179,8 @@ class Graph:
             raise GraphError(
                 f"layer_norm shapes: x {va.shape}, gamma {gamma.shape}, beta {beta.shape}"
             )
-        y, saved = _layer_norm_fwd(va, gamma.value, beta.value)
-        node = self._append("layer_norm", (a.idx, gamma.idx, beta.idx), y,
+        return self._append("layer_norm", (a.idx, gamma.idx, beta.idx),
                             madds=4 * va.size)
-        self._saved[node.idx] = saved
-        return node
 
     def gru_cell(self, x: Node, h: Node, wz, uz, bz, wr, ur, br, wn, un, bn) -> Node:
         vx, vh = x.value, h.value
@@ -218,24 +193,18 @@ class Graph:
         for b in (bz, br, bn):
             if b.shape != (1, d):
                 raise GraphError(f"gru_cell bias shape {b.shape}, want {(1, d)}")
-        y, saved = _gru_fwd(vx, vh, wz.value, uz.value, bz.value, wr.value,
-                            ur.value, br.value, wn.value, un.value, bn.value)
         s, _ = vx.shape
-        madds = 6 * s * d * d + 10 * s * d
-        node = self._append(
+        return self._append(
             "gru_cell",
             (x.idx, h.idx, wz.idx, uz.idx, bz.idx, wr.idx, ur.idx, br.idx,
              wn.idx, un.idx, bn.idx),
-            y, madds=madds)
-        self._saved[node.idx] = saved
-        return node
+            madds=6 * s * d * d + 10 * s * d)
 
     def mean_pool(self, a: Node) -> Node:
         va = a.value
         if va.ndim != 2:
             raise GraphError(f"mean_pool needs 2-d operand, got {va.shape}")
-        return self._append("mean_pool", (a.idx,), va.mean(axis=0, keepdims=True),
-                            madds=va.size)
+        return self._append("mean_pool", (a.idx,), madds=va.size)
 
     def concat(self, a: Node, b: Node, axis: int) -> Node:
         va, vb = a.value, b.value
@@ -244,48 +213,36 @@ class Graph:
         other = 1 - axis
         if va.shape[other] != vb.shape[other]:
             raise GraphError(f"concat shape mismatch {va.shape} | {vb.shape} axis {axis}")
-        return self._append("concat", (a.idx, b.idx),
-                            np.concatenate([va, vb], axis=axis), aux=axis)
+        return self._append("concat", (a.idx, b.idx), aux=axis)
 
     def mul(self, a: Node, b: Node) -> Node:
         if a.shape != b.shape:
             raise GraphError(f"mul shape mismatch {a.shape} * {b.shape}")
-        return self._append("mul", (a.idx, b.idx), a.value * b.value,
-                            madds=a.value.size)
+        return self._append("mul", (a.idx, b.idx), madds=a.value.size)
 
     def squared_error(self, a: Node, b: Node) -> Node:
         if a.shape != b.shape:
             raise GraphError(f"squared_error shape mismatch {a.shape} vs {b.shape}")
-        d = a.value - b.value
         return self._append("squared_error", (a.idx, b.idx),
-                            np.asarray((d * d).mean(), dtype=self.dtype),
                             madds=2 * a.value.size)
 
     def cosine(self, a: Node, b: Node) -> Node:
         """Mean row-wise cosine similarity; zero-norm rows contribute 0."""
         if a.shape != b.shape or a.value.ndim != 2:
             raise GraphError(f"cosine needs matching 2-d shapes, got {a.shape}, {b.shape}")
-        y, saved = _cosine_fwd(a.value, b.value)
-        node = self._append("cosine", (a.idx, b.idx),
-                            np.asarray(y, dtype=self.dtype), madds=4 * a.value.size)
-        self._saved[node.idx] = saved
-        return node
+        return self._append("cosine", (a.idx, b.idx), madds=4 * a.value.size)
 
     def log(self, a: Node) -> Node:
-        va = a.value
-        if np.any(va <= 0):
-            raise GraphError(f"log of non-positive entry (node {self._next_id()})")
-        return self._append("log", (a.idx,), np.log(va), madds=va.size)
+        return self._append("log", (a.idx,), madds=a.value.size)
 
     def exp(self, a: Node) -> Node:
-        return self._append("exp", (a.idx,), np.exp(a.value), madds=a.value.size)
+        return self._append("exp", (a.idx,), madds=a.value.size)
 
     def clamp(self, a: Node, lo: float, hi: float) -> Node:
         lo, hi = float(lo), float(hi)
         if not lo < hi:
             raise GraphError(f"clamp bounds [{lo}, {hi}]")
-        return self._append("clamp", (a.idx,), np.clip(a.value, lo, hi),
-                            aux=(lo, hi), madds=a.value.size)
+        return self._append("clamp", (a.idx,), aux=(lo, hi), madds=a.value.size)
 
     def gather_rows(self, a: Node, indices) -> Node:
         va = a.value
@@ -294,16 +251,14 @@ class Graph:
             raise GraphError("gather_rows needs a 2-d source and 1-d index list")
         if idx.size and (idx.min() < 0 or idx.max() >= va.shape[0]):
             raise GraphError(f"gather_rows index out of range for {va.shape[0]} rows")
-        return self._append("gather_rows", (a.idx,), va[idx], aux=idx)
+        return self._append("gather_rows", (a.idx,), aux=idx)
 
     def reduce_sum(self, a: Node) -> Node:
         """Sum every entry down to a 0-d scalar."""
-        return self._append("reduce_sum", (a.idx,),
-                            np.asarray(a.value.sum(), dtype=self.dtype),
-                            madds=a.value.size)
+        return self._append("reduce_sum", (a.idx,), madds=a.value.size)
 
     def stop_gradient(self, a: Node) -> Node:
-        return self._append("stop_gradient", (a.idx,), a.value)
+        return self._append("stop_gradient", (a.idx,))
 
     # ------------------------------------------------------------- utilities
 
@@ -366,32 +321,34 @@ class Graph:
             raise GraphError(f"{what}: non-finite entries")
         return arr
 
-    def _append(self, op, parents, value, aux=None, madds=0) -> Node:
-        value = np.asarray(value, dtype=self.dtype)
-        if self.check_finite and not np.all(np.isfinite(value)):
-            raise GraphError(f"non-finite output at node {self._next_id()} ({op})")
+    def _append(self, op, parents, aux=None, madds=0, value=None) -> Node:
+        """Record a node.  Leaves pass their coerced value; ops run their
+        forward kernel first, so an op that raises leaves the graph as it
+        was."""
+        saved = None
+        if value is None:
+            value, saved = _evaluate(self, op, parents, aux, self._next_id())
         self._ops.append(op)
         self._parents.append(parents)
         self._aux.append(aux)
         self._values.append(value)
-        self._saved.append(None)
+        self._saved.append(saved)
         self._madds.append(int(madds))
         return Node(self, len(self._ops) - 1)
 
 
 # ------------------------------------------------------------ forward kernels
+#
+# A kernel takes the node's aux and its parents' values and returns the
+# value, or (value, saved intermediates) for the ops whose adjoint reads
+# them back.  Parent values always carry the graph dtype.
 
-def _row_softmax(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(axis, x):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def _col_softmax(x):
-    e = np.exp(x - x.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
-
-
-def _layer_norm_fwd(x, gamma, beta):
+def _layer_norm_fwd(_, x, gamma, beta):
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
@@ -399,7 +356,7 @@ def _layer_norm_fwd(x, gamma, beta):
     return xhat * gamma + beta, (xhat, inv)
 
 
-def _gru_fwd(x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
+def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     z = _sigmoid(x @ wz + h @ uz + bz)
     r = _sigmoid(x @ wr + h @ ur + br)
     rh = r * h
@@ -407,7 +364,12 @@ def _gru_fwd(x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     return z * h + (1.0 - z) * n, (z, r, n, rh)
 
 
-def _cosine_fwd(a, b):
+def _squared_error_fwd(_, a, b):
+    d = a - b
+    return (d * d).mean()
+
+
+def _cosine_fwd(_, a, b):
     na = np.sqrt((a * a).sum(axis=1, keepdims=True))
     nb = np.sqrt((b * b).sum(axis=1, keepdims=True))
     valid = (na > _COS_TINY) & (nb > _COS_TINY)
@@ -416,67 +378,59 @@ def _cosine_fwd(a, b):
     return cos.mean(), (na, nb, cos, valid)
 
 
-def _replay_node(g: Graph, i: int):
-    op = g._ops[i]
-    p = g._parents[i]
-    v = g._values
-    if op == "matmul":
-        out = v[p[0]] @ v[p[1]]
-    elif op == "transpose":
-        out = v[p[0]].T.copy()
-    elif op == "add":
-        out = v[p[0]] + v[p[1]]
-    elif op == "scale":
-        out = v[p[0]] * g.dtype.type(g._aux[i])
-    elif op == "row_softmax":
-        out = _row_softmax(v[p[0]])
-    elif op == "col_softmax":
-        out = _col_softmax(v[p[0]])
-    elif op == "sigmoid":
-        out = _sigmoid(v[p[0]])
-    elif op == "relu":
-        out = np.maximum(v[p[0]], 0)
-    elif op == "layer_norm":
-        out, saved = _layer_norm_fwd(v[p[0]], v[p[1]], v[p[2]])
-        g._saved[i] = saved
-    elif op == "gru_cell":
-        out, saved = _gru_fwd(*(v[j] for j in p))
-        g._saved[i] = saved
-    elif op == "mean_pool":
-        out = v[p[0]].mean(axis=0, keepdims=True)
-    elif op == "concat":
-        out = np.concatenate([v[p[0]], v[p[1]]], axis=g._aux[i])
-    elif op == "mul":
-        out = v[p[0]] * v[p[1]]
-    elif op == "squared_error":
-        d = v[p[0]] - v[p[1]]
-        out = np.asarray((d * d).mean(), dtype=g.dtype)
-    elif op == "cosine":
-        y, saved = _cosine_fwd(v[p[0]], v[p[1]])
-        g._saved[i] = saved
-        out = np.asarray(y, dtype=g.dtype)
-    elif op == "log":
-        src = v[p[0]]
-        if np.any(src <= 0):
-            raise GraphError(f"log of non-positive entry (node {i})")
-        out = np.log(src)
-    elif op == "exp":
-        out = np.exp(v[p[0]])
-    elif op == "clamp":
-        lo, hi = g._aux[i]
-        out = np.clip(v[p[0]], lo, hi)
-    elif op == "gather_rows":
-        out = v[p[0]][g._aux[i]]
-    elif op == "reduce_sum":
-        out = np.asarray(v[p[0]].sum(), dtype=g.dtype)
-    elif op == "stop_gradient":
-        out = v[p[0]]
-    else:  # pragma: no cover - input/const handled by caller
-        raise GraphError(f"cannot replay op {op!r}")
+def _log_fwd(_, x):
+    if np.any(x <= 0):
+        raise GraphError("log of non-positive entry")
+    return np.log(x)
+
+
+_FORWARD = {
+    "matmul": lambda _, a, b: a @ b,
+    "transpose": lambda _, a: a.T.copy(),
+    "add": lambda _, a, b: a + b,
+    "scale": lambda c, a: a * a.dtype.type(c),
+    "row_softmax": _softmax,
+    "col_softmax": _softmax,
+    "sigmoid": lambda _, a: _sigmoid(a),
+    "relu": lambda _, a: np.maximum(a, 0),
+    "layer_norm": _layer_norm_fwd,
+    "gru_cell": _gru_fwd,
+    "mean_pool": lambda _, a: a.mean(axis=0, keepdims=True),
+    "concat": lambda axis, a, b: np.concatenate([a, b], axis=axis),
+    "mul": lambda _, a, b: a * b,
+    "squared_error": _squared_error_fwd,
+    "cosine": _cosine_fwd,
+    "log": _log_fwd,
+    "exp": lambda _, a: np.exp(a),
+    "clamp": lambda bounds, a: np.clip(a, *bounds),
+    "gather_rows": lambda idx, a: a[idx],
+    "reduce_sum": lambda _, a: a.sum(),
+    "stop_gradient": lambda _, a: a,
+}
+
+# Every op kind the engine registers. The model uses all of them.
+OP_KINDS = ("input", "const", *_FORWARD)
+
+
+def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
+    """Run node i's kernel on its parents' current values; returns the
+    value at the graph dtype and the saved intermediates (or None)."""
+    try:
+        out = _FORWARD[op](aux, *map(g._values.__getitem__, parents))
+    except GraphError as err:
+        raise GraphError(f"{err} (node {i})") from None
+    saved = None
+    if isinstance(out, tuple):
+        out, saved = out
     out = np.asarray(out, dtype=g.dtype)
     if g.check_finite and not np.all(np.isfinite(out)):
         raise GraphError(f"non-finite output at node {i} ({op})")
-    g._values[i] = out
+    return out, saved
+
+
+def _replay_node(g: Graph, i: int):
+    g._values[i], g._saved[i] = _evaluate(g, g._ops[i], g._parents[i],
+                                          g._aux[i], i)
 
 
 def forward(graph: Graph, bindings: dict | None = None) -> dict:
@@ -518,16 +472,10 @@ def _bw_scale(g, i, grad, grads):
     _acc(grads, g._parents[i][0], grad * g.dtype.type(g._aux[i]))
 
 
-def _bw_row_softmax(g, i, grad, grads):
+def _bw_softmax(g, i, grad, grads):
     y = g._values[i]
     gy = grad * y
-    _acc(grads, g._parents[i][0], gy - y * gy.sum(axis=1, keepdims=True))
-
-
-def _bw_col_softmax(g, i, grad, grads):
-    y = g._values[i]
-    gy = grad * y
-    _acc(grads, g._parents[i][0], gy - y * gy.sum(axis=0, keepdims=True))
+    _acc(grads, g._parents[i][0], gy - y * gy.sum(axis=g._aux[i], keepdims=True))
 
 
 def _bw_sigmoid(g, i, grad, grads):
@@ -667,8 +615,8 @@ _BACKWARD = {
     "transpose": _bw_transpose,
     "add": _bw_add,
     "scale": _bw_scale,
-    "row_softmax": _bw_row_softmax,
-    "col_softmax": _bw_col_softmax,
+    "row_softmax": _bw_softmax,
+    "col_softmax": _bw_softmax,
     "sigmoid": _bw_sigmoid,
     "relu": _bw_relu,
     "layer_norm": _bw_layer_norm,
@@ -794,6 +742,22 @@ def named_arrays(prefix: str, obj) -> dict:
     for f in dataclasses.fields(obj):
         out[f"{prefix}.{f.name}"] = getattr(obj, f.name)
     return out
+
+
+def init_normal(rng: np.random.Generator, shape, scale) -> np.ndarray:
+    """Float32 weights drawn as N(0, 1) * scale; every random init."""
+    return (rng.normal(size=shape) * scale).astype(np.float32)
+
+
+def init_block(rng: np.random.Generator, dim: int):
+    """(mat, bias, gamma) makers for a width-``dim`` parameter block:
+    ``mat()`` draws a (dim, dim) weight at scale 1/sqrt(dim); ``bias()``
+    and ``gamma()`` return (1, dim) float32 rows of zeros and ones.  The
+    order of the ``mat()`` calls fixes every tensor."""
+    scale = 1.0 / np.sqrt(dim)
+    return (lambda: init_normal(rng, (dim, dim), scale),
+            lambda: np.zeros((1, dim), dtype=np.float32),
+            lambda: np.ones((1, dim), dtype=np.float32))
 
 
 def bind_arrays(graph: Graph, prefix: str, obj, trainable: bool = True):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Node, bind_arrays
+from .autodiff import Graph, Node, bind_arrays, init_block, init_normal
 from .moe import GateMask
 
 __all__ = [
@@ -91,14 +91,7 @@ class RiskHeadParams:
 
 def init_self_params(rng: np.random.Generator,
                      dim: int) -> SelfAttentionParams:
-    scale = 1.0 / np.sqrt(dim)
-
-    def mat():
-        return (rng.normal(size=(dim, dim)) * scale).astype(np.float32)
-
-    def bias():
-        return np.zeros((1, dim), dtype=np.float32)
-
+    mat, bias, _ = init_block(rng, dim)
     return SelfAttentionParams(w_q=mat(), w_k=mat(), w_v=mat(),
                                mlp_w1=mat(), mlp_b1=bias(),
                                mlp_w2=mat(), mlp_b2=bias())
@@ -106,14 +99,7 @@ def init_self_params(rng: np.random.Generator,
 
 def init_cross_params(rng: np.random.Generator,
                       dim: int) -> CrossAttentionParams:
-    scale = 1.0 / np.sqrt(dim)
-
-    def mat():
-        return (rng.normal(size=(dim, dim)) * scale).astype(np.float32)
-
-    def bias():
-        return np.zeros((1, dim), dtype=np.float32)
-
+    mat, bias, _ = init_block(rng, dim)
     return CrossAttentionParams(
         w_q=mat(), w_k=mat(), w_v=mat(),
         gru_wz=mat(), gru_uz=mat(), gru_bz=bias(),
@@ -125,9 +111,8 @@ def init_cross_params(rng: np.random.Generator,
 
 def init_risk_params(rng: np.random.Generator, dim: int,
                      n_bins: int) -> RiskHeadParams:
-    scale = 1.0 / np.sqrt(3 * dim)
     return RiskHeadParams(
-        w1=(rng.normal(size=(3 * dim, dim)) * scale).astype(np.float32),
+        w1=init_normal(rng, (3 * dim, dim), 1.0 / np.sqrt(3 * dim)),
         b1=np.zeros((1, dim), dtype=np.float32),
         w2=(rng.normal(size=(dim, n_bins)) / np.sqrt(dim)).astype(np.float32),
         b2=np.zeros((1, n_bins), dtype=np.float32),

@@ -18,6 +18,7 @@ genomics present are bitwise-independent of those parameters.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +83,7 @@ PARAM_GROUPS = tuple(f.name for f in dataclasses.fields(ModelParams))
 FROZEN_GROUPS = ("qmap",)
 TRAINABLE_GROUPS = tuple(n for n in PARAM_GROUPS if n not in FROZEN_GROUPS)
 
-_GROUP_TYPES = {f.name: f.type for f in dataclasses.fields(ModelParams)}
-_GROUP_CLASSES = {
-    "slots_h": SlotParams, "slots_g": SlotParams,
-    "gate_h": GateParams, "gate_g": GateParams,
-    "pred_h": PredictorParams, "pred_g": PredictorParams,
-    "recon_g": ReconHeadParams, "recon_h": ReconHeadParams,
-    "recon_cross": ReconHeadParams,
-    "positions": PositionTable, "qmap": FrozenQueryMap,
-    "self_h": SelfAttentionParams, "self_g": SelfAttentionParams,
-    "cross": CrossAttentionParams, "risk": RiskHeadParams,
-}
+_GROUP_CLASSES = typing.get_type_hints(ModelParams)
 
 
 def init_model(rng: np.random.Generator, dim: int, n_slots_h: int,
@@ -375,8 +366,9 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
                     selective: bool = True,
                     aggregation: str = "mean") -> PatientOutput:
     """Inference pass: deterministic slot init, noise-free top-K selection,
-    reconstruction heads untouched."""
-    g = Graph()
+    reconstruction heads untouched.  The graph runs at the parameters'
+    precision."""
+    g = Graph(dtype=params.slots_h.init_mean.dtype)
     p = _bind_model(g, params)
     trunk = build_patient_trunk(
         g, p, g.const(np.asarray(bag_h)), g.const(np.asarray(bag_g)),
@@ -384,15 +376,11 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         rng=None, training=False, selective=selective,
         aggregation=aggregation)
 
-    def gate_mask(scores, selected, n_slots, k):
-        hard = np.zeros(n_slots, dtype=np.float64)
-        hard[selected] = 1.0
-        r = np.asarray(scores.value[:, 0], dtype=np.float64)
-        shifted = (r - r.max()) / temperature
-        exp = np.exp(shifted)
-        return moe_mod.GateMask(hard=hard, soft=exp / exp.sum(),
-                                scores=r.copy(), k=k,
-                                temperature=temperature)
+    def gate_mask(scores, k):
+        # with selection off every slot is kept, so K is the slot count
+        r = scores.value[:, 0]
+        return moe_mod.gumbel_topk_mask(r, k if selective else r.size,
+                                        temperature, training=False)
 
     return PatientOutput(
         curve=surv_mod.hazards_from_logits(trunk.fused.value[0]),
@@ -404,10 +392,8 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         slots_g=slot_mod.SlotSet(slots=trunk.slots_g.value.copy(),
                                  attention=trunk.alpha_g.value.copy(),
                                  t_iters=t_iters),
-        mask_h=gate_mask(trunk.scores_h, trunk.selected_h,
-                         params.n_slots_h, k_h),
-        mask_g=gate_mask(trunk.scores_g, trunk.selected_g,
-                         params.n_slots_g, k_g),
+        mask_h=gate_mask(trunk.scores_h, k_h),
+        mask_g=gate_mask(trunk.scores_g, k_g),
         weights_h=trunk.weights_h.value[0].copy(),
         weights_g=trunk.weights_g.value[0].copy(),
     )

@@ -8,6 +8,12 @@ through the soft relaxation, so unselected slots still receive learning
 signal.  At inference the mask is the deterministic top-K of the raw
 scores and no noise is drawn.
 
+K comes from one rule, ``train.k_from_fraction``: K = round(f * S),
+clipped to [1, S], with f = ``TrainConfig.k_fraction`` (0.25 by
+default).  Training and inference both read K from it through
+``TrainConfig.k_h``/``k_g``.  With selection off (the ``selective=False``
+ablation) every slot is kept, so K = S.
+
 As in the encoder module, build_* functions append nodes to a
 caller-owned Graph; the plain functions are numpy conveniences that also
 serve as an independent cross-check of the graph builders in the tests.
@@ -16,12 +22,11 @@ serve as an independent cross-check of the graph builders in the tests.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Node
+from .autodiff import Graph, Node, init_block, init_normal
 
 __all__ = [
     "DEFAULT_TEMPERATURE",
@@ -35,7 +40,6 @@ __all__ = [
     "build_renormalized_weights",
     "build_slot_logits",
     "decode",
-    "default_k",
     "gate_scores",
     "gated_mixture",
     "gumbel_topk_mask",
@@ -47,13 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_TEMPERATURE = 0.01
-
-
-def default_k(n_slots: int) -> int:
-    """Default number of retained slots: a quarter of them, rounded up."""
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    return math.ceil(0.25 * n_slots)
 
 
 @dataclass(frozen=True)
@@ -75,20 +72,16 @@ class PredictorParams:
 
 
 def init_gate_params(rng: np.random.Generator, dim: int) -> GateParams:
-    scale = 1.0 / np.sqrt(dim)
-    return GateParams(
-        w=(rng.normal(size=(dim, 1)) * scale).astype(np.float32),
-        b=np.zeros((1, 1), dtype=np.float32),
-    )
+    return GateParams(w=init_normal(rng, (dim, 1), 1.0 / np.sqrt(dim)),
+                      b=np.zeros((1, 1), dtype=np.float32))
 
 
 def init_predictor_params(rng: np.random.Generator, dim: int,
                           n_bins: int) -> PredictorParams:
-    scale = 1.0 / np.sqrt(dim)
+    mat, bias, _ = init_block(rng, dim)
     return PredictorParams(
-        w1=(rng.normal(size=(dim, dim)) * scale).astype(np.float32),
-        b1=np.zeros((1, dim), dtype=np.float32),
-        w2=(rng.normal(size=(dim, n_bins)) * scale).astype(np.float32),
+        w1=mat(), b1=bias(),
+        w2=init_normal(rng, (dim, n_bins), 1.0 / np.sqrt(dim)),
         b2=np.zeros((1, n_bins), dtype=np.float32),
     )
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import slots as slot_mod
-from .autodiff import Graph, Node, bind_arrays
+from .autodiff import Graph, Node, bind_arrays, init_block, init_normal
 from .data import FeatureBag
 
 __all__ = [
@@ -91,17 +91,7 @@ class FrozenQueryMap:
 
 
 def init_recon_head(rng: np.random.Generator, dim: int) -> ReconHeadParams:
-    scale = 1.0 / np.sqrt(dim)
-
-    def mat():
-        return (rng.normal(size=(dim, dim)) * scale).astype(np.float32)
-
-    def bias():
-        return np.zeros((1, dim), dtype=np.float32)
-
-    def gamma():
-        return np.ones((1, dim), dtype=np.float32)
-
+    mat, bias, gamma = init_block(rng, dim)
     return ReconHeadParams(
         w_q=mat(), w_k=mat(), w_v=mat(),
         ffn_w1=mat(), ffn_b1=bias(), ffn_w2=mat(), ffn_b2=bias(),
@@ -113,15 +103,12 @@ def init_recon_head(rng: np.random.Generator, dim: int) -> ReconHeadParams:
 
 def init_position_table(rng: np.random.Generator, m_rows: int,
                         dim: int) -> PositionTable:
-    return PositionTable(
-        table=(rng.normal(size=(m_rows, dim)) * 0.5).astype(np.float32))
+    return PositionTable(table=init_normal(rng, (m_rows, dim), 0.5))
 
 
 def init_query_map(rng: np.random.Generator, dim: int) -> FrozenQueryMap:
-    scale = 1.0 / np.sqrt(dim)
-    return FrozenQueryMap(
-        w=(rng.normal(size=(dim, dim)) * scale).astype(np.float32),
-        b=np.zeros((1, dim), dtype=np.float32))
+    mat, bias, _ = init_block(rng, dim)
+    return FrozenQueryMap(w=mat(), b=bias())
 
 
 # -------------------------------------------------------------- graph builders

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, bind_arrays
+from .autodiff import Graph, bind_arrays, init_block, init_normal
 
 __all__ = [
     "SlotParams",
@@ -96,24 +96,17 @@ class StepResult:
 
 def init_slot_params(rng: np.random.Generator, n_slots: int,
                      dim: int) -> SlotParams:
-    scale = 1.0 / np.sqrt(dim)
-
-    def mat():
-        return (rng.normal(size=(dim, dim)) * scale).astype(np.float32)
-
-    def bias():
-        return np.zeros((1, dim), dtype=np.float32)
-
+    mat, bias, gamma = init_block(rng, dim)
     return SlotParams(
-        init_mean=(rng.normal(size=(n_slots, dim)) * 0.5).astype(np.float32),
+        init_mean=init_normal(rng, (n_slots, dim), 0.5),
         init_log_std=np.full((n_slots, dim), np.log(0.1), dtype=np.float32),
         w_q=mat(), w_k=mat(), w_v=mat(),
         gru_wz=mat(), gru_uz=mat(), gru_bz=bias(),
         gru_wr=mat(), gru_ur=mat(), gru_br=bias(),
         gru_wn=mat(), gru_un=mat(), gru_bn=bias(),
         mlp_w1=mat(), mlp_b1=bias(), mlp_w2=mat(), mlp_b2=bias(),
-        ln_in_gamma=np.ones((1, dim), dtype=np.float32), ln_in_beta=bias(),
-        ln_slot_gamma=np.ones((1, dim), dtype=np.float32), ln_slot_beta=bias(),
+        ln_in_gamma=gamma(), ln_in_beta=bias(),
+        ln_slot_gamma=gamma(), ln_slot_beta=bias(),
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Node
+from .autodiff import Graph, Node, _sigmoid
 
 __all__ = [
     "BootstrapSummary",
@@ -47,15 +47,6 @@ __all__ = [
 # finite even for saturated logits.
 H_MIN = 1e-7
 H_MAX = 1.0 - 1e-7
-
-
-def _expit(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # --------------------------------------------------------------------- hazards
@@ -82,7 +73,7 @@ def hazards_from_logits(logits) -> HazardCurve:
         raise ValueError("hazards_from_logits: empty logits")
     if not np.all(np.isfinite(arr)):
         raise ValueError("hazards_from_logits: non-finite logits")
-    h = np.clip(_expit(arr), H_MIN, H_MAX)
+    h = np.clip(_sigmoid(arr), H_MIN, H_MAX)
     s = np.cumprod(1.0 - h)
     return HazardCurve(h=h, S=s, risk=float(-s.sum()))
 

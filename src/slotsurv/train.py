@@ -25,6 +25,7 @@ from . import survival as surv_mod
 from .autodiff import GraphError, backward
 from .data import Cohort, FeatureBag
 from .model import ModelParams, build_cohort_loss, patient_forward
+from .slots import _AGGREGATIONS
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +34,6 @@ CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sHHI")   # magic, version, reserved, index length
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
-_AGGREGATIONS = ("mean", "sum")
 
 
 class DivergenceError(RuntimeError):
@@ -497,7 +497,6 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort, fold: int,
     censored = ~events
     c_index = surv_mod.concordance_index(risks, times, censored)
     median = float(np.median(risks))
-    high = risks >= median
     metrics = {
         "fold": int(fold),
         "n_patients": int(indices.size),

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from slotsurv.autodiff import (
+    _BACKWARD,
+    _FORWARD,
+    OP_KINDS,
     Graph,
     GraphError,
     backward,
@@ -361,6 +364,39 @@ def test_forward_replay_matches_fresh_build():
     assert np.array_equal(replayed, fresh.value)
 
 
+# stop_gradient has no FD audit (its adjoint is zero by design), but it
+# replays like every other op.
+REPLAY_BUILDERS = {
+    **OP_BUILDERS,
+    "stop_gradient": lambda g, rng: g.stop_gradient(
+        g.input("a", rng.normal(size=(3, 4)))),
+}
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("op_name", sorted(REPLAY_BUILDERS))
+def test_forward_replay_matches_eager_build(op_name):
+    """Replay under the build-time bindings reproduces every eager node
+    value, and every saved intermediate, bit for bit."""
+    assert set(OP_KINDS) == {"input", "const"} | set(_FORWARD)
+    assert set(_BACKWARD) <= set(_FORWARD)
+    for dtype in (np.float32, np.float64):
+        g = Graph(dtype=dtype)
+        REPLAY_BUILDERS[op_name](g, np.random.default_rng(_seed(op_name, 0)))
+        values = list(g._values)
+        saved = list(g._saved)
+        forward(g, {})
+        for i in range(g.num_nodes):
+            assert _same_bits(values[i], g._values[i]), (op_name, i)
+            if saved[i] is not None:
+                assert all(_same_bits(a, b)
+                           for a, b in zip(saved[i], g._saved[i])), (op_name, i)
+
+
 def test_forward_is_deterministic():
     rng = np.random.default_rng(6)
     g = Graph(dtype=np.float32)
@@ -399,8 +435,14 @@ def test_non_finite_rejected_with_node_id():
         g.input("x", np.array([[np.inf]]))
     g2 = Graph(dtype=np.float32)
     x = g2.input("x", np.array([[-1.0]]))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"node 1\b"):
         g2.log(x)
+    big = g2.const(np.array([[1000.0]]))
+    with np.errstate(over="ignore"), \
+            pytest.raises(GraphError, match=r"node 2\b"):
+        g2.exp(big)
+    # a rejected op records nothing
+    assert g2.num_nodes == 2
 
 
 def test_forward_rejects_unknown_input():

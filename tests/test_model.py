@@ -203,18 +203,26 @@ def test_patient_forward_shapes_and_masks():
     # inference selection is the noise-free top-K of the gate scores
     top = np.argsort(out.mask_g.scores)[::-1][:2]
     assert set(np.flatnonzero(out.mask_g.hard)) == set(top)
+    # with selection off every slot is kept, and the mask says K = S
+    full = patient_forward(p, bag_h, bag_g, k_h=2, k_g=2, temperature=0.01,
+                           t_iters=2, l_iters=2, selective=False)
+    for mask, s in ((full.mask_h, S_H), (full.mask_g, S_G)):
+        assert mask.hard.sum() == mask.k == s
 
 
 def test_inference_risk_matches_training_trunk_in_inference_mode():
-    """The batched graph in inference mode and the facade agree exactly."""
-    p = _params(11)
-    bag_h, bag_g, t_bin, censored = _patients(11)[0]
-    cg = build_cohort_loss(p, [(bag_h, bag_g, t_bin, censored)], k_h=2,
-                           k_g=2, temperature=0.01, t_iters=2, l_iters=2,
-                           lam=0.0, training=False)
-    out = patient_forward(p, bag_h, bag_g, k_h=2, k_g=2, temperature=0.01,
-                          t_iters=2, l_iters=2)
+    """The batched graph in inference mode and the facade agree exactly,
+    at the precision of the parameters."""
     from slotsurv.survival import hazards_from_logits
-    ref = hazards_from_logits(cg.trunks[0].fused.value[0])
-    np.testing.assert_allclose(out.curve.h, ref.h, rtol=0, atol=1e-12)
-    assert out.risk == pytest.approx(ref.risk, abs=1e-12)
+    bag_h, bag_g, t_bin, censored = _patients(11)[0]
+    for dtype in (np.float32, np.float64):
+        p = cast_params(_params(11), dtype)
+        cg = build_cohort_loss(p, [(bag_h, bag_g, t_bin, censored)], k_h=2,
+                               k_g=2, temperature=0.01, t_iters=2, l_iters=2,
+                               lam=0.0, training=False, dtype=dtype)
+        out = patient_forward(p, bag_h, bag_g, k_h=2, k_g=2,
+                              temperature=0.01, t_iters=2, l_iters=2)
+        assert out.slots_h.slots.dtype == dtype
+        ref = hazards_from_logits(cg.trunks[0].fused.value[0])
+        np.testing.assert_allclose(out.curve.h, ref.h, rtol=0, atol=1e-12)
+        assert out.risk == pytest.approx(ref.risk, abs=1e-12)

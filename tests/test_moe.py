@@ -23,7 +23,6 @@ from slotsurv.moe import (
     build_renormalized_weights,
     build_slot_logits,
     decode,
-    default_k,
     gate_scores,
     gated_mixture,
     gumbel_topk_mask,
@@ -61,16 +60,6 @@ def test_identical_slots_get_identical_scores():
     r = gate_scores(slots, gate)
     assert r[0] == r[2]
     assert r[0] != r[1]
-
-
-def test_default_k_is_a_quarter_rounded_up():
-    assert default_k(16) == 4
-    assert default_k(8) == 2
-    assert default_k(5) == 2
-    assert default_k(4) == 1
-    assert default_k(1) == 1
-    with pytest.raises(ValueError):
-        default_k(0)
 
 
 # ---------------------------------------------------------------- selection

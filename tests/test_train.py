@@ -224,10 +224,14 @@ def test_zero_epochs_returns_initialization(small_cohort):
                               arr)
 
 
-def test_training_is_deterministic(small_cohort):
+def test_training_is_deterministic(small_cohort, tmp_path):
     cfg = TrainConfig(**SMALL_TRAIN)
     a = train(cfg, small_cohort, fold=1)
     b = train(cfg, small_cohort, fold=1)
+    save_checkpoint(a.checkpoint, tmp_path / "a.ckpt")
+    save_checkpoint(b.checkpoint, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == \
+           (tmp_path / "b.ckpt").read_bytes()
     pa = model_mod.named_parameters(a.checkpoint.params)
     pb = model_mod.named_parameters(b.checkpoint.params)
     for name in pa:
