@@ -20,11 +20,36 @@ through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
 multiply-adds.
 
-Multiply-add accounting (used by the complexity checks): matmul of
-(m,k)@(k,n) counts m*k*n; the GRU cell counts its six matmuls plus ten
-elementwise passes; layer norm 4 per element; softmaxes 3 per element;
-other arithmetic ops 1 per element of the output; pure data movement
-(transpose, gather, concat, stop_gradient) counts zero.
+Shapes. One patient's tensors are 2-d (rows, d); a batch of patients
+stacks them along a leading axis, (B, rows, d). Ops act on trailing
+axes, so one model builder serves both:
+
+* matmul: (m, k) @ (k, n); batched (B, m, k) @ (B, k, n); a shared 2-d
+  operand on either side broadcasts over the batch. A weight shared by
+  a 3-d left operand runs as one product over all B*m rows.
+* add, mul: numpy broadcasting; the adjoint sums back down to each
+  operand's shape (one unbroadcast helper; a (1, d) bias row is the
+  common case).
+* transpose swaps the last two axes; reshape keeps the entries.
+* row_softmax / col_softmax: along the last / second-to-last axis.
+* layer_norm, gru_cell: row-wise over the last axis, (1, d) gains and
+  biases, 2-d or 3-d inputs.
+* mean_pool: mean over the second-to-last axis; sum: keep-dims sum
+  along one axis; reduce_sum: everything down to 0-d.
+* squared_error, cosine: mean over the last two axes, 0-d for 2-d
+  operands and one value per batch entry, (B,), for 3-d ones.
+* concat along any axis of two equal-rank operands; gather_rows picks
+  rows of a 2-d operand.
+* elementwise: scale, sigmoid, relu, reciprocal, log, exp, clamp,
+  stop_gradient.
+
+Multiply-add accounting (used by the complexity checks): matmul counts
+B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
+ten elementwise passes per row; layer norm 4 per element; softmaxes 3
+per element; squared_error 2 and cosine 4 per input element; add and
+mul 1 per element of the broadcast output; the other elementwise ops,
+mean_pool, sum and reduce_sum 1 per input element; pure data movement
+(transpose, reshape, gather, concat, stop_gradient) counts zero.
 """
 
 from __future__ import annotations
@@ -125,45 +150,54 @@ class Graph:
 
     def matmul(self, a: Node, b: Node) -> Node:
         va, vb = a.value, b.value
-        if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
+        if (va.ndim not in (2, 3) or vb.ndim not in (2, 3)
+                or va.shape[-1] != vb.shape[-2]
+                or (va.ndim == vb.ndim == 3 and va.shape[0] != vb.shape[0])):
             raise GraphError(
                 f"matmul shape mismatch {va.shape} @ {vb.shape} (node {self._next_id()})"
             )
-        m, k = va.shape
-        n = vb.shape[1]
-        return self._append("matmul", (a.idx, b.idx), madds=m * k * n)
+        batch = max(va.shape[0] if va.ndim == 3 else 1,
+                    vb.shape[0] if vb.ndim == 3 else 1)
+        m, k = va.shape[-2:]
+        n = vb.shape[-1]
+        return self._append("matmul", (a.idx, b.idx), madds=batch * m * k * n)
 
     def transpose(self, a: Node) -> Node:
+        """Swap the last two axes."""
         va = a.value
-        if va.ndim != 2:
-            raise GraphError(f"transpose needs 2-d operand, got {va.shape}")
+        if va.ndim not in (2, 3):
+            raise GraphError(f"transpose needs a 2-d or 3-d operand, got {va.shape}")
         return self._append("transpose", (a.idx,))
 
+    def reshape(self, a: Node, shape) -> Node:
+        """Same entries in another shape; ``a`` itself when the shape already
+        matches, so unbatched callers pay no node."""
+        shape = tuple(int(n) for n in shape)
+        if a.shape == shape:
+            return a
+        if int(np.prod(shape)) != a.value.size:
+            raise GraphError(f"cannot reshape {a.shape} to {shape}")
+        return self._append("reshape", (a.idx,), aux=shape)
+
     def add(self, a: Node, b: Node) -> Node:
-        va, vb = a.value, b.value
-        if va.shape != vb.shape:
-            row_bias = (
-                va.ndim == 2
-                and vb.ndim == 2
-                and vb.shape == (1, va.shape[1])
-            )
-            if not row_bias:
-                raise GraphError(f"add shape mismatch {va.shape} + {vb.shape}")
-        return self._append("add", (a.idx, b.idx), madds=int(np.prod(va.shape)))
+        shape = self._broadcast("add", a, b)
+        return self._append("add", (a.idx, b.idx), madds=int(np.prod(shape)))
 
     def scale(self, a: Node, c: float) -> Node:
         return self._append("scale", (a.idx,), aux=float(c), madds=a.value.size)
 
     def row_softmax(self, a: Node) -> Node:
-        return self._softmax("row_softmax", a, axis=1)
+        """Softmax along the last axis."""
+        return self._softmax("row_softmax", a, axis=-1)
 
     def col_softmax(self, a: Node) -> Node:
-        return self._softmax("col_softmax", a, axis=0)
+        """Softmax along the second-to-last axis."""
+        return self._softmax("col_softmax", a, axis=-2)
 
     def _softmax(self, op: str, a: Node, axis: int) -> Node:
         va = a.value
-        if va.ndim != 2:
-            raise GraphError(f"{op} needs 2-d operand, got {va.shape}")
+        if va.ndim not in (2, 3):
+            raise GraphError(f"{op} needs a 2-d or 3-d operand, got {va.shape}")
         return self._append(op, (a.idx,), aux=axis, madds=3 * va.size)
 
     def sigmoid(self, a: Node) -> Node:
@@ -172,10 +206,14 @@ class Graph:
     def relu(self, a: Node) -> Node:
         return self._append("relu", (a.idx,), madds=a.value.size)
 
+    def reciprocal(self, a: Node) -> Node:
+        return self._append("reciprocal", (a.idx,), madds=a.value.size)
+
     def layer_norm(self, a: Node, gamma: Node, beta: Node) -> Node:
+        """Normalize along the last axis; gamma and beta are (1, d) rows."""
         va = a.value
         d = va.shape[-1]
-        if va.ndim != 2 or gamma.shape != (1, d) or beta.shape != (1, d):
+        if va.ndim not in (2, 3) or gamma.shape != (1, d) or beta.shape != (1, d):
             raise GraphError(
                 f"layer_norm shapes: x {va.shape}, gamma {gamma.shape}, beta {beta.shape}"
             )
@@ -183,9 +221,10 @@ class Graph:
                             madds=4 * va.size)
 
     def gru_cell(self, x: Node, h: Node, wz, uz, bz, wr, ur, br, wn, un, bn) -> Node:
+        """Row-wise GRU update of state h (2-d or 3-d) from input x."""
         vx, vh = x.value, h.value
-        d = vh.shape[1]
-        if vx.shape != vh.shape:
+        d = vh.shape[-1]
+        if vx.shape != vh.shape or vx.ndim not in (2, 3):
             raise GraphError(f"gru_cell input/state mismatch {vx.shape} vs {vh.shape}")
         for w in (wz, uz, wr, ur, wn, un):
             if w.shape != (d, d):
@@ -193,7 +232,7 @@ class Graph:
         for b in (bz, br, bn):
             if b.shape != (1, d):
                 raise GraphError(f"gru_cell bias shape {b.shape}, want {(1, d)}")
-        s, _ = vx.shape
+        s = vx.size // d
         return self._append(
             "gru_cell",
             (x.idx, h.idx, wz.idx, uz.idx, bz.idx, wr.idx, ur.idx, br.idx,
@@ -201,35 +240,51 @@ class Graph:
             madds=6 * s * d * d + 10 * s * d)
 
     def mean_pool(self, a: Node) -> Node:
+        """Mean over the second-to-last axis, kept as a length-1 axis."""
         va = a.value
-        if va.ndim != 2:
-            raise GraphError(f"mean_pool needs 2-d operand, got {va.shape}")
+        if va.ndim not in (2, 3):
+            raise GraphError(f"mean_pool needs a 2-d or 3-d operand, got {va.shape}")
         return self._append("mean_pool", (a.idx,), madds=va.size)
+
+    def sum(self, a: Node, axis: int) -> Node:
+        """Sum along one axis, kept as a length-1 axis."""
+        va = a.value
+        if not -va.ndim <= axis < va.ndim:
+            raise GraphError(f"sum axis {axis} out of range for {va.shape}")
+        return self._append("sum", (a.idx,), aux=axis % va.ndim,
+                            madds=va.size)
 
     def concat(self, a: Node, b: Node, axis: int) -> Node:
         va, vb = a.value, b.value
-        if va.ndim != 2 or vb.ndim != 2 or axis not in (0, 1):
-            raise GraphError("concat needs two 2-d operands and axis 0 or 1")
-        other = 1 - axis
-        if va.shape[other] != vb.shape[other]:
-            raise GraphError(f"concat shape mismatch {va.shape} | {vb.shape} axis {axis}")
+        if va.ndim != vb.ndim or va.ndim not in (2, 3) \
+                or not -va.ndim <= axis < va.ndim:
+            raise GraphError("concat needs two 2-d or two 3-d operands "
+                             "and a valid axis")
+        axis %= va.ndim
+        if np.delete(va.shape, axis).tolist() != np.delete(vb.shape, axis).tolist():
+            raise GraphError(
+                f"concat shape mismatch {va.shape} | {vb.shape} axis {axis}")
         return self._append("concat", (a.idx, b.idx), aux=axis)
 
     def mul(self, a: Node, b: Node) -> Node:
-        if a.shape != b.shape:
-            raise GraphError(f"mul shape mismatch {a.shape} * {b.shape}")
-        return self._append("mul", (a.idx, b.idx), madds=a.value.size)
+        shape = self._broadcast("mul", a, b)
+        return self._append("mul", (a.idx, b.idx), madds=int(np.prod(shape)))
 
     def squared_error(self, a: Node, b: Node) -> Node:
-        if a.shape != b.shape:
+        """Mean squared difference over the last two axes: 0-d for 2-d
+        operands, one mean per leading index for 3-d ones."""
+        if a.shape != b.shape or a.value.ndim not in (2, 3):
             raise GraphError(f"squared_error shape mismatch {a.shape} vs {b.shape}")
         return self._append("squared_error", (a.idx, b.idx),
                             madds=2 * a.value.size)
 
     def cosine(self, a: Node, b: Node) -> Node:
-        """Mean row-wise cosine similarity; zero-norm rows contribute 0."""
-        if a.shape != b.shape or a.value.ndim != 2:
-            raise GraphError(f"cosine needs matching 2-d shapes, got {a.shape}, {b.shape}")
+        """Mean cosine similarity of rows (along the last axis) over the
+        second-to-last axis: 0-d for 2-d operands, one mean per leading
+        index for 3-d ones.  Zero-norm rows contribute 0."""
+        if a.shape != b.shape or a.value.ndim not in (2, 3):
+            raise GraphError(
+                f"cosine needs matching 2-d or 3-d shapes, got {a.shape}, {b.shape}")
         return self._append("cosine", (a.idx, b.idx), madds=4 * a.value.size)
 
     def log(self, a: Node) -> Node:
@@ -315,9 +370,17 @@ class Graph:
     def _next_id(self) -> int:
         return len(self._ops)
 
+    def _broadcast(self, op: str, a: Node, b: Node) -> tuple:
+        if a.shape == b.shape:
+            return a.shape
+        try:
+            return np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise GraphError(f"{op} shape mismatch {a.shape} vs {b.shape}") from None
+
     def _coerce(self, value, what: str) -> np.ndarray:
         arr = np.ascontiguousarray(np.asarray(value, dtype=self.dtype))
-        if self.check_finite and not np.all(np.isfinite(arr)):
+        if self.check_finite and not np.isfinite(arr).all():
             raise GraphError(f"{what}: non-finite entries")
         return arr
 
@@ -348,54 +411,74 @@ def _softmax(axis, x):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _matmul(a, b):
+    if a.ndim == 3 and b.ndim == 2 and a.shape[0] > 1:
+        # a weight shared by every batch entry: one product over all rows
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    return np.matmul(a, b)
+
+
 def _layer_norm_fwd(_, x, gamma, beta):
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x - mu) * inv
     return xhat * gamma + beta, (xhat, inv)
 
 
 def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
+    # row-wise: leading axes are flattened into rows
+    shape = x.shape
+    if x.ndim != 2:
+        x, h = x.reshape(-1, shape[-1]), h.reshape(-1, shape[-1])
     z = _sigmoid(x @ wz + h @ uz + bz)
     r = _sigmoid(x @ wr + h @ ur + br)
     rh = r * h
     n = np.tanh(x @ wn + rh @ un + bn)
-    return z * h + (1.0 - z) * n, (z, r, n, rh)
+    return (z * h + (1.0 - z) * n).reshape(shape), (z, r, n, rh)
 
 
 def _squared_error_fwd(_, a, b):
     d = a - b
-    return (d * d).mean()
+    return (d * d).mean(axis=(-2, -1))
 
 
 def _cosine_fwd(_, a, b):
-    na = np.sqrt((a * a).sum(axis=1, keepdims=True))
-    nb = np.sqrt((b * b).sum(axis=1, keepdims=True))
+    na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    nb = np.sqrt((b * b).sum(axis=-1, keepdims=True))
     valid = (na > _COS_TINY) & (nb > _COS_TINY)
     denom = np.where(valid, na * nb, 1.0)
-    cos = np.where(valid, (a * b).sum(axis=1, keepdims=True) / denom, 0.0)
-    return cos.mean(), (na, nb, cos, valid)
+    cos = np.where(valid, (a * b).sum(axis=-1, keepdims=True) / denom, 0.0)
+    return cos.mean(axis=(-2, -1)), (na, nb, cos, valid)
 
 
 def _log_fwd(_, x):
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise GraphError("log of non-positive entry")
     return np.log(x)
 
 
+def _reciprocal_fwd(_, x):
+    if (x == 0).any():
+        raise GraphError("reciprocal of zero entry")
+    return 1.0 / x
+
+
 _FORWARD = {
-    "matmul": lambda _, a, b: a @ b,
-    "transpose": lambda _, a: a.T.copy(),
+    "matmul": lambda _, a, b: _matmul(a, b),
+    "transpose": lambda _, a: np.swapaxes(a, -1, -2).copy(),
+    "reshape": lambda shape, a: a.reshape(shape),
     "add": lambda _, a, b: a + b,
     "scale": lambda c, a: a * a.dtype.type(c),
     "row_softmax": _softmax,
     "col_softmax": _softmax,
     "sigmoid": lambda _, a: _sigmoid(a),
     "relu": lambda _, a: np.maximum(a, 0),
+    "reciprocal": _reciprocal_fwd,
     "layer_norm": _layer_norm_fwd,
     "gru_cell": _gru_fwd,
-    "mean_pool": lambda _, a: a.mean(axis=0, keepdims=True),
+    "mean_pool": lambda _, a: a.mean(axis=-2, keepdims=True),
+    "sum": lambda axis, a: a.sum(axis=axis, keepdims=True),
     "concat": lambda axis, a, b: np.concatenate([a, b], axis=axis),
     "mul": lambda _, a, b: a * b,
     "squared_error": _squared_error_fwd,
@@ -423,7 +506,7 @@ def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
     if isinstance(out, tuple):
         out, saved = out
     out = np.asarray(out, dtype=g.dtype)
-    if g.check_finite and not np.all(np.isfinite(out)):
+    if g.check_finite and not np.isfinite(out).all():
         raise GraphError(f"non-finite output at node {i} ({op})")
     return out, saved
 
@@ -449,23 +532,40 @@ def forward(graph: Graph, bindings: dict | None = None) -> dict:
 
 # ----------------------------------------------------------------- backward
 
+def _unbroadcast(grad, shape):
+    """Sum a broadcast result's adjoint back down to an operand's shape."""
+    if grad.shape == shape:
+        return grad
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + k for k, n in enumerate(shape) if n == 1 and grad.shape[lead + k] != 1)
+    return grad.sum(axis=axes, keepdims=True).reshape(shape)
+
+
 def _bw_matmul(g, i, grad, grads):
     a, b = g._parents[i]
-    _acc(grads, a, grad @ g._values[b].T)
-    _acc(grads, b, g._values[a].T @ grad)
+    va, vb = g._values[a], g._values[b]
+    _acc(grads, a, _unbroadcast(_matmul(grad, np.swapaxes(vb, -1, -2)), va.shape))
+    if va.ndim == 3 and vb.ndim == 2:
+        gb = va.reshape(-1, va.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
+    else:
+        gb = _unbroadcast(np.matmul(np.swapaxes(va, -1, -2), grad), vb.shape)
+    _acc(grads, b, gb)
 
 
 def _bw_transpose(g, i, grad, grads):
-    _acc(grads, g._parents[i][0], grad.T)
+    _acc(grads, g._parents[i][0], np.swapaxes(grad, -1, -2))
+
+
+def _bw_reshape(g, i, grad, grads):
+    p = g._parents[i][0]
+    _acc(grads, p, grad.reshape(g._values[p].shape))
 
 
 def _bw_add(g, i, grad, grads):
     a, b = g._parents[i]
-    _acc(grads, a, grad)
-    if g._values[b].shape != g._values[a].shape:
-        _acc(grads, b, grad.sum(axis=0, keepdims=True))
-    else:
-        _acc(grads, b, grad)
+    _acc(grads, a, _unbroadcast(grad, g._values[a].shape))
+    _acc(grads, b, _unbroadcast(grad, g._values[b].shape))
 
 
 def _bw_scale(g, i, grad, grads):
@@ -488,22 +588,29 @@ def _bw_relu(g, i, grad, grads):
     _acc(grads, g._parents[i][0], grad * (x > 0))
 
 
+def _bw_reciprocal(g, i, grad, grads):
+    y = g._values[i]
+    _acc(grads, g._parents[i][0], -grad * y * y)
+
+
 def _bw_layer_norm(g, i, grad, grads):
     a, gi, bi = g._parents[i]
     xhat, inv = g._saved[i]
     gamma = g._values[gi]
     gg = grad * gamma
-    dx = inv * (gg - gg.mean(axis=1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=1, keepdims=True))
+    dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
     _acc(grads, a, dx)
-    _acc(grads, gi, (grad * xhat).sum(axis=0, keepdims=True))
-    _acc(grads, bi, grad.sum(axis=0, keepdims=True))
+    _acc(grads, gi, _unbroadcast(grad * xhat, gamma.shape))
+    _acc(grads, bi, _unbroadcast(grad, gamma.shape))
 
 
 def _bw_gru(g, i, grad, grads):
     (xi, hi, wzi, uzi, bzi, wri, uri, bri, wni, uni, bni) = g._parents[i]
     z, r, n, rh = g._saved[i]
-    x, h = g._values[xi], g._values[hi]
+    shape = grad.shape
+    grad = grad.reshape(z.shape)
+    x, h = g._values[xi].reshape(z.shape), g._values[hi].reshape(z.shape)
     wz, uz = g._values[wzi], g._values[uzi]
     wr, ur = g._values[wri], g._values[uri]
     wn, un = g._values[wni], g._values[uni]
@@ -523,8 +630,8 @@ def _bw_gru(g, i, grad, grads):
     dx = dx + dzp @ wz.T + drp @ wr.T
     dh = dh + dzp @ uz.T + drp @ ur.T
 
-    _acc(grads, xi, dx)
-    _acc(grads, hi, dh)
+    _acc(grads, xi, dx.reshape(shape))
+    _acc(grads, hi, dh.reshape(shape))
     _acc(grads, wzi, x.T @ dzp)
     _acc(grads, uzi, h.T @ dzp)
     _acc(grads, bzi, dzp.sum(axis=0, keepdims=True))
@@ -538,32 +645,34 @@ def _bw_gru(g, i, grad, grads):
 
 def _bw_mean_pool(g, i, grad, grads):
     p = g._parents[i][0]
-    m = g._values[p].shape[0]
-    _acc(grads, p, np.broadcast_to(grad / m, g._values[p].shape).copy())
+    shape = g._values[p].shape
+    _acc(grads, p, np.broadcast_to(grad / shape[-2], shape).copy())
+
+
+def _bw_sum(g, i, grad, grads):
+    p = g._parents[i][0]
+    _acc(grads, p, np.broadcast_to(grad, g._values[p].shape).copy())
 
 
 def _bw_concat(g, i, grad, grads):
     a, b = g._parents[i]
     axis = g._aux[i]
-    na = g._values[a].shape[axis]
-    if axis == 0:
-        _acc(grads, a, grad[:na])
-        _acc(grads, b, grad[na:])
-    else:
-        _acc(grads, a, grad[:, :na])
-        _acc(grads, b, grad[:, na:])
+    ga, gb = np.split(grad, [g._values[a].shape[axis]], axis=axis)
+    _acc(grads, a, ga)
+    _acc(grads, b, gb)
 
 
 def _bw_mul(g, i, grad, grads):
     a, b = g._parents[i]
-    _acc(grads, a, grad * g._values[b])
-    _acc(grads, b, grad * g._values[a])
+    va, vb = g._values[a], g._values[b]
+    _acc(grads, a, _unbroadcast(grad * vb, va.shape))
+    _acc(grads, b, _unbroadcast(grad * va, vb.shape))
 
 
 def _bw_squared_error(g, i, grad, grads):
     a, b = g._parents[i]
     d = g._values[a] - g._values[b]
-    coeff = grad * g.dtype.type(2.0 / d.size)
+    coeff = grad[..., None, None] * g.dtype.type(2.0 / (d.shape[-2] * d.shape[-1]))
     _acc(grads, a, coeff * d)
     _acc(grads, b, -coeff * d)
 
@@ -572,8 +681,7 @@ def _bw_cosine(g, i, grad, grads):
     a, b = g._parents[i]
     va, vb = g._values[a], g._values[b]
     na, nb, cos, valid = g._saved[i]
-    m = va.shape[0]
-    s = (grad / g.dtype.type(m)) * valid
+    s = (grad[..., None, None] / g.dtype.type(va.shape[-2])) * valid
     sna = np.where(valid, na, 1.0)
     snb = np.where(valid, nb, 1.0)
     da = s * (vb / (sna * snb) - cos * va / (sna * sna))
@@ -613,15 +721,18 @@ def _bw_reduce_sum(g, i, grad, grads):
 _BACKWARD = {
     "matmul": _bw_matmul,
     "transpose": _bw_transpose,
+    "reshape": _bw_reshape,
     "add": _bw_add,
     "scale": _bw_scale,
     "row_softmax": _bw_softmax,
     "col_softmax": _bw_softmax,
     "sigmoid": _bw_sigmoid,
     "relu": _bw_relu,
+    "reciprocal": _bw_reciprocal,
     "layer_norm": _bw_layer_norm,
     "gru_cell": _bw_gru,
     "mean_pool": _bw_mean_pool,
+    "sum": _bw_sum,
     "concat": _bw_concat,
     "mul": _bw_mul,
     "squared_error": _bw_squared_error,
@@ -659,6 +770,7 @@ def backward(graph: Graph, seed: Node) -> dict:
         fn = _BACKWARD.get(graph._ops[i])
         if fn is not None:
             fn(graph, i, gr, grads)
+            grads[i] = None     # spent: free it before the next node
     out = {}
     for name, i in graph._inputs.items():
         out[name] = grads[i] if grads[i] is not None else np.zeros_like(graph._values[i])

@@ -12,13 +12,18 @@ Manifest: one JSON document
 genomic_path|null, time_bin|null}], "bin_edges": [...]|null}``.
 Bag paths are stored relative to the manifest's directory when possible and
 resolved back to absolute paths on load.
+
+Bags, manifests and checkpoints are written through ``atomic_write``: a
+failed write leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
+import uuid
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +40,7 @@ __all__ = [
     "SurvivalRecord",
     "SynthConfig",
     "assign_bins",
+    "atomic_write",
     "discretize_times",
     "kfold_split",
     "load_bag",
@@ -84,6 +90,25 @@ class ManifestError(ValueError):
 # ------------------------------------------------------------------- bag files
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` for writing.  A clean exit
+    moves it over ``path`` in one step (``os.replace``); an error removes
+    it.  Readers therefore see the old file or the new one, never a
+    half-written one."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class FeatureBag:
     """An M x d instance matrix for one patient and one modality."""
@@ -111,7 +136,7 @@ def write_bag(bag: FeatureBag, destination) -> None:
     header = _HEADER.pack(_MAGIC, _VERSION, _MODALITY_CODES[bag.modality], 0,
                           matrix.shape[0], matrix.shape[1])
     payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-    with open(destination, "wb") as fh:
+    with atomic_write(destination) as fh:
         fh.write(header)
         fh.write(payload)
 
@@ -217,7 +242,7 @@ def save_manifest(cohort: Cohort, path) -> None:
         "bin_edges": None if cohort.bin_edges is None
         else [float(e) for e in cohort.bin_edges],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -1,6 +1,7 @@
 """Slot interaction and the final risk head.
 
-Three branches run on the encoded slots of a patient:
+Three branches run on the encoded slots of a patient, (S, d), or of a
+batch of patients, (B, S, d):
 
 * per-modality self-attention over the SELECTED slots only — unselected
   slots pass through bitwise unchanged (selection restricts the
@@ -131,32 +132,42 @@ def build_masked_self_attention(g: Graph, p: SelfAttentionParams,
                                 slots: Node, selected) -> Node:
     """Self-attention among the selected slots only.
 
-    `selected` is the index array of retained slots (from the gate mask's
-    forward value).  Unselected rows are passed through exactly: the
-    output gathers them straight from the input matrix.
+    ``slots`` is one patient's (S, d) set or a batch (B, S, d);
+    ``selected`` holds the retained slot indices (from the gate mask's
+    forward value), (K,) or (B, K), with the same K for every patient.
+    Unselected rows are passed through exactly: the output gathers them
+    straight from the input rows.
     """
-    selected = np.asarray(selected, dtype=np.int64).reshape(-1)
-    n_slots, dim = slots.shape
-    if selected.size == 0:
+    lead = slots.shape[:-2]
+    n_slots, dim = slots.shape[-2:]
+    n_sets = int(np.prod(lead, dtype=np.int64))
+    selected = np.asarray(selected, dtype=np.int64).reshape(n_sets, -1)
+    k = selected.shape[1]
+    if k == 0:
         raise ValueError("selection is empty")
-    if selected.size != np.unique(selected).size:
+    if any(np.unique(row).size != k for row in selected):
         raise ValueError("selection has duplicate indices")
-    sel = g.gather_rows(slots, selected)
+    rows = g.reshape(slots, (n_sets * n_slots, dim))
+    picked = (selected + n_slots * np.arange(n_sets)[:, None]).reshape(-1)
+    sel = g.reshape(g.gather_rows(rows, picked), lead + (k, dim))
     q = g.matmul(sel, p.w_q)
-    k = g.matmul(sel, p.w_k)
+    keys = g.matmul(sel, p.w_k)
     v = g.matmul(sel, p.w_v)
-    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
+    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(keys)),
                                  1.0 / np.sqrt(dim)))
     refined = _mlp_residual(g, p, g.add(sel, g.matmul(attn, v)))
     # scatter the refined rows back among the untouched ones
-    index_map = np.arange(n_slots)
-    index_map[selected] = n_slots + np.arange(selected.size)
-    return g.gather_rows(g.concat(slots, refined, axis=0), index_map)
+    index_map = np.arange(rows.shape[0])
+    index_map[picked] = rows.shape[0] + np.arange(picked.size)
+    out = g.gather_rows(
+        g.concat(rows, g.reshape(refined, (picked.size, dim)), axis=0),
+        index_map)
+    return g.reshape(out, slots.shape)
 
 
 def _cross_update(g: Graph, p: CrossAttentionParams, queries: Node,
                   context: Node) -> Node:
-    dim = queries.shape[1]
+    dim = queries.shape[-1]
     q = g.matmul(queries, p.w_q)
     k = g.matmul(context, p.w_k)
     v = g.matmul(context, p.w_v)
@@ -187,14 +198,14 @@ def build_iterative_cross_attention(g: Graph, p: CrossAttentionParams,
 def build_pool_concat(g: Graph, cross_h: Node, cross_g: Node,
                       self_h: Node, self_g: Node) -> Node:
     """z = [pool(cross_h | cross_g) || pool(self_h) || pool(self_g)],
-    shape (1, 3d)."""
-    joint = g.mean_pool(g.concat(cross_h, cross_g, axis=0))
-    z = g.concat(joint, g.mean_pool(self_h), axis=1)
-    return g.concat(z, g.mean_pool(self_g), axis=1)
+    shape (1, 3d), or (B, 1, 3d) for batched slot sets."""
+    joint = g.mean_pool(g.concat(cross_h, cross_g, axis=-2))
+    z = g.concat(joint, g.mean_pool(self_h), axis=-1)
+    return g.concat(z, g.mean_pool(self_g), axis=-1)
 
 
 def build_risk_head(g: Graph, p: RiskHeadParams, z: Node) -> Node:
-    """Survival logits (1, n_bins) from the fused embedding."""
+    """Survival logits (..., 1, n_bins) from the fused embedding."""
     hidden = g.relu(g.add(g.matmul(z, p.w1), p.b1))
     return g.add(g.matmul(hidden, p.w2), p.b2)
 
@@ -207,7 +218,7 @@ def masked_self_attention(slots: np.ndarray, mask: GateMask,
     if mask.hard.size != slots.shape[0]:
         raise ValueError(
             f"mask covers {mask.hard.size} slots, got {slots.shape[0]}")
-    g = Graph()
+    g = Graph(dtype=p.w_q.dtype)
     bound = bind_arrays(g, "p", p, trainable=False)
     out = build_masked_self_attention(g, bound, g.const(slots),
                                       mask.selected)
@@ -216,7 +227,7 @@ def masked_self_attention(slots: np.ndarray, mask: GateMask,
 
 def iterative_cross_attention(slots_h: np.ndarray, slots_g: np.ndarray,
                               p: CrossAttentionParams, l_iters: int):
-    g = Graph()
+    g = Graph(dtype=p.w_q.dtype)
     bound = bind_arrays(g, "p", p, trainable=False)
     out_h, out_g = build_iterative_cross_attention(
         g, bound, g.const(slots_h), g.const(slots_g), l_iters)
@@ -225,15 +236,17 @@ def iterative_cross_attention(slots_h: np.ndarray, slots_g: np.ndarray,
 
 def pool_concat(cross_h: np.ndarray, cross_g: np.ndarray,
                 self_h: np.ndarray, self_g: np.ndarray) -> np.ndarray:
-    """Fused embedding as a flat length-3d vector."""
-    g = Graph()
+    """Fused embedding as a flat length-3d vector, at the slots' precision
+    (float64 inputs stay float64)."""
+    g = Graph(dtype=np.result_type(cross_h, cross_g, self_h, self_g,
+                                   np.float32))
     z = build_pool_concat(g, g.const(cross_h), g.const(cross_g),
                           g.const(self_h), g.const(self_g))
     return z.value[0].copy()
 
 
 def risk_head(z: np.ndarray, p: RiskHeadParams) -> np.ndarray:
-    g = Graph()
+    g = Graph(dtype=p.w1.dtype)
     bound = bind_arrays(g, "p", p, trainable=False)
     logits = build_risk_head(g, bound, g.const(np.atleast_2d(z)))
     return logits.value[0].copy()

@@ -1,8 +1,10 @@
 """Full two-branch survival model: slot encoders, gated slot decoders,
 reconstruction regularizers and the fused risk head, composed into one
-differentiable graph per patient (or per batch).
+differentiable graph per batch of patients.  Every node carries a leading
+batch axis, so the node count does not grow with the batch size;
+inference runs a batch of one.
 
-The composition order per patient:
+The composition order, for every patient of the batch at once:
 
   1. encode each modality's bag into slots (stochastic init while training)
   2. per-modality gated mixture of slot logits -> auxiliary survival losses
@@ -157,21 +159,51 @@ def group_of(tensor_name: str) -> str:
 
 @dataclass(frozen=True)
 class TrunkNodes:
-    """Graph nodes of one patient's prediction trunk."""
+    """Graph nodes of a batch's prediction trunk; row b of every node (and
+    of the index arrays) belongs to patient b."""
 
-    slots_h: Node
+    slots_h: Node              # (B, S_h, d)
     slots_g: Node
-    alpha_h: Node
+    alpha_h: Node              # (B, S_h, M), padded columns zero
     alpha_g: Node
-    scores_h: Node
+    scores_h: Node             # (B, S_h, 1)
     scores_g: Node
-    weights_h: Node
+    weights_h: Node            # (B, 1, S_h)
     weights_g: Node
-    mix_h: Node                # (1, n_bins) histology-only logits
-    mix_g: Node                # (1, n_bins) genomic-only logits
-    fused: Node                # (1, n_bins) fused logits
-    selected_h: np.ndarray     # indices retained by the gate
+    mix_h: Node                # (B, 1, n_bins) histology-only logits
+    mix_g: Node                # (B, 1, n_bins) genomic-only logits
+    fused: Node                # (B, 1, n_bins) fused logits
+    selected_h: np.ndarray     # (B, K_h) indices retained by the gate
     selected_g: np.ndarray
+
+
+@dataclass(frozen=True)
+class TrainingNoise:
+    """The random draws of one training batch: slot-init noise (B, S, d)
+    and Gumbel noise (B, 1, S) per branch (None with selection off)."""
+
+    slots_h: np.ndarray
+    slots_g: np.ndarray
+    gumbel_h: np.ndarray | None
+    gumbel_g: np.ndarray | None
+
+
+def draw_noise(rng: np.random.Generator, n_patients: int,
+               params: ModelParams, selective: bool) -> TrainingNoise:
+    """Draw a batch's noise patient by patient, in a fixed order: slot-init
+    noise h, slot-init noise g, Gumbel noise h, Gumbel noise g."""
+    draws = []
+    for _ in range(n_patients):
+        row = [rng.standard_normal(params.slots_h.init_mean.shape),
+               rng.standard_normal(params.slots_g.init_mean.shape)]
+        if selective:
+            row += [rng.gumbel(size=(1, params.n_slots_h)),
+                    rng.gumbel(size=(1, params.n_slots_g))]
+        draws.append(row)
+    stacked = [np.stack(col) for col in zip(*draws)]
+    if not selective:
+        stacked += [None, None]
+    return TrainingNoise(*stacked)
 
 
 def _bind_model(g: Graph, params: ModelParams) -> ModelParams:
@@ -189,23 +221,26 @@ def _bind_model(g: Graph, params: ModelParams) -> ModelParams:
 
 def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
                     slots: Node, k: int, temperature: float,
-                    rng, training: bool, selective: bool):
+                    gumbel, selective: bool):
     """Gate scores -> selection -> renormalized weights -> mixture logits.
 
-    With ``selective`` off (ablation) every slot stays active and the
-    weights are the plain softmax of the scores.
+    Selection is noisy when ``gumbel`` noise is given (training) and the
+    plain top-K otherwise.  With ``selective`` off (ablation) every slot
+    stays active and the weights are the plain softmax of the scores.
     Returns (scores, weights, mixture, selected_indices).
     """
     r = moe_mod.build_gate_scores(g, gate, slots)
-    n_slots = slots.shape[0]
+    n_sets, n_slots = slots.shape[0], slots.shape[-2]
     if selective:
         mask, _ = moe_mod.build_gumbel_mask(g, r, k, temperature,
-                                            rng=rng, training=training)
+                                            training=gumbel is not None,
+                                            noise=gumbel)
         weights = moe_mod.build_renormalized_weights(g, r, mask, temperature)
-        selected = np.flatnonzero(mask.value[0] > 0.5)
+        # K-hot rows: nonzero() lists each row's K indices in order
+        selected = np.nonzero(mask.value[:, 0] > 0.5)[1].reshape(n_sets, k)
     else:
         weights = g.row_softmax(g.scale(g.transpose(r), 1.0 / temperature))
-        selected = np.arange(n_slots)
+        selected = np.tile(np.arange(n_slots), (n_sets, 1))
     logits = moe_mod.build_slot_logits(g, pred, slots)
     mixture = moe_mod.build_gated_mixture(g, weights, logits)
     return r, weights, mixture, selected
@@ -214,21 +249,32 @@ def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
 def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
                         k_h: int, k_g: int, temperature: float,
                         t_iters: int, l_iters: int,
-                        rng=None, training: bool = True,
+                        noise: TrainingNoise | None = None,
                         selective: bool = True,
-                        aggregation: str = "mean") -> TrunkNodes:
-    """Everything from raw bags to fused logits; ``p`` holds graph nodes
-    (from _bind_model).  Reconstruction stays out of the trunk."""
-    mode = "stochastic" if training else "deterministic"
-    s_h, a_h = slot_mod.build_encode(g, p.slots_h, bag_h, t_iters, mode=mode,
-                                     rng=rng, aggregation=aggregation)
-    s_g, a_g = slot_mod.build_encode(g, p.slots_g, bag_g, t_iters, mode=mode,
-                                     rng=rng, aggregation=aggregation)
+                        aggregation: str = "mean",
+                        mask_h=None) -> TrunkNodes:
+    """Everything from raw bags to fused logits for a batch of patients;
+    ``p`` holds graph nodes (from _bind_model).  ``bag_h`` is the
+    zero-padded (B, M, d) histology batch with its (B, M) instance
+    ``mask_h`` (None when nothing is padded), ``bag_g`` the (B, M_g, d)
+    genomic batch.  With ``noise`` the trunk runs in training mode
+    (stochastic slot init, Gumbel top-K); without, in inference mode.
+    Reconstruction stays out of the trunk."""
+    mode = "deterministic" if noise is None else "stochastic"
+    noise = noise or TrainingNoise(None, None, None, None)
+    s_h, a_h = slot_mod.build_encode(
+        g, p.slots_h, bag_h, t_iters, mode=mode, aggregation=aggregation,
+        mask=mask_h, noise=noise.slots_h)
+    s_g, a_g = slot_mod.build_encode(
+        g, p.slots_g, bag_g, t_iters, mode=mode, aggregation=aggregation,
+        noise=noise.slots_g)
 
     r_h, w_h, mix_h, sel_h = _branch_mixture(
-        g, p.gate_h, p.pred_h, s_h, k_h, temperature, rng, training, selective)
+        g, p.gate_h, p.pred_h, s_h, k_h, temperature, noise.gumbel_h,
+        selective)
     r_g, w_g, mix_g, sel_g = _branch_mixture(
-        g, p.gate_g, p.pred_g, s_g, k_g, temperature, rng, training, selective)
+        g, p.gate_g, p.pred_g, s_g, k_g, temperature, noise.gumbel_g,
+        selective)
 
     bar_h = fusion_mod.build_masked_self_attention(g, p.self_h, s_h, sel_h)
     bar_g = fusion_mod.build_masked_self_attention(g, p.self_g, s_g, sel_g)
@@ -245,26 +291,26 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
 
 
 def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
-                         bag_h: Node, bag_g: Node, t_bin: int, censored,
-                         lam: float, t_iters: int) -> dict:
-    """The six loss terms of one patient as 0-d nodes.
+                         bag_h: Node, bag_g: Node, t_bins, censored,
+                         lam: float, t_iters: int, mask_h=None) -> dict:
+    """The six loss terms of a batch as (B,) nodes, one entry per patient.
 
     Reconstruction terms are only built when lam > 0 (the graphs are the
     expensive part of training, and a zero weight would sever their
     gradients anyway).
     """
     terms = {
-        "surv_fused": surv_mod.build_nll_loss(g, trunk.fused, t_bin, censored),
-        "surv_hist": surv_mod.build_nll_loss(g, trunk.mix_h, t_bin, censored),
-        "surv_gen": surv_mod.build_nll_loss(g, trunk.mix_g, t_bin, censored),
+        "surv_fused": surv_mod.build_nll_loss(g, trunk.fused, t_bins, censored),
+        "surv_hist": surv_mod.build_nll_loss(g, trunk.mix_h, t_bins, censored),
+        "surv_gen": surv_mod.build_nll_loss(g, trunk.mix_g, t_bins, censored),
     }
     if lam > 0.0:
         _, terms["recon_g"] = recon_mod.build_recon_genomic(
             g, p.recon_g, p.positions.table, trunk.slots_g, target=bag_g)
         _, terms["recon_h"], _ = recon_mod.build_recon_histology(
-            g, p.recon_h, p.qmap, bag_h, trunk.slots_h)
+            g, p.recon_h, p.qmap, bag_h, trunk.slots_h, mask=mask_h)
         s_cross, _ = recon_mod.build_cross_modal_encode(
-            g, p.slots_g, bag_h, t_iters)
+            g, p.slots_g, bag_h, t_iters, mask=mask_h)
         _, terms["recon_cross"] = recon_mod.build_recon_genomic(
             g, p.recon_cross, p.positions.table, s_cross, target=bag_g)
     return terms
@@ -272,22 +318,34 @@ def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
 
 @dataclass(frozen=True)
 class CohortGraph:
-    """A batch of patients sharing one parameter binding."""
+    """A batch of patients in one graph sharing one parameter binding."""
 
     graph: Graph
     loss: Node                  # 0-d batch-mean total
-    per_patient: tuple          # dict of term-name -> 0-d node, one per patient
-    trunks: tuple               # TrunkNodes per patient
+    terms: dict                 # term name -> (B,) node, one entry per patient
+    trunk: TrunkNodes
 
     def term_values(self):
         """Per-patient term values as floats (missing terms read 0)."""
-        out = []
-        for terms in self.per_patient:
-            out.append({k: float(v.value) for k, v in terms.items()})
-        return out
+        values = {k: v.value for k, v in self.terms.items()}
+        return [{k: float(v[b]) for k, v in values.items()}
+                for b in range(self.trunk.fused.shape[0])]
 
     def report(self, lam: float):
         return surv_mod.total_loss(self.term_values(), lam=lam)
+
+
+def _pad_bags(bags) -> tuple:
+    """Stack ragged (M_i, d) bags into a zero-padded (B, M, d) array, M the
+    longest bag, and the (B, M) instance mask of the real rows."""
+    longest = max(b.shape[0] for b in bags)
+    out = np.zeros((len(bags), longest, bags[0].shape[1]),
+                   dtype=np.result_type(*bags))
+    mask = np.zeros((len(bags), longest))
+    for i, bag in enumerate(bags):
+        out[i, :bag.shape[0]] = bag
+        mask[i, :bag.shape[0]] = 1.0
+    return out, mask
 
 
 def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
@@ -298,7 +356,11 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     """One graph holding every patient of a batch.
 
     ``patients`` is a sequence of (bag_h, bag_g, t_bin, censored) tuples of
-    raw arrays/ints.  The batch loss is the mean over patients of
+    raw arrays/ints.  Histology bags are zero-padded to the longest one,
+    and an instance mask keeps the padding out of every result, so each
+    patient's terms match a batch of one up to rounding.  The graph's node
+    count does not depend on the batch size.  The batch loss is the mean
+    over patients of
 
         surv_fused + surv_hist + surv_gen + lam * (recon terms),
 
@@ -306,36 +368,29 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     """
     if not patients:
         raise ValueError("empty patient batch")
+    if training and rng is None:
+        raise ValueError("training mode needs an rng")
+    bags_h, bags_g, t_bins, censored = zip(*patients)
+    bag_h, mask_h = _pad_bags([np.asarray(b) for b in bags_h])
+    noise = draw_noise(rng, len(patients), params, selective) if training else None
     g = Graph(dtype=dtype)
     p = _bind_model(g, params)
-    totals = []
-    all_terms = []
-    trunks = []
-    for bag_h, bag_g, t_bin, censored in patients:
-        xh = g.const(np.asarray(bag_h))
-        xg = g.const(np.asarray(bag_g))
-        trunk = build_patient_trunk(
-            g, p, xh, xg, k_h, k_g, temperature, t_iters, l_iters,
-            rng=rng, training=training, selective=selective,
-            aggregation=aggregation)
-        terms = build_patient_losses(g, p, trunk, xh, xg, t_bin, censored,
-                                     lam, t_iters)
-        surv = g.add(g.add(terms["surv_fused"], terms["surv_hist"]),
-                     terms["surv_gen"])
-        if lam > 0.0:
-            rec = g.add(g.add(terms["recon_g"], terms["recon_h"]),
-                        terms["recon_cross"])
-            totals.append(g.add(surv, g.scale(rec, lam)))
-        else:
-            totals.append(surv)
-        all_terms.append(terms)
-        trunks.append(trunk)
-    acc = totals[0]
-    for t in totals[1:]:
-        acc = g.add(acc, t)
-    loss = g.mark("loss", g.scale(acc, 1.0 / len(totals)))
-    return CohortGraph(graph=g, loss=loss, per_patient=tuple(all_terms),
-                       trunks=tuple(trunks))
+    xh = g.const(bag_h)
+    xg = g.const(np.stack([np.asarray(b) for b in bags_g]))
+    trunk = build_patient_trunk(
+        g, p, xh, xg, k_h, k_g, temperature, t_iters, l_iters,
+        noise=noise, selective=selective, aggregation=aggregation,
+        mask_h=mask_h)
+    terms = build_patient_losses(g, p, trunk, xh, xg, t_bins, censored,
+                                 lam, t_iters, mask_h=mask_h)
+    total = g.add(g.add(terms["surv_fused"], terms["surv_hist"]),
+                  terms["surv_gen"])
+    if lam > 0.0:
+        rec = g.add(g.add(terms["recon_g"], terms["recon_h"]),
+                    terms["recon_cross"])
+        total = g.add(total, g.scale(rec, lam))
+    loss = g.mark("loss", g.scale(g.reduce_sum(total), 1.0 / len(patients)))
+    return CohortGraph(graph=g, loss=loss, terms=terms, trunk=trunk)
 
 
 # --------------------------------------------------------------- numpy facade
@@ -365,35 +420,34 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
                     temperature: float, t_iters: int, l_iters: int,
                     selective: bool = True,
                     aggregation: str = "mean") -> PatientOutput:
-    """Inference pass: deterministic slot init, noise-free top-K selection,
-    reconstruction heads untouched.  The graph runs at the parameters'
-    precision."""
+    """Inference pass: the trunk of a batch of one, with deterministic slot
+    init, noise-free top-K selection and reconstruction heads untouched.
+    The graph runs at the parameters' precision."""
     g = Graph(dtype=params.slots_h.init_mean.dtype)
     p = _bind_model(g, params)
     trunk = build_patient_trunk(
-        g, p, g.const(np.asarray(bag_h)), g.const(np.asarray(bag_g)),
+        g, p, g.const(np.asarray(bag_h)[None]), g.const(np.asarray(bag_g)[None]),
         k_h, k_g, temperature, t_iters, l_iters,
-        rng=None, training=False, selective=selective,
-        aggregation=aggregation)
+        selective=selective, aggregation=aggregation)
 
     def gate_mask(scores, k):
         # with selection off every slot is kept, so K is the slot count
-        r = scores.value[:, 0]
+        r = scores.value[0, :, 0]
         return moe_mod.gumbel_topk_mask(r, k if selective else r.size,
                                         temperature, training=False)
 
     return PatientOutput(
-        curve=surv_mod.hazards_from_logits(trunk.fused.value[0]),
-        curve_h=surv_mod.hazards_from_logits(trunk.mix_h.value[0]),
-        curve_g=surv_mod.hazards_from_logits(trunk.mix_g.value[0]),
-        slots_h=slot_mod.SlotSet(slots=trunk.slots_h.value.copy(),
-                                 attention=trunk.alpha_h.value.copy(),
+        curve=surv_mod.hazards_from_logits(trunk.fused.value[0, 0]),
+        curve_h=surv_mod.hazards_from_logits(trunk.mix_h.value[0, 0]),
+        curve_g=surv_mod.hazards_from_logits(trunk.mix_g.value[0, 0]),
+        slots_h=slot_mod.SlotSet(slots=trunk.slots_h.value[0].copy(),
+                                 attention=trunk.alpha_h.value[0].copy(),
                                  t_iters=t_iters),
-        slots_g=slot_mod.SlotSet(slots=trunk.slots_g.value.copy(),
-                                 attention=trunk.alpha_g.value.copy(),
+        slots_g=slot_mod.SlotSet(slots=trunk.slots_g.value[0].copy(),
+                                 attention=trunk.alpha_g.value[0].copy(),
                                  t_iters=t_iters),
         mask_h=gate_mask(trunk.scores_h, k_h),
         mask_g=gate_mask(trunk.scores_g, k_g),
-        weights_h=trunk.weights_h.value[0].copy(),
-        weights_g=trunk.weights_g.value[0].copy(),
+        weights_h=trunk.weights_h.value[0, 0].copy(),
+        weights_g=trunk.weights_g.value[0, 0].copy(),
     )

@@ -112,11 +112,11 @@ class SlotMixture:
 
 
 def _k_hot(values: np.ndarray, k: int) -> np.ndarray:
-    """K-hot vector marking the k largest entries (ties keep the lowest
-    index, so the result is deterministic)."""
-    order = np.argsort(-values, kind="stable")
+    """K-hot array marking the k largest entries along the last axis (ties
+    keep the lowest index, so the result is deterministic)."""
+    order = np.argsort(-values, axis=-1, kind="stable")[..., :k]
     hard = np.zeros(values.shape, dtype=values.dtype)
-    hard[order[:k]] = 1.0
+    np.put_along_axis(hard, order, 1.0, axis=-1)
     return hard
 
 
@@ -129,39 +129,41 @@ def _check_k(k: int, n_slots: int) -> None:
 
 
 def build_gate_scores(g: Graph, gate: GateParams, slots: Node) -> Node:
-    """Retention scores r = slots @ w + b, one per slot, shape (S, 1)."""
+    """Retention scores r = slots @ w + b, one per slot: (S, 1), or
+    (B, S, 1) for a batch of slot sets."""
     return g.add(g.matmul(slots, gate.w), gate.b)
 
 
 def build_gumbel_mask(g: Graph, r: Node, k: int, temperature: float,
                       rng: np.random.Generator | None = None,
-                      training: bool = True):
-    """Top-K selection mask over scores r of shape (S, 1).
+                      training: bool = True, noise=None):
+    """Top-K selection mask over scores r of shape (..., S, 1).
 
-    Returns (mask, soft) nodes of shape (1, S).  In training mode the
-    scores are perturbed with Gumbel(0,1) noise and the mask is the
-    straight-through composition hard + (soft - stopgrad(soft)): its
-    forward value is exactly the K-hot vector while its backward pass is
-    that of the soft relaxation.  In inference mode the mask is the
-    deterministic top-K of the raw scores (a constant) and soft is None.
+    Returns (mask, soft) nodes of shape (..., 1, S).  In training mode the
+    scores are perturbed with Gumbel(0,1) noise (drawn from ``rng`` unless
+    given as ``noise``) and the mask is the straight-through composition
+    hard + (soft - stopgrad(soft)): its forward value is exactly K-hot per
+    patient while its backward pass is that of the soft relaxation.  In
+    inference mode the mask is the deterministic top-K of the raw scores
+    (a constant) and soft is None.
     """
-    if r.shape[1] != 1:
+    if r.shape[-1] != 1:
         raise ValueError(f"scores must be a column, got shape {r.shape}")
-    n_slots = r.shape[0]
+    n_slots = r.shape[-2]
     _check_k(k, n_slots)
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if not training:
-        hard = _k_hot(r.value[:, 0], k)[None, :]
-        return g.const(hard), None
-    if rng is None:
-        raise ValueError("training-mode selection needs an rng")
-    noise = g.const(rng.gumbel(size=(1, n_slots)))
-    noisy = g.add(g.transpose(r), noise)
+        return g.const(_k_hot(np.swapaxes(r.value, -1, -2), k)), None
+    if noise is None:
+        if rng is None:
+            raise ValueError("training-mode selection needs an rng")
+        noise = rng.gumbel(size=r.shape[:-2] + (1, n_slots))
+    noisy = g.add(g.transpose(r), g.const(noise))
     # top-K of the soft relaxation equals top-K of the perturbed scores
     # (softmax is monotone), so the hard vector is read off `noisy`
     soft = g.row_softmax(g.scale(noisy, 1.0 / temperature))
-    hard = g.const(_k_hot(noisy.value[0], k)[None, :])
+    hard = g.const(_k_hot(noisy.value, k))
     mask = g.add(hard, g.add(soft, g.scale(g.stop_gradient(soft), -1.0)))
     return mask, soft
 
@@ -169,37 +171,35 @@ def build_gumbel_mask(g: Graph, r: Node, k: int, temperature: float,
 def build_renormalized_weights(g: Graph, r: Node, mask: Node,
                                temperature: float) -> Node:
     """Mixture weights w = softmax(r/temperature) * mask, renormalized to
-    sum 1 over the selected slots.  Shape (1, S)."""
-    if mask.shape != (1, r.shape[0]):
-        raise ValueError(
-            f"mask shape {mask.shape} does not match {r.shape[0]} scores")
-    if not np.any(mask.value):
-        raise ValueError("mask selects no slots")
-    n_slots = r.shape[0]
+    sum 1 over the selected slots.  Shape (..., 1, S)."""
     relaxed = g.row_softmax(g.scale(g.transpose(r), 1.0 / temperature))
+    if mask.shape != relaxed.shape:
+        raise ValueError(
+            f"mask shape {mask.shape} does not match {r.shape[-2]} scores")
+    if not np.all(np.any(mask.value, axis=-1)):
+        raise ValueError("mask selects no slots")
     masked = g.mul(relaxed, mask)
-    total = g.matmul(masked, g.const(np.ones((n_slots, 1))))
+    total = g.sum(masked, axis=-1)
     # At low temperature the relaxed weights of every selected slot can
     # underflow to exact zero when some unselected slot dominates the
-    # scores; flooring the normalizer keeps log finite (the weights of
-    # such a degenerate draw come out all-zero instead of NaN, and the
-    # clamp blocks the gradient so the step is not poisoned).  The floor
-    # must stay representable at the graph's own precision.
+    # scores; flooring the normalizer keeps the reciprocal finite (the
+    # weights of such a degenerate draw come out all-zero instead of NaN,
+    # and the clamp blocks the gradient so the step is not poisoned).  The
+    # floor must stay representable at the graph's own precision.
     total = g.clamp(total, float(np.finfo(g.dtype).tiny), np.inf)
-    recip = g.exp(g.scale(g.log(total), -1.0))
-    return g.mul(masked, g.matmul(recip, g.const(np.ones((1, n_slots)))))
+    return g.mul(masked, g.reciprocal(total))
 
 
 def build_slot_logits(g: Graph, pred: PredictorParams, slots: Node) -> Node:
-    """Per-slot survival logits, shape (S, n_bins): a row-wise MLP with
-    one relu hidden layer of width d."""
+    """Per-slot survival logits, shape (..., S, n_bins): a row-wise MLP
+    with one relu hidden layer of width d."""
     hidden = g.relu(g.add(g.matmul(slots, pred.w1), pred.b1))
     return g.add(g.matmul(hidden, pred.w2), pred.b2)
 
 
 def build_gated_mixture(g: Graph, weights: Node, logits: Node) -> Node:
-    """Weighted mixture of slot logit rows, shape (1, n_bins)."""
-    if weights.shape != (1, logits.shape[0]):
+    """Weighted mixture of slot logit rows, shape (..., 1, n_bins)."""
+    if weights.shape[-2:] != (1, logits.shape[-2]):
         raise ValueError(
             f"weights {weights.shape} do not match logits {logits.shape}")
     return g.matmul(weights, logits)

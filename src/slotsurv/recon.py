@@ -117,11 +117,12 @@ def init_query_map(rng: np.random.Generator, dim: int) -> FrozenQueryMap:
 def build_decode(g: Graph, head: ReconHeadParams, queries: Node,
                  slots: Node) -> Node:
     """Decode slots at M query positions: pre-norm cross-attention with a
-    residual, then a pre-norm feed-forward with a residual.  (M, d)."""
-    dim = slots.shape[1]
-    if queries.shape[1] != dim:
+    residual, then a pre-norm feed-forward with a residual.  (M, d), or
+    (B, M, d) for batched slots; (M, d) queries are shared by the batch."""
+    dim = slots.shape[-1]
+    if queries.shape[-1] != dim:
         raise ValueError(
-            f"query width {queries.shape[1]} != slot width {dim}")
+            f"query width {queries.shape[-1]} != slot width {dim}")
     nq = g.layer_norm(queries, head.ln_q_gamma, head.ln_q_beta)
     ns = g.layer_norm(slots, head.ln_s_gamma, head.ln_s_beta)
     q = g.matmul(nq, head.w_q)
@@ -141,35 +142,47 @@ def build_recon_genomic(g: Graph, head: ReconHeadParams, positions: Node,
     """Reconstruct genomic features from slots at the position queries.
 
     Returns (x_hat, loss).  With target given, loss is the mean squared
-    error node; without one (imputation) loss is None.  The same builder
-    serves the cross-modal path: pass the histology-derived slots instead
-    of the genomic ones.
+    error node (one per patient for a batch); without one (imputation)
+    loss is None.  The same builder serves the cross-modal path: pass the
+    histology-derived slots instead of the genomic ones.
     """
-    if target is not None and target.shape[0] != positions.shape[0]:
+    if target is not None and target.shape[-2] != positions.shape[0]:
         raise ValueError(
             f"position table covers {positions.shape[0]} rows, "
-            f"target has {target.shape[0]}")
+            f"target has {target.shape[-2]}")
     x_hat = build_decode(g, head, positions, slots)
     if target is None:
         return x_hat, None
     return x_hat, g.squared_error(x_hat, target)
 
 
-def build_cosine_loss(g: Graph, recon: Node, target: Node):
-    """Loss 1 - mean row cosine, plus the cosine node whose zero-norm
-    diagnostics (graph.degenerate_rows) flag degenerate rows."""
+def build_cosine_loss(g: Graph, recon: Node, target: Node, mask=None):
+    """Loss 1 - mean row cosine (one per patient for a batch), plus the
+    cosine node whose zero-norm diagnostics (graph.degenerate_rows) flag
+    degenerate rows.
+
+    With a (B, M) instance ``mask`` the mean runs over each patient's
+    real rows only: padded target rows are zero, so their cosines are
+    zero, and the mean over all M rows is rescaled by M / (real rows).
+    """
     cos = g.cosine(recon, target)
+    score = cos
+    if mask is not None:
+        mask = np.asarray(mask)
+        score = g.mul(cos, g.const(mask.shape[-1] / mask.sum(axis=-1)))
     # reduce_sum of a one-element constant builds the 0-d "1" that the
     # 0-d cosine score needs (bare constants are kept at least 1-d)
     one = g.reduce_sum(g.const(np.ones(1)))
-    loss = g.add(one, g.scale(cos, -1.0))
+    loss = g.add(one, g.scale(score, -1.0))
     return loss, cos
 
 
 def build_recon_histology(g: Graph, head: ReconHeadParams,
-                          qmap: FrozenQueryMap, bag: Node, slots: Node):
+                          qmap: FrozenQueryMap, bag: Node, slots: Node,
+                          mask=None):
     """Reconstruct patch features from histology slots; queries come from
-    the frozen random map of the patches themselves.
+    the frozen random map of the patches themselves.  ``mask`` marks the
+    real rows of a zero-padded batch (see build_cosine_loss).
 
     Returns (x_hat, loss, cosine_node).  The query map enters as graph
     constants, so no gradient ever reaches it.
@@ -178,17 +191,18 @@ def build_recon_histology(g: Graph, head: ReconHeadParams,
     b = g.const(qmap.b)
     queries = g.add(g.matmul(bag, w), b)
     x_hat = build_decode(g, head, queries, slots)
-    loss, cos = build_cosine_loss(g, x_hat, bag)
+    loss, cos = build_cosine_loss(g, x_hat, bag, mask)
     return x_hat, loss, cos
 
 
 def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
-                             t_iters: int):
-    """Slot attention over the histology bag starting from the genomic
-    branch's learned slot initialization.  Returns (slots, alpha) nodes;
-    cost is linear in the bag size at fixed slot count."""
+                             t_iters: int, mask=None):
+    """Slot attention over the histology bag (or a padded batch of them,
+    with its instance ``mask``) starting from the genomic branch's learned
+    slot initialization.  Returns (slots, alpha) nodes; cost is linear in
+    the bag size at fixed slot count."""
     return slot_mod.build_encode(g, genomic_params, hist_bag, t_iters,
-                                 mode="deterministic")
+                                 mode="deterministic", mask=mask)
 
 
 # ------------------------------------------------------------ numpy interface
@@ -197,7 +211,7 @@ def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
 def reconstruct_genomic(slot_matrix: np.ndarray, positions: PositionTable,
                         head: ReconHeadParams,
                         target: np.ndarray | None = None):
-    g = Graph()
+    g = Graph(dtype=head.w_q.dtype)
     h = bind_arrays(g, "head", head, trainable=False)
     pos = g.const(positions.table)
     tgt = None if target is None else g.const(target)
@@ -210,7 +224,7 @@ def reconstruct_histology(slot_matrix: np.ndarray, bag_matrix: np.ndarray,
                           qmap: FrozenQueryMap, head: ReconHeadParams):
     """Returns (x_hat, loss, flagged) where flagged lists the indices of
     zero-norm rows whose cosine terms were zeroed out."""
-    g = Graph()
+    g = Graph(dtype=head.w_q.dtype)
     h = bind_arrays(g, "head", head, trainable=False)
     x_hat, loss, cos = build_recon_histology(
         g, h, qmap, g.const(bag_matrix), g.const(slot_matrix))
@@ -236,5 +250,4 @@ def impute_genomic(bag_h: FeatureBag, genomic_params,
                          f"(steps_trained={steps_trained})")
     sset = cross_modal_encode(bag_h, genomic_params, t_iters)
     x_tilde, _ = reconstruct_genomic(sset.slots, positions, head)
-    return FeatureBag(modality="genomic",
-                      matrix=x_tilde.astype(np.float32))
+    return FeatureBag(modality="genomic", matrix=x_tilde)

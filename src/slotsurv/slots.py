@@ -9,9 +9,12 @@ M varies patient to patient); the plain weighted sum sits behind the
 ``aggregation="sum"`` flag.
 
 Graph builders (build_*) append to a caller-owned autodiff Graph and are
-what the trainer composes; the plain functions (encode,
-slot_attention_step, init_slots) are numpy-in/numpy-out conveniences that
-build a throwaway graph internally.
+what the trainer composes.  They take one patient's (M, d) bag or a
+zero-padded batch (B, M, d) with its (B, M) instance mask; padded
+instances carry no value and no attention mass.  The plain functions
+(encode, slot_attention_step, init_slots) are numpy-in/numpy-out
+conveniences that build a throwaway graph, at the parameters'
+precision, internally.
 """
 
 from __future__ import annotations
@@ -114,40 +117,46 @@ def init_slot_params(rng: np.random.Generator, n_slots: int,
 
 
 def build_init_slots(g: Graph, p: SlotParams, mode: str,
-                     rng: np.random.Generator | None = None):
-    """Initial slots node: the learned mean, plus sampled noise in
-    stochastic mode (noise enters as a constant, so gradients reach both
-    init_mean and init_log_std)."""
+                     rng: np.random.Generator | None = None,
+                     lead: tuple = (), noise=None):
+    """Initial slots node, (S, d) or, with batch axes ``lead``,
+    lead + (S, d): the learned mean, plus noise in stochastic mode (drawn
+    from ``rng`` unless given as ``noise``; it enters as a constant, so
+    gradients reach both init_mean and init_log_std)."""
     if mode == "deterministic":
-        return p.init_mean
+        if not lead:
+            return p.init_mean
+        return g.add(g.const(np.zeros(lead + (1, 1))), p.init_mean)
     if mode != "stochastic":
         raise ValueError(f"unknown init mode {mode!r}")
-    if rng is None:
-        raise ValueError("stochastic init needs an rng")
-    eps = g.const(rng.standard_normal(p.init_mean.shape))
-    return g.add(p.init_mean, g.mul(g.exp(p.init_log_std), eps))
+    if noise is None:
+        if rng is None:
+            raise ValueError("stochastic init needs an rng")
+        noise = rng.standard_normal(lead + p.init_mean.shape)
+    return g.add(p.init_mean, g.mul(g.exp(p.init_log_std), g.const(noise)))
 
 
-def build_attention_step(g: Graph, p: SlotParams, slots, k, v,
-                         aggregation: str = "mean"):
-    """One competitive-attention iteration given projected keys/values.
+def build_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
+                         ones, aggregation: str = "mean"):
+    """One competitive-attention iteration.
 
-    Returns (updated slots, alpha, aggregated update) nodes.
+    ``keys_t`` holds the projected keys transposed and pre-scaled by
+    1/sqrt(d), (..., d, M); ``values`` the projected values, (..., M, d),
+    with padded instances zeroed; ``ones`` is the (..., M, 1) instance
+    mask (all ones without padding).  Padded instances get softmax
+    columns like real ones, but they carry zero values, add nothing to
+    the aggregation mass and so receive no gradient.  Returns (updated
+    slots, alpha, aggregated update) nodes.
     """
     if aggregation not in _AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {_AGGREGATIONS}")
-    dim = slots.shape[1]
-    m = k.shape[0]
     normed = g.layer_norm(slots, p.ln_slot_gamma, p.ln_slot_beta)
-    q = g.matmul(normed, p.w_q)                              # (S, d)
-    logits = g.scale(g.matmul(q, g.transpose(k)), 1.0 / np.sqrt(dim))
-    alpha = g.col_softmax(logits)                            # (S, M)
-    u = g.matmul(alpha, v)                                   # (S, d)
+    q = g.matmul(normed, p.w_q)                              # (.., S, d)
+    alpha = g.col_softmax(g.matmul(q, keys_t))               # (.., S, M)
+    u = g.matmul(alpha, values)                              # (.., S, d)
     if aggregation == "mean":
-        mass = g.matmul(alpha, g.const(np.ones((m, 1))))     # (S, 1)
-        mass = g.add(mass, g.const(np.full((1, 1), _AGG_EPS)))
-        recip = g.exp(g.scale(g.log(mass), -1.0))
-        u = g.mul(u, g.matmul(recip, g.const(np.ones((1, dim)))))
+        mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), _AGG_EPS)))
+        u = g.mul(u, g.reciprocal(mass))
     updated = g.gru_cell(u, slots,
                          p.gru_wz, p.gru_uz, p.gru_bz,
                          p.gru_wr, p.gru_ur, p.gru_br,
@@ -157,31 +166,58 @@ def build_attention_step(g: Graph, p: SlotParams, slots, k, v,
     return g.add(updated, residual), alpha, u
 
 
+def _keys_values(g: Graph, p: SlotParams, bag, mask):
+    """Projected keys (transposed, scaled) and values of a bag, plus the
+    (..., M, 1) instance-mask constant that zeroes padded values."""
+    x = g.layer_norm(bag, p.ln_in_gamma, p.ln_in_beta)
+    keys_t = g.scale(g.transpose(g.matmul(x, p.w_k)), 1.0 / np.sqrt(p.dim))
+    values = g.matmul(x, p.w_v)
+    if mask is None:
+        ones = g.const(np.ones(bag.shape[:-1] + (1,)))
+    else:
+        ones = g.const(np.asarray(mask)[..., None])
+        values = g.mul(values, ones)
+    return keys_t, values, ones
+
+
 def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
                  mode: str = "deterministic",
                  rng: np.random.Generator | None = None,
-                 aggregation: str = "mean", slots0=None):
-    """T attention iterations over a bag node; returns (slots, alpha) nodes."""
+                 aggregation: str = "mean", mask=None, noise=None):
+    """T attention iterations over a bag node; returns (slots, alpha) nodes.
+
+    ``bag`` is one patient's (M, d) bag or a zero-padded batch (B, M, d)
+    whose (B, M) instance ``mask`` marks the real rows; slots come out
+    (S, d) or (B, S, d) and alpha (S, M) or (B, S, M), with padded
+    columns zero.  ``noise`` is the stochastic-init noise, drawn from
+    ``rng`` when not given.
+    """
     if t_iters < 1:
         raise ValueError(f"t_iters must be >= 1, got {t_iters}")
-    if bag.shape[1] != p.dim:
-        raise ValueError(f"bag width {bag.shape[1]} != slot width {p.dim}")
-    x = g.layer_norm(bag, p.ln_in_gamma, p.ln_in_beta)
-    k = g.matmul(x, p.w_k)
-    v = g.matmul(x, p.w_v)
-    slots = slots0 if slots0 is not None else build_init_slots(g, p, mode, rng)
+    if bag.shape[-1] != p.dim:
+        raise ValueError(f"bag width {bag.shape[-1]} != slot width {p.dim}")
+    keys_t, values, ones = _keys_values(g, p, bag, mask)
+    slots = build_init_slots(g, p, mode, rng, lead=bag.shape[:-2], noise=noise)
     alpha = None
     for _ in range(t_iters):
-        slots, alpha, _ = build_attention_step(g, p, slots, k, v, aggregation)
+        slots, alpha, _ = build_attention_step(g, p, slots, keys_t, values,
+                                               ones, aggregation)
+    if mask is not None:
+        alpha = g.mul(alpha, g.transpose(ones))
     return slots, alpha
 
 
 # ------------------------------------------------------------ numpy interface
 
 
+def _graph(params: SlotParams) -> Graph:
+    """A throwaway graph at the parameters' precision."""
+    return Graph(dtype=params.init_mean.dtype)
+
+
 def init_slots(params: SlotParams, mode: str,
                rng: np.random.Generator | None = None) -> np.ndarray:
-    g = Graph()
+    g = _graph(params)
     node = build_init_slots(g, bind_arrays(g, "p", params, trainable=False),
                             mode, rng)
     return node.value.copy()
@@ -191,13 +227,11 @@ def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
                         params: SlotParams,
                         aggregation: str = "mean") -> StepResult:
     """One iteration from explicit slots over a raw bag (numpy in/out)."""
-    g = Graph()
+    g = _graph(params)
     p = bind_arrays(g, "p", params, trainable=False)
-    x = g.layer_norm(g.const(bag_matrix), p.ln_in_gamma, p.ln_in_beta)
-    k = g.matmul(x, p.w_k)
-    v = g.matmul(x, p.w_v)
-    out, alpha, u = build_attention_step(g, p, g.const(slots), k, v,
-                                         aggregation)
+    keys_t, values, ones = _keys_values(g, p, g.const(bag_matrix), None)
+    out, alpha, u = build_attention_step(g, p, g.const(slots), keys_t,
+                                         values, ones, aggregation)
     return StepResult(slots=out.value.copy(), attention=alpha.value.copy(),
                       update=u.value.copy())
 
@@ -206,7 +240,7 @@ def encode(bag_matrix: np.ndarray, params: SlotParams, t_iters: int,
            mode: str = "deterministic",
            rng: np.random.Generator | None = None,
            aggregation: str = "mean") -> SlotSet:
-    g = Graph()
+    g = _graph(params)
     p = bind_arrays(g, "p", params, trainable=False)
     slots, alpha = build_encode(g, p, g.const(bag_matrix), t_iters,
                                 mode=mode, rng=rng, aggregation=aggregation)

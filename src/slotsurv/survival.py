@@ -2,9 +2,9 @@
 
 The estimation side (hazard curves, concordance, Kaplan-Meier, log-rank,
 RMST, bootstrap contrasts) is pure numpy and operates on plain arrays.
-``build_nll_loss`` is the one graph-aware entry point: it attaches a single
-patient's negative log-likelihood to an existing autodiff graph so the
-training loop can differentiate through it.
+``build_nll_loss`` is the one graph-aware entry point: it attaches the
+negative log-likelihoods of one patient or of a batch to an existing
+autodiff graph so the training loop can differentiate through them.
 
 Conventions used throughout:
 
@@ -93,33 +93,38 @@ def nll_loss(curve: HazardCurve, t_bin: int, censored) -> float:
     return float(-prev - np.log(curve.h[t_bin - 1]))
 
 
-def build_nll_loss(graph: Graph, logits: Node, t_bin: int, censored) -> Node:
-    """Attach one subject's discrete-time NLL to ``graph``.
+def build_nll_loss(graph: Graph, logits: Node, t_bins, censored) -> Node:
+    """Attach discrete-time NLLs to ``graph``.
 
-    ``logits`` must be a (1, n_bins) node.  Returns a 0-d scalar node whose
-    value equals ``nll_loss(hazards_from_logits(logits), t_bin, censored)``
-    up to graph precision.
+    ``logits`` is one subject's (1, n_bins) node, with scalar ``t_bins``
+    and ``censored``, or a batch (B, 1, n_bins) with one bin and one flag
+    per subject.  Returns a 0-d node, or a (B,) node, whose entries equal
+    ``nll_loss(hazards_from_logits(logits), t_bin, censored)`` up to graph
+    precision.  Two constant indicator masks pick the terms: log(1 - h_k)
+    for the bins before the last one survived, and log h_t at an event.
     """
-    if logits.value.ndim != 2 or logits.shape[0] != 1:
-        raise ValueError(f"logits node must be (1, n_bins), got {logits.shape}")
-    n_t = logits.shape[1]
-    if not 1 <= t_bin <= n_t:
-        raise ValueError(f"t_bin {t_bin} outside [1, {n_t}]")
+    if logits.value.ndim not in (2, 3) or logits.shape[-2] != 1:
+        raise ValueError(
+            f"logits node must be (1, n_bins) or (B, 1, n_bins), got {logits.shape}")
+    lead = logits.shape[:-2]
+    n_t = logits.shape[-1]
+    t = np.asarray(t_bins, dtype=np.int64)
+    event = ~np.asarray(censored, dtype=bool)
+    if t.size != int(np.prod(lead)) or event.size != t.size:
+        raise ValueError(f"need one bin and one flag per row of {logits.shape}")
+    if np.any(t < 1) or np.any(t > n_t):
+        raise ValueError(f"t_bin {t} outside [1, {n_t}]")
+    t = t.reshape(lead + (1, 1))
+    event = event.reshape(lead + (1, 1))
+    k = np.arange(1, n_t + 1)
+    survived = k < t + ~event               # bins 1..t-1, and t if censored
+    hit = event & (k == t)
     h = graph.clamp(graph.sigmoid(logits), H_MIN, H_MAX)
-    if censored or t_bin > 1:
-        ones = graph.const(np.ones((1, n_t)))
-        # column vector of log(1 - h_k)
-        log_1mh = graph.transpose(graph.log(graph.add(ones, graph.scale(h, -1.0))))
-    if censored:
-        picked = graph.gather_rows(log_1mh, list(range(t_bin)))
-    else:
-        log_h_t = graph.gather_rows(graph.transpose(graph.log(h)), [t_bin - 1])
-        if t_bin == 1:
-            picked = log_h_t
-        else:
-            prefix = graph.gather_rows(log_1mh, list(range(t_bin - 1)))
-            picked = graph.concat(prefix, log_h_t, axis=0)
-    return graph.scale(graph.reduce_sum(picked), -1.0)
+    log_1mh = graph.log(graph.add(graph.const(np.ones((1, 1))),
+                                  graph.scale(h, -1.0)))
+    picked = graph.add(graph.mul(log_1mh, graph.const(survived)),
+                       graph.mul(graph.log(h), graph.const(hit)))
+    return graph.scale(graph.reshape(graph.sum(picked, axis=-1), lead), -1.0)
 
 
 # ------------------------------------------------------------------ total loss

@@ -1,11 +1,14 @@
 """Training loop, Adam optimizer, k-fold harness, checkpointing and
 evaluation.
 
-Batches are per-patient forward passes accumulated into one batch-mean
-loss graph (bags have uneven sizes, so there is no padded tensor batch),
-which keeps the training trunk and the all-instances inference trunk the
-same code.  The optimizer state, parameter tensors, config snapshot and
-rng state round-trip through a single checkpoint file byte-for-byte.
+Each batch is one graph over padded tensors (``model.build_cohort_loss``):
+histology bags of uneven size are zero-padded to the longest bag of the
+batch, and an instance mask keeps the padding out of every result.
+Inference runs the same trunk on a batch of one, with every histology
+row.  The optimizer state, parameter tensors, config snapshot and rng
+state round-trip through a single checkpoint file byte-for-byte; a
+corrupt or inconsistent file raises ``CheckpointError``, and saves are
+atomic.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ _PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 class DivergenceError(RuntimeError):
     """Training loss went non-finite on consecutive batches."""
+
+
+class CheckpointError(ValueError):
+    """Corrupt or inconsistent checkpoint file."""
 
 
 # ------------------------------------------------------------------ run config
@@ -229,53 +236,93 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": index_rows,
     }
     doc = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with data_mod.atomic_write(path) as fh:
         fh.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 0,
                                    len(doc)))
         fh.write(doc)
         fh.write(payload)
 
 
+_CKPT_DTYPES = {"<f4": 4, "<f8": 8}
+
+
+def _checkpoint_tensors(path, payload: bytes, rows) -> dict:
+    """Decode the tensor table.  The tensors must tile the payload exactly:
+    no negative or overlapping offsets, no gaps, no trailing bytes, and
+    each ``nbytes`` must match its shape and dtype."""
+    tensors = {}
+    end = 0
+    for row in sorted(rows, key=lambda r: r["offset"]):
+        name, shape = row["name"], tuple(row["shape"])
+        size = _CKPT_DTYPES.get(row["dtype"])
+        if size is None:
+            raise CheckpointError(f"{path}: tensor {name} has dtype {row['dtype']!r}")
+        if any(not isinstance(n, int) or n < 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)}")
+        if row["nbytes"] != size * int(np.prod(shape, dtype=np.int64)):
+            raise CheckpointError(f"{path}: tensor {name} declares {row['nbytes']} "
+                                  f"bytes for shape {list(shape)}")
+        if row["offset"] < 0:
+            raise CheckpointError(f"{path}: tensor {name} has negative offset "
+                                  f"{row['offset']}")
+        if row["offset"] != end:
+            what = "overlaps" if row["offset"] < end else "leaves a gap before"
+            raise CheckpointError(f"{path}: tensor {name} at offset "
+                                  f"{row['offset']} {what} byte {end}")
+        end += row["nbytes"]
+        if end > len(payload):
+            raise CheckpointError(f"{path}: tensor {name} truncated")
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} listed twice")
+        arr = np.frombuffer(payload[row["offset"]:end], dtype=row["dtype"])
+        tensors[name] = arr.reshape(shape).copy()
+    if end != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes")
+    return tensors
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any inconsistency raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _CKPT_HEADER.size:
-        raise ValueError(f"{path}: shorter than the checkpoint header")
+        raise CheckpointError(f"{path}: shorter than the checkpoint header")
     magic, version, reserved, doc_len = _CKPT_HEADER.unpack_from(blob)
     if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint version {version}, "
-                         f"expected {CHECKPOINT_VERSION}")
+        raise CheckpointError(f"{path}: checkpoint version {version}, "
+                              f"expected {CHECKPOINT_VERSION}")
     start = _CKPT_HEADER.size
     try:
         index = json.loads(blob[start:start + doc_len])
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: corrupt checkpoint index ({err})") from err
-    base = start + doc_len
-    tensors = {}
-    for row in index["tensors"]:
-        lo = base + row["offset"]
-        hi = lo + row["nbytes"]
-        if hi > len(blob):
-            raise ValueError(f"{path}: tensor {row['name']} truncated")
-        arr = np.frombuffer(blob[lo:hi], dtype=row["dtype"])
-        tensors[row["name"]] = arr.reshape(row["shape"]).copy()
-    params = model_mod.params_from_arrays(
-        {k: v for k, v in tensors.items() if not k.startswith("adam.")})
-    adam = AdamState(
-        m={k[len("adam.m."):]: v for k, v in tensors.items()
-           if k.startswith("adam.m.")},
-        v={k[len("adam.v."):]: v for k, v in tensors.items()
-           if k.startswith("adam.v.")},
-        t=int(index["adam_t"]),
-        skipped=int(index["skipped_steps"]),
-    )
-    return Checkpoint(params=params, adam=adam,
-                      config=TrainConfig.from_dict(index["config"]),
-                      epoch=int(index["epoch"]),
-                      rng_state=index["rng_state"],
-                      steps_trained=int(index["steps_trained"]))
+        tensors = _checkpoint_tensors(path, blob[start + doc_len:],
+                                      index["tensors"])
+        params = model_mod.params_from_arrays(
+            {k: v for k, v in tensors.items() if not k.startswith("adam.")})
+        moments = [{k[len(prefix):]: v for k, v in tensors.items()
+                    if k.startswith(prefix)}
+                   for prefix in ("adam.m.", "adam.v.")]
+        adam = AdamState(m=moments[0], v=moments[1],
+                         t=int(index["adam_t"]),
+                         skipped=int(index["skipped_steps"]))
+        config = TrainConfig.from_dict(index["config"])
+        ckpt = Checkpoint(params=params, adam=adam, config=config,
+                          epoch=int(index["epoch"]),
+                          rng_state=index["rng_state"],
+                          steps_trained=int(index["steps_trained"]))
+    except CheckpointError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise CheckpointError(f"{path}: corrupt checkpoint index ({err!r})") from err
+    arrays = model_mod.named_parameters(params)
+    trainable = set(model_mod.trainable_names(params))
+    for which, moment in zip("mv", moments):
+        for name, arr in moment.items():
+            if name not in trainable or arr.shape != arrays[name].shape:
+                raise CheckpointError(f"{path}: Adam moment adam.{which}.{name} "
+                                      "matches no trainable parameter")
+    return ckpt
 
 
 # -------------------------------------------------------------------- training

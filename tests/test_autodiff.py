@@ -41,7 +41,12 @@ def _se_target(g, node, rng):
     error formula on its noise floor.
     """
     target = node.value + rng.uniform(1.0, 2.0, size=node.shape)
-    return g.squared_error(node, g.const(target))
+    return _batch_total(g, g.squared_error(node, g.const(target)))
+
+
+def _batch_total(g, loss):
+    """3-d operands give one loss per batch entry; sum them to a scalar."""
+    return loss if loss.value.ndim == 0 else g.reduce_sum(loss)
 
 
 # Each entry builds one op into a fresh graph and returns the scalar seed.
@@ -79,26 +84,24 @@ def _softmax_target(g, node, rng, axis):
 
     A softmax Jacobian removes the mean; with a single large residual
     the remaining elements stay bounded away from zero, keeping the
-    relative-error formula off its noise floor.
+    relative-error formula off its noise floor.  ``axis`` is -1 (rows)
+    or -2 (columns) of a 2-d or 3-d node.
     """
     off = rng.uniform(1.0, 2.0, size=node.shape)
-    n = node.shape[axis]
-    pick = rng.integers(0, n, size=node.shape[1 - axis])
-    if axis == 1:
-        off[np.arange(node.shape[0]), pick] += 15.0
-    else:
-        off[pick, np.arange(node.shape[1])] += 15.0
-    return g.squared_error(node, g.const(node.value + off))
+    moved = np.moveaxis(off, axis, -1)      # view: softmax axis last
+    pick = rng.integers(0, moved.shape[-1], size=moved.shape[:-1])
+    np.put_along_axis(moved, pick[..., None], 15.0 + moved.max(), axis=-1)
+    return _batch_total(g, g.squared_error(node, g.const(node.value + off)))
 
 
 def _build_row_softmax(g, rng):
     a = g.input("a", rng.uniform(-2.0, 2.0, size=(3, 4)))
-    return _softmax_target(g, g.row_softmax(a), rng, axis=1)
+    return _softmax_target(g, g.row_softmax(a), rng, axis=-1)
 
 
 def _build_col_softmax(g, rng):
     a = g.input("a", rng.uniform(-2.0, 2.0, size=(3, 4)))
-    return _softmax_target(g, g.col_softmax(a), rng, axis=0)
+    return _softmax_target(g, g.col_softmax(a), rng, axis=-2)
 
 
 def _build_sigmoid(g, rng):
@@ -114,7 +117,7 @@ def _build_relu(g, rng):
     return _se_target(g, g.relu(a), rng)
 
 
-def _build_layer_norm(g, rng):
+def _build_layer_norm(g, rng, batch=None):
     """Layer norm with a target crafted against its null directions.
 
     The input Jacobian annihilates per-row constants and rescalings, so
@@ -125,7 +128,7 @@ def _build_layer_norm(g, rng):
     """
     d = 6
     pattern = rng.permutation(np.array([-2.2, -1.3, -0.6, 0.6, 1.3, 2.2]))
-    rows = 3
+    rows = 4 if batch else 3
     x = pattern * rng.uniform(0.8, 1.2, size=(rows, 1)) \
         + rng.uniform(-0.5, 0.5, size=(rows, 1))
     mu = x.mean(axis=1, keepdims=True)
@@ -135,20 +138,22 @@ def _build_layer_norm(g, rng):
     qp = q - xhat * (q * xhat).mean(axis=1, keepdims=True)
     gamma_v = rng.uniform(0.5, 1.5, size=(1, d))
 
+    if batch is not None:      # rows split over a leading batch axis
+        x, qp = x.reshape(batch, -1, d), qp.reshape(batch, -1, d)
     a = g.input("a", x)
     gamma = g.input("gamma", gamma_v)
     beta = g.input("beta", rng.normal(size=(1, d)))
     y = g.layer_norm(a, gamma, beta)
-    off = (y.value.size / 2.0) * qp / gamma_v
-    return g.squared_error(y, g.const(y.value + off))
+    off = (y.value.size / (2.0 * (batch or 1))) * qp / gamma_v
+    return _batch_total(g, g.squared_error(y, g.const(y.value + off)))
 
 
-def _build_gru(g, rng):
+def _build_gru(g, rng, lead=(2,)):
     # positive regime: h > tanh range and positive weights keep every
     # adjoint term single-signed, so no gradient element cancels to zero
     d = 3
-    x = g.input("x", rng.uniform(0.3, 1.3, size=(2, d)))
-    h = g.input("h", rng.uniform(1.5, 2.5, size=(2, d)))
+    x = g.input("x", rng.uniform(0.3, 1.3, size=lead + (d,)))
+    h = g.input("h", rng.uniform(1.5, 2.5, size=lead + (d,)))
     mats = [g.input(nm, rng.uniform(0.15, 0.45, size=(d, d)))
             for nm in ("wz", "uz", "wr", "ur", "wn", "un")]
     bias = [g.input(nm, rng.uniform(0.05, 0.25, size=(1, d)))
@@ -190,20 +195,24 @@ def _build_squared_error(g, rng):
     return g.squared_error(a, b)
 
 
-def _build_cosine(g, rng):
+def _build_cosine(g, rng, batch=None):
     # b is a fixed-angle rotation of a per row: the orthogonal residual
     # driving the gradient is then bounded away from zero
-    av = rng.normal(size=(4, 5))
+    rows = 4 * (batch or 1)
+    av = rng.normal(size=(rows, 5))
     ahat = av / np.linalg.norm(av, axis=1, keepdims=True)
-    q = np.where(np.arange(5) % 2 == 0, 1.0, -1.0) * np.ones((4, 5))
+    q = np.where(np.arange(5) % 2 == 0, 1.0, -1.0) * np.ones((rows, 5))
     p = q - ahat * (q * ahat).sum(axis=1, keepdims=True)
     phat = p / np.linalg.norm(p, axis=1, keepdims=True)
     theta = 1.0
     bv = (np.cos(theta) * ahat + np.sin(theta) * phat) \
-        * rng.uniform(1.0, 2.0, size=(4, 1))
-    a = g.input("a", av * rng.uniform(1.0, 2.0, size=(4, 1)))
+        * rng.uniform(1.0, 2.0, size=(rows, 1))
+    av = av * rng.uniform(1.0, 2.0, size=(rows, 1))
+    if batch is not None:
+        av, bv = av.reshape(batch, -1, 5), bv.reshape(batch, -1, 5)
+    a = g.input("a", av)
     b = g.input("b", bv)
-    return g.cosine(a, b)
+    return _batch_total(g, g.cosine(a, b))
 
 
 def _build_log(g, rng):
@@ -233,8 +242,116 @@ def _build_reduce_sum(g, rng):
     return g.reduce_sum(a)
 
 
+def _positive(rng, shape):
+    return rng.uniform(0.5, 1.5, size=shape)
+
+
+def _build_matmul_batched(g, rng):
+    a = g.input("a", _positive(rng, (2, 3, 4)))
+    b = g.input("b", _positive(rng, (2, 4, 2)))
+    return _se_target(g, g.matmul(a, b), rng)
+
+
+def _build_matmul_shared_right(g, rng):
+    # a weight shared by every batch entry
+    a = g.input("a", _positive(rng, (2, 3, 4)))
+    b = g.input("b", _positive(rng, (4, 2)))
+    return _se_target(g, g.matmul(a, b), rng)
+
+
+def _build_matmul_shared_left(g, rng):
+    # shared queries against per-entry keys
+    a = g.input("a", _positive(rng, (3, 4)))
+    b = g.input("b", _positive(rng, (2, 4, 2)))
+    return _se_target(g, g.matmul(a, b), rng)
+
+
+def _build_transpose_3d(g, rng):
+    a = g.input("a", rng.normal(size=(2, 3, 4)))
+    return _se_target(g, g.transpose(a), rng)
+
+
+def _build_reshape(g, rng):
+    a = g.input("a", rng.normal(size=(3, 4)))
+    return _se_target(g, g.reshape(a, (2, 3, 2)), rng)
+
+
+def _build_add_broadcast(g, rng):
+    # b broadcasts over the batch axis and along its length-1 last axis
+    a = g.input("a", rng.normal(size=(2, 3, 4)))
+    b = g.input("b", rng.normal(size=(3, 1)))
+    return _se_target(g, g.add(a, b), rng)
+
+
+def _build_mul_broadcast(g, rng):
+    sa = np.where(rng.random(size=(2, 3, 4)) < 0.5, -1.0, 1.0)
+    a = g.input("a", sa * rng.uniform(0.5, 1.5, size=(2, 3, 4)))
+    b = g.input("b", rng.uniform(0.5, 1.5, size=(2, 3, 1)))
+    return _se_target(g, g.mul(a, b), rng)
+
+
+def _build_row_softmax_3d(g, rng):
+    a = g.input("a", rng.uniform(-2.0, 2.0, size=(2, 3, 4)))
+    return _softmax_target(g, g.row_softmax(a), rng, axis=-1)
+
+
+def _build_col_softmax_3d(g, rng):
+    a = g.input("a", rng.uniform(-2.0, 2.0, size=(2, 3, 4)))
+    return _softmax_target(g, g.col_softmax(a), rng, axis=-2)
+
+
+def _build_reciprocal(g, rng):
+    a = g.input("a", rng.uniform(0.5, 2.0, size=(3, 4)))
+    return _se_target(g, g.reciprocal(a), rng)
+
+
+def _build_sum_last(g, rng):
+    a = g.input("a", rng.normal(size=(2, 3, 4)))
+    return _se_target(g, g.sum(a, axis=-1), rng)
+
+
+def _build_sum_rows(g, rng):
+    a = g.input("a", rng.normal(size=(3, 4)))
+    return _se_target(g, g.sum(a, axis=0), rng)
+
+
+def _build_mean_pool_3d(g, rng):
+    a = g.input("a", rng.normal(size=(2, 5, 4)))
+    return _se_target(g, g.mean_pool(a), rng)
+
+
+def _build_concat_3d(g, rng):
+    a = g.input("a", rng.normal(size=(2, 2, 4)))
+    b = g.input("b", rng.normal(size=(2, 3, 4)))
+    return _se_target(g, g.concat(a, b, axis=-2), rng)
+
+
+def _build_squared_error_3d(g, rng):
+    a = g.input("a", rng.normal(size=(2, 3, 4)))
+    b = g.input("b", a.value + rng.uniform(1.0, 2.0, size=(2, 3, 4)))
+    return g.reduce_sum(g.squared_error(a, b))
+
+
 OP_BUILDERS = {
     "matmul": _build_matmul,
+    "matmul_batched": _build_matmul_batched,
+    "matmul_shared_right": _build_matmul_shared_right,
+    "matmul_shared_left": _build_matmul_shared_left,
+    "transpose_3d": _build_transpose_3d,
+    "reshape": _build_reshape,
+    "add_broadcast": _build_add_broadcast,
+    "mul_broadcast": _build_mul_broadcast,
+    "row_softmax_3d": _build_row_softmax_3d,
+    "col_softmax_3d": _build_col_softmax_3d,
+    "reciprocal": _build_reciprocal,
+    "sum_last": _build_sum_last,
+    "sum_rows": _build_sum_rows,
+    "layer_norm_3d": lambda g, rng: _build_layer_norm(g, rng, batch=2),
+    "gru_cell_3d": lambda g, rng: _build_gru(g, rng, lead=(2, 2)),
+    "mean_pool_3d": _build_mean_pool_3d,
+    "concat_3d": _build_concat_3d,
+    "squared_error_3d": _build_squared_error_3d,
+    "cosine_3d": lambda g, rng: _build_cosine(g, rng, batch=2),
     "transpose": _build_transpose,
     "add": _build_add,
     "add_row_bias": _build_add_row_bias,

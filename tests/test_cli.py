@@ -97,10 +97,21 @@ def test_divergence_exits_3(workdir, tmp_path):
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps({**TRAIN_CFG, "learning_rate": 1e6,
                                "epochs": 6}))
-    code = main(["train", "--manifest", str(workdir["manifest"]),
-                 "--config", str(cfg), "--fold", "0",
-                 "--out", str(tmp_path / "runs")])
+    # the diverging logits overflow exp before the finite guard rejects them
+    with np.errstate(over="ignore"):
+        code = main(["train", "--manifest", str(workdir["manifest"]),
+                     "--config", str(cfg), "--fold", "0",
+                     "--out", str(tmp_path / "runs")])
     assert code == 3
+
+
+def test_corrupt_checkpoint_exits_2(workdir, tmp_path):
+    bad = tmp_path / "trailing.ckpt"
+    bad.write_bytes(workdir["ckpt"].read_bytes() + b"\0" * 8)
+    code = main(["eval", "--checkpoint", str(bad),
+                 "--manifest", str(workdir["manifest"]), "--fold", "0",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
 
 
 def test_eval_writes_metrics_json(workdir):

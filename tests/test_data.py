@@ -19,6 +19,7 @@ from slotsurv.data import (
     SurvivalRecord,
     SynthConfig,
     assign_bins,
+    atomic_write,
     discretize_times,
     kfold_split,
     load_bag,
@@ -129,6 +130,41 @@ def _toy_cohort(tmp_path, with_edges=False):
                                       str(gp) if i != 1 else None))
     edges = np.array([10.0, 20.0]) if with_edges else None
     return Cohort(records=tuple(records), bin_edges=edges)
+
+
+def test_atomic_write_failing_partway_keeps_previous_file(tmp_path):
+    path = tmp_path / "a.bag"
+    write_bag(FeatureBag("histology", np.ones((2, 3), np.float32)), path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write(b"half a bag")
+            raise RuntimeError("writer died")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["a.bag"]
+
+
+def test_failed_bag_and_manifest_writes_keep_previous_files(tmp_path,
+                                                            monkeypatch):
+    cohort = _toy_cohort(tmp_path, with_edges=True)
+    manifest = tmp_path / "manifest.json"
+    save_manifest(cohort, manifest)
+    bag = tmp_path / "bags" / "p0_h.bag"
+    before = {p: p.read_bytes() for p in (manifest, bag)}
+    listing = sorted(os.listdir(tmp_path / "bags"))
+
+    def fail(*args):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_bag(FeatureBag("histology", np.zeros((5, 3), np.float32)), bag)
+    with pytest.raises(OSError, match="disk full"):
+        save_manifest(Cohort(records=cohort.records[:1], bin_edges=None),
+                      manifest)
+    for p, data in before.items():
+        assert p.read_bytes() == data
+    assert sorted(os.listdir(tmp_path / "bags")) == listing
+    assert sorted(os.listdir(tmp_path)) == ["bags", "manifest.json"]
 
 
 def test_manifest_round_trip(tmp_path):

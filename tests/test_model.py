@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from slotsurv import model
-from slotsurv.autodiff import backward
+from slotsurv.autodiff import backward, finite_diff_check
 from slotsurv.model import (
     FROZEN_GROUPS,
     PARAM_GROUPS,
     TRAINABLE_GROUPS,
     build_cohort_loss,
     cast_params,
+    draw_noise,
     group_of,
     init_model,
     named_parameters,
@@ -98,14 +99,14 @@ def test_loss_matches_component_accounting():
     report = cg.report(lam=0.1)
     assert float(cg.loss.value) == pytest.approx(report.total, abs=1e-12)
     # every patient contributes all six terms when lam > 0
-    for terms in cg.per_patient:
+    for terms in cg.term_values():
         assert set(terms) == {"surv_fused", "surv_hist", "surv_gen",
                               "recon_g", "recon_h", "recon_cross"}
 
 
 def test_lam_zero_skips_reconstruction_terms():
     cg = _cohort(seed=5, lam=0.0)
-    for terms in cg.per_patient:
+    for terms in cg.term_values():
         assert set(terms) == {"surv_fused", "surv_hist", "surv_gen"}
     report = cg.report(lam=0.0)
     assert float(cg.loss.value) == pytest.approx(report.total, abs=1e-12)
@@ -131,32 +132,123 @@ def test_frozen_query_map_outside_gradient():
 
 def test_reconstruction_stays_out_of_the_prediction_trunk():
     cg = _cohort(seed=5, lam=0.1)
-    for trunk in cg.trunks:
-        upstream = cg.graph.ancestors(trunk.fused)
-        for name, idx in cg.graph._inputs.items():
-            if group_of(name) in ("recon_g", "recon_h", "recon_cross",
-                                  "positions"):
-                assert idx not in upstream
+    upstream = cg.graph.ancestors(cg.trunk.fused)
+    for name, idx in cg.graph._inputs.items():
+        if group_of(name) in ("recon_g", "recon_h", "recon_cross",
+                              "positions"):
+            assert idx not in upstream
 
 
 def test_selected_indices_are_k_hot():
     cg = _cohort(seed=5)
-    for trunk in cg.trunks:
-        assert len(trunk.selected_h) == 2
-        assert len(trunk.selected_g) == 2
+    trunk = cg.trunk
+    for b in range(len(_patients(5))):
+        assert len(trunk.selected_h[b]) == 2
+        assert len(trunk.selected_g[b]) == 2
         # weights live only on the selected slots and sum to one
-        w = trunk.weights_g.value[0]
+        w = trunk.weights_g.value[b, 0]
         assert np.allclose(w.sum(), 1.0, atol=1e-9)
-        off = np.setdiff1d(np.arange(S_G), trunk.selected_g)
+        off = np.setdiff1d(np.arange(S_G), trunk.selected_g[b])
         assert np.all(w[off] == 0.0)
 
 
 def test_non_selective_ablation_keeps_every_slot():
     cg = _cohort(seed=5, selective=False)
-    for trunk in cg.trunks:
-        assert np.array_equal(trunk.selected_h, np.arange(S_H))
-        w = trunk.weights_h.value[0]
+    trunk = cg.trunk
+    for b in range(len(_patients(5))):
+        assert np.array_equal(trunk.selected_h[b], np.arange(S_H))
+        w = trunk.weights_h.value[b, 0]
         assert np.all(w > 0.0) and np.allclose(w.sum(), 1.0, atol=1e-9)
+
+
+def _perturbed(params, seed, dtype=np.float64):
+    """Parameters with every tensor moved off its init, so that zero biases
+    and unit gains cannot hide padded rows."""
+    rng = np.random.default_rng(seed)
+    return params_from_arrays({
+        k: (v + 0.2 * rng.normal(size=v.shape)).astype(dtype)
+        for k, v in named_parameters(params).items()})
+
+
+def _ragged_patients(seed=0, sizes=(5, 9, 3, 7, 9)):
+    rng = np.random.default_rng(seed + 99)
+    return [(rng.normal(size=(m, DIM)), rng.normal(size=(M_GEN, DIM)),
+             1 + i % N_BINS, i % 2) for i, m in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)])
+@pytest.mark.parametrize("training", [True, False])
+def test_padded_batch_matches_batches_of_one(dtype, tol, training):
+    """Each patient's six terms and fused logits from a ragged batch equal
+    its own batch of one, drawing the same noise: padding does not leak."""
+    params = _perturbed(_params(3), 3, dtype)
+    patients = _ragged_patients(3)
+    kw = dict(k_h=2, k_g=2, temperature=0.01, t_iters=2, l_iters=2, lam=0.1,
+              training=training, dtype=dtype)
+    batch = build_cohort_loss(params, patients,
+                              rng=np.random.default_rng(7), **kw)
+    terms = batch.term_values()
+    for b, patient in enumerate(patients):
+        rng = np.random.default_rng(7)
+        if training and b:  # skip the draws of the patients before b
+            draw_noise(rng, b, params, selective=True)
+        one = build_cohort_loss(params, [patient], rng=rng, **kw)
+        (want,) = one.term_values()
+        assert set(terms[b]) == set(want)
+        for name, value in want.items():
+            assert terms[b][name] == pytest.approx(value, abs=tol), name
+        np.testing.assert_allclose(batch.trunk.fused.value[b],
+                                   one.trunk.fused.value[0], rtol=0, atol=tol)
+
+
+def test_node_count_does_not_grow_with_batch_size():
+    def nodes(n):
+        patients = _ragged_patients(4, sizes=(4, 8, 6, 5, 8, 3)[:n])
+        return build_cohort_loss(
+            _params(4), patients, k_h=2, k_g=2, temperature=0.01, t_iters=2,
+            l_iters=2, lam=0.1, rng=np.random.default_rng(0)).graph.num_nodes
+    assert nodes(2) == nodes(6)
+
+
+def test_batch_draws_noise_patient_by_patient():
+    """Per patient, in order: slot-init noise h, slot-init noise g, Gumbel
+    noise h, Gumbel noise g."""
+    params = _params(6)
+    for selective in (True, False):
+        used = np.random.default_rng(12)
+        build_cohort_loss(params, _patients(6), k_h=2, k_g=2,
+                          temperature=0.01, t_iters=2, l_iters=2, lam=0.1,
+                          rng=used, selective=selective)
+        manual = np.random.default_rng(12)
+        for _ in _patients(6):
+            manual.standard_normal((S_H, DIM))
+            manual.standard_normal((S_G, DIM))
+            if selective:
+                manual.gumbel(size=(1, S_H))
+                manual.gumbel(size=(1, S_G))
+        assert used.bit_generator.state == manual.bit_generator.state
+
+
+def test_full_model_gradients_on_padded_ragged_batch():
+    """Finite differences through every stage of a padded ragged batch,
+    reconstruction heads and stochastic slot init included (selection off:
+    the straight-through mask is not a derivative of its forward value)."""
+    params = _perturbed(init_model(np.random.default_rng(8), dim=4,
+                                   n_slots_h=2, n_slots_g=2, m_gen=3,
+                                   n_bins=2), 8)
+    rng = np.random.default_rng(9)
+    patients = [(rng.normal(size=(m, 4)), rng.normal(size=(3, 4)), 1 + i % 2,
+                 i % 2) for i, m in enumerate((2, 5, 3))]
+    cg = build_cohort_loss(params, patients, k_h=1, k_g=1, temperature=0.5,
+                           t_iters=2, l_iters=1, lam=0.5,
+                           rng=np.random.default_rng(10), selective=False,
+                           dtype=np.float64)
+    wrt = ["slots_h.w_k", "slots_h.init_log_std", "slots_g.gru_wz",
+           "slots_g.ln_in_gamma", "gate_h.w", "pred_g.w2", "self_h.w_q",
+           "cross.w_v", "risk.w1", "recon_h.w_q", "recon_g.ffn_w1",
+           "recon_cross.w_k", "positions.table"]
+    assert finite_diff_check(cg.graph, cg.loss, step=1e-3, wrt=wrt) < 1e-6
 
 
 def test_empty_batch_rejected():
@@ -223,6 +315,6 @@ def test_inference_risk_matches_training_trunk_in_inference_mode():
         out = patient_forward(p, bag_h, bag_g, k_h=2, k_g=2,
                               temperature=0.01, t_iters=2, l_iters=2)
         assert out.slots_h.slots.dtype == dtype
-        ref = hazards_from_logits(cg.trunks[0].fused.value[0])
+        ref = hazards_from_logits(cg.trunk.fused.value[0, 0])
         np.testing.assert_allclose(out.curve.h, ref.h, rtol=0, atol=1e-12)
         assert out.risk == pytest.approx(ref.risk, abs=1e-12)

@@ -1,8 +1,11 @@
 """Optimizer arithmetic, checkpoint round-trips, the fold harness and the
 evaluation metrics."""
 
+import dataclasses
 import json
 import logging
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -10,14 +13,18 @@ import pytest
 from slotsurv import data as data_mod
 from slotsurv import model as model_mod
 from slotsurv.data import SynthConfig, discretize_times, synth_cohort
+from slotsurv import recon as recon_mod
+from slotsurv import slots as slot_mod
 from slotsurv.train import (
     AdamState,
     Checkpoint,
+    CheckpointError,
     DivergenceError,
     TrainConfig,
     adam_step,
     evaluate,
     fold_indices,
+    imputed_genomic_bag,
     k_from_fraction,
     load_checkpoint,
     predict_patient,
@@ -189,6 +196,88 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def _index_and_payload(path):
+    blob = path.read_bytes()
+    _, _, _, doc_len = struct.unpack_from("<4sHHI", blob)
+    return json.loads(blob[12:12 + doc_len]), blob[12 + doc_len:]
+
+
+def _write_raw(path, index, payload):
+    doc = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(struct.pack("<4sHHI", b"SSCK", 1, 0, len(doc))
+                     + doc + payload)
+
+
+def test_checkpoint_rejects_trailing_bytes(trained, tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shift", ["negative", "overlap"])
+def test_checkpoint_rejects_bad_offsets(trained, tmp_path, shift):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    index, payload = _index_and_payload(path)
+    rows = index["tensors"]
+    if shift == "negative":
+        rows[0]["offset"] = -8
+    else:
+        rows[1]["offset"] = rows[0]["offset"]
+    _write_raw(path, index, payload)
+    with pytest.raises(CheckpointError, match="offset"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_nbytes_disagreeing_with_shape(trained, tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    index, payload = _index_and_payload(path)
+    index["tensors"][-1]["nbytes"] -= 4
+    _write_raw(path, index, payload[:-4])
+    with pytest.raises(CheckpointError, match="declares"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_parameter(trained, tmp_path, monkeypatch):
+    full = Checkpoint.named_tensors
+    monkeypatch.setattr(Checkpoint, "named_tensors", lambda self: {
+        k: v for k, v in full(self).items() if k != "risk.w1"})
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    with pytest.raises(CheckpointError, match="risk.w1"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_orphan_adam_moments(trained, tmp_path):
+    ckpt = trained.checkpoint
+    ghost = {"ghost.w": np.zeros((2, 2))}
+    adam = AdamState(m={**ckpt.adam.m, **ghost}, v={**ckpt.adam.v, **ghost},
+                     t=ckpt.adam.t, skipped=ckpt.adam.skipped)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(dataclasses.replace(ckpt, adam=adam), path)
+    with pytest.raises(CheckpointError, match="ghost.w"):
+        load_checkpoint(path)
+
+
+def test_failed_checkpoint_save_keeps_previous_file(trained, tmp_path,
+                                                    monkeypatch):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(dataclasses.replace(trained.checkpoint, epoch=99),
+                        path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["c.ckpt"]
+
+
 # -------------------------------------------------------------------- training
 
 
@@ -292,7 +381,9 @@ def test_train_rejects_event_starved_split(tmp_path):
 
 def test_divergence_aborts_with_diagnostics(small_cohort):
     cfg = TrainConfig(**{**SMALL_TRAIN, "learning_rate": 1e6, "epochs": 4})
-    with pytest.raises(DivergenceError, match="epoch"):
+    # the diverging logits overflow exp before the finite guard rejects them
+    with np.errstate(over="ignore"), \
+            pytest.raises(DivergenceError, match="epoch"):
         train(cfg, small_cohort, fold=0)
 
 
@@ -343,6 +434,21 @@ def test_predict_patient_deterministic_and_flagged(trained, small_cohort):
     assert ic is True and np.isfinite(c.risk)
     with pytest.raises(data_mod.BagError, match="histology"):
         predict_patient(trained.checkpoint, bag_g, bag_g)
+
+
+def test_float64_checkpoint_imputes_and_scores_in_float64(small_cohort):
+    cfg = TrainConfig(**{**SMALL_TRAIN, "precision": "float64"})
+    ckpt = train(cfg, small_cohort, fold=0).checkpoint
+    bag_h = data_mod.load_bag(small_cohort.records[0].histology_path)
+    assert imputed_genomic_bag(ckpt, bag_h).matrix.dtype == np.float64
+    out, imputed = predict_patient(ckpt, bag_h, None)
+    assert imputed
+    assert out.slots_h.slots.dtype == out.slots_g.slots.dtype == np.float64
+    sset = slot_mod.encode(bag_h.matrix, ckpt.params.slots_g, cfg.t_iters)
+    assert sset.slots.dtype == np.float64
+    x_hat, _ = recon_mod.reconstruct_genomic(
+        sset.slots, ckpt.params.positions, ckpt.params.recon_cross)
+    assert x_hat.dtype == np.float64
 
 
 def test_prediction_ignores_cross_recon_params_when_genomics_present(
