@@ -20,6 +20,16 @@ through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
 multiply-adds.
 
+Which adjoints ``backward`` computes. When a node is recorded, the graph
+notes whether it needs an adjoint: an input does, and so does every node
+with a parent that does. A constant, and every node built from
+constants alone (bags, masks, noise, targets), does not. ``backward``
+skips the nodes that need none, and each adjoint rule forms an operand's
+adjoint only when that operand needs one: a constant bag fed to a weight
+costs no ``grad @ W^T``. A skipped adjoint could only have flowed into
+constants, so every input gradient keeps the same terms in the same
+order and the same bits.
+
 Shapes. One patient's tensors are 2-d (rows, d); a batch of patients
 stacks them along a leading axis, (B, rows, d). Ops act on trailing
 axes, so one model builder serves both:
@@ -55,6 +65,7 @@ mean_pool, sum and reduce_sum 1 per input element; pure data movement
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -106,12 +117,10 @@ class Node:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without branches or overflow: each entry is
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0, since exactly one of
+    e^min(x, 0) and e^-|x| differs from e^0 = 1."""
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 class Graph:
@@ -128,6 +137,7 @@ class Graph:
         self._values: list = []       # current values (eager / last replay)
         self._saved: list = []        # per-run intermediates for backward
         self._madds: list[int] = []
+        self._needs_grad: list[bool] = []   # an input is reachable backwards
         self._inputs: dict[str, int] = {}
         self._marks: dict[str, int] = {}
 
@@ -175,13 +185,13 @@ class Graph:
         shape = tuple(int(n) for n in shape)
         if a.shape == shape:
             return a
-        if int(np.prod(shape)) != a.value.size:
+        if math.prod(shape) != a.value.size:
             raise GraphError(f"cannot reshape {a.shape} to {shape}")
         return self._append("reshape", (a.idx,), aux=shape)
 
     def add(self, a: Node, b: Node) -> Node:
         shape = self._broadcast("add", a, b)
-        return self._append("add", (a.idx, b.idx), madds=int(np.prod(shape)))
+        return self._append("add", (a.idx, b.idx), madds=math.prod(shape))
 
     def scale(self, a: Node, c: float) -> Node:
         return self._append("scale", (a.idx,), aux=float(c), madds=a.value.size)
@@ -268,7 +278,7 @@ class Graph:
 
     def mul(self, a: Node, b: Node) -> Node:
         shape = self._broadcast("mul", a, b)
-        return self._append("mul", (a.idx, b.idx), madds=int(np.prod(shape)))
+        return self._append("mul", (a.idx, b.idx), madds=math.prod(shape))
 
     def squared_error(self, a: Node, b: Node) -> Node:
         """Mean squared difference over the last two axes: 0-d for 2-d
@@ -358,6 +368,7 @@ class Graph:
         out._parents = list(self._parents)
         out._aux = list(self._aux)
         out._madds = list(self._madds)
+        out._needs_grad = list(self._needs_grad)
         out._inputs = dict(self._inputs)
         out._marks = dict(self._marks)
         out._saved = [None] * len(self._ops)
@@ -397,6 +408,8 @@ class Graph:
         self._values.append(value)
         self._saved.append(saved)
         self._madds.append(int(madds))
+        self._needs_grad.append(
+            op == "input" or any(map(self._needs_grad.__getitem__, parents)))
         return Node(self, len(self._ops) - 1)
 
 
@@ -545,12 +558,16 @@ def _unbroadcast(grad, shape):
 def _bw_matmul(g, i, grad, grads):
     a, b = g._parents[i]
     va, vb = g._values[a], g._values[b]
-    _acc(grads, a, _unbroadcast(_matmul(grad, np.swapaxes(vb, -1, -2)), va.shape))
-    if va.ndim == 3 and vb.ndim == 2:
-        gb = va.reshape(-1, va.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
-    else:
-        gb = _unbroadcast(np.matmul(np.swapaxes(va, -1, -2), grad), vb.shape)
-    _acc(grads, b, gb)
+    if g._needs_grad[a]:
+        _acc(grads, a, _unbroadcast(_matmul(grad, np.swapaxes(vb, -1, -2)),
+                                    va.shape))
+    if g._needs_grad[b]:
+        if va.ndim == 3 and vb.ndim == 2:
+            gb = _matmul(va.reshape(-1, va.shape[-1]).T,
+                         grad.reshape(-1, grad.shape[-1]))
+        else:
+            gb = _unbroadcast(_matmul(np.swapaxes(va, -1, -2), grad), vb.shape)
+        _acc(grads, b, gb)
 
 
 def _bw_transpose(g, i, grad, grads):
@@ -563,9 +580,9 @@ def _bw_reshape(g, i, grad, grads):
 
 
 def _bw_add(g, i, grad, grads):
-    a, b = g._parents[i]
-    _acc(grads, a, _unbroadcast(grad, g._values[a].shape))
-    _acc(grads, b, _unbroadcast(grad, g._values[b].shape))
+    for p in g._parents[i]:
+        if g._needs_grad[p]:
+            _acc(grads, p, _unbroadcast(grad, g._values[p].shape))
 
 
 def _bw_scale(g, i, grad, grads):
@@ -597,12 +614,14 @@ def _bw_layer_norm(g, i, grad, grads):
     a, gi, bi = g._parents[i]
     xhat, inv = g._saved[i]
     gamma = g._values[gi]
-    gg = grad * gamma
-    dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-    _acc(grads, a, dx)
-    _acc(grads, gi, _unbroadcast(grad * xhat, gamma.shape))
-    _acc(grads, bi, _unbroadcast(grad, gamma.shape))
+    if g._needs_grad[a]:
+        gg = grad * gamma
+        _acc(grads, a, inv * (gg - gg.mean(axis=-1, keepdims=True)
+                              - xhat * (gg * xhat).mean(axis=-1, keepdims=True)))
+    if g._needs_grad[gi]:
+        _acc(grads, gi, _unbroadcast(grad * xhat, gamma.shape))
+    if g._needs_grad[bi]:
+        _acc(grads, bi, _unbroadcast(grad, gamma.shape))
 
 
 def _bw_gru(g, i, grad, grads):
@@ -617,30 +636,24 @@ def _bw_gru(g, i, grad, grads):
 
     dz = grad * (h - n)
     dn = grad * (1.0 - z)
-    dh = grad * z
-
     dnp = dn * (1.0 - n * n)
-    dx = dnp @ wn.T
     drh = dnp @ un.T
     dr = drh * h
-    dh = dh + drh * r
-
     dzp = dz * z * (1.0 - z)
     drp = dr * r * (1.0 - r)
-    dx = dx + dzp @ wz.T + drp @ wr.T
-    dh = dh + dzp @ uz.T + drp @ ur.T
 
-    _acc(grads, xi, dx.reshape(shape))
-    _acc(grads, hi, dh.reshape(shape))
-    _acc(grads, wzi, x.T @ dzp)
-    _acc(grads, uzi, h.T @ dzp)
-    _acc(grads, bzi, dzp.sum(axis=0, keepdims=True))
-    _acc(grads, wri, x.T @ drp)
-    _acc(grads, uri, h.T @ drp)
-    _acc(grads, bri, drp.sum(axis=0, keepdims=True))
-    _acc(grads, wni, x.T @ dnp)
-    _acc(grads, uni, rh.T @ dnp)
-    _acc(grads, bni, dnp.sum(axis=0, keepdims=True))
+    need = g._needs_grad
+    if need[xi]:
+        _acc(grads, xi, (dnp @ wn.T + dzp @ wz.T + drp @ wr.T).reshape(shape))
+    if need[hi]:
+        dh = grad * z + drh * r
+        _acc(grads, hi, (dh + dzp @ uz.T + drp @ ur.T).reshape(shape))
+    for pi, left, d in ((wzi, x, dzp), (uzi, h, dzp), (bzi, None, dzp),
+                        (wri, x, drp), (uri, h, drp), (bri, None, drp),
+                        (wni, x, dnp), (uni, rh, dnp), (bni, None, dnp)):
+        if need[pi]:
+            _acc(grads, pi, d.sum(axis=0, keepdims=True) if left is None
+                 else left.T @ d)
 
 
 def _bw_mean_pool(g, i, grad, grads):
@@ -658,23 +671,29 @@ def _bw_concat(g, i, grad, grads):
     a, b = g._parents[i]
     axis = g._aux[i]
     ga, gb = np.split(grad, [g._values[a].shape[axis]], axis=axis)
-    _acc(grads, a, ga)
-    _acc(grads, b, gb)
+    if g._needs_grad[a]:
+        _acc(grads, a, ga)
+    if g._needs_grad[b]:
+        _acc(grads, b, gb)
 
 
 def _bw_mul(g, i, grad, grads):
     a, b = g._parents[i]
     va, vb = g._values[a], g._values[b]
-    _acc(grads, a, _unbroadcast(grad * vb, va.shape))
-    _acc(grads, b, _unbroadcast(grad * va, vb.shape))
+    if g._needs_grad[a]:
+        _acc(grads, a, _unbroadcast(grad * vb, va.shape))
+    if g._needs_grad[b]:
+        _acc(grads, b, _unbroadcast(grad * va, vb.shape))
 
 
 def _bw_squared_error(g, i, grad, grads):
     a, b = g._parents[i]
     d = g._values[a] - g._values[b]
     coeff = grad[..., None, None] * g.dtype.type(2.0 / (d.shape[-2] * d.shape[-1]))
-    _acc(grads, a, coeff * d)
-    _acc(grads, b, -coeff * d)
+    if g._needs_grad[a]:
+        _acc(grads, a, coeff * d)
+    if g._needs_grad[b]:
+        _acc(grads, b, -coeff * d)
 
 
 def _bw_cosine(g, i, grad, grads):
@@ -684,10 +703,10 @@ def _bw_cosine(g, i, grad, grads):
     s = (grad[..., None, None] / g.dtype.type(va.shape[-2])) * valid
     sna = np.where(valid, na, 1.0)
     snb = np.where(valid, nb, 1.0)
-    da = s * (vb / (sna * snb) - cos * va / (sna * sna))
-    db = s * (va / (sna * snb) - cos * vb / (snb * snb))
-    _acc(grads, a, da)
-    _acc(grads, b, db)
+    if g._needs_grad[a]:
+        _acc(grads, a, s * (vb / (sna * snb) - cos * va / (sna * sna)))
+    if g._needs_grad[b]:
+        _acc(grads, b, s * (va / (sna * snb) - cos * vb / (snb * snb)))
 
 
 def _bw_log(g, i, grad, grads):
@@ -765,7 +784,7 @@ def backward(graph: Graph, seed: Node) -> dict:
     grads[seed.idx] = np.ones_like(sv)
     for i in range(seed.idx, -1, -1):
         gr = grads[i]
-        if gr is None:
+        if gr is None or not graph._needs_grad[i]:
             continue
         fn = _BACKWARD.get(graph._ops[i])
         if fn is not None:

@@ -7,7 +7,7 @@ Bag file (bit-exact):  bytes 0-3 magic ``SSPE``; u16 LE version = 1;
 u8 modality (0 histology, 1 genomic); u8 reserved = 0; u32 LE M; u32 LE d;
 then M*d IEEE-754 binary32 little-endian, row-major.  No trailing bytes.
 
-Manifest: one JSON document
+Manifest: one UTF-8 JSON document
 ``{"patients": [{id, time_months, censor, histology_path,
 genomic_path|null, time_bin|null}], "bin_edges": [...]|null}``.
 Bag paths are stored relative to the manifest's directory when possible and
@@ -249,13 +249,18 @@ def save_manifest(cohort: Cohort, path) -> None:
 
 def load_manifest(path) -> Cohort:
     base = os.path.dirname(os.path.abspath(path))
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ManifestError(f"{path}: not valid JSON ({err})") from err
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; json
+        # raises RecursionError on absurdly deep nesting
+        raise ManifestError(f"{path}: not valid UTF-8 JSON ({err!r})") from err
     if not isinstance(doc, dict) or "patients" not in doc:
         raise ManifestError(f"{path}: missing 'patients'")
+    if not isinstance(doc["patients"], list):
+        raise ManifestError(f"{path}: 'patients' is not a list")
 
     def resolve(p):
         if p is None:
@@ -274,7 +279,7 @@ def load_manifest(path) -> Cohort:
                 time_bin=(None if row.get("time_bin") is None
                           else int(row["time_bin"])),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             if isinstance(err, ManifestError):
                 raise
             raise ManifestError(f"{path}: bad patient row {row!r}") from err
@@ -282,9 +287,15 @@ def load_manifest(path) -> Cohort:
             raise ManifestError(f"{path}: {rec.patient_id} has no histology bag")
         records.append(rec)
     edges = doc.get("bin_edges")
-    edges = None if edges is None else np.asarray(edges, dtype=np.float64)
-    if edges is not None and (edges.ndim != 1 or np.any(np.diff(edges) <= 0)):
-        raise ManifestError(f"{path}: bin_edges not strictly increasing")
+    if edges is not None:
+        try:
+            edges = np.asarray(edges, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ManifestError(f"{path}: bin_edges are not numbers") from err
+        if (edges.ndim != 1 or not np.isfinite(edges).all()
+                or np.any(np.diff(edges) <= 0)):
+            raise ManifestError(
+                f"{path}: bin_edges not finite and strictly increasing")
     return Cohort(records=tuple(records), bin_edges=edges)
 
 

@@ -15,8 +15,9 @@ default).  Training and inference both read K from it through
 ablation) every slot is kept, so K = S.
 
 As in the encoder module, build_* functions append nodes to a
-caller-owned Graph; the plain functions are numpy conveniences that also
-serve as an independent cross-check of the graph builders in the tests.
+caller-owned Graph.  ``gumbel_topk_mask`` draws the same selection in
+numpy as a ``GateMask``, the form serving reports it in, and
+``write_gate_csv`` exports one.
 """
 
 from __future__ import annotations
@@ -29,28 +30,19 @@ import numpy as np
 from .autodiff import Graph, Node, init_block, init_normal
 
 __all__ = [
-    "DEFAULT_TEMPERATURE",
     "GateMask",
     "GateParams",
     "PredictorParams",
-    "SlotMixture",
     "build_gate_scores",
     "build_gated_mixture",
     "build_gumbel_mask",
     "build_renormalized_weights",
     "build_slot_logits",
-    "decode",
-    "gate_scores",
-    "gated_mixture",
     "gumbel_topk_mask",
     "init_gate_params",
     "init_predictor_params",
-    "renormalize_weights",
-    "slot_logits",
     "write_gate_csv",
 ]
-
-DEFAULT_TEMPERATURE = 0.01
 
 
 @dataclass(frozen=True)
@@ -100,15 +92,6 @@ class GateMask:
     def selected(self) -> np.ndarray:
         """Indices of the retained slots, ascending."""
         return np.flatnonzero(self.hard > 0.5)
-
-
-@dataclass(frozen=True)
-class SlotMixture:
-    """Per-slot logits, renormalized weights and their gated mixture."""
-
-    logits: np.ndarray    # (S, n_bins)
-    weights: np.ndarray   # (S,), nonneg, sums to 1, zero off the mask
-    mixture: np.ndarray   # (n_bins,)
 
 
 def _k_hot(values: np.ndarray, k: int) -> np.ndarray:
@@ -205,13 +188,7 @@ def build_gated_mixture(g: Graph, weights: Node, logits: Node) -> Node:
     return g.matmul(weights, logits)
 
 
-# ------------------------------------------------------------ numpy interface
-
-
-def gate_scores(slots: np.ndarray, gate: GateParams) -> np.ndarray:
-    slots = np.asarray(slots, dtype=np.float64)
-    return (slots @ gate.w.astype(np.float64)
-            + gate.b.astype(np.float64))[:, 0]
+# ------------------------------------------------------------- numpy masks
 
 
 def gumbel_topk_mask(r: np.ndarray, k: int, temperature: float,
@@ -231,53 +208,6 @@ def gumbel_topk_mask(r: np.ndarray, k: int, temperature: float,
     exp = np.exp(shifted)
     return GateMask(hard=_k_hot(perturbed, k), soft=exp / exp.sum(),
                     scores=r.copy(), k=k, temperature=temperature)
-
-
-def renormalize_weights(r: np.ndarray, mask: GateMask,
-                        temperature: float) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float64).reshape(-1)
-    if mask.hard.size != r.size:
-        raise ValueError(
-            f"mask of size {mask.hard.size} does not match {r.size} scores")
-    if not np.any(mask.hard):
-        raise ValueError("mask selects no slots")
-    # masking then renormalizing a softmax equals the softmax restricted
-    # to the selected subset, which is the numerically safe way to get it
-    sel = mask.hard > 0.5
-    shifted = (r[sel] - r[sel].max()) / temperature
-    exp = np.exp(shifted)
-    weights = np.zeros(r.size)
-    weights[sel] = exp / exp.sum()
-    return weights
-
-
-def slot_logits(slots: np.ndarray, pred: PredictorParams) -> np.ndarray:
-    slots = np.asarray(slots, dtype=np.float64)
-    hidden = np.maximum(slots @ pred.w1.astype(np.float64)
-                        + pred.b1.astype(np.float64), 0.0)
-    return hidden @ pred.w2.astype(np.float64) + pred.b2.astype(np.float64)
-
-
-def gated_mixture(weights: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if weights.size != logits.shape[0]:
-        raise ValueError(
-            f"{weights.size} weights do not match logits {logits.shape}")
-    return weights @ np.asarray(logits, dtype=np.float64)
-
-
-def decode(slots: np.ndarray, gate: GateParams, pred: PredictorParams,
-           k: int, temperature: float = DEFAULT_TEMPERATURE,
-           rng: np.random.Generator | None = None,
-           training: bool = False) -> tuple[SlotMixture, GateMask]:
-    """Full selective decode of one slot set (numpy in/out)."""
-    r = gate_scores(slots, gate)
-    mask = gumbel_topk_mask(r, k, temperature, rng=rng, training=training)
-    weights = renormalize_weights(r, mask, temperature)
-    logits = slot_logits(slots, pred)
-    mixture = SlotMixture(logits=logits, weights=weights,
-                          mixture=gated_mixture(weights, logits))
-    return mixture, mask
 
 
 def write_gate_csv(mask: GateMask, weights: np.ndarray, path) -> None:

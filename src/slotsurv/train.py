@@ -281,6 +281,30 @@ def _checkpoint_tensors(path, payload: bytes, rows) -> dict:
     return tensors
 
 
+def _check_geometry(path, params, config: TrainConfig) -> None:
+    """Every parameter must have the shape and precision that a fresh model
+    of the checkpoint's sizes has."""
+    arrays = model_mod.named_parameters(params)
+    sizes = {"dim": params.dim, "n_slots_h": config.n_slots_h,
+             "n_slots_g": config.n_slots_g, "m_gen": params.positions.m_rows,
+             "n_bins": config.n_bins}
+    # each size is an axis of some (dim, size) parameter, so sizes whose
+    # products outgrow the stored entries cannot match; reject them before
+    # drawing a model that large
+    stored = sum(a.size for a in arrays.values())
+    if any(sizes["dim"] * n > stored for n in sizes.values()):
+        raise CheckpointError(f"{path}: sizes {sizes} do not fit the "
+                              f"{stored} stored parameter entries")
+    fresh = model_mod.named_parameters(
+        model_mod.init_model(np.random.default_rng(0), **sizes))
+    for name, arr in arrays.items():
+        if arr.shape != fresh[name].shape or arr.dtype != config.dtype:
+            raise CheckpointError(
+                f"{path}: tensor {name} is {arr.dtype}{list(arr.shape)}; a "
+                f"{config.precision} model of sizes {sizes} needs "
+                f"{list(fresh[name].shape)}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any inconsistency raises CheckpointError."""
     with open(path, "rb") as fh:
@@ -307,13 +331,15 @@ def load_checkpoint(path) -> Checkpoint:
                          t=int(index["adam_t"]),
                          skipped=int(index["skipped_steps"]))
         config = TrainConfig.from_dict(index["config"])
+        _check_geometry(path, params, config)
         ckpt = Checkpoint(params=params, adam=adam, config=config,
                           epoch=int(index["epoch"]),
                           rng_state=index["rng_state"],
                           steps_trained=int(index["steps_trained"]))
     except CheckpointError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError,
+            OverflowError) as err:
         raise CheckpointError(f"{path}: corrupt checkpoint index ({err!r})") from err
     arrays = model_mod.named_parameters(params)
     trainable = set(model_mod.trainable_names(params))

@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+from slotsurv import autodiff
 from slotsurv.autodiff import (
     _BACKWARD,
     _FORWARD,
@@ -389,6 +390,40 @@ def test_op_gradients_match_finite_differences(op_name):
         assert worst < tol, f"{op_name} {np.dtype(dtype).name}: {worst:.3g}"
 
 
+class _OneConstantGraph(Graph):
+    """A graph that declares the input called ``constant`` as a constant."""
+
+    def __init__(self, constant, dtype):
+        super().__init__(dtype=dtype)
+        self.constant = constant
+
+    def input(self, name, value):
+        if name == self.constant:
+            return self.const(value)
+        return super().input(name, value)
+
+
+@pytest.mark.parametrize("op_name", sorted(OP_BUILDERS))
+def test_constant_operand_leaves_the_other_adjoints_bitwise(op_name):
+    """Backward computes no adjoint for a constant operand, and turning one
+    input into a constant leaves every other input's gradient bitwise the
+    same."""
+    for dtype in (np.float32, np.float64):
+        def gradients(constant):
+            g = _OneConstantGraph(constant, dtype)
+            seed = OP_BUILDERS[op_name](g, np.random.default_rng(
+                _seed(op_name, 0)))
+            return backward(g, seed)
+
+        full = gradients(None)
+        for name in full:
+            part = gradients(name)
+            assert set(part) == set(full) - {name}
+            for other, grad in part.items():
+                np.testing.assert_array_equal(grad, full[other],
+                                              err_msg=f"{name} -> {other}")
+
+
 def test_finite_diff_exact_for_linear_function():
     # sum(x) via matmul with a ones column; integer points and a
     # power-of-two step make the central difference exact.
@@ -459,6 +494,72 @@ def test_sigmoid_values_and_stability():
     x = g.input("x", np.array([[-800.0, 0.0, 800.0]]))
     y = g.sigmoid(x).value
     np.testing.assert_allclose(y, [[0.0, 0.5, 1.0]], atol=1e-12)
+
+
+def _two_branch_sigmoid(x):
+    """Reference logistic: 1/(1+e^-x) on x >= 0, e^x/(1+e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_kernel_is_bitwise_the_two_branch_formula(dtype):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, 1e3, -1e3, info.smallest_subnormal,
+               -info.smallest_subnormal, info.tiny, -info.tiny,
+               info.max, -info.max]
+    rng = np.random.default_rng(17)
+    x = np.concatenate([np.array(special, dtype=dtype)] + [
+        (rng.normal(size=(64, 32)) * scale).astype(dtype).ravel()
+        for scale in (1.0, 10.0, 100.0, 1000.0)])
+    got = autodiff._sigmoid(x)      # a RuntimeWarning fails the suite
+    want = _two_branch_sigmoid(x)
+    assert got.dtype == want.dtype == dtype
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+_MATMUL_SHAPES = [((5, 3), (3, 4)), ((2, 5, 3), (3, 4)),
+                  ((2, 5, 3), (2, 3, 4)), ((5, 3), (2, 3, 4))]
+
+
+@pytest.mark.parametrize("shapes", _MATMUL_SHAPES, ids=str)
+@pytest.mark.parametrize("constant", ["left", "right", None])
+def test_matmul_adjoint_of_a_constant_operand_is_never_computed(
+        monkeypatch, shapes, constant):
+    """Backward forms one product per operand that reaches an input, and
+    the adjoint it forms is the one it forms when both operands are
+    inputs."""
+    def run(const_side):
+        rng = np.random.default_rng(18)
+        g = Graph(dtype=np.float64)
+        a, b = (g.const(v) if side == const_side else g.input(side, v)
+                for side, v in zip(("left", "right"),
+                                   (rng.normal(size=s) for s in shapes)))
+        out = g.matmul(a, b)
+        loss = g.reduce_sum(g.mul(out, g.const(rng.normal(size=out.shape))))
+        products = []
+        real = autodiff._matmul
+
+        def counting(x, y):
+            products.append((x.shape, y.shape))
+            return real(x, y)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(autodiff, "_matmul", counting)
+            return backward(g, loss), products
+
+    both, both_products = run(None)
+    grads, products = run(constant)
+    assert len(both_products) == 2
+    assert len(products) == 2 - (constant is not None)
+    assert set(grads) == {"left", "right"} - {constant}
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(grad, both[name])
 
 
 def test_forward_replay_matches_fresh_build():

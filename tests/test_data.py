@@ -204,6 +204,26 @@ def test_manifest_rejects_bad_documents(tmp_path):
         load_manifest(p)
 
 
+@pytest.mark.parametrize("blob", [
+    pytest.param(b'{"patients": [\xff]}', id="invalid_utf8"),
+    pytest.param(b'{"patients": 5}', id="patients_not_a_list"),
+    pytest.param(b'{"patients": [], "bin_edges": ["a"]}',
+                 id="bin_edges_not_numbers"),
+    pytest.param(b'{"patients": [], "bin_edges": [1.0, NaN]}',
+                 id="bin_edges_not_finite"),
+    pytest.param(b'{"patients": [{"id": "a", "time_months": 1.0, '
+                 b'"censor": 1e999, "histology_path": "a.bag"}]}',
+                 id="censor_overflows_int"),
+    pytest.param(b'{"patients": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 id="nesting_too_deep"),
+])
+def test_malformed_manifest_raises_manifest_error(tmp_path, blob):
+    p = tmp_path / "m.json"
+    p.write_bytes(blob)
+    with pytest.raises(ManifestError):
+        load_manifest(p)
+
+
 def test_record_validation():
     with pytest.raises(ManifestError):
         SurvivalRecord("p", -1.0, 0, "h.bag")

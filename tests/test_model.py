@@ -251,6 +251,37 @@ def test_full_model_gradients_on_padded_ragged_batch():
     assert finite_diff_check(cg.graph, cg.loss, step=1e-3, wrt=wrt) < 1e-6
 
 
+def test_constants_receive_no_adjoint_and_change_no_gradient(monkeypatch):
+    """Backward computes no adjoint for a constant: bags, instance mask,
+    noise, reconstruction targets, hard gate masks.  Declaring every one of
+    them an input leaf instead, so its adjoint is computed, leaves every
+    parameter gradient of a float64 batch bitwise the same."""
+    params = _perturbed(_params(5), 5)
+    patients = _ragged_patients(5)
+
+    def gradients():
+        cg = build_cohort_loss(params, patients, k_h=2, k_g=2,
+                               temperature=0.01, t_iters=2, l_iters=2,
+                               lam=0.1, rng=np.random.default_rng(11),
+                               dtype=np.float64)
+        return cg.graph, backward(cg.graph, cg.loss)
+
+    graph, with_consts = gradients()
+
+    class ConstantsAsInputs(model.Graph):
+        def const(self, value):
+            return self.input(f"const.{self.num_nodes}", value)
+
+    monkeypatch.setattr(model, "Graph", ConstantsAsInputs)
+    _, with_inputs = gradients()
+    assert "const" in graph._ops
+    assert any(np.any(v != 0) for k, v in with_inputs.items()
+               if k.startswith("const."))
+    for name in trainable_names(params):
+        np.testing.assert_array_equal(with_consts[name], with_inputs[name],
+                                      err_msg=name)
+
+
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         build_cohort_loss(_params(), [], k_h=2, k_g=2, temperature=0.01,

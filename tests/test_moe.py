@@ -22,15 +22,18 @@ from slotsurv.moe import (
     build_gumbel_mask,
     build_renormalized_weights,
     build_slot_logits,
-    decode,
-    gate_scores,
-    gated_mixture,
     gumbel_topk_mask,
     init_gate_params,
     init_predictor_params,
+    write_gate_csv,
+)
+
+from oracles import (
+    decode,
+    gate_scores,
+    gated_mixture,
     renormalize_weights,
     slot_logits,
-    write_gate_csv,
 )
 
 
