@@ -30,13 +30,26 @@ costs no ``grad @ W^T``. A skipped adjoint could only have flowed into
 constants, so every input gradient keeps the same terms in the same
 order and the same bits.
 
+How ``backward`` accumulates. A node's adjoint is the sum of one
+contribution per use, added in the order the uses are visited. The first
+contribution is stored as given: it may be an array another node also
+holds, since ``add``, ``reshape``, ``transpose`` and ``concat`` hand their
+own adjoint, or a view of it, to their operands. The second allocates
+the sum, and the call records that it owns this buffer. Each later
+contribution of the same shape and dtype is added into the owned buffer
+in place. The record lives only for one ``backward`` call, and an array
+the call did not allocate (a node value, the seed, a view, an adjoint
+shared by several nodes) is never written. In-place and allocated sums
+have the same bits.
+
 Shapes. One patient's tensors are 2-d (rows, d); a batch of patients
 stacks them along a leading axis, (B, rows, d). Ops act on trailing
 axes, so one model builder serves both:
 
 * matmul: (m, k) @ (k, n); batched (B, m, k) @ (B, k, n); a shared 2-d
   operand on either side broadcasts over the batch. A weight shared by
-  a 3-d left operand runs as one product over all B*m rows.
+  a 3-d left operand runs as one product over all B*m rows. With k = 1
+  the product is a broadcast multiply, with BLAS's bits.
 * add, mul: numpy broadcasting; the adjoint sums back down to each
   operand's shape (one unbroadcast helper; a (1, d) bias row is the
   common case).
@@ -425,6 +438,12 @@ def _softmax(axis, x):
 
 
 def _matmul(a, b):
+    if a.shape[-1] == 1:
+        # rank-1 product: each entry is one product, as BLAS forms it;
+        # adding +0 turns a -0 product into BLAS's +0
+        out = a * b
+        out += 0
+        return out
     if a.ndim == 3 and b.ndim == 2 and a.shape[0] > 1:
         # a weight shared by every batch entry: one product over all rows
         return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
@@ -432,11 +451,13 @@ def _matmul(a, b):
 
 
 def _layer_norm_fwd(_, x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * gamma + beta, (xhat, inv)
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, inv)
 
 
 def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
@@ -592,7 +613,8 @@ def _bw_scale(g, i, grad, grads):
 def _bw_softmax(g, i, grad, grads):
     y = g._values[i]
     gy = grad * y
-    _acc(grads, g._parents[i][0], gy - y * gy.sum(axis=g._aux[i], keepdims=True))
+    gy -= y * gy.sum(axis=g._aux[i], keepdims=True)
+    _acc(grads, g._parents[i][0], gy)
 
 
 def _bw_sigmoid(g, i, grad, grads):
@@ -615,9 +637,13 @@ def _bw_layer_norm(g, i, grad, grads):
     xhat, inv = g._saved[i]
     gamma = g._values[gi]
     if g._needs_grad[a]:
+        # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), term by term
         gg = grad * gamma
-        _acc(grads, a, inv * (gg - gg.mean(axis=-1, keepdims=True)
-                              - xhat * (gg * xhat).mean(axis=-1, keepdims=True)))
+        proj = (gg * xhat).mean(axis=-1, keepdims=True)
+        gg -= gg.mean(axis=-1, keepdims=True)
+        gg -= xhat * proj
+        gg *= inv
+        _acc(grads, a, gg)
     if g._needs_grad[gi]:
         _acc(grads, gi, _unbroadcast(grad * xhat, gamma.shape))
     if g._needs_grad[bi]:
@@ -703,10 +729,12 @@ def _bw_cosine(g, i, grad, grads):
     s = (grad[..., None, None] / g.dtype.type(va.shape[-2])) * valid
     sna = np.where(valid, na, 1.0)
     snb = np.where(valid, nb, 1.0)
-    if g._needs_grad[a]:
-        _acc(grads, a, s * (vb / (sna * snb) - cos * va / (sna * sna)))
-    if g._needs_grad[b]:
-        _acc(grads, b, s * (va / (sna * snb) - cos * vb / (snb * snb)))
+    for p, mine, other, own in ((a, va, vb, sna), (b, vb, va, snb)):
+        if g._needs_grad[p]:
+            d = other / (sna * snb)
+            d -= cos * mine / (own * own)
+            d *= s
+            _acc(grads, p, d)
 
 
 def _bw_log(g, i, grad, grads):
@@ -765,11 +793,30 @@ _BACKWARD = {
 }
 
 
+class _Adjoints(list):
+    """One ``backward`` call's adjoint slots, plus the ids of the nodes
+    whose slot holds a buffer this call allocated (``owned``)."""
+
+    __slots__ = ("owned",)
+
+    def __init__(self, n: int):
+        super().__init__([None] * n)
+        self.owned = set()
+
+
 def _acc(grads, idx, delta):
-    if grads[idx] is None:
+    """Add one contribution to node idx's adjoint: the first is stored as
+    given, the second allocates the sum, and later ones add in place into
+    that owned buffer."""
+    cur = grads[idx]
+    if cur is None:
         grads[idx] = delta
+    elif (idx in grads.owned and cur.shape == delta.shape
+          and cur.dtype == delta.dtype):
+        np.add(cur, delta, out=cur)
     else:
-        grads[idx] = grads[idx] + delta
+        grads[idx] = cur + delta
+        grads.owned.add(idx)
 
 
 def backward(graph: Graph, seed: Node) -> dict:
@@ -780,7 +827,7 @@ def backward(graph: Graph, seed: Node) -> dict:
     sv = graph._values[seed.idx]
     if sv.size != 1:
         raise GraphError(f"backward seed must be scalar, got shape {sv.shape}")
-    grads: list = [None] * graph.num_nodes
+    grads = _Adjoints(graph.num_nodes)
     grads[seed.idx] = np.ones_like(sv)
     for i in range(seed.idx, -1, -1):
         gr = grads[i]

@@ -11,7 +11,8 @@ Manifest: one UTF-8 JSON document
 ``{"patients": [{id, time_months, censor, histology_path,
 genomic_path|null, time_bin|null}], "bin_edges": [...]|null}``.
 Bag paths are stored relative to the manifest's directory when possible and
-resolved back to absolute paths on load.
+resolved back to absolute paths on load.  When ``bin_edges`` is given, every
+``time_bin`` must lie in [1, len(bin_edges) + 1].
 
 Bags, manifests and checkpoints are written through ``atomic_write``: a
 failed write leaves the previous file as it was.
@@ -296,6 +297,12 @@ def load_manifest(path) -> Cohort:
                 or np.any(np.diff(edges) <= 0)):
             raise ManifestError(
                 f"{path}: bin_edges not finite and strictly increasing")
+        n_bins = edges.size + 1
+        for rec in records:
+            if rec.time_bin is not None and not 1 <= rec.time_bin <= n_bins:
+                raise ManifestError(
+                    f"{path}: {rec.patient_id} has time_bin {rec.time_bin} "
+                    f"outside [1, {n_bins}] for {edges.size} bin edges")
     return Cohort(records=tuple(records), bin_edges=edges)
 
 

@@ -187,7 +187,10 @@ def adam_step(arrays: dict, grads: dict, state: AdamState, lr: float,
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or evaluate a run."""
+    """Everything needed to evaluate a run: parameters, Adam moments, the
+    config, and the PCG64 state of the run's rng at its end.  It cannot
+    resume a run: ``train()`` always starts its rng from ``config.seed``
+    and reads no checkpoint."""
 
     params: ModelParams
     adam: AdamState
@@ -305,6 +308,19 @@ def _check_geometry(path, params, config: TrainConfig) -> None:
                 f"{list(fresh[name].shape)}")
 
 
+def _check_rng_state(path, state) -> None:
+    """The rng state must be a PCG64 state that a fresh generator reads back
+    unchanged.  Malformed input makes the setter raise TypeError, ValueError,
+    OverflowError or KeyError.  The setter does not check that ``has_uint32``
+    is a 0/1 flag or that the increment is odd, as every PCG64 increment is,
+    so those are checked here."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    if (bit_generator.state != state or state["has_uint32"] not in (0, 1)
+            or state["state"]["inc"] % 2 != 1):
+        raise CheckpointError(f"{path}: rng_state is not a PCG64 state")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any inconsistency raises CheckpointError."""
     with open(path, "rb") as fh:
@@ -332,6 +348,7 @@ def load_checkpoint(path) -> Checkpoint:
                          skipped=int(index["skipped_steps"]))
         config = TrainConfig.from_dict(index["config"])
         _check_geometry(path, params, config)
+        _check_rng_state(path, index["rng_state"])
         ckpt = Checkpoint(params=params, adam=adam, config=config,
                           epoch=int(index["epoch"]),
                           rng_state=index["rng_state"],

@@ -1,7 +1,12 @@
-"""Float64 numpy references for the selective slot decoder in
-``slotsurv.moe``.  The graph builders there are what the model runs; these
-plain functions recompute the same decode independently so the tests can
-check the builders against them."""
+"""Plain references the tests check the package against.
+
+* Float64 numpy references for the selective slot decoder in
+  ``slotsurv.moe``.  The graph builders there are what the model runs;
+  these plain functions recompute the same decode independently so the
+  tests can check the builders against them.
+* ``out_of_place_acc``, adjoint accumulation that allocates every sum, for
+  checking ``autodiff.backward``'s in-place accumulation.
+"""
 
 from __future__ import annotations
 
@@ -74,3 +79,12 @@ def decode(slots: np.ndarray, gate: GateParams, pred: PredictorParams,
     mixture = SlotMixture(logits=logits, weights=weights,
                           mixture=gated_mixture(weights, logits))
     return mixture, mask
+
+
+def out_of_place_acc(grads, idx, delta):
+    """``autodiff._acc`` without ownership: every sum is a new array and no
+    buffer is ever written."""
+    if grads[idx] is None:
+        grads[idx] = delta
+    else:
+        grads[idx] = grads[idx] + delta

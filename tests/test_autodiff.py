@@ -22,6 +22,8 @@ from slotsurv.autodiff import (
     forward,
 )
 
+from oracles import out_of_place_acc
+
 N_POINTS = 20
 
 # (dtype, fd step, max rel err) pairs used by the per-op audit.
@@ -267,6 +269,15 @@ def _build_matmul_shared_left(g, rng):
     return _se_target(g, g.matmul(a, b), rng)
 
 
+def _build_matmul_rank1(g, rng):
+    # inner length 1 both ways: a rank-1 forward product, then a product
+    # whose left adjoint is rank-1, (2, 3, 1) @ (2, 1, 4)
+    a = g.input("a", _positive(rng, (2, 3, 1)))
+    b = g.input("b", _positive(rng, (1, 4)))
+    c = g.input("c", _positive(rng, (2, 4, 1)))
+    return _se_target(g, g.matmul(g.matmul(a, b), c), rng)
+
+
 def _build_transpose_3d(g, rng):
     a = g.input("a", rng.normal(size=(2, 3, 4)))
     return _se_target(g, g.transpose(a), rng)
@@ -338,6 +349,7 @@ OP_BUILDERS = {
     "matmul_batched": _build_matmul_batched,
     "matmul_shared_right": _build_matmul_shared_right,
     "matmul_shared_left": _build_matmul_shared_left,
+    "matmul_rank1": _build_matmul_rank1,
     "transpose_3d": _build_transpose_3d,
     "reshape": _build_reshape,
     "add_broadcast": _build_add_broadcast,
@@ -560,6 +572,65 @@ def test_matmul_adjoint_of_a_constant_operand_is_never_computed(
     assert set(grads) == {"left", "right"} - {constant}
     for name, grad in grads.items():
         np.testing.assert_array_equal(grad, both[name])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rank1_matmul_is_bitwise_the_blas_product(dtype):
+    """A product with inner length 1 is formed as a broadcast multiply; it
+    has the bits np.matmul gives, signed zeros included."""
+    rng = np.random.default_rng(19)
+    vals = np.array([0.0, -0.0, 1.0, -1.0, 3e-39, -2.5e38], dtype=dtype)
+
+    def draw(shape):
+        return np.where(rng.random(shape) < 0.3, rng.choice(vals, shape),
+                        rng.normal(size=shape)).astype(dtype)
+
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    with np.errstate(over="ignore", under="ignore"):
+        for sa, sb in (((5, 1), (1, 4)), ((2, 5, 1), (1, 4)),
+                       ((2, 5, 1), (2, 1, 4)), ((5, 1), (2, 1, 4))):
+            a, b = draw(sa), draw(sb)
+            got = autodiff._matmul(a, b)
+            want = np.matmul(a, b)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_never_writes_a_buffer_it_did_not_allocate(
+        monkeypatch, dtype):
+    """Pass-through rules hand one adjoint array to several nodes: ``add`` to
+    both operands, ``reshape`` and ``transpose`` a view of it.  Adding a later
+    contribution into such a shared array in place would change another
+    node's adjoint.  Every node value and every gradient must match the
+    out-of-place reference bit for bit."""
+    rng = np.random.default_rng(20)
+    g = Graph(dtype=dtype)
+    x = g.input("x", rng.normal(size=(3, 4)))
+    w = g.input("w", rng.normal(size=(4, 4)))
+    v = g.input("v", rng.normal(size=(3, 4)))
+    a = g.matmul(x, w)
+    sq = g.mul(a, a)                    # one node twice as an operand
+    b = g.scale(v, 2.0)
+    y = g.add(a, b)                     # y's adjoint goes to a and to b
+    r = g.reshape(y, (4, 3))
+    t = g.transpose(y)
+    z = g.add(r, t)                     # z's adjoint goes to r and to t
+    twice = g.add(z, z)
+    loss = g.add(
+        g.reduce_sum(g.mul(twice, g.const(rng.normal(size=(4, 3))))),
+        g.reduce_sum(g.mul(g.add(sq, y), g.const(rng.normal(size=(3, 4))))))
+    values = [val.copy() for val in g._values]
+
+    got = backward(g, loss)
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff, "_acc", out_of_place_acc)
+        want = backward(g, loss)
+    for before, after in zip(values, g._values):
+        assert _same_bits(before, after)
+    assert set(got) == set(want) == {"x", "w", "v"}
+    for name in want:
+        assert _same_bits(got[name], want[name]), name
 
 
 def test_forward_replay_matches_fresh_build():

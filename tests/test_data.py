@@ -1,6 +1,7 @@
 """Bag file format, manifests, discretization, folds, and the synthetic
 cohort generator."""
 
+import json
 import os
 import struct
 
@@ -222,6 +223,23 @@ def test_malformed_manifest_raises_manifest_error(tmp_path, blob):
     p.write_bytes(blob)
     with pytest.raises(ManifestError):
         load_manifest(p)
+
+
+@pytest.mark.parametrize("time_bin", [0, 4, 9])
+def test_manifest_rejects_time_bin_outside_bin_edges(tmp_path, time_bin):
+    """Two edges make three bins: a time_bin outside [1, 3] fails at load,
+    not when training builds its first batch."""
+    p = tmp_path / "m.json"
+    doc = {"patients": [{"id": "a", "time_months": 1.0, "censor": 0,
+                         "histology_path": "a.bag", "time_bin": b}
+                        for b in (1, 3, time_bin)],
+           "bin_edges": [10.0, 20.0]}
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="time_bin"):
+        load_manifest(p)
+    doc["patients"].pop()
+    p.write_text(json.dumps(doc))
+    assert [r.time_bin for r in load_manifest(p).records] == [1, 3]
 
 
 def test_record_validation():

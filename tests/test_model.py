@@ -4,7 +4,7 @@ gradient reach per parameter group, and the deterministic inference facade."""
 import numpy as np
 import pytest
 
-from slotsurv import model
+from slotsurv import autodiff, model
 from slotsurv.autodiff import backward, finite_diff_check
 from slotsurv.model import (
     FROZEN_GROUPS,
@@ -20,6 +20,8 @@ from slotsurv.model import (
     patient_forward,
     trainable_names,
 )
+
+from oracles import out_of_place_acc
 
 
 DIM, S_H, S_G, M_GEN, N_BINS = 8, 4, 4, 6, 3
@@ -280,6 +282,42 @@ def test_constants_receive_no_adjoint_and_change_no_gradient(monkeypatch):
     for name in trainable_names(params):
         np.testing.assert_array_equal(with_consts[name], with_inputs[name],
                                       err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_accumulation_gives_the_out_of_place_gradients(
+        monkeypatch, dtype):
+    """Backward adds a node's third and later adjoint contributions in place;
+    on a ragged batch with reconstruction terms every parameter gradient is
+    bitwise the one that allocating every sum gives."""
+    params = _perturbed(_params(6), 6, dtype)
+    patients = _ragged_patients(6)
+
+    def gradients():
+        cg = build_cohort_loss(params, patients, k_h=2, k_g=2,
+                               temperature=0.01, t_iters=3, l_iters=2,
+                               lam=0.1, rng=np.random.default_rng(12),
+                               dtype=dtype)
+        return backward(cg.graph, cg.loss)
+
+    in_place = []
+    real_acc = autodiff._acc
+
+    def counting_acc(grads, idx, delta):
+        in_place.append(grads[idx] is not None and idx in grads.owned)
+        real_acc(grads, idx, delta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff, "_acc", counting_acc)
+        got = gradients()
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff, "_acc", out_of_place_acc)
+        want = gradients()
+    assert sum(in_place) > 10
+    assert set(got) == set(want)
+    for name, grad in want.items():
+        assert grad.dtype == got[name].dtype == dtype, name
+        assert grad.tobytes() == got[name].tobytes(), name
 
 
 def test_empty_batch_rejected():

@@ -262,6 +262,45 @@ def test_checkpoint_rejects_orphan_adam_moments(trained, tmp_path):
         load_checkpoint(path)
 
 
+def _set(name, value):
+    return lambda st: {**st, name: value}
+
+
+def _set_inner(name, value):
+    return lambda st: {**st, "state": {**st["state"], name: value}}
+
+
+# each edit breaks a saved PCG64 rng state in one way
+_BAD_RNG_STATES = [
+    pytest.param(lambda st: [1, 2], id="not_a_dict"),
+    pytest.param(_set("bit_generator", "MT19937"), id="other_generator"),
+    pytest.param(lambda st: {k: v for k, v in st.items() if k != "state"},
+                 id="missing_state"),
+    pytest.param(_set("state", {"state": 1}), id="missing_inc"),
+    pytest.param(_set_inner("state", -1), id="state_negative"),
+    pytest.param(_set_inner("state", 2**200), id="state_too_big"),
+    pytest.param(_set_inner("state", 1.5), id="state_fraction"),
+    pytest.param(_set_inner("state", "1"), id="state_a_string"),
+    pytest.param(lambda st: {**st, "state": {**st["state"],
+                                             "inc": st["state"]["inc"] - 1}},
+                 id="inc_even"),
+    pytest.param(_set("has_uint32", 7), id="has_uint32_not_a_flag"),
+    pytest.param(_set("uinteger", -1), id="uinteger_negative"),
+    pytest.param(_set("extra", 0), id="extra_key"),
+]
+
+
+@pytest.mark.parametrize("edit", _BAD_RNG_STATES)
+def test_checkpoint_rejects_malformed_rng_state(trained, tmp_path, edit):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    index, payload = _index_and_payload(path)
+    index["rng_state"] = edit(index["rng_state"])
+    _write_raw(path, index, payload)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_failed_checkpoint_save_keeps_previous_file(trained, tmp_path,
                                                     monkeypatch):
     path = tmp_path / "c.ckpt"
