@@ -18,7 +18,24 @@ Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
 ``_BACKWARD``. Eager building and ``forward`` replay run the same kernel
 through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
-multiply-adds.
+multiply-adds. Two ops fuse a chain of others into one node, to save the
+per-node cost where the model repeats the chain: ``affine`` and
+``slot_step``. Their kernels call the chain's kernels in the chain's
+order, and their adjoint rules call the same array-level adjoint helpers
+as the chain's rules, in reverse, so values and gradients have the
+chain's bits.
+
+The non-finite guard. Inputs and constants are checked when bound; with
+``inputs`` a whole parameter set is checked at once, and only when that
+fails leaf by leaf, to name the tensor. Every op output is checked,
+except for ops that map finite inputs to finite outputs (transpose,
+reshape, gather_rows, concat, stop_gradient, relu, clamp, sigmoid and
+both softmaxes). Inside ``slot_step`` the values that feed a kernel able
+to hide a non-finite entry are checked: the logits (softmax maps -inf to
+0), the attention mass (reciprocal maps inf to 0), the GRU input (its
+sigmoid and tanh saturate) and the MLP pre-activation (relu maps -inf to
+0). The other intermediates feed only products and sums with finite
+operands, which carry a non-finite entry on to a checked value.
 
 Which adjoints ``backward`` computes. When a node is recorded, the graph
 notes whether it needs an adjoint: an input does, and so does every node
@@ -34,7 +51,8 @@ How ``backward`` accumulates. A node's adjoint is the sum of one
 contribution per use, added in the order the uses are visited. The first
 contribution is stored as given: it may be an array another node also
 holds, since ``add``, ``reshape``, ``transpose`` and ``concat`` hand their
-own adjoint, or a view of it, to their operands. The second allocates
+own adjoint, or a view of it, to their operands (and ``affine`` and
+``slot_step`` to a bias of their output's shape). The second allocates
 the sum, and the call records that it owns this buffer. Each later
 contribution of the same shape and dtype is added into the owned buffer
 in place. The record lives only for one ``backward`` call, and an array
@@ -65,6 +83,18 @@ axes, so one model builder serves both:
   rows of a 2-d operand.
 * elementwise: scale, sigmoid, relu, reciprocal, log, exp, clamp,
   stop_gradient.
+* affine: x @ w + b, the matmul shapes, with a bias that broadcasts into
+  the product without enlarging it (a (1, n) row).
+* slot_step: one slot-attention iteration. From slots (.., S, d),
+  transposed scaled keys (.., d, M), values (.., M, d) and the instance
+  mask (.., M, 1), all with the same leading axes, and (1, d) / (d, d)
+  weights:
+  layer_norm -> @ w_q -> @ keys -> col_softmax = alpha (.., S, M);
+  u = (alpha @ values) * 1 / (alpha @ mask + 1e-8), or alpha @ values
+  for "sum"; slots' = gru_cell(u, slots); out = slots' +
+  affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d). The node
+  keeps alpha among its saved intermediates; ``slot_attention`` reads it
+  back, as ``degenerate_rows`` reads a cosine node's.
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -72,13 +102,20 @@ ten elementwise passes per row; layer norm 4 per element; softmaxes 3
 per element; squared_error 2 and cosine 4 per input element; add and
 mul 1 per element of the broadcast output; the other elementwise ops,
 mean_pool, sum and reduce_sum 1 per input element; pure data movement
-(transpose, reshape, gather, concat, stop_gradient) counts zero.
+(transpose, reshape, gather, concat, stop_gradient) counts zero. A fused
+op counts what its chain counts: affine a matmul plus an add, slot_step
+the sum over its chain (with B*S rows: 4 B*S*d for the layer norm,
+B*S*d*d for q, 2 B*S*d*M for the logits and alpha @ values, 3 B*S*M for
+the softmax, the GRU cell, 2 (B*S*d*d + B*S*d) for the MLP layers,
+B*S*d each for relu and the residual, and for "mean" B*S*M + 2 B*S +
+B*S*d for the mass, its floor, the reciprocal and the rescale).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
@@ -98,6 +135,8 @@ __all__ = [
 
 _LN_EPS = 1e-5
 _COS_TINY = 1e-12
+_AGG_EPS = 1e-8                 # slot_step: floor of the attention mass
+_AGGREGATIONS = ("mean", "sum")
 
 
 class GraphError(ValueError):
@@ -158,12 +197,25 @@ class Graph:
 
     def input(self, name: str, value) -> Node:
         """Declare a named, rebindable leaf with its initial value."""
-        if name in self._inputs:
-            raise GraphError(f"duplicate input name {name!r}")
-        arr = self._coerce(value, f"input {name!r}")
-        node = self._append("input", (), aux=name, value=arr)
-        self._inputs[name] = node.idx
-        return node
+        return self.inputs({name: value})[name]
+
+    def inputs(self, named: dict) -> dict:
+        """Declare several named leaves at once, in the mapping's order,
+        with one non-finite check over all of them; when it fails, the
+        per-leaf check names the first bad tensor.  Returns {name: Node}."""
+        for name in named:
+            if name in self._inputs:
+                raise GraphError(f"duplicate input name {name!r}")
+        arrays = {name: self._cast(value) for name, value in named.items()}
+        if self.check_finite and arrays and not np.isfinite(np.concatenate(
+                [a.ravel() for a in arrays.values()])).all():
+            for name, arr in arrays.items():
+                self._coerce(arr, f"input {name!r}")
+        nodes = {}
+        for name, arr in arrays.items():
+            nodes[name] = self._append("input", (), aux=name, value=arr)
+            self._inputs[name] = nodes[name].idx
+        return nodes
 
     def const(self, value) -> Node:
         """A fixed leaf; never rebound, never differentiated."""
@@ -172,18 +224,21 @@ class Graph:
     # ------------------------------------------------------------------- ops
 
     def matmul(self, a: Node, b: Node) -> Node:
-        va, vb = a.value, b.value
-        if (va.ndim not in (2, 3) or vb.ndim not in (2, 3)
-                or va.shape[-1] != vb.shape[-2]
-                or (va.ndim == vb.ndim == 3 and va.shape[0] != vb.shape[0])):
-            raise GraphError(
-                f"matmul shape mismatch {va.shape} @ {vb.shape} (node {self._next_id()})"
-            )
-        batch = max(va.shape[0] if va.ndim == 3 else 1,
-                    vb.shape[0] if vb.ndim == 3 else 1)
-        m, k = va.shape[-2:]
-        n = vb.shape[-1]
-        return self._append("matmul", (a.idx, b.idx), madds=batch * m * k * n)
+        _, madds = self._matmul_shape(a, b)
+        return self._append("matmul", (a.idx, b.idx), madds=madds)
+
+    def affine(self, x: Node, w: Node, b: Node) -> Node:
+        """x @ w + b as one node; the bias broadcasts into the product's
+        shape without enlarging it (a (1, n) row is the common case)."""
+        shape, madds = self._matmul_shape(x, w)
+        try:
+            fits = np.broadcast_shapes(shape, b.shape) == shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise GraphError(f"affine bias {b.shape} does not fit {shape}")
+        return self._append("affine", (x.idx, w.idx, b.idx),
+                            madds=madds + math.prod(shape))
 
     def transpose(self, a: Node) -> Node:
         """Swap the last two axes."""
@@ -261,6 +316,45 @@ class Graph:
             (x.idx, h.idx, wz.idx, uz.idx, bz.idx, wr.idx, ur.idx, br.idx,
              wn.idx, un.idx, bn.idx),
             madds=6 * s * d * d + 10 * s * d)
+
+    def slot_step(self, slots: Node, keys_t: Node, values: Node, ones: Node,
+                  ln_gamma: Node, ln_beta: Node, w_q: Node, gru: tuple,
+                  mlp: tuple, aggregation: str = "mean") -> Node:
+        """One slot-attention iteration as one node (see the module
+        docstring): ``slots`` (.., S, d), ``keys_t`` (.., d, M), ``values``
+        (.., M, d) and the instance mask ``ones`` (.., M, 1) share their
+        leading axes; ``gru`` holds the nine ``gru_cell`` weights in its
+        argument order and ``mlp`` is (w1, b1, w2, b2)."""
+        vs = slots.value
+        lead, (s, d) = vs.shape[:-2], vs.shape[-2:]
+        m = values.shape[-2]
+        if (vs.ndim not in (2, 3) or m < 1
+                or keys_t.shape != lead + (d, m)
+                or values.shape != lead + (m, d)
+                or ones.shape != lead + (m, 1)):
+            raise GraphError(
+                f"slot_step shapes: slots {vs.shape}, keys_t {keys_t.shape}, "
+                f"values {values.shape}, ones {ones.shape}")
+        if aggregation not in _AGGREGATIONS:
+            raise GraphError(f"aggregation must be one of {_AGGREGATIONS}")
+        weights = (ln_gamma, ln_beta, w_q, *gru, *mlp)
+        want = ([(1, d), (1, d), (d, d)] + [(d, d), (d, d), (1, d)] * 3
+                + [(d, d), (1, d)] * 2)
+        if len(gru) != 9 or [w.shape for w in weights] != want:
+            raise GraphError(f"slot_step weights {[w.shape for w in weights]}, "
+                             f"want {want}")
+        rows = math.prod(lead) * s
+        # the per-op counts of the chain the node replaces
+        madds = (4 * rows * d                       # layer norm
+                 + rows * d * d + 2 * rows * d * m    # q, logits, alpha @ v
+                 + 3 * rows * m                       # column softmax
+                 + 6 * rows * d * d + 10 * rows * d   # GRU cell
+                 + 2 * rows * d * d + 4 * rows * d)   # MLP and residual
+        if aggregation == "mean":
+            madds += rows * m + 2 * rows + rows * d
+        parents = (slots, keys_t, values, ones, *weights)
+        return self._append("slot_step", tuple(p.idx for p in parents),
+                            aux=(aggregation, self.check_finite), madds=madds)
 
     def mean_pool(self, a: Node) -> Node:
         """Mean over the second-to-last axis, kept as a length-1 axis."""
@@ -367,6 +461,13 @@ class Graph:
             stack.extend(p for p in self._parents[i] if p not in seen)
         return seen
 
+    def slot_attention(self, node: Node) -> np.ndarray:
+        """The column-stochastic attention (.., S, M) a slot_step node
+        computed, read back from its saved intermediates."""
+        if self._ops[node.idx] != "slot_step":
+            raise GraphError("slot_attention applies to slot_step nodes")
+        return self._saved[node.idx].alpha
+
     def degenerate_rows(self, node: Node) -> np.ndarray:
         """Indices of zero-norm rows recorded by a cosine node."""
         if self._ops[node.idx] != "cosine":
@@ -402,8 +503,23 @@ class Graph:
         except ValueError:
             raise GraphError(f"{op} shape mismatch {a.shape} vs {b.shape}") from None
 
+    def _matmul_shape(self, a: Node, b: Node) -> tuple:
+        """Checked output shape and multiply-adds of a @ b."""
+        sa, sb = a.shape, b.shape
+        if (len(sa) not in (2, 3) or len(sb) not in (2, 3)
+                or sa[-1] != sb[-2]
+                or (len(sa) == len(sb) == 3 and sa[0] != sb[0])):
+            raise GraphError(
+                f"matmul shape mismatch {sa} @ {sb} (node {self._next_id()})")
+        lead = sa[:-2] or sb[:-2]
+        batch = lead[0] if lead else 1
+        return lead + (sa[-2], sb[-1]), batch * sa[-2] * sa[-1] * sb[-1]
+
+    def _cast(self, value) -> np.ndarray:
+        return np.ascontiguousarray(np.asarray(value, dtype=self.dtype))
+
     def _coerce(self, value, what: str) -> np.ndarray:
-        arr = np.ascontiguousarray(np.asarray(value, dtype=self.dtype))
+        arr = self._cast(value)
         if self.check_finite and not np.isfinite(arr).all():
             raise GraphError(f"{what}: non-finite entries")
         return arr
@@ -432,9 +548,11 @@ class Graph:
 # value, or (value, saved intermediates) for the ops whose adjoint reads
 # them back.  Parent values always carry the graph dtype.
 
-def _softmax(axis, x):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(axis, x, out=None):
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _matmul(a, b):
@@ -448,6 +566,16 @@ def _matmul(a, b):
         # a weight shared by every batch entry: one product over all rows
         return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
     return np.matmul(a, b)
+
+
+def _affine_fwd(_, x, w, b):
+    out = _matmul(x, w)
+    out += b
+    return out
+
+
+def _relu(x):
+    return np.maximum(x, 0)
 
 
 def _layer_norm_fwd(_, x, gamma, beta):
@@ -470,6 +598,65 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     rh = r * h
     n = np.tanh(x @ wn + rh @ un + bn)
     return (z * h + (1.0 - z) * n).reshape(shape), (z, r, n, rh)
+
+
+class _StepSaved(typing.NamedTuple):
+    """A slot_step node's intermediates: the values its adjoint reads."""
+
+    xhat: np.ndarray        # layer norm
+    inv: np.ndarray
+    normed: np.ndarray
+    q: np.ndarray
+    alpha: np.ndarray       # (.., S, M) column-stochastic attention
+    u_raw: np.ndarray       # alpha @ values
+    rec: np.ndarray | None  # 1 / (alpha @ ones + eps); None for "sum"
+    u: np.ndarray           # the GRU input
+    z: np.ndarray           # GRU gates and products, rows flattened
+    r: np.ndarray
+    n: np.ndarray
+    rh: np.ndarray
+    updated: np.ndarray     # the GRU output
+    hidden: np.ndarray      # relu of the first MLP layer
+
+
+def _guard(x, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise GraphError(f"non-finite {what} in slot_step")
+
+
+def _slot_step_fwd(aux, slots, keys_t, values, ones, gamma, beta, w_q,
+                   wz, uz, bz, wr, ur, br, wn, un, bn, w1, b1, w2, b2):
+    """The chain layer norm -> q -> logits -> column softmax -> mean (or
+    sum) aggregation -> GRU -> residual MLP, kernel by kernel.  With the
+    guard on it checks the values that feed a kernel able to hide a
+    non-finite entry (softmax, reciprocal, GRU, relu); the node output is
+    checked by the caller."""
+    aggregation, check = aux
+    normed, (xhat, inv) = _layer_norm_fwd(None, slots, gamma, beta)
+    q = _matmul(normed, w_q)
+    logits = _matmul(q, keys_t)
+    if check:
+        _guard(logits, "attention logits")
+    alpha = _softmax(-2, logits, out=logits)    # logits are not kept
+    u = u_raw = _matmul(alpha, values)
+    rec = None
+    if aggregation == "mean":
+        mass = _matmul(alpha, ones) + alpha.dtype.type(_AGG_EPS)
+        if check:
+            _guard(mass, "attention mass")
+        rec = _reciprocal_fwd(None, mass)
+        u = u_raw * rec
+    if check:
+        _guard(u, "slot update")
+    updated, (z, r, n, rh) = _gru_fwd(None, u, slots, wz, uz, bz, wr, ur, br,
+                                      wn, un, bn)
+    pre = _affine_fwd(None, updated, w1, b1)
+    if check:
+        _guard(pre, "MLP pre-activation")
+    hidden = _relu(pre)
+    out = updated + _affine_fwd(None, hidden, w2, b2)
+    return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, u,
+                           z, r, n, rh, updated, hidden)
 
 
 def _squared_error_fwd(_, a, b):
@@ -500,6 +687,7 @@ def _reciprocal_fwd(_, x):
 
 _FORWARD = {
     "matmul": lambda _, a, b: _matmul(a, b),
+    "affine": _affine_fwd,
     "transpose": lambda _, a: np.swapaxes(a, -1, -2).copy(),
     "reshape": lambda shape, a: a.reshape(shape),
     "add": lambda _, a, b: a + b,
@@ -507,10 +695,11 @@ _FORWARD = {
     "row_softmax": _softmax,
     "col_softmax": _softmax,
     "sigmoid": lambda _, a: _sigmoid(a),
-    "relu": lambda _, a: np.maximum(a, 0),
+    "relu": lambda _, a: _relu(a),
     "reciprocal": _reciprocal_fwd,
     "layer_norm": _layer_norm_fwd,
     "gru_cell": _gru_fwd,
+    "slot_step": _slot_step_fwd,
     "mean_pool": lambda _, a: a.mean(axis=-2, keepdims=True),
     "sum": lambda axis, a: a.sum(axis=axis, keepdims=True),
     "concat": lambda axis, a, b: np.concatenate([a, b], axis=axis),
@@ -525,8 +714,15 @@ _FORWARD = {
     "stop_gradient": lambda _, a: a,
 }
 
-# Every op kind the engine registers. The model uses all of them.
+# Every op kind the engine registers.  The model uses all of them but
+# col_softmax, whose kernel and adjoint it runs inside slot_step.
 OP_KINDS = ("input", "const", *_FORWARD)
+
+# Ops whose output is finite whenever their inputs are, which the guard
+# has already checked: data movement, and maps into a bounded range.
+_ALWAYS_FINITE = frozenset({
+    "transpose", "reshape", "gather_rows", "concat", "stop_gradient",
+    "relu", "clamp", "sigmoid", "row_softmax", "col_softmax"})
 
 
 def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
@@ -540,7 +736,8 @@ def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
     if isinstance(out, tuple):
         out, saved = out
     out = np.asarray(out, dtype=g.dtype)
-    if g.check_finite and not np.isfinite(out).all():
+    if (g.check_finite and op not in _ALWAYS_FINITE
+            and not np.isfinite(out).all()):
         raise GraphError(f"non-finite output at node {i} ({op})")
     return out, saved
 
@@ -576,19 +773,108 @@ def _unbroadcast(grad, shape):
     return grad.sum(axis=axes, keepdims=True).reshape(shape)
 
 
-def _bw_matmul(g, i, grad, grads):
-    a, b = g._parents[i]
-    va, vb = g._values[a], g._values[b]
-    if g._needs_grad[a]:
-        _acc(grads, a, _unbroadcast(_matmul(grad, np.swapaxes(vb, -1, -2)),
-                                    va.shape))
-    if g._needs_grad[b]:
+# Array-level adjoint helpers: each op's math lives in one of these, and
+# both its own rule and the fused rules (affine, slot_step) call it.  A
+# helper forms an operand's adjoint only when asked to (``need_*``).
+
+def _give(grads, parents, contributions):
+    """Hand each parent its contribution, in order; None means none."""
+    for p, delta in zip(parents, contributions):
+        if delta is not None:
+            _acc(grads, p, delta)
+
+
+def _matmul_adj(grad, va, vb, need_a=True, need_b=True):
+    ga = gb = None
+    if need_a:
+        ga = _unbroadcast(_matmul(grad, np.swapaxes(vb, -1, -2)), va.shape)
+    if need_b:
         if va.ndim == 3 and vb.ndim == 2:
             gb = _matmul(va.reshape(-1, va.shape[-1]).T,
                          grad.reshape(-1, grad.shape[-1]))
         else:
             gb = _unbroadcast(_matmul(np.swapaxes(va, -1, -2), grad), vb.shape)
-        _acc(grads, b, gb)
+    return ga, gb
+
+
+def _mul_adj(grad, va, vb, need_a=True, need_b=True):
+    return (_unbroadcast(grad * vb, va.shape) if need_a else None,
+            _unbroadcast(grad * va, vb.shape) if need_b else None)
+
+
+def _softmax_adj(grad, y, axis, out=None, scratch=None):
+    gy = np.multiply(grad, y, out=out)
+    gy -= np.multiply(y, gy.sum(axis=axis, keepdims=True), out=scratch)
+    return gy
+
+
+def _relu_adj(grad, x):
+    # x may be the relu's input or its output: x > 0 holds for both alike
+    return grad * (x > 0)
+
+
+def _reciprocal_adj(grad, y):
+    return -grad * y * y
+
+
+def _layer_norm_adj(grad, gamma, xhat, inv, need_x, need_gamma, need_beta):
+    gx = None
+    if need_x:
+        # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), term by term
+        gx = grad * gamma
+        proj = (gx * xhat).mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * proj
+        gx *= inv
+    return (gx,
+            _unbroadcast(grad * xhat, gamma.shape) if need_gamma else None,
+            _unbroadcast(grad, gamma.shape) if need_beta else None)
+
+
+def _gru_adj(grad, saved, x, h, wz, uz, wr, ur, wn, un, need):
+    """Adjoints of a GRU cell's eleven operands, in ``gru_cell`` argument
+    order; ``need`` flags which to form."""
+    z, r, n, rh = saved
+    shape = grad.shape
+    grad = grad.reshape(z.shape)
+    x, h = x.reshape(z.shape), h.reshape(z.shape)
+
+    dz = grad * (h - n)
+    dn = grad * (1.0 - z)
+    dnp = dn * (1.0 - n * n)
+    drh = dnp @ un.T
+    dr = drh * h
+    dzp = dz * z * (1.0 - z)
+    drp = dr * r * (1.0 - r)
+
+    out = [None] * 11
+    if need[0]:
+        out[0] = (dnp @ wn.T + dzp @ wz.T + drp @ wr.T).reshape(shape)
+    if need[1]:
+        dh = grad * z + drh * r
+        out[1] = (dh + dzp @ uz.T + drp @ ur.T).reshape(shape)
+    for k, left, d in ((2, x, dzp), (3, h, dzp), (4, None, dzp),
+                       (5, x, drp), (6, h, drp), (7, None, drp),
+                       (8, x, dnp), (9, rh, dnp), (10, None, dnp)):
+        if need[k]:
+            out[k] = d.sum(axis=0, keepdims=True) if left is None else left.T @ d
+    return out
+
+
+def _bw_matmul(g, i, grad, grads):
+    a, b = g._parents[i]
+    _give(grads, (a, b), _matmul_adj(grad, g._values[a], g._values[b],
+                                     g._needs_grad[a], g._needs_grad[b]))
+
+
+def _bw_affine(g, i, grad, grads):
+    # the chain x @ w, + b visits the add first: b, then x and w
+    x, w, b = g._parents[i]
+    need = g._needs_grad
+    if need[b]:
+        _acc(grads, b, _unbroadcast(grad, g._values[b].shape))
+    _give(grads, (x, w), _matmul_adj(grad, g._values[x], g._values[w],
+                                     need[x], need[w]))
 
 
 def _bw_transpose(g, i, grad, grads):
@@ -611,10 +897,7 @@ def _bw_scale(g, i, grad, grads):
 
 
 def _bw_softmax(g, i, grad, grads):
-    y = g._values[i]
-    gy = grad * y
-    gy -= y * gy.sum(axis=g._aux[i], keepdims=True)
-    _acc(grads, g._parents[i][0], gy)
+    _acc(grads, g._parents[i][0], _softmax_adj(grad, g._values[i], g._aux[i]))
 
 
 def _bw_sigmoid(g, i, grad, grads):
@@ -623,63 +906,97 @@ def _bw_sigmoid(g, i, grad, grads):
 
 
 def _bw_relu(g, i, grad, grads):
-    x = g._values[g._parents[i][0]]
-    _acc(grads, g._parents[i][0], grad * (x > 0))
+    p = g._parents[i][0]
+    _acc(grads, p, _relu_adj(grad, g._values[p]))
 
 
 def _bw_reciprocal(g, i, grad, grads):
-    y = g._values[i]
-    _acc(grads, g._parents[i][0], -grad * y * y)
+    _acc(grads, g._parents[i][0], _reciprocal_adj(grad, g._values[i]))
 
 
 def _bw_layer_norm(g, i, grad, grads):
-    a, gi, bi = g._parents[i]
-    xhat, inv = g._saved[i]
-    gamma = g._values[gi]
-    if g._needs_grad[a]:
-        # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), term by term
-        gg = grad * gamma
-        proj = (gg * xhat).mean(axis=-1, keepdims=True)
-        gg -= gg.mean(axis=-1, keepdims=True)
-        gg -= xhat * proj
-        gg *= inv
-        _acc(grads, a, gg)
-    if g._needs_grad[gi]:
-        _acc(grads, gi, _unbroadcast(grad * xhat, gamma.shape))
-    if g._needs_grad[bi]:
-        _acc(grads, bi, _unbroadcast(grad, gamma.shape))
+    parents = g._parents[i]
+    need = g._needs_grad
+    _give(grads, parents, _layer_norm_adj(
+        grad, g._values[parents[1]], *g._saved[i],
+        *(need[p] for p in parents)))
 
 
 def _bw_gru(g, i, grad, grads):
-    (xi, hi, wzi, uzi, bzi, wri, uri, bri, wni, uni, bni) = g._parents[i]
-    z, r, n, rh = g._saved[i]
-    shape = grad.shape
-    grad = grad.reshape(z.shape)
-    x, h = g._values[xi].reshape(z.shape), g._values[hi].reshape(z.shape)
-    wz, uz = g._values[wzi], g._values[uzi]
-    wr, ur = g._values[wri], g._values[uri]
-    wn, un = g._values[wni], g._values[uni]
+    parents = g._parents[i]
+    xi, hi, wz, uz, _, wr, ur, _, wn, un, _ = parents
+    v = g._values
+    _give(grads, parents, _gru_adj(
+        grad, g._saved[i], v[xi], v[hi], v[wz], v[uz], v[wr], v[ur],
+        v[wn], v[un], [g._needs_grad[p] for p in parents]))
 
-    dz = grad * (h - n)
-    dn = grad * (1.0 - z)
-    dnp = dn * (1.0 - n * n)
-    drh = dnp @ un.T
-    dr = drh * h
-    dzp = dz * z * (1.0 - z)
-    drp = dr * r * (1.0 - r)
 
+def _bw_slot_step(g, i, grad, grads):
+    """The chain's adjoint rules in reverse, handing each parent the same
+    contributions in the same order as the per-op chain: the slots get
+    two, from the GRU state and from the layer norm, as there."""
+    (si, ki, vi, oi, gi, bi, qi, *gru, w1, b1, w2, b2) = g._parents[i]
+    sv = g._saved[i]
+    v = g._values
     need = g._needs_grad
-    if need[xi]:
-        _acc(grads, xi, (dnp @ wn.T + dzp @ wz.T + drp @ wr.T).reshape(shape))
-    if need[hi]:
-        dh = grad * z + drh * r
-        _acc(grads, hi, (dh + dzp @ uz.T + drp @ ur.T).reshape(shape))
-    for pi, left, d in ((wzi, x, dzp), (uzi, h, dzp), (bzi, None, dzp),
-                        (wri, x, drp), (uri, h, drp), (bri, None, drp),
-                        (wni, x, dnp), (uni, rh, dnp), (bni, None, dnp)):
-        if need[pi]:
-            _acc(grads, pi, d.sum(axis=0, keepdims=True) if left is None
-                 else left.T @ d)
+    # which of the chain's nodes would have needed an adjoint
+    n_norm = need[si] or need[gi] or need[bi]
+    n_alpha = n_norm or need[qi] or need[ki]
+    n_uraw = n_alpha or need[vi]
+    n_mass = sv.rec is not None and (n_alpha or need[oi])
+    n_u = n_uraw or n_mass
+    n_upd = n_u or need[si] or any(need[p] for p in gru)
+    n_hidden = n_upd or need[w1] or need[b1]
+
+    # out = updated + (hidden @ w2 + b2); hidden = relu(updated @ w1 + b1)
+    d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
+    d_hidden, d_w2 = _matmul_adj(grad, sv.hidden, v[w2], n_hidden, need[w2])
+    _give(grads, (b2, w2), (d_b2, d_w2))
+    if not n_hidden:
+        return
+    d_pre = _relu_adj(d_hidden, sv.hidden)
+    d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
+    d_upd, d_w1 = _matmul_adj(d_pre, sv.updated, v[w1], n_upd, need[w1])
+    _give(grads, (b1, w1), (d_b1, d_w1))
+    if not n_upd:
+        return
+    d_u, *d_gru = _gru_adj(grad + d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
+                           v[si], *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
+                           [n_u, need[si], *(need[p] for p in gru)])
+    _give(grads, (si, *gru), d_gru)
+    if not n_u:
+        return
+
+    # u = u_raw * rec with rec = 1 / (alpha @ ones + eps), or u = u_raw
+    d_uraw, d_alpha, d_ones = d_u, None, None
+    if sv.rec is not None:
+        d_uraw, d_rec = _mul_adj(d_u, sv.u_raw, sv.rec, n_uraw, n_mass)
+        if n_mass:
+            d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, sv.rec),
+                                          sv.alpha, v[oi], n_alpha, need[oi])
+    d_au, d_values = _matmul_adj(d_uraw, sv.alpha, v[vi], n_alpha, need[vi])
+    _give(grads, (oi, vi), (d_ones, d_values))
+    if not n_alpha:
+        return
+
+    # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
+    # alpha terms are arrays this rule made, so the sum and the softmax
+    # adjoint may overwrite them.
+    scratch = None
+    if d_alpha is None:
+        d_alpha = d_au
+    else:
+        d_alpha += d_au
+        scratch = d_au
+    d_logits = _softmax_adj(d_alpha, sv.alpha, -2, out=d_alpha,
+                            scratch=scratch)
+    d_q, d_keys = _matmul_adj(d_logits, sv.q, v[ki], n_norm or need[qi],
+                              need[ki])
+    d_normed, d_wq = _matmul_adj(d_q, sv.normed, v[qi], n_norm, need[qi])
+    _give(grads, (ki, qi), (d_keys, d_wq))
+    if n_norm:
+        _give(grads, (si, gi, bi), _layer_norm_adj(
+            d_normed, v[gi], sv.xhat, sv.inv, need[si], need[gi], need[bi]))
 
 
 def _bw_mean_pool(g, i, grad, grads):
@@ -705,11 +1022,8 @@ def _bw_concat(g, i, grad, grads):
 
 def _bw_mul(g, i, grad, grads):
     a, b = g._parents[i]
-    va, vb = g._values[a], g._values[b]
-    if g._needs_grad[a]:
-        _acc(grads, a, _unbroadcast(grad * vb, va.shape))
-    if g._needs_grad[b]:
-        _acc(grads, b, _unbroadcast(grad * va, vb.shape))
+    _give(grads, (a, b), _mul_adj(grad, g._values[a], g._values[b],
+                                  g._needs_grad[a], g._needs_grad[b]))
 
 
 def _bw_squared_error(g, i, grad, grads):
@@ -767,6 +1081,7 @@ def _bw_reduce_sum(g, i, grad, grads):
 
 _BACKWARD = {
     "matmul": _bw_matmul,
+    "affine": _bw_affine,
     "transpose": _bw_transpose,
     "reshape": _bw_reshape,
     "add": _bw_add,
@@ -778,6 +1093,7 @@ _BACKWARD = {
     "reciprocal": _bw_reciprocal,
     "layer_norm": _bw_layer_norm,
     "gru_cell": _bw_gru,
+    "slot_step": _bw_slot_step,
     "mean_pool": _bw_mean_pool,
     "sum": _bw_sum,
     "concat": _bw_concat,
@@ -945,11 +1261,9 @@ def bind_arrays(graph: Graph, prefix: str, obj, trainable: bool = True):
     created Nodes: inputs named "<prefix>.<field>" when trainable, consts
     otherwise (no gradient, no rebinding).
     """
-    kw = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if trainable:
-            kw[f.name] = graph.input(f"{prefix}.{f.name}", value)
-        else:
-            kw[f.name] = graph.const(value)
-    return type(obj)(**kw)
+    if not trainable:
+        return type(obj)(**{f.name: graph.const(getattr(obj, f.name))
+                            for f in dataclasses.fields(obj)})
+    nodes = graph.inputs(named_arrays(prefix, obj))
+    return type(obj)(**{f.name: nodes[f"{prefix}.{f.name}"]
+                        for f in dataclasses.fields(obj)})

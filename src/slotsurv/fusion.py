@@ -124,8 +124,8 @@ def init_risk_params(rng: np.random.Generator, dim: int,
 
 
 def _mlp_residual(g: Graph, p, x: Node) -> Node:
-    hidden = g.relu(g.add(g.matmul(x, p.mlp_w1), p.mlp_b1))
-    return g.add(x, g.add(g.matmul(hidden, p.mlp_w2), p.mlp_b2))
+    hidden = g.relu(g.affine(x, p.mlp_w1, p.mlp_b1))
+    return g.add(x, g.affine(hidden, p.mlp_w2, p.mlp_b2))
 
 
 def build_masked_self_attention(g: Graph, p: SelfAttentionParams,
@@ -206,8 +206,8 @@ def build_pool_concat(g: Graph, cross_h: Node, cross_g: Node,
 
 def build_risk_head(g: Graph, p: RiskHeadParams, z: Node) -> Node:
     """Survival logits (..., 1, n_bins) from the fused embedding."""
-    hidden = g.relu(g.add(g.matmul(z, p.w1), p.b1))
-    return g.add(g.matmul(hidden, p.w2), p.b2)
+    hidden = g.relu(g.affine(z, p.w1, p.b1))
+    return g.affine(hidden, p.w2, p.b2)
 
 
 # ------------------------------------------------------------ numpy interface

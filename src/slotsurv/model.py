@@ -30,7 +30,7 @@ from . import moe as moe_mod
 from . import recon as recon_mod
 from . import slots as slot_mod
 from . import survival as surv_mod
-from .autodiff import Graph, Node, bind_arrays, named_arrays
+from .autodiff import Graph, Node, named_arrays
 from .fusion import CrossAttentionParams, RiskHeadParams, SelfAttentionParams
 from .moe import GateParams, PredictorParams
 from .recon import FrozenQueryMap, PositionTable, ReconHeadParams
@@ -164,8 +164,8 @@ class TrunkNodes:
 
     slots_h: Node              # (B, S_h, d)
     slots_g: Node
-    alpha_h: Node              # (B, S_h, M), padded columns zero
-    alpha_g: Node
+    alpha_h: np.ndarray        # (B, S_h, M), padded columns zero
+    alpha_g: np.ndarray
     scores_h: Node             # (B, S_h, 1)
     scores_g: Node
     weights_h: Node            # (B, 1, S_h)
@@ -207,16 +207,14 @@ def draw_noise(rng: np.random.Generator, n_patients: int,
 
 
 def _bind_model(g: Graph, params: ModelParams) -> ModelParams:
-    """Mirror the trainable tensors as named graph inputs.  Frozen groups
-    keep their raw arrays: the recon builder installs the query map as
+    """Mirror the trainable tensors as named graph inputs, declared in one
+    call so that one non-finite check covers them all.  Frozen groups keep
+    their raw arrays: the recon builder installs the query map as
     constants itself, which keeps it out of every gradient."""
-    kw = {}
-    for group in PARAM_GROUPS:
-        if group in FROZEN_GROUPS:
-            kw[group] = getattr(params, group)
-        else:
-            kw[group] = bind_arrays(g, group, getattr(params, group))
-    return ModelParams(**kw)
+    arrays = named_parameters(params)
+    nodes = g.inputs({name: arr for name, arr in arrays.items()
+                      if group_of(name) not in FROZEN_GROUPS})
+    return params_from_arrays({**arrays, **nodes})
 
 
 def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
@@ -441,10 +439,10 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         curve_h=surv_mod.hazards_from_logits(trunk.mix_h.value[0, 0]),
         curve_g=surv_mod.hazards_from_logits(trunk.mix_g.value[0, 0]),
         slots_h=slot_mod.SlotSet(slots=trunk.slots_h.value[0].copy(),
-                                 attention=trunk.alpha_h.value[0].copy(),
+                                 attention=trunk.alpha_h[0].copy(),
                                  t_iters=t_iters),
         slots_g=slot_mod.SlotSet(slots=trunk.slots_g.value[0].copy(),
-                                 attention=trunk.alpha_g.value[0].copy(),
+                                 attention=trunk.alpha_g[0].copy(),
                                  t_iters=t_iters),
         mask_h=gate_mask(trunk.scores_h, k_h),
         mask_g=gate_mask(trunk.scores_g, k_g),

@@ -114,7 +114,7 @@ def _check_k(k: int, n_slots: int) -> None:
 def build_gate_scores(g: Graph, gate: GateParams, slots: Node) -> Node:
     """Retention scores r = slots @ w + b, one per slot: (S, 1), or
     (B, S, 1) for a batch of slot sets."""
-    return g.add(g.matmul(slots, gate.w), gate.b)
+    return g.affine(slots, gate.w, gate.b)
 
 
 def build_gumbel_mask(g: Graph, r: Node, k: int, temperature: float,
@@ -176,8 +176,8 @@ def build_renormalized_weights(g: Graph, r: Node, mask: Node,
 def build_slot_logits(g: Graph, pred: PredictorParams, slots: Node) -> Node:
     """Per-slot survival logits, shape (..., S, n_bins): a row-wise MLP
     with one relu hidden layer of width d."""
-    hidden = g.relu(g.add(g.matmul(slots, pred.w1), pred.b1))
-    return g.add(g.matmul(hidden, pred.w2), pred.b2)
+    hidden = g.relu(g.affine(slots, pred.w1, pred.b1))
+    return g.affine(hidden, pred.w2, pred.b2)
 
 
 def build_gated_mixture(g: Graph, weights: Node, logits: Node) -> Node:

@@ -132,8 +132,8 @@ def build_decode(g: Graph, head: ReconHeadParams, queries: Node,
                                  1.0 / np.sqrt(dim)))
     attended = g.add(queries, g.matmul(attn, v))
     nf = g.layer_norm(attended, head.ln_f_gamma, head.ln_f_beta)
-    hidden = g.relu(g.add(g.matmul(nf, head.ffn_w1), head.ffn_b1))
-    ffn = g.add(g.matmul(hidden, head.ffn_w2), head.ffn_b2)
+    hidden = g.relu(g.affine(nf, head.ffn_w1, head.ffn_b1))
+    ffn = g.affine(hidden, head.ffn_w2, head.ffn_b2)
     return g.add(attended, ffn)
 
 
@@ -187,9 +187,7 @@ def build_recon_histology(g: Graph, head: ReconHeadParams,
     Returns (x_hat, loss, cosine_node).  The query map enters as graph
     constants, so no gradient ever reaches it.
     """
-    w = g.const(qmap.w)
-    b = g.const(qmap.b)
-    queries = g.add(g.matmul(bag, w), b)
+    queries = g.affine(bag, g.const(qmap.w), g.const(qmap.b))
     x_hat = build_decode(g, head, queries, slots)
     loss, cos = build_cosine_loss(g, x_hat, bag, mask)
     return x_hat, loss, cos

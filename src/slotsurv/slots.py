@@ -11,10 +11,14 @@ M varies patient to patient); the plain weighted sum sits behind the
 Graph builders (build_*) append to a caller-owned autodiff Graph and are
 what the trainer composes.  They take one patient's (M, d) bag or a
 zero-padded batch (B, M, d) with its (B, M) instance mask; padded
-instances carry no value and no attention mass.  The plain functions
-(encode, slot_attention_step, init_slots) are numpy-in/numpy-out
-conveniences that build a throwaway graph, at the parameters'
-precision, internally.
+instances carry no value and no attention mass.  Each iteration is one
+``slot_step`` node of the engine, for training, serving and the
+cross-modal encode alike: the layer norm, attention, aggregation, GRU and
+residual MLP run as one kernel, with the per-op chain's values, gradients
+and multiply-add counts.  The attention map of the last iteration is read
+back from that node, as a plain array: it feeds no loss.  ``encode`` is a
+numpy-in/numpy-out convenience that builds a throwaway graph, at the
+parameters' precision, internally.
 """
 
 from __future__ import annotations
@@ -29,20 +33,14 @@ from .autodiff import Graph, bind_arrays, init_block, init_normal
 __all__ = [
     "SlotParams",
     "SlotSet",
-    "StepResult",
     "assignment_map",
     "build_encode",
     "build_init_slots",
     "build_attention_step",
     "encode",
     "init_slot_params",
-    "init_slots",
-    "slot_attention_step",
     "write_assignment_csv",
 ]
-
-_AGG_EPS = 1e-8
-_AGGREGATIONS = ("mean", "sum")
 
 
 @dataclass(frozen=True)
@@ -90,13 +88,6 @@ class SlotSet:
     t_iters: int
 
 
-@dataclass(frozen=True)
-class StepResult:
-    slots: np.ndarray
-    attention: np.ndarray
-    update: np.ndarray      # aggregated values fed to the GRU
-
-
 def init_slot_params(rng: np.random.Generator, n_slots: int,
                      dim: int) -> SlotParams:
     mat, bias, gamma = init_block(rng, dim)
@@ -138,32 +129,21 @@ def build_init_slots(g: Graph, p: SlotParams, mode: str,
 
 def build_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
                          ones, aggregation: str = "mean"):
-    """One competitive-attention iteration.
+    """One competitive-attention iteration as one ``slot_step`` node.
 
     ``keys_t`` holds the projected keys transposed and pre-scaled by
     1/sqrt(d), (..., d, M); ``values`` the projected values, (..., M, d),
     with padded instances zeroed; ``ones`` is the (..., M, 1) instance
     mask (all ones without padding).  Padded instances get softmax
     columns like real ones, but they carry zero values, add nothing to
-    the aggregation mass and so receive no gradient.  Returns (updated
-    slots, alpha, aggregated update) nodes.
+    the aggregation mass and so receive no gradient.  Returns the updated
+    slots node; ``g.slot_attention`` reads its alpha back.
     """
-    if aggregation not in _AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {_AGGREGATIONS}")
-    normed = g.layer_norm(slots, p.ln_slot_gamma, p.ln_slot_beta)
-    q = g.matmul(normed, p.w_q)                              # (.., S, d)
-    alpha = g.col_softmax(g.matmul(q, keys_t))               # (.., S, M)
-    u = g.matmul(alpha, values)                              # (.., S, d)
-    if aggregation == "mean":
-        mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), _AGG_EPS)))
-        u = g.mul(u, g.reciprocal(mass))
-    updated = g.gru_cell(u, slots,
-                         p.gru_wz, p.gru_uz, p.gru_bz,
-                         p.gru_wr, p.gru_ur, p.gru_br,
-                         p.gru_wn, p.gru_un, p.gru_bn)
-    hidden = g.relu(g.add(g.matmul(updated, p.mlp_w1), p.mlp_b1))
-    residual = g.add(g.matmul(hidden, p.mlp_w2), p.mlp_b2)
-    return g.add(updated, residual), alpha, u
+    return g.slot_step(
+        slots, keys_t, values, ones, p.ln_slot_gamma, p.ln_slot_beta, p.w_q,
+        (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
+         p.gru_wn, p.gru_un, p.gru_bn),
+        (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2), aggregation)
 
 
 def _keys_values(g: Graph, p: SlotParams, bag, mask):
@@ -184,7 +164,8 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
                  mode: str = "deterministic",
                  rng: np.random.Generator | None = None,
                  aggregation: str = "mean", mask=None, noise=None):
-    """T attention iterations over a bag node; returns (slots, alpha) nodes.
+    """T attention iterations over a bag node; returns the slots node and
+    the last iteration's alpha as an array (it feeds no loss).
 
     ``bag`` is one patient's (M, d) bag or a zero-padded batch (B, M, d)
     whose (B, M) instance ``mask`` marks the real rows; slots come out
@@ -198,12 +179,12 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
         raise ValueError(f"bag width {bag.shape[-1]} != slot width {p.dim}")
     keys_t, values, ones = _keys_values(g, p, bag, mask)
     slots = build_init_slots(g, p, mode, rng, lead=bag.shape[:-2], noise=noise)
-    alpha = None
     for _ in range(t_iters):
-        slots, alpha, _ = build_attention_step(g, p, slots, keys_t, values,
-                                               ones, aggregation)
+        slots = build_attention_step(g, p, slots, keys_t, values, ones,
+                                     aggregation)
+    alpha = g.slot_attention(slots)
     if mask is not None:
-        alpha = g.mul(alpha, g.transpose(ones))
+        alpha = alpha * np.swapaxes(ones.value, -1, -2)
     return slots, alpha
 
 
@@ -215,27 +196,6 @@ def _graph(params: SlotParams) -> Graph:
     return Graph(dtype=params.init_mean.dtype)
 
 
-def init_slots(params: SlotParams, mode: str,
-               rng: np.random.Generator | None = None) -> np.ndarray:
-    g = _graph(params)
-    node = build_init_slots(g, bind_arrays(g, "p", params, trainable=False),
-                            mode, rng)
-    return node.value.copy()
-
-
-def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
-                        params: SlotParams,
-                        aggregation: str = "mean") -> StepResult:
-    """One iteration from explicit slots over a raw bag (numpy in/out)."""
-    g = _graph(params)
-    p = bind_arrays(g, "p", params, trainable=False)
-    keys_t, values, ones = _keys_values(g, p, g.const(bag_matrix), None)
-    out, alpha, u = build_attention_step(g, p, g.const(slots), keys_t,
-                                         values, ones, aggregation)
-    return StepResult(slots=out.value.copy(), attention=alpha.value.copy(),
-                      update=u.value.copy())
-
-
 def encode(bag_matrix: np.ndarray, params: SlotParams, t_iters: int,
            mode: str = "deterministic",
            rng: np.random.Generator | None = None,
@@ -244,7 +204,7 @@ def encode(bag_matrix: np.ndarray, params: SlotParams, t_iters: int,
     p = bind_arrays(g, "p", params, trainable=False)
     slots, alpha = build_encode(g, p, g.const(bag_matrix), t_iters,
                                 mode=mode, rng=rng, aggregation=aggregation)
-    return SlotSet(slots=slots.value.copy(), attention=alpha.value.copy(),
+    return SlotSet(slots=slots.value.copy(), attention=alpha.copy(),
                    t_iters=t_iters)
 
 

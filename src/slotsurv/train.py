@@ -7,8 +7,8 @@ batch, and an instance mask keeps the padding out of every result.
 Inference runs the same trunk on a batch of one, with every histology
 row.  The optimizer state, parameter tensors, config snapshot and rng
 state round-trip through a single checkpoint file byte-for-byte; a
-corrupt or inconsistent file raises ``CheckpointError``, and saves are
-atomic.
+corrupt or inconsistent file, or one holding a non-finite tensor, raises
+``CheckpointError``, and saves are atomic.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from . import data as data_mod
 from . import model as model_mod
 from . import recon as recon_mod
 from . import survival as surv_mod
-from .autodiff import GraphError, backward
+from .autodiff import _AGGREGATIONS, GraphError, backward
 from .data import Cohort, FeatureBag
 from .model import ModelParams, build_cohort_loss, patient_forward
-from .slots import _AGGREGATIONS
 
 log = logging.getLogger(__name__)
 
@@ -251,8 +250,9 @@ _CKPT_DTYPES = {"<f4": 4, "<f8": 8}
 
 def _checkpoint_tensors(path, payload: bytes, rows) -> dict:
     """Decode the tensor table.  The tensors must tile the payload exactly:
-    no negative or overlapping offsets, no gaps, no trailing bytes, and
-    each ``nbytes`` must match its shape and dtype."""
+    no negative or overlapping offsets, no gaps, no trailing bytes; each
+    ``nbytes`` must match its shape and dtype, and every entry must be
+    finite."""
     tensors = {}
     end = 0
     for row in sorted(rows, key=lambda r: r["offset"]):
@@ -278,6 +278,8 @@ def _checkpoint_tensors(path, payload: bytes, rows) -> dict:
         if name in tensors:
             raise CheckpointError(f"{path}: tensor {name} listed twice")
         arr = np.frombuffer(payload[row["offset"]:end], dtype=row["dtype"])
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name} has non-finite entries")
         tensors[name] = arr.reshape(shape).copy()
     if end != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes")

@@ -6,6 +6,9 @@
   tests can check the builders against them.
 * ``out_of_place_acc``, adjoint accumulation that allocates every sum, for
   checking ``autodiff.backward``'s in-place accumulation.
+* ``unfused_attention_step``, one slot-attention iteration as the chain of
+  17 per-op nodes that the fused ``slot_step`` op replaces, and the numpy
+  conveniences built on it (``init_slots``, ``slot_attention_step``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from slotsurv.autodiff import _AGGREGATIONS, Graph, bind_arrays
 from slotsurv.moe import GateMask, GateParams, PredictorParams, gumbel_topk_mask
+from slotsurv.slots import SlotParams, _keys_values, build_init_slots
+
+AGG_EPS = 1e-8
 
 DEFAULT_TEMPERATURE = 0.01
 
@@ -88,3 +95,75 @@ def out_of_place_acc(grads, idx, delta):
         grads[idx] = delta
     else:
         grads[idx] = grads[idx] + delta
+
+
+# ---------------------------------------------------------- slot attention
+
+
+def unfused_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
+                           ones, aggregation: str = "mean"):
+    """One attention iteration as per-op nodes; returns (updated slots,
+    alpha, aggregated update) nodes."""
+    if aggregation not in _AGGREGATIONS:
+        raise ValueError(f"aggregation must be one of {_AGGREGATIONS}")
+    normed = g.layer_norm(slots, p.ln_slot_gamma, p.ln_slot_beta)
+    q = g.matmul(normed, p.w_q)
+    alpha = g.col_softmax(g.matmul(q, keys_t))
+    u = g.matmul(alpha, values)
+    if aggregation == "mean":
+        mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), AGG_EPS)))
+        u = g.mul(u, g.reciprocal(mass))
+    updated = g.gru_cell(u, slots,
+                         p.gru_wz, p.gru_uz, p.gru_bz,
+                         p.gru_wr, p.gru_ur, p.gru_br,
+                         p.gru_wn, p.gru_un, p.gru_bn)
+    hidden = g.relu(g.add(g.matmul(updated, p.mlp_w1), p.mlp_b1))
+    residual = g.add(g.matmul(hidden, p.mlp_w2), p.mlp_b2)
+    return g.add(updated, residual), alpha, u
+
+
+def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int,
+                   mode: str = "deterministic", aggregation: str = "mean",
+                   mask=None, noise=None):
+    """``slots.build_encode`` over the unfused chain; returns the slots and
+    the last alpha (masked) as nodes."""
+    keys_t, values, ones = _keys_values(g, p, bag, mask)
+    slots = build_init_slots(g, p, mode, lead=bag.shape[:-2], noise=noise)
+    for _ in range(t_iters):
+        slots, alpha, _ = unfused_attention_step(g, p, slots, keys_t, values,
+                                                 ones, aggregation)
+    if mask is not None:
+        alpha = g.mul(alpha, g.transpose(ones))
+    return slots, alpha
+
+
+@dataclass(frozen=True)
+class StepResult:
+    slots: np.ndarray
+    attention: np.ndarray
+    update: np.ndarray      # aggregated values fed to the GRU
+
+
+def _graph(params: SlotParams) -> Graph:
+    return Graph(dtype=params.init_mean.dtype)
+
+
+def init_slots(params: SlotParams, mode: str,
+               rng: np.random.Generator | None = None) -> np.ndarray:
+    g = _graph(params)
+    node = build_init_slots(g, bind_arrays(g, "p", params, trainable=False),
+                            mode, rng)
+    return node.value.copy()
+
+
+def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
+                        params: SlotParams,
+                        aggregation: str = "mean") -> StepResult:
+    """One iteration from explicit slots over a raw bag (numpy in/out)."""
+    g = _graph(params)
+    p = bind_arrays(g, "p", params, trainable=False)
+    keys_t, values, ones = _keys_values(g, p, g.const(bag_matrix), None)
+    out, alpha, u = unfused_attention_step(g, p, g.const(slots), keys_t,
+                                           values, ones, aggregation)
+    return StepResult(slots=out.value.copy(), attention=alpha.value.copy(),
+                      update=u.value.copy())

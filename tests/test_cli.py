@@ -1,5 +1,6 @@
 """End-to-end command-line flows and the exit-code contract."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from slotsurv.cli import main
+from slotsurv.train import load_checkpoint, save_checkpoint
 
 
 SYNTH_CFG = {"n_patients": 12, "m_hist_lo": 6, "m_hist_hi": 10, "m_gen": 8,
@@ -214,3 +216,23 @@ def test_malformed_bag_fuzz_always_data_error(workdir, tmp_path):
                      "--histology", str(bad),
                      "--out", str(tmp_path / f"out_{case}")])
         assert code == 2, f"case {case} exited {code}"
+
+
+def test_infer_rejects_non_finite_checkpoint_as_data_error(workdir, tmp_path,
+                                                           capsys):
+    """A checkpoint with an infinite parameter exits with the data-error
+    code at load, naming the tensor."""
+    ckpt = load_checkpoint(workdir["ckpt"])
+    slots_h = dataclasses.replace(
+        ckpt.params.slots_h,
+        gru_bz=np.full_like(ckpt.params.slots_h.gru_bz, np.inf))
+    bad = tmp_path / "inf.ckpt"
+    save_checkpoint(dataclasses.replace(
+        ckpt, params=dataclasses.replace(ckpt.params, slots_h=slots_h)), bad)
+    records = json.loads(workdir["manifest"].read_text())["patients"]
+    bag_h = os.path.join(str(workdir["cohort_dir"]),
+                         records[0]["histology_path"])
+    code = main(["infer", "--checkpoint", str(bad), "--histology", bag_h,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "slots_h.gru_bz has non-finite entries" in capsys.readouterr().err

@@ -349,6 +349,27 @@ def test_patient_forward_is_deterministic():
     assert np.array_equal(a.weights_g, b.weights_g)
 
 
+def test_binding_checks_parameters_once_and_names_a_bad_one(monkeypatch):
+    """The trainable tensors are bound as inputs in ``trainable_names``
+    order with one finite check over all of them; a non-finite tensor
+    still fails naming itself."""
+    p = _params(9)
+    g = autodiff.Graph()
+    checks = []
+    real = np.isfinite
+    monkeypatch.setattr(autodiff.np, "isfinite",
+                        lambda x: checks.append(x.size) or real(x))
+    model._bind_model(g, p)
+    monkeypatch.undo()
+    assert g.input_names() == trainable_names(p)
+    assert checks == [sum(a.size for n, a in named_parameters(p).items()
+                          if group_of(n) not in FROZEN_GROUPS)]
+    arrays = named_parameters(p)
+    arrays["risk.b1"] = np.full_like(arrays["risk.b1"], np.inf)
+    with pytest.raises(autodiff.GraphError, match="'risk.b1'"):
+        model._bind_model(autodiff.Graph(), params_from_arrays(arrays))
+
+
 def test_patient_forward_shapes_and_masks():
     p = _params(9)
     bag_h, bag_g, _, _ = _patients(9)[0]

@@ -6,17 +6,25 @@ import csv
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import Graph, bind_arrays, finite_diff_check
+from slotsurv.autodiff import (
+    Graph,
+    GraphError,
+    backward,
+    bind_arrays,
+    finite_diff_check,
+)
 from slotsurv.slots import (
     SlotSet,
+    _keys_values,
     assignment_map,
+    build_attention_step,
     build_encode,
     encode,
     init_slot_params,
-    init_slots,
-    slot_attention_step,
     write_assignment_csv,
 )
+
+from oracles import init_slots, slot_attention_step, unfused_encode
 
 
 def _params(seed=0, n_slots=4, dim=8):
@@ -180,6 +188,124 @@ def test_single_step_gradients_across_seeds(seed):
     bag = g.input("bag", rng.normal(size=(6, 5)))
     loss = _micro_loss(g, p, bag, 1, rng)
     assert finite_diff_check(g, loss) < 1e-4
+
+
+# ------------------------------------------------- fused step vs. the chain
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _encode_both(dtype, build, **kw):
+    """Build one loss over an encode, once through ``build`` and with the
+    same bindings; returns (slots, alpha, gradients, graph)."""
+    rng = np.random.default_rng(31)
+    params = init_slot_params(rng, n_slots=3, dim=5)
+    # move the parameters off init so every tensor's gradient is generic
+    params = type(params)(**{f: v + 0.3 * rng.normal(size=v.shape)
+                             for f, v in vars(params).items()})
+    bag = rng.normal(size=kw.pop("bag_shape"))
+    target = rng.normal(size=bag.shape[:-2] + (3, 5))
+    g = Graph(dtype=dtype)
+    p = bind_arrays(g, "p", params)
+    slots, alpha = build(g, p, g.input("bag", bag), **kw)
+    loss = g.squared_error(slots, g.const(target))
+    if loss.value.ndim:
+        loss = g.reduce_sum(loss)
+    alpha = alpha if isinstance(alpha, np.ndarray) else alpha.value
+    return slots.value, alpha, backward(g, loss), g
+
+
+_ORACLE_CASES = {
+    "single": dict(bag_shape=(7, 5), t_iters=3),
+    "padded_batch": dict(
+        bag_shape=(2, 7, 5), t_iters=3, mode="stochastic",
+        mask=np.array([[1.0] * 7, [1.0] * 4 + [0.0] * 3]),
+        noise=np.random.default_rng(32).normal(size=(2, 3, 5))),
+    "sum": dict(bag_shape=(7, 5), t_iters=2, aggregation="sum"),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_fused_step_is_bitwise_the_unfused_chain(dtype, case):
+    """The slots, the last alpha and every gradient of one slot_step node
+    per iteration match the 17-node chain bit for bit."""
+    fused = _encode_both(dtype, build_encode, **_ORACLE_CASES[case])
+    chain = _encode_both(dtype, unfused_encode, **_ORACLE_CASES[case])
+    assert _bits(fused[0]) == _bits(chain[0])
+    assert _bits(fused[1]) == _bits(chain[1])
+    assert set(fused[2]) == set(chain[2])
+    for name in chain[2]:
+        assert _bits(fused[2][name]) == _bits(chain[2][name]), name
+    t_iters = _ORACLE_CASES[case]["t_iters"]
+    assert [fused[3]._ops.count("slot_step"), chain[3]._ops.count("gru_cell")] \
+        == [t_iters, t_iters]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_step_keeps_the_chains_order_for_shared_initial_slots(dtype):
+    """Two unbatched encodes start from the same init_mean input, so its
+    adjoint sums four contributions per graph; the fused step hands them
+    over one by one, GRU state then layer norm, as the chain does."""
+    rng = np.random.default_rng(33)
+    params = init_slot_params(rng, n_slots=3, dim=5)
+    bags = [rng.normal(size=(m, 5)) for m in (6, 9)]
+
+    def grads(build):
+        g = Graph(dtype=dtype)
+        p = bind_arrays(g, "p", params)
+        losses = [g.squared_error(build(g, p, g.const(bag), 2)[0],
+                                  g.const(np.full((3, 5), 0.5)))
+                  for bag in bags]
+        return backward(g, g.add(*losses))
+
+    fused, chain = grads(build_encode), grads(unfused_encode)
+    for name in chain:
+        assert _bits(fused[name]) == _bits(chain[name]), name
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_fused_step_counts_the_chains_multiply_adds(case):
+    """slot_step counts what its chain counts; a masked encode no longer
+    counts the alpha mask, which is applied outside the graph."""
+    fused = _encode_both(np.float64, build_encode, **_ORACLE_CASES[case])[3]
+    chain = _encode_both(np.float64, unfused_encode, **_ORACLE_CASES[case])[3]
+    mask = _ORACLE_CASES[case].get("mask")
+    masked = 0 if mask is None else 3 * mask.size   # S * B * M
+    assert fused.total_madds() == chain.total_madds() - masked
+    # the chain is 17 nodes per iteration (12 without the mean's mass),
+    # plus a transpose and a multiply for the alpha mask
+    per_step = 12 if _ORACLE_CASES[case].get("aggregation") == "sum" else 17
+    assert chain.num_nodes - fused.num_nodes == \
+        (per_step - 1) * _ORACLE_CASES[case]["t_iters"] + 2 * (mask is not None)
+
+
+def test_guard_catches_a_pre_activation_that_relu_would_hide():
+    """An MLP weight that overflows the pre-relu value to -inf raises,
+    although relu would turn the -inf into a finite 0."""
+    p = _params(n_slots=1)
+    bag = _bag(m=6)
+
+    def step(params, check_finite=True):
+        g = Graph(dtype=np.float32, check_finite=check_finite)
+        pn = bind_arrays(g, "p", params, trainable=False)
+        keys_t, values, ones = _keys_values(g, pn, g.const(bag), None)
+        return g, build_attention_step(g, pn, pn.init_mean, keys_t, values,
+                                       ones)
+
+    g, node = step(p)
+    updated = g._saved[node.idx].updated            # (1, d); MLP-independent
+    big = -np.finfo(np.float32).max * np.sign(updated[0])[:, None] \
+        * np.ones((1, p.dim), np.float32)
+    huge = type(p)(**{**vars(p), "mlp_w1": big.astype(np.float32)})
+    with np.errstate(over="ignore"):
+        g, node = step(huge, check_finite=False)
+        assert (g._saved[node.idx].hidden == 0).all()
+        assert np.isfinite(node.value).all()        # the -inf is hidden
+        with pytest.raises(GraphError, match="pre-activation"):
+            step(huge)
 
 
 # ----------------------------------------------------------- cost accounting

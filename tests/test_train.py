@@ -262,6 +262,26 @@ def test_checkpoint_rejects_orphan_adam_moments(trained, tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("slots_h.gru_bz", np.inf), ("risk.w1", np.nan),
+    ("adam.v.slots_g.w_q", -np.inf)])
+def test_checkpoint_rejects_non_finite_tensor(trained, tmp_path, name, value):
+    """A non-finite tensor fails at load, naming the tensor, instead of at
+    the first forward pass that binds it."""
+    tensors = trained.checkpoint.named_tensors()
+    bad = tensors[name].copy()
+    bad.flat[0] = value
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    index, payload = _index_and_payload(path)
+    row = next(r for r in index["tensors"] if r["name"] == name)
+    payload = (payload[:row["offset"]] + bad.astype(row["dtype"]).tobytes()
+               + payload[row["offset"] + row["nbytes"]:])
+    _write_raw(path, index, payload)
+    with pytest.raises(CheckpointError, match=f"{name} has non-finite"):
+        load_checkpoint(path)
+
+
 def _set(name, value):
     return lambda st: {**st, name: value}
 
