@@ -25,17 +25,18 @@ order, and their adjoint rules call the same array-level adjoint helpers
 as the chain's rules, in reverse, so values and gradients have the
 chain's bits.
 
-The non-finite guard. Inputs and constants are checked when bound; with
-``inputs`` a whole parameter set is checked at once, and only when that
-fails leaf by leaf, to name the tensor. Every op output is checked,
-except for ops that map finite inputs to finite outputs (transpose,
-reshape, gather_rows, concat, stop_gradient, relu, clamp, sigmoid and
-both softmaxes). Inside ``slot_step`` the values that feed a kernel able
-to hide a non-finite entry are checked: the logits (softmax maps -inf to
-0), the attention mass (reciprocal maps inf to 0), the GRU input (its
-sigmoid and tanh saturate) and the MLP pre-activation (relu maps -inf to
-0). The other intermediates feed only products and sums with finite
-operands, which carry a non-finite entry on to a checked value.
+The non-finite guard always runs. Inputs and constants are checked when
+bound; with ``inputs`` a whole parameter set is checked at once, and
+only when that fails leaf by leaf, to name the tensor. Every op output
+is checked, except for ops that map finite inputs to finite outputs
+(transpose, reshape, gather_rows, concat, stop_gradient, relu, clamp,
+sigmoid and both softmaxes). Inside ``slot_step`` the values that feed
+a kernel able to hide a non-finite entry are checked: the logits
+(softmax maps -inf to 0), the attention mass (reciprocal maps inf to
+0), the GRU input (its sigmoid and tanh saturate) and the MLP
+pre-activation (relu maps -inf to 0). The other intermediates feed
+only products and sums with finite operands, which carry a non-finite
+entry on to a checked value.
 
 Which adjoints ``backward`` computes. When a node is recorded, the graph
 notes whether it needs an adjoint: an input does, and so does every node
@@ -87,14 +88,17 @@ axes, so one model builder serves both:
   the product without enlarging it (a (1, n) row).
 * slot_step: one slot-attention iteration. From slots (.., S, d),
   transposed scaled keys (.., d, M), values (.., M, d) and the instance
-  mask (.., M, 1), all with the same leading axes, and (1, d) / (d, d)
-  weights:
-  layer_norm -> @ w_q -> @ keys -> col_softmax = alpha (.., S, M);
-  u = (alpha @ values) * 1 / (alpha @ mask + 1e-8), or alpha @ values
-  for "sum"; slots' = gru_cell(u, slots); out = slots' +
-  affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d). The node
-  keeps alpha among its saved intermediates; ``slot_attention`` reads it
-  back, as ``degenerate_rows`` reads a cosine node's.
+  mask (.., M, 1), all with the same leading axes, and fifteen weights:
+  the (1, d) layer-norm gain, w_q, the nine GRU weights and the MLP's
+  w1, b1, w2, b2:
+  layer norm with gain only -> @ w_q -> @ keys -> col_softmax = alpha
+  (.., S, M); u = (alpha @ values) * 1 / (alpha @ mask + 1e-8), or
+  alpha @ values for "sum"; slots' = gru_cell(u, slots); out = slots' +
+  affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d). The layer
+  norm has no shift: it would add one row to every slot's query, which
+  the softmax over slots cancels. The node keeps alpha among its saved
+  intermediates; ``slot_attention`` reads it back, as
+  ``degenerate_rows`` reads a cosine node's.
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -178,11 +182,10 @@ def _sigmoid(x):
 class Graph:
     """Eagerly evaluated op graph with recorded structure for replay."""
 
-    def __init__(self, dtype=np.float32, check_finite: bool = True):
+    def __init__(self, dtype=np.float32):
         if dtype not in (np.float32, np.float64):
             raise GraphError(f"unsupported dtype {dtype!r}")
         self.dtype = np.dtype(dtype)
-        self.check_finite = check_finite
         self._ops: list[str] = []
         self._parents: list[tuple] = []
         self._aux: list = []          # static per-node attributes
@@ -207,7 +210,7 @@ class Graph:
             if name in self._inputs:
                 raise GraphError(f"duplicate input name {name!r}")
         arrays = {name: self._cast(value) for name, value in named.items()}
-        if self.check_finite and arrays and not np.isfinite(np.concatenate(
+        if arrays and not np.isfinite(np.concatenate(
                 [a.ravel() for a in arrays.values()])).all():
             for name, arr in arrays.items():
                 self._coerce(arr, f"input {name!r}")
@@ -318,13 +321,14 @@ class Graph:
             madds=6 * s * d * d + 10 * s * d)
 
     def slot_step(self, slots: Node, keys_t: Node, values: Node, ones: Node,
-                  ln_gamma: Node, ln_beta: Node, w_q: Node, gru: tuple,
-                  mlp: tuple, aggregation: str = "mean") -> Node:
+                  ln_gamma: Node, w_q: Node, gru: tuple, mlp: tuple,
+                  aggregation: str = "mean") -> Node:
         """One slot-attention iteration as one node (see the module
         docstring): ``slots`` (.., S, d), ``keys_t`` (.., d, M), ``values``
         (.., M, d) and the instance mask ``ones`` (.., M, 1) share their
-        leading axes; ``gru`` holds the nine ``gru_cell`` weights in its
-        argument order and ``mlp`` is (w1, b1, w2, b2)."""
+        leading axes; ``ln_gamma`` is the (1, d) gain of the slots' layer
+        norm, which has no shift; ``gru`` holds the nine ``gru_cell``
+        weights in its argument order and ``mlp`` is (w1, b1, w2, b2)."""
         vs = slots.value
         lead, (s, d) = vs.shape[:-2], vs.shape[-2:]
         m = values.shape[-2]
@@ -337,8 +341,8 @@ class Graph:
                 f"values {values.shape}, ones {ones.shape}")
         if aggregation not in _AGGREGATIONS:
             raise GraphError(f"aggregation must be one of {_AGGREGATIONS}")
-        weights = (ln_gamma, ln_beta, w_q, *gru, *mlp)
-        want = ([(1, d), (1, d), (d, d)] + [(d, d), (d, d), (1, d)] * 3
+        weights = (ln_gamma, w_q, *gru, *mlp)
+        want = ([(1, d), (d, d)] + [(d, d), (d, d), (1, d)] * 3
                 + [(d, d), (1, d)] * 2)
         if len(gru) != 9 or [w.shape for w in weights] != want:
             raise GraphError(f"slot_step weights {[w.shape for w in weights]}, "
@@ -354,7 +358,7 @@ class Graph:
             madds += rows * m + 2 * rows + rows * d
         parents = (slots, keys_t, values, ones, *weights)
         return self._append("slot_step", tuple(p.idx for p in parents),
-                            aux=(aggregation, self.check_finite), madds=madds)
+                            aux=aggregation, madds=madds)
 
     def mean_pool(self, a: Node) -> Node:
         """Mean over the second-to-last axis, kept as a length-1 axis."""
@@ -477,7 +481,7 @@ class Graph:
 
     def clone(self, dtype) -> "Graph":
         """Structural copy at another precision; used by the FD checker."""
-        out = Graph(dtype=dtype, check_finite=self.check_finite)
+        out = Graph(dtype=dtype)
         out._ops = list(self._ops)
         out._parents = list(self._parents)
         out._aux = list(self._aux)
@@ -520,7 +524,7 @@ class Graph:
 
     def _coerce(self, value, what: str) -> np.ndarray:
         arr = self._cast(value)
-        if self.check_finite and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise GraphError(f"{what}: non-finite entries")
         return arr
 
@@ -578,11 +582,18 @@ def _relu(x):
     return np.maximum(x, 0)
 
 
-def _layer_norm_fwd(_, x, gamma, beta):
+def _normalize(x):
+    """Rows of x centred and scaled to unit variance along the last axis,
+    and the inverse standard deviations."""
     xhat = x - x.mean(axis=-1, keepdims=True)
     var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
+    return xhat, inv
+
+
+def _layer_norm_fwd(_, x, gamma, beta):
+    xhat, inv = _normalize(x)
     y = xhat * gamma
     y += beta
     return y, (xhat, inv)
@@ -624,35 +635,31 @@ def _guard(x, what: str) -> None:
         raise GraphError(f"non-finite {what} in slot_step")
 
 
-def _slot_step_fwd(aux, slots, keys_t, values, ones, gamma, beta, w_q,
+def _slot_step_fwd(aggregation, slots, keys_t, values, ones, gamma, w_q,
                    wz, uz, bz, wr, ur, br, wn, un, bn, w1, b1, w2, b2):
     """The chain layer norm -> q -> logits -> column softmax -> mean (or
-    sum) aggregation -> GRU -> residual MLP, kernel by kernel.  With the
-    guard on it checks the values that feed a kernel able to hide a
-    non-finite entry (softmax, reciprocal, GRU, relu); the node output is
-    checked by the caller."""
-    aggregation, check = aux
-    normed, (xhat, inv) = _layer_norm_fwd(None, slots, gamma, beta)
+    sum) aggregation -> GRU -> residual MLP, kernel by kernel.  It checks
+    the values that feed a kernel able to hide a non-finite entry
+    (softmax, reciprocal, GRU, relu); the node output is checked by the
+    caller."""
+    xhat, inv = _normalize(slots)
+    normed = xhat * gamma
     q = _matmul(normed, w_q)
     logits = _matmul(q, keys_t)
-    if check:
-        _guard(logits, "attention logits")
+    _guard(logits, "attention logits")
     alpha = _softmax(-2, logits, out=logits)    # logits are not kept
     u = u_raw = _matmul(alpha, values)
     rec = None
     if aggregation == "mean":
         mass = _matmul(alpha, ones) + alpha.dtype.type(_AGG_EPS)
-        if check:
-            _guard(mass, "attention mass")
+        _guard(mass, "attention mass")
         rec = _reciprocal_fwd(None, mass)
         u = u_raw * rec
-    if check:
-        _guard(u, "slot update")
+    _guard(u, "slot update")
     updated, (z, r, n, rh) = _gru_fwd(None, u, slots, wz, uz, bz, wr, ur, br,
                                       wn, un, bn)
     pre = _affine_fwd(None, updated, w1, b1)
-    if check:
-        _guard(pre, "MLP pre-activation")
+    _guard(pre, "MLP pre-activation")
     hidden = _relu(pre)
     out = updated + _affine_fwd(None, hidden, w2, b2)
     return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, u,
@@ -736,8 +743,7 @@ def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
     if isinstance(out, tuple):
         out, saved = out
     out = np.asarray(out, dtype=g.dtype)
-    if (g.check_finite and op not in _ALWAYS_FINITE
-            and not np.isfinite(out).all()):
+    if op not in _ALWAYS_FINITE and not np.isfinite(out).all():
         raise GraphError(f"non-finite output at node {i} ({op})")
     return out, saved
 
@@ -935,12 +941,12 @@ def _bw_slot_step(g, i, grad, grads):
     """The chain's adjoint rules in reverse, handing each parent the same
     contributions in the same order as the per-op chain: the slots get
     two, from the GRU state and from the layer norm, as there."""
-    (si, ki, vi, oi, gi, bi, qi, *gru, w1, b1, w2, b2) = g._parents[i]
+    (si, ki, vi, oi, gi, qi, *gru, w1, b1, w2, b2) = g._parents[i]
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
     # which of the chain's nodes would have needed an adjoint
-    n_norm = need[si] or need[gi] or need[bi]
+    n_norm = need[si] or need[gi]
     n_alpha = n_norm or need[qi] or need[ki]
     n_uraw = n_alpha or need[vi]
     n_mass = sv.rec is not None and (n_alpha or need[oi])
@@ -995,8 +1001,9 @@ def _bw_slot_step(g, i, grad, grads):
     d_normed, d_wq = _matmul_adj(d_q, sv.normed, v[qi], n_norm, need[qi])
     _give(grads, (ki, qi), (d_keys, d_wq))
     if n_norm:
-        _give(grads, (si, gi, bi), _layer_norm_adj(
-            d_normed, v[gi], sv.xhat, sv.inv, need[si], need[gi], need[bi]))
+        d_slots, d_gamma, _ = _layer_norm_adj(
+            d_normed, v[gi], sv.xhat, sv.inv, need[si], need[gi], False)
+        _give(grads, (si, gi), (d_slots, d_gamma))
 
 
 def _bw_mean_pool(g, i, grad, grads):

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Node, bind_arrays, init_block, init_normal
-from .moe import GateMask
+from .autodiff import Graph, Node, init_block, init_normal
 
 __all__ = [
     "CrossAttentionParams",
@@ -38,10 +37,6 @@ __all__ = [
     "init_cross_params",
     "init_risk_params",
     "init_self_params",
-    "iterative_cross_attention",
-    "masked_self_attention",
-    "pool_concat",
-    "risk_head",
 ]
 
 
@@ -209,44 +204,3 @@ def build_risk_head(g: Graph, p: RiskHeadParams, z: Node) -> Node:
     hidden = g.relu(g.affine(z, p.w1, p.b1))
     return g.affine(hidden, p.w2, p.b2)
 
-
-# ------------------------------------------------------------ numpy interface
-
-
-def masked_self_attention(slots: np.ndarray, mask: GateMask,
-                          p: SelfAttentionParams) -> np.ndarray:
-    if mask.hard.size != slots.shape[0]:
-        raise ValueError(
-            f"mask covers {mask.hard.size} slots, got {slots.shape[0]}")
-    g = Graph(dtype=p.w_q.dtype)
-    bound = bind_arrays(g, "p", p, trainable=False)
-    out = build_masked_self_attention(g, bound, g.const(slots),
-                                      mask.selected)
-    return out.value.copy()
-
-
-def iterative_cross_attention(slots_h: np.ndarray, slots_g: np.ndarray,
-                              p: CrossAttentionParams, l_iters: int):
-    g = Graph(dtype=p.w_q.dtype)
-    bound = bind_arrays(g, "p", p, trainable=False)
-    out_h, out_g = build_iterative_cross_attention(
-        g, bound, g.const(slots_h), g.const(slots_g), l_iters)
-    return out_h.value.copy(), out_g.value.copy()
-
-
-def pool_concat(cross_h: np.ndarray, cross_g: np.ndarray,
-                self_h: np.ndarray, self_g: np.ndarray) -> np.ndarray:
-    """Fused embedding as a flat length-3d vector, at the slots' precision
-    (float64 inputs stay float64)."""
-    g = Graph(dtype=np.result_type(cross_h, cross_g, self_h, self_g,
-                                   np.float32))
-    z = build_pool_concat(g, g.const(cross_h), g.const(cross_g),
-                          g.const(self_h), g.const(self_g))
-    return z.value[0].copy()
-
-
-def risk_head(z: np.ndarray, p: RiskHeadParams) -> np.ndarray:
-    g = Graph(dtype=p.w1.dtype)
-    bound = bind_arrays(g, "p", p, trainable=False)
-    logits = build_risk_head(g, bound, g.const(np.atleast_2d(z)))
-    return logits.value[0].copy()

@@ -77,15 +77,14 @@ class ModelParams:
         return self.slots_g.n_slots
 
 
-# Group names double as tensor-name prefixes.  Everything except qmap is
-# trained; the audit in the test-suite checks gradient presence per group
-# because a few individual tensors are zero by construction (a gate bias
-# shifts every score identically, which the softmax ignores).
+# Group names double as tensor-name prefixes; everything but qmap is trained.
 PARAM_GROUPS = tuple(f.name for f in dataclasses.fields(ModelParams))
 FROZEN_GROUPS = ("qmap",)
 TRAINABLE_GROUPS = tuple(n for n in PARAM_GROUPS if n not in FROZEN_GROUPS)
 
 _GROUP_CLASSES = typing.get_type_hints(ModelParams)
+_TENSOR_NAMES = frozenset(f"{group}.{f.name}" for group in PARAM_GROUPS
+                          for f in dataclasses.fields(_GROUP_CLASSES[group]))
 
 
 def init_model(rng: np.random.Generator, dim: int, n_slots_h: int,
@@ -129,7 +128,12 @@ def trainable_names(params: ModelParams):
 
 
 def params_from_arrays(arrays: dict) -> ModelParams:
-    """Rebuild the composite dataclass from a flat name->array mapping."""
+    """Rebuild the composite dataclass from a flat name->array mapping that
+    holds exactly the model's tensors: a missing or an unknown name raises
+    KeyError."""
+    unknown = sorted(arrays.keys() - _TENSOR_NAMES)
+    if unknown:
+        raise KeyError(f"unknown tensor {unknown[0]!r}")
     kw = {}
     for group in PARAM_GROUPS:
         cls = _GROUP_CLASSES[group]

@@ -1,6 +1,8 @@
-"""Selective slot decoding: a lightweight gate scores each slot, a
+"""Selective slot decoding: a linear gate scores each slot, a
 Gumbel-Top-K draw keeps K of them, and the survival logits of the kept
-slots are mixed with renormalized softmax weights.
+slots are mixed with renormalized softmax weights.  The gate has no
+bias, since a shift shared by every score cancels in both the top-K and
+the softmax.
 
 The selection is made differentiable with a straight-through estimator:
 the forward value of the mask is exactly K-hot, while gradients flow
@@ -47,10 +49,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GateParams:
-    """Affine gate mapping one slot to one retention score."""
+    """Linear gate mapping one slot to one retention score (no bias, see
+    the module docstring)."""
 
     w: np.ndarray   # (d, 1)
-    b: np.ndarray   # (1, 1)
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,7 @@ class PredictorParams:
 
 
 def init_gate_params(rng: np.random.Generator, dim: int) -> GateParams:
-    return GateParams(w=init_normal(rng, (dim, 1), 1.0 / np.sqrt(dim)),
-                      b=np.zeros((1, 1), dtype=np.float32))
+    return GateParams(w=init_normal(rng, (dim, 1), 1.0 / np.sqrt(dim)))
 
 
 def init_predictor_params(rng: np.random.Generator, dim: int,
@@ -112,9 +113,9 @@ def _check_k(k: int, n_slots: int) -> None:
 
 
 def build_gate_scores(g: Graph, gate: GateParams, slots: Node) -> Node:
-    """Retention scores r = slots @ w + b, one per slot: (S, 1), or
+    """Retention scores r = slots @ w, one per slot: (S, 1), or
     (B, S, 1) for a batch of slot sets."""
-    return g.affine(slots, gate.w, gate.b)
+    return g.matmul(slots, gate.w)
 
 
 def build_gumbel_mask(g: Graph, r: Node, k: int, temperature: float,

@@ -40,7 +40,6 @@ __all__ = [
     "init_query_map",
     "init_recon_head",
     "reconstruct_genomic",
-    "reconstruct_histology",
 ]
 
 
@@ -216,17 +215,6 @@ def reconstruct_genomic(slot_matrix: np.ndarray, positions: PositionTable,
     x_hat, loss = build_recon_genomic(g, h, pos, g.const(slot_matrix), tgt)
     return (x_hat.value.copy(),
             None if loss is None else float(loss.value))
-
-
-def reconstruct_histology(slot_matrix: np.ndarray, bag_matrix: np.ndarray,
-                          qmap: FrozenQueryMap, head: ReconHeadParams):
-    """Returns (x_hat, loss, flagged) where flagged lists the indices of
-    zero-norm rows whose cosine terms were zeroed out."""
-    g = Graph(dtype=head.w_q.dtype)
-    h = bind_arrays(g, "head", head, trainable=False)
-    x_hat, loss, cos = build_recon_histology(
-        g, h, qmap, g.const(bag_matrix), g.const(slot_matrix))
-    return x_hat.value.copy(), float(loss.value), g.degenerate_rows(cos)
 
 
 def cross_modal_encode(bag_h: FeatureBag, genomic_params,

@@ -67,8 +67,8 @@ class SlotParams:
     mlp_b2: np.ndarray
     ln_in_gamma: np.ndarray    # bag features, before K/V projection
     ln_in_beta: np.ndarray
-    ln_slot_gamma: np.ndarray  # slots, before each Q projection
-    ln_slot_beta: np.ndarray
+    ln_slot_gamma: np.ndarray  # slots, before each Q projection; no shift,
+                               # which the softmax over slots would cancel
 
     @property
     def n_slots(self) -> int:
@@ -100,7 +100,7 @@ def init_slot_params(rng: np.random.Generator, n_slots: int,
         gru_wn=mat(), gru_un=mat(), gru_bn=bias(),
         mlp_w1=mat(), mlp_b1=bias(), mlp_w2=mat(), mlp_b2=bias(),
         ln_in_gamma=gamma(), ln_in_beta=bias(),
-        ln_slot_gamma=gamma(), ln_slot_beta=bias(),
+        ln_slot_gamma=gamma(),
     )
 
 
@@ -140,7 +140,7 @@ def build_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
     slots node; ``g.slot_attention`` reads its alpha back.
     """
     return g.slot_step(
-        slots, keys_t, values, ones, p.ln_slot_gamma, p.ln_slot_beta, p.w_q,
+        slots, keys_t, values, ones, p.ln_slot_gamma, p.w_q,
         (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
          p.gru_wn, p.gru_un, p.gru_bn),
         (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2), aggregation)

@@ -38,7 +38,6 @@ __all__ = [
     "hazards_from_logits",
     "km_estimate",
     "logrank_test",
-    "nll_loss",
     "rmst",
     "total_loss",
 ]
@@ -78,30 +77,17 @@ def hazards_from_logits(logits) -> HazardCurve:
     return HazardCurve(h=h, S=s, risk=float(-s.sum()))
 
 
-def nll_loss(curve: HazardCurve, t_bin: int, censored) -> float:
-    """Negative log-likelihood of one subject under a hazard curve.
-
-    Censored at bin t: -log S_t.  Event at bin t: -log S_{t-1} - log h_t,
-    with S_0 = 1.
-    """
-    n_t = curve.h.size
-    if not 1 <= t_bin <= n_t:
-        raise ValueError(f"t_bin {t_bin} outside [1, {n_t}]")
-    if censored:
-        return float(-np.log(curve.S[t_bin - 1]))
-    prev = 0.0 if t_bin == 1 else float(np.log(curve.S[t_bin - 2]))
-    return float(-prev - np.log(curve.h[t_bin - 1]))
-
-
 def build_nll_loss(graph: Graph, logits: Node, t_bins, censored) -> Node:
     """Attach discrete-time NLLs to ``graph``.
 
     ``logits`` is one subject's (1, n_bins) node, with scalar ``t_bins``
     and ``censored``, or a batch (B, 1, n_bins) with one bin and one flag
-    per subject.  Returns a 0-d node, or a (B,) node, whose entries equal
-    ``nll_loss(hazards_from_logits(logits), t_bin, censored)`` up to graph
-    precision.  Two constant indicator masks pick the terms: log(1 - h_k)
-    for the bins before the last one survived, and log h_t at an event.
+    per subject.  Returns a 0-d node, or a (B,) node, of negative
+    log-likelihoods under the hazards h = ``hazards_from_logits(logits)``:
+    -log S_t when censored at bin t, -log S_{t-1} - log h_t for an event
+    at bin t (S_0 = 1).  Two constant indicator masks pick the terms:
+    log(1 - h_k) for the bins before the last one survived, and log h_t
+    at an event.
     """
     if logits.value.ndim not in (2, 3) or logits.shape[-2] != 1:
         raise ValueError(

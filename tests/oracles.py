@@ -7,8 +7,10 @@
 * ``out_of_place_acc``, adjoint accumulation that allocates every sum, for
   checking ``autodiff.backward``'s in-place accumulation.
 * ``unfused_attention_step``, one slot-attention iteration as the chain of
-  17 per-op nodes that the fused ``slot_step`` op replaces, and the numpy
+  18 per-op nodes that the fused ``slot_step`` op replaces, and the numpy
   conveniences built on it (``init_slots``, ``slot_attention_step``).
+* ``nll_loss``, the scalar likelihood of one subject under a hazard curve,
+  which ``survival.build_nll_loss`` is checked against.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from slotsurv.autodiff import _AGGREGATIONS, Graph, bind_arrays
 from slotsurv.moe import GateMask, GateParams, PredictorParams, gumbel_topk_mask
 from slotsurv.slots import SlotParams, _keys_values, build_init_slots
+from slotsurv.survival import HazardCurve
 
 AGG_EPS = 1e-8
 
@@ -37,8 +40,7 @@ class SlotMixture:
 
 def gate_scores(slots: np.ndarray, gate: GateParams) -> np.ndarray:
     slots = np.asarray(slots, dtype=np.float64)
-    return (slots @ gate.w.astype(np.float64)
-            + gate.b.astype(np.float64))[:, 0]
+    return (slots @ gate.w.astype(np.float64))[:, 0]
 
 
 def renormalize_weights(r: np.ndarray, mask: GateMask,
@@ -103,10 +105,12 @@ def out_of_place_acc(grads, idx, delta):
 def unfused_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
                            ones, aggregation: str = "mean"):
     """One attention iteration as per-op nodes; returns (updated slots,
-    alpha, aggregated update) nodes."""
+    alpha, aggregated update) nodes.  The slots' layer norm has no shift,
+    so the chain gives it a zero constant."""
     if aggregation not in _AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {_AGGREGATIONS}")
-    normed = g.layer_norm(slots, p.ln_slot_gamma, p.ln_slot_beta)
+    no_shift = g.const(np.zeros(p.ln_slot_gamma.shape))
+    normed = g.layer_norm(slots, p.ln_slot_gamma, no_shift)
     q = g.matmul(normed, p.w_q)
     alpha = g.col_softmax(g.matmul(q, keys_t))
     u = g.matmul(alpha, values)
@@ -167,3 +171,21 @@ def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
                                            values, ones, aggregation)
     return StepResult(slots=out.value.copy(), attention=alpha.value.copy(),
                       update=u.value.copy())
+
+
+# ----------------------------------------------------------------- survival
+
+
+def nll_loss(curve: HazardCurve, t_bin: int, censored) -> float:
+    """Negative log-likelihood of one subject under a hazard curve.
+
+    Censored at bin t: -log S_t.  Event at bin t: -log S_{t-1} - log h_t,
+    with S_0 = 1.
+    """
+    n_t = curve.h.size
+    if not 1 <= t_bin <= n_t:
+        raise ValueError(f"t_bin {t_bin} outside [1, {n_t}]")
+    if censored:
+        return float(-np.log(curve.S[t_bin - 1]))
+    prev = 0.0 if t_bin == 1 else float(np.log(curve.S[t_bin - 2]))
+    return float(-prev - np.log(curve.h[t_bin - 1]))

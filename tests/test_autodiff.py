@@ -358,9 +358,7 @@ def _build_affine(g, rng, lead=()):
 def _build_slot_step(g, rng, mask=None, aggregation="mean"):
     """One slot-attention iteration, 2 slots of width 3 over 4 instances;
     with a (B, M) ``mask`` a padded batch whose padded values are zeroed,
-    as the encoder zeroes them.  The layer-norm beta enters as a constant:
-    it shifts every slot's query alike, which the softmax over slots
-    cancels, so its true gradient is zero and its analytic one rounding."""
+    as the encoder zeroes them."""
     s, d, m = 2, 3, 4
     lead = () if mask is None else mask.shape[:1]
 
@@ -375,14 +373,16 @@ def _build_slot_step(g, rng, mask=None, aggregation="mean"):
     if mask is not None:
         values = g.mul(values, ones)
     gamma = leaf("gamma", (1, d), 0.5, 1.5)
-    beta = g.const(rng.uniform(-1.0, 1.0, size=(1, d)))
+    # an unused (1, d) draw, so that every leaf keeps the value it had when
+    # slot_step also took a layer-norm shift here
+    rng.uniform(-1.0, 1.0, size=(1, d))
     w_q = leaf("w_q", (d, d))
     gru = [leaf(nm, (1, d) if nm[0] == "b" else (d, d))
            for nm in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")]
     mlp = [leaf("w1", (d, d)), leaf("b1", (1, d), 0.1, 0.5),
            leaf("w2", (d, d)), leaf("b2", (1, d))]
-    out = g.slot_step(slots, keys_t, values, ones, gamma, beta, w_q, gru,
-                      mlp, aggregation)
+    out = g.slot_step(slots, keys_t, values, ones, gamma, w_q, gru, mlp,
+                      aggregation)
     return _se_target(g, out, rng)
 
 
@@ -792,14 +792,14 @@ def test_fused_op_shape_errors_raise_graph_error():
     gru = (mat, mat, row) * 3
     mlp = (mat, row, mat, row)
     with pytest.raises(GraphError, match="shapes"):
-        g.slot_step(slots, values, values, ones, row, row, mat, gru, mlp)
+        g.slot_step(slots, values, values, ones, row, mat, gru, mlp)
     with pytest.raises(GraphError, match="weights"):
-        g.slot_step(slots, keys_t, values, ones, row, row, mat, gru,
+        g.slot_step(slots, keys_t, values, ones, row, mat, gru,
                     (mat, mat, mat, row))
     with pytest.raises(GraphError, match="aggregation"):
-        g.slot_step(slots, keys_t, values, ones, row, row, mat, gru, mlp,
+        g.slot_step(slots, keys_t, values, ones, row, mat, gru, mlp,
                     aggregation="max")
-    assert g.slot_step(slots, keys_t, values, ones, row, row, mat, gru,
+    assert g.slot_step(slots, keys_t, values, ones, row, mat, gru,
                        mlp).shape == (2, d)
 
 

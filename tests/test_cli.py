@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from slotsurv.cli import main
-from slotsurv.train import load_checkpoint, save_checkpoint
+from slotsurv.train import Checkpoint, load_checkpoint, save_checkpoint
 
 
 SYNTH_CFG = {"n_patients": 12, "m_hist_lo": 6, "m_hist_hi": 10, "m_gen": 8,
@@ -236,3 +236,23 @@ def test_infer_rejects_non_finite_checkpoint_as_data_error(workdir, tmp_path,
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "slots_h.gru_bz has non-finite entries" in capsys.readouterr().err
+
+
+def test_infer_rejects_checkpoint_with_unknown_tensor(workdir, tmp_path,
+                                                      capsys, monkeypatch):
+    """A checkpoint holding a tensor the model does not have, such as the
+    gate bias of earlier models, exits with the data-error code at load,
+    naming the tensor."""
+    full = Checkpoint.named_tensors
+    monkeypatch.setattr(Checkpoint, "named_tensors", lambda self: {
+        **full(self), "gate_h.b": np.zeros((1, 1), dtype=np.float32)})
+    bad = tmp_path / "extra.ckpt"
+    save_checkpoint(load_checkpoint(workdir["ckpt"]), bad)
+    monkeypatch.undo()
+    records = json.loads(workdir["manifest"].read_text())["patients"]
+    bag_h = os.path.join(str(workdir["cohort_dir"]),
+                         records[0]["histology_path"])
+    code = main(["infer", "--checkpoint", str(bad), "--histology", bag_h,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "gate_h.b" in capsys.readouterr().err

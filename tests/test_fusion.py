@@ -14,13 +14,21 @@ from slotsurv.fusion import (
     init_cross_params,
     init_risk_params,
     init_self_params,
-    iterative_cross_attention,
-    masked_self_attention,
-    pool_concat,
-    risk_head,
 )
 from slotsurv.moe import gumbel_topk_mask
 from slotsurv.survival import hazards_from_logits
+
+
+def _run(build, params, *arrays, **kw):
+    """``build(g, params, *arrays, **kw)`` on a fresh graph at the
+    operands' precision, with the parameters (when given) and the arrays
+    bound as constants; returns the output's value, or a tuple of them."""
+    leaves = [*arrays, *(() if params is None else vars(params).values())]
+    g = Graph(dtype=np.result_type(*leaves, np.float32))
+    bound = () if params is None else (
+        bind_arrays(g, "p", params, trainable=False),)
+    out = build(g, *bound, *map(g.const, arrays), **kw)
+    return tuple(n.value for n in out) if isinstance(out, tuple) else out.value
 
 
 def _rows_softmax(x):
@@ -100,7 +108,7 @@ def test_unselected_rows_pass_through_bitwise():
     slots = rng.normal(size=(5, 4)).astype(np.float32)
     mask = gumbel_topk_mask(rng.normal(size=5), k=2, temperature=1.0,
                             training=False)
-    out = masked_self_attention(slots, mask, p)
+    out = _run(build_masked_self_attention, p, slots, selected=mask.selected)
     unselected = np.flatnonzero(mask.hard == 0.0)
     assert np.array_equal(out[unselected], slots[unselected])
     changed = out[mask.selected] != slots[mask.selected]
@@ -126,7 +134,8 @@ def test_single_round_is_one_bidirectional_block():
     p64 = _f64(init_cross_params(rng, 5))
     s_h = rng.normal(size=(4, 5))
     s_g = rng.normal(size=(3, 5))
-    out_h, out_g = iterative_cross_attention(s_h, s_g, p64, l_iters=1)
+    out_h, out_g = _run(build_iterative_cross_attention, p64, s_h, s_g,
+                        l_iters=1)
     np.testing.assert_allclose(out_h, _cross_reference(s_h, s_g, p64),
                                atol=1e-5)
     np.testing.assert_allclose(out_g, _cross_reference(s_g, s_h, p64),
@@ -157,7 +166,8 @@ def test_identical_slot_sets_stay_identical():
     rng = np.random.default_rng(6)
     p = init_cross_params(rng, 5)
     s = rng.normal(size=(4, 5)).astype(np.float32)
-    out_h, out_g = iterative_cross_attention(s, s.copy(), p, l_iters=3)
+    out_h, out_g = _run(build_iterative_cross_attention, p, s, s.copy(),
+                        l_iters=3)
     np.testing.assert_allclose(out_h, out_g, atol=1e-5)
 
 
@@ -210,8 +220,8 @@ def test_interaction_cost_is_quadratic_in_slot_count():
 
 def test_pool_concat_of_constant_sets_tiles_the_vector():
     v = np.array([1.5, -2.0, 0.25])
-    z = pool_concat(np.tile(v, (4, 1)), np.tile(v, (2, 1)),
-                    np.tile(v, (3, 1)), np.tile(v, (5, 1)))
+    z = _run(build_pool_concat, None, np.tile(v, (4, 1)), np.tile(v, (2, 1)),
+             np.tile(v, (3, 1)), np.tile(v, (5, 1)))[0]
     np.testing.assert_allclose(z, np.concatenate([v, v, v]), atol=1e-7)
     assert z.shape == (9,)
 
@@ -229,8 +239,9 @@ def test_pool_concat_ignores_slot_order():
 
 def test_fused_width_is_three_d():
     rng = np.random.default_rng(11)
-    z = pool_concat(*[rng.normal(size=(3, 8)).astype(np.float32)
-                      for _ in range(4)])
+    z = _run(build_pool_concat, None,
+             *[rng.normal(size=(3, 8)).astype(np.float32)
+               for _ in range(4)])[0]
     assert z.shape == (24,)
 
 
@@ -241,7 +252,7 @@ def test_zero_risk_head_means_coin_flip_hazards():
     z = np.random.default_rng(12).normal(size=9).astype(np.float32)
     p = RiskHeadParams(w1=np.zeros((9, 3)), b1=np.zeros((1, 3)),
                        w2=np.zeros((3, 4)), b2=np.zeros((1, 4)))
-    logits = risk_head(z, p)
+    logits = _run(build_risk_head, p, z[None])[0]
     assert np.array_equal(logits, np.zeros(4))
     assert np.all(hazards_from_logits(logits).h == 0.5)
 
@@ -250,7 +261,7 @@ def test_risk_head_output_length():
     rng = np.random.default_rng(13)
     p = init_risk_params(rng, 5, 4)
     z = rng.normal(size=15).astype(np.float32)
-    assert risk_head(z, p).shape == (4,)
+    assert _run(build_risk_head, p, z[None])[0].shape == (4,)
 
 
 def test_end_to_end_gradients_match_finite_differences():

@@ -1,5 +1,5 @@
 """Full-model composition: parameter bookkeeping, the batched loss graph,
-gradient reach per parameter group, and the deterministic inference facade."""
+gradient reach per parameter tensor, and the deterministic inference facade."""
 
 import numpy as np
 import pytest
@@ -79,6 +79,13 @@ def test_params_from_arrays_rejects_missing_tensor():
         params_from_arrays(flat)
 
 
+def test_params_from_arrays_rejects_unknown_tensor():
+    flat = named_parameters(_params())
+    flat["gate_h.b"] = np.zeros((1, 1), dtype=np.float32)
+    with pytest.raises(KeyError, match="gate_h.b"):
+        params_from_arrays(flat)
+
+
 def test_cast_params_changes_dtype_only():
     p = _params(1)
     q = cast_params(p, np.float64)
@@ -114,15 +121,24 @@ def test_lam_zero_skips_reconstruction_terms():
     assert float(cg.loss.value) == pytest.approx(report.total, abs=1e-12)
 
 
-def test_every_trainable_group_receives_gradient():
-    cg = _cohort(seed=5, lam=0.1)
+def test_every_trainable_tensor_receives_gradient():
+    """Every trainable tensor can change the loss.  On a float64 ragged
+    batch with the parameters moved off init, each tensor's largest |grad|
+    reaches 1e-12 of the largest over all tensors; a tensor whose effect a
+    softmax or a top-K cancels gets only rounding noise, far below that.
+    The gate runs at temperature 1: at 0.01 its relaxed weights saturate,
+    and the gate weights' gradients can underflow whatever their role."""
+    params = _perturbed(_params(5), 5)
+    cg = build_cohort_loss(params, _ragged_patients(5), k_h=2, k_g=2,
+                           temperature=1.0, t_iters=2, l_iters=2, lam=0.1,
+                           rng=np.random.default_rng(1005), dtype=np.float64)
     grads = backward(cg.graph, cg.loss)
-    by_group = {}
-    for name, g in grads.items():
-        by_group.setdefault(group_of(name), []).append(np.abs(g).max())
-    assert set(by_group) == set(TRAINABLE_GROUPS)
-    for group, maxima in by_group.items():
-        assert max(maxima) > 0.0, f"group {group} got no gradient"
+    assert list(grads) == trainable_names(params)
+    assert {group_of(name) for name in grads} == set(TRAINABLE_GROUPS)
+    peak = {name: float(np.abs(g).max()) for name, g in grads.items()}
+    floor = 1e-12 * max(peak.values())
+    dead = sorted(name for name, v in peak.items() if v < floor)
+    assert not dead, f"tensors without gradient: {dead}"
 
 
 def test_frozen_query_map_outside_gradient():

@@ -38,7 +38,7 @@ from oracles import (
 
 
 def _zero_gate(dim):
-    return GateParams(w=np.zeros((dim, 1)), b=np.zeros((1, 1)))
+    return GateParams(w=np.zeros((dim, 1)))
 
 
 def _zero_predictor(dim, n_bins):

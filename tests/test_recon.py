@@ -18,7 +18,6 @@ from slotsurv.recon import (
     init_query_map,
     init_recon_head,
     reconstruct_genomic,
-    reconstruct_histology,
 )
 from slotsurv.slots import init_slot_params
 
@@ -122,8 +121,12 @@ def test_zero_norm_rows_are_flagged_not_fatal():
 def test_histology_reconstruction_end_to_end():
     f = _fixtures()
     bag = f["rng"].normal(size=(8, 5)).astype(np.float32)
-    x_hat, loss, flagged = reconstruct_histology(f["slots"], bag, f["qmap"],
-                                                 f["head"])
+    g = Graph(dtype=f["head"].w_q.dtype)
+    head = bind_arrays(g, "head", f["head"], trainable=False)
+    x_hat, loss, cos = build_recon_histology(g, head, f["qmap"], g.const(bag),
+                                             g.const(f["slots"]))
+    x_hat, loss, flagged = (x_hat.value, float(loss.value),
+                            g.degenerate_rows(cos))
     assert x_hat.shape == (8, 5)
     assert 0.0 <= loss <= 2.0
     assert flagged.size == 0

@@ -231,7 +231,7 @@ _ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_fused_step_is_bitwise_the_unfused_chain(dtype, case):
     """The slots, the last alpha and every gradient of one slot_step node
-    per iteration match the 17-node chain bit for bit."""
+    per iteration match the 18-node chain bit for bit."""
     fused = _encode_both(dtype, build_encode, **_ORACLE_CASES[case])
     chain = _encode_both(dtype, unfused_encode, **_ORACLE_CASES[case])
     assert _bits(fused[0]) == _bits(chain[0])
@@ -275,9 +275,10 @@ def test_fused_step_counts_the_chains_multiply_adds(case):
     mask = _ORACLE_CASES[case].get("mask")
     masked = 0 if mask is None else 3 * mask.size   # S * B * M
     assert fused.total_madds() == chain.total_madds() - masked
-    # the chain is 17 nodes per iteration (12 without the mean's mass),
-    # plus a transpose and a multiply for the alpha mask
-    per_step = 12 if _ORACLE_CASES[case].get("aggregation") == "sum" else 17
+    # the chain is 18 nodes per iteration (13 without the mean's mass),
+    # one of them the zero shift of its layer norm, plus a transpose and a
+    # multiply for the alpha mask
+    per_step = 13 if _ORACLE_CASES[case].get("aggregation") == "sum" else 18
     assert chain.num_nodes - fused.num_nodes == \
         (per_step - 1) * _ORACLE_CASES[case]["t_iters"] + 2 * (mask is not None)
 
@@ -288,8 +289,8 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
     p = _params(n_slots=1)
     bag = _bag(m=6)
 
-    def step(params, check_finite=True):
-        g = Graph(dtype=np.float32, check_finite=check_finite)
+    def step(params):
+        g = Graph(dtype=np.float32)
         pn = bind_arrays(g, "p", params, trainable=False)
         keys_t, values, ones = _keys_values(g, pn, g.const(bag), None)
         return g, build_attention_step(g, pn, pn.init_mean, keys_t, values,
@@ -300,12 +301,9 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
     big = -np.finfo(np.float32).max * np.sign(updated[0])[:, None] \
         * np.ones((1, p.dim), np.float32)
     huge = type(p)(**{**vars(p), "mlp_w1": big.astype(np.float32)})
-    with np.errstate(over="ignore"):
-        g, node = step(huge, check_finite=False)
-        assert (g._saved[node.idx].hidden == 0).all()
-        assert np.isfinite(node.value).all()        # the -inf is hidden
-        with pytest.raises(GraphError, match="pre-activation"):
-            step(huge)
+    with np.errstate(over="ignore"), \
+            pytest.raises(GraphError, match="pre-activation"):
+        step(huge)
 
 
 # ----------------------------------------------------------- cost accounting

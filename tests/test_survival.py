@@ -19,10 +19,11 @@ from slotsurv.survival import (
     hazards_from_logits,
     km_estimate,
     logrank_test,
-    nll_loss,
     rmst,
     total_loss,
 )
+
+from oracles import nll_loss
 
 # ------------------------------------------------------------- hazard curves
 

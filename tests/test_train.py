@@ -251,6 +251,20 @@ def test_checkpoint_rejects_missing_parameter(trained, tmp_path, monkeypatch):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["gate_h.b", "risk.w3"])
+def test_checkpoint_rejects_unknown_parameter(trained, tmp_path, monkeypatch,
+                                              name):
+    """A tensor the model does not have fails at load, naming it, instead
+    of being dropped: e.g. the gate bias that earlier models carried."""
+    full = Checkpoint.named_tensors
+    monkeypatch.setattr(Checkpoint, "named_tensors", lambda self: {
+        **full(self), name: np.zeros((1, 1), dtype=np.float32)})
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_orphan_adam_moments(trained, tmp_path):
     ckpt = trained.checkpoint
     ghost = {"ghost.w": np.zeros((2, 2))}
