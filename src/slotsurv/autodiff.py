@@ -18,25 +18,28 @@ Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
 ``_BACKWARD``. Eager building and ``forward`` replay run the same kernel
 through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
-multiply-adds. Two ops fuse a chain of others into one node, to save the
-per-node cost where the model repeats the chain: ``affine`` and
-``slot_step``. Their kernels call the chain's kernels in the chain's
-order, and their adjoint rules call the same array-level adjoint helpers
-as the chain's rules, in reverse, so values and gradients have the
-chain's bits.
+multiply-adds. Three ops fuse a chain of others into one node, to save the
+per-node cost where the model repeats the chain: ``affine``,
+``slot_step`` and ``cross_step``. Their kernels call the chain's kernels
+in the chain's order, and their adjoint rules call the same array-level
+adjoint helpers as the chain's rules, in reverse, handing each parent its
+contributions in the chain's order, so values and gradients have the
+chain's bits. ``slot_step`` and ``cross_step`` end in the same GRU ->
+residual-MLP tail, with one forward and one adjoint helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` a whole parameter set is checked at once, and
 only when that fails leaf by leaf, to name the tensor. Every op output
 is checked, except for ops that map finite inputs to finite outputs
 (transpose, reshape, gather_rows, concat, stop_gradient, relu, clamp,
-sigmoid and both softmaxes). Inside ``slot_step`` the values that feed
-a kernel able to hide a non-finite entry are checked: the logits
-(softmax maps -inf to 0), the attention mass (reciprocal maps inf to
-0), the GRU input (its sigmoid and tanh saturate) and the MLP
-pre-activation (relu maps -inf to 0). The other intermediates feed
-only products and sums with finite operands, which carry a non-finite
-entry on to a checked value.
+sigmoid and both softmaxes). Inside ``slot_step`` and ``cross_step``
+the values that feed a kernel able to hide a non-finite entry are
+checked: the logits (softmax maps -inf to 0), in ``slot_step`` the
+attention mass (reciprocal maps inf to 0), the GRU input, which in
+``cross_step`` is the attention output (its sigmoid and tanh saturate),
+and the MLP pre-activation (relu maps -inf to 0). The other
+intermediates feed only products and sums with finite operands, which
+carry a non-finite entry on to a checked value.
 
 Which adjoints ``backward`` computes. When a node is recorded, the graph
 notes whether it needs an adjoint: an input does, and so does every node
@@ -52,14 +55,14 @@ How ``backward`` accumulates. A node's adjoint is the sum of one
 contribution per use, added in the order the uses are visited. The first
 contribution is stored as given: it may be an array another node also
 holds, since ``add``, ``reshape``, ``transpose`` and ``concat`` hand their
-own adjoint, or a view of it, to their operands (and ``affine`` and
-``slot_step`` to a bias of their output's shape). The second allocates
-the sum, and the call records that it owns this buffer. Each later
-contribution of the same shape and dtype is added into the owned buffer
-in place. The record lives only for one ``backward`` call, and an array
-the call did not allocate (a node value, the seed, a view, an adjoint
-shared by several nodes) is never written. In-place and allocated sums
-have the same bits.
+own adjoint, or a view of it, to their operands (and ``affine``,
+``slot_step`` and ``cross_step`` to a bias of their output's shape). The
+second allocates the sum, and the call records that it owns this buffer.
+Each later contribution of the same shape and dtype is added into the
+owned buffer in place. The record lives only for one ``backward`` call,
+and an array the call did not allocate (a node value, the seed, a view,
+an adjoint shared by several nodes) is never written. In-place and
+allocated sums have the same bits.
 
 Shapes. One patient's tensors are 2-d (rows, d); a batch of patients
 stacks them along a leading axis, (B, rows, d). Ops act on trailing
@@ -99,6 +102,14 @@ axes, so one model builder serves both:
   the softmax over slots cancels. The node keeps alpha among its saved
   intermediates; ``slot_attention`` reads it back, as
   ``degenerate_rows`` reads a cosine node's.
+* cross_step: one direction of one cross-attention round. From queries
+  (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
+  sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
+  b1, w2, b2: q = queries @ w_q, k = context @ w_k, v = context @ w_v;
+  attn = row_softmax((q @ k^T) * 1/sqrt(d)), (.., S_q, S_c), with k^T a
+  transposed copy as the transpose op makes it; queries' =
+  gru_cell(attn @ v, queries); out = queries' + affine(relu(affine(
+  queries', w1, b1)), w2, b2), (.., S_q, d).
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -112,7 +123,12 @@ the sum over its chain (with B*S rows: 4 B*S*d for the layer norm,
 B*S*d*d for q, 2 B*S*d*M for the logits and alpha @ values, 3 B*S*M for
 the softmax, the GRU cell, 2 (B*S*d*d + B*S*d) for the MLP layers,
 B*S*d each for relu and the residual, and for "mean" B*S*M + 2 B*S +
-B*S*d for the mass, its floor, the reciprocal and the rescale).
+B*S*d for the mass, its floor, the reciprocal and the rescale), and
+cross_step the sum over its chain (with B*S_q query rows and B*S_c
+context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2
+B*S_q*S_c*d for the logits and attn @ v, 4 B*S_q*S_c for the scale and
+the row softmax, and the same GRU cell, MLP, relu and residual counts as
+slot_step's over the query rows).
 """
 
 from __future__ import annotations
@@ -177,6 +193,26 @@ def _sigmoid(x):
     1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0, since exactly one of
     e^min(x, 0) and e^-|x| differs from e^0 = 1."""
     return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def _fused_weights(op: str, head: tuple, head_shapes: list, gru, mlp,
+                   d: int) -> tuple:
+    """A fused op's weights: its own ``head`` weights with their shapes,
+    then its GRU -> residual-MLP tail's: the nine ``gru_cell`` weights in
+    their argument order and the MLP's (w1, b1, w2, b2), at width d."""
+    weights = (*head, *gru, *mlp)
+    want = head_shapes + [(d, d), (d, d), (1, d)] * 3 + [(d, d), (1, d)] * 2
+    if len(gru) != 9 or [w.shape for w in weights] != want:
+        raise GraphError(f"{op} weights {[w.shape for w in weights]}, "
+                         f"want {want}")
+    return weights
+
+
+def _tail_madds(rows: int, d: int) -> int:
+    """What a GRU -> residual-MLP tail's chain counts over ``rows`` rows:
+    per row 6 d*d + 10 d for the GRU cell, d*d + d for each affine layer
+    and d each for the relu and the residual add."""
+    return rows * (8 * d * d + 14 * d)
 
 
 class Graph:
@@ -341,24 +377,46 @@ class Graph:
                 f"values {values.shape}, ones {ones.shape}")
         if aggregation not in _AGGREGATIONS:
             raise GraphError(f"aggregation must be one of {_AGGREGATIONS}")
-        weights = (ln_gamma, w_q, *gru, *mlp)
-        want = ([(1, d), (d, d)] + [(d, d), (d, d), (1, d)] * 3
-                + [(d, d), (1, d)] * 2)
-        if len(gru) != 9 or [w.shape for w in weights] != want:
-            raise GraphError(f"slot_step weights {[w.shape for w in weights]}, "
-                             f"want {want}")
+        weights = _fused_weights("slot_step", (ln_gamma, w_q),
+                                 [(1, d), (d, d)], gru, mlp, d)
         rows = math.prod(lead) * s
         # the per-op counts of the chain the node replaces
         madds = (4 * rows * d                       # layer norm
                  + rows * d * d + 2 * rows * d * m    # q, logits, alpha @ v
                  + 3 * rows * m                       # column softmax
-                 + 6 * rows * d * d + 10 * rows * d   # GRU cell
-                 + 2 * rows * d * d + 4 * rows * d)   # MLP and residual
+                 + _tail_madds(rows, d))
         if aggregation == "mean":
             madds += rows * m + 2 * rows + rows * d
         parents = (slots, keys_t, values, ones, *weights)
         return self._append("slot_step", tuple(p.idx for p in parents),
                             aux=aggregation, madds=madds)
+
+    def cross_step(self, queries: Node, context: Node, w_q: Node, w_k: Node,
+                   w_v: Node, gru: tuple, mlp: tuple) -> Node:
+        """One direction of one cross-attention round as one node (see the
+        module docstring): ``queries`` (.., S_q, d) attend over ``context``
+        (.., S_c, d), with the same leading axes; ``gru`` holds the nine
+        ``gru_cell`` weights in its argument order and ``mlp`` is
+        (w1, b1, w2, b2)."""
+        vq, vc = queries.value, context.value
+        if (vq.ndim not in (2, 3) or vc.ndim != vq.ndim
+                or vc.shape[:-2] != vq.shape[:-2]
+                or vc.shape[-1] != vq.shape[-1]):
+            raise GraphError(f"cross_step shapes: queries {vq.shape}, "
+                             f"context {vc.shape}")
+        lead, (s, d) = vq.shape[:-2], vq.shape[-2:]
+        weights = _fused_weights("cross_step", (w_q, w_k, w_v),
+                                 [(d, d)] * 3, gru, mlp, d)
+        n = math.prod(lead)
+        rows, c = n * s, vc.shape[-2]
+        # the per-op counts of the chain the node replaces
+        madds = (rows * d * d + 2 * n * c * d * d     # q, k, v
+                 + 2 * rows * c * d                   # logits, attn @ v
+                 + 4 * rows * c                       # scale, row softmax
+                 + _tail_madds(rows, d))
+        parents = (queries, context, *weights)
+        return self._append("cross_step", tuple(p.idx for p in parents),
+                            aux=float(1.0 / np.sqrt(d)), madds=madds)
 
     def mean_pool(self, a: Node) -> Node:
         """Mean over the second-to-last axis, kept as a length-1 axis."""
@@ -612,7 +670,8 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
 
 
 class _StepSaved(typing.NamedTuple):
-    """A slot_step node's intermediates: the values its adjoint reads."""
+    """A slot_step node's intermediates: the values its adjoint reads.  The
+    last seven are its GRU -> residual-MLP tail's, as in ``_CrossSaved``."""
 
     xhat: np.ndarray        # layer norm
     inv: np.ndarray
@@ -630,13 +689,47 @@ class _StepSaved(typing.NamedTuple):
     hidden: np.ndarray      # relu of the first MLP layer
 
 
-def _guard(x, what: str) -> None:
+class _CrossSaved(typing.NamedTuple):
+    """A cross_step node's intermediates, its tail's last as in
+    ``_StepSaved``."""
+
+    q: np.ndarray           # queries @ w_q
+    keys_t: np.ndarray      # (context @ w_k) transposed, a contiguous copy
+    v: np.ndarray           # context @ w_v
+    attn: np.ndarray        # (.., S_q, S_c) row-stochastic attention
+    u: np.ndarray           # attn @ v, the GRU input
+    z: np.ndarray
+    r: np.ndarray
+    n: np.ndarray
+    rh: np.ndarray
+    updated: np.ndarray
+    hidden: np.ndarray
+
+
+def _guard(x, what: str, op: str) -> None:
     if not np.isfinite(x).all():
-        raise GraphError(f"non-finite {what} in slot_step")
+        raise GraphError(f"non-finite {what} in {op}")
+
+
+def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn,
+                 w1, b1, w2, b2):
+    """The tail both fused ops end in: updated = gru_cell(u, state), out =
+    updated + affine(relu(affine(updated, w1, b1)), w2, b2).  It checks
+    the GRU input (sigmoid and tanh saturate) and the MLP pre-activation
+    (relu maps -inf to 0); returns out and the tail's saved values (u, z,
+    r, n, rh, updated, hidden)."""
+    _guard(u, "GRU input", op)
+    updated, (z, r, n, rh) = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br,
+                                      wn, un, bn)
+    pre = _affine_fwd(None, updated, w1, b1)
+    _guard(pre, "MLP pre-activation", op)
+    hidden = _relu(pre)
+    out = updated + _affine_fwd(None, hidden, w2, b2)
+    return out, (u, z, r, n, rh, updated, hidden)
 
 
 def _slot_step_fwd(aggregation, slots, keys_t, values, ones, gamma, w_q,
-                   wz, uz, bz, wr, ur, br, wn, un, bn, w1, b1, w2, b2):
+                   *tail):
     """The chain layer norm -> q -> logits -> column softmax -> mean (or
     sum) aggregation -> GRU -> residual MLP, kernel by kernel.  It checks
     the values that feed a kernel able to hide a non-finite entry
@@ -646,24 +739,34 @@ def _slot_step_fwd(aggregation, slots, keys_t, values, ones, gamma, w_q,
     normed = xhat * gamma
     q = _matmul(normed, w_q)
     logits = _matmul(q, keys_t)
-    _guard(logits, "attention logits")
+    _guard(logits, "attention logits", "slot_step")
     alpha = _softmax(-2, logits, out=logits)    # logits are not kept
     u = u_raw = _matmul(alpha, values)
     rec = None
     if aggregation == "mean":
         mass = _matmul(alpha, ones) + alpha.dtype.type(_AGG_EPS)
-        _guard(mass, "attention mass")
+        _guard(mass, "attention mass", "slot_step")
         rec = _reciprocal_fwd(None, mass)
         u = u_raw * rec
-    _guard(u, "slot update")
-    updated, (z, r, n, rh) = _gru_fwd(None, u, slots, wz, uz, bz, wr, ur, br,
-                                      wn, un, bn)
-    pre = _affine_fwd(None, updated, w1, b1)
-    _guard(pre, "MLP pre-activation")
-    hidden = _relu(pre)
-    out = updated + _affine_fwd(None, hidden, w2, b2)
-    return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, u,
-                           z, r, n, rh, updated, hidden)
+    out, saved = _gru_mlp_fwd("slot_step", u, slots, *tail)
+    return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, *saved)
+
+
+def _cross_step_fwd(scale, queries, context, w_q, w_k, w_v, *tail):
+    """The chain q, k, v projections -> transpose copy of k -> logits ->
+    scale -> row softmax -> @ v -> GRU -> residual MLP, kernel by kernel,
+    checking the logits, the attention output and the MLP pre-activation;
+    the node output is checked by the caller."""
+    q = _matmul(queries, w_q)
+    k = _matmul(context, w_k)
+    v = _matmul(context, w_v)
+    keys_t = np.swapaxes(k, -1, -2).copy()
+    logits = _matmul(q, keys_t)
+    logits *= logits.dtype.type(scale)
+    _guard(logits, "attention logits", "cross_step")
+    attn = _softmax(-1, logits, out=logits)     # logits are not kept
+    out, saved = _gru_mlp_fwd("cross_step", _matmul(attn, v), queries, *tail)
+    return out, _CrossSaved(q, keys_t, v, attn, *saved)
 
 
 def _squared_error_fwd(_, a, b):
@@ -707,6 +810,7 @@ _FORWARD = {
     "layer_norm": _layer_norm_fwd,
     "gru_cell": _gru_fwd,
     "slot_step": _slot_step_fwd,
+    "cross_step": _cross_step_fwd,
     "mean_pool": lambda _, a: a.mean(axis=-2, keepdims=True),
     "sum": lambda axis, a: a.sum(axis=axis, keepdims=True),
     "concat": lambda axis, a, b: np.concatenate([a, b], axis=axis),
@@ -722,7 +826,8 @@ _FORWARD = {
 }
 
 # Every op kind the engine registers.  The model uses all of them but
-# col_softmax, whose kernel and adjoint it runs inside slot_step.
+# col_softmax and gru_cell, whose kernels and adjoints it runs inside
+# slot_step and cross_step.
 OP_KINDS = ("input", "const", *_FORWARD)
 
 # Ops whose output is finite whenever their inputs are, which the guard
@@ -780,8 +885,9 @@ def _unbroadcast(grad, shape):
 
 
 # Array-level adjoint helpers: each op's math lives in one of these, and
-# both its own rule and the fused rules (affine, slot_step) call it.  A
-# helper forms an operand's adjoint only when asked to (``need_*``).
+# both its own rule and the fused rules (affine, slot_step, cross_step)
+# call it.  A helper forms an operand's adjoint only when asked to
+# (``need_*``).
 
 def _give(grads, parents, contributions):
     """Hand each parent its contribution, in order; None means none."""
@@ -937,11 +1043,44 @@ def _bw_gru(g, i, grad, grads):
         v[wn], v[un], [g._needs_grad[p] for p in parents]))
 
 
+def _gru_mlp_adj(g, grads, grad, sv, state, gru, mlp, need_u):
+    """The adjoint of the tail ``_gru_mlp_fwd`` computes, from a fused
+    node's adjoint ``grad`` and saved values ``sv``: hands the MLP
+    weights, the GRU ``state`` and the GRU weights their contributions in
+    the chain's order, and returns the GRU input's adjoint (None unless
+    ``need_u``)."""
+    w1, b1, w2, b2 = mlp
+    v = g._values
+    need = g._needs_grad
+    # which of the chain's nodes would have needed an adjoint
+    n_upd = need_u or need[state] or any(need[p] for p in gru)
+    n_hidden = n_upd or need[w1] or need[b1]
+
+    # out = updated + (hidden @ w2 + b2); hidden = relu(updated @ w1 + b1)
+    d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
+    d_hidden, d_w2 = _matmul_adj(grad, sv.hidden, v[w2], n_hidden, need[w2])
+    _give(grads, (b2, w2), (d_b2, d_w2))
+    if not n_hidden:
+        return None
+    d_pre = _relu_adj(d_hidden, sv.hidden)
+    d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
+    d_upd, d_w1 = _matmul_adj(d_pre, sv.updated, v[w1], n_upd, need[w1])
+    _give(grads, (b1, w1), (d_b1, d_w1))
+    if not n_upd:
+        return None
+    d_u, *d_gru = _gru_adj(grad + d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
+                           v[state],
+                           *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
+                           [need_u, need[state], *(need[p] for p in gru)])
+    _give(grads, (state, *gru), d_gru)
+    return d_u
+
+
 def _bw_slot_step(g, i, grad, grads):
     """The chain's adjoint rules in reverse, handing each parent the same
     contributions in the same order as the per-op chain: the slots get
     two, from the GRU state and from the layer norm, as there."""
-    (si, ki, vi, oi, gi, qi, *gru, w1, b1, w2, b2) = g._parents[i]
+    (si, ki, vi, oi, gi, qi, *tail) = g._parents[i]
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
@@ -950,27 +1089,9 @@ def _bw_slot_step(g, i, grad, grads):
     n_alpha = n_norm or need[qi] or need[ki]
     n_uraw = n_alpha or need[vi]
     n_mass = sv.rec is not None and (n_alpha or need[oi])
-    n_u = n_uraw or n_mass
-    n_upd = n_u or need[si] or any(need[p] for p in gru)
-    n_hidden = n_upd or need[w1] or need[b1]
-
-    # out = updated + (hidden @ w2 + b2); hidden = relu(updated @ w1 + b1)
-    d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
-    d_hidden, d_w2 = _matmul_adj(grad, sv.hidden, v[w2], n_hidden, need[w2])
-    _give(grads, (b2, w2), (d_b2, d_w2))
-    if not n_hidden:
-        return
-    d_pre = _relu_adj(d_hidden, sv.hidden)
-    d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
-    d_upd, d_w1 = _matmul_adj(d_pre, sv.updated, v[w1], n_upd, need[w1])
-    _give(grads, (b1, w1), (d_b1, d_w1))
-    if not n_upd:
-        return
-    d_u, *d_gru = _gru_adj(grad + d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
-                           v[si], *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
-                           [n_u, need[si], *(need[p] for p in gru)])
-    _give(grads, (si, *gru), d_gru)
-    if not n_u:
+    d_u = _gru_mlp_adj(g, grads, grad, sv, si, tail[:9], tail[9:],
+                       n_uraw or n_mass)
+    if d_u is None:
         return
 
     # u = u_raw * rec with rec = 1 / (alpha @ ones + eps), or u = u_raw
@@ -1004,6 +1125,42 @@ def _bw_slot_step(g, i, grad, grads):
         d_slots, d_gamma, _ = _layer_norm_adj(
             d_normed, v[gi], sv.xhat, sv.inv, need[si], need[gi], False)
         _give(grads, (si, gi), (d_slots, d_gamma))
+
+
+def _bw_cross_step(g, i, grad, grads):
+    """The chain's adjoint rules in reverse, with each parent's
+    contributions in the per-op chain's order: the queries get their GRU
+    state term before their q-projection term, and the context its v term
+    before its k term."""
+    qi, ci, wq, wk, wv, *tail = g._parents[i]
+    sv = g._saved[i]
+    v = g._values
+    need = g._needs_grad
+    # which of the chain's nodes would have needed an adjoint
+    n_q = need[qi] or need[wq]
+    n_k = need[ci] or need[wk]
+    n_v = need[ci] or need[wv]
+    n_attn = n_q or n_k
+    d_u = _gru_mlp_adj(g, grads, grad, sv, qi, tail[:9], tail[9:],
+                       n_attn or n_v)
+    if d_u is None:
+        return
+    d_attn, d_v = _matmul_adj(d_u, sv.attn, sv.v, n_attn, n_v)
+    if n_attn:
+        # attn = row_softmax(scale * q @ keys_t); d_attn is this rule's own
+        # array, so the softmax and scale adjoints may overwrite it
+        d_logits = _softmax_adj(d_attn, sv.attn, -1, out=d_attn)
+        d_logits *= d_logits.dtype.type(g._aux[i])
+        d_q, d_keys_t = _matmul_adj(d_logits, sv.q, sv.keys_t, n_q, n_k)
+    if n_v:
+        _give(grads, (ci, wv), _matmul_adj(d_v, v[ci], v[wv], need[ci],
+                                           need[wv]))
+    if n_k:
+        _give(grads, (ci, wk), _matmul_adj(np.swapaxes(d_keys_t, -1, -2),
+                                           v[ci], v[wk], need[ci], need[wk]))
+    if n_q:
+        _give(grads, (qi, wq), _matmul_adj(d_q, v[qi], v[wq], need[qi],
+                                           need[wq]))
 
 
 def _bw_mean_pool(g, i, grad, grads):
@@ -1101,6 +1258,7 @@ _BACKWARD = {
     "layer_norm": _bw_layer_norm,
     "gru_cell": _bw_gru,
     "slot_step": _bw_slot_step,
+    "cross_step": _bw_cross_step,
     "mean_pool": _bw_mean_pool,
     "sum": _bw_sum,
     "concat": _bw_concat,

@@ -9,7 +9,9 @@ batch of patients, (B, S, d):
 * iterative cross-attention in which histology and genomic slots attend
   to each other for L rounds through ONE shared parameter set, with
   GRU + residual-MLP updates applied to both directions simultaneously
-  from the same iteration's state;
+  from the same iteration's state; each direction of each round is one
+  ``cross_step`` graph node (q/k/v projections, scaled row softmax,
+  GRU, residual MLP), so L rounds are 2 L nodes;
 * mean-pooled concatenation of the cross-refined pair and the two
   self-refined sets into a 3d vector, mapped to survival logits by a
   one-hidden-layer head.
@@ -160,33 +162,22 @@ def build_masked_self_attention(g: Graph, p: SelfAttentionParams,
     return g.reshape(out, slots.shape)
 
 
-def _cross_update(g: Graph, p: CrossAttentionParams, queries: Node,
-                  context: Node) -> Node:
-    dim = queries.shape[-1]
-    q = g.matmul(queries, p.w_q)
-    k = g.matmul(context, p.w_k)
-    v = g.matmul(context, p.w_v)
-    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
-                                 1.0 / np.sqrt(dim)))
-    updated = g.gru_cell(g.matmul(attn, v), queries,
-                         p.gru_wz, p.gru_uz, p.gru_bz,
-                         p.gru_wr, p.gru_ur, p.gru_br,
-                         p.gru_wn, p.gru_un, p.gru_bn)
-    return _mlp_residual(g, p, updated)
-
-
 def build_iterative_cross_attention(g: Graph, p: CrossAttentionParams,
                                     slots_h: Node, slots_g: Node,
                                     l_iters: int):
     """L rounds of bidirectional attention through the single shared
-    block; both directions read the same iteration's state before either
-    is swapped in.  Returns (refined_h, refined_g)."""
+    block, one ``cross_step`` node per direction and round; both
+    directions read the same iteration's state before either is swapped
+    in.  Returns (refined_h, refined_g)."""
     if l_iters < 1:
         raise ValueError(f"l_iters must be >= 1, got {l_iters}")
+    gru = (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
+           p.gru_wn, p.gru_un, p.gru_bn)
+    mlp = (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2)
     for _ in range(l_iters):
-        new_h = _cross_update(g, p, slots_h, slots_g)
-        new_g = _cross_update(g, p, slots_g, slots_h)
-        slots_h, slots_g = new_h, new_g
+        slots_h, slots_g = (
+            g.cross_step(slots_h, slots_g, p.w_q, p.w_k, p.w_v, gru, mlp),
+            g.cross_step(slots_g, slots_h, p.w_q, p.w_k, p.w_v, gru, mlp))
     return slots_h, slots_g
 
 

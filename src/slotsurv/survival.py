@@ -349,6 +349,46 @@ class BootstrapSummary:
     n_skipped: int                   # degenerate (event-free) resamples
 
 
+def _replicate_rmst(t, ev, idx, tau) -> np.ndarray:
+    """``rmst(km_estimate(t[i], ev[i]), tau)`` for every row i of the
+    (n_boot, n) resample indices ``idx``, bit for bit, and 0.0 for a row
+    that drew no event.
+
+    Each row's counts at risk and of events on the group's full grid of
+    event times come from its resample counts; a grid time the row did
+    not draw an event at gets the factor 1.0 exactly, so the cumulative
+    product along the grid is each row's own Kaplan-Meier product.  The
+    RMST terms are each row's own, and one ``np.sum`` along the last axis
+    of the rows with the same number of terms adds them as ``rmst``
+    does."""
+    n_boot, n = idx.shape
+    counts = np.bincount((idx + n * np.arange(n_boot)[:, None]).ravel(),
+                         minlength=n_boot * n).reshape(n_boot, n)
+    grid = np.unique(t[ev])
+    # integer counts, exact in float64 whatever the summation order
+    n_risk = counts @ (t[:, None] >= grid).astype(np.float64)
+    n_event = counts @ ((t[:, None] == grid) & ev[:, None]).astype(np.float64)
+    hit = n_event > 0
+    frac = np.divide(n_event, n_risk, out=np.zeros_like(n_event), where=hit)
+    survival = np.cumprod(1.0 - frac, axis=1)
+    active = hit & (grid < tau)
+    # rows that drew no event keep area 0; the others by term count
+    n_terms = np.where(hit.any(axis=1), active.sum(axis=1), -1)
+    area = np.zeros(n_boot)
+    for m in np.unique(n_terms[n_terms >= 0]):
+        rows = np.flatnonzero(n_terms == m)
+        cols = np.nonzero(active[rows])[1].reshape(rows.size, m)
+        edges = np.empty((rows.size, m + 2))
+        edges[:, 0] = 0.0
+        edges[:, 1:-1] = grid[cols]
+        edges[:, -1] = tau
+        values = np.empty((rows.size, m + 1))
+        values[:, 0] = 1.0
+        values[:, 1:] = survival[rows[:, None], cols]
+        area[rows] = np.sum(np.diff(edges, axis=1) * values, axis=1)
+    return area
+
+
 def bootstrap_stats(times_high, events_high, times_low, events_low,
                     tau: float, n_boot: int = 1000, seed: int = 0
                     ) -> BootstrapSummary:
@@ -358,6 +398,11 @@ def bootstrap_stats(times_high, events_high, times_low, events_low,
     delta = RMST(high) - RMST(low) and the high/low ratio.  Replicates where
     either resample has no events (or a zero RMST) are skipped and counted;
     more than 20% skips raises ValueError.
+
+    The draws are one ``rng.integers`` call per group and replicate, high
+    group first, as a loop over replicates would make them; the replicates
+    are then computed together, each with the bits of its own
+    ``rmst(km_estimate(...))``, so the summary is the loop's.
     """
     if n_boot < 1:
         raise ValueError(f"bootstrap_stats: n_boot must be >= 1, got {n_boot}")
@@ -374,30 +419,20 @@ def bootstrap_stats(times_high, events_high, times_low, events_low,
         raise ValueError("bootstrap_stats: zero RMST in a full group")
 
     rng = np.random.default_rng(seed)
-    deltas = []
-    log_ratios = []
-    skipped = 0
-    for _ in range(n_boot):
-        ih = rng.integers(0, th.size, th.size)
-        il = rng.integers(0, tl.size, tl.size)
-        evh = eh[ih]
-        evl = el[il]
-        if not evh.any() or not evl.any():
-            skipped += 1
-            continue
-        rh = rmst(km_estimate(th[ih], evh), tau)
-        rl = rmst(km_estimate(tl[il], evl), tau)
-        if rh <= 0.0 or rl <= 0.0:
-            skipped += 1
-            continue
-        deltas.append(rh - rl)
-        log_ratios.append(math.log(rh / rl))
+    draws = [(rng.integers(0, th.size, th.size),
+              rng.integers(0, tl.size, tl.size)) for _ in range(n_boot)]
+    rh = _replicate_rmst(th, eh, np.stack([ih for ih, _ in draws]), tau)
+    rl = _replicate_rmst(tl, el, np.stack([il for _, il in draws]), tau)
+    # an event-free resample has area 0.0 and is skipped like a zero RMST
+    kept = (rh > 0.0) & (rl > 0.0)
+    skipped = n_boot - int(kept.sum())
     if skipped > 0.2 * n_boot:
         raise ValueError(
             f"bootstrap_stats: {skipped}/{n_boot} degenerate resamples")
 
-    d = np.asarray(deltas)
-    lr = np.asarray(log_ratios)
+    d = rh[kept] - rl[kept]
+    lr = np.asarray([math.log(a / b)
+                     for a, b in zip(rh[kept].tolist(), rl[kept].tolist())])
     lo, hi = np.percentile(d, [2.5, 97.5])
     rlo, rhi = np.exp(np.percentile(lr, [2.5, 97.5]))
     p = 2.0 * min(float((d <= 0).mean()), float((d >= 0).mean()))

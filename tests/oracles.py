@@ -9,12 +9,19 @@
 * ``unfused_attention_step``, one slot-attention iteration as the chain of
   18 per-op nodes that the fused ``slot_step`` op replaces, and the numpy
   conveniences built on it (``init_slots``, ``slot_attention_step``).
+* ``unfused_cross_update``, one direction of one cross-attention round as
+  the chain of 13 per-op nodes that the fused ``cross_step`` op replaces,
+  and ``unfused_cross_attention``, L rounds of it.
 * ``nll_loss``, the scalar likelihood of one subject under a hazard curve,
   which ``survival.build_nll_loss`` is checked against.
+* ``bootstrap_loop``, ``survival.bootstrap_stats`` with one Kaplan-Meier
+  fit per group and replicate, which the batched replicates are checked
+  against bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +29,7 @@ import numpy as np
 from slotsurv.autodiff import _AGGREGATIONS, Graph, bind_arrays
 from slotsurv.moe import GateMask, GateParams, PredictorParams, gumbel_topk_mask
 from slotsurv.slots import SlotParams, _keys_values, build_init_slots
-from slotsurv.survival import HazardCurve
+from slotsurv.survival import BootstrapSummary, HazardCurve, km_estimate, rmst
 
 AGG_EPS = 1e-8
 
@@ -173,6 +180,34 @@ def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
                       update=u.value.copy())
 
 
+# --------------------------------------------------------- cross-attention
+
+
+def unfused_cross_update(g: Graph, p, queries, context):
+    """One direction of one cross-attention round as the 13 per-op nodes
+    that the fused ``cross_step`` op replaces."""
+    dim = queries.shape[-1]
+    q = g.matmul(queries, p.w_q)
+    k = g.matmul(context, p.w_k)
+    v = g.matmul(context, p.w_v)
+    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
+                                 1.0 / np.sqrt(dim)))
+    updated = g.gru_cell(g.matmul(attn, v), queries,
+                         p.gru_wz, p.gru_uz, p.gru_bz,
+                         p.gru_wr, p.gru_ur, p.gru_br,
+                         p.gru_wn, p.gru_un, p.gru_bn)
+    hidden = g.relu(g.affine(updated, p.mlp_w1, p.mlp_b1))
+    return g.add(updated, g.affine(hidden, p.mlp_w2, p.mlp_b2))
+
+
+def unfused_cross_attention(g: Graph, p, slots_h, slots_g, l_iters: int):
+    """``fusion.build_iterative_cross_attention`` over the unfused chain."""
+    for _ in range(l_iters):
+        slots_h, slots_g = (unfused_cross_update(g, p, slots_h, slots_g),
+                            unfused_cross_update(g, p, slots_g, slots_h))
+    return slots_h, slots_g
+
+
 # ----------------------------------------------------------------- survival
 
 
@@ -189,3 +224,68 @@ def nll_loss(curve: HazardCurve, t_bin: int, censored) -> float:
         return float(-np.log(curve.S[t_bin - 1]))
     prev = 0.0 if t_bin == 1 else float(np.log(curve.S[t_bin - 2]))
     return float(-prev - np.log(curve.h[t_bin - 1]))
+
+
+def bootstrap_loop(times_high, events_high, times_low, events_low,
+                   tau: float, n_boot: int = 1000, seed: int = 0
+                   ) -> BootstrapSummary:
+    """``survival.bootstrap_stats`` as one Kaplan-Meier fit per group and
+    replicate.  Bootstrap the RMST difference and ratio between two groups.
+
+    Each replicate resamples both groups with replacement and recomputes
+    delta = RMST(high) - RMST(low) and the high/low ratio.  Replicates where
+    either resample has no events (or a zero RMST) are skipped and counted;
+    more than 20% skips raises ValueError.
+    """
+    if n_boot < 1:
+        raise ValueError(f"bootstrap_stats: n_boot must be >= 1, got {n_boot}")
+    th = np.asarray(times_high, dtype=np.float64)
+    tl = np.asarray(times_low, dtype=np.float64)
+    eh = np.asarray(events_high, dtype=bool)
+    el = np.asarray(events_low, dtype=bool)
+    if th.size == 0 or tl.size == 0:
+        raise ValueError("bootstrap_stats: both groups must be nonempty")
+
+    r_high = rmst(km_estimate(th, eh), tau)
+    r_low = rmst(km_estimate(tl, el), tau)
+    if r_low <= 0.0 or r_high <= 0.0:
+        raise ValueError("bootstrap_stats: zero RMST in a full group")
+
+    rng = np.random.default_rng(seed)
+    deltas = []
+    log_ratios = []
+    skipped = 0
+    for _ in range(n_boot):
+        ih = rng.integers(0, th.size, th.size)
+        il = rng.integers(0, tl.size, tl.size)
+        evh = eh[ih]
+        evl = el[il]
+        if not evh.any() or not evl.any():
+            skipped += 1
+            continue
+        rh = rmst(km_estimate(th[ih], evh), tau)
+        rl = rmst(km_estimate(tl[il], evl), tau)
+        if rh <= 0.0 or rl <= 0.0:
+            skipped += 1
+            continue
+        deltas.append(rh - rl)
+        log_ratios.append(math.log(rh / rl))
+    if skipped > 0.2 * n_boot:
+        raise ValueError(
+            f"bootstrap_stats: {skipped}/{n_boot} degenerate resamples")
+
+    d = np.asarray(deltas)
+    lr = np.asarray(log_ratios)
+    lo, hi = np.percentile(d, [2.5, 97.5])
+    rlo, rhi = np.exp(np.percentile(lr, [2.5, 97.5]))
+    p = 2.0 * min(float((d <= 0).mean()), float((d >= 0).mean()))
+    p = min(1.0, max(2.0 / n_boot, p))
+    return BootstrapSummary(
+        delta=r_high - r_low,
+        delta_ci=(float(lo), float(hi)),
+        p_value=p,
+        ratio=r_high / r_low,
+        ratio_ci=(float(rlo), float(rhi)),
+        n_boot=n_boot,
+        n_skipped=skipped,
+    )

@@ -2,7 +2,7 @@
 
 Every differentiable op is audited against central finite differences
 at 20 random points, in both 32-bit and 64-bit modes (the fused
-slot_step in 64-bit only, see FLOAT64_ONLY). Step sizes are
+slot_step and cross_step in 64-bit only, see FLOAT64_ONLY). Step sizes are
 dtype-matched: too small a step drowns the quotient in rounding noise.
 """
 
@@ -386,8 +386,33 @@ def _build_slot_step(g, rng, mask=None, aggregation="mean"):
     return _se_target(g, out, rng)
 
 
+def _build_cross_step(g, rng, lead=()):
+    """One direction of one cross-attention round: 2 query slots of width
+    3 attend over 3 context slots.  The GRU output lies in (-1, 1) for
+    queries in (-1, 1), so w1 in (-0.2, 0.2) and |b1| in (0.7, 1) keep
+    every MLP pre-activation at least 0.1 from relu's kink, which the
+    finite-difference stencil must not straddle; a unit with b1 < 0 is
+    off for every row."""
+    d = 3
+
+    def leaf(name, shape, lo=-1.0, hi=1.0):
+        return g.input(name, rng.uniform(lo, hi, size=shape))
+
+    queries = leaf("queries", lead + (2, d))
+    context = leaf("context", lead + (3, d))
+    head = [leaf(nm, (d, d)) for nm in ("w_q", "w_k", "w_v")]
+    gru = [leaf(nm, (1, d) if nm[0] == "b" else (d, d))
+           for nm in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")]
+    b1 = rng.choice([-1.0, 1.0], size=(1, d)) * rng.uniform(0.7, 1.0, (1, d))
+    mlp = [leaf("w1", (d, d), -0.2, 0.2), g.input("b1", b1),
+           leaf("w2", (d, d)), leaf("b2", (1, d))]
+    return _se_target(g, g.cross_step(queries, context, *head, gru, mlp), rng)
+
+
 OP_BUILDERS = {
     "matmul": _build_matmul,
+    "cross_step": _build_cross_step,
+    "cross_step_3d": lambda g, rng: _build_cross_step(g, rng, lead=(2,)),
     "affine": _build_affine,
     "affine_3d": lambda g, rng: _build_affine(g, rng, lead=(2,)),
     "slot_step": _build_slot_step,
@@ -442,8 +467,10 @@ OP_BUILDERS = {
 # near zero by cancellation, where a float32 adjoint cannot reach a 1e-4
 # relative error.  It is audited in float64 here; at float32 its value
 # and every gradient are checked bitwise against the per-op chain it
-# replaces (tests/test_slots.py), whose ops all pass both modes here.
-FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_sum"}
+# replaces (tests/test_slots.py, tests/test_fusion.py), whose ops all pass
+# both modes here.
+FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_sum",
+                "cross_step", "cross_step_3d"}
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_BUILDERS))
@@ -801,6 +828,52 @@ def test_fused_op_shape_errors_raise_graph_error():
                     aggregation="max")
     assert g.slot_step(slots, keys_t, values, ones, row, mat, gru,
                        mlp).shape == (2, d)
+    context = g.input("context", np.ones((4, d)))
+    for bad in (np.ones((1, 4, d)), np.ones((4, d + 1)), np.ones(d)):
+        with pytest.raises(GraphError, match="shapes"):
+            g.cross_step(slots, g.const(bad), mat, mat, mat, gru, mlp)
+    with pytest.raises(GraphError, match="weights"):
+        g.cross_step(slots, context, mat, row, mat, gru, mlp)
+    with pytest.raises(GraphError, match="weights"):
+        g.cross_step(slots, context, mat, mat, mat, gru[:-1], (*mlp, row))
+    assert g.cross_step(slots, context, mat, mat, mat, gru,
+                        mlp).shape == (2, d)
+    batched = g.input("batched", np.ones((2, 2, d)))
+    assert g.cross_step(batched, g.const(np.ones((2, 5, d))), mat, mat, mat,
+                        gru, mlp).shape == (2, 2, d)
+
+
+def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():
+    """An MLP weight that overflows the pre-relu value to -inf raises,
+    although relu would turn the -inf into a finite 0."""
+    rng = np.random.default_rng(21)
+    d = 4
+    queries = rng.normal(size=(1, d)) * 2.0
+    context = rng.normal(size=(3, d))
+    weights = {nm: rng.normal(size=(1, d) if nm[0] == "b" else (d, d))
+               for nm in ("w_q", "w_k", "w_v", "wz", "uz", "bz", "wr", "ur",
+                          "br", "wn", "un", "bn", "w1", "b1", "w2", "b2")}
+
+    def step(w1):
+        g = Graph(dtype=np.float32)
+        w = {nm: g.const(v) for nm, v in {**weights, "w1": w1}.items()}
+        node = g.cross_step(
+            g.const(queries), g.const(context), w["w_q"], w["w_k"], w["w_v"],
+            [w[nm] for nm in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un",
+                              "bn")],
+            [w["w1"], w["b1"], w["w2"], w["b2"]])
+        return g, node
+
+    g, node = step(weights["w1"])
+    updated = g._saved[node.idx].updated            # (1, d); MLP-independent
+    big = -np.finfo(np.float32).max * np.sign(updated[0])[:, None] \
+        * np.ones((1, d), np.float32)
+    with np.errstate(over="ignore"):
+        pre = updated @ big.astype(np.float32)
+    assert np.isneginf(pre).all() and (np.maximum(pre, 0) == 0).all()
+    with np.errstate(over="ignore"), \
+            pytest.raises(GraphError, match="pre-activation in cross_step"):
+        step(big)
 
 
 def test_non_finite_rejected_with_node_id():

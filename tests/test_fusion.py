@@ -18,6 +18,8 @@ from slotsurv.fusion import (
 from slotsurv.moe import gumbel_topk_mask
 from slotsurv.survival import hazards_from_logits
 
+from oracles import unfused_cross_attention
+
 
 def _run(build, params, *arrays, **kw):
     """``build(g, params, *arrays, **kw)`` on a fresh graph at the
@@ -213,6 +215,74 @@ def test_interaction_cost_is_quadratic_in_slot_count():
     predicted = coeffs @ np.array([32.0 ** 2, 32.0, 1.0])
     assert count(32) == pytest.approx(predicted, abs=0.5)
     assert coeffs[0] > 0  # genuinely quadratic
+
+
+# ------------------------------------------------- fused step vs. the chain
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+# lead axes, rounds, and whether both slot sets are one node
+_CROSS_CASES = {
+    "single": ((), 1, False),
+    "batched": ((2,), 1, False),
+    "rounds": ((), 3, False),
+    "batched_rounds": ((2,), 3, False),
+    "same_node": ((), 2, True),
+}
+
+
+def _cross_both(dtype, build, case):
+    """One loss over L rounds built by ``build``; returns (refined_h,
+    refined_g, gradients, graph, nodes the rounds added)."""
+    lead, l_iters, same = _CROSS_CASES[case]
+    rng = np.random.default_rng(41)
+    params = init_cross_params(rng, 5)
+    # move the parameters off init so every tensor's gradient is generic
+    params = type(params)(**{f: v + 0.3 * rng.normal(size=v.shape)
+                             for f, v in vars(params).items()})
+    s_h = rng.normal(size=lead + (4, 5))
+    s_g = rng.normal(size=lead + (3, 5))
+    g = Graph(dtype=dtype)
+    p = bind_arrays(g, "cross", params)
+    h = g.input("s_h", s_h)
+    other = h if same else g.input("s_g", s_g)
+    before = g.num_nodes
+    out_h, out_g = build(g, p, h, other, l_iters)
+    added = g.num_nodes - before
+    loss = g.add(g.squared_error(out_h, g.const(rng.normal(size=out_h.shape))),
+                 g.squared_error(out_g, g.const(rng.normal(size=out_g.shape))))
+    if loss.value.ndim:
+        loss = g.reduce_sum(loss)
+    return out_h.value, out_g.value, backward(g, loss), g, added
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_CROSS_CASES))
+def test_cross_step_is_bitwise_the_unfused_chain(dtype, case):
+    """Both refined sets and every gradient of one cross_step node per
+    direction and round match the 13-node chain bit for bit."""
+    fused = _cross_both(dtype, build_iterative_cross_attention, case)
+    chain = _cross_both(dtype, unfused_cross_attention, case)
+    assert _bits(fused[0]) == _bits(chain[0])
+    assert _bits(fused[1]) == _bits(chain[1])
+    assert set(fused[2]) == set(chain[2])
+    for name in chain[2]:
+        assert _bits(fused[2][name]) == _bits(chain[2][name]), name
+
+
+@pytest.mark.parametrize("case", sorted(_CROSS_CASES))
+def test_cross_step_counts_the_chains_multiply_adds(case):
+    """cross_step counts what its chain counts, and each of the 2 L updates
+    is one node instead of the chain's 13: 12 fewer per update."""
+    fused = _cross_both(np.float64, build_iterative_cross_attention, case)
+    chain = _cross_both(np.float64, unfused_cross_attention, case)
+    l_iters = _CROSS_CASES[case][1]
+    assert fused[3].total_madds() == chain[3].total_madds()
+    assert fused[4] == fused[3]._ops.count("cross_step") == 2 * l_iters
+    assert chain[4] - fused[4] == 12 * 2 * l_iters
 
 
 # ------------------------------------------------------------------- pooling

@@ -23,7 +23,7 @@ from slotsurv.survival import (
     total_loss,
 )
 
-from oracles import nll_loss
+from oracles import bootstrap_loop, nll_loss
 
 # ------------------------------------------------------------- hazard curves
 
@@ -541,6 +541,85 @@ def test_bootstrap_rejects_mostly_degenerate_resamples():
 def test_bootstrap_rejects_empty_groups():
     with pytest.raises(ValueError):
         bootstrap_stats([], [], [1.0], [1], tau=10.0, n_boot=10, seed=0)
+
+
+def _summary_bits(summary):
+    """Every field of a BootstrapSummary, floats by their bytes."""
+    def bits(x):
+        return np.float64(x).tobytes() if isinstance(x, float) else x
+    return [tuple(map(bits, v)) if isinstance(v, tuple) else bits(v)
+            for v in vars(summary).values()]
+
+
+def _same_as_the_loop(*args, **kw):
+    """bootstrap_stats and the per-replicate loop agree bit for bit on
+    every field, or raise the same ValueError."""
+    try:
+        want = bootstrap_loop(*args, **kw)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            bootstrap_stats(*args, **kw)
+        assert str(got.value) == str(err)
+        return None
+    got = bootstrap_stats(*args, **kw)
+    assert _summary_bits(got) == _summary_bits(want)
+    return got
+
+
+@st.composite
+def _bootstrap_groups(draw):
+    """Two groups of 1-60 subjects with tied or integer times, often few
+    events, and a horizon below the first event, among the events, or
+    past the last time."""
+    def group():
+        n = draw(st.integers(1, 60))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        times = rng.exponential(draw(st.floats(1.0, 20.0)), n)
+        rounding = draw(st.sampled_from(["none", "integer", "few"]))
+        if rounding == "integer":
+            times = np.round(times)
+        elif rounding == "few":           # heavy ties
+            times = rng.choice(np.round(times[:3], 1), n)
+        events = rng.random(n) < draw(st.sampled_from([0.05, 0.2, 0.6, 1.0]))
+        return times, events
+
+    (th, eh), (tl, el) = group(), group()
+    every = np.concatenate([th, tl])
+    first = np.concatenate([th[eh], tl[el]]).min(initial=every.max())
+    where = draw(st.sampled_from(["below", "inside", "above"]))
+    if where == "below":
+        tau = max(first, 0.01) * draw(st.floats(0.05, 0.95))
+    elif where == "inside":
+        tau = draw(st.floats(0.01, max(every.max(), 0.02)))
+    else:
+        tau = every.max() + draw(st.floats(0.01, 10.0))
+    return th, eh, tl, el, tau
+
+
+@given(_bootstrap_groups(), st.sampled_from([1, 7, 200]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_bootstrap_is_bitwise_the_per_replicate_loop(groups, n_boot, seed):
+    th, eh, tl, el, tau = groups
+    _same_as_the_loop(th, eh, tl, el, tau, n_boot=n_boot, seed=seed)
+
+
+def test_bootstrap_matches_the_loop_on_skips_and_rejections():
+    """Event-free resamples are skipped and counted as the loop counts
+    them, and more than 20% of them raises the loop's ValueError."""
+    th = np.linspace(30.0, 60.0, 10)
+    eh = np.ones(10, dtype=bool)
+    tl = np.linspace(5.0, 15.0, 10)
+    el = np.zeros(10, dtype=bool)
+    el[:2] = True
+    out = _same_as_the_loop(th, eh, tl, el, tau=60.0, n_boot=1000, seed=17)
+    assert 0 < out.n_skipped < 200
+    el[1] = False
+    with pytest.raises(ValueError, match="degenerate resamples"):
+        bootstrap_stats(th, eh, tl, el, tau=60.0, n_boot=1000, seed=19)
+    assert _same_as_the_loop(th, eh, tl, el, tau=60.0, n_boot=1000,
+                             seed=19) is None
 
 
 # ---------------------------------------------------- risk ordering, N_t == 1
