@@ -43,6 +43,7 @@ __all__ = [
     "assign_bins",
     "atomic_write",
     "discretize_times",
+    "expect_modality",
     "kfold_split",
     "load_bag",
     "load_manifest",
@@ -170,6 +171,16 @@ def load_bag(source) -> FeatureBag:
     if not np.all(np.isfinite(matrix)):
         raise BagValueError(f"{source}: non-finite entries")
     return FeatureBag(modality=_MODALITY_NAMES[modality], matrix=matrix)
+
+
+def expect_modality(bag: FeatureBag, modality: str, source=None) -> FeatureBag:
+    """``bag`` itself if it holds ``modality``; otherwise BagError, naming
+    ``source`` (the file the bag came from) when given."""
+    if bag.modality != modality:
+        where = "" if source is None else f"{source}: "
+        raise BagError(
+            f"{where}expected a {modality} bag, got {bag.modality!r}")
+    return bag
 
 
 # --------------------------------------------------------------------- cohorts

@@ -235,7 +235,6 @@ def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
     n_sets, n_slots = slots.shape[0], slots.shape[-2]
     if selective:
         mask, _ = moe_mod.build_gumbel_mask(g, r, k, temperature,
-                                            training=gumbel is not None,
                                             noise=gumbel)
         weights = moe_mod.build_renormalized_weights(g, r, mask, temperature)
         # K-hot rows: nonzero() lists each row's K indices in order
@@ -262,13 +261,12 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     genomic batch.  With ``noise`` the trunk runs in training mode
     (stochastic slot init, Gumbel top-K); without, in inference mode.
     Reconstruction stays out of the trunk."""
-    mode = "deterministic" if noise is None else "stochastic"
     noise = noise or TrainingNoise(None, None, None, None)
     s_h, a_h = slot_mod.build_encode(
-        g, p.slots_h, bag_h, t_iters, mode=mode, aggregation=aggregation,
+        g, p.slots_h, bag_h, t_iters, aggregation=aggregation,
         mask=mask_h, noise=noise.slots_h)
     s_g, a_g = slot_mod.build_encode(
-        g, p.slots_g, bag_g, t_iters, mode=mode, aggregation=aggregation,
+        g, p.slots_g, bag_g, t_iters, aggregation=aggregation,
         noise=noise.slots_g)
 
     r_h, w_h, mix_h, sel_h = _branch_mixture(
@@ -294,12 +292,14 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
 
 def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
                          bag_h: Node, bag_g: Node, t_bins, censored,
-                         lam: float, t_iters: int, mask_h=None) -> dict:
+                         lam: float, t_iters: int, mask_h=None,
+                         aggregation: str = "mean") -> dict:
     """The six loss terms of a batch as (B,) nodes, one entry per patient.
 
     Reconstruction terms are only built when lam > 0 (the graphs are the
     expensive part of training, and a zero weight would sever their
-    gradients anyway).
+    gradients anyway).  The cross-modal encode pools with the trunk's
+    ``aggregation``.
     """
     terms = {
         "surv_fused": surv_mod.build_nll_loss(g, trunk.fused, t_bins, censored),
@@ -312,7 +312,8 @@ def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
         _, terms["recon_h"], _ = recon_mod.build_recon_histology(
             g, p.recon_h, p.qmap, bag_h, trunk.slots_h, mask=mask_h)
         s_cross, _ = recon_mod.build_cross_modal_encode(
-            g, p.slots_g, bag_h, t_iters, mask=mask_h)
+            g, p.slots_g, bag_h, t_iters, mask=mask_h,
+            aggregation=aggregation)
         _, terms["recon_cross"] = recon_mod.build_recon_genomic(
             g, p.recon_cross, p.positions.table, s_cross, target=bag_g)
     return terms
@@ -352,17 +353,19 @@ def _pad_bags(bags) -> tuple:
 
 def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
                       temperature: float, t_iters: int, l_iters: int,
-                      lam: float, rng=None, training: bool = True,
-                      selective: bool = True, aggregation: str = "mean",
-                      dtype=np.float32) -> CohortGraph:
-    """One graph holding every patient of a batch.
+                      lam: float, rng=None, selective: bool = True,
+                      aggregation: str = "mean") -> CohortGraph:
+    """One graph holding every patient of a batch, at the precision of
+    ``params``.
 
     ``patients`` is a sequence of (bag_h, bag_g, t_bin, censored) tuples of
-    raw arrays/ints.  Histology bags are zero-padded to the longest one,
-    and an instance mask keeps the padding out of every result, so each
-    patient's terms match a batch of one up to rounding.  The graph's node
-    count does not depend on the batch size.  The batch loss is the mean
-    over patients of
+    raw arrays/ints.  With an ``rng`` the batch runs in training mode: its
+    slot-init and Gumbel noise are drawn from it (``draw_noise``).  With
+    ``rng=None`` it runs in inference mode, the trunk serving runs.
+    Histology bags are zero-padded to the longest one, and an instance
+    mask keeps the padding out of every result, so each patient's terms
+    match a batch of one up to rounding.  The graph's node count does not
+    depend on the batch size.  The batch loss is the mean over patients of
 
         surv_fused + surv_hist + surv_gen + lam * (recon terms),
 
@@ -370,12 +373,11 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     """
     if not patients:
         raise ValueError("empty patient batch")
-    if training and rng is None:
-        raise ValueError("training mode needs an rng")
     bags_h, bags_g, t_bins, censored = zip(*patients)
     bag_h, mask_h = _pad_bags([np.asarray(b) for b in bags_h])
-    noise = draw_noise(rng, len(patients), params, selective) if training else None
-    g = Graph(dtype=dtype)
+    noise = None if rng is None else draw_noise(rng, len(patients), params,
+                                                selective)
+    g = Graph(dtype=params.slots_h.init_mean.dtype)
     p = _bind_model(g, params)
     xh = g.const(bag_h)
     xg = g.const(np.stack([np.asarray(b) for b in bags_g]))
@@ -384,7 +386,8 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
         noise=noise, selective=selective, aggregation=aggregation,
         mask_h=mask_h)
     terms = build_patient_losses(g, p, trunk, xh, xg, t_bins, censored,
-                                 lam, t_iters, mask_h=mask_h)
+                                 lam, t_iters, mask_h=mask_h,
+                                 aggregation=aggregation)
     total = g.add(g.add(terms["surv_fused"], terms["surv_hist"]),
                   terms["surv_gen"])
     if lam > 0.0:
@@ -424,7 +427,8 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
                     aggregation: str = "mean") -> PatientOutput:
     """Inference pass: the trunk of a batch of one, with deterministic slot
     init, noise-free top-K selection and reconstruction heads untouched.
-    The graph runs at the parameters' precision."""
+    The graph runs at the parameters' precision, and each ``GateMask``
+    reports the selection the trunk made."""
     g = Graph(dtype=params.slots_h.init_mean.dtype)
     p = _bind_model(g, params)
     trunk = build_patient_trunk(
@@ -432,24 +436,21 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         k_h, k_g, temperature, t_iters, l_iters,
         selective=selective, aggregation=aggregation)
 
-    def gate_mask(scores, k):
-        # with selection off every slot is kept, so K is the slot count
-        r = scores.value[0, :, 0]
-        return moe_mod.gumbel_topk_mask(r, k if selective else r.size,
-                                        temperature, training=False)
+    def gate_mask(scores, selected):
+        hard = np.zeros(scores.shape[1])
+        hard[selected[0]] = 1.0
+        return moe_mod.GateMask(hard=hard, scores=scores.value[0, :, 0].copy())
 
     return PatientOutput(
         curve=surv_mod.hazards_from_logits(trunk.fused.value[0, 0]),
         curve_h=surv_mod.hazards_from_logits(trunk.mix_h.value[0, 0]),
         curve_g=surv_mod.hazards_from_logits(trunk.mix_g.value[0, 0]),
         slots_h=slot_mod.SlotSet(slots=trunk.slots_h.value[0].copy(),
-                                 attention=trunk.alpha_h[0].copy(),
-                                 t_iters=t_iters),
+                                 attention=trunk.alpha_h[0].copy()),
         slots_g=slot_mod.SlotSet(slots=trunk.slots_g.value[0].copy(),
-                                 attention=trunk.alpha_g[0].copy(),
-                                 t_iters=t_iters),
-        mask_h=gate_mask(trunk.scores_h, k_h),
-        mask_g=gate_mask(trunk.scores_g, k_g),
+                                 attention=trunk.alpha_g[0].copy()),
+        mask_h=gate_mask(trunk.scores_h, trunk.selected_h),
+        mask_g=gate_mask(trunk.scores_g, trunk.selected_g),
         weights_h=trunk.weights_h.value[0, 0].copy(),
         weights_g=trunk.weights_g.value[0, 0].copy(),
     )

@@ -7,8 +7,9 @@ the softmax.
 The selection is made differentiable with a straight-through estimator:
 the forward value of the mask is exactly K-hot, while gradients flow
 through the soft relaxation, so unselected slots still receive learning
-signal.  At inference the mask is the deterministic top-K of the raw
-scores and no noise is drawn.
+signal.  Gumbel noise is given only in training (``model.draw_noise``
+draws it); without it the mask is the deterministic top-K of the raw
+scores.
 
 K comes from one rule, ``train.k_from_fraction``: K = round(f * S),
 clipped to [1, S], with f = ``TrainConfig.k_fraction`` (0.25 by
@@ -17,9 +18,9 @@ default).  Training and inference both read K from it through
 ablation) every slot is kept, so K = S.
 
 As in the encoder module, build_* functions append nodes to a
-caller-owned Graph.  ``gumbel_topk_mask`` draws the same selection in
-numpy as a ``GateMask``, the form serving reports it in, and
-``write_gate_csv`` exports one.
+caller-owned Graph; ``build_gumbel_mask`` is the one place a selection
+is made.  Serving reports the selection the model's graph made as a
+``GateMask``, which ``write_gate_csv`` exports.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "build_gumbel_mask",
     "build_renormalized_weights",
     "build_slot_logits",
-    "gumbel_topk_mask",
     "init_gate_params",
     "init_predictor_params",
     "write_gate_csv",
@@ -81,13 +81,10 @@ def init_predictor_params(rng: np.random.Generator, dim: int,
 
 @dataclass(frozen=True)
 class GateMask:
-    """One selection draw over the slots of a patient."""
+    """One patient's gate selection over its slots."""
 
     hard: np.ndarray          # (S,), exactly K entries equal to 1
-    soft: np.ndarray          # (S,), relaxed probabilities summing to 1
     scores: np.ndarray        # (S,), raw retention scores r
-    k: int
-    temperature: float
 
     @property
     def selected(self) -> np.ndarray:
@@ -119,30 +116,24 @@ def build_gate_scores(g: Graph, gate: GateParams, slots: Node) -> Node:
 
 
 def build_gumbel_mask(g: Graph, r: Node, k: int, temperature: float,
-                      rng: np.random.Generator | None = None,
-                      training: bool = True, noise=None):
+                      noise=None):
     """Top-K selection mask over scores r of shape (..., S, 1).
 
-    Returns (mask, soft) nodes of shape (..., 1, S).  In training mode the
-    scores are perturbed with Gumbel(0,1) noise (drawn from ``rng`` unless
-    given as ``noise``) and the mask is the straight-through composition
+    Returns (mask, soft) nodes of shape (..., 1, S).  Given Gumbel(0,1)
+    ``noise`` of shape (..., 1, S) (training), the scores are perturbed
+    by it and the mask is the straight-through composition
     hard + (soft - stopgrad(soft)): its forward value is exactly K-hot per
-    patient while its backward pass is that of the soft relaxation.  In
-    inference mode the mask is the deterministic top-K of the raw scores
+    patient while its backward pass is that of the soft relaxation.
+    Without noise the mask is the deterministic top-K of the raw scores
     (a constant) and soft is None.
     """
     if r.shape[-1] != 1:
         raise ValueError(f"scores must be a column, got shape {r.shape}")
-    n_slots = r.shape[-2]
-    _check_k(k, n_slots)
+    _check_k(k, r.shape[-2])
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if not training:
-        return g.const(_k_hot(np.swapaxes(r.value, -1, -2), k)), None
     if noise is None:
-        if rng is None:
-            raise ValueError("training-mode selection needs an rng")
-        noise = rng.gumbel(size=r.shape[:-2] + (1, n_slots))
+        return g.const(_k_hot(np.swapaxes(r.value, -1, -2), k)), None
     noisy = g.add(g.transpose(r), g.const(noise))
     # top-K of the soft relaxation equals top-K of the perturbed scores
     # (softmax is monotone), so the hard vector is read off `noisy`
@@ -189,26 +180,7 @@ def build_gated_mixture(g: Graph, weights: Node, logits: Node) -> Node:
     return g.matmul(weights, logits)
 
 
-# ------------------------------------------------------------- numpy masks
-
-
-def gumbel_topk_mask(r: np.ndarray, k: int, temperature: float,
-                     rng: np.random.Generator | None = None,
-                     training: bool = True) -> GateMask:
-    r = np.asarray(r, dtype=np.float64).reshape(-1)
-    _check_k(k, r.size)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if training:
-        if rng is None:
-            raise ValueError("training-mode selection needs an rng")
-        perturbed = r + rng.gumbel(size=r.size)
-    else:
-        perturbed = r
-    shifted = (perturbed - perturbed.max()) / temperature
-    exp = np.exp(shifted)
-    return GateMask(hard=_k_hot(perturbed, k), soft=exp / exp.sum(),
-                    scores=r.copy(), k=k, temperature=temperature)
+# ------------------------------------------------------------------ export
 
 
 def write_gate_csv(mask: GateMask, weights: np.ndarray, path) -> None:

@@ -12,7 +12,9 @@ cross-attention block with a feed-forward tail):
 * cross-modal: the genomic branch's slot initialization is run over the
   HISTOLOGY bag, and the resulting slots must reconstruct the genomic
   features through the shared position table.  After training this same
-  path imputes a genomic bag when one is missing.
+  path imputes a genomic bag when one is missing.  The encode pools with
+  the configured ``aggregation``, as the slot encoders do, in training
+  and imputation alike.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import slots as slot_mod
 from .autodiff import Graph, Node, bind_arrays, init_block, init_normal
-from .data import FeatureBag
+from .data import FeatureBag, expect_modality
 
 __all__ = [
     "FrozenQueryMap",
@@ -193,13 +195,14 @@ def build_recon_histology(g: Graph, head: ReconHeadParams,
 
 
 def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
-                             t_iters: int, mask=None):
+                             t_iters: int, mask=None,
+                             aggregation: str = "mean"):
     """Slot attention over the histology bag (or a padded batch of them,
     with its instance ``mask``) starting from the genomic branch's learned
-    slot initialization.  Returns (slots, alpha) nodes; cost is linear in
-    the bag size at fixed slot count."""
+    slot mean, without noise.  Returns the slots node and the last alpha;
+    cost is linear in the bag size at fixed slot count."""
     return slot_mod.build_encode(g, genomic_params, hist_bag, t_iters,
-                                 mode="deterministic", mask=mask)
+                                 aggregation=aggregation, mask=mask)
 
 
 # ------------------------------------------------------------ numpy interface
@@ -217,23 +220,23 @@ def reconstruct_genomic(slot_matrix: np.ndarray, positions: PositionTable,
             None if loss is None else float(loss.value))
 
 
-def cross_modal_encode(bag_h: FeatureBag, genomic_params,
-                       t_iters: int) -> slot_mod.SlotSet:
+def cross_modal_encode(bag_h: FeatureBag, genomic_params, t_iters: int,
+                       aggregation: str = "mean") -> slot_mod.SlotSet:
     """Encode a histology bag with the genomic branch's slot parameters."""
-    if bag_h.modality != "histology":
-        raise ValueError(f"expected a histology bag, got {bag_h.modality!r}")
+    expect_modality(bag_h, "histology")
     return slot_mod.encode(bag_h.matrix, genomic_params, t_iters,
-                           mode="deterministic")
+                           aggregation=aggregation)
 
 
 def impute_genomic(bag_h: FeatureBag, genomic_params,
                    positions: PositionTable, head: ReconHeadParams,
-                   t_iters: int, steps_trained: int) -> FeatureBag:
+                   t_iters: int, steps_trained: int,
+                   aggregation: str = "mean") -> FeatureBag:
     """Genomic surrogate bag decoded from histology; requires parameters
     that have actually been trained (steps_trained >= 1)."""
     if steps_trained < 1:
         raise ValueError("imputation requires trained parameters "
                          f"(steps_trained={steps_trained})")
-    sset = cross_modal_encode(bag_h, genomic_params, t_iters)
+    sset = cross_modal_encode(bag_h, genomic_params, t_iters, aggregation)
     x_tilde, _ = reconstruct_genomic(sset.slots, positions, head)
     return FeatureBag(modality="genomic", matrix=x_tilde)

@@ -19,6 +19,11 @@ and multiply-add counts.  The attention map of the last iteration is read
 back from that node, as a plain array: it feeds no loss.  ``encode`` is a
 numpy-in/numpy-out convenience that builds a throwaway graph, at the
 parameters' precision, internally.
+
+Only training is random.  The slots start at the learned mean, plus
+exp(init_log_std) times standard-normal noise when noise is given; the
+builders draw none themselves (``model.draw_noise`` draws a batch's), so
+a pass without noise is the deterministic inference pass.
 """
 
 from __future__ import annotations
@@ -85,7 +90,6 @@ class SlotSet:
 
     slots: np.ndarray       # (S, d)
     attention: np.ndarray   # (S, M), columns sum to 1
-    t_iters: int
 
 
 def init_slot_params(rng: np.random.Generator, n_slots: int,
@@ -107,24 +111,17 @@ def init_slot_params(rng: np.random.Generator, n_slots: int,
 # -------------------------------------------------------------- graph builders
 
 
-def build_init_slots(g: Graph, p: SlotParams, mode: str,
-                     rng: np.random.Generator | None = None,
-                     lead: tuple = (), noise=None):
+def build_init_slots(g: Graph, p: SlotParams, lead: tuple = (), noise=None):
     """Initial slots node, (S, d) or, with batch axes ``lead``,
-    lead + (S, d): the learned mean, plus noise in stochastic mode (drawn
-    from ``rng`` unless given as ``noise``; it enters as a constant, so
-    gradients reach both init_mean and init_log_std)."""
-    if mode == "deterministic":
-        if not lead:
-            return p.init_mean
-        return g.add(g.const(np.zeros(lead + (1, 1))), p.init_mean)
-    if mode != "stochastic":
-        raise ValueError(f"unknown init mode {mode!r}")
-    if noise is None:
-        if rng is None:
-            raise ValueError("stochastic init needs an rng")
-        noise = rng.standard_normal(lead + p.init_mean.shape)
-    return g.add(p.init_mean, g.mul(g.exp(p.init_log_std), g.const(noise)))
+    lead + (S, d): the learned mean, plus exp(init_log_std) times the
+    standard-normal ``noise`` when it is given (training).  The noise
+    enters as a constant, so gradients reach both init_mean and
+    init_log_std."""
+    if noise is not None:
+        return g.add(p.init_mean, g.mul(g.exp(p.init_log_std), g.const(noise)))
+    if not lead:
+        return p.init_mean
+    return g.add(g.const(np.zeros(lead + (1, 1))), p.init_mean)
 
 
 def build_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
@@ -161,8 +158,6 @@ def _keys_values(g: Graph, p: SlotParams, bag, mask):
 
 
 def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
-                 mode: str = "deterministic",
-                 rng: np.random.Generator | None = None,
                  aggregation: str = "mean", mask=None, noise=None):
     """T attention iterations over a bag node; returns the slots node and
     the last iteration's alpha as an array (it feeds no loss).
@@ -170,15 +165,16 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
     ``bag`` is one patient's (M, d) bag or a zero-padded batch (B, M, d)
     whose (B, M) instance ``mask`` marks the real rows; slots come out
     (S, d) or (B, S, d) and alpha (S, M) or (B, S, M), with padded
-    columns zero.  ``noise`` is the stochastic-init noise, drawn from
-    ``rng`` when not given.
+    columns zero.  ``noise`` is the standard-normal slot-init noise of a
+    training pass, shaped like the slots; without it the slots start at
+    the learned mean.
     """
     if t_iters < 1:
         raise ValueError(f"t_iters must be >= 1, got {t_iters}")
     if bag.shape[-1] != p.dim:
         raise ValueError(f"bag width {bag.shape[-1]} != slot width {p.dim}")
     keys_t, values, ones = _keys_values(g, p, bag, mask)
-    slots = build_init_slots(g, p, mode, rng, lead=bag.shape[:-2], noise=noise)
+    slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
     for _ in range(t_iters):
         slots = build_attention_step(g, p, slots, keys_t, values, ones,
                                      aggregation)
@@ -191,21 +187,14 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
 # ------------------------------------------------------------ numpy interface
 
 
-def _graph(params: SlotParams) -> Graph:
-    """A throwaway graph at the parameters' precision."""
-    return Graph(dtype=params.init_mean.dtype)
-
-
 def encode(bag_matrix: np.ndarray, params: SlotParams, t_iters: int,
-           mode: str = "deterministic",
-           rng: np.random.Generator | None = None,
            aggregation: str = "mean") -> SlotSet:
-    g = _graph(params)
+    """Slots of one bag from the learned initial mean (no noise)."""
+    g = Graph(dtype=params.init_mean.dtype)
     p = bind_arrays(g, "p", params, trainable=False)
     slots, alpha = build_encode(g, p, g.const(bag_matrix), t_iters,
-                                mode=mode, rng=rng, aggregation=aggregation)
-    return SlotSet(slots=slots.value.copy(), attention=alpha.copy(),
-                   t_iters=t_iters)
+                                aggregation=aggregation)
+    return SlotSet(slots=slots.value.copy(), attention=alpha.copy())
 
 
 def assignment_map(slotset: SlotSet) -> np.ndarray:

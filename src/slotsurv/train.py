@@ -374,18 +374,14 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _load_patient(record) -> tuple:
-    bag_h = data_mod.load_bag(record.histology_path)
-    if bag_h.modality != "histology":
-        raise data_mod.BagError(
-            f"{record.histology_path}: expected a histology bag, got "
-            f"{bag_h.modality!r}")
+    def load(path, modality):
+        return data_mod.expect_modality(data_mod.load_bag(path), modality,
+                                        path)
+
+    bag_h = load(record.histology_path, "histology")
     bag_g = None
     if record.genomic_path is not None:
-        bag_g = data_mod.load_bag(record.genomic_path)
-        if bag_g.modality != "genomic":
-            raise data_mod.BagError(
-                f"{record.genomic_path}: expected a genomic bag, got "
-                f"{bag_g.modality!r}")
+        bag_g = load(record.genomic_path, "genomic")
     return bag_h, bag_g
 
 
@@ -482,8 +478,8 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
                     current, patients, k_h=config.k_h, k_g=config.k_g,
                     temperature=config.temperature, t_iters=config.t_iters,
                     l_iters=config.l_iters, lam=config.lam, rng=rng,
-                    training=True, selective=config.selective,
-                    aggregation=config.aggregation, dtype=config.dtype)
+                    selective=config.selective,
+                    aggregation=config.aggregation)
                 loss = float(cg.loss.value)
             except GraphError as err:
                 loss, cg = float("nan"), None
@@ -523,7 +519,8 @@ def imputed_genomic_bag(ckpt: Checkpoint, bag_h: FeatureBag) -> FeatureBag:
     return recon_mod.impute_genomic(
         bag_h, ckpt.params.slots_g, ckpt.params.positions,
         ckpt.params.recon_cross, t_iters=ckpt.config.t_iters,
-        steps_trained=ckpt.steps_trained)
+        steps_trained=ckpt.steps_trained,
+        aggregation=ckpt.config.aggregation)
 
 
 def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
@@ -535,12 +532,9 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
     used (no subsampling at inference).
     """
     cfg = ckpt.config
-    if bag_h.modality != "histology":
-        raise data_mod.BagError(
-            f"expected a histology bag, got {bag_h.modality!r}")
-    if bag_g is not None and bag_g.modality != "genomic":
-        raise data_mod.BagError(
-            f"expected a genomic bag, got {bag_g.modality!r}")
+    data_mod.expect_modality(bag_h, "histology")
+    if bag_g is not None:
+        data_mod.expect_modality(bag_g, "genomic")
     imputed = bag_g is None
     if imputed:
         bag_g = imputed_genomic_bag(ckpt, bag_h)

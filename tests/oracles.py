@@ -3,7 +3,9 @@
 * Float64 numpy references for the selective slot decoder in
   ``slotsurv.moe``.  The graph builders there are what the model runs;
   these plain functions recompute the same decode independently so the
-  tests can check the builders against them.
+  tests can check the builders against them.  ``gumbel_topk_mask`` draws
+  one Gumbel-top-K selection in numpy, with its soft relaxation; the
+  statistical gate tests sample it.
 * ``out_of_place_acc``, adjoint accumulation that allocates every sum, for
   checking ``autodiff.backward``'s in-place accumulation.
 * ``unfused_attention_step``, one slot-attention iteration as the chain of
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slotsurv.autodiff import _AGGREGATIONS, Graph, bind_arrays
-from slotsurv.moe import GateMask, GateParams, PredictorParams, gumbel_topk_mask
+from slotsurv.moe import GateMask, GateParams, PredictorParams, _check_k, _k_hot
 from slotsurv.slots import SlotParams, _keys_values, build_init_slots
 from slotsurv.survival import BootstrapSummary, HazardCurve, km_estimate, rmst
 
@@ -43,6 +45,32 @@ class SlotMixture:
     logits: np.ndarray    # (S, n_bins)
     weights: np.ndarray   # (S,), nonneg, sums to 1, zero off the mask
     mixture: np.ndarray   # (n_bins,)
+
+
+@dataclass(frozen=True)
+class GumbelDraw(GateMask):
+    """A ``GateMask`` with the relaxed probabilities of its draw."""
+
+    soft: np.ndarray          # (S,), relaxed probabilities summing to 1
+
+
+def gumbel_topk_mask(r: np.ndarray, k: int, temperature: float,
+                     rng: np.random.Generator | None = None,
+                     training: bool = True) -> GumbelDraw:
+    r = np.asarray(r, dtype=np.float64).reshape(-1)
+    _check_k(k, r.size)
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    if training:
+        if rng is None:
+            raise ValueError("training-mode selection needs an rng")
+        perturbed = r + rng.gumbel(size=r.size)
+    else:
+        perturbed = r
+    shifted = (perturbed - perturbed.max()) / temperature
+    exp = np.exp(shifted)
+    return GumbelDraw(hard=_k_hot(perturbed, k), scores=r.copy(),
+                      soft=exp / exp.sum())
 
 
 def gate_scores(slots: np.ndarray, gate: GateParams) -> np.ndarray:
@@ -134,12 +162,11 @@ def unfused_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
 
 
 def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int,
-                   mode: str = "deterministic", aggregation: str = "mean",
-                   mask=None, noise=None):
+                   aggregation: str = "mean", mask=None, noise=None):
     """``slots.build_encode`` over the unfused chain; returns the slots and
     the last alpha (masked) as nodes."""
     keys_t, values, ones = _keys_values(g, p, bag, mask)
-    slots = build_init_slots(g, p, mode, lead=bag.shape[:-2], noise=noise)
+    slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
     for _ in range(t_iters):
         slots, alpha, _ = unfused_attention_step(g, p, slots, keys_t, values,
                                                  ones, aggregation)
@@ -159,11 +186,15 @@ def _graph(params: SlotParams) -> Graph:
     return Graph(dtype=params.init_mean.dtype)
 
 
-def init_slots(params: SlotParams, mode: str,
+def init_slots(params: SlotParams,
                rng: np.random.Generator | None = None) -> np.ndarray:
+    """Initial slots: the learned mean, plus noise drawn from ``rng`` when
+    one is given."""
     g = _graph(params)
+    noise = None if rng is None else rng.standard_normal(
+        params.init_mean.shape)
     node = build_init_slots(g, bind_arrays(g, "p", params, trainable=False),
-                            mode, rng)
+                            noise=noise)
     return node.value.copy()
 
 

@@ -171,6 +171,26 @@ def test_infer_imputes_when_genomic_missing(workdir, tmp_path):
     assert sidecar["imputed"] is True
 
 
+def test_bag_of_the_wrong_modality_exits_2(workdir, tmp_path, capsys):
+    """A genomic bag given as histology is a data error: infer names the
+    role it was given in, train names the file as well."""
+    doc = json.loads(workdir["manifest"].read_text())
+    bag_g = os.path.join(str(workdir["cohort_dir"]),
+                         doc["patients"][0]["genomic_path"])
+    assert main(["infer", "--checkpoint", str(workdir["ckpt"]),
+                 "--histology", bag_g, "--out", str(tmp_path / "x")]) == 2
+    assert "expected a histology bag, got 'genomic'" in capsys.readouterr().err
+    for row in doc["patients"]:
+        row["histology_path"] = row["genomic_path"]
+    swapped = workdir["cohort_dir"] / "swapped.json"
+    swapped.write_text(json.dumps(doc))
+    assert main(["train", "--manifest", str(swapped),
+                 "--config", str(workdir["root"] / "train.json"),
+                 "--fold", "0", "--out", str(tmp_path / "runs")]) == 2
+    assert "_g.bag: expected a histology bag, got 'genomic'" in \
+        capsys.readouterr().err
+
+
 def test_report_aggregates_runs(workdir, tmp_path):
     out = tmp_path / "report"
     assert main(["report", "--runs", str(workdir["runs"]),

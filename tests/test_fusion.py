@@ -15,10 +15,9 @@ from slotsurv.fusion import (
     init_risk_params,
     init_self_params,
 )
-from slotsurv.moe import gumbel_topk_mask
 from slotsurv.survival import hazards_from_logits
 
-from oracles import unfused_cross_attention
+from oracles import gumbel_topk_mask, unfused_cross_attention
 
 
 def _run(build, params, *arrays, **kw):

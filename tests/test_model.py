@@ -39,9 +39,8 @@ def _patients(seed=0, n=4):
 
 
 def _cohort(seed=0, lam=0.1, **kw):
-    kw.setdefault("training", True)
-    kw.setdefault("dtype", np.float64)
-    return build_cohort_loss(_params(seed), _patients(seed), k_h=2, k_g=2,
+    return build_cohort_loss(cast_params(_params(seed), np.float64),
+                             _patients(seed), k_h=2, k_g=2,
                              temperature=0.01, t_iters=2, l_iters=2, lam=lam,
                              rng=np.random.default_rng(seed + 1000), **kw)
 
@@ -131,7 +130,7 @@ def test_every_trainable_tensor_receives_gradient():
     params = _perturbed(_params(5), 5)
     cg = build_cohort_loss(params, _ragged_patients(5), k_h=2, k_g=2,
                            temperature=1.0, t_iters=2, l_iters=2, lam=0.1,
-                           rng=np.random.default_rng(1005), dtype=np.float64)
+                           rng=np.random.default_rng(1005))
     grads = backward(cg.graph, cg.loss)
     assert list(grads) == trainable_names(params)
     assert {group_of(name) for name in grads} == set(TRAINABLE_GROUPS)
@@ -202,13 +201,13 @@ def test_padded_batch_matches_batches_of_one(dtype, tol, training):
     its own batch of one, drawing the same noise: padding does not leak."""
     params = _perturbed(_params(3), 3, dtype)
     patients = _ragged_patients(3)
-    kw = dict(k_h=2, k_g=2, temperature=0.01, t_iters=2, l_iters=2, lam=0.1,
-              training=training, dtype=dtype)
-    batch = build_cohort_loss(params, patients,
-                              rng=np.random.default_rng(7), **kw)
+    kw = dict(k_h=2, k_g=2, temperature=0.01, t_iters=2, l_iters=2, lam=0.1)
+    batch = build_cohort_loss(
+        params, patients, rng=np.random.default_rng(7) if training else None,
+        **kw)
     terms = batch.term_values()
     for b, patient in enumerate(patients):
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(7) if training else None
         if training and b:  # skip the draws of the patients before b
             draw_noise(rng, b, params, selective=True)
         one = build_cohort_loss(params, [patient], rng=rng, **kw)
@@ -260,8 +259,7 @@ def test_full_model_gradients_on_padded_ragged_batch():
                  i % 2) for i, m in enumerate((2, 5, 3))]
     cg = build_cohort_loss(params, patients, k_h=1, k_g=1, temperature=0.5,
                            t_iters=2, l_iters=1, lam=0.5,
-                           rng=np.random.default_rng(10), selective=False,
-                           dtype=np.float64)
+                           rng=np.random.default_rng(10), selective=False)
     wrt = ["slots_h.w_k", "slots_h.init_log_std", "slots_g.gru_wz",
            "slots_g.ln_in_gamma", "gate_h.w", "pred_g.w2", "self_h.w_q",
            "cross.w_v", "risk.w1", "recon_h.w_q", "recon_g.ffn_w1",
@@ -280,8 +278,7 @@ def test_constants_receive_no_adjoint_and_change_no_gradient(monkeypatch):
     def gradients():
         cg = build_cohort_loss(params, patients, k_h=2, k_g=2,
                                temperature=0.01, t_iters=2, l_iters=2,
-                               lam=0.1, rng=np.random.default_rng(11),
-                               dtype=np.float64)
+                               lam=0.1, rng=np.random.default_rng(11))
         return cg.graph, backward(cg.graph, cg.loss)
 
     graph, with_consts = gradients()
@@ -312,8 +309,7 @@ def test_in_place_accumulation_gives_the_out_of_place_gradients(
     def gradients():
         cg = build_cohort_loss(params, patients, k_h=2, k_g=2,
                                temperature=0.01, t_iters=3, l_iters=2,
-                               lam=0.1, rng=np.random.default_rng(12),
-                               dtype=dtype)
+                               lam=0.1, rng=np.random.default_rng(12))
         return backward(cg.graph, cg.loss)
 
     in_place = []
@@ -336,17 +332,28 @@ def test_in_place_accumulation_gives_the_out_of_place_gradients(
         assert grad.tobytes() == got[name].tobytes(), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_graph_runs_at_the_parameters_precision(dtype):
+    """The parameters' dtype sets the graph's precision: every loss term,
+    the fused logits, the batch loss and every gradient come out in it."""
+    params = cast_params(_params(5), dtype)
+    cg = build_cohort_loss(params, _ragged_patients(5), k_h=2, k_g=2,
+                           temperature=0.01, t_iters=2, l_iters=2, lam=0.1,
+                           rng=np.random.default_rng(3))
+    assert cg.graph.dtype == dtype
+    assert cg.loss.value.dtype == cg.trunk.fused.value.dtype == dtype
+    for name, node in cg.terms.items():
+        assert node.value.dtype == dtype, name
+    grads = backward(cg.graph, cg.loss)
+    assert list(grads) == trainable_names(params)
+    for name, grad in grads.items():
+        assert grad.dtype == dtype, name
+
+
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         build_cohort_loss(_params(), [], k_h=2, k_g=2, temperature=0.01,
                           t_iters=2, l_iters=2, lam=0.1)
-
-
-def test_training_mode_needs_rng():
-    with pytest.raises(ValueError):
-        build_cohort_loss(_params(), _patients(), k_h=2, k_g=2,
-                          temperature=0.01, t_iters=2, l_iters=2, lam=0.1,
-                          rng=None, training=True)
 
 
 # ------------------------------------------------------------------- inference
@@ -405,7 +412,7 @@ def test_patient_forward_shapes_and_masks():
     full = patient_forward(p, bag_h, bag_g, k_h=2, k_g=2, temperature=0.01,
                            t_iters=2, l_iters=2, selective=False)
     for mask, s in ((full.mask_h, S_H), (full.mask_g, S_G)):
-        assert mask.hard.sum() == mask.k == s
+        assert mask.hard.sum() == s
 
 
 def test_inference_risk_matches_training_trunk_in_inference_mode():
@@ -417,10 +424,28 @@ def test_inference_risk_matches_training_trunk_in_inference_mode():
         p = cast_params(_params(11), dtype)
         cg = build_cohort_loss(p, [(bag_h, bag_g, t_bin, censored)], k_h=2,
                                k_g=2, temperature=0.01, t_iters=2, l_iters=2,
-                               lam=0.0, training=False, dtype=dtype)
+                               lam=0.0)
         out = patient_forward(p, bag_h, bag_g, k_h=2, k_g=2,
                               temperature=0.01, t_iters=2, l_iters=2)
         assert out.slots_h.slots.dtype == dtype
         ref = hazards_from_logits(cg.trunk.fused.value[0, 0])
         np.testing.assert_allclose(out.curve.h, ref.h, rtol=0, atol=1e-12)
         assert out.risk == pytest.approx(ref.risk, abs=1e-12)
+
+
+@pytest.mark.parametrize("selective", [True, False])
+def test_served_gate_masks_report_the_trunks_selection(selective):
+    """Serving reports the selection and scores of the inference trunk,
+    the one the batched graph builds without an rng."""
+    p = _params(12)
+    patient = _patients(12)[0]
+    out = patient_forward(p, *patient[:2], k_h=2, k_g=2, temperature=0.01,
+                          t_iters=2, l_iters=2, selective=selective)
+    trunk = build_cohort_loss(p, [patient], k_h=2, k_g=2, temperature=0.01,
+                              t_iters=2, l_iters=2, lam=0.0, rng=None,
+                              selective=selective).trunk
+    for mask, selected, scores in (
+            (out.mask_h, trunk.selected_h, trunk.scores_h),
+            (out.mask_g, trunk.selected_g, trunk.scores_g)):
+        np.testing.assert_array_equal(mask.selected, selected[0])
+        np.testing.assert_array_equal(mask.scores, scores.value[0, :, 0])

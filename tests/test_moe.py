@@ -22,7 +22,6 @@ from slotsurv.moe import (
     build_gumbel_mask,
     build_renormalized_weights,
     build_slot_logits,
-    gumbel_topk_mask,
     init_gate_params,
     init_predictor_params,
     write_gate_csv,
@@ -32,6 +31,7 @@ from oracles import (
     decode,
     gate_scores,
     gated_mixture,
+    gumbel_topk_mask,
     renormalize_weights,
     slot_logits,
 )
@@ -179,7 +179,7 @@ def test_single_selected_slot_gets_weight_one():
 def test_uniform_scores_split_weight_evenly():
     r = np.zeros(8)
     mask = GateMask(hard=np.array([1, 0, 1, 0, 0, 1, 0, 0], dtype=float),
-                    soft=np.full(8, 0.125), scores=r, k=3, temperature=1.0)
+                    scores=r)
     w = renormalize_weights(r, mask, 1.0)
     np.testing.assert_allclose(w[mask.hard > 0], 1.0 / 3.0, atol=1e-12)
     assert (w[mask.hard == 0] == 0.0).all()
@@ -187,8 +187,7 @@ def test_uniform_scores_split_weight_evenly():
 
 def test_all_zero_mask_rejected():
     r = np.array([1.0, 2.0])
-    mask = GateMask(hard=np.zeros(2), soft=np.full(2, 0.5), scores=r,
-                    k=1, temperature=1.0)
+    mask = GateMask(hard=np.zeros(2), scores=r)
     with pytest.raises(ValueError):
         renormalize_weights(r, mask, 1.0)
     g = Graph()
@@ -214,8 +213,7 @@ def test_extreme_score_gaps_stay_finite():
     # selected slots far below the score maximum: the softmax mass of the
     # whole selected set underflows, which must not produce NaNs
     r = np.array([100.0, 0.0, -1.0])
-    mask = GateMask(hard=np.array([0.0, 1.0, 1.0]), soft=np.zeros(3),
-                    scores=r, k=2, temperature=0.01)
+    mask = GateMask(hard=np.array([0.0, 1.0, 1.0]), scores=r)
     w = renormalize_weights(r, mask, 0.01)
     assert np.isfinite(w).all()
     np.testing.assert_allclose(w, [0.0, 1.0, 0.0], atol=1e-12)
@@ -274,9 +272,9 @@ def _graph_moe(seed, temperature, training, k=2, dtype=np.float64,
     gate = bind_arrays(g, "gate", init_gate_params(rng, 5))
     pred = bind_arrays(g, "pred", init_predictor_params(rng, 5, 3))
     r = build_gate_scores(g, gate, slots)
+    noise = np.random.default_rng(seed + 1).gumbel(size=(1, 4))
     mask, soft = build_gumbel_mask(g, r, k, temperature,
-                                   rng=np.random.default_rng(seed + 1),
-                                   training=training)
+                                   noise=noise if training else None)
     w = build_renormalized_weights(g, r, mask, temperature)
     y = build_gated_mixture(g, w, build_slot_logits(g, pred, slots))
     loss = g.reduce_sum(g.mul(y, g.const(rng.normal(size=(1, 3)))))
@@ -294,9 +292,8 @@ def test_graph_matches_numpy_reference():
     gp = bind_arrays(g, "gate", gate, trainable=False)
     pp = bind_arrays(g, "pred", pred, trainable=False)
     r = build_gate_scores(g, gp, slots)
-    mask, soft = build_gumbel_mask(g, r, 2, 0.7,
-                                   rng=np.random.default_rng(99),
-                                   training=True)
+    mask, soft = build_gumbel_mask(
+        g, r, 2, 0.7, noise=np.random.default_rng(99).gumbel(size=(1, 5)))
     w = build_renormalized_weights(g, r, mask, 0.7)
     y = build_gated_mixture(g, w, build_slot_logits(g, pp, slots))
 
@@ -332,9 +329,8 @@ def test_straight_through_backward_equals_soft_path():
     for variant in ("hard", "soft"):
         g = Graph(dtype=np.float64)
         r = g.input("r", scores)
-        mask, soft = build_gumbel_mask(g, r, 2, 0.7,
-                                       rng=np.random.default_rng(55),
-                                       training=True)
+        mask, soft = build_gumbel_mask(
+            g, r, 2, 0.7, noise=np.random.default_rng(55).gumbel(size=(1, 4)))
         carrier = mask if variant == "hard" else soft
         grads[variant] = backward(g, g.matmul(carrier, g.const(coeff)))["r"]
     np.testing.assert_allclose(grads["hard"], grads["soft"],
@@ -364,14 +360,12 @@ def test_gumbel_mask_rejects_bad_shapes_and_ranges():
     g = Graph()
     wide = g.const(np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        build_gumbel_mask(g, wide, 1, 1.0, training=False)
+        build_gumbel_mask(g, wide, 1, 1.0)
     col = g.const(np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        build_gumbel_mask(g, col, 4, 1.0, training=False)
+        build_gumbel_mask(g, col, 4, 1.0)
     with pytest.raises(ValueError):
-        build_gumbel_mask(g, col, 1, -1.0, training=False)
-    with pytest.raises(ValueError):
-        build_gumbel_mask(g, col, 1, 1.0, training=True)  # rng missing
+        build_gumbel_mask(g, col, 1, -1.0)
     with pytest.raises(ValueError):
         build_renormalized_weights(g, col, g.const(np.ones((1, 4))), 1.0)
     with pytest.raises(ValueError):

@@ -40,17 +40,17 @@ def _bag(seed=1, m=10, dim=8):
 
 def test_init_deterministic_returns_the_mean():
     p = _params()
-    a = init_slots(p, "deterministic")
-    b = init_slots(p, "deterministic")
+    a = init_slots(p)
+    b = init_slots(p)
     assert np.array_equal(a, p.init_mean)
     assert np.array_equal(a, b)
 
 
 def test_init_stochastic_seeded_reproducible():
     p = _params()
-    a = init_slots(p, "stochastic", np.random.default_rng(7))
-    b = init_slots(p, "stochastic", np.random.default_rng(7))
-    c = init_slots(p, "stochastic", np.random.default_rng(8))
+    a = init_slots(p, np.random.default_rng(7))
+    b = init_slots(p, np.random.default_rng(7))
+    c = init_slots(p, np.random.default_rng(8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -59,15 +59,8 @@ def test_init_vanishing_noise_matches_deterministic():
     p = _params()
     quiet = type(p)(**{**{f: getattr(p, f) for f in p.__dataclass_fields__},
                        "init_log_std": np.full_like(p.init_log_std, -40.0)})
-    a = init_slots(quiet, "stochastic", np.random.default_rng(3))
+    a = init_slots(quiet, np.random.default_rng(3))
     assert np.allclose(a, quiet.init_mean, atol=1e-4)
-
-
-def test_init_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        init_slots(_params(), "fuzzy")
-    with pytest.raises(ValueError):
-        init_slots(_params(), "stochastic", None)
 
 
 # ----------------------------------------------------------------- attention
@@ -76,7 +69,7 @@ def test_init_rejects_bad_mode():
 def test_alpha_columns_sum_to_one_every_iteration():
     p = _params()
     bag = _bag(m=13)
-    slots = init_slots(p, "deterministic")
+    slots = init_slots(p)
     for _ in range(3):
         step = slot_attention_step(slots, bag, p)
         assert np.allclose(step.attention.sum(axis=0), 1.0, atol=1e-6)
@@ -86,7 +79,7 @@ def test_alpha_columns_sum_to_one_every_iteration():
 def test_single_slot_gets_all_attention_and_mean_update():
     p = _params(n_slots=1)
     bag = _bag(m=9)
-    step = slot_attention_step(init_slots(p, "deterministic"), bag, p)
+    step = slot_attention_step(init_slots(p), bag, p)
     assert np.allclose(step.attention, 1.0, atol=1e-6)
     # weighted mean with an all-ones row is the plain mean of projected values
     g = Graph()
@@ -100,7 +93,7 @@ def test_single_slot_gets_all_attention_and_mean_update():
 def test_sum_aggregation_scales_update_by_instance_count():
     p = _params(n_slots=1)
     bag = _bag(m=6)
-    s0 = init_slots(p, "deterministic")
+    s0 = init_slots(p)
     mean_u = slot_attention_step(s0, bag, p, aggregation="mean").update
     sum_u = slot_attention_step(s0, bag, p, aggregation="sum").update
     assert np.allclose(sum_u, 6.0 * mean_u, rtol=1e-4)
@@ -110,7 +103,7 @@ def test_sum_aggregation_scales_update_by_instance_count():
 
 def test_identical_slots_stay_identical():
     p = _params(n_slots=3)
-    s0 = init_slots(p, "deterministic").copy()
+    s0 = init_slots(p).copy()
     s0[2] = s0[0]   # duplicate slot
     step = slot_attention_step(s0, _bag(), p)
     assert np.array_equal(step.attention[0], step.attention[2])
@@ -140,7 +133,7 @@ def test_encode_t1_equals_single_step():
     p = _params()
     bag = _bag()
     one = encode(bag, p, t_iters=1)
-    step = slot_attention_step(init_slots(p, "deterministic"), bag, p)
+    step = slot_attention_step(init_slots(p), bag, p)
     assert np.array_equal(one.slots, step.slots)
     assert np.array_equal(one.attention, step.attention)
 
@@ -220,7 +213,7 @@ def _encode_both(dtype, build, **kw):
 _ORACLE_CASES = {
     "single": dict(bag_shape=(7, 5), t_iters=3),
     "padded_batch": dict(
-        bag_shape=(2, 7, 5), t_iters=3, mode="stochastic",
+        bag_shape=(2, 7, 5), t_iters=3,
         mask=np.array([[1.0] * 7, [1.0] * 4 + [0.0] * 3]),
         noise=np.random.default_rng(32).normal(size=(2, 3, 5))),
     "sum": dict(bag_shape=(7, 5), t_iters=2, aggregation="sum"),
@@ -331,7 +324,7 @@ def test_assignment_map_argmax_and_ties():
     att = np.array([[0.7, 1 / 3, 0.1],
                     [0.2, 1 / 3, 0.1],
                     [0.1, 1 / 3, 0.8]])
-    ss = SlotSet(slots=np.zeros((3, 2)), attention=att, t_iters=1)
+    ss = SlotSet(slots=np.zeros((3, 2)), attention=att)
     assert assignment_map(ss).tolist() == [0, 0, 2]   # uniform -> lowest index
 
 
@@ -343,8 +336,8 @@ def test_assignment_invariant_under_column_rescaling_of_logits():
         e = np.exp(z - z.max(axis=0))
         return e / e.sum(axis=0)
 
-    base = SlotSet(np.zeros((4, 2)), softmax_cols(logits), 1)
-    warm = SlotSet(np.zeros((4, 2)), softmax_cols(logits * 3.0), 1)
+    base = SlotSet(np.zeros((4, 2)), softmax_cols(logits))
+    warm = SlotSet(np.zeros((4, 2)), softmax_cols(logits * 3.0))
     assert np.array_equal(assignment_map(base), assignment_map(warm))
 
 

@@ -524,6 +524,31 @@ def test_float64_checkpoint_imputes_and_scores_in_float64(small_cohort):
     assert x_hat.dtype == np.float64
 
 
+def test_cross_modal_path_follows_the_configured_aggregation(small_cohort):
+    """With aggregation="sum" the cross-modal encode sums too: serving
+    imputes the bag decoded from a "sum" encode of the histology bag, and
+    the recon_cross term of the loss is built from one."""
+    cfg = TrainConfig(**{**SMALL_TRAIN, "precision": "float64",
+                         "aggregation": "sum"})
+    ckpt = train(cfg, small_cohort, fold=0).checkpoint
+    params = ckpt.params
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    bag_g = data_mod.load_bag(rec.genomic_path)
+    sset = slot_mod.encode(bag_h.matrix, params.slots_g, cfg.t_iters,
+                           aggregation="sum")
+    direct, recon_cross = recon_mod.reconstruct_genomic(
+        sset.slots, params.positions, params.recon_cross, target=bag_g.matrix)
+    np.testing.assert_array_equal(imputed_genomic_bag(ckpt, bag_h).matrix,
+                                  direct)
+    cg = model_mod.build_cohort_loss(
+        params, [(bag_h.matrix, bag_g.matrix, 1, 0)], k_h=cfg.k_h,
+        k_g=cfg.k_g, temperature=cfg.temperature, t_iters=cfg.t_iters,
+        l_iters=cfg.l_iters, lam=cfg.lam, aggregation="sum")
+    assert float(cg.terms["recon_cross"].value[0]) == pytest.approx(
+        recon_cross, rel=1e-12)
+
+
 def test_prediction_ignores_cross_recon_params_when_genomics_present(
         trained, small_cohort):
     rec = small_cohort.records[1]
