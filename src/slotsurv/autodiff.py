@@ -95,8 +95,8 @@ axes, so one model builder serves both:
   the (1, d) layer-norm gain, w_q, the nine GRU weights and the MLP's
   w1, b1, w2, b2:
   layer norm with gain only -> @ w_q -> @ keys -> col_softmax = alpha
-  (.., S, M); u = (alpha @ values) * 1 / (alpha @ mask + 1e-8), or
-  alpha @ values for "sum"; slots' = gru_cell(u, slots); out = slots' +
+  (.., S, M); u = (alpha @ values) * 1 / (alpha @ mask + 1e-8), the
+  weighted mean; slots' = gru_cell(u, slots); out = slots' +
   affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d). The layer
   norm has no shift: it would add one row to every slot's query, which
   the softmax over slots cancels. The node keeps alpha among its saved
@@ -122,8 +122,8 @@ op counts what its chain counts: affine a matmul plus an add, slot_step
 the sum over its chain (with B*S rows: 4 B*S*d for the layer norm,
 B*S*d*d for q, 2 B*S*d*M for the logits and alpha @ values, 3 B*S*M for
 the softmax, the GRU cell, 2 (B*S*d*d + B*S*d) for the MLP layers,
-B*S*d each for relu and the residual, and for "mean" B*S*M + 2 B*S +
-B*S*d for the mass, its floor, the reciprocal and the rescale), and
+B*S*d each for relu and the residual, and B*S*M + 2 B*S + B*S*d for
+the mass, its floor, the reciprocal and the rescale), and
 cross_step the sum over its chain (with B*S_q query rows and B*S_c
 context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2
 B*S_q*S_c*d for the logits and attn @ v, 4 B*S_q*S_c for the scale and
@@ -156,7 +156,6 @@ __all__ = [
 _LN_EPS = 1e-5
 _COS_TINY = 1e-12
 _AGG_EPS = 1e-8                 # slot_step: floor of the attention mass
-_AGGREGATIONS = ("mean", "sum")
 
 
 class GraphError(ValueError):
@@ -357,8 +356,7 @@ class Graph:
             madds=6 * s * d * d + 10 * s * d)
 
     def slot_step(self, slots: Node, keys_t: Node, values: Node, ones: Node,
-                  ln_gamma: Node, w_q: Node, gru: tuple, mlp: tuple,
-                  aggregation: str = "mean") -> Node:
+                  ln_gamma: Node, w_q: Node, gru: tuple, mlp: tuple) -> Node:
         """One slot-attention iteration as one node (see the module
         docstring): ``slots`` (.., S, d), ``keys_t`` (.., d, M), ``values``
         (.., M, d) and the instance mask ``ones`` (.., M, 1) share their
@@ -375,8 +373,6 @@ class Graph:
             raise GraphError(
                 f"slot_step shapes: slots {vs.shape}, keys_t {keys_t.shape}, "
                 f"values {values.shape}, ones {ones.shape}")
-        if aggregation not in _AGGREGATIONS:
-            raise GraphError(f"aggregation must be one of {_AGGREGATIONS}")
         weights = _fused_weights("slot_step", (ln_gamma, w_q),
                                  [(1, d), (d, d)], gru, mlp, d)
         rows = math.prod(lead) * s
@@ -384,12 +380,11 @@ class Graph:
         madds = (4 * rows * d                       # layer norm
                  + rows * d * d + 2 * rows * d * m    # q, logits, alpha @ v
                  + 3 * rows * m                       # column softmax
+                 + rows * m + 2 * rows + rows * d     # mass, floor, 1/., *
                  + _tail_madds(rows, d))
-        if aggregation == "mean":
-            madds += rows * m + 2 * rows + rows * d
         parents = (slots, keys_t, values, ones, *weights)
         return self._append("slot_step", tuple(p.idx for p in parents),
-                            aux=aggregation, madds=madds)
+                            madds=madds)
 
     def cross_step(self, queries: Node, context: Node, w_q: Node, w_k: Node,
                    w_v: Node, gru: tuple, mlp: tuple) -> Node:
@@ -679,7 +674,7 @@ class _StepSaved(typing.NamedTuple):
     q: np.ndarray
     alpha: np.ndarray       # (.., S, M) column-stochastic attention
     u_raw: np.ndarray       # alpha @ values
-    rec: np.ndarray | None  # 1 / (alpha @ ones + eps); None for "sum"
+    rec: np.ndarray         # 1 / (alpha @ ones + eps)
     u: np.ndarray           # the GRU input
     z: np.ndarray           # GRU gates and products, rows flattened
     r: np.ndarray
@@ -728,10 +723,9 @@ def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn,
     return out, (u, z, r, n, rh, updated, hidden)
 
 
-def _slot_step_fwd(aggregation, slots, keys_t, values, ones, gamma, w_q,
-                   *tail):
-    """The chain layer norm -> q -> logits -> column softmax -> mean (or
-    sum) aggregation -> GRU -> residual MLP, kernel by kernel.  It checks
+def _slot_step_fwd(_, slots, keys_t, values, ones, gamma, w_q, *tail):
+    """The chain layer norm -> q -> logits -> column softmax -> weighted
+    mean -> GRU -> residual MLP, kernel by kernel.  It checks
     the values that feed a kernel able to hide a non-finite entry
     (softmax, reciprocal, GRU, relu); the node output is checked by the
     caller."""
@@ -741,13 +735,11 @@ def _slot_step_fwd(aggregation, slots, keys_t, values, ones, gamma, w_q,
     logits = _matmul(q, keys_t)
     _guard(logits, "attention logits", "slot_step")
     alpha = _softmax(-2, logits, out=logits)    # logits are not kept
-    u = u_raw = _matmul(alpha, values)
-    rec = None
-    if aggregation == "mean":
-        mass = _matmul(alpha, ones) + alpha.dtype.type(_AGG_EPS)
-        _guard(mass, "attention mass", "slot_step")
-        rec = _reciprocal_fwd(None, mass)
-        u = u_raw * rec
+    u_raw = _matmul(alpha, values)
+    mass = _matmul(alpha, ones) + alpha.dtype.type(_AGG_EPS)
+    _guard(mass, "attention mass", "slot_step")
+    rec = _reciprocal_fwd(None, mass)
+    u = u_raw * rec
     out, saved = _gru_mlp_fwd("slot_step", u, slots, *tail)
     return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, *saved)
 
@@ -1088,19 +1080,18 @@ def _bw_slot_step(g, i, grad, grads):
     n_norm = need[si] or need[gi]
     n_alpha = n_norm or need[qi] or need[ki]
     n_uraw = n_alpha or need[vi]
-    n_mass = sv.rec is not None and (n_alpha or need[oi])
+    n_mass = n_alpha or need[oi]
     d_u = _gru_mlp_adj(g, grads, grad, sv, si, tail[:9], tail[9:],
                        n_uraw or n_mass)
     if d_u is None:
         return
 
-    # u = u_raw * rec with rec = 1 / (alpha @ ones + eps), or u = u_raw
-    d_uraw, d_alpha, d_ones = d_u, None, None
-    if sv.rec is not None:
-        d_uraw, d_rec = _mul_adj(d_u, sv.u_raw, sv.rec, n_uraw, n_mass)
-        if n_mass:
-            d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, sv.rec),
-                                          sv.alpha, v[oi], n_alpha, need[oi])
+    # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
+    d_uraw, d_rec = _mul_adj(d_u, sv.u_raw, sv.rec, n_uraw, n_mass)
+    d_alpha, d_ones = None, None
+    if n_mass:
+        d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, sv.rec),
+                                      sv.alpha, v[oi], n_alpha, need[oi])
     d_au, d_values = _matmul_adj(d_uraw, sv.alpha, v[vi], n_alpha, need[vi])
     _give(grads, (oi, vi), (d_ones, d_values))
     if not n_alpha:
@@ -1109,14 +1100,8 @@ def _bw_slot_step(g, i, grad, grads):
     # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
     # alpha terms are arrays this rule made, so the sum and the softmax
     # adjoint may overwrite them.
-    scratch = None
-    if d_alpha is None:
-        d_alpha = d_au
-    else:
-        d_alpha += d_au
-        scratch = d_au
-    d_logits = _softmax_adj(d_alpha, sv.alpha, -2, out=d_alpha,
-                            scratch=scratch)
+    d_alpha += d_au
+    d_logits = _softmax_adj(d_alpha, sv.alpha, -2, out=d_alpha, scratch=d_au)
     d_q, d_keys = _matmul_adj(d_logits, sv.q, v[ki], n_norm or need[qi],
                               need[ki])
     d_normed, d_wq = _matmul_adj(d_q, sv.normed, v[qi], n_norm, need[qi])

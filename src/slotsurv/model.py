@@ -252,7 +252,6 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
                         t_iters: int, l_iters: int,
                         noise: TrainingNoise | None = None,
                         selective: bool = True,
-                        aggregation: str = "mean",
                         mask_h=None) -> TrunkNodes:
     """Everything from raw bags to fused logits for a batch of patients;
     ``p`` holds graph nodes (from _bind_model).  ``bag_h`` is the
@@ -263,11 +262,9 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     Reconstruction stays out of the trunk."""
     noise = noise or TrainingNoise(None, None, None, None)
     s_h, a_h = slot_mod.build_encode(
-        g, p.slots_h, bag_h, t_iters, aggregation=aggregation,
-        mask=mask_h, noise=noise.slots_h)
+        g, p.slots_h, bag_h, t_iters, mask=mask_h, noise=noise.slots_h)
     s_g, a_g = slot_mod.build_encode(
-        g, p.slots_g, bag_g, t_iters, aggregation=aggregation,
-        noise=noise.slots_g)
+        g, p.slots_g, bag_g, t_iters, noise=noise.slots_g)
 
     r_h, w_h, mix_h, sel_h = _branch_mixture(
         g, p.gate_h, p.pred_h, s_h, k_h, temperature, noise.gumbel_h,
@@ -292,14 +289,13 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
 
 def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
                          bag_h: Node, bag_g: Node, t_bins, censored,
-                         lam: float, t_iters: int, mask_h=None,
-                         aggregation: str = "mean") -> dict:
+                         lam: float, t_iters: int, mask_h=None) -> dict:
     """The six loss terms of a batch as (B,) nodes, one entry per patient.
 
     Reconstruction terms are only built when lam > 0 (the graphs are the
     expensive part of training, and a zero weight would sever their
-    gradients anyway).  The cross-modal encode pools with the trunk's
-    ``aggregation``.
+    gradients anyway).  The cross-modal encode pools with the weighted
+    mean, as the trunk's slot encoders do.
     """
     terms = {
         "surv_fused": surv_mod.build_nll_loss(g, trunk.fused, t_bins, censored),
@@ -312,8 +308,7 @@ def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
         _, terms["recon_h"], _ = recon_mod.build_recon_histology(
             g, p.recon_h, p.qmap, bag_h, trunk.slots_h, mask=mask_h)
         s_cross, _ = recon_mod.build_cross_modal_encode(
-            g, p.slots_g, bag_h, t_iters, mask=mask_h,
-            aggregation=aggregation)
+            g, p.slots_g, bag_h, t_iters, mask=mask_h)
         _, terms["recon_cross"] = recon_mod.build_recon_genomic(
             g, p.recon_cross, p.positions.table, s_cross, target=bag_g)
     return terms
@@ -353,8 +348,8 @@ def _pad_bags(bags) -> tuple:
 
 def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
                       temperature: float, t_iters: int, l_iters: int,
-                      lam: float, rng=None, selective: bool = True,
-                      aggregation: str = "mean") -> CohortGraph:
+                      lam: float, rng=None,
+                      selective: bool = True) -> CohortGraph:
     """One graph holding every patient of a batch, at the precision of
     ``params``.
 
@@ -383,11 +378,9 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     xg = g.const(np.stack([np.asarray(b) for b in bags_g]))
     trunk = build_patient_trunk(
         g, p, xh, xg, k_h, k_g, temperature, t_iters, l_iters,
-        noise=noise, selective=selective, aggregation=aggregation,
-        mask_h=mask_h)
+        noise=noise, selective=selective, mask_h=mask_h)
     terms = build_patient_losses(g, p, trunk, xh, xg, t_bins, censored,
-                                 lam, t_iters, mask_h=mask_h,
-                                 aggregation=aggregation)
+                                 lam, t_iters, mask_h=mask_h)
     total = g.add(g.add(terms["surv_fused"], terms["surv_hist"]),
                   terms["surv_gen"])
     if lam > 0.0:
@@ -423,8 +416,7 @@ class PatientOutput:
 def patient_forward(params: ModelParams, bag_h: np.ndarray,
                     bag_g: np.ndarray, k_h: int, k_g: int,
                     temperature: float, t_iters: int, l_iters: int,
-                    selective: bool = True,
-                    aggregation: str = "mean") -> PatientOutput:
+                    selective: bool = True) -> PatientOutput:
     """Inference pass: the trunk of a batch of one, with deterministic slot
     init, noise-free top-K selection and reconstruction heads untouched.
     The graph runs at the parameters' precision, and each ``GateMask``
@@ -433,8 +425,7 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
     p = _bind_model(g, params)
     trunk = build_patient_trunk(
         g, p, g.const(np.asarray(bag_h)[None]), g.const(np.asarray(bag_g)[None]),
-        k_h, k_g, temperature, t_iters, l_iters,
-        selective=selective, aggregation=aggregation)
+        k_h, k_g, temperature, t_iters, l_iters, selective=selective)
 
     def gate_mask(scores, selected):
         hard = np.zeros(scores.shape[1])

@@ -79,8 +79,7 @@ def summarize(fold_metrics, n_boot: int = 1000) -> dict:
         "std_convention": "population (ddof=0) over folds",
         "rmst_tau": tau,
     }
-    from .train import stratified_stats  # local import: no module cycle
-    stats = stratified_stats(
+    stats = surv_mod.stratified_stats(
         np.where(high, 1.0, 0.0), times, events, threshold=0.5,
         tau=tau, n_boot=n_boot)
     summary.update({

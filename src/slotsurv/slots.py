@@ -4,16 +4,15 @@ M x d feature bag into S x d slots.
 Attention is normalized over SLOTS per instance (column-stochastic alpha),
 which is what makes slots compete for instances.  The per-iteration update
 is GRU(state=slots, input=aggregated values) followed by a residual MLP.
-Aggregation is the weighted mean of projected values by default (stable as
-M varies patient to patient); the plain weighted sum sits behind the
-``aggregation="sum"`` flag.
+Aggregation is always the weighted mean of projected values, stable as M
+varies patient to patient.
 
 Graph builders (build_*) append to a caller-owned autodiff Graph and are
 what the trainer composes.  They take one patient's (M, d) bag or a
 zero-padded batch (B, M, d) with its (B, M) instance mask; padded
 instances carry no value and no attention mass.  Each iteration is one
 ``slot_step`` node of the engine, for training, serving and the
-cross-modal encode alike: the layer norm, attention, aggregation, GRU and
+cross-modal encode alike: the layer norm, attention, weighted mean, GRU and
 residual MLP run as one kernel, with the per-op chain's values, gradients
 and multiply-add counts.  The attention map of the last iteration is read
 back from that node, as a plain array: it feeds no loss.  ``encode`` is a
@@ -125,7 +124,7 @@ def build_init_slots(g: Graph, p: SlotParams, lead: tuple = (), noise=None):
 
 
 def build_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
-                         ones, aggregation: str = "mean"):
+                         ones):
     """One competitive-attention iteration as one ``slot_step`` node.
 
     ``keys_t`` holds the projected keys transposed and pre-scaled by
@@ -133,14 +132,14 @@ def build_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
     with padded instances zeroed; ``ones`` is the (..., M, 1) instance
     mask (all ones without padding).  Padded instances get softmax
     columns like real ones, but they carry zero values, add nothing to
-    the aggregation mass and so receive no gradient.  Returns the updated
+    the attention mass and so receive no gradient.  Returns the updated
     slots node; ``g.slot_attention`` reads its alpha back.
     """
     return g.slot_step(
         slots, keys_t, values, ones, p.ln_slot_gamma, p.w_q,
         (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
          p.gru_wn, p.gru_un, p.gru_bn),
-        (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2), aggregation)
+        (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2))
 
 
 def _keys_values(g: Graph, p: SlotParams, bag, mask):
@@ -157,8 +156,8 @@ def _keys_values(g: Graph, p: SlotParams, bag, mask):
     return keys_t, values, ones
 
 
-def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
-                 aggregation: str = "mean", mask=None, noise=None):
+def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
+                 noise=None):
     """T attention iterations over a bag node; returns the slots node and
     the last iteration's alpha as an array (it feeds no loss).
 
@@ -176,8 +175,7 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
     keys_t, values, ones = _keys_values(g, p, bag, mask)
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
     for _ in range(t_iters):
-        slots = build_attention_step(g, p, slots, keys_t, values, ones,
-                                     aggregation)
+        slots = build_attention_step(g, p, slots, keys_t, values, ones)
     alpha = g.slot_attention(slots)
     if mask is not None:
         alpha = alpha * np.swapaxes(ones.value, -1, -2)
@@ -187,13 +185,12 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int,
 # ------------------------------------------------------------ numpy interface
 
 
-def encode(bag_matrix: np.ndarray, params: SlotParams, t_iters: int,
-           aggregation: str = "mean") -> SlotSet:
+def encode(bag_matrix: np.ndarray, params: SlotParams,
+           t_iters: int) -> SlotSet:
     """Slots of one bag from the learned initial mean (no noise)."""
     g = Graph(dtype=params.init_mean.dtype)
     p = bind_arrays(g, "p", params, trainable=False)
-    slots, alpha = build_encode(g, p, g.const(bag_matrix), t_iters,
-                                aggregation=aggregation)
+    slots, alpha = build_encode(g, p, g.const(bag_matrix), t_iters)
     return SlotSet(slots=slots.value.copy(), attention=alpha.copy())
 
 

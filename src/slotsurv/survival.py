@@ -1,7 +1,8 @@
 """Discrete-time survival modeling and the evaluation statistics suite.
 
 The estimation side (hazard curves, concordance, Kaplan-Meier, log-rank,
-RMST, bootstrap contrasts) is pure numpy and operates on plain arrays.
+RMST, bootstrap contrasts, the risk-stratified ``stratified_stats``) is
+pure numpy and operates on plain arrays.
 ``build_nll_loss`` is the one graph-aware entry point: it attaches the
 negative log-likelihoods of one patient or of a batch to an existing
 autodiff graph so the training loop can differentiate through them.
@@ -19,7 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "km_estimate",
     "logrank_test",
     "rmst",
+    "stratified_stats",
     "total_loss",
 ]
 
@@ -133,16 +135,7 @@ class LossReport:
     lam: float
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "surv_fused": self.surv_fused,
-            "surv_hist": self.surv_hist,
-            "surv_gen": self.surv_gen,
-            "recon_g": self.recon_g,
-            "recon_h": self.recon_h,
-            "recon_cross": self.recon_cross,
-            "lam": self.lam,
-        }
+        return asdict(self)
 
 
 def total_loss(per_subject, lam: float = 0.1) -> LossReport:
@@ -446,3 +439,53 @@ def bootstrap_stats(times_high, events_high, times_low, events_low,
         n_boot=n_boot,
         n_skipped=skipped,
     )
+
+
+def stratified_stats(risks, times, events, threshold: float,
+                     tau: float = 60.0, n_boot: int = 1000) -> dict:
+    """Two-group survival contrast at a risk threshold (>= goes high)."""
+    risks = np.asarray(risks, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    high = risks >= threshold
+    out = {"n_high": int(high.sum()), "n_low": int((~high).sum())}
+    nan_block = {
+        "logrank_stat": float("nan"), "logrank_p": float("nan"),
+        "rmst_high": float("nan"), "rmst_low": float("nan"),
+        "rmst_delta": float("nan"), "rmst_delta_ci": [float("nan")] * 2,
+        "rmst_ratio": float("nan"), "rmst_ratio_ci": [float("nan")] * 2,
+    }
+    if (not 0 < high.sum() < risks.size or events[high].sum() == 0
+            or events[~high].sum() == 0):
+        out.update(nan_block)
+        return out
+    stat, p = logrank_test(times[high], events[high],
+                           times[~high], events[~high])
+    km_high = km_estimate(times[high], events[high])
+    km_low = km_estimate(times[~high], events[~high])
+    out.update({
+        "logrank_stat": float(stat),
+        "logrank_p": float(p),
+        "rmst_high": float(rmst(km_high, tau)),
+        "rmst_low": float(rmst(km_low, tau)),
+    })
+    try:
+        boot = bootstrap_stats(times[high], events[high],
+                               times[~high], events[~high],
+                               tau=tau, n_boot=n_boot, seed=0)
+        out.update({
+            "rmst_delta": float(boot.delta),
+            "rmst_delta_ci": [float(boot.delta_ci[0]),
+                              float(boot.delta_ci[1])],
+            "rmst_ratio": float(boot.ratio),
+            "rmst_ratio_ci": [float(boot.ratio_ci[0]),
+                              float(boot.ratio_ci[1])],
+            "bootstrap_p": float(boot.p_value),
+            "n_boot": int(boot.n_boot),
+            "bootstrap_skipped": int(boot.n_skipped),
+        })
+    except ValueError:
+        out.update({k: nan_block[k] for k in
+                    ("rmst_delta", "rmst_delta_ci", "rmst_ratio",
+                     "rmst_ratio_ci")})
+    return out

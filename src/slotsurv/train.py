@@ -25,7 +25,7 @@ from . import data as data_mod
 from . import model as model_mod
 from . import recon as recon_mod
 from . import survival as surv_mod
-from .autodiff import _AGGREGATIONS, GraphError, backward
+from .autodiff import GraphError, backward
 from .data import Cohort, FeatureBag
 from .model import ModelParams, build_cohort_loss, patient_forward
 
@@ -67,12 +67,11 @@ class TrainConfig:
     n_bins: int = 4                   # discrete time intervals
     seed: int = 0
     precision: str = "float32"
-    aggregation: str = "mean"         # slot-attention update pooling
     n_folds: int = 5
     selective: bool = True            # gated top-K mixture (off: plain softmax)
 
     def validate(self) -> None:
-        positive = ("learning_rate", "batch_size", "lam", "n_slots_h",
+        positive = ("learning_rate", "batch_size", "n_slots_h",
                     "n_slots_g", "t_iters", "l_iters", "k_fraction",
                     "temperature", "patch_subsample", "n_bins")
         for name in positive:
@@ -87,8 +86,6 @@ class TrainConfig:
             raise ValueError(f"k_fraction must be <= 1, got {self.k_fraction}")
         if self.precision not in _PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(_PRECISIONS)}")
-        if self.aggregation not in _AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {_AGGREGATIONS}")
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
         if self.seed < 0:
@@ -432,6 +429,9 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
     config.validate()
     if cohort.bin_edges is None:
         cohort = data_mod.discretize_times(cohort, config.n_bins)
+    elif cohort.n_bins != config.n_bins:
+        raise ValueError(f"cohort is discretized into {cohort.n_bins} time "
+                         f"bins but the config asks for {config.n_bins}")
     train_idx, _ = fold_indices(cohort, config, fold)
     records = [cohort.records[i] for i in train_idx]
     if sum(1 for r in records if r.censor == 0) < 2:
@@ -478,8 +478,7 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
                     current, patients, k_h=config.k_h, k_g=config.k_g,
                     temperature=config.temperature, t_iters=config.t_iters,
                     l_iters=config.l_iters, lam=config.lam, rng=rng,
-                    selective=config.selective,
-                    aggregation=config.aggregation)
+                    selective=config.selective)
                 loss = float(cg.loss.value)
             except GraphError as err:
                 loss, cg = float("nan"), None
@@ -519,8 +518,7 @@ def imputed_genomic_bag(ckpt: Checkpoint, bag_h: FeatureBag) -> FeatureBag:
     return recon_mod.impute_genomic(
         bag_h, ckpt.params.slots_g, ckpt.params.positions,
         ckpt.params.recon_cross, t_iters=ckpt.config.t_iters,
-        steps_trained=ckpt.steps_trained,
-        aggregation=ckpt.config.aggregation)
+        steps_trained=ckpt.steps_trained)
 
 
 def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
@@ -541,8 +539,7 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
     out = patient_forward(
         ckpt.params, bag_h.matrix, bag_g.matrix, k_h=cfg.k_h, k_g=cfg.k_g,
         temperature=cfg.temperature, t_iters=cfg.t_iters,
-        l_iters=cfg.l_iters, selective=cfg.selective,
-        aggregation=cfg.aggregation)
+        l_iters=cfg.l_iters, selective=cfg.selective)
     return out, imputed
 
 
@@ -595,56 +592,7 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort, fold: int,
         "times": [float(t) for t in times],
         "events": [bool(e) for e in events],
     }
-    metrics.update(stratified_stats(risks, times, events, median,
-                                    tau=rmst_tau, n_boot=n_boot))
+    metrics.update(surv_mod.stratified_stats(risks, times, events, median,
+                                             tau=rmst_tau, n_boot=n_boot))
     return metrics
 
-
-def stratified_stats(risks, times, events, threshold: float,
-                     tau: float = 60.0, n_boot: int = 1000) -> dict:
-    """Two-group survival contrast at a risk threshold (>= goes high)."""
-    risks = np.asarray(risks, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=bool)
-    high = risks >= threshold
-    out = {"n_high": int(high.sum()), "n_low": int((~high).sum())}
-    nan_block = {
-        "logrank_stat": float("nan"), "logrank_p": float("nan"),
-        "rmst_high": float("nan"), "rmst_low": float("nan"),
-        "rmst_delta": float("nan"), "rmst_delta_ci": [float("nan")] * 2,
-        "rmst_ratio": float("nan"), "rmst_ratio_ci": [float("nan")] * 2,
-    }
-    if (not 0 < high.sum() < risks.size or events[high].sum() == 0
-            or events[~high].sum() == 0):
-        out.update(nan_block)
-        return out
-    stat, p = surv_mod.logrank_test(times[high], events[high],
-                                    times[~high], events[~high])
-    km_high = surv_mod.km_estimate(times[high], events[high])
-    km_low = surv_mod.km_estimate(times[~high], events[~high])
-    out.update({
-        "logrank_stat": float(stat),
-        "logrank_p": float(p),
-        "rmst_high": float(surv_mod.rmst(km_high, tau)),
-        "rmst_low": float(surv_mod.rmst(km_low, tau)),
-    })
-    try:
-        boot = surv_mod.bootstrap_stats(times[high], events[high],
-                                        times[~high], events[~high],
-                                        tau=tau, n_boot=n_boot, seed=0)
-        out.update({
-            "rmst_delta": float(boot.delta),
-            "rmst_delta_ci": [float(boot.delta_ci[0]),
-                              float(boot.delta_ci[1])],
-            "rmst_ratio": float(boot.ratio),
-            "rmst_ratio_ci": [float(boot.ratio_ci[0]),
-                              float(boot.ratio_ci[1])],
-            "bootstrap_p": float(boot.p_value),
-            "n_boot": int(boot.n_boot),
-            "bootstrap_skipped": int(boot.n_skipped),
-        })
-    except ValueError:
-        out.update({k: nan_block[k] for k in
-                    ("rmst_delta", "rmst_delta_ci", "rmst_ratio",
-                     "rmst_ratio_ci")})
-    return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slotsurv.autodiff import _AGGREGATIONS, Graph, bind_arrays
+from slotsurv.autodiff import Graph, bind_arrays
 from slotsurv.moe import GateMask, GateParams, PredictorParams, _check_k, _k_hot
 from slotsurv.slots import SlotParams, _keys_values, build_init_slots
 from slotsurv.survival import BootstrapSummary, HazardCurve, km_estimate, rmst
@@ -138,20 +138,17 @@ def out_of_place_acc(grads, idx, delta):
 
 
 def unfused_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
-                           ones, aggregation: str = "mean"):
+                           ones):
     """One attention iteration as per-op nodes; returns (updated slots,
     alpha, aggregated update) nodes.  The slots' layer norm has no shift,
     so the chain gives it a zero constant."""
-    if aggregation not in _AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {_AGGREGATIONS}")
     no_shift = g.const(np.zeros(p.ln_slot_gamma.shape))
     normed = g.layer_norm(slots, p.ln_slot_gamma, no_shift)
     q = g.matmul(normed, p.w_q)
     alpha = g.col_softmax(g.matmul(q, keys_t))
     u = g.matmul(alpha, values)
-    if aggregation == "mean":
-        mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), AGG_EPS)))
-        u = g.mul(u, g.reciprocal(mass))
+    mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), AGG_EPS)))
+    u = g.mul(u, g.reciprocal(mass))
     updated = g.gru_cell(u, slots,
                          p.gru_wz, p.gru_uz, p.gru_bz,
                          p.gru_wr, p.gru_ur, p.gru_br,
@@ -161,15 +158,15 @@ def unfused_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
     return g.add(updated, residual), alpha, u
 
 
-def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int,
-                   aggregation: str = "mean", mask=None, noise=None):
+def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
+                   noise=None):
     """``slots.build_encode`` over the unfused chain; returns the slots and
     the last alpha (masked) as nodes."""
     keys_t, values, ones = _keys_values(g, p, bag, mask)
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
     for _ in range(t_iters):
         slots, alpha, _ = unfused_attention_step(g, p, slots, keys_t, values,
-                                                 ones, aggregation)
+                                                 ones)
     if mask is not None:
         alpha = g.mul(alpha, g.transpose(ones))
     return slots, alpha
@@ -199,14 +196,13 @@ def init_slots(params: SlotParams,
 
 
 def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
-                        params: SlotParams,
-                        aggregation: str = "mean") -> StepResult:
+                        params: SlotParams) -> StepResult:
     """One iteration from explicit slots over a raw bag (numpy in/out)."""
     g = _graph(params)
     p = bind_arrays(g, "p", params, trainable=False)
     keys_t, values, ones = _keys_values(g, p, g.const(bag_matrix), None)
     out, alpha, u = unfused_attention_step(g, p, g.const(slots), keys_t,
-                                           values, ones, aggregation)
+                                           values, ones)
     return StepResult(slots=out.value.copy(), attention=alpha.value.copy(),
                       update=u.value.copy())
 

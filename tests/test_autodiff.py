@@ -355,7 +355,7 @@ def _build_affine(g, rng, lead=()):
     return _se_target(g, g.affine(x, w, b), rng)
 
 
-def _build_slot_step(g, rng, mask=None, aggregation="mean"):
+def _build_slot_step(g, rng, mask=None):
     """One slot-attention iteration, 2 slots of width 3 over 4 instances;
     with a (B, M) ``mask`` a padded batch whose padded values are zeroed,
     as the encoder zeroes them."""
@@ -381,8 +381,7 @@ def _build_slot_step(g, rng, mask=None, aggregation="mean"):
            for nm in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")]
     mlp = [leaf("w1", (d, d)), leaf("b1", (1, d), 0.1, 0.5),
            leaf("w2", (d, d)), leaf("b2", (1, d))]
-    out = g.slot_step(slots, keys_t, values, ones, gamma, w_q, gru, mlp,
-                      aggregation)
+    out = g.slot_step(slots, keys_t, values, ones, gamma, w_q, gru, mlp)
     return _se_target(g, out, rng)
 
 
@@ -418,8 +417,6 @@ OP_BUILDERS = {
     "slot_step": _build_slot_step,
     "slot_step_masked": lambda g, rng: _build_slot_step(
         g, rng, mask=np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])),
-    "slot_step_sum": lambda g, rng: _build_slot_step(g, rng,
-                                                     aggregation="sum"),
     "matmul_batched": _build_matmul_batched,
     "matmul_shared_right": _build_matmul_shared_right,
     "matmul_shared_left": _build_matmul_shared_left,
@@ -469,8 +466,8 @@ OP_BUILDERS = {
 # and every gradient are checked bitwise against the per-op chain it
 # replaces (tests/test_slots.py, tests/test_fusion.py), whose ops all pass
 # both modes here.
-FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_sum",
-                "cross_step", "cross_step_3d"}
+FLOAT64_ONLY = {"slot_step", "slot_step_masked", "cross_step",
+                "cross_step_3d"}
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_BUILDERS))
@@ -823,9 +820,6 @@ def test_fused_op_shape_errors_raise_graph_error():
     with pytest.raises(GraphError, match="weights"):
         g.slot_step(slots, keys_t, values, ones, row, mat, gru,
                     (mat, mat, mat, row))
-    with pytest.raises(GraphError, match="aggregation"):
-        g.slot_step(slots, keys_t, values, ones, row, mat, gru, mlp,
-                    aggregation="max")
     assert g.slot_step(slots, keys_t, values, ones, row, mat, gru,
                        mlp).shape == (2, d)
     context = g.input("context", np.ones((4, d)))

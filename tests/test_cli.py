@@ -3,13 +3,15 @@
 import dataclasses
 import json
 import os
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 
 from slotsurv.cli import main
-from slotsurv.train import Checkpoint, load_checkpoint, save_checkpoint
+from slotsurv.train import (Checkpoint, CheckpointError, load_checkpoint,
+                            save_checkpoint)
 
 
 SYNTH_CFG = {"n_patients": 12, "m_hist_lo": 6, "m_hist_hi": 10, "m_gen": 8,
@@ -110,6 +112,26 @@ def test_divergence_exits_3(workdir, tmp_path):
 def test_corrupt_checkpoint_exits_2(workdir, tmp_path):
     bad = tmp_path / "trailing.ckpt"
     bad.write_bytes(workdir["ckpt"].read_bytes() + b"\0" * 8)
+    code = main(["eval", "--checkpoint", str(bad),
+                 "--manifest", str(workdir["manifest"]), "--fold", "0",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
+
+
+def test_checkpoint_with_the_removed_aggregation_key_exits_2(workdir,
+                                                            tmp_path):
+    """A config that still names the pooling rule every slot update now
+    uses fails to load instead of being silently dropped."""
+    blob = workdir["ckpt"].read_bytes()
+    _, _, _, doc_len = struct.unpack_from("<4sHHI", blob)
+    index = json.loads(blob[12:12 + doc_len])
+    index["config"]["aggregation"] = "mean"
+    doc = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
+    bad = tmp_path / "old_config.ckpt"
+    bad.write_bytes(struct.pack("<4sHHI", b"SSCK", 1, 0, len(doc)) + doc
+                    + blob[12 + doc_len:])
+    with pytest.raises(CheckpointError, match="aggregation"):
+        load_checkpoint(bad)
     code = main(["eval", "--checkpoint", str(bad),
                  "--manifest", str(workdir["manifest"]), "--fold", "0",
                  "--out", str(tmp_path / "runs")])
@@ -227,7 +249,7 @@ def test_malformed_bag_fuzz_always_data_error(workdir, tmp_path):
     records = json.loads(workdir["manifest"].read_text())["patients"]
     bag_h = os.path.join(str(workdir["cohort_dir"]),
                          records[0]["histology_path"])
-    blob = open(bag_h, "rb").read()
+    blob = pathlib.Path(bag_h).read_bytes()
     rng = np.random.default_rng(0)
     for case in range(24):
         bad = tmp_path / f"bad_{case}.bag"

@@ -2,6 +2,8 @@
 files: every rejection is the loader's own typed error, and whatever still
 loads has the shapes its file declares."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +45,7 @@ def originals(tmp_path_factory):
     save_checkpoint(train(config, cohort, fold=1).checkpoint, checkpoint)
     return {
         "dir": root,
-        "bag": open(cohort.records[0].histology_path, "rb").read(),
+        "bag": pathlib.Path(cohort.records[0].histology_path).read_bytes(),
         "manifest": manifest.read_bytes(),
         "checkpoint": checkpoint.read_bytes(),
         "params": named_parameters(load_checkpoint(checkpoint).params),

@@ -90,17 +90,6 @@ def test_single_slot_gets_all_attention_and_mean_update():
                        atol=1e-5)
 
 
-def test_sum_aggregation_scales_update_by_instance_count():
-    p = _params(n_slots=1)
-    bag = _bag(m=6)
-    s0 = init_slots(p)
-    mean_u = slot_attention_step(s0, bag, p, aggregation="mean").update
-    sum_u = slot_attention_step(s0, bag, p, aggregation="sum").update
-    assert np.allclose(sum_u, 6.0 * mean_u, rtol=1e-4)
-    with pytest.raises(ValueError):
-        slot_attention_step(s0, bag, p, aggregation="max")
-
-
 def test_identical_slots_stay_identical():
     p = _params(n_slots=3)
     s0 = init_slots(p).copy()
@@ -216,7 +205,6 @@ _ORACLE_CASES = {
         bag_shape=(2, 7, 5), t_iters=3,
         mask=np.array([[1.0] * 7, [1.0] * 4 + [0.0] * 3]),
         noise=np.random.default_rng(32).normal(size=(2, 3, 5))),
-    "sum": dict(bag_shape=(7, 5), t_iters=2, aggregation="sum"),
 }
 
 
@@ -268,12 +256,10 @@ def test_fused_step_counts_the_chains_multiply_adds(case):
     mask = _ORACLE_CASES[case].get("mask")
     masked = 0 if mask is None else 3 * mask.size   # S * B * M
     assert fused.total_madds() == chain.total_madds() - masked
-    # the chain is 18 nodes per iteration (13 without the mean's mass),
-    # one of them the zero shift of its layer norm, plus a transpose and a
-    # multiply for the alpha mask
-    per_step = 13 if _ORACLE_CASES[case].get("aggregation") == "sum" else 18
+    # the chain is 18 nodes per iteration, one of them the zero shift of
+    # its layer norm, plus a transpose and a multiply for the alpha mask
     assert chain.num_nodes - fused.num_nodes == \
-        (per_step - 1) * _ORACLE_CASES[case]["t_iters"] + 2 * (mask is not None)
+        17 * _ORACLE_CASES[case]["t_iters"] + 2 * (mask is not None)
 
 
 def test_guard_catches_a_pre_activation_that_relu_would_hide():

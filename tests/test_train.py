@@ -77,7 +77,7 @@ def test_config_defaults_match_reference_recipe():
     dict(batch_size=0), dict(n_slots_h=0), dict(t_iters=0), dict(l_iters=0),
     dict(k_fraction=0.0), dict(k_fraction=1.5), dict(temperature=0.0),
     dict(patch_subsample=0), dict(n_bins=0), dict(precision="float16"),
-    dict(aggregation="max"), dict(n_folds=1), dict(lam=-0.1),
+    dict(n_folds=1), dict(lam=-0.1),
 ])
 def test_config_rejects_nonpositive_fields(bad):
     with pytest.raises(ValueError):
@@ -434,6 +434,30 @@ def test_epoch_reports_satisfy_accounting_identity(trained):
         assert rep.total == pytest.approx(surv + rep.lam * recon, rel=1e-12)
 
 
+def test_zero_reconstruction_weight_trains_without_recon_terms(
+        small_cohort):
+    """lam = 0 is documented to disable reconstruction: the config must
+    accept it and the recon terms must read 0 in every epoch report."""
+    cfg = TrainConfig(**{**SMALL_TRAIN, "lam": 0.0, "epochs": 2})
+    reports = train(cfg, small_cohort, fold=0).epoch_reports
+    assert len(reports) == 2
+    for rep in reports:
+        assert (rep.recon_g, rep.recon_h, rep.recon_cross) == (0.0, 0.0, 0.0)
+
+
+def test_train_rejects_a_cohort_binned_to_another_count(small_cohort,
+                                                        tmp_path):
+    """The model takes its bin count from the cohort and the checkpoint
+    records the config's, so a mismatch would save a checkpoint that
+    cannot be loaded; train refuses it up front, naming both counts."""
+    cfg = TrainConfig(**SMALL_TRAIN)
+    with pytest.raises(ValueError, match="5 time bins .* 3"):
+        train(cfg, discretize_times(small_cohort, 5), fold=0)
+    ckpt = train(cfg, discretize_times(small_cohort, 3), fold=0).checkpoint
+    save_checkpoint(ckpt, tmp_path / "c.ckpt")
+    assert load_checkpoint(tmp_path / "c.ckpt").params.pred_h.w2.shape[1] == 3
+
+
 def test_train_rejects_event_starved_split(tmp_path):
     synth = SynthConfig(n_patients=6, m_hist_lo=4, m_hist_hi=6, m_gen=4,
                         dim=6, n_motifs=1, censor_fraction=0.0, seed=9)
@@ -522,31 +546,6 @@ def test_float64_checkpoint_imputes_and_scores_in_float64(small_cohort):
     x_hat, _ = recon_mod.reconstruct_genomic(
         sset.slots, ckpt.params.positions, ckpt.params.recon_cross)
     assert x_hat.dtype == np.float64
-
-
-def test_cross_modal_path_follows_the_configured_aggregation(small_cohort):
-    """With aggregation="sum" the cross-modal encode sums too: serving
-    imputes the bag decoded from a "sum" encode of the histology bag, and
-    the recon_cross term of the loss is built from one."""
-    cfg = TrainConfig(**{**SMALL_TRAIN, "precision": "float64",
-                         "aggregation": "sum"})
-    ckpt = train(cfg, small_cohort, fold=0).checkpoint
-    params = ckpt.params
-    rec = small_cohort.records[0]
-    bag_h = data_mod.load_bag(rec.histology_path)
-    bag_g = data_mod.load_bag(rec.genomic_path)
-    sset = slot_mod.encode(bag_h.matrix, params.slots_g, cfg.t_iters,
-                           aggregation="sum")
-    direct, recon_cross = recon_mod.reconstruct_genomic(
-        sset.slots, params.positions, params.recon_cross, target=bag_g.matrix)
-    np.testing.assert_array_equal(imputed_genomic_bag(ckpt, bag_h).matrix,
-                                  direct)
-    cg = model_mod.build_cohort_loss(
-        params, [(bag_h.matrix, bag_g.matrix, 1, 0)], k_h=cfg.k_h,
-        k_g=cfg.k_g, temperature=cfg.temperature, t_iters=cfg.t_iters,
-        l_iters=cfg.l_iters, lam=cfg.lam, aggregation="sum")
-    assert float(cg.terms["recon_cross"].value[0]) == pytest.approx(
-        recon_cross, rel=1e-12)
 
 
 def test_prediction_ignores_cross_recon_params_when_genomics_present(
