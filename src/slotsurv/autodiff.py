@@ -4,19 +4,20 @@ The engine exposes exactly the operations the survival model needs,
 nothing generic. A Graph is built eagerly: every op computes its value
 the moment its node is created, so data-dependent constants (hard
 top-K masks, gather index maps) can be derived mid-build from values
-already in the graph. ``forward`` replays the recorded graph under new
-input bindings; ``backward`` runs the adjoint rules in reverse
-topological order (creation order is topological by construction);
-``finite_diff_check`` compares analytic gradients against central
-differences.
+already in the graph. A graph is built once and differentiated once:
+``backward`` runs the adjoint rules in reverse creation order, which is
+topological. A replay under new inputs would keep those constants frozen,
+so the only replay is ``finite_diff_check``'s float64 copy
+(``Graph.clone``), on which it compares analytic gradients against
+central differences.
 
 Values are numpy arrays, float32 by default, float64 when a graph is
 constructed with dtype=np.float64 (used by gradient-check tests).
 Scalars are 0-d arrays. Stored values are never mutated in place.
 
 Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
-``_BACKWARD``. Eager building and ``forward`` replay run the same kernel
-through one helper that casts to the graph dtype and applies the
+``_BACKWARD``. Eager building and the ``clone`` replay run the same
+kernel through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
 multiply-adds. Three ops fuse a chain of others into one node, to save the
 per-node cost where the model repeats the chain: ``affine``,
@@ -47,9 +48,11 @@ with a parent that does. A constant, and every node built from
 constants alone (bags, masks, noise, targets), does not. ``backward``
 skips the nodes that need none, and each adjoint rule forms an operand's
 adjoint only when that operand needs one: a constant bag fed to a weight
-costs no ``grad @ W^T``. A skipped adjoint could only have flowed into
-constants, so every input gradient keeps the same terms in the same
-order and the same bits.
+costs no ``grad @ W^T``. A fused rule runs when any operand needs an
+adjoint; it then forms every adjoint inside its chain, and prunes only
+its operands' (the instance mask's costs nothing). A skipped adjoint
+could only have flowed into constants, so every input gradient keeps
+the same terms in the same order and the same bits.
 
 How ``backward`` accumulates. A node's adjoint is the sum of one
 contribution per use, added in the order the uses are visited. The first
@@ -147,7 +150,6 @@ __all__ = [
     "backward",
     "bind_arrays",
     "finite_diff_check",
-    "forward",
     "init_block",
     "init_normal",
     "named_arrays",
@@ -215,7 +217,7 @@ def _tail_madds(rows: int, d: int) -> int:
 
 
 class Graph:
-    """Eagerly evaluated op graph with recorded structure for replay."""
+    """Eagerly evaluated op graph, recorded for one backward pass."""
 
     def __init__(self, dtype=np.float32):
         if dtype not in (np.float32, np.float64):
@@ -224,17 +226,16 @@ class Graph:
         self._ops: list[str] = []
         self._parents: list[tuple] = []
         self._aux: list = []          # static per-node attributes
-        self._values: list = []       # current values (eager / last replay)
+        self._values: list = []       # node values
         self._saved: list = []        # per-run intermediates for backward
         self._madds: list[int] = []
         self._needs_grad: list[bool] = []   # an input is reachable backwards
         self._inputs: dict[str, int] = {}
-        self._marks: dict[str, int] = {}
 
     # ---------------------------------------------------------------- leaves
 
     def input(self, name: str, value) -> Node:
-        """Declare a named, rebindable leaf with its initial value."""
+        """Declare a named, differentiable leaf with its value."""
         return self.inputs({name: value})[name]
 
     def inputs(self, named: dict) -> dict:
@@ -256,7 +257,7 @@ class Graph:
         return nodes
 
     def const(self, value) -> Node:
-        """A fixed leaf; never rebound, never differentiated."""
+        """A fixed leaf, never differentiated."""
         return self._append("const", (), value=self._coerce(value, "const"))
 
     # ------------------------------------------------------------------- ops
@@ -491,11 +492,6 @@ class Graph:
 
     # ------------------------------------------------------------- utilities
 
-    def mark(self, name: str, node: Node) -> Node:
-        """Register a node under a name reported by forward()."""
-        self._marks[name] = node.idx
-        return node
-
     @property
     def num_nodes(self) -> int:
         return len(self._ops)
@@ -541,10 +537,10 @@ class Graph:
         out._madds = list(self._madds)
         out._needs_grad = list(self._needs_grad)
         out._inputs = dict(self._inputs)
-        out._marks = dict(self._marks)
         out._saved = [None] * len(self._ops)
         out._values = [np.asarray(v, dtype=dtype) for v in self._values]
-        forward(out, {})
+        _replay(out, [i for i, op in enumerate(out._ops)
+                      if op not in ("input", "const")])
         return out
 
     # -------------------------------------------------------------- internal
@@ -845,23 +841,11 @@ def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
     return out, saved
 
 
-def _replay_node(g: Graph, i: int):
-    g._values[i], g._saved[i] = _evaluate(g, g._ops[i], g._parents[i],
-                                          g._aux[i], i)
-
-
-def forward(graph: Graph, bindings: dict | None = None) -> dict:
-    """Replay the graph under new input bindings; return marked tensors."""
-    bindings = bindings or {}
-    for name, value in bindings.items():
-        if name not in graph._inputs:
-            raise GraphError(f"unknown input {name!r}")
-        graph._values[graph._inputs[name]] = graph._coerce(value, f"input {name!r}")
-    for i, op in enumerate(graph._ops):
-        if op in ("input", "const"):
-            continue
-        _replay_node(graph, i)
-    return {name: graph._values[i] for name, i in graph._marks.items()}
+def _replay(g: Graph, nodes):
+    """Recompute the given op nodes, in order, from their parents' values."""
+    for i in nodes:
+        g._values[i], g._saved[i] = _evaluate(g, g._ops[i], g._parents[i],
+                                              g._aux[i], i)
 
 
 # ----------------------------------------------------------------- backward
@@ -1035,35 +1019,27 @@ def _bw_gru(g, i, grad, grads):
         v[wn], v[un], [g._needs_grad[p] for p in parents]))
 
 
-def _gru_mlp_adj(g, grads, grad, sv, state, gru, mlp, need_u):
+def _gru_mlp_adj(g, grads, grad, sv, state, gru, mlp):
     """The adjoint of the tail ``_gru_mlp_fwd`` computes, from a fused
     node's adjoint ``grad`` and saved values ``sv``: hands the MLP
     weights, the GRU ``state`` and the GRU weights their contributions in
-    the chain's order, and returns the GRU input's adjoint (None unless
-    ``need_u``)."""
+    the chain's order, and returns the GRU input's adjoint."""
     w1, b1, w2, b2 = mlp
     v = g._values
     need = g._needs_grad
-    # which of the chain's nodes would have needed an adjoint
-    n_upd = need_u or need[state] or any(need[p] for p in gru)
-    n_hidden = n_upd or need[w1] or need[b1]
 
     # out = updated + (hidden @ w2 + b2); hidden = relu(updated @ w1 + b1)
     d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
-    d_hidden, d_w2 = _matmul_adj(grad, sv.hidden, v[w2], n_hidden, need[w2])
+    d_hidden, d_w2 = _matmul_adj(grad, sv.hidden, v[w2], need_b=need[w2])
     _give(grads, (b2, w2), (d_b2, d_w2))
-    if not n_hidden:
-        return None
     d_pre = _relu_adj(d_hidden, sv.hidden)
     d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
-    d_upd, d_w1 = _matmul_adj(d_pre, sv.updated, v[w1], n_upd, need[w1])
+    d_upd, d_w1 = _matmul_adj(d_pre, sv.updated, v[w1], need_b=need[w1])
     _give(grads, (b1, w1), (d_b1, d_w1))
-    if not n_upd:
-        return None
     d_u, *d_gru = _gru_adj(grad + d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
                            v[state],
                            *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
-                           [need_u, need[state], *(need[p] for p in gru)])
+                           [True, need[state], *(need[p] for p in gru)])
     _give(grads, (state, *gru), d_gru)
     return d_u
 
@@ -1076,40 +1052,26 @@ def _bw_slot_step(g, i, grad, grads):
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
-    # which of the chain's nodes would have needed an adjoint
-    n_norm = need[si] or need[gi]
-    n_alpha = n_norm or need[qi] or need[ki]
-    n_uraw = n_alpha or need[vi]
-    n_mass = n_alpha or need[oi]
-    d_u = _gru_mlp_adj(g, grads, grad, sv, si, tail[:9], tail[9:],
-                       n_uraw or n_mass)
-    if d_u is None:
-        return
+    d_u = _gru_mlp_adj(g, grads, grad, sv, si, tail[:9], tail[9:])
 
     # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
-    d_uraw, d_rec = _mul_adj(d_u, sv.u_raw, sv.rec, n_uraw, n_mass)
-    d_alpha, d_ones = None, None
-    if n_mass:
-        d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, sv.rec),
-                                      sv.alpha, v[oi], n_alpha, need[oi])
-    d_au, d_values = _matmul_adj(d_uraw, sv.alpha, v[vi], n_alpha, need[vi])
+    d_uraw, d_rec = _mul_adj(d_u, sv.u_raw, sv.rec)
+    d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, sv.rec), sv.alpha,
+                                  v[oi], need_b=need[oi])
+    d_au, d_values = _matmul_adj(d_uraw, sv.alpha, v[vi], need_b=need[vi])
     _give(grads, (oi, vi), (d_ones, d_values))
-    if not n_alpha:
-        return
 
     # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
     # alpha terms are arrays this rule made, so the sum and the softmax
     # adjoint may overwrite them.
     d_alpha += d_au
     d_logits = _softmax_adj(d_alpha, sv.alpha, -2, out=d_alpha, scratch=d_au)
-    d_q, d_keys = _matmul_adj(d_logits, sv.q, v[ki], n_norm or need[qi],
-                              need[ki])
-    d_normed, d_wq = _matmul_adj(d_q, sv.normed, v[qi], n_norm, need[qi])
+    d_q, d_keys = _matmul_adj(d_logits, sv.q, v[ki], need_b=need[ki])
+    d_normed, d_wq = _matmul_adj(d_q, sv.normed, v[qi], need_b=need[qi])
     _give(grads, (ki, qi), (d_keys, d_wq))
-    if n_norm:
-        d_slots, d_gamma, _ = _layer_norm_adj(
-            d_normed, v[gi], sv.xhat, sv.inv, need[si], need[gi], False)
-        _give(grads, (si, gi), (d_slots, d_gamma))
+    d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], sv.xhat, sv.inv,
+                                          need[si], need[gi], False)
+    _give(grads, (si, gi), (d_slots, d_gamma))
 
 
 def _bw_cross_step(g, i, grad, grads):
@@ -1121,31 +1083,17 @@ def _bw_cross_step(g, i, grad, grads):
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
-    # which of the chain's nodes would have needed an adjoint
-    n_q = need[qi] or need[wq]
-    n_k = need[ci] or need[wk]
-    n_v = need[ci] or need[wv]
-    n_attn = n_q or n_k
-    d_u = _gru_mlp_adj(g, grads, grad, sv, qi, tail[:9], tail[9:],
-                       n_attn or n_v)
-    if d_u is None:
-        return
-    d_attn, d_v = _matmul_adj(d_u, sv.attn, sv.v, n_attn, n_v)
-    if n_attn:
-        # attn = row_softmax(scale * q @ keys_t); d_attn is this rule's own
-        # array, so the softmax and scale adjoints may overwrite it
-        d_logits = _softmax_adj(d_attn, sv.attn, -1, out=d_attn)
-        d_logits *= d_logits.dtype.type(g._aux[i])
-        d_q, d_keys_t = _matmul_adj(d_logits, sv.q, sv.keys_t, n_q, n_k)
-    if n_v:
-        _give(grads, (ci, wv), _matmul_adj(d_v, v[ci], v[wv], need[ci],
-                                           need[wv]))
-    if n_k:
-        _give(grads, (ci, wk), _matmul_adj(np.swapaxes(d_keys_t, -1, -2),
-                                           v[ci], v[wk], need[ci], need[wk]))
-    if n_q:
-        _give(grads, (qi, wq), _matmul_adj(d_q, v[qi], v[wq], need[qi],
-                                           need[wq]))
+    d_u = _gru_mlp_adj(g, grads, grad, sv, qi, tail[:9], tail[9:])
+    d_attn, d_v = _matmul_adj(d_u, sv.attn, sv.v)
+    # attn = row_softmax(scale * q @ keys_t); d_attn is this rule's own
+    # array, so the softmax and scale adjoints may overwrite it
+    d_logits = _softmax_adj(d_attn, sv.attn, -1, out=d_attn)
+    d_logits *= d_logits.dtype.type(g._aux[i])
+    d_q, d_keys_t = _matmul_adj(d_logits, sv.q, sv.keys_t)
+    _give(grads, (ci, wv), _matmul_adj(d_v, v[ci], v[wv], need[ci], need[wv]))
+    _give(grads, (ci, wk), _matmul_adj(np.swapaxes(d_keys_t, -1, -2),
+                                       v[ci], v[wk], need[ci], need[wk]))
+    _give(grads, (qi, wq), _matmul_adj(d_q, v[qi], v[wq], need[qi], need[wq]))
 
 
 def _bw_mean_pool(g, i, grad, grads):
@@ -1325,7 +1273,6 @@ def finite_diff_check(graph: Graph, seed: Node, step: float = 1e-3,
     analytic = backward(graph, seed)
     shadow = graph.clone(np.float64)
     names = list(wrt) if wrt is not None else graph.input_names()
-    base = {n: shadow._values[shadow._inputs[n]].copy() for n in names}
 
     # Each perturbation only invalidates the perturbed input's descendant
     # cone; everything else keeps its base value, so replaying just the
@@ -1350,15 +1297,14 @@ def finite_diff_check(graph: Graph, seed: Node, step: float = 1e-3,
         xp = x.copy()
         xp.flat[k] += delta
         shadow._values[idx] = xp
-        for i in affected:
-            _replay_node(shadow, i)
+        _replay(shadow, affected)
         return shadow._values[seed.idx].item()
 
     worst = 0.0
     for name in names:
         idx = shadow._inputs[name]
         affected = cone(idx)
-        x = base[name]
+        x = shadow._values[idx]         # eval_at perturbs a copy
         g = analytic[name]
         for k in range(x.size):
             f_m2 = eval_at(idx, affected, x, k, -2.0 * step)
@@ -1372,8 +1318,7 @@ def finite_diff_check(graph: Graph, seed: Node, step: float = 1e-3,
             worst = max(worst, err)
         # restore the base values along the cone before the next input
         shadow._values[idx] = x
-        for i in affected:
-            _replay_node(shadow, i)
+        _replay(shadow, affected)
     return worst
 
 
@@ -1409,7 +1354,7 @@ def bind_arrays(graph: Graph, prefix: str, obj, trainable: bool = True):
 
     Returns an instance of the same dataclass type whose fields hold the
     created Nodes: inputs named "<prefix>.<field>" when trainable, consts
-    otherwise (no gradient, no rebinding).
+    otherwise (no gradient).
     """
     if not trainable:
         return type(obj)(**{f.name: graph.const(getattr(obj, f.name))

@@ -222,7 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate fold metrics")
     p.add_argument("--runs", required=True,
-                   help="directory holding eval_fold_*.json")
+                   help="directory holding eval_fold_*.json, each fold "
+                        "once; imputed-genomics folds (eval "
+                        "--missing-genomics) go in their own directory")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
     return parser

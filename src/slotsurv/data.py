@@ -25,7 +25,7 @@ import json
 import os
 import struct
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "SynthConfig",
     "assign_bins",
     "atomic_write",
+    "check_field_types",
     "discretize_times",
     "expect_modality",
     "kfold_split",
@@ -369,6 +370,18 @@ def kfold_split(cohort: Cohort, k: int, seed: int):
 
 # ------------------------------------------------------------------- synthesis
 
+# A float field also takes an int; a bool is neither an int nor a float.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError naming the first field not of its annotated type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if (isinstance(value, bool) != (f.type == "bool")
+                or not isinstance(value, _FIELD_TYPES[f.type])):
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -387,6 +400,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.n_patients < 1:
             raise ValueError("n_patients must be >= 1")
         if not 1 <= self.m_hist_lo <= self.m_hist_hi:

@@ -112,7 +112,7 @@ def init_risk_params(rng: np.random.Generator, dim: int,
     return RiskHeadParams(
         w1=init_normal(rng, (3 * dim, dim), 1.0 / np.sqrt(3 * dim)),
         b1=np.zeros((1, dim), dtype=np.float32),
-        w2=(rng.normal(size=(dim, n_bins)) / np.sqrt(dim)).astype(np.float32),
+        w2=init_normal(rng, (dim, n_bins), 1.0 / np.sqrt(dim)),
         b2=np.zeros((1, n_bins), dtype=np.float32),
     )
 

@@ -63,9 +63,16 @@ def _pooled_groups(fold_metrics):
 
 def summarize(fold_metrics, n_boot: int = 1000) -> dict:
     """Aggregate fold metrics: C-index mean +- population std, plus the
-    pooled two-group survival contrast (log-rank, RMST at the folds' tau)."""
+    pooled two-group survival contrast (log-rank, RMST at the folds' tau).
+    A repeated fold, or a mix of present and imputed genomics, is an error."""
     if not fold_metrics:
         raise ValueError("no fold metrics to summarize")
+    folds = [m["fold"] for m in fold_metrics]
+    if len(set(folds)) != len(folds):
+        raise ValueError(f"fold numbers repeat: {sorted(folds)}")
+    if len({m["missing_genomics"] for m in fold_metrics}) != 1:
+        raise ValueError("folds mix present and imputed genomics; report "
+                         "each mode from its own runs directory")
     c_mean, c_std = mean_std(m["c_index"] for m in fold_metrics)
     taus = {float(m.get("rmst_tau", 60.0)) for m in fold_metrics}
     if len(taus) != 1:

@@ -71,6 +71,7 @@ class TrainConfig:
     selective: bool = True            # gated top-K mixture (off: plain softmax)
 
     def validate(self) -> None:
+        data_mod.check_field_types(self)
         positive = ("learning_rate", "batch_size", "n_slots_h",
                     "n_slots_g", "t_iters", "l_iters", "k_fraction",
                     "temperature", "patch_subsample", "n_bins")
@@ -479,19 +480,15 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
                     temperature=config.temperature, t_iters=config.t_iters,
                     l_iters=config.l_iters, lam=config.lam, rng=rng,
                     selective=config.selective)
-                loss = float(cg.loss.value)
             except GraphError as err:
-                loss, cg = float("nan"), None
-                diag = str(err)
-            if not np.isfinite(loss):
+                # the graph guards every op output, the loss included
                 bad_streak += 1
                 adam.skipped += 1
-                detail = diag if cg is None else f"loss={loss!r}"
-                log.warning("non-finite batch at epoch %d (%s)", epoch, detail)
+                log.warning("non-finite batch at epoch %d (%s)", epoch, err)
                 if bad_streak >= 2:
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}: loss non-finite "
-                        f"on two consecutive batches ({detail})")
+                        f"on two consecutive batches ({err})") from err
                 continue
             bad_streak = 0
             grads = backward(cg.graph, cg.loss)

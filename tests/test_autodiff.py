@@ -7,6 +7,7 @@ dtype-matched: too small a step drowns the quotient in rounding noise.
 """
 
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from slotsurv.autodiff import (
     GraphError,
     backward,
     finite_diff_check,
-    forward,
 )
 
-from oracles import out_of_place_acc
+from oracles import (
+    out_of_place_acc,
+    unfused_attention_step,
+    unfused_cross_update,
+)
 
 N_POINTS = 20
 
@@ -519,6 +523,64 @@ def test_constant_operand_leaves_the_other_adjoints_bitwise(op_name):
                                               err_msg=f"{name} -> {other}")
 
 
+class _KeepInputsGraph(Graph):
+    """A graph that declares every input not named in ``keep`` as a
+    constant."""
+
+    def __init__(self, keep, dtype):
+        super().__init__(dtype=dtype)
+        self.keep = keep
+
+    def input(self, name, value):
+        if name not in self.keep:
+            return self.const(value)
+        return super().input(name, value)
+
+
+def _tail_params(gru, mlp):
+    names = ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")
+    return {**{f"gru_{n}": w for n, w in zip(names, gru)},
+            **dict(zip(("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"), mlp))}
+
+
+class _ChainGraph(_KeepInputsGraph):
+    """A ``_KeepInputsGraph`` whose slot_step and cross_step record the
+    per-op chains of tests/oracles.py instead of one fused node."""
+
+    def slot_step(self, slots, keys_t, values, ones, ln_gamma, w_q, gru, mlp):
+        p = SimpleNamespace(ln_slot_gamma=ln_gamma, w_q=w_q,
+                            **_tail_params(gru, mlp))
+        return unfused_attention_step(self, p, slots, keys_t, values, ones)[0]
+
+    def cross_step(self, queries, context, w_q, w_k, w_v, gru, mlp):
+        p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
+                            **_tail_params(gru, mlp))
+        return unfused_cross_update(self, p, queries, context)
+
+
+@pytest.mark.parametrize("op_name, keep", [
+    ("slot_step", {"w2", "b2"}), ("slot_step", {"keys_t"}),
+    ("cross_step", {"w2", "b2"}), ("cross_step", {"context"})])
+def test_fused_adjoints_with_most_operands_constant(op_name, keep):
+    """With every operand but a few constant, a fused node hands the
+    inputs left the per-op chain's gradients bit for bit, and they pass
+    the finite-difference audit (in float64 only, see FLOAT64_ONLY)."""
+    for dtype, step, tol in MODES:
+        for point in range(4):
+            graphs = [graph_type(keep, dtype)
+                      for graph_type in (_KeepInputsGraph, _ChainGraph)]
+            seeds = [OP_BUILDERS[op_name](g, np.random.default_rng(
+                _seed(op_name, point))) for g in graphs]
+            fused, chain = (backward(g, s) for g, s in zip(graphs, seeds))
+            assert op_name in graphs[0]._ops
+            assert op_name not in graphs[1]._ops
+            assert set(fused) == set(chain) == keep
+            for name in keep:
+                assert _same_bits(fused[name], chain[name]), (dtype, name)
+            if op_name not in FLOAT64_ONLY or dtype == np.float64:
+                assert finite_diff_check(graphs[0], seeds[0], step=step) < tol
+
+
 def test_finite_diff_exact_for_linear_function():
     # sum(x) via matmul with a ones column; integer points and a
     # power-of-two step make the central difference exact.
@@ -716,26 +778,6 @@ def test_backward_never_writes_a_buffer_it_did_not_allocate(
         assert _same_bits(got[name], want[name]), name
 
 
-def test_forward_replay_matches_fresh_build():
-    def build(g, xv, wv):
-        x = g.input("x", xv)
-        w = g.input("w", wv)
-        h = g.relu(g.matmul(x, w))
-        out = g.row_softmax(h)
-        g.mark("out", out)
-        return out
-
-    rng = np.random.default_rng(5)
-    x1, w1 = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
-    x2, w2 = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
-    g1 = Graph(dtype=np.float32)
-    build(g1, x1, w1)
-    replayed = forward(g1, {"x": x2, "w": w2})["out"]
-    g2 = Graph(dtype=np.float32)
-    fresh = build(g2, x2, w2)
-    assert np.array_equal(replayed, fresh.value)
-
-
 # stop_gradient has no FD audit (its adjoint is zero by design), but it
 # replays like every other op.
 REPLAY_BUILDERS = {
@@ -752,32 +794,21 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("op_name", sorted(REPLAY_BUILDERS))
 def test_forward_replay_matches_eager_build(op_name):
-    """Replay under the build-time bindings reproduces every eager node
-    value, and every saved intermediate, bit for bit."""
+    """A clone at the build's own dtype, which replays every node,
+    reproduces every eager node value, and every saved intermediate, bit
+    for bit."""
     assert set(OP_KINDS) == {"input", "const"} | set(_FORWARD)
     assert set(_BACKWARD) <= set(_FORWARD)
     for dtype in (np.float32, np.float64):
         g = Graph(dtype=dtype)
         REPLAY_BUILDERS[op_name](g, np.random.default_rng(_seed(op_name, 0)))
-        values = list(g._values)
-        saved = list(g._saved)
-        forward(g, {})
+        replayed = g.clone(dtype)
         for i in range(g.num_nodes):
-            assert _same_bits(values[i], g._values[i]), (op_name, i)
-            if saved[i] is not None:
+            assert _same_bits(g._values[i], replayed._values[i]), (op_name, i)
+            if g._saved[i] is not None:
                 assert all(a is b is None or _same_bits(a, b)
-                           for a, b in zip(saved[i], g._saved[i])), (op_name, i)
-
-
-def test_forward_is_deterministic():
-    rng = np.random.default_rng(6)
-    g = Graph(dtype=np.float32)
-    x = g.input("x", rng.normal(size=(4, 4)))
-    g.mark("y", g.row_softmax(g.matmul(x, x)))
-    xv = rng.normal(size=(4, 4))
-    a = forward(g, {"x": xv})["y"].copy()
-    b = forward(g, {"x": xv})["y"]
-    assert np.array_equal(a, b)
+                           for a, b in zip(g._saved[i], replayed._saved[i])), \
+                    (op_name, i)
 
 
 def test_gather_rows_values_and_duplicates():
@@ -886,13 +917,6 @@ def test_non_finite_rejected_with_node_id():
     assert g2.num_nodes == 2
 
 
-def test_forward_rejects_unknown_input():
-    g = Graph(dtype=np.float32)
-    g.input("x", np.ones((1, 1)))
-    with pytest.raises(GraphError):
-        forward(g, {"nope": np.ones((1, 1))})
-
-
 def test_backward_rejects_non_scalar_seed():
     g = Graph(dtype=np.float32)
     x = g.input("x", np.ones((2, 2)))
@@ -952,7 +976,8 @@ def test_fd_cone_replay_matches_full_replay_bitwise():
     step = 1e-4
     fast = finite_diff_check(g, loss, step=step)
 
-    # reference: full forward() replay for every stencil evaluation
+    # reference: a full replay (a fresh clone of the shadow with the
+    # perturbed input set) for every stencil evaluation
     analytic = backward(g, loss)
     shadow = g.clone(np.float64)
     base = {n: shadow._values[shadow._inputs[n]].copy()
@@ -965,13 +990,13 @@ def test_fd_cone_replay_matches_full_replay_bitwise():
             for delta in (-2.0 * step, -step, step, 2.0 * step):
                 xp = a.copy()
                 xp.flat[k] += delta
-                forward(shadow, {name: xp})
-                vals.append(shadow._values[loss.idx].item())
+                shadow._values[shadow._inputs[name]] = xp
+                vals.append(shadow.clone(np.float64)._values[loss.idx].item())
             f_m2, f_m1, f_p1, f_p2 = vals
             num = ((f_m2 - f_p2) + 8.0 * (f_p1 - f_m1)) / (12.0 * step)
             an = float(analytic[name].flat[k])
             worst = max(worst, abs(num - an) / max(abs(num), abs(an), 1e-8))
-        forward(shadow, {name: a})
+        shadow._values[shadow._inputs[name]] = a
     assert fast == worst
     assert fast < 1e-7
 

@@ -95,6 +95,16 @@ def test_bad_config_values_exit_2(workdir, tmp_path):
     cfg.write_text("{not json")
     assert main(["synth", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
+    # values of the wrong type: each names its field and exits 2
+    for bad in ({"epochs": "3"}, {"batch_size": 2.5}, {"selective": "no"},
+                {"t_iters": True}):
+        cfg.write_text(json.dumps({**TRAIN_CFG, **bad}))
+        assert main(["train", "--manifest", str(workdir["manifest"]),
+                     "--config", str(cfg), "--fold", "0",
+                     "--out", str(tmp_path / "typed")]) == 2, bad
+    cfg.write_text(json.dumps({**SYNTH_CFG, "n_patients": "x"}))
+    assert main(["synth", "--config", str(cfg),
+                 "--out", str(tmp_path / "typed")]) == 2
 
 
 def test_divergence_exits_3(workdir, tmp_path):
@@ -146,12 +156,12 @@ def test_eval_writes_metrics_json(workdir):
     assert metrics["missing_genomics"] is False
 
 
-def test_eval_missing_genomics_flag(workdir):
+def test_eval_missing_genomics_flag(workdir, tmp_path):
+    # imputed folds go in their own runs directory (report refuses a mix)
     assert main(["eval", "--checkpoint", str(workdir["ckpt"]),
                  "--manifest", str(workdir["manifest"]), "--fold", "0",
-                 "--missing-genomics", "--out", str(workdir["runs"])]) == 0
-    metrics = json.loads(
-        (workdir["runs"] / "eval_fold_0_missing.json").read_text())
+                 "--missing-genomics", "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "eval_fold_0_missing.json").read_text())
     assert metrics["missing_genomics"] is True
     assert np.isfinite(metrics["c_index"])
 
@@ -221,6 +231,19 @@ def test_report_aggregates_runs(workdir, tmp_path):
     assert "c_index_mean" in summary and "delta" in summary
     assert (out / "folds.csv").exists()
     assert (out / "km.svg").exists()
+
+
+def test_report_rejects_a_fold_scored_twice_exits_2(workdir, tmp_path):
+    """A fold scored with genomics present and imputed into one runs
+    directory would count twice, and pool two modes: report refuses it."""
+    runs = tmp_path / "runs"
+    for extra in ([], ["--missing-genomics"]):
+        assert main(["eval", "--checkpoint", str(workdir["ckpt"]),
+                     "--manifest", str(workdir["manifest"]), "--fold", "0",
+                     "--out", str(runs), *extra]) == 0
+    assert main(["report", "--runs", str(runs),
+                 "--out", str(tmp_path / "report")]) == 2
+    assert not (tmp_path / "report" / "folds.csv").exists()
 
 
 def _corrupt(blob: bytes, case: int, rng) -> bytes:

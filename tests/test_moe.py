@@ -11,7 +11,6 @@ from slotsurv.autodiff import (
     backward,
     bind_arrays,
     finite_diff_check,
-    forward,
 )
 from slotsurv.moe import (
     GateMask,
@@ -311,15 +310,9 @@ def test_graph_matches_numpy_reference():
 
 
 def test_straight_through_forward_is_exactly_k_hot():
-    g, _, r, mask, _, _ = _graph_moe(12, temperature=0.7, training=True)
+    mask = _graph_moe(12, temperature=0.7, training=True)[3]
     assert np.isin(mask.value, (0.0, 1.0)).all()
     assert mask.value.sum() == 2.0
-    # replaying under perturbed scores keeps the recorded selection: the
-    # soft term cancels itself exactly, leaving the hard constant
-    g.mark("mask", mask)
-    slots_val = np.random.default_rng(12).normal(size=(4, 5))
-    shifted = forward(g, {"slots": slots_val + 0.3})
-    assert np.array_equal(shifted["mask"], mask.value)
 
 
 def test_straight_through_backward_equals_soft_path():

@@ -15,6 +15,8 @@ from slotsurv import model as model_mod
 from slotsurv.data import SynthConfig, discretize_times, synth_cohort
 from slotsurv import recon as recon_mod
 from slotsurv import slots as slot_mod
+from slotsurv import train as train_mod
+from slotsurv.autodiff import GraphError
 from slotsurv.train import (
     AdamState,
     Checkpoint,
@@ -482,6 +484,30 @@ def test_divergence_aborts_with_diagnostics(small_cohort):
     with np.errstate(over="ignore"), \
             pytest.raises(DivergenceError, match="epoch"):
         train(cfg, small_cohort, fold=0)
+
+
+def test_one_failed_batch_is_skipped_and_training_finishes(
+        small_cohort, monkeypatch, caplog):
+    """A batch whose graph fails to build is skipped and counted; one bad
+    batch between good ones does not end the run."""
+    cfg = TrainConfig(**{**SMALL_TRAIN, "epochs": 2})
+    clean = train(cfg, small_cohort, fold=0).checkpoint
+    build = train_mod.build_cohort_loss
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise GraphError("non-finite output at node 7 (exp)")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "build_cohort_loss", flaky)
+    with caplog.at_level(logging.WARNING, logger="slotsurv.train"):
+        ck = train(cfg, small_cohort, fold=0).checkpoint
+    assert len(calls) > 2
+    assert ck.adam.skipped == 1 and clean.adam.skipped == 0
+    assert ck.steps_trained == clean.steps_trained - 1 == ck.adam.t
+    assert "non-finite batch at epoch 0" in caplog.text
 
 
 # ------------------------------------------------------------------ evaluation
