@@ -13,7 +13,11 @@ central differences.
 
 Values are numpy arrays, float32 by default, float64 when a graph is
 constructed with dtype=np.float64 (used by gradient-check tests).
-Scalars are 0-d arrays. Stored values are never mutated in place.
+Scalars are 0-d arrays. Stored values are never mutated in place: a
+forward kernel or adjoint helper writes in place only into arrays it
+allocated itself, never into a parent's value, a saved intermediate or
+an adjoint it was handed, and with the same float operations in the same
+order as the out-of-place expression, so the bits are the same.
 
 Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
 ``_BACKWARD``. Eager building and the ``clone`` replay run the same
@@ -189,11 +193,20 @@ class Node:
         return f"Node({self.idx}:{self.op}, shape={self.shape})"
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     """Logistic function without branches or overflow: each entry is
     1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0, since exactly one of
-    e^min(x, 0) and e^-|x| differs from e^0 = 1."""
-    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
+    e^min(x, 0) and e^-|x| differs from e^0 = 1.  The result goes into
+    ``out`` (which may be x itself) or a new array."""
+    den = np.empty_like(x)              # arrays, even where x is 0-d
+    np.abs(x, out=den)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    y = np.minimum(x, 0, out=np.empty_like(x) if out is None else out)
+    np.exp(y, out=y)
+    y /= den
+    return y
 
 
 def _fused_weights(op: str, head: tuple, head_shapes: list, gru, mlp,
@@ -627,8 +640,8 @@ def _affine_fwd(_, x, w, b):
     return out
 
 
-def _relu(x):
-    return np.maximum(x, 0)
+def _relu(x, out=None):
+    return np.maximum(x, 0, out=out)
 
 
 def _normalize(x):
@@ -653,11 +666,24 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     shape = x.shape
     if x.ndim != 2:
         x, h = x.reshape(-1, shape[-1]), h.reshape(-1, shape[-1])
-    z = _sigmoid(x @ wz + h @ uz + bz)
-    r = _sigmoid(x @ wr + h @ ur + br)
+    # each pre-activation is a new array, so the maps run in place on it
+    z = x @ wz
+    z += h @ uz
+    z += bz
+    _sigmoid(z, out=z)
+    r = x @ wr
+    r += h @ ur
+    r += br
+    _sigmoid(r, out=r)
     rh = r * h
-    n = np.tanh(x @ wn + rh @ un + bn)
-    return (z * h + (1.0 - z) * n).reshape(shape), (z, r, n, rh)
+    n = x @ wn
+    n += rh @ un
+    n += bn
+    np.tanh(n, out=n)
+    out = 1.0 - z                       # z * h + (1 - z) * n
+    out *= n
+    out += z * h
+    return out.reshape(shape), (z, r, n, rh)
 
 
 class _StepSaved(typing.NamedTuple):
@@ -714,8 +740,9 @@ def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn,
                                       wn, un, bn)
     pre = _affine_fwd(None, updated, w1, b1)
     _guard(pre, "MLP pre-activation", op)
-    hidden = _relu(pre)
-    out = updated + _affine_fwd(None, hidden, w2, b2)
+    hidden = _relu(pre, out=pre)       # pre is not kept
+    out = _affine_fwd(None, hidden, w2, b2)
+    out += updated
     return out, (u, z, r, n, rh, updated, hidden)
 
 
@@ -732,7 +759,8 @@ def _slot_step_fwd(_, slots, keys_t, values, ones, gamma, w_q, *tail):
     _guard(logits, "attention logits", "slot_step")
     alpha = _softmax(-2, logits, out=logits)    # logits are not kept
     u_raw = _matmul(alpha, values)
-    mass = _matmul(alpha, ones) + alpha.dtype.type(_AGG_EPS)
+    mass = _matmul(alpha, ones)
+    mass += alpha.dtype.type(_AGG_EPS)
     _guard(mass, "attention mass", "slot_step")
     rec = _reciprocal_fwd(None, mass)
     u = u_raw * rec
@@ -896,9 +924,9 @@ def _softmax_adj(grad, y, axis, out=None, scratch=None):
     return gy
 
 
-def _relu_adj(grad, x):
+def _relu_adj(grad, x, out=None):
     # x may be the relu's input or its output: x > 0 holds for both alike
-    return grad * (x > 0)
+    return np.multiply(grad, x > 0, out=out)
 
 
 def _reciprocal_adj(grad, y):
@@ -927,20 +955,36 @@ def _gru_adj(grad, saved, x, h, wz, uz, wr, ur, wn, un, need):
     grad = grad.reshape(z.shape)
     x, h = x.reshape(z.shape), h.reshape(z.shape)
 
-    dz = grad * (h - n)
-    dn = grad * (1.0 - z)
-    dnp = dn * (1.0 - n * n)
+    # every array below is this helper's own, so products run in place
+    dzp = h - n                         # dz = grad * (h - n)
+    dzp *= grad
+    dnp = 1.0 - z                       # dn = grad * (1 - z)
+    dnp *= grad
+    slope = n * n                       # dnp = dn * (1 - n^2)
+    np.subtract(1.0, slope, out=slope)
+    dnp *= slope
     drh = dnp @ un.T
-    dr = drh * h
-    dzp = dz * z * (1.0 - z)
-    drp = dr * r * (1.0 - r)
+    drp = drh * h                       # dr = drh * h
+    dzp *= z                            # dzp = dz * z * (1 - z)
+    np.subtract(1.0, z, out=slope)
+    dzp *= slope
+    drp *= r                            # drp = dr * r * (1 - r)
+    np.subtract(1.0, r, out=slope)
+    drp *= slope
 
     out = [None] * 11
     if need[0]:
-        out[0] = (dnp @ wn.T + dzp @ wz.T + drp @ wr.T).reshape(shape)
+        dx = dnp @ wn.T
+        dx += dzp @ wz.T
+        dx += drp @ wr.T
+        out[0] = dx.reshape(shape)
     if need[1]:
-        dh = grad * z + drh * r
-        out[1] = (dh + dzp @ uz.T + drp @ ur.T).reshape(shape)
+        dh = grad * z                   # dh = grad * z + drh * r
+        drh *= r
+        dh += drh
+        dh += dzp @ uz.T
+        dh += drp @ ur.T
+        out[1] = dh.reshape(shape)
     for k, left, d in ((2, x, dzp), (3, h, dzp), (4, None, dzp),
                        (5, x, drp), (6, h, drp), (7, None, drp),
                        (8, x, dnp), (9, rh, dnp), (10, None, dnp)):
@@ -1032,11 +1076,12 @@ def _gru_mlp_adj(g, grads, grad, sv, state, gru, mlp):
     d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
     d_hidden, d_w2 = _matmul_adj(grad, sv.hidden, v[w2], need_b=need[w2])
     _give(grads, (b2, w2), (d_b2, d_w2))
-    d_pre = _relu_adj(d_hidden, sv.hidden)
+    d_pre = _relu_adj(d_hidden, sv.hidden, out=d_hidden)
     d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
     d_upd, d_w1 = _matmul_adj(d_pre, sv.updated, v[w1], need_b=need[w1])
     _give(grads, (b1, w1), (d_b1, d_w1))
-    d_u, *d_gru = _gru_adj(grad + d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
+    d_upd += grad                       # the residual path's term
+    d_u, *d_gru = _gru_adj(d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
                            v[state],
                            *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
                            [True, need[state], *(need[p] for p in gru)])

@@ -57,12 +57,6 @@ def _read_json(path, what: str) -> dict:
     return doc
 
 
-def _write_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ------------------------------------------------------------------- commands
 
 
@@ -90,7 +84,7 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .data import load_manifest
+    from .data import load_manifest, write_json
     from .train import TrainConfig, save_checkpoint, train
 
     doc = _read_json(args.config, "train config") if args.config else {}
@@ -100,8 +94,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, f"fold_{args.fold}.ckpt")
     save_checkpoint(result.checkpoint, ckpt_path)
-    _write_json([r.as_dict() for r in result.epoch_reports],
-                os.path.join(args.out, f"fold_{args.fold}_losses.json"))
+    write_json([r.as_dict() for r in result.epoch_reports],
+               os.path.join(args.out, f"fold_{args.fold}_losses.json"))
     last = result.epoch_reports[-1].total if result.epoch_reports else None
     print(f"fold {args.fold}: {result.checkpoint.steps_trained} steps, "
           f"final loss {last}, checkpoint {ckpt_path}")
@@ -109,7 +103,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .data import load_manifest
+    from .data import load_manifest, write_json
     from .train import evaluate, load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
@@ -120,13 +114,13 @@ def cmd_eval(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         suffix = "_missing" if args.missing_genomics else ""
-        _write_json(metrics, os.path.join(
+        write_json(metrics, os.path.join(
             args.out, f"eval_fold_{args.fold}{suffix}.json"))
     return EXIT_OK
 
 
 def cmd_infer(args) -> int:
-    from .data import load_bag
+    from .data import load_bag, write_json
     from .moe import write_gate_csv
     from .slots import write_assignment_csv
     from .train import load_checkpoint, predict_patient
@@ -145,7 +139,7 @@ def cmd_infer(args) -> int:
         "hazards_genomic": [float(h) for h in out.curve_g.h],
         "imputed_genomic": bool(imputed),
     }
-    _write_json(prediction, os.path.join(args.out, "prediction.json"))
+    write_json(prediction, os.path.join(args.out, "prediction.json"))
     write_assignment_csv(out.slots_h,
                          os.path.join(args.out, "assignment_histology.csv"))
     write_assignment_csv(out.slots_g,
@@ -155,8 +149,8 @@ def cmd_infer(args) -> int:
     write_gate_csv(out.mask_g, out.weights_g,
                    os.path.join(args.out, "gates_genomic.csv"))
     if imputed:
-        _write_json({"imputed": True, "source": args.histology},
-                    os.path.join(args.out, "imputed_genomic.json"))
+        write_json({"imputed": True, "source": args.histology},
+                   os.path.join(args.out, "imputed_genomic.json"))
     print(f"risk {out.risk:.6g} -> {args.out}"
           + (" (genomics imputed)" if imputed else ""))
     return EXIT_OK

@@ -14,8 +14,9 @@ Bag paths are stored relative to the manifest's directory when possible and
 resolved back to absolute paths on load.  When ``bin_edges`` is given, every
 ``time_bin`` must lie in [1, len(bin_edges) + 1].
 
-Bags, manifests and checkpoints are written through ``atomic_write``: a
-failed write leaves the previous file as it was.
+Bags, manifests, checkpoints and every report, prediction and CSV export
+are written through ``atomic_write``: a failed write leaves the previous
+file as it was.  JSON documents go through ``write_json``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "save_manifest",
     "synth_cohort",
     "write_bag",
+    "write_json",
 ]
 
 _MAGIC = b"SSPE"
@@ -110,6 +112,14 @@ def atomic_write(path, mode: str = "wb", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(doc, path) -> None:
+    """``doc`` as UTF-8 JSON, indent 2, sorted keys and a trailing
+    newline, written atomically."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -255,9 +265,7 @@ def save_manifest(cohort: Cohort, path) -> None:
         "bin_edges": None if cohort.bin_edges is None
         else [float(e) for e in cohort.bin_edges],
     }
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_manifest(path) -> Cohort:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Graph, Node, init_block, init_normal
+from .data import atomic_write
 
 __all__ = [
     "GateMask",
@@ -185,7 +186,7 @@ def build_gated_mixture(g: Graph, weights: Node, logits: Node) -> Node:
 
 def write_gate_csv(mask: GateMask, weights: np.ndarray, path) -> None:
     weights = np.asarray(weights).reshape(-1)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot_index", "r", "selected", "w"])
         for idx in range(mask.scores.size):

@@ -8,13 +8,13 @@ deviation over folds (ddof=0), so a single fold reports 0.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 
 from . import survival as surv_mod
+from .data import atomic_write, write_json
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -34,7 +34,7 @@ def fold_csv_rows(fold_metrics) -> list:
 def write_fold_csv(fold_metrics, path) -> None:
     if not fold_metrics:
         raise ValueError("no fold metrics to write")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=FOLD_CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(fold_csv_rows(fold_metrics))
@@ -220,8 +220,11 @@ def write_km_svg(fold_metrics, summary: dict, path) -> None:
         raise ValueError("pooled cohort has a single risk group")
     root = km_svg(times[high], events[high], times[~high], events[~high],
                   annotations=summary)
-    ET.ElementTree(root).write(path, encoding="unicode",
-                               xml_declaration=True)
+    # the encoding and error handler ElementTree uses when given a path
+    with atomic_write(path, "w", encoding="utf-8",
+                      errors="xmlcharrefreplace") as fh:
+        ET.ElementTree(root).write(fh, encoding="unicode",
+                                   xml_declaration=True)
 
 
 def write_report(fold_metrics, out_dir, n_boot: int = 1000) -> dict:
@@ -231,9 +234,6 @@ def write_report(fold_metrics, out_dir, n_boot: int = 1000) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     summary = summarize(fold_metrics, n_boot=n_boot)
     write_fold_csv(fold_metrics, os.path.join(out_dir, "folds.csv"))
-    with open(os.path.join(out_dir, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, os.path.join(out_dir, "summary.json"))
     write_km_svg(fold_metrics, summary, os.path.join(out_dir, "km.svg"))
     return summary

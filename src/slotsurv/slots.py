@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Graph, bind_arrays, init_block, init_normal
+from .data import atomic_write
 
 __all__ = [
     "SlotParams",
@@ -202,7 +203,7 @@ def assignment_map(slotset: SlotSet) -> np.ndarray:
 def write_assignment_csv(slotset: SlotSet, path) -> None:
     indices = assignment_map(slotset)
     peaks = slotset.attention.max(axis=0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance_index", "slot_index", "max_attention"])
         for j, (k, a) in enumerate(zip(indices, peaks)):

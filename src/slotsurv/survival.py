@@ -443,7 +443,13 @@ def bootstrap_stats(times_high, events_high, times_low, events_low,
 
 def stratified_stats(risks, times, events, threshold: float,
                      tau: float = 60.0, n_boot: int = 1000) -> dict:
-    """Two-group survival contrast at a risk threshold (>= goes high)."""
+    """Two-group survival contrast at a risk threshold (>= goes high).
+
+    A degenerate split or resample gives NaN contrasts; a bad ``n_boot``
+    raises ``ValueError``."""
+    if n_boot < 1:
+        raise ValueError(
+            f"stratified_stats: n_boot must be >= 1, got {n_boot}")
     risks = np.asarray(risks, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)

@@ -3,7 +3,9 @@ evaluation.
 
 Each batch is one graph over padded tensors (``model.build_cohort_loss``):
 histology bags of uneven size are zero-padded to the longest bag of the
-batch, and an instance mask keeps the padding out of every result.
+batch, and an instance mask keeps the padding out of every result.  A run
+holds one batch graph at a time: each is freed, with its values, saved
+intermediates and gradients, before the next batch is built.
 Inference runs the same trunk on a batch of one, with every histology
 row.  The optimizer state, parameter tensors, config snapshot and rng
 state round-trip through a single checkpoint file byte-for-byte; a
@@ -425,7 +427,8 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
 
     The rng stream covers parameter init, slot-init noise, gate noise,
     epoch shuffles and patch subsampling, and its end-of-run state is
-    carried in the checkpoint.
+    carried in the checkpoint.  At most one batch graph is alive at a
+    time, so peak memory is one graph's, not two.
     """
     config.validate()
     if cohort.bin_edges is None:
@@ -497,6 +500,8 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
             arrays.update(updated)
             steps += 1
             epoch_terms.extend(cg.term_values())
+            # held while the next batch builds, it would double peak memory
+            del cg, grads
         if epoch_terms:
             epoch_reports.append(surv_mod.total_loss(epoch_terms,
                                                      lam=config.lam))
@@ -524,12 +529,18 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
 
     Returns (PatientOutput, imputed) where ``imputed`` says whether the
     genomic bag was reconstructed from histology.  Every histology row is
-    used (no subsampling at inference).
+    used (no subsampling at inference).  A genomic bag must have one row
+    per pathway of the checkpoint; otherwise ``BagError``.
     """
     cfg = ckpt.config
     data_mod.expect_modality(bag_h, "histology")
     if bag_g is not None:
         data_mod.expect_modality(bag_g, "genomic")
+        m_gen = ckpt.params.positions.m_rows
+        if bag_g.m != m_gen:
+            raise data_mod.BagError(
+                f"genomic bag has {bag_g.m} pathway rows but the checkpoint "
+                f"was trained on {m_gen}")
     imputed = bag_g is None
     if imputed:
         bag_g = imputed_genomic_bag(ckpt, bag_h)

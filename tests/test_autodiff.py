@@ -811,6 +811,28 @@ def test_forward_replay_matches_eager_build(op_name):
                     (op_name, i)
 
 
+@pytest.mark.parametrize("op_name", ["slot_step", "slot_step_masked",
+                                     "cross_step", "cross_step_3d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_leaves_fused_values_and_saved_intermediates_intact(
+        op_name, dtype):
+    """The fused kernels and adjoints write in place only into arrays they
+    allocated: after ``backward`` every node value and every saved
+    intermediate has the bits it had before."""
+    g = Graph(dtype=dtype)
+    seed = OP_BUILDERS[op_name](g, np.random.default_rng(_seed(op_name, 0)))
+    assert {"slot_step", "cross_step"} & set(g._ops)
+    values = [v.copy() for v in g._values]
+    saved = [None if sv is None else
+             [None if a is None else a.copy() for a in sv] for sv in g._saved]
+    backward(g, seed)
+    for i in range(g.num_nodes):
+        assert _same_bits(values[i], g._values[i]), (op_name, i)
+        if saved[i] is not None:
+            assert all(a is b is None or _same_bits(a, b)
+                       for a, b in zip(saved[i], g._saved[i])), (op_name, i)
+
+
 def test_gather_rows_values_and_duplicates():
     g = Graph(dtype=np.float32)
     x = g.input("x", np.arange(12.0).reshape(4, 3))

@@ -223,6 +223,39 @@ def test_bag_of_the_wrong_modality_exits_2(workdir, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_genomic_bag_of_another_panel_exits_2(workdir, tmp_path, capsys):
+    """A genomic bag whose row count is not the checkpoint's pathway count
+    is a data error for infer and for eval."""
+    from slotsurv.data import FeatureBag, load_bag, write_bag
+
+    doc = json.loads(workdir["manifest"].read_text())
+    cohort_dir = str(workdir["cohort_dir"])
+    first = doc["patients"][0]
+    bag_g = load_bag(os.path.join(cohort_dir, first["genomic_path"]))
+    m = SYNTH_CFG["m_gen"]
+    wide = tmp_path / "wide_g.bag"
+    write_bag(FeatureBag("genomic", np.resize(bag_g.matrix, (m + 1, bag_g.d))),
+              wide)
+    bag_h = os.path.join(cohort_dir, first["histology_path"])
+    assert main(["infer", "--checkpoint", str(workdir["ckpt"]),
+                 "--histology", bag_h, "--genomic", str(wide),
+                 "--out", str(tmp_path / "x")]) == 2
+    want = f"genomic bag has {m + 1} pathway rows but the checkpoint was " \
+        f"trained on {m}"
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "x" / "prediction.json").exists()
+    for row in doc["patients"]:
+        row["histology_path"] = os.path.join(cohort_dir, row["histology_path"])
+        row["genomic_path"] = str(wide)
+    manifest = tmp_path / "wide.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["eval", "--checkpoint", str(workdir["ckpt"]),
+                 "--manifest", str(manifest), "--fold", "0",
+                 "--out", str(tmp_path / "runs")]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_report_aggregates_runs(workdir, tmp_path):
     out = tmp_path / "report"
     assert main(["report", "--runs", str(workdir["runs"]),

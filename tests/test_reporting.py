@@ -7,12 +7,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from slotsurv import reporting
+from slotsurv import slots as slot_mod
+from slotsurv.data import write_json
+from slotsurv.moe import GateMask, write_gate_csv
 from slotsurv.reporting import (
     FOLD_CSV_COLUMNS,
     annotations_lines,
     km_svg,
     mean_std,
     summarize,
+    write_fold_csv,
+    write_km_svg,
     write_report,
 )
 
@@ -137,3 +143,50 @@ def test_write_report_artifacts(folds, tmp_path):
 def test_write_report_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         write_report([], tmp_path)
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+def _fail_json(folds, path, monkeypatch):
+    write_json({"a": 1, "b": object()}, path)        # TypeError at "b"
+
+
+def _fail_fold_csv(folds, path, monkeypatch):
+    write_fold_csv([folds[0], {**folds[1], "c_index": _Unprintable()}], path)
+
+
+def _fail_km_svg(folds, path, monkeypatch):
+    def tree(*args, **kwargs):
+        root = ET.Element("svg")
+        ET.SubElement(root, "path", {"d": 1})       # not serializable
+        return root
+    monkeypatch.setattr(reporting, "km_svg", tree)
+    write_km_svg(folds, {}, path)
+
+
+def _fail_assignment_csv(folds, path, monkeypatch):
+    monkeypatch.setattr(slot_mod, "assignment_map", lambda s: [0, "x"])
+    sset = slot_mod.SlotSet(slots=np.zeros((2, 3)),
+                            attention=np.full((2, 2), 0.5))
+    slot_mod.write_assignment_csv(sset, path)
+
+
+def _fail_gate_csv(folds, path, monkeypatch):
+    mask = GateMask(hard=np.ones(3), scores=np.zeros(3))
+    write_gate_csv(mask, np.ones(1), path)          # no weight for slot 1
+
+
+@pytest.mark.parametrize("write", [
+    _fail_json, _fail_fold_csv, _fail_km_svg, _fail_assignment_csv,
+    _fail_gate_csv], ids=lambda f: f.__name__[6:])
+def test_a_write_failing_partway_leaves_no_file(folds, tmp_path, monkeypatch,
+                                                write):
+    """Each output writer fails after some output was formed; the target
+    never appears, and nothing is left beside it."""
+    path = tmp_path / "out"
+    with pytest.raises(Exception):
+        write(folds, path, monkeypatch)
+    assert list(tmp_path.iterdir()) == []

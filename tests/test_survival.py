@@ -20,6 +20,7 @@ from slotsurv.survival import (
     km_estimate,
     logrank_test,
     rmst,
+    stratified_stats,
     total_loss,
 )
 
@@ -527,6 +528,24 @@ def test_bootstrap_rejects_mostly_degenerate_resamples():
 def test_bootstrap_rejects_empty_groups():
     with pytest.raises(ValueError):
         bootstrap_stats([], [], [1.0], [1], tau=10.0, n_boot=10, seed=0)
+
+
+def test_stratified_stats_rejects_a_bad_replicate_count():
+    """n_boot < 1 is an error, not a NaN contrast; degenerate resamples
+    still give NaN."""
+    risks = np.linspace(0.0, 1.0, 20)
+    times = np.linspace(90.0, 5.0, 20)
+    events = np.ones(20, dtype=bool)
+    for n_boot in (0, -1):
+        with pytest.raises(ValueError, match="n_boot must be >= 1"):
+            stratified_stats(risks, times, events, 0.5, n_boot=n_boot)
+    ok = stratified_stats(risks, times, events, 0.5, n_boot=50)
+    assert ok["n_boot"] == 50 and np.isfinite(ok["rmst_delta"])
+    rare = events.copy()
+    rare[:10] = False
+    rare[0] = True              # one low-risk event: most resamples miss it
+    out = stratified_stats(risks, times, rare, 0.5, n_boot=200)
+    assert math.isnan(out["rmst_delta"]) and "n_boot" not in out
 
 
 def _summary_bits(summary):

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -510,6 +511,25 @@ def test_one_failed_batch_is_skipped_and_training_finishes(
     assert "non-finite batch at epoch 0" in caplog.text
 
 
+def test_training_holds_one_batch_graph_at_a_time(small_cohort, monkeypatch):
+    """Each batch graph, with its values and saved intermediates, is freed
+    before the next batch is built."""
+    cfg = TrainConfig(**{**SMALL_TRAIN, "epochs": 2, "batch_size": 3})
+    build = train_mod.build_cohort_loss
+    built = []
+
+    def tracked(*args, **kwargs):
+        alive = [k for k, ref in enumerate(built) if ref() is not None]
+        assert alive == [], f"graphs of batches {alive} still held"
+        cg = build(*args, **kwargs)
+        built.append(weakref.ref(cg.graph))
+        return cg
+
+    monkeypatch.setattr(train_mod, "build_cohort_loss", tracked)
+    ck = train(cfg, small_cohort, fold=0).checkpoint
+    assert len(built) == ck.steps_trained == 6
+
+
 # ------------------------------------------------------------------ evaluation
 
 
@@ -557,6 +577,27 @@ def test_predict_patient_deterministic_and_flagged(trained, small_cohort):
     assert ic is True and np.isfinite(c.risk)
     with pytest.raises(data_mod.BagError, match="histology"):
         predict_patient(trained.checkpoint, bag_g, bag_g)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_predict_patient_rejects_a_genomic_bag_of_another_panel(
+        trained, small_cohort, monkeypatch, delta):
+    """A genomic bag must have one row per pathway of the checkpoint; the
+    mismatch is reported before any graph is built."""
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    bag_g = data_mod.load_bag(rec.genomic_path)
+    m = SMALL_SYNTH.m_gen
+    rows = np.resize(bag_g.matrix, (m + delta, bag_g.d))
+    other = data_mod.FeatureBag("genomic", rows)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(train_mod, "patient_forward", no_graph)
+    with pytest.raises(data_mod.BagError,
+                       match=f"{m + delta} pathway rows .* trained on {m}"):
+        predict_patient(trained.checkpoint, bag_h, other)
 
 
 def test_float64_checkpoint_imputes_and_scores_in_float64(small_cohort):
