@@ -23,26 +23,27 @@ Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
 ``_BACKWARD``. Eager building and the ``clone`` replay run the same
 kernel through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
-multiply-adds. Three ops fuse a chain of others into one node, to save the
+multiply-adds. Four ops fuse a chain of others into one node, to save the
 per-node cost where the model repeats the chain: ``affine``,
-``slot_step`` and ``cross_step``. Their kernels call the chain's kernels
-in the chain's order, and their adjoint rules call the same array-level
-adjoint helpers as the chain's rules, in reverse, handing each parent its
-contributions in the chain's order, so values and gradients have the
-chain's bits. ``slot_step`` and ``cross_step`` end in the same GRU ->
-residual-MLP tail, with one forward and one adjoint helper.
+``slot_step``, ``cross_step`` and ``self_attend``. Their kernels call the
+chain's kernels in the chain's order, and their adjoint rules call the
+same array-level adjoint helpers as the chain's rules, in reverse,
+handing each parent its contributions in the chain's order, so values
+and gradients have the chain's bits. ``slot_step`` and ``cross_step``
+end in the same GRU -> residual-MLP tail, and all three attention ops in
+the same residual MLP, each with one forward and one adjoint helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` a whole parameter set is checked at once, and
 only when that fails leaf by leaf, to name the tensor. Every op output
 is checked, except for ops that map finite inputs to finite outputs
 (transpose, reshape, gather_rows, concat, stop_gradient, relu, clamp,
-sigmoid and both softmaxes). Inside ``slot_step`` and ``cross_step``
-the values that feed a kernel able to hide a non-finite entry are
-checked: the logits (softmax maps -inf to 0), in ``slot_step`` the
-attention mass (reciprocal maps inf to 0), the GRU input, which in
-``cross_step`` is the attention output (its sigmoid and tanh saturate),
-and the MLP pre-activation (relu maps -inf to 0). The other
+sigmoid and both softmaxes). Inside the fused attention ops the values
+that feed a kernel able to hide a non-finite entry are checked: the
+logits (softmax maps -inf to 0), in ``slot_step`` the attention mass
+(reciprocal maps inf to 0), in ``slot_step`` and ``cross_step`` the GRU
+input, which in ``cross_step`` is the attention output (its sigmoid and
+tanh saturate), and the MLP pre-activation (relu maps -inf to 0). The other
 intermediates feed only products and sums with finite operands, which
 carry a non-finite entry on to a checked value.
 
@@ -62,8 +63,8 @@ How ``backward`` accumulates. A node's adjoint is the sum of one
 contribution per use, added in the order the uses are visited. The first
 contribution is stored as given: it may be an array another node also
 holds, since ``add``, ``reshape``, ``transpose`` and ``concat`` hand their
-own adjoint, or a view of it, to their operands (and ``affine``,
-``slot_step`` and ``cross_step`` to a bias of their output's shape). The
+own adjoint, or a view of it, to their operands (and the fused ops hand
+a bias the adjoint of the rows it is added to when their shapes match). The
 second allocates the sum, and the call records that it owns this buffer.
 Each later contribution of the same shape and dtype is added into the
 owned buffer in place. The record lives only for one ``backward`` call,
@@ -117,6 +118,16 @@ axes, so one model builder serves both:
   transposed copy as the transpose op makes it; queries' =
   gru_cell(attn @ v, queries); out = queries' + affine(relu(affine(
   queries', w1, b1)), w2, b2), (.., S_q, d).
+* self_attend: self-attention among K selected rows of each set. From
+  slots (.., S, d), each set's K distinct row indices, (n, K) with n the
+  product of the leading axes (kept in the node's aux as flat row
+  indices, with the scale), and seven weights: w_q, w_k, w_v and the
+  MLP's w1, b1, w2, b2: sel = the selected rows, (.., K, d); q, k, v =
+  sel @ w_q, sel @ w_k, sel @ w_v; attn = row_softmax((q @ k^T) *
+  1/sqrt(d)), (.., K, K), k^T a transposed copy; x = sel + attn @ v;
+  refined = x + affine(relu(affine(x, w1, b1)), w2, b2); out = slots with
+  the selected rows replaced by refined, the others passed through
+  exactly, (.., S, d).
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -135,12 +146,18 @@ cross_step the sum over its chain (with B*S_q query rows and B*S_c
 context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2
 B*S_q*S_c*d for the logits and attn @ v, 4 B*S_q*S_c for the scale and
 the row softmax, and the same GRU cell, MLP, relu and residual counts as
-slot_step's over the query rows).
+slot_step's over the query rows), and self_attend the sum over its chain
+(with R = n*K selected rows: 5 R*d*d for the q, k and v projections and
+the two MLP layers, 2 R*K*d for the logits and attn @ v, 4 R*K for the
+scale and the row softmax, and 5 R*d for the attention residual, the two
+MLP biases, the relu and the MLP residual; its gather and scatter count
+zero).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 
@@ -209,16 +226,27 @@ def _sigmoid(x, out=None):
     return y
 
 
-def _fused_weights(op: str, head: tuple, head_shapes: list, gru, mlp,
-                   d: int) -> tuple:
-    """A fused op's weights: its own ``head`` weights with their shapes,
-    then its GRU -> residual-MLP tail's: the nine ``gru_cell`` weights in
-    their argument order and the MLP's (w1, b1, w2, b2), at width d."""
-    weights = (*head, *gru, *mlp)
-    want = head_shapes + [(d, d), (d, d), (1, d)] * 3 + [(d, d), (1, d)] * 2
-    if len(gru) != 9 or [w.shape for w in weights] != want:
-        raise GraphError(f"{op} weights {[w.shape for w in weights]}, "
-                         f"want {want}")
+# Weight layouts of the fused ops: "w" is a (d, d) weight and "b" a (1, d)
+# row.  The MLP is (w1, b1, w2, b2), and the GRU -> residual-MLP tail the
+# nine ``gru_cell`` weights in their argument order, then the MLP's.
+_MLP_LAYOUT = "wbwb"
+_TAIL_LAYOUT = "wwb" * 3 + _MLP_LAYOUT
+_SLOT_STEP_LAYOUT = "bw" + _TAIL_LAYOUT         # ln gain, w_q, tail
+_CROSS_STEP_LAYOUT = "www" + _TAIL_LAYOUT       # w_q, w_k, w_v, tail
+_SELF_ATTEND_LAYOUT = "www" + _MLP_LAYOUT       # w_q, w_k, w_v, MLP
+
+
+@functools.cache
+def _layout_shapes(layout: str, d: int) -> tuple:
+    return tuple((d, d) if c == "w" else (1, d) for c in layout)
+
+
+def _fused_weights(op: str, weights: tuple, layout: str, d: int) -> tuple:
+    """A fused op's weights, checked against their ``layout`` at width d."""
+    shapes = tuple([w.shape for w in weights])
+    if shapes != _layout_shapes(layout, d):
+        raise GraphError(f"{op} weights {shapes}, "
+                         f"want {_layout_shapes(layout, d)}")
     return weights
 
 
@@ -387,8 +415,8 @@ class Graph:
             raise GraphError(
                 f"slot_step shapes: slots {vs.shape}, keys_t {keys_t.shape}, "
                 f"values {values.shape}, ones {ones.shape}")
-        weights = _fused_weights("slot_step", (ln_gamma, w_q),
-                                 [(1, d), (d, d)], gru, mlp, d)
+        weights = _fused_weights("slot_step", (ln_gamma, w_q, *gru, *mlp),
+                                 _SLOT_STEP_LAYOUT, d)
         rows = math.prod(lead) * s
         # the per-op counts of the chain the node replaces
         madds = (4 * rows * d                       # layer norm
@@ -414,8 +442,8 @@ class Graph:
             raise GraphError(f"cross_step shapes: queries {vq.shape}, "
                              f"context {vc.shape}")
         lead, (s, d) = vq.shape[:-2], vq.shape[-2:]
-        weights = _fused_weights("cross_step", (w_q, w_k, w_v),
-                                 [(d, d)] * 3, gru, mlp, d)
+        weights = _fused_weights("cross_step", (w_q, w_k, w_v, *gru, *mlp),
+                                 _CROSS_STEP_LAYOUT, d)
         n = math.prod(lead)
         rows, c = n * s, vc.shape[-2]
         # the per-op counts of the chain the node replaces
@@ -426,6 +454,36 @@ class Graph:
         parents = (queries, context, *weights)
         return self._append("cross_step", tuple(p.idx for p in parents),
                             aux=float(1.0 / np.sqrt(d)), madds=madds)
+
+    def self_attend(self, slots: Node, selected, w_q: Node, w_k: Node,
+                    w_v: Node, mlp: tuple) -> Node:
+        """Self-attention among selected rows as one node (see the module
+        docstring): ``slots`` is (.., S, d) and ``selected`` holds each
+        set's K row indices, (n, K) with n the product of the leading
+        axes; ``mlp`` is (w1, b1, w2, b2).  The indices of a set must be
+        distinct (the caller's check)."""
+        vs = slots.value
+        idx = np.asarray(selected, dtype=np.int64)
+        if not (vs.ndim in (2, 3) and idx.ndim == 2
+                and idx.shape[0] == math.prod(vs.shape[:-2])
+                and idx.shape[1] >= 1
+                and 0 <= idx.min() and idx.max() < vs.shape[-2]):
+            raise GraphError(f"self_attend shapes: slots {vs.shape}, "
+                             f"selected {idx.shape}")
+        (n, k), (s, d) = idx.shape, vs.shape[-2:]
+        weights = _fused_weights("self_attend", (w_q, w_k, w_v, *mlp),
+                                 _SELF_ATTEND_LAYOUT, d)
+        rows = n * k
+        # the per-op counts of the chain the node replaces
+        madds = (5 * rows * d * d                     # q, k, v, MLP layers
+                 + 2 * rows * k * d                   # logits, attn @ v
+                 + 4 * rows * k                       # scale, row softmax
+                 + 5 * rows * d)                      # adds, biases, relu
+        picked = (idx + s * np.arange(n)[:, None]).reshape(-1)
+        return self._append("self_attend",
+                            tuple(p.idx for p in (slots, *weights)),
+                            aux=(picked, float(1.0 / np.sqrt(d))),
+                            madds=madds)
 
     def mean_pool(self, a: Node) -> Node:
         """Mean over the second-to-last axis, kept as a length-1 axis."""
@@ -449,7 +507,8 @@ class Graph:
             raise GraphError("concat needs two 2-d or two 3-d operands "
                              "and a valid axis")
         axis %= va.ndim
-        if np.delete(va.shape, axis).tolist() != np.delete(vb.shape, axis).tolist():
+        if va.shape[:axis] + va.shape[axis + 1:] \
+                != vb.shape[:axis] + vb.shape[axis + 1:]:
             raise GraphError(
                 f"concat shape mismatch {va.shape} | {vb.shape} axis {axis}")
         return self._append("concat", (a.idx, b.idx), aux=axis)
@@ -644,11 +703,21 @@ def _relu(x, out=None):
     return np.maximum(x, 0, out=out)
 
 
+def _mean(x, axis):
+    """Keep-dims mean over ``axis`` (an int or a tuple): the sum, divided
+    in place by the count.  ``ndarray.mean`` runs the same reduction and
+    one division, so the bits are the same, without its Python-level
+    dispatch."""
+    out = np.add.reduce(x, axis=axis, keepdims=True)
+    out /= x.size // out.size
+    return out
+
+
 def _normalize(x):
     """Rows of x centred and scaled to unit variance along the last axis,
     and the inverse standard deviations."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    var = (xhat ** 2).mean(axis=-1, keepdims=True)
+    xhat = x - _mean(x, -1)
+    var = _mean(xhat ** 2, -1)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     return xhat, inv
@@ -666,15 +735,17 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     shape = x.shape
     if x.ndim != 2:
         x, h = x.reshape(-1, shape[-1]), h.reshape(-1, shape[-1])
-    # each pre-activation is a new array, so the maps run in place on it
-    z = x @ wz
+    # the z and r pre-activations fill the halves of one new buffer, so
+    # one sigmoid maps both in place
+    zr = np.empty((2,) + x.shape, dtype=x.dtype)
+    z, r = zr
+    np.matmul(x, wz, out=z)
     z += h @ uz
     z += bz
-    _sigmoid(z, out=z)
-    r = x @ wr
+    np.matmul(x, wr, out=r)
     r += h @ ur
     r += br
-    _sigmoid(r, out=r)
+    _sigmoid(zr, out=zr)
     rh = r * h
     n = x @ wn
     n += rh @ un
@@ -723,26 +794,45 @@ class _CrossSaved(typing.NamedTuple):
     hidden: np.ndarray
 
 
+class _AttendSaved(typing.NamedTuple):
+    """A self_attend node's intermediates."""
+
+    sel: np.ndarray         # the selected rows, (.., K, d)
+    q: np.ndarray
+    keys_t: np.ndarray      # (sel @ w_k) transposed, a contiguous copy
+    v: np.ndarray
+    attn: np.ndarray        # (.., K, K) row-stochastic attention
+    x: np.ndarray           # sel + attn @ v, the MLP input
+    hidden: np.ndarray      # relu of the first MLP layer
+
+
 def _guard(x, what: str, op: str) -> None:
     if not np.isfinite(x).all():
         raise GraphError(f"non-finite {what} in {op}")
 
 
-def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn,
-                 w1, b1, w2, b2):
-    """The tail both fused ops end in: updated = gru_cell(u, state), out =
-    updated + affine(relu(affine(updated, w1, b1)), w2, b2).  It checks
-    the GRU input (sigmoid and tanh saturate) and the MLP pre-activation
-    (relu maps -inf to 0); returns out and the tail's saved values (u, z,
-    r, n, rh, updated, hidden)."""
-    _guard(u, "GRU input", op)
-    updated, (z, r, n, rh) = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br,
-                                      wn, un, bn)
-    pre = _affine_fwd(None, updated, w1, b1)
+def _mlp_fwd(op, x, w1, b1, w2, b2):
+    """The residual MLP every fused attention op ends in: out = x +
+    affine(relu(affine(x, w1, b1)), w2, b2).  It checks the
+    pre-activation (relu maps -inf to 0); returns out and the hidden
+    layer."""
+    pre = _affine_fwd(None, x, w1, b1)
     _guard(pre, "MLP pre-activation", op)
     hidden = _relu(pre, out=pre)       # pre is not kept
     out = _affine_fwd(None, hidden, w2, b2)
-    out += updated
+    out += x
+    return out, hidden
+
+
+def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn, *mlp):
+    """The tail slot_step and cross_step end in: updated = gru_cell(u,
+    state), then the residual MLP.  It checks the GRU input (sigmoid and
+    tanh saturate); returns out and the tail's saved values (u, z, r, n,
+    rh, updated, hidden)."""
+    _guard(u, "GRU input", op)
+    updated, (z, r, n, rh) = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br,
+                                      wn, un, bn)
+    out, hidden = _mlp_fwd(op, updated, *mlp)
     return out, (u, z, r, n, rh, updated, hidden)
 
 
@@ -768,26 +858,51 @@ def _slot_step_fwd(_, slots, keys_t, values, ones, gamma, w_q, *tail):
     return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, *saved)
 
 
-def _cross_step_fwd(scale, queries, context, w_q, w_k, w_v, *tail):
-    """The chain q, k, v projections -> transpose copy of k -> logits ->
-    scale -> row softmax -> @ v -> GRU -> residual MLP, kernel by kernel,
-    checking the logits, the attention output and the MLP pre-activation;
-    the node output is checked by the caller."""
+def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v):
+    """The attention head cross_step and self_attend start with: the q, k,
+    v projections -> transpose copy of k -> logits -> scale -> row
+    softmax -> @ v, kernel by kernel, checking the logits.  Returns attn @
+    v and the saved (q, keys_t, v, attn)."""
     q = _matmul(queries, w_q)
     k = _matmul(context, w_k)
     v = _matmul(context, w_v)
     keys_t = np.swapaxes(k, -1, -2).copy()
     logits = _matmul(q, keys_t)
     logits *= logits.dtype.type(scale)
-    _guard(logits, "attention logits", "cross_step")
+    _guard(logits, "attention logits", op)
     attn = _softmax(-1, logits, out=logits)     # logits are not kept
-    out, saved = _gru_mlp_fwd("cross_step", _matmul(attn, v), queries, *tail)
-    return out, _CrossSaved(q, keys_t, v, attn, *saved)
+    return _matmul(attn, v), (q, keys_t, v, attn)
+
+
+def _cross_step_fwd(scale, queries, context, w_q, w_k, w_v, *tail):
+    """The chain attention head -> GRU -> residual MLP, kernel by kernel,
+    checking the logits, the attention output and the MLP pre-activation;
+    the node output is checked by the caller."""
+    u, head = _attend_fwd("cross_step", scale, queries, context, w_q, w_k,
+                          w_v)
+    out, saved = _gru_mlp_fwd("cross_step", u, queries, *tail)
+    return out, _CrossSaved(*head, *saved)
+
+
+def _self_attend_fwd(aux, slots, w_q, w_k, w_v, *mlp):
+    """The chain gather -> attention head -> residual -> residual MLP ->
+    scatter, kernel by kernel, checking the logits and the MLP
+    pre-activation; the node output is checked by the caller."""
+    picked, scale = aux
+    shape = slots.shape
+    rows = slots.reshape(-1, shape[-1])
+    sel = rows[picked].reshape(shape[:-2] + (-1, shape[-1]))
+    u, head = _attend_fwd("self_attend", scale, sel, sel, w_q, w_k, w_v)
+    x = sel + u
+    refined, hidden = _mlp_fwd("self_attend", x, *mlp)
+    out = rows.copy()                           # unselected rows pass through
+    out[picked] = refined.reshape(-1, shape[-1])
+    return out.reshape(shape), _AttendSaved(sel, *head, x, hidden)
 
 
 def _squared_error_fwd(_, a, b):
     d = a - b
-    return (d * d).mean(axis=(-2, -1))
+    return _mean(d * d, (-2, -1)).reshape(d.shape[:-2])
 
 
 def _cosine_fwd(_, a, b):
@@ -796,7 +911,7 @@ def _cosine_fwd(_, a, b):
     valid = (na > _COS_TINY) & (nb > _COS_TINY)
     denom = np.where(valid, na * nb, 1.0)
     cos = np.where(valid, (a * b).sum(axis=-1, keepdims=True) / denom, 0.0)
-    return cos.mean(axis=(-2, -1)), (na, nb, cos, valid)
+    return _mean(cos, (-2, -1)).reshape(cos.shape[:-2]), (na, nb, cos, valid)
 
 
 def _log_fwd(_, x):
@@ -827,7 +942,8 @@ _FORWARD = {
     "gru_cell": _gru_fwd,
     "slot_step": _slot_step_fwd,
     "cross_step": _cross_step_fwd,
-    "mean_pool": lambda _, a: a.mean(axis=-2, keepdims=True),
+    "self_attend": _self_attend_fwd,
+    "mean_pool": lambda _, a: _mean(a, -2),
     "sum": lambda axis, a: a.sum(axis=axis, keepdims=True),
     "concat": lambda axis, a, b: np.concatenate([a, b], axis=axis),
     "mul": lambda _, a, b: a * b,
@@ -842,8 +958,10 @@ _FORWARD = {
 }
 
 # Every op kind the engine registers.  The model uses all of them but
-# col_softmax and gru_cell, whose kernels and adjoints it runs inside
-# slot_step and cross_step.
+# col_softmax, gru_cell and gather_rows: slot_step and cross_step run the
+# first two's kernels and adjoints, and self_attend gathers and scatters
+# its rows itself.  The three remain the vocabulary of the per-op chains
+# the fused ops are checked against bit for bit.
 OP_KINDS = ("input", "const", *_FORWARD)
 
 # Ops whose output is finite whenever their inputs are, which the guard
@@ -938,8 +1056,8 @@ def _layer_norm_adj(grad, gamma, xhat, inv, need_x, need_gamma, need_beta):
     if need_x:
         # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), term by term
         gx = grad * gamma
-        proj = (gx * xhat).mean(axis=-1, keepdims=True)
-        gx -= gx.mean(axis=-1, keepdims=True)
+        proj = _mean(gx * xhat, -1)
+        gx -= _mean(gx, -1)
         gx -= xhat * proj
         gx *= inv
     return (gx,
@@ -1063,24 +1181,35 @@ def _bw_gru(g, i, grad, grads):
         v[wn], v[un], [g._needs_grad[p] for p in parents]))
 
 
+def _mlp_adj(g, grads, grad, x, hidden, mlp):
+    """The adjoint of ``_mlp_fwd``, from a fused node's adjoint ``grad``,
+    the MLP input ``x`` and ``hidden`` layer: hands the MLP weights their
+    contributions in the chain's order and returns x's adjoint, an array
+    of its own."""
+    w1, b1, w2, b2 = mlp
+    v = g._values
+    need = g._needs_grad
+
+    # out = x + (hidden @ w2 + b2); hidden = relu(x @ w1 + b1)
+    d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
+    d_hidden, d_w2 = _matmul_adj(grad, hidden, v[w2], need_b=need[w2])
+    _give(grads, (b2, w2), (d_b2, d_w2))
+    d_pre = _relu_adj(d_hidden, hidden, out=d_hidden)
+    d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
+    d_x, d_w1 = _matmul_adj(d_pre, x, v[w1], need_b=need[w1])
+    _give(grads, (b1, w1), (d_b1, d_w1))
+    d_x += grad                         # the residual path's term
+    return d_x
+
+
 def _gru_mlp_adj(g, grads, grad, sv, state, gru, mlp):
     """The adjoint of the tail ``_gru_mlp_fwd`` computes, from a fused
     node's adjoint ``grad`` and saved values ``sv``: hands the MLP
     weights, the GRU ``state`` and the GRU weights their contributions in
     the chain's order, and returns the GRU input's adjoint."""
-    w1, b1, w2, b2 = mlp
     v = g._values
     need = g._needs_grad
-
-    # out = updated + (hidden @ w2 + b2); hidden = relu(updated @ w1 + b1)
-    d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
-    d_hidden, d_w2 = _matmul_adj(grad, sv.hidden, v[w2], need_b=need[w2])
-    _give(grads, (b2, w2), (d_b2, d_w2))
-    d_pre = _relu_adj(d_hidden, sv.hidden, out=d_hidden)
-    d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
-    d_upd, d_w1 = _matmul_adj(d_pre, sv.updated, v[w1], need_b=need[w1])
-    _give(grads, (b1, w1), (d_b1, d_w1))
-    d_upd += grad                       # the residual path's term
+    d_upd = _mlp_adj(g, grads, grad, sv.updated, sv.hidden, mlp)
     d_u, *d_gru = _gru_adj(d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
                            v[state],
                            *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
@@ -1119,6 +1248,19 @@ def _bw_slot_step(g, i, grad, grads):
     _give(grads, (si, gi), (d_slots, d_gamma))
 
 
+def _attend_adj(d_u, sv, scale):
+    """The adjoint of ``_attend_fwd``, from the adjoint ``d_u`` of attn @ v
+    and the saved q, keys_t, v and attn: returns the adjoints of the q, k
+    and v projections."""
+    d_attn, d_v = _matmul_adj(d_u, sv.attn, sv.v)
+    # attn = row_softmax(scale * q @ keys_t); d_attn is this helper's own
+    # array, so the softmax and scale adjoints may overwrite it
+    d_logits = _softmax_adj(d_attn, sv.attn, -1, out=d_attn)
+    d_logits *= d_logits.dtype.type(scale)
+    d_q, d_keys_t = _matmul_adj(d_logits, sv.q, sv.keys_t)
+    return d_q, np.swapaxes(d_keys_t, -1, -2), d_v
+
+
 def _bw_cross_step(g, i, grad, grads):
     """The chain's adjoint rules in reverse, with each parent's
     contributions in the per-op chain's order: the queries get their GRU
@@ -1129,16 +1271,43 @@ def _bw_cross_step(g, i, grad, grads):
     v = g._values
     need = g._needs_grad
     d_u = _gru_mlp_adj(g, grads, grad, sv, qi, tail[:9], tail[9:])
-    d_attn, d_v = _matmul_adj(d_u, sv.attn, sv.v)
-    # attn = row_softmax(scale * q @ keys_t); d_attn is this rule's own
-    # array, so the softmax and scale adjoints may overwrite it
-    d_logits = _softmax_adj(d_attn, sv.attn, -1, out=d_attn)
-    d_logits *= d_logits.dtype.type(g._aux[i])
-    d_q, d_keys_t = _matmul_adj(d_logits, sv.q, sv.keys_t)
+    d_q, d_k, d_v = _attend_adj(d_u, sv, g._aux[i])
     _give(grads, (ci, wv), _matmul_adj(d_v, v[ci], v[wv], need[ci], need[wv]))
-    _give(grads, (ci, wk), _matmul_adj(np.swapaxes(d_keys_t, -1, -2),
-                                       v[ci], v[wk], need[ci], need[wk]))
+    _give(grads, (ci, wk), _matmul_adj(d_k, v[ci], v[wk], need[ci], need[wk]))
     _give(grads, (qi, wq), _matmul_adj(d_q, v[qi], v[wq], need[qi], need[wq]))
+
+
+def _bw_self_attend(g, i, grad, grads):
+    """The chain's adjoint rules in reverse, with each parent's
+    contributions in the per-op chain's order: the weights get theirs
+    from the MLP, then from the v, k and q projections.  The chain
+    scatters and gathers rows through buffers of zeros, which read a -0
+    adjoint entry as +0; the ``+= 0`` passes do the same.  Its two
+    contributions to the slots have disjoint rows, so their sum is exact
+    and the slots get it as one."""
+    si, wq, wk, wv, *mlp = g._parents[i]
+    picked, scale = g._aux[i]
+    sv = g._saved[i]
+    v = g._values
+    need = g._needs_grad
+    shape = v[si].shape
+    g_rows = grad.reshape(-1, shape[-1])
+    d_refined = g_rows[picked].reshape(sv.x.shape)
+    d_refined += 0
+    d_x = _mlp_adj(g, grads, d_refined, sv.x, sv.hidden, mlp)
+    # x = sel + attn @ v: the residual's term comes first
+    d_q, d_k, d_v = _attend_adj(d_x, sv, scale)
+    d_sel = d_x
+    for d_proj, w in ((d_v, wv), (d_k, wk), (d_q, wq)):
+        d_s, d_w = _matmul_adj(d_proj, sv.sel, v[w], need[si], need[w])
+        _give(grads, (w,), (d_w,))
+        if d_s is not None:
+            d_sel += d_s
+    if need[si]:
+        d_rows = g_rows.copy()
+        d_rows[picked] = d_sel.reshape(-1, shape[-1])
+        d_rows += 0
+        _acc(grads, si, d_rows.reshape(shape))
 
 
 def _bw_mean_pool(g, i, grad, grads):
@@ -1237,6 +1406,7 @@ _BACKWARD = {
     "gru_cell": _bw_gru,
     "slot_step": _bw_slot_step,
     "cross_step": _bw_cross_step,
+    "self_attend": _bw_self_attend,
     "mean_pool": _bw_mean_pool,
     "sum": _bw_sum,
     "concat": _bw_concat,

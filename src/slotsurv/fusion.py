@@ -5,7 +5,9 @@ batch of patients, (B, S, d):
 
 * per-modality self-attention over the SELECTED slots only — unselected
   slots pass through bitwise unchanged (selection restricts the
-  computation rather than adding -inf masking);
+  computation rather than adding -inf masking); each branch is one
+  ``self_attend`` graph node (gather, q/k/v projections, scaled row
+  softmax, attention and MLP residuals, scatter);
 * iterative cross-attention in which histology and genomic slots attend
   to each other for L rounds through ONE shared parameter set, with
   GRU + residual-MLP updates applied to both directions simultaneously
@@ -18,10 +20,16 @@ batch of patients, (B, S, d):
 
 Cost note: everything here works on slot matrices, so multiply-adds grow
 with slot counts only, never with bag sizes.
+
+These branches read only their own parameter groups (``self_h``,
+``self_g``, ``cross``, ``risk``) and the encoded slots; a served patient
+binds them with the rest of the trunk's and never the reconstruction
+heads' (``model.TRUNK_GROUPS``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,46 +128,26 @@ def init_risk_params(rng: np.random.Generator, dim: int,
 # -------------------------------------------------------------- graph builders
 
 
-def _mlp_residual(g: Graph, p, x: Node) -> Node:
-    hidden = g.relu(g.affine(x, p.mlp_w1, p.mlp_b1))
-    return g.add(x, g.affine(hidden, p.mlp_w2, p.mlp_b2))
-
-
 def build_masked_self_attention(g: Graph, p: SelfAttentionParams,
                                 slots: Node, selected) -> Node:
-    """Self-attention among the selected slots only.
+    """Self-attention among the selected slots only, one ``self_attend``
+    node per call.
 
     ``slots`` is one patient's (S, d) set or a batch (B, S, d);
     ``selected`` holds the retained slot indices (from the gate mask's
     forward value), (K,) or (B, K), with the same K for every patient.
-    Unselected rows are passed through exactly: the output gathers them
-    straight from the input rows.
+    Unselected rows are passed through exactly.  An empty selection or
+    one that repeats an index raises ValueError.
     """
-    lead = slots.shape[:-2]
-    n_slots, dim = slots.shape[-2:]
-    n_sets = int(np.prod(lead, dtype=np.int64))
+    n_sets = math.prod(slots.shape[:-2])
     selected = np.asarray(selected, dtype=np.int64).reshape(n_sets, -1)
-    k = selected.shape[1]
-    if k == 0:
+    if selected.shape[1] == 0:
         raise ValueError("selection is empty")
-    if any(np.unique(row).size != k for row in selected):
+    ordered = np.sort(selected, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError("selection has duplicate indices")
-    rows = g.reshape(slots, (n_sets * n_slots, dim))
-    picked = (selected + n_slots * np.arange(n_sets)[:, None]).reshape(-1)
-    sel = g.reshape(g.gather_rows(rows, picked), lead + (k, dim))
-    q = g.matmul(sel, p.w_q)
-    keys = g.matmul(sel, p.w_k)
-    v = g.matmul(sel, p.w_v)
-    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(keys)),
-                                 1.0 / np.sqrt(dim)))
-    refined = _mlp_residual(g, p, g.add(sel, g.matmul(attn, v)))
-    # scatter the refined rows back among the untouched ones
-    index_map = np.arange(rows.shape[0])
-    index_map[picked] = rows.shape[0] + np.arange(picked.size)
-    out = g.gather_rows(
-        g.concat(rows, g.reshape(refined, (picked.size, dim)), axis=0),
-        index_map)
-    return g.reshape(out, slots.shape)
+    return g.self_attend(slots, selected, p.w_q, p.w_k, p.w_v,
+                         (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2))
 
 
 def build_iterative_cross_attention(g: Graph, p: CrossAttentionParams,

@@ -14,7 +14,10 @@ The composition order, for every patient of the batch at once:
   6. (training only) three reconstruction losses, weighted by lam
 
 Reconstruction heads never run in the inference trunk, so predictions with
-genomics present are bitwise-independent of those parameters.
+genomics present are bitwise-independent of those parameters.  Serving
+binds only the trunk's parameter groups (``TRUNK_GROUPS``, 86 tensors
+against the 126 a training batch binds); training binds every trainable
+group.
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ class ModelParams:
 PARAM_GROUPS = tuple(f.name for f in dataclasses.fields(ModelParams))
 FROZEN_GROUPS = ("qmap",)
 TRAINABLE_GROUPS = tuple(n for n in PARAM_GROUPS if n not in FROZEN_GROUPS)
+# The trunk (encoders, gates, decoders, fusion, risk head) reads every
+# trained group but the reconstruction heads and their position table.
+RECON_GROUPS = ("recon_g", "recon_h", "recon_cross", "positions")
+TRUNK_GROUPS = tuple(n for n in TRAINABLE_GROUPS if n not in RECON_GROUPS)
 
 _GROUP_CLASSES = typing.get_type_hints(ModelParams)
 _TENSOR_NAMES = frozenset(f"{group}.{f.name}" for group in PARAM_GROUPS
@@ -210,15 +217,20 @@ def draw_noise(rng: np.random.Generator, n_patients: int,
     return TrainingNoise(*stacked)
 
 
-def _bind_model(g: Graph, params: ModelParams) -> ModelParams:
-    """Mirror the trainable tensors as named graph inputs, declared in one
-    call so that one non-finite check covers them all.  Frozen groups keep
-    their raw arrays: the recon builder installs the query map as
-    constants itself, which keeps it out of every gradient."""
-    arrays = named_parameters(params)
-    nodes = g.inputs({name: arr for name, arr in arrays.items()
-                      if group_of(name) not in FROZEN_GROUPS})
-    return params_from_arrays({**arrays, **nodes})
+def _bind_model(g: Graph, params: ModelParams, groups) -> ModelParams:
+    """Mirror the tensors of ``groups`` as named graph inputs, group by
+    group and declared in one call so that one non-finite check covers
+    them all.  The other groups keep their raw arrays: the recon builder
+    installs the frozen query map as constants itself, which keeps it out
+    of every gradient, and a graph that never reads a group need not bind
+    it."""
+    nodes = g.inputs({key: arr for name in groups for key, arr in
+                      named_arrays(name, getattr(params, name)).items()})
+    return dataclasses.replace(params, **{
+        name: type(getattr(params, name))(**{
+            f.name: nodes[f"{name}.{f.name}"]
+            for f in dataclasses.fields(getattr(params, name))})
+        for name in groups})
 
 
 def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
@@ -373,7 +385,7 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     noise = None if rng is None else draw_noise(rng, len(patients), params,
                                                 selective)
     g = Graph(dtype=params.slots_h.init_mean.dtype)
-    p = _bind_model(g, params)
+    p = _bind_model(g, params, TRAINABLE_GROUPS)
     xh = g.const(bag_h)
     xg = g.const(np.stack([np.asarray(b) for b in bags_g]))
     trunk = build_patient_trunk(
@@ -418,11 +430,12 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
                     temperature: float, t_iters: int, l_iters: int,
                     selective: bool = True) -> PatientOutput:
     """Inference pass: the trunk of a batch of one, with deterministic slot
-    init, noise-free top-K selection and reconstruction heads untouched.
+    init and noise-free top-K selection.  Only the trunk's groups are
+    bound (``TRUNK_GROUPS``); the reconstruction heads are never touched.
     The graph runs at the parameters' precision, and each ``GateMask``
     reports the selection the trunk made."""
     g = Graph(dtype=params.slots_h.init_mean.dtype)
-    p = _bind_model(g, params)
+    p = _bind_model(g, params, TRUNK_GROUPS)
     trunk = build_patient_trunk(
         g, p, g.const(np.asarray(bag_h)[None]), g.const(np.asarray(bag_g)[None]),
         k_h, k_g, temperature, t_iters, l_iters, selective=selective)

@@ -557,16 +557,26 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort, fold: int,
     """Risk metrics over one validation fold.
 
     ``indices`` overrides the fold split (useful for scoring a training
-    split).  With ``missing_genomics`` the genomic bags are replaced by
-    cross-modal reconstructions; the genomic files are never opened.
-    Stratified statistics compare the groups above/below the median risk
-    of this fold; with fewer than 2 events per group they come out NaN.
+    split); each must name a record of the cohort once, or ValueError
+    names the first that does not.  With ``missing_genomics`` the genomic
+    bags are replaced by cross-modal reconstructions; the genomic files
+    are never opened.  Stratified statistics compare the groups
+    above/below the median risk of this fold; with fewer than 2 events
+    per group they come out NaN.
     """
     if indices is None:
         _, indices = fold_indices(cohort, ckpt.config, fold)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("evaluation fold is empty")
+    seen = set()
+    for i in indices.tolist():
+        if not 0 <= i < len(cohort.records):
+            raise ValueError(f"patient index {i} is outside the cohort's "
+                             f"{len(cohort.records)} records")
+        if i in seen:
+            raise ValueError(f"patient index {i} is repeated")
+        seen.add(i)
 
     risks, times, events, ids = [], [], [], []
     for i in indices:

@@ -14,6 +14,9 @@
 * ``unfused_cross_update``, one direction of one cross-attention round as
   the chain of 13 per-op nodes that the fused ``cross_step`` op replaces,
   and ``unfused_cross_attention``, L rounds of it.
+* ``unfused_self_attention``, masked self-attention over the selected
+  slots as the chain of per-op nodes that the fused ``self_attend`` op
+  replaces.
 * ``nll_loss``, the scalar likelihood of one subject under a hazard curve,
   which ``survival.build_nll_loss`` is checked against.
 * ``bootstrap_loop``, ``survival.bootstrap_stats`` with one Kaplan-Meier
@@ -225,6 +228,36 @@ def unfused_cross_update(g: Graph, p, queries, context):
                          p.gru_wn, p.gru_un, p.gru_bn)
     hidden = g.relu(g.affine(updated, p.mlp_w1, p.mlp_b1))
     return g.add(updated, g.affine(hidden, p.mlp_w2, p.mlp_b2))
+
+
+def unfused_self_attention(g: Graph, p, slots, selected):
+    """``fusion.build_masked_self_attention`` as the chain of per-op nodes
+    that the fused ``self_attend`` op replaces, 20 for a batch and 16 for
+    an unbatched set: gather the selected rows, attend among them, refine
+    them with the residual MLP and scatter them back among the untouched
+    rows.  ``selected`` is (K,) or (B, K), distinct within each set."""
+    lead = slots.shape[:-2]
+    n_slots, dim = slots.shape[-2:]
+    n_sets = int(np.prod(lead, dtype=np.int64))
+    selected = np.asarray(selected, dtype=np.int64).reshape(n_sets, -1)
+    k = selected.shape[1]
+    rows = g.reshape(slots, (n_sets * n_slots, dim))
+    picked = (selected + n_slots * np.arange(n_sets)[:, None]).reshape(-1)
+    sel = g.reshape(g.gather_rows(rows, picked), lead + (k, dim))
+    q = g.matmul(sel, p.w_q)
+    keys = g.matmul(sel, p.w_k)
+    v = g.matmul(sel, p.w_v)
+    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(keys)),
+                                 1.0 / np.sqrt(dim)))
+    x = g.add(sel, g.matmul(attn, v))
+    hidden = g.relu(g.affine(x, p.mlp_w1, p.mlp_b1))
+    refined = g.add(x, g.affine(hidden, p.mlp_w2, p.mlp_b2))
+    index_map = np.arange(rows.shape[0])
+    index_map[picked] = rows.shape[0] + np.arange(picked.size)
+    out = g.gather_rows(
+        g.concat(rows, g.reshape(refined, (picked.size, dim)), axis=0),
+        index_map)
+    return g.reshape(out, slots.shape)
 
 
 def unfused_cross_attention(g: Graph, p, slots_h, slots_g, l_iters: int):

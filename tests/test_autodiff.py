@@ -2,7 +2,7 @@
 
 Every differentiable op is audited against central finite differences
 at 20 random points, in both 32-bit and 64-bit modes (the fused
-slot_step and cross_step in 64-bit only, see FLOAT64_ONLY). Step sizes are
+slot_step, cross_step and self_attend in 64-bit only, see FLOAT64_ONLY). Step sizes are
 dtype-matched: too small a step drowns the quotient in rounding noise.
 """
 
@@ -29,6 +29,7 @@ from oracles import (
     out_of_place_acc,
     unfused_attention_step,
     unfused_cross_update,
+    unfused_self_attention,
 )
 
 N_POINTS = 20
@@ -412,8 +413,34 @@ def _build_cross_step(g, rng, lead=()):
     return _se_target(g, g.cross_step(queries, context, *head, gru, mlp), rng)
 
 
+def _build_self_attend(g, rng, selected=((3, 1),)):
+    """Self-attention among the selected rows of 4 slots of width 3, one
+    set per row of ``selected``.  The rows lie in (-1, 1) and w_v in
+    (-0.2, 0.2), so the MLP input lies in (-1.6, 1.6); w1 in (-0.1, 0.1)
+    and |b1| in (0.7, 1) then keep every MLP pre-activation at least 0.2
+    from relu's kink, which the finite-difference stencil must not
+    straddle."""
+    d = 3
+    lead = (len(selected),) if len(selected) > 1 else ()
+
+    def leaf(name, shape, lo=-1.0, hi=1.0):
+        return g.input(name, rng.uniform(lo, hi, size=shape))
+
+    slots = leaf("slots", lead + (4, d))
+    head = [leaf("w_q", (d, d)), leaf("w_k", (d, d)),
+            leaf("w_v", (d, d), -0.2, 0.2)]
+    b1 = rng.choice([-1.0, 1.0], size=(1, d)) * rng.uniform(0.7, 1.0, (1, d))
+    mlp = [leaf("w1", (d, d), -0.1, 0.1), g.input("b1", b1),
+           leaf("w2", (d, d)), leaf("b2", (1, d))]
+    return _se_target(g, g.self_attend(slots, np.array(selected), *head,
+                                       mlp), rng)
+
+
 OP_BUILDERS = {
     "matmul": _build_matmul,
+    "self_attend": _build_self_attend,
+    "self_attend_3d": lambda g, rng: _build_self_attend(
+        g, rng, selected=((3, 1), (0, 2))),
     "cross_step": _build_cross_step,
     "cross_step_3d": lambda g, rng: _build_cross_step(g, rng, lead=(2,)),
     "affine": _build_affine,
@@ -471,7 +498,7 @@ OP_BUILDERS = {
 # replaces (tests/test_slots.py, tests/test_fusion.py), whose ops all pass
 # both modes here.
 FLOAT64_ONLY = {"slot_step", "slot_step_masked", "cross_step",
-                "cross_step_3d"}
+                "cross_step_3d", "self_attend", "self_attend_3d"}
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_BUILDERS))
@@ -544,8 +571,8 @@ def _tail_params(gru, mlp):
 
 
 class _ChainGraph(_KeepInputsGraph):
-    """A ``_KeepInputsGraph`` whose slot_step and cross_step record the
-    per-op chains of tests/oracles.py instead of one fused node."""
+    """A ``_KeepInputsGraph`` whose fused ops record the per-op chains of
+    tests/oracles.py instead of one node."""
 
     def slot_step(self, slots, keys_t, values, ones, ln_gamma, w_q, gru, mlp):
         p = SimpleNamespace(ln_slot_gamma=ln_gamma, w_q=w_q,
@@ -557,10 +584,17 @@ class _ChainGraph(_KeepInputsGraph):
                             **_tail_params(gru, mlp))
         return unfused_cross_update(self, p, queries, context)
 
+    def self_attend(self, slots, selected, w_q, w_k, w_v, mlp):
+        p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
+                            **_tail_params((), mlp))
+        return unfused_self_attention(self, p, slots, selected)
+
 
 @pytest.mark.parametrize("op_name, keep", [
     ("slot_step", {"w2", "b2"}), ("slot_step", {"keys_t"}),
-    ("cross_step", {"w2", "b2"}), ("cross_step", {"context"})])
+    ("cross_step", {"w2", "b2"}), ("cross_step", {"context"}),
+    ("self_attend", {"w2", "b2"}), ("self_attend", {"slots"}),
+    ("self_attend_3d", {"w_k"})])
 def test_fused_adjoints_with_most_operands_constant(op_name, keep):
     """With every operand but a few constant, a fused node hands the
     inputs left the per-op chain's gradients bit for bit, and they pass
@@ -572,8 +606,9 @@ def test_fused_adjoints_with_most_operands_constant(op_name, keep):
             seeds = [OP_BUILDERS[op_name](g, np.random.default_rng(
                 _seed(op_name, point))) for g in graphs]
             fused, chain = (backward(g, s) for g, s in zip(graphs, seeds))
-            assert op_name in graphs[0]._ops
-            assert op_name not in graphs[1]._ops
+            fused_op = op_name.removesuffix("_3d")
+            assert fused_op in graphs[0]._ops
+            assert fused_op not in graphs[1]._ops
             assert set(fused) == set(chain) == keep
             for name in keep:
                 assert _same_bits(fused[name], chain[name]), (dtype, name)
@@ -678,6 +713,63 @@ def test_sigmoid_kernel_is_bitwise_the_two_branch_formula(dtype):
     assert got.dtype == want.dtype == dtype
     bits = np.uint32 if dtype == np.float32 else np.uint64
     np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mean_kernel_is_bitwise_ndarray_mean(dtype):
+    """The engine's keep-dims mean (a sum, then one in-place division by
+    the count) has ``ndarray.mean``'s bits, odd lengths included."""
+    rng = np.random.default_rng(22)
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    for shape in ((7, 33), (16, 32), (1, 5), (3, 7, 9), (2, 16, 31)):
+        x = (rng.normal(size=shape) * rng.uniform(0.1, 1e3)).astype(dtype)
+        for axis in (-1, -2, (-2, -1)):
+            got = autodiff._mean(x, axis)
+            want = x.mean(axis=axis, keepdims=True)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got.view(bits), want.view(bits),
+                                          err_msg=f"{shape} {axis}")
+
+
+def _two_sigmoid_gru(x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
+    """The GRU cell with one sigmoid call per gate."""
+    z = x @ wz
+    z += h @ uz
+    z += bz
+    autodiff._sigmoid(z, out=z)
+    r = x @ wr
+    r += h @ ur
+    r += br
+    autodiff._sigmoid(r, out=r)
+    rh = r * h
+    n = x @ wn
+    n += rh @ un
+    n += bn
+    np.tanh(n, out=n)
+    out = 1.0 - z
+    out *= n
+    out += z * h
+    return out, (z, r, n, rh)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_gru_kernel_is_bitwise_the_two_sigmoid_formula(dtype, lead):
+    """The GRU kernel maps both gates with one sigmoid over one buffer; its
+    output and saved z, r, n and r * h have the bits of one sigmoid per
+    gate."""
+    rng = np.random.default_rng(23)
+    d = 32
+    x = rng.normal(size=lead + (16, d)).astype(dtype)
+    h = rng.normal(size=lead + (16, d)).astype(dtype)
+    weights = [(rng.normal(size=(1, d) if k % 3 == 2 else (d, d))
+                / np.sqrt(d)).astype(dtype) for k in range(9)]
+    got, saved = autodiff._gru_fwd(None, x, h, *weights)
+    want, want_saved = _two_sigmoid_gru(x.reshape(-1, d), h.reshape(-1, d),
+                                        *weights)
+    assert _same_bits(got, want.reshape(x.shape))
+    for a, b in zip(saved, want_saved, strict=True):
+        assert _same_bits(a, b)
 
 
 _MATMUL_SHAPES = [((5, 3), (3, 4)), ((2, 5, 3), (3, 4)),
@@ -812,7 +904,8 @@ def test_forward_replay_matches_eager_build(op_name):
 
 
 @pytest.mark.parametrize("op_name", ["slot_step", "slot_step_masked",
-                                     "cross_step", "cross_step_3d"])
+                                     "cross_step", "cross_step_3d",
+                                     "self_attend", "self_attend_3d"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_backward_leaves_fused_values_and_saved_intermediates_intact(
         op_name, dtype):
@@ -821,7 +914,7 @@ def test_backward_leaves_fused_values_and_saved_intermediates_intact(
     intermediate has the bits it had before."""
     g = Graph(dtype=dtype)
     seed = OP_BUILDERS[op_name](g, np.random.default_rng(_seed(op_name, 0)))
-    assert {"slot_step", "cross_step"} & set(g._ops)
+    assert {"slot_step", "cross_step", "self_attend"} & set(g._ops)
     values = [v.copy() for v in g._values]
     saved = [None if sv is None else
              [None if a is None else a.copy() for a in sv] for sv in g._saved]
@@ -888,6 +981,23 @@ def test_fused_op_shape_errors_raise_graph_error():
     batched = g.input("batched", np.ones((2, 2, d)))
     assert g.cross_step(batched, g.const(np.ones((2, 5, d))), mat, mat, mat,
                         gru, mlp).shape == (2, 2, d)
+    four = g.input("four", np.ones((2, 4, d)))
+    for sets, selected in ((slots, [0, 1]),         # not (n, K)
+                           (slots, [[0, 2]]),       # row 2 of 2
+                           (slots, [[-1, 0]]),
+                           (slots, np.zeros((1, 0))),
+                           (four, [[0, 1]]),        # one row for two sets
+                           (g.input("flat", np.ones(d)), [[0]])):
+        with pytest.raises(GraphError, match="shapes"):
+            g.self_attend(sets, selected, mat, mat, mat, mlp)
+    with pytest.raises(GraphError, match="weights"):
+        g.self_attend(slots, [[1]], mat, mat, row, mlp)
+    with pytest.raises(GraphError, match="weights"):
+        g.self_attend(slots, [[1]], mat, mat, mat, (mat, row, mat))
+    assert g.self_attend(slots, [[1, 0]], mat, mat, mat,
+                         mlp).shape == (2, d)
+    assert g.self_attend(four, [[3, 1], [0, 2]], mat, mat, mat,
+                         mlp).shape == (2, 4, d)
 
 
 def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():

@@ -17,7 +17,11 @@ from slotsurv.fusion import (
 )
 from slotsurv.survival import hazards_from_logits
 
-from oracles import gumbel_topk_mask, unfused_cross_attention
+from oracles import (
+    gumbel_topk_mask,
+    unfused_cross_attention,
+    unfused_self_attention,
+)
 
 
 def _run(build, params, *arrays, **kw):
@@ -123,8 +127,13 @@ def test_bad_selections_rejected():
     slots = g.const(np.zeros((5, 4)))
     with pytest.raises(ValueError):
         build_masked_self_attention(g, p, slots, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate"):
         build_masked_self_attention(g, p, slots, [1, 1])
+    batch = g.const(np.zeros((2, 5, 4)))
+    with pytest.raises(ValueError, match="duplicate"):
+        build_masked_self_attention(g, p, batch, [[0, 3], [2, 2]])
+    with pytest.raises(ValueError, match="empty"):
+        build_masked_self_attention(g, p, batch, np.zeros((2, 0)))
 
 
 # ------------------------------------------------------------ cross-attention
@@ -282,6 +291,80 @@ def test_cross_step_counts_the_chains_multiply_adds(case):
     assert fused[3].total_madds() == chain[3].total_madds()
     assert fused[4] == fused[3]._ops.count("cross_step") == 2 * l_iters
     assert chain[4] - fused[4] == 12 * 2 * l_iters
+
+
+# lead axes, each set's selection, and the rows the loss reads.  A loss
+# that reads some rows only hands the others a -0 or +0 adjoint, and the
+# chain's scatter and gather adjoints, which add into buffers of zeros,
+# turn each -0 into +0: "unselected" leaves a single refined row's adjoint
+# (the mlp_b2 gradient as is) at zero, "selected" the unselected rows'.
+_SELF_CASES = {
+    "single": ((), [[3, 0, 1]], "all"),
+    "batched": ((2,), [[3, 0, 1], [2, 4, 0]], "all"),
+    "single_row_unread": ((), [[2]], "unselected"),
+    "batched_unselected_unread": ((2,), [[1, 3], [0, 2]], "selected"),
+}
+
+
+def _self_both(dtype, build, case):
+    """One loss over the masked self-attention built by ``build``; returns
+    (output, gradients, graph, nodes the block added)."""
+    lead, selected, reads = _SELF_CASES[case]
+    rng = np.random.default_rng(43)
+    params = init_self_params(rng, 5)
+    params = type(params)(**{f: v + 0.3 * rng.normal(size=v.shape)
+                             for f, v in vars(params).items()})
+    slots = rng.normal(size=lead + (5, 5))
+    g = Graph(dtype=dtype)
+    p = bind_arrays(g, "self", params)
+    s = g.input("slots", slots)
+    before = g.num_nodes
+    out = build(g, p, s, selected[0] if not lead else selected)
+    added = g.num_nodes - before
+    if reads == "all":
+        loss = g.squared_error(out, g.const(rng.normal(size=out.shape)))
+    else:
+        read = np.full(lead + (5, 1), float(reads == "unselected"))
+        for b, row in enumerate(selected):
+            read[(b, row) if lead else row] = float(reads == "selected")
+        loss = g.reduce_sum(g.mul(
+            g.mul(out, g.const(read)),
+            g.const(-rng.uniform(0.5, 1.5, size=out.shape))))
+    if loss.value.ndim:
+        loss = g.reduce_sum(loss)
+    return out.value, backward(g, loss), g, added
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_SELF_CASES))
+def test_self_attend_is_bitwise_the_unfused_chain(dtype, case):
+    """The refined slots and every gradient of one self_attend node match
+    the per-op chain bit for bit, signed zeros included."""
+    fused = _self_both(dtype, build_masked_self_attention, case)
+    chain = _self_both(dtype, unfused_self_attention, case)
+    assert _bits(fused[0]) == _bits(chain[0])
+    assert set(fused[1]) == set(chain[1])
+    for name in chain[1]:
+        assert _bits(fused[1][name]) == _bits(chain[1][name]), name
+    lead, selected, reads = _SELF_CASES[case]
+    if reads == "unselected":
+        assert (fused[1]["self.mlp_b2"] == 0).all()
+    elif reads == "selected":
+        unread = np.ones(lead + (5,), dtype=bool)
+        for b, row in enumerate(selected):
+            unread[b, row] = False
+        assert (fused[1]["slots"][unread] == 0).all()
+
+
+@pytest.mark.parametrize("case", sorted(_SELF_CASES))
+def test_self_attend_counts_the_chains_multiply_adds(case):
+    """self_attend counts what its chain counts, in one node instead of
+    the chain's 20 for a batch and 16 for an unbatched set."""
+    fused = _self_both(np.float64, build_masked_self_attention, case)
+    chain = _self_both(np.float64, unfused_self_attention, case)
+    assert fused[2].total_madds() == chain[2].total_madds()
+    assert fused[3] == fused[2]._ops.count("self_attend") == 1
+    assert chain[3] == (20 if _SELF_CASES[case][0] else 16)
 
 
 # ------------------------------------------------------------------- pooling

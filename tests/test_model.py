@@ -9,7 +9,9 @@ from slotsurv.autodiff import backward, finite_diff_check
 from slotsurv.model import (
     FROZEN_GROUPS,
     PARAM_GROUPS,
+    RECON_GROUPS,
     TRAINABLE_GROUPS,
+    TRUNK_GROUPS,
     build_cohort_loss,
     cast_params,
     draw_noise,
@@ -20,6 +22,8 @@ from slotsurv.model import (
     patient_forward,
     trainable_names,
 )
+
+from slotsurv.train import TrainConfig
 
 from oracles import out_of_place_acc
 
@@ -382,7 +386,7 @@ def test_binding_checks_parameters_once_and_names_a_bad_one(monkeypatch):
     real = np.isfinite
     monkeypatch.setattr(autodiff.np, "isfinite",
                         lambda x: checks.append(x.size) or real(x))
-    model._bind_model(g, p)
+    model._bind_model(g, p, TRAINABLE_GROUPS)
     monkeypatch.undo()
     assert g.input_names() == trainable_names(p)
     assert checks == [sum(a.size for n, a in named_parameters(p).items()
@@ -390,7 +394,8 @@ def test_binding_checks_parameters_once_and_names_a_bad_one(monkeypatch):
     arrays = named_parameters(p)
     arrays["risk.b1"] = np.full_like(arrays["risk.b1"], np.inf)
     with pytest.raises(autodiff.GraphError, match="'risk.b1'"):
-        model._bind_model(autodiff.Graph(), params_from_arrays(arrays))
+        model._bind_model(autodiff.Graph(), params_from_arrays(arrays),
+                          TRAINABLE_GROUPS)
 
 
 def test_patient_forward_shapes_and_masks():
@@ -449,3 +454,76 @@ def test_served_gate_masks_report_the_trunks_selection(selective):
             (out.mask_g, trunk.selected_g, trunk.scores_g)):
         np.testing.assert_array_equal(mask.selected, selected[0])
         np.testing.assert_array_equal(mask.scores, scores.value[0, :, 0])
+
+
+# ------------------------------------------------------------- graph sizes
+
+
+def _recorded_graphs(monkeypatch):
+    """Every graph ``model`` builds from now on, in build order."""
+    graphs = []
+
+    class Recording(autodiff.Graph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            graphs.append(self)
+
+    monkeypatch.setattr(model, "Graph", Recording)
+    return graphs
+
+
+def test_served_patient_binds_the_trunk_only(monkeypatch):
+    """At the reference iteration counts a served patient is one graph of
+    at most 170 nodes, 86 of them parameter leaves: the trunk's groups,
+    without the reconstruction heads and their position table."""
+    cfg = TrainConfig()
+    graphs = _recorded_graphs(monkeypatch)
+    patient_forward(_params(9), *_patients(9)[0][:2], k_h=2, k_g=2,
+                    temperature=0.01, t_iters=cfg.t_iters,
+                    l_iters=cfg.l_iters)
+    (g,) = graphs
+    assert g.num_nodes <= 170
+    assert g._ops.count("input") == len(g.input_names()) == 86
+    assert {group_of(n) for n in g.input_names()} == set(TRUNK_GROUPS)
+    assert set(TRUNK_GROUPS) | set(RECON_GROUPS) == set(TRAINABLE_GROUPS)
+    assert g._ops.count("self_attend") == 2
+
+
+def test_training_step_graph_size(monkeypatch):
+    """A training batch at the reference iteration counts is one graph of
+    364 nodes that binds every trainable tensor."""
+    cfg = TrainConfig()
+    cg = build_cohort_loss(_params(4), _patients(4), k_h=2, k_g=2,
+                           temperature=0.01, t_iters=cfg.t_iters,
+                           l_iters=cfg.l_iters, lam=cfg.lam,
+                           rng=np.random.default_rng(0))
+    assert cg.graph.num_nodes == 364
+    assert cg.graph.input_names() == trainable_names(_params(4))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_served_patient_ignores_every_reconstruction_tensor(dtype):
+    """Moving every reconstruction head and the position table leaves a
+    prediction with genomics bitwise the same, every output included."""
+    params = cast_params(_params(13), dtype)
+    arrays = named_parameters(params)
+    rng = np.random.default_rng(14)
+    moved = params_from_arrays({
+        name: (arr * 3.0 + rng.normal(size=arr.shape)).astype(dtype)
+        if group_of(name) in RECON_GROUPS else arr
+        for name, arr in arrays.items()})
+    bag_h, bag_g, _, _ = _patients(13)[0]
+    kw = dict(k_h=2, k_g=2, temperature=0.01, t_iters=2, l_iters=2)
+    a = patient_forward(params, bag_h, bag_g, **kw)
+    b = patient_forward(moved, bag_h, bag_g, **kw)
+    assert any(not np.array_equal(arrays[n], named_parameters(moved)[n])
+               for n in arrays if group_of(n) in RECON_GROUPS)
+    for x, y in ((a.curve.h, b.curve.h), (a.curve_h.h, b.curve_h.h),
+                 (a.curve_g.h, b.curve_g.h), (a.slots_h.slots, b.slots_h.slots),
+                 (a.slots_g.slots, b.slots_g.slots),
+                 (a.slots_h.attention, b.slots_h.attention),
+                 (a.weights_h, b.weights_h), (a.weights_g, b.weights_g),
+                 (a.mask_h.scores, b.mask_h.scores),
+                 (a.mask_g.hard, b.mask_g.hard)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert a.risk == b.risk

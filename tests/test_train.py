@@ -549,6 +549,22 @@ def test_evaluate_rejects_empty_fold(trained, small_cohort):
         evaluate(trained.checkpoint, small_cohort, fold=0, indices=[])
 
 
+@pytest.mark.parametrize("indices, message", [
+    ([-1, 2], "index -1 is outside"),
+    ([0, 12, 1], "index 12 is outside"),
+    ([3, 5, 3, -2], "index 3 is repeated"),
+])
+def test_evaluate_rejects_bad_indices(trained, small_cohort, indices,
+                                      message):
+    """A negative, out-of-range or repeated patient index raises, naming
+    the first bad one, instead of scoring a patient from the end, failing
+    on a bare IndexError or counting a patient twice."""
+    assert len(small_cohort.records) == 12
+    with pytest.raises(ValueError, match=message):
+        evaluate(trained.checkpoint, small_cohort, fold=0, indices=indices,
+                 n_boot=50)
+
+
 def test_missing_genomics_never_opens_genomic_files(
         trained, small_cohort, monkeypatch):
     real = data_mod.load_bag
