@@ -25,13 +25,14 @@ kernel through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
 multiply-adds. Four ops fuse a chain of others into one node, to save the
 per-node cost where the model repeats the chain: ``affine``,
-``slot_step``, ``cross_step`` and ``self_attend``. Their kernels call the
-chain's kernels in the chain's order, and their adjoint rules call the
-same array-level adjoint helpers as the chain's rules, in reverse,
+``slot_encode``, ``cross_step`` and ``self_attend``. Their kernels call
+the chain's kernels in the chain's order, and their adjoint rules call
+the same array-level adjoint helpers as the chain's rules, in reverse,
 handing each parent its contributions in the chain's order, so values
-and gradients have the chain's bits. ``slot_step`` and ``cross_step``
-end in the same GRU -> residual-MLP tail, and all three attention ops in
-the same residual MLP, each with one forward and one adjoint helper.
+and gradients have the chain's bits. ``slot_encode``'s iterations and
+``cross_step`` end in the same GRU -> residual-MLP tail, and all three
+attention ops in the same residual MLP, each with one forward and one
+adjoint helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` a whole parameter set is checked at once, and
@@ -40,12 +41,14 @@ is checked, except for ops that map finite inputs to finite outputs
 (transpose, reshape, gather_rows, concat, stop_gradient, relu, clamp,
 sigmoid and both softmaxes). Inside the fused attention ops the values
 that feed a kernel able to hide a non-finite entry are checked: the
-logits (softmax maps -inf to 0), in ``slot_step`` the attention mass
-(reciprocal maps inf to 0), in ``slot_step`` and ``cross_step`` the GRU
+logits (softmax maps -inf to 0), in ``slot_encode`` the attention mass
+(reciprocal maps inf to 0), in ``slot_encode`` and ``cross_step`` the GRU
 input, which in ``cross_step`` is the attention output (its sigmoid and
 tanh saturate), and the MLP pre-activation (relu maps -inf to 0). The other
 intermediates feed only products and sums with finite operands, which
-carry a non-finite entry on to a checked value.
+carry a non-finite entry on to a checked value. ``slot_encode`` also
+checks what its chain's nodes output: the bag's layer norm, the keys, the
+values and each iteration's slots.
 
 Which adjoints ``backward`` computes. When a node is recorded, the graph
 notes whether it needs an adjoint: an input does, and so does every node
@@ -97,19 +100,26 @@ axes, so one model builder serves both:
   stop_gradient.
 * affine: x @ w + b, the matmul shapes, with a bias that broadcasts into
   the product without enlarging it (a (1, n) row).
-* slot_step: one slot-attention iteration. From slots (.., S, d),
-  transposed scaled keys (.., d, M), values (.., M, d) and the instance
-  mask (.., M, 1), all with the same leading axes, and fifteen weights:
-  the (1, d) layer-norm gain, w_q, the nine GRU weights and the MLP's
-  w1, b1, w2, b2:
-  layer norm with gain only -> @ w_q -> @ keys -> col_softmax = alpha
+* slot_encode: a slot encoder, T slot-attention iterations over a bag.
+  From the bag (.., M, d), the instance mask (.., M, 1) and the initial
+  slots (.., S, d), all with the same leading axes, T (kept in the
+  node's aux with whether the mask is applied) and nineteen weights: the
+  bag layer norm's (1, d) gain and shift, w_k, w_v, the slots' (1, d)
+  layer-norm gain, w_q, the nine GRU weights and the MLP's w1, b1, w2,
+  b2. The bag part runs once: y = layer_norm(bag); keys = (y @ w_k)^T *
+  1/sqrt(d), (.., d, M), a transposed copy; values = y @ w_v, times the
+  mask when it is applied, (.., M, d). Then each iteration: layer norm of
+  the slots with gain only -> @ w_q -> @ keys -> col_softmax = alpha
   (.., S, M); u = (alpha @ values) * 1 / (alpha @ mask + 1e-8), the
-  weighted mean; slots' = gru_cell(u, slots); out = slots' +
-  affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d). The layer
-  norm has no shift: it would add one row to every slot's query, which
-  the softmax over slots cancels. The node keeps alpha among its saved
-  intermediates; ``slot_attention`` reads it back, as
-  ``degenerate_rows`` reads a cosine node's.
+  weighted mean; slots' = gru_cell(u, slots); slots'' = slots' +
+  affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d), which the
+  next iteration starts from. The slots' layer norm has no shift: it
+  would add one row to every slot's query, which the softmax over slots
+  cancels. Of the bag-sized arrays the node keeps only the four its
+  adjoint reads: the normalized bag, y, the keys and the values. It keeps
+  every iteration's alpha among its saved intermediates;
+  ``slot_attention`` reads the last one back, as ``degenerate_rows``
+  reads a cosine node's.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -136,22 +146,25 @@ per element; squared_error 2 and cosine 4 per input element; add and
 mul 1 per element of the broadcast output; the other elementwise ops,
 mean_pool, sum and reduce_sum 1 per input element; pure data movement
 (transpose, reshape, gather, concat, stop_gradient) counts zero. A fused
-op counts what its chain counts: affine a matmul plus an add, slot_step
-the sum over its chain (with B*S rows: 4 B*S*d for the layer norm,
-B*S*d*d for q, 2 B*S*d*M for the logits and alpha @ values, 3 B*S*M for
-the softmax, the GRU cell, 2 (B*S*d*d + B*S*d) for the MLP layers,
-B*S*d each for relu and the residual, and B*S*M + 2 B*S + B*S*d for
-the mass, its floor, the reciprocal and the rescale), and
-cross_step the sum over its chain (with B*S_q query rows and B*S_c
+op counts what its chain counts: affine a matmul plus an add,
+slot_encode the sum over its chain (for the bag, with B*M rows: 4 B*M*d
+for the layer norm, 2 B*M*d*d for k and v, B*M*d for the key scale and
+B*M*d more for the mask when it is applied; for each of the T
+iterations, with B*S rows: 4 B*S*d for the layer norm, B*S*d*d for q,
+2 B*S*d*M for the logits and alpha @ values, 3 B*S*M for the softmax,
+the GRU cell, 2 (B*S*d*d + B*S*d) for the MLP layers, B*S*d each for
+relu and the residual, and B*S*M + 2 B*S + B*S*d for the mass, its
+floor, the reciprocal and the rescale), and cross_step the sum over its
+chain (with B*S_q query rows and B*S_c
 context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2
 B*S_q*S_c*d for the logits and attn @ v, 4 B*S_q*S_c for the scale and
 the row softmax, and the same GRU cell, MLP, relu and residual counts as
-slot_step's over the query rows), and self_attend the sum over its chain
-(with R = n*K selected rows: 5 R*d*d for the q, k and v projections and
-the two MLP layers, 2 R*K*d for the logits and attn @ v, 4 R*K for the
-scale and the row softmax, and 5 R*d for the attention residual, the two
-MLP biases, the relu and the MLP residual; its gather and scatter count
-zero).
+a slot_encode iteration's over the query rows), and self_attend the sum
+over its chain (with R = n*K selected rows: 5 R*d*d for the q, k and v
+projections and the two MLP layers, 2 R*K*d for the logits and attn @ v,
+4 R*K for the scale and the row softmax, and 5 R*d for the attention
+residual, the two MLP biases, the relu and the MLP residual; its gather
+and scatter count zero).
 """
 
 from __future__ import annotations
@@ -178,7 +191,7 @@ __all__ = [
 
 _LN_EPS = 1e-5
 _COS_TINY = 1e-12
-_AGG_EPS = 1e-8                 # slot_step: floor of the attention mass
+_AGG_EPS = 1e-8                 # slot_encode: floor of the attention mass
 
 
 class GraphError(ValueError):
@@ -231,7 +244,8 @@ def _sigmoid(x, out=None):
 # nine ``gru_cell`` weights in their argument order, then the MLP's.
 _MLP_LAYOUT = "wbwb"
 _TAIL_LAYOUT = "wwb" * 3 + _MLP_LAYOUT
-_SLOT_STEP_LAYOUT = "bw" + _TAIL_LAYOUT         # ln gain, w_q, tail
+# bag ln gain and shift, w_k, w_v, slot ln gain, w_q, tail
+_ENCODE_LAYOUT = "bbww" + "bw" + _TAIL_LAYOUT
 _CROSS_STEP_LAYOUT = "www" + _TAIL_LAYOUT       # w_q, w_k, w_v, tail
 _SELF_ATTEND_LAYOUT = "www" + _MLP_LAYOUT       # w_q, w_k, w_v, MLP
 
@@ -397,36 +411,48 @@ class Graph:
              wn.idx, un.idx, bn.idx),
             madds=6 * s * d * d + 10 * s * d)
 
-    def slot_step(self, slots: Node, keys_t: Node, values: Node, ones: Node,
-                  ln_gamma: Node, w_q: Node, gru: tuple, mlp: tuple) -> Node:
-        """One slot-attention iteration as one node (see the module
-        docstring): ``slots`` (.., S, d), ``keys_t`` (.., d, M), ``values``
-        (.., M, d) and the instance mask ``ones`` (.., M, 1) share their
-        leading axes; ``ln_gamma`` is the (1, d) gain of the slots' layer
-        norm, which has no shift; ``gru`` holds the nine ``gru_cell``
-        weights in its argument order and ``mlp`` is (w1, b1, w2, b2)."""
-        vs = slots.value
-        lead, (s, d) = vs.shape[:-2], vs.shape[-2:]
-        m = values.shape[-2]
-        if (vs.ndim not in (2, 3) or m < 1
-                or keys_t.shape != lead + (d, m)
-                or values.shape != lead + (m, d)
-                or ones.shape != lead + (m, 1)):
+    def slot_encode(self, bag: Node, ones: Node, slots: Node, ln_gamma: Node,
+                    ln_beta: Node, w_k: Node, w_v: Node, slot_gamma: Node,
+                    w_q: Node, gru: tuple, mlp: tuple, t_iters: int,
+                    masked: bool) -> Node:
+        """A whole slot encoder as one node (see the module docstring):
+        the ``bag`` (.., M, d), the instance mask ``ones`` (.., M, 1) and
+        the initial ``slots`` (.., S, d) share their leading axes;
+        ``ln_gamma`` and ``ln_beta`` are the bag layer norm's (1, d) gain
+        and shift, ``slot_gamma`` the slots' (1, d) gain, ``gru`` the nine
+        ``gru_cell`` weights in its argument order and ``mlp`` is (w1, b1,
+        w2, b2).  ``masked`` says whether the values are multiplied by the
+        mask (a zero-padded batch) or the mask is all ones."""
+        bs, ss = bag.shape, slots.shape
+        if (len(bs) not in (2, 3) or len(ss) != len(bs)
+                or ss[:-2] + ss[-1:] != bs[:-2] + bs[-1:]
+                or bs[-2] < 1 or ss[-2] < 1
+                or ones.shape != bs[:-1] + (1,)):
+            raise GraphError(f"slot_encode shapes: bag {bs}, ones "
+                             f"{ones.shape}, slots {ss}")
+        t_iters = int(t_iters)
+        if t_iters < 1:
             raise GraphError(
-                f"slot_step shapes: slots {vs.shape}, keys_t {keys_t.shape}, "
-                f"values {values.shape}, ones {ones.shape}")
-        weights = _fused_weights("slot_step", (ln_gamma, w_q, *gru, *mlp),
-                                 _SLOT_STEP_LAYOUT, d)
-        rows = math.prod(lead) * s
+                f"slot_encode: t_iters must be >= 1, got {t_iters}")
+        lead, (m, d), s = bs[:-2], bs[-2:], ss[-2]
+        weights = _fused_weights(
+            "slot_encode", (ln_gamma, ln_beta, w_k, w_v, slot_gamma, w_q,
+                            *gru, *mlp), _ENCODE_LAYOUT, d)
+        n = math.prod(lead)
+        rows = n * s
         # the per-op counts of the chain the node replaces
-        madds = (4 * rows * d                       # layer norm
-                 + rows * d * d + 2 * rows * d * m    # q, logits, alpha @ v
-                 + 3 * rows * m                       # column softmax
-                 + rows * m + 2 * rows + rows * d     # mass, floor, 1/., *
-                 + _tail_madds(rows, d))
-        parents = (slots, keys_t, values, ones, *weights)
-        return self._append("slot_step", tuple(p.idx for p in parents),
-                            madds=madds)
+        bag_madds = (4 * n * m * d                      # layer norm
+                     + 2 * n * m * d * d                # k, v
+                     + n * m * d * (1 + bool(masked)))  # key scale, mask
+        step_madds = (4 * rows * d                      # layer norm
+                      + rows * d * d + 2 * rows * d * m  # q, logits, alpha @ v
+                      + 3 * rows * m                    # column softmax
+                      + rows * m + 2 * rows + rows * d  # mass, floor, 1/., *
+                      + _tail_madds(rows, d))
+        parents = (bag, ones, slots, *weights)
+        return self._append("slot_encode", tuple(p.idx for p in parents),
+                            aux=(t_iters, bool(masked)),
+                            madds=bag_madds + t_iters * step_madds)
 
     def cross_step(self, queries: Node, context: Node, w_q: Node, w_k: Node,
                    w_v: Node, gru: tuple, mlp: tuple) -> Node:
@@ -587,11 +613,11 @@ class Graph:
         return seen
 
     def slot_attention(self, node: Node) -> np.ndarray:
-        """The column-stochastic attention (.., S, M) a slot_step node
-        computed, read back from its saved intermediates."""
-        if self._ops[node.idx] != "slot_step":
-            raise GraphError("slot_attention applies to slot_step nodes")
-        return self._saved[node.idx].alpha
+        """The column-stochastic attention (.., S, M) of a slot_encode
+        node's last iteration, read back from its saved intermediates."""
+        if self._ops[node.idx] != "slot_encode":
+            raise GraphError("slot_attention applies to slot_encode nodes")
+        return self._saved[node.idx].steps[-1].alpha
 
     def degenerate_rows(self, node: Node) -> np.ndarray:
         """Indices of zero-norm rows recorded by a cosine node."""
@@ -680,17 +706,22 @@ def _softmax(axis, x, out=None):
     return e
 
 
-def _matmul(a, b):
+def _matmul(a, b, out=None):
+    """a @ b, into ``out`` (a C-contiguous array of the product's shape)
+    when it is given, with the same bits."""
     if a.shape[-1] == 1:
         # rank-1 product: each entry is one product, as BLAS forms it;
         # adding +0 turns a -0 product into BLAS's +0
-        out = a * b
+        out = np.multiply(a, b, out=out)
         out += 0
         return out
     if a.ndim == 3 and b.ndim == 2 and a.shape[0] > 1:
         # a weight shared by every batch entry: one product over all rows
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
-    return np.matmul(a, b)
+        if out is not None:
+            out = out.reshape(-1, b.shape[-1])
+        rows = np.matmul(a.reshape(-1, a.shape[-1]), b, out=out)
+        return rows.reshape(a.shape[:-1] + b.shape[-1:])
+    return np.matmul(a, b, out=out)
 
 
 def _affine_fwd(_, x, w, b):
@@ -758,8 +789,9 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
 
 
 class _StepSaved(typing.NamedTuple):
-    """A slot_step node's intermediates: the values its adjoint reads.  The
-    last seven are its GRU -> residual-MLP tail's, as in ``_CrossSaved``."""
+    """One slot-attention iteration's intermediates: the values its adjoint
+    reads.  The last seven are its GRU -> residual-MLP tail's, as in
+    ``_CrossSaved``."""
 
     xhat: np.ndarray        # layer norm
     inv: np.ndarray
@@ -775,6 +807,19 @@ class _StepSaved(typing.NamedTuple):
     rh: np.ndarray
     updated: np.ndarray     # the GRU output
     hidden: np.ndarray      # relu of the first MLP layer
+
+
+class _EncodeSaved(typing.NamedTuple):
+    """A slot_encode node's intermediates: of the bag-sized arrays, only the
+    four its adjoint reads."""
+
+    xhat: np.ndarray        # bag layer norm, (.., M, d)
+    inv: np.ndarray         # (.., M, 1)
+    y: np.ndarray           # the layer norm's output, (.., M, d)
+    keys_t: np.ndarray      # (y @ w_k) transposed and scaled, (.., d, M)
+    values: np.ndarray      # y @ w_v, masked, (.., M, d)
+    states: tuple           # each iteration's input slots, (.., S, d)
+    steps: tuple            # each iteration's _StepSaved
 
 
 class _CrossSaved(typing.NamedTuple):
@@ -825,10 +870,10 @@ def _mlp_fwd(op, x, w1, b1, w2, b2):
 
 
 def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn, *mlp):
-    """The tail slot_step and cross_step end in: updated = gru_cell(u,
-    state), then the residual MLP.  It checks the GRU input (sigmoid and
-    tanh saturate); returns out and the tail's saved values (u, z, r, n,
-    rh, updated, hidden)."""
+    """The tail slot_encode's iterations and cross_step end in: updated =
+    gru_cell(u, state), then the residual MLP.  It checks the GRU input
+    (sigmoid and tanh saturate); returns out and the tail's saved values
+    (u, z, r, n, rh, updated, hidden)."""
     _guard(u, "GRU input", op)
     updated, (z, r, n, rh) = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br,
                                       wn, un, bn)
@@ -836,26 +881,54 @@ def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn, *mlp):
     return out, (u, z, r, n, rh, updated, hidden)
 
 
-def _slot_step_fwd(_, slots, keys_t, values, ones, gamma, w_q, *tail):
-    """The chain layer norm -> q -> logits -> column softmax -> weighted
-    mean -> GRU -> residual MLP, kernel by kernel.  It checks
+def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
+    """One iteration: the chain layer norm -> q -> logits -> column softmax
+    -> weighted mean -> GRU -> residual MLP, kernel by kernel.  It checks
     the values that feed a kernel able to hide a non-finite entry
-    (softmax, reciprocal, GRU, relu); the node output is checked by the
-    caller."""
+    (softmax, reciprocal, GRU, relu), and the new slots."""
     xhat, inv = _normalize(slots)
     normed = xhat * gamma
     q = _matmul(normed, w_q)
     logits = _matmul(q, keys_t)
-    _guard(logits, "attention logits", "slot_step")
+    _guard(logits, "attention logits", "slot_encode")
     alpha = _softmax(-2, logits, out=logits)    # logits are not kept
     u_raw = _matmul(alpha, values)
     mass = _matmul(alpha, ones)
     mass += alpha.dtype.type(_AGG_EPS)
-    _guard(mass, "attention mass", "slot_step")
+    _guard(mass, "attention mass", "slot_encode")
     rec = _reciprocal_fwd(None, mass)
     u = u_raw * rec
-    out, saved = _gru_mlp_fwd("slot_step", u, slots, *tail)
+    out, saved = _gru_mlp_fwd("slot_encode", u, slots, *tail)
+    _guard(out, "slots", "slot_encode")
     return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, *saved)
+
+
+def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
+                     *step_weights):
+    """The chain bag layer norm -> k and v projections -> transposed copy
+    of k, scaled -> values masked -> T iterations, kernel by kernel, with
+    the checks the chain's node outputs had: the layer norm's output, the
+    keys, the values and every iteration's slots.  The values are formed
+    in k's buffer once its transposed copy is made."""
+    t_iters, masked = aux
+    y, (xhat, inv) = _layer_norm_fwd(None, bag, ln_gamma, ln_beta)
+    _guard(y, "layer-norm output", "slot_encode")
+    k = _matmul(y, w_k)
+    keys_t = np.swapaxes(k, -1, -2).copy()
+    keys_t *= keys_t.dtype.type(1.0 / np.sqrt(bag.shape[-1]))
+    _guard(keys_t, "keys", "slot_encode")
+    values = _matmul(y, w_v, out=k)
+    if masked:
+        values *= ones
+    _guard(values, "values", "slot_encode")
+    states, steps = [], []
+    for _ in range(t_iters):
+        states.append(slots)
+        slots, saved = _slot_step_fwd(slots, keys_t, values, ones,
+                                      *step_weights)
+        steps.append(saved)
+    return slots, _EncodeSaved(xhat, inv, y, keys_t, values, tuple(states),
+                               tuple(steps))
 
 
 def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v):
@@ -940,7 +1013,7 @@ _FORWARD = {
     "reciprocal": _reciprocal_fwd,
     "layer_norm": _layer_norm_fwd,
     "gru_cell": _gru_fwd,
-    "slot_step": _slot_step_fwd,
+    "slot_encode": _slot_encode_fwd,
     "cross_step": _cross_step_fwd,
     "self_attend": _self_attend_fwd,
     "mean_pool": lambda _, a: _mean(a, -2),
@@ -958,10 +1031,10 @@ _FORWARD = {
 }
 
 # Every op kind the engine registers.  The model uses all of them but
-# col_softmax, gru_cell and gather_rows: slot_step and cross_step run the
-# first two's kernels and adjoints, and self_attend gathers and scatters
-# its rows itself.  The three remain the vocabulary of the per-op chains
-# the fused ops are checked against bit for bit.
+# col_softmax, gru_cell and gather_rows: slot_encode and cross_step run
+# the first two's kernels and adjoints, and self_attend gathers and
+# scatters its rows itself.  The three remain the vocabulary of the per-op
+# chains the fused ops are checked against bit for bit.
 OP_KINDS = ("input", "const", *_FORWARD)
 
 # Ops whose output is finite whenever their inputs are, which the guard
@@ -1007,7 +1080,7 @@ def _unbroadcast(grad, shape):
 
 
 # Array-level adjoint helpers: each op's math lives in one of these, and
-# both its own rule and the fused rules (affine, slot_step, cross_step)
+# both its own rule and the fused rules (affine, slot_encode, cross_step)
 # call it.  A helper forms an operand's adjoint only when asked to
 # (``need_*``).
 
@@ -1202,50 +1275,121 @@ def _mlp_adj(g, grads, grad, x, hidden, mlp):
     return d_x
 
 
-def _gru_mlp_adj(g, grads, grad, sv, state, gru, mlp):
+def _gru_mlp_adj(g, grads, grad, sv, state, need_state, gru, mlp):
     """The adjoint of the tail ``_gru_mlp_fwd`` computes, from a fused
-    node's adjoint ``grad`` and saved values ``sv``: hands the MLP
-    weights, the GRU ``state`` and the GRU weights their contributions in
-    the chain's order, and returns the GRU input's adjoint."""
+    node's adjoint ``grad``, saved values ``sv`` and the GRU ``state``
+    value: hands the MLP weights and the GRU weights their contributions
+    in the chain's order, and returns the adjoints of the GRU input and,
+    when ``need_state``, of the state (None otherwise)."""
     v = g._values
     need = g._needs_grad
     d_upd = _mlp_adj(g, grads, grad, sv.updated, sv.hidden, mlp)
-    d_u, *d_gru = _gru_adj(d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u,
-                           v[state],
-                           *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
-                           [True, need[state], *(need[p] for p in gru)])
-    _give(grads, (state, *gru), d_gru)
-    return d_u
+    d_u, d_state, *d_gru = _gru_adj(
+        d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u, state,
+        *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
+        [True, need_state, *(need[p] for p in gru)])
+    _give(grads, gru, d_gru)
+    return d_u, d_state
 
 
-def _bw_slot_step(g, i, grad, grads):
-    """The chain's adjoint rules in reverse, handing each parent the same
-    contributions in the same order as the per-op chain: the slots get
-    two, from the GRU state and from the layer norm, as there."""
-    (si, ki, vi, oi, gi, qi, *tail) = g._parents[i]
+def _add_product(acc, scratch, a, b):
+    """acc + a @ b as ``backward`` would accumulate the product into an
+    adjoint: the first product is the sum (a new array), and each later one
+    is formed in ``scratch``, a flat buffer the caller owns and passes back
+    in (allocated at first use), then added into ``acc`` in place.
+    Returns (acc, scratch)."""
+    if acc is None:
+        return _matmul(a, b), scratch
+    if scratch is None:
+        scratch = np.empty(acc.size, dtype=acc.dtype)
+    acc += _matmul(a, b, out=scratch.reshape(acc.shape))
+    return acc, scratch
+
+
+def _bw_slot_encode(g, i, grad, grads):
+    """The chain's adjoint rules in reverse: iterations T..1, then the
+    value path, the key path and the bag's layer norm.  Each parent gets
+    the same contributions in the same order as from the per-op chain:
+    the initial slots two from the first iteration (GRU state, then layer
+    norm), and the layer norm's output the value-path term, then the
+    key-path term.  The key and value adjoints accumulate over the
+    iterations in arrays this rule owns (one scratch array holds each
+    later iteration's product), which it scales and masks in place, and
+    the projections' adjoints are formed in those arrays as they fall
+    free."""
+    bi, oi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
+    t_iters, masked = g._aux[i]
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
-    d_u = _gru_mlp_adj(g, grads, grad, sv, si, tail[:9], tail[9:])
+    ones = v[oi]
+    acc_k = acc_v = scratch = None
+    for t in range(t_iters - 1, -1, -1):
+        st = sv.steps[t]
+        need_state = t > 0 or need[si]
+        d_u, d_state = _gru_mlp_adj(g, grads, grad, st, sv.states[t],
+                                    need_state, tail[:9], tail[9:])
+        if t == 0:
+            _give(grads, (si,), (d_state,))
 
-    # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
-    d_uraw, d_rec = _mul_adj(d_u, sv.u_raw, sv.rec)
-    d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, sv.rec), sv.alpha,
-                                  v[oi], need_b=need[oi])
-    d_au, d_values = _matmul_adj(d_uraw, sv.alpha, v[vi], need_b=need[vi])
-    _give(grads, (oi, vi), (d_ones, d_values))
+        # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
+        d_uraw, d_rec = _mul_adj(d_u, st.u_raw, st.rec)
+        d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, st.rec),
+                                      st.alpha, ones, need_b=need[oi])
+        _give(grads, (oi,), (d_ones,))
+        d_au, _ = _matmul_adj(d_uraw, st.alpha, sv.values, need_b=False)
+        acc_v, scratch = _add_product(acc_v, scratch,
+                                      np.swapaxes(st.alpha, -1, -2), d_uraw)
 
-    # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
-    # alpha terms are arrays this rule made, so the sum and the softmax
-    # adjoint may overwrite them.
-    d_alpha += d_au
-    d_logits = _softmax_adj(d_alpha, sv.alpha, -2, out=d_alpha, scratch=d_au)
-    d_q, d_keys = _matmul_adj(d_logits, sv.q, v[ki], need_b=need[ki])
-    d_normed, d_wq = _matmul_adj(d_q, sv.normed, v[qi], need_b=need[qi])
-    _give(grads, (ki, qi), (d_keys, d_wq))
-    d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], sv.xhat, sv.inv,
-                                          need[si], need[gi], False)
-    _give(grads, (si, gi), (d_slots, d_gamma))
+        # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
+        # alpha terms are arrays this rule made, so the sum and the softmax
+        # adjoint may overwrite them.
+        d_alpha += d_au
+        d_logits = _softmax_adj(d_alpha, st.alpha, -2, out=d_alpha,
+                                scratch=d_au)
+        d_q, _ = _matmul_adj(d_logits, st.q, sv.keys_t, need_b=False)
+        acc_k, scratch = _add_product(acc_k, scratch,
+                                      np.swapaxes(st.q, -1, -2), d_logits)
+        d_normed, d_wq = _matmul_adj(d_q, st.normed, v[qi], need_b=need[qi])
+        _give(grads, (qi,), (d_wq,))
+        d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], st.xhat,
+                                              st.inv, need_state, need[gi],
+                                              False)
+        _give(grads, (gi,), (d_gamma,))
+        if t == 0:
+            _give(grads, (si,), (d_slots,))
+        else:
+            d_state += d_slots          # the previous iteration's adjoint
+            grad = d_state
+
+    # values = (y @ w_v) * ones: the value path; y's adjoint takes the
+    # scratch array's place
+    if masked:
+        if need[oi]:
+            _give(grads, (oi,), (_unbroadcast(acc_v * _matmul(sv.y, v[vi]),
+                                              ones.shape),))
+        acc_v *= ones
+    _give(grads, (vi,), (_matmul_adj(acc_v, sv.y, v[vi], need_a=False,
+                                     need_b=need[vi])[1],))
+    d_y = _matmul(acc_v, np.swapaxes(v[vi], -1, -2),
+                  out=None if scratch is None else scratch.reshape(sv.y.shape))
+    del scratch
+
+    # keys = (y @ w_k)^T * c: the key path
+    acc_k *= acc_k.dtype.type(1.0 / np.sqrt(sv.y.shape[-1]))
+    d_keys, out = np.swapaxes(acc_k, -1, -2), None
+    if d_keys.ndim == 3 and d_keys.shape[0] > 1 and d_keys.shape[-1] > 1:
+        # both products read the rows of this view through a C-order copy:
+        # make it once, in acc_v's array, and form the product in acc_k's
+        np.copyto(acc_v, d_keys)
+        d_keys, out = acc_v, acc_k.reshape(acc_v.shape)
+    del acc_v
+    _give(grads, (ki,), (_matmul_adj(d_keys, sv.y, v[ki], need_a=False,
+                                     need_b=need[ki])[1],))
+    d_y += _matmul(d_keys, np.swapaxes(v[ki], -1, -2), out=out)
+    del acc_k, d_keys, out
+    _give(grads, (bi, lgi, lbi), _layer_norm_adj(
+        d_y, v[lgi], sv.xhat, sv.inv, need[bi], need[lgi], need[lbi]))
 
 
 def _attend_adj(d_u, sv, scale):
@@ -1270,7 +1414,9 @@ def _bw_cross_step(g, i, grad, grads):
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
-    d_u = _gru_mlp_adj(g, grads, grad, sv, qi, tail[:9], tail[9:])
+    d_u, d_state = _gru_mlp_adj(g, grads, grad, sv, v[qi], need[qi],
+                                tail[:9], tail[9:])
+    _give(grads, (qi,), (d_state,))
     d_q, d_k, d_v = _attend_adj(d_u, sv, g._aux[i])
     _give(grads, (ci, wv), _matmul_adj(d_v, v[ci], v[wv], need[ci], need[wv]))
     _give(grads, (ci, wk), _matmul_adj(d_k, v[ci], v[wk], need[ci], need[wk]))
@@ -1404,7 +1550,7 @@ _BACKWARD = {
     "reciprocal": _bw_reciprocal,
     "layer_norm": _bw_layer_norm,
     "gru_cell": _bw_gru,
-    "slot_step": _bw_slot_step,
+    "slot_encode": _bw_slot_encode,
     "cross_step": _bw_cross_step,
     "self_attend": _bw_self_attend,
     "mean_pool": _bw_mean_pool,

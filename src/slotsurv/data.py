@@ -43,6 +43,7 @@ __all__ = [
     "SynthConfig",
     "assign_bins",
     "atomic_write",
+    "check_bag_shape",
     "check_field_types",
     "discretize_times",
     "expect_modality",
@@ -138,12 +139,18 @@ class FeatureBag:
         return self.matrix.shape[1]
 
 
+def check_bag_shape(matrix) -> None:
+    """BagValueError unless ``matrix`` is M x d with M >= 1 and d >= 1."""
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise BagValueError(f"bag matrix must be M>=1 x d>=1, got {shape}")
+
+
 def write_bag(bag: FeatureBag, destination) -> None:
     if bag.modality not in _MODALITY_CODES:
         raise BagValueError(f"unknown modality {bag.modality!r}")
     matrix = np.asarray(bag.matrix, dtype=np.float32)
-    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
-        raise BagValueError(f"bag matrix must be M>=1 x d>=1, got {matrix.shape}")
+    check_bag_shape(matrix)
     if not np.all(np.isfinite(matrix)):
         raise BagValueError("bag matrix has non-finite entries")
     header = _HEADER.pack(_MAGIC, _VERSION, _MODALITY_CODES[bag.modality], 0,

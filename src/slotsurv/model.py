@@ -18,6 +18,11 @@ genomics present are bitwise-independent of those parameters.  Serving
 binds only the trunk's parameter groups (``TRUNK_GROUPS``, 86 tensors
 against the 126 a training batch binds); training binds every trainable
 group.
+
+Each slot encoder is one ``slot_encode`` node after its mask constant and
+the nodes that start its slots: two in the trunk, and the cross-modal
+encode of a training batch.  At the reference ``TrainConfig`` a training
+batch is one graph of 320 nodes and a served patient one of 141.
 """
 
 from __future__ import annotations

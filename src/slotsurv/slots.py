@@ -10,14 +10,18 @@ varies patient to patient.
 Graph builders (build_*) append to a caller-owned autodiff Graph and are
 what the trainer composes.  They take one patient's (M, d) bag or a
 zero-padded batch (B, M, d) with its (B, M) instance mask; padded
-instances carry no value and no attention mass.  Each iteration is one
-``slot_step`` node of the engine, for training, serving and the
-cross-modal encode alike: the layer norm, attention, weighted mean, GRU and
-residual MLP run as one kernel, with the per-op chain's values, gradients
-and multiply-add counts.  The attention map of the last iteration is read
-back from that node, as a plain array: it feeds no loss.  ``encode`` is a
-numpy-in/numpy-out convenience that builds a throwaway graph, at the
-parameters' precision, internally.
+instances carry no value and no attention mass.  One encode is one
+``slot_encode`` node of the engine, after the nodes of the slots' start
+and the mask constant, for training, serving and the cross-modal encode
+alike: the bag's layer norm, the key and value projections and all T
+iterations (layer norm, attention, weighted mean, GRU and residual MLP)
+run as one kernel, with the per-op chain's values, gradients and
+multiply-add counts.  Of the bag-sized arrays the node keeps only the
+four its adjoint reads: the normalized bag, the layer norm's output, the
+keys and the values.  The attention map of the last
+iteration is read back from that node, as a plain array: it feeds no
+loss.  ``encode`` is a numpy-in/numpy-out convenience that builds a
+throwaway graph, at the parameters' precision, internally.
 
 Only training is random.  The slots start at the learned mean, plus
 exp(init_log_std) times standard-normal noise when noise is given; the
@@ -41,7 +45,6 @@ __all__ = [
     "assignment_map",
     "build_encode",
     "build_init_slots",
-    "build_attention_step",
     "encode",
     "init_slot_params",
     "write_assignment_csv",
@@ -124,39 +127,6 @@ def build_init_slots(g: Graph, p: SlotParams, lead: tuple = (), noise=None):
     return g.add(g.const(np.zeros(lead + (1, 1))), p.init_mean)
 
 
-def build_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
-                         ones):
-    """One competitive-attention iteration as one ``slot_step`` node.
-
-    ``keys_t`` holds the projected keys transposed and pre-scaled by
-    1/sqrt(d), (..., d, M); ``values`` the projected values, (..., M, d),
-    with padded instances zeroed; ``ones`` is the (..., M, 1) instance
-    mask (all ones without padding).  Padded instances get softmax
-    columns like real ones, but they carry zero values, add nothing to
-    the attention mass and so receive no gradient.  Returns the updated
-    slots node; ``g.slot_attention`` reads its alpha back.
-    """
-    return g.slot_step(
-        slots, keys_t, values, ones, p.ln_slot_gamma, p.w_q,
-        (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
-         p.gru_wn, p.gru_un, p.gru_bn),
-        (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2))
-
-
-def _keys_values(g: Graph, p: SlotParams, bag, mask):
-    """Projected keys (transposed, scaled) and values of a bag, plus the
-    (..., M, 1) instance-mask constant that zeroes padded values."""
-    x = g.layer_norm(bag, p.ln_in_gamma, p.ln_in_beta)
-    keys_t = g.scale(g.transpose(g.matmul(x, p.w_k)), 1.0 / np.sqrt(p.dim))
-    values = g.matmul(x, p.w_v)
-    if mask is None:
-        ones = g.const(np.ones(bag.shape[:-1] + (1,)))
-    else:
-        ones = g.const(np.asarray(mask)[..., None])
-        values = g.mul(values, ones)
-    return keys_t, values, ones
-
-
 def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
                  noise=None):
     """T attention iterations over a bag node; returns the slots node and
@@ -165,18 +135,28 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
     ``bag`` is one patient's (M, d) bag or a zero-padded batch (B, M, d)
     whose (B, M) instance ``mask`` marks the real rows; slots come out
     (S, d) or (B, S, d) and alpha (S, M) or (B, S, M), with padded
-    columns zero.  ``noise`` is the standard-normal slot-init noise of a
-    training pass, shaped like the slots; without it the slots start at
-    the learned mean.
+    columns zero.  Padded instances get softmax columns like real ones,
+    but their values are zeroed, so they add nothing to the attention
+    mass and receive no gradient.  ``noise`` is the standard-normal
+    slot-init noise of a training pass, shaped like the slots; without it
+    the slots start at the learned mean.
     """
     if t_iters < 1:
         raise ValueError(f"t_iters must be >= 1, got {t_iters}")
     if bag.shape[-1] != p.dim:
         raise ValueError(f"bag width {bag.shape[-1]} != slot width {p.dim}")
-    keys_t, values, ones = _keys_values(g, p, bag, mask)
+    if mask is None:
+        ones = g.const(np.ones(bag.shape[:-1] + (1,)))
+    else:
+        ones = g.const(np.asarray(mask)[..., None])
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
-    for _ in range(t_iters):
-        slots = build_attention_step(g, p, slots, keys_t, values, ones)
+    slots = g.slot_encode(
+        bag, ones, slots, p.ln_in_gamma, p.ln_in_beta, p.w_k, p.w_v,
+        p.ln_slot_gamma, p.w_q,
+        (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
+         p.gru_wn, p.gru_un, p.gru_bn),
+        (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2),
+        t_iters, masked=mask is not None)
     alpha = g.slot_attention(slots)
     if mask is not None:
         alpha = alpha * np.swapaxes(ones.value, -1, -2)

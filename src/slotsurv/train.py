@@ -529,11 +529,13 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
 
     Returns (PatientOutput, imputed) where ``imputed`` says whether the
     genomic bag was reconstructed from histology.  Every histology row is
-    used (no subsampling at inference).  A genomic bag must have one row
-    per pathway of the checkpoint; otherwise ``BagError``.
+    used (no subsampling at inference).  The histology bag must hold at
+    least one row and one column (``BagValueError``), and a genomic bag
+    one row per pathway of the checkpoint (``BagError``).
     """
     cfg = ckpt.config
     data_mod.expect_modality(bag_h, "histology")
+    data_mod.check_bag_shape(bag_h.matrix)
     if bag_g is not None:
         data_mod.expect_modality(bag_g, "genomic")
         m_gen = ckpt.params.positions.m_rows

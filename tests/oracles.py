@@ -7,10 +7,13 @@
   one Gumbel-top-K selection in numpy, with its soft relaxation; the
   statistical gate tests sample it.
 * ``out_of_place_acc``, adjoint accumulation that allocates every sum, for
-  checking ``autodiff.backward``'s in-place accumulation.
-* ``unfused_attention_step``, one slot-attention iteration as the chain of
-  18 per-op nodes that the fused ``slot_step`` op replaces, and the numpy
-  conveniences built on it (``init_slots``, ``slot_attention_step``).
+  checking ``autodiff.backward``'s in-place accumulation, and
+  ``saved_arrays``, a node's saved intermediates as one flat list.
+* ``unfused_encode``, a slot encoder as the chain of per-op nodes that
+  the fused ``slot_encode`` op replaces: ``keys_values`` (the bag's layer
+  norm, the key and value projections and the value mask) and T times
+  ``unfused_attention_step`` (one iteration, 18 per-op nodes), and the
+  numpy conveniences built on it (``init_slots``, ``slot_attention_step``).
 * ``unfused_cross_update``, one direction of one cross-attention round as
   the chain of 13 per-op nodes that the fused ``cross_step`` op replaces,
   and ``unfused_cross_attention``, L rounds of it.
@@ -33,7 +36,7 @@ import numpy as np
 
 from slotsurv.autodiff import Graph, bind_arrays
 from slotsurv.moe import GateMask, GateParams, PredictorParams, _check_k, _k_hot
-from slotsurv.slots import SlotParams, _keys_values, build_init_slots
+from slotsurv.slots import SlotParams, build_init_slots
 from slotsurv.survival import BootstrapSummary, HazardCurve, km_estimate, rmst
 
 AGG_EPS = 1e-8
@@ -137,11 +140,40 @@ def out_of_place_acc(grads, idx, delta):
         grads[idx] = grads[idx] + delta
 
 
+def saved_arrays(saved) -> list:
+    """A node's saved intermediates as a flat list, nested tuples (a
+    slot_encode node's per-iteration ones) flattened."""
+    out = []
+    for a in saved:
+        out.extend(saved_arrays(a) if isinstance(a, tuple) else [a])
+    return out
+
+
 # ---------------------------------------------------------- slot attention
 
 
-def unfused_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
-                           ones):
+def instance_mask(g: Graph, bag, mask):
+    """The (..., M, 1) instance-mask constant of a bag: all ones without a
+    ``mask``."""
+    if mask is None:
+        return g.const(np.ones(bag.shape[:-1] + (1,)))
+    return g.const(np.asarray(mask)[..., None])
+
+
+def keys_values(g: Graph, p, bag, ones, masked: bool):
+    """Projected keys (transposed, scaled) and values of a bag as per-op
+    nodes; with ``masked`` the values are multiplied by the instance mask
+    ``ones``, which zeroes padded rows."""
+    x = g.layer_norm(bag, p.ln_in_gamma, p.ln_in_beta)
+    keys_t = g.scale(g.transpose(g.matmul(x, p.w_k)),
+                     1.0 / np.sqrt(bag.shape[-1]))
+    values = g.matmul(x, p.w_v)
+    if masked:
+        values = g.mul(values, ones)
+    return keys_t, values
+
+
+def unfused_attention_step(g: Graph, p, slots, keys_t, values, ones):
     """One attention iteration as per-op nodes; returns (updated slots,
     alpha, aggregated update) nodes.  The slots' layer norm has no shift,
     so the chain gives it a zero constant."""
@@ -161,15 +193,25 @@ def unfused_attention_step(g: Graph, p: SlotParams, slots, keys_t, values,
     return g.add(updated, residual), alpha, u
 
 
+def unfused_slot_encode(g: Graph, p, bag, ones, slots, t_iters: int,
+                        masked: bool):
+    """``Graph.slot_encode`` as per-op nodes, from the initial ``slots``
+    node; returns the slots and the last alpha (unmasked) as nodes."""
+    keys_t, values = keys_values(g, p, bag, ones, masked)
+    for _ in range(t_iters):
+        slots, alpha, _ = unfused_attention_step(g, p, slots, keys_t, values,
+                                                 ones)
+    return slots, alpha
+
+
 def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
                    noise=None):
     """``slots.build_encode`` over the unfused chain; returns the slots and
     the last alpha (masked) as nodes."""
-    keys_t, values, ones = _keys_values(g, p, bag, mask)
+    ones = instance_mask(g, bag, mask)
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
-    for _ in range(t_iters):
-        slots, alpha, _ = unfused_attention_step(g, p, slots, keys_t, values,
-                                                 ones)
+    slots, alpha = unfused_slot_encode(g, p, bag, ones, slots, t_iters,
+                                       mask is not None)
     if mask is not None:
         alpha = g.mul(alpha, g.transpose(ones))
     return slots, alpha
@@ -203,7 +245,9 @@ def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
     """One iteration from explicit slots over a raw bag (numpy in/out)."""
     g = _graph(params)
     p = bind_arrays(g, "p", params, trainable=False)
-    keys_t, values, ones = _keys_values(g, p, g.const(bag_matrix), None)
+    bag = g.const(bag_matrix)
+    ones = instance_mask(g, bag, None)
+    keys_t, values = keys_values(g, p, bag, ones, False)
     out, alpha, u = unfused_attention_step(g, p, g.const(slots), keys_t,
                                            values, ones)
     return StepResult(slots=out.value.copy(), attention=alpha.value.copy(),

@@ -2,8 +2,9 @@
 
 Every differentiable op is audited against central finite differences
 at 20 random points, in both 32-bit and 64-bit modes (the fused
-slot_step, cross_step and self_attend in 64-bit only, see FLOAT64_ONLY). Step sizes are
-dtype-matched: too small a step drowns the quotient in rounding noise.
+slot_encode, cross_step and self_attend in 64-bit only, see FLOAT64_ONLY).
+Step sizes are dtype-matched: too small a step drowns the quotient in
+rounding noise.
 """
 
 import zlib
@@ -27,9 +28,10 @@ from slotsurv.autodiff import (
 
 from oracles import (
     out_of_place_acc,
-    unfused_attention_step,
+    saved_arrays,
     unfused_cross_update,
     unfused_self_attention,
+    unfused_slot_encode,
 )
 
 N_POINTS = 20
@@ -360,34 +362,42 @@ def _build_affine(g, rng, lead=()):
     return _se_target(g, g.affine(x, w, b), rng)
 
 
-def _build_slot_step(g, rng, mask=None):
-    """One slot-attention iteration, 2 slots of width 3 over 4 instances;
-    with a (B, M) ``mask`` a padded batch whose padded values are zeroed,
-    as the encoder zeroes them."""
+def _build_slot_encode(g, rng, mask=None, t_iters=1):
+    """A slot encoder as one slot_encode node: 2 slots of width 3 over a
+    bag of 4 instances, ``t_iters`` iterations; with a (B, M) ``mask`` a
+    padded batch whose padded values are zeroed.  The GRU output lies in
+    (-1, 1), so w1 in (-0.2, 0.2) and |b1| in (0.7, 1) keep every MLP
+    pre-activation at least 0.1 from relu's kink, as in the cross_step
+    builder.  A layer norm curves more sharply the closer a row's entries
+    lie together, so each row of the bag and of the initial slots holds
+    -0.8, 0 and 0.8 in a random order, each moved by less than 0.2."""
     s, d, m = 2, 3, 4
     lead = () if mask is None else mask.shape[:1]
 
     def leaf(name, shape, lo=-1.0, hi=1.0):
         return g.input(name, rng.uniform(lo, hi, size=shape))
 
-    ones_v = np.ones(lead + (m, 1)) if mask is None else mask[..., None]
-    ones = g.const(ones_v)
-    slots = leaf("slots", lead + (s, d))
-    keys_t = leaf("keys_t", lead + (d, m))
-    values = leaf("values", lead + (m, d))
-    if mask is not None:
-        values = g.mul(values, ones)
-    gamma = leaf("gamma", (1, d), 0.5, 1.5)
-    # an unused (1, d) draw, so that every leaf keeps the value it had when
-    # slot_step also took a layer-norm shift here
-    rng.uniform(-1.0, 1.0, size=(1, d))
-    w_q = leaf("w_q", (d, d))
+    def spread_rows(name, shape):
+        rows = rng.permuted(np.broadcast_to([-0.8, 0.0, 0.8], shape), axis=-1)
+        return g.input(name, rows + rng.uniform(-0.2, 0.2, size=shape))
+
+    ones = g.const(np.ones(lead + (m, 1)) if mask is None else mask[..., None])
+    bag = spread_rows("bag", lead + (m, d))
+    head = [leaf("gamma_in", (1, d), 0.5, 1.5), leaf("beta_in", (1, d)),
+            leaf("w_k", (d, d)), leaf("w_v", (d, d))]
+    slots = spread_rows("slots", lead + (s, d))
+    head += [leaf("gamma", (1, d), 0.5, 1.5), leaf("w_q", (d, d))]
     gru = [leaf(nm, (1, d) if nm[0] == "b" else (d, d))
            for nm in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")]
-    mlp = [leaf("w1", (d, d)), leaf("b1", (1, d), 0.1, 0.5),
+    b1 = rng.choice([-1.0, 1.0], size=(1, d)) * rng.uniform(0.7, 1.0, (1, d))
+    mlp = [leaf("w1", (d, d), -0.2, 0.2), g.input("b1", b1),
            leaf("w2", (d, d)), leaf("b2", (1, d))]
-    out = g.slot_step(slots, keys_t, values, ones, gamma, w_q, gru, mlp)
+    out = g.slot_encode(bag, ones, slots, *head, gru, mlp, t_iters,
+                        masked=mask is not None)
     return _se_target(g, out, rng)
+
+
+_PADDED = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
 
 
 def _build_cross_step(g, rng, lead=()):
@@ -445,9 +455,14 @@ OP_BUILDERS = {
     "cross_step_3d": lambda g, rng: _build_cross_step(g, rng, lead=(2,)),
     "affine": _build_affine,
     "affine_3d": lambda g, rng: _build_affine(g, rng, lead=(2,)),
-    "slot_step": _build_slot_step,
-    "slot_step_masked": lambda g, rng: _build_slot_step(
-        g, rng, mask=np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])),
+    # the slot_step cases are one slot_encode node of one iteration, the
+    # _t3 cases of three
+    "slot_step": _build_slot_encode,
+    "slot_step_masked": lambda g, rng: _build_slot_encode(g, rng,
+                                                          mask=_PADDED),
+    "slot_step_t3": lambda g, rng: _build_slot_encode(g, rng, t_iters=3),
+    "slot_step_masked_t3": lambda g, rng: _build_slot_encode(
+        g, rng, mask=_PADDED, t_iters=3),
     "matmul_batched": _build_matmul_batched,
     "matmul_shared_right": _build_matmul_shared_right,
     "matmul_shared_left": _build_matmul_shared_left,
@@ -497,8 +512,16 @@ OP_BUILDERS = {
 # and every gradient are checked bitwise against the per-op chain it
 # replaces (tests/test_slots.py, tests/test_fusion.py), whose ops all pass
 # both modes here.
-FLOAT64_ONLY = {"slot_step", "slot_step_masked", "cross_step",
-                "cross_step_3d", "self_attend", "self_attend_3d"}
+FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_t3",
+                "slot_step_masked_t3", "cross_step", "cross_step_3d",
+                "self_attend", "self_attend_3d"}
+
+
+def _fused_op(op_name: str) -> str:
+    """The fused op an OP_BUILDERS case of a fused op records."""
+    if op_name.startswith("slot_step"):
+        return "slot_encode"
+    return op_name.removesuffix("_3d")
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_BUILDERS))
@@ -574,10 +597,13 @@ class _ChainGraph(_KeepInputsGraph):
     """A ``_KeepInputsGraph`` whose fused ops record the per-op chains of
     tests/oracles.py instead of one node."""
 
-    def slot_step(self, slots, keys_t, values, ones, ln_gamma, w_q, gru, mlp):
-        p = SimpleNamespace(ln_slot_gamma=ln_gamma, w_q=w_q,
-                            **_tail_params(gru, mlp))
-        return unfused_attention_step(self, p, slots, keys_t, values, ones)[0]
+    def slot_encode(self, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
+                    slot_gamma, w_q, gru, mlp, t_iters, masked):
+        p = SimpleNamespace(ln_in_gamma=ln_gamma, ln_in_beta=ln_beta,
+                            w_k=w_k, w_v=w_v, ln_slot_gamma=slot_gamma,
+                            w_q=w_q, **_tail_params(gru, mlp))
+        return unfused_slot_encode(self, p, bag, ones, slots, t_iters,
+                                   masked)[0]
 
     def cross_step(self, queries, context, w_q, w_k, w_v, gru, mlp):
         p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
@@ -591,10 +617,12 @@ class _ChainGraph(_KeepInputsGraph):
 
 
 @pytest.mark.parametrize("op_name, keep", [
-    ("slot_step", {"w2", "b2"}), ("slot_step", {"keys_t"}),
+    ("slot_step", {"w2", "b2"}), ("slot_step", {"bag"}),
     ("cross_step", {"w2", "b2"}), ("cross_step", {"context"}),
     ("self_attend", {"w2", "b2"}), ("self_attend", {"slots"}),
-    ("self_attend_3d", {"w_k"})])
+    ("self_attend_3d", {"w_k"}), ("slot_step_t3", {"w_k", "beta_in"}),
+    ("slot_step_masked_t3", {"slots", "w_q"}),
+    ("slot_step_masked", {"gamma_in", "w_v"})])
 def test_fused_adjoints_with_most_operands_constant(op_name, keep):
     """With every operand but a few constant, a fused node hands the
     inputs left the per-op chain's gradients bit for bit, and they pass
@@ -606,7 +634,7 @@ def test_fused_adjoints_with_most_operands_constant(op_name, keep):
             seeds = [OP_BUILDERS[op_name](g, np.random.default_rng(
                 _seed(op_name, point))) for g in graphs]
             fused, chain = (backward(g, s) for g, s in zip(graphs, seeds))
-            fused_op = op_name.removesuffix("_3d")
+            fused_op = _fused_op(op_name)
             assert fused_op in graphs[0]._ops
             assert fused_op not in graphs[1]._ops
             assert set(fused) == set(chain) == keep
@@ -898,14 +926,16 @@ def test_forward_replay_matches_eager_build(op_name):
         for i in range(g.num_nodes):
             assert _same_bits(g._values[i], replayed._values[i]), (op_name, i)
             if g._saved[i] is not None:
+                pairs = zip(saved_arrays(g._saved[i]),
+                            saved_arrays(replayed._saved[i]), strict=True)
                 assert all(a is b is None or _same_bits(a, b)
-                           for a, b in zip(g._saved[i], replayed._saved[i])), \
-                    (op_name, i)
+                           for a, b in pairs), (op_name, i)
 
 
 @pytest.mark.parametrize("op_name", ["slot_step", "slot_step_masked",
                                      "cross_step", "cross_step_3d",
-                                     "self_attend", "self_attend_3d"])
+                                     "self_attend", "self_attend_3d",
+                                     "slot_step_t3", "slot_step_masked_t3"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_backward_leaves_fused_values_and_saved_intermediates_intact(
         op_name, dtype):
@@ -914,16 +944,18 @@ def test_backward_leaves_fused_values_and_saved_intermediates_intact(
     intermediate has the bits it had before."""
     g = Graph(dtype=dtype)
     seed = OP_BUILDERS[op_name](g, np.random.default_rng(_seed(op_name, 0)))
-    assert {"slot_step", "cross_step", "self_attend"} & set(g._ops)
+    assert _fused_op(op_name) in g._ops
     values = [v.copy() for v in g._values]
     saved = [None if sv is None else
-             [None if a is None else a.copy() for a in sv] for sv in g._saved]
+             [None if a is None else a.copy() for a in saved_arrays(sv)]
+             for sv in g._saved]
     backward(g, seed)
     for i in range(g.num_nodes):
         assert _same_bits(values[i], g._values[i]), (op_name, i)
         if saved[i] is not None:
+            pairs = zip(saved[i], saved_arrays(g._saved[i]), strict=True)
             assert all(a is b is None or _same_bits(a, b)
-                       for a, b in zip(saved[i], g._saved[i])), (op_name, i)
+                       for a, b in pairs), (op_name, i)
 
 
 def test_gather_rows_values_and_duplicates():
@@ -955,19 +987,33 @@ def test_fused_op_shape_errors_raise_graph_error():
         g.affine(x, w, g.const(np.ones((2, 3))))
     d = 3
     slots = g.input("slots", np.ones((2, d)))
-    keys_t = g.input("keys_t", np.ones((d, 4)))
-    values = g.input("values", np.ones((4, d)))
-    ones = g.const(np.ones((4, 1)))
     row, mat = g.const(np.ones((1, d))), g.const(np.eye(d))
     gru = (mat, mat, row) * 3
     mlp = (mat, row, mat, row)
-    with pytest.raises(GraphError, match="shapes"):
-        g.slot_step(slots, values, values, ones, row, mat, gru, mlp)
+
+    def encode(bag=(4, d), ones=(4, 1), slots=slots,
+               head=(row, row, mat, mat, row, mat), mlp=mlp, t_iters=1):
+        return g.slot_encode(g.input(f"bag{g.num_nodes}", np.ones(bag)),
+                             g.const(np.ones(ones)), slots, *head, gru, mlp,
+                             t_iters, masked=False)
+
+    for bad in (dict(ones=(5, 1)), dict(ones=(4, d)),
+                dict(bag=(0, d), ones=(0, 1)),          # no instance
+                dict(bag=(4, d + 1)), dict(bag=(d,), ones=(1,)),
+                dict(bag=(2, 4, d), ones=(2, 4, 1)),    # 2-d slots
+                dict(slots=g.input("batched_slots", np.ones((3, 2, d))),
+                     bag=(2, 4, d), ones=(2, 4, 1))):
+        with pytest.raises(GraphError, match="shapes"):
+            encode(**bad)
     with pytest.raises(GraphError, match="weights"):
-        g.slot_step(slots, keys_t, values, ones, row, mat, gru,
-                    (mat, mat, mat, row))
-    assert g.slot_step(slots, keys_t, values, ones, row, mat, gru,
-                       mlp).shape == (2, d)
+        encode(mlp=(mat, mat, mat, row))
+    with pytest.raises(GraphError, match="weights"):
+        encode(head=(row, mat, mat, mat, row, mat))
+    with pytest.raises(GraphError, match="t_iters"):
+        encode(t_iters=0)
+    assert encode().shape == encode(t_iters=3).shape == (2, d)
+    assert encode(slots=g.input("slots3", np.ones((2, 2, d))),
+                  bag=(2, 4, d), ones=(2, 4, 1)).shape == (2, 2, d)
     context = g.input("context", np.ones((4, d)))
     for bad in (np.ones((1, 4, d)), np.ones((4, d + 1)), np.ones(d)):
         with pytest.raises(GraphError, match="shapes"):

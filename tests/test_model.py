@@ -474,30 +474,34 @@ def _recorded_graphs(monkeypatch):
 
 def test_served_patient_binds_the_trunk_only(monkeypatch):
     """At the reference iteration counts a served patient is one graph of
-    at most 170 nodes, 86 of them parameter leaves: the trunk's groups,
-    without the reconstruction heads and their position table."""
+    141 nodes, 86 of them parameter leaves: the trunk's groups, without
+    the reconstruction heads and their position table.  Each slot encoder
+    is one slot_encode node."""
     cfg = TrainConfig()
     graphs = _recorded_graphs(monkeypatch)
     patient_forward(_params(9), *_patients(9)[0][:2], k_h=2, k_g=2,
                     temperature=0.01, t_iters=cfg.t_iters,
                     l_iters=cfg.l_iters)
     (g,) = graphs
-    assert g.num_nodes <= 170
+    assert g.num_nodes == 141
     assert g._ops.count("input") == len(g.input_names()) == 86
     assert {group_of(n) for n in g.input_names()} == set(TRUNK_GROUPS)
     assert set(TRUNK_GROUPS) | set(RECON_GROUPS) == set(TRAINABLE_GROUPS)
     assert g._ops.count("self_attend") == 2
+    assert g._ops.count("slot_encode") == 2
 
 
 def test_training_step_graph_size(monkeypatch):
     """A training batch at the reference iteration counts is one graph of
-    364 nodes that binds every trainable tensor."""
+    320 nodes that binds every trainable tensor; each of its three slot
+    encoders is one slot_encode node."""
     cfg = TrainConfig()
     cg = build_cohort_loss(_params(4), _patients(4), k_h=2, k_g=2,
                            temperature=0.01, t_iters=cfg.t_iters,
                            l_iters=cfg.l_iters, lam=cfg.lam,
                            rng=np.random.default_rng(0))
-    assert cg.graph.num_nodes == 364
+    assert cg.graph.num_nodes == 320
+    assert cg.graph._ops.count("slot_encode") == 3
     assert cg.graph.input_names() == trainable_names(_params(4))
 
 

@@ -15,16 +15,19 @@ from slotsurv.autodiff import (
 )
 from slotsurv.slots import (
     SlotSet,
-    _keys_values,
     assignment_map,
-    build_attention_step,
     build_encode,
     encode,
     init_slot_params,
     write_assignment_csv,
 )
 
-from oracles import init_slots, slot_attention_step, unfused_encode
+from oracles import (
+    init_slots,
+    saved_arrays,
+    slot_attention_step,
+    unfused_encode,
+)
 
 
 def _params(seed=0, n_slots=4, dim=8):
@@ -135,6 +138,13 @@ def test_encode_rejects_bad_arguments():
         encode(np.ones((5, 4), np.float32), p, t_iters=1)
 
 
+def test_encode_rejects_a_bag_without_instances():
+    """A bag of zero rows fails the encode node's shape check, before any
+    kernel averages over its rows."""
+    with pytest.raises(GraphError, match="slot_encode shapes"):
+        encode(np.zeros((0, 8), np.float32), _params(dim=8), t_iters=2)
+
+
 # ------------------------------------------------------------------ gradients
 
 
@@ -199,20 +209,31 @@ def _encode_both(dtype, build, **kw):
     return slots.value, alpha, backward(g, loss), g
 
 
+_PADDING = np.array([[1.0] * 7, [1.0] * 4 + [0.0] * 3])
+
 _ORACLE_CASES = {
     "single": dict(bag_shape=(7, 5), t_iters=3),
+    "single_t1": dict(bag_shape=(7, 5), t_iters=1),
+    "single_noise_t1": dict(
+        bag_shape=(7, 5), t_iters=1,
+        noise=np.random.default_rng(34).normal(size=(3, 5))),
     "padded_batch": dict(
-        bag_shape=(2, 7, 5), t_iters=3,
-        mask=np.array([[1.0] * 7, [1.0] * 4 + [0.0] * 3]),
+        bag_shape=(2, 7, 5), t_iters=3, mask=_PADDING,
         noise=np.random.default_rng(32).normal(size=(2, 3, 5))),
+    "padded_batch_quiet": dict(bag_shape=(2, 7, 5), t_iters=3,
+                               mask=_PADDING),
+    "padded_batch_quiet_t1": dict(bag_shape=(2, 7, 5), t_iters=1,
+                                  mask=_PADDING),
 }
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_fused_step_is_bitwise_the_unfused_chain(dtype, case):
-    """The slots, the last alpha and every gradient of one slot_step node
-    per iteration match the 18-node chain bit for bit."""
+    """The slots, the last alpha and every gradient of one slot_encode
+    node match the per-op chain (18 nodes per iteration) bit for bit: the
+    bag, the bag's layer norm, k and v, the iterations' weights and the
+    slot-init parameters."""
     fused = _encode_both(dtype, build_encode, **_ORACLE_CASES[case])
     chain = _encode_both(dtype, unfused_encode, **_ORACLE_CASES[case])
     assert _bits(fused[0]) == _bits(chain[0])
@@ -221,8 +242,8 @@ def test_fused_step_is_bitwise_the_unfused_chain(dtype, case):
     for name in chain[2]:
         assert _bits(fused[2][name]) == _bits(chain[2][name]), name
     t_iters = _ORACLE_CASES[case]["t_iters"]
-    assert [fused[3]._ops.count("slot_step"), chain[3]._ops.count("gru_cell")] \
-        == [t_iters, t_iters]
+    assert [fused[3]._ops.count("slot_encode"),
+            chain[3]._ops.count("gru_cell")] == [1, t_iters]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -249,7 +270,7 @@ def test_fused_step_keeps_the_chains_order_for_shared_initial_slots(dtype):
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_fused_step_counts_the_chains_multiply_adds(case):
-    """slot_step counts what its chain counts; a masked encode no longer
+    """slot_encode counts what its chain counts; a masked encode no longer
     counts the alpha mask, which is applied outside the graph."""
     fused = _encode_both(np.float64, build_encode, **_ORACLE_CASES[case])[3]
     chain = _encode_both(np.float64, unfused_encode, **_ORACLE_CASES[case])[3]
@@ -257,9 +278,11 @@ def test_fused_step_counts_the_chains_multiply_adds(case):
     masked = 0 if mask is None else 3 * mask.size   # S * B * M
     assert fused.total_madds() == chain.total_madds() - masked
     # the chain is 18 nodes per iteration, one of them the zero shift of
-    # its layer norm, plus a transpose and a multiply for the alpha mask
+    # its layer norm, and 5 for the bag (layer norm, k, its transpose and
+    # scale, v), plus a multiply for the value mask and a transpose and a
+    # multiply for the alpha mask; the fused encode is one node
     assert chain.num_nodes - fused.num_nodes == \
-        17 * _ORACLE_CASES[case]["t_iters"] + 2 * (mask is not None)
+        18 * _ORACLE_CASES[case]["t_iters"] + 4 + 3 * (mask is not None)
 
 
 def test_guard_catches_a_pre_activation_that_relu_would_hide():
@@ -271,18 +294,55 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
     def step(params):
         g = Graph(dtype=np.float32)
         pn = bind_arrays(g, "p", params, trainable=False)
-        keys_t, values, ones = _keys_values(g, pn, g.const(bag), None)
-        return g, build_attention_step(g, pn, pn.init_mean, keys_t, values,
-                                       ones)
+        return g, build_encode(g, pn, g.const(bag), 1)[0]
 
     g, node = step(p)
-    updated = g._saved[node.idx].updated            # (1, d); MLP-independent
+    # (1, d); MLP-independent
+    updated = g._saved[node.idx].steps[0].updated
     big = -np.finfo(np.float32).max * np.sign(updated[0])[:, None] \
         * np.ones((1, p.dim), np.float32)
     huge = type(p)(**{**vars(p), "mlp_w1": big.astype(np.float32)})
     with np.errstate(over="ignore"), \
             pytest.raises(GraphError, match="pre-activation"):
         step(huge)
+
+
+def _owning_buffers(arrays) -> list:
+    """The buffers behind ``arrays``, each once: a view counts as its
+    base."""
+    seen = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        seen[id(a)] = a
+    return list(seen.values())
+
+
+def test_encode_node_holds_four_bag_sized_arrays_and_the_alphas():
+    """A padded batch's slot_encode node holds, of the arrays the size of
+    the bag, only the normalized bag, the layer norm's output, the keys
+    and the values, plus one (B, S, M) alpha per iteration; everything
+    else it holds (per-row and per-slot vectors) is smaller than one more
+    bag-sized array.  An intermediate the size of the bag kept by mistake
+    fails here."""
+    n, m, dim, n_slots, t_iters = 2, 512, 8, 3, 3
+    rng = np.random.default_rng(41)
+    g = Graph()
+    p = bind_arrays(g, "p", init_slot_params(rng, n_slots, dim))
+    mask = np.ones((n, m))
+    mask[1, 300:] = 0.0
+    slots, _ = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
+                            t_iters, mask=mask,
+                            noise=rng.normal(size=(n, n_slots, dim)))
+    assert g._ops.count("slot_encode") == 1
+    buffers = _owning_buffers([slots.value,
+                               *saved_arrays(g._saved[slots.idx])])
+    sizes = [b.size for b in buffers]
+    bag, alpha = n * m * dim, n * n_slots * m
+    assert sizes.count(bag) == 4
+    assert sizes.count(alpha) == t_iters
+    rest = sum(b.nbytes for b in buffers if b.size not in (bag, alpha))
+    assert rest < bag * np.dtype(np.float32).itemsize
 
 
 # ----------------------------------------------------------- cost accounting

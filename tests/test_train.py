@@ -616,6 +616,19 @@ def test_predict_patient_rejects_a_genomic_bag_of_another_panel(
         predict_patient(trained.checkpoint, bag_h, other)
 
 
+@pytest.mark.parametrize("genomic", [True, False])
+def test_predict_patient_rejects_a_histology_bag_without_rows(
+        trained, small_cohort, genomic):
+    """A histology bag of zero rows is refused as a bag error, with or
+    without its genomic bag, before any kernel divides by its size."""
+    rec = small_cohort.records[0]
+    empty = data_mod.FeatureBag("histology",
+                                np.zeros((0, SMALL_SYNTH.dim), np.float32))
+    bag_g = data_mod.load_bag(rec.genomic_path) if genomic else None
+    with pytest.raises(data_mod.BagValueError, match="M>=1 x d>=1"):
+        predict_patient(trained.checkpoint, empty, bag_g)
+
+
 def test_float64_checkpoint_imputes_and_scores_in_float64(small_cohort):
     cfg = TrainConfig(**{**SMALL_TRAIN, "precision": "float64"})
     ckpt = train(cfg, small_cohort, fold=0).checkpoint
