@@ -23,16 +23,17 @@ Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
 ``_BACKWARD``. Eager building and the ``clone`` replay run the same
 kernel through one helper that casts to the graph dtype and applies the
 non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
-multiply-adds. Four ops fuse a chain of others into one node, to save the
+multiply-adds. Five ops fuse a chain of others into one node, to save the
 per-node cost where the model repeats the chain: ``affine``,
-``slot_encode``, ``cross_step`` and ``self_attend``. Their kernels call
-the chain's kernels in the chain's order, and their adjoint rules call
-the same array-level adjoint helpers as the chain's rules, in reverse,
-handing each parent its contributions in the chain's order, so values
-and gradients have the chain's bits. ``slot_encode``'s iterations and
-``cross_step`` end in the same GRU -> residual-MLP tail, and all three
-attention ops in the same residual MLP, each with one forward and one
-adjoint helper.
+``slot_encode``, ``cross_step``, ``self_attend`` and ``decode``. Their
+kernels call the chain's kernels in the chain's order, and their adjoint
+rules call the same array-level adjoint helpers as the chain's rules, in
+reverse, handing each parent its contributions in the chain's order, so
+values and gradients have the chain's bits. ``slot_encode``'s iterations
+and ``cross_step`` end in the same GRU -> residual-MLP tail, the three
+attention ops in the same residual MLP, and ``cross_step``,
+``self_attend`` and ``decode`` start with the same attention head, each
+with one forward and one adjoint helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` a whole parameter set is checked at once, and
@@ -48,7 +49,8 @@ tanh saturate), and the MLP pre-activation (relu maps -inf to 0). The other
 intermediates feed only products and sums with finite operands, which
 carry a non-finite entry on to a checked value. ``slot_encode`` also
 checks what its chain's nodes output: the bag's layer norm, the keys, the
-values and each iteration's slots.
+values and each iteration's slots; ``decode`` checks every value its
+chain's nodes output but the attention and the relu.
 
 Which adjoints ``backward`` computes. When a node is recorded, the graph
 notes whether it needs an adjoint: an input does, and so does every node
@@ -138,6 +140,19 @@ axes, so one model builder serves both:
   refined = x + affine(relu(affine(x, w1, b1)), w2, b2); out = slots with
   the selected rows replaced by refined, the others passed through
   exactly, (.., S, d).
+* decode: a reconstruction head, slots decoded at M query rows. From
+  slots (.., S, d) and queries (.., M, d) with the same leading axes, or
+  (M, d) shared by every set of slots, and thirteen weights in
+  ``ReconHeadParams`` order: w_q, w_k, w_v, the MLP's w1, b1, w2, b2 and
+  the (1, d) gains and shifts of three layer norms (queries, slots,
+  attended queries): q = layer_norm(queries) @ w_q; k, v =
+  layer_norm(slots) @ w_k, @ w_v; attn = row_softmax((q @ k^T) *
+  1/sqrt(d)), (.., M, S), k^T a transposed copy; x = queries + attn @ v;
+  out = x + affine(relu(affine(layer_norm(x), w1, b1)), w2, b2), (.., M,
+  d). Of the arrays with a row per query row it keeps six, the output
+  included: the normalized rows of the queries and of x, q, attn and the
+  MLP's hidden layer. The layer norms' outputs are formed again from
+  them for the w_q and w1 adjoints, with the same bits.
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -164,7 +179,13 @@ over its chain (with R = n*K selected rows: 5 R*d*d for the q, k and v
 projections and the two MLP layers, 2 R*K*d for the logits and attn @ v,
 4 R*K for the scale and the row softmax, and 5 R*d for the attention
 residual, the two MLP biases, the relu and the MLP residual; its gather
-and scatter count zero).
+and scatter count zero), and decode the sum over its chain (with R =
+n*M output rows, R_q query rows and R_s slot rows: 4 R_q*d + R_q*d*d for
+the queries' layer norm and q, 4 R_s*d + 2 R_s*d*d for the slots' layer
+norm, k and v, 2 R*S*d for the logits and attn @ v, 4 R*S for the scale
+and the row softmax, 2 R*d*d for the MLP layers and 9 R*d for the
+attention residual, the layer norm, the two MLP biases, the relu and the
+MLP residual).
 """
 
 from __future__ import annotations
@@ -248,6 +269,8 @@ _TAIL_LAYOUT = "wwb" * 3 + _MLP_LAYOUT
 _ENCODE_LAYOUT = "bbww" + "bw" + _TAIL_LAYOUT
 _CROSS_STEP_LAYOUT = "www" + _TAIL_LAYOUT       # w_q, w_k, w_v, tail
 _SELF_ATTEND_LAYOUT = "www" + _MLP_LAYOUT       # w_q, w_k, w_v, MLP
+# w_q, w_k, w_v, MLP, three layer norms' gains and shifts
+_DECODE_LAYOUT = "www" + _MLP_LAYOUT + "bb" * 3
 
 
 @functools.cache
@@ -511,6 +534,36 @@ class Graph:
                             aux=(picked, float(1.0 / np.sqrt(d))),
                             madds=madds)
 
+    def decode(self, queries: Node, slots: Node, w_q: Node, w_k: Node,
+               w_v: Node, ffn_w1: Node, ffn_b1: Node, ffn_w2: Node,
+               ffn_b2: Node, ln_q_gamma: Node, ln_q_beta: Node,
+               ln_s_gamma: Node, ln_s_beta: Node, ln_f_gamma: Node,
+               ln_f_beta: Node) -> Node:
+        """A reconstruction head as one node (see the module docstring):
+        ``slots`` (.., S, d) decoded at ``queries`` (.., M, d) with the
+        same leading axes, or (M, d) shared by every set of slots."""
+        qs, ss = queries.shape, slots.shape
+        if (len(ss) not in (2, 3) or len(qs) < 2
+                or qs[:-2] not in ((), ss[:-2]) or qs[-1] != ss[-1]
+                or qs[-2] < 1 or ss[-2] < 1):
+            raise GraphError(f"decode shapes: queries {qs}, slots {ss}")
+        (m, d), s = qs[-2:], ss[-2]
+        weights = _fused_weights(
+            "decode", (w_q, w_k, w_v, ffn_w1, ffn_b1, ffn_w2, ffn_b2,
+                       ln_q_gamma, ln_q_beta, ln_s_gamma, ln_s_beta,
+                       ln_f_gamma, ln_f_beta), _DECODE_LAYOUT, d)
+        q_rows, s_rows = math.prod(qs[:-1]), math.prod(ss[:-1])
+        rows = math.prod(ss[:-2]) * m
+        # the per-op counts of the chain the node replaces
+        madds = (4 * q_rows * d + q_rows * d * d      # layer norm, q
+                 + 4 * s_rows * d + 2 * s_rows * d * d  # layer norm, k, v
+                 + 2 * rows * s * d                   # logits, attn @ v
+                 + 4 * rows * s                       # scale, row softmax
+                 + 2 * rows * d * d + 9 * rows * d)   # MLP, adds, layer norm
+        parents = (queries, slots, *weights)
+        return self._append("decode", tuple(p.idx for p in parents),
+                            aux=float(1.0 / np.sqrt(d)), madds=madds)
+
     def mean_pool(self, a: Node) -> Node:
         """Mean over the second-to-last axis, kept as a length-1 axis."""
         va = a.value
@@ -744,11 +797,12 @@ def _mean(x, axis):
     return out
 
 
-def _normalize(x):
+def _normalize(x, scratch=None):
     """Rows of x centred and scaled to unit variance along the last axis,
-    and the inverse standard deviations."""
+    and the inverse standard deviations.  The squares go into ``scratch``
+    (an array of x's shape) when it is given."""
     xhat = x - _mean(x, -1)
-    var = _mean(xhat ** 2, -1)
+    var = _mean(np.square(xhat, out=scratch), -1)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     return xhat, inv
@@ -851,6 +905,24 @@ class _AttendSaved(typing.NamedTuple):
     hidden: np.ndarray      # relu of the first MLP layer
 
 
+class _DecodeSaved(typing.NamedTuple):
+    """A decode node's intermediates: of the arrays with a row per query
+    row, only the five its adjoint reads."""
+
+    xhat_q: np.ndarray      # queries' layer norm
+    inv_q: np.ndarray
+    xhat_s: np.ndarray      # slots' layer norm, (.., S, d)
+    inv_s: np.ndarray
+    ns: np.ndarray          # its output, which k and v project
+    q: np.ndarray
+    keys_t: np.ndarray      # k transposed, a contiguous copy, (.., d, S)
+    v: np.ndarray
+    attn: np.ndarray        # (.., M, S) row-stochastic attention
+    xhat_f: np.ndarray      # the MLP's layer norm
+    inv_f: np.ndarray
+    hidden: np.ndarray      # relu of the first MLP layer
+
+
 def _guard(x, what: str, op: str) -> None:
     if not np.isfinite(x).all():
         raise GraphError(f"non-finite {what} in {op}")
@@ -931,11 +1003,13 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
                                tuple(steps))
 
 
-def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v):
-    """The attention head cross_step and self_attend start with: the q, k,
-    v projections -> transpose copy of k -> logits -> scale -> row
-    softmax -> @ v, kernel by kernel, checking the logits.  Returns attn @
-    v and the saved (q, keys_t, v, attn)."""
+def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v, out=None):
+    """The attention head cross_step, self_attend and decode start with:
+    the q, k, v projections -> transpose copy of k -> logits -> scale ->
+    row softmax -> @ v, kernel by kernel, checking the logits.  Returns
+    attn @ v, formed in ``out`` when it is given (the queries' own array
+    may be passed: they are read first), and the saved (q, keys_t, v,
+    attn)."""
     q = _matmul(queries, w_q)
     k = _matmul(context, w_k)
     v = _matmul(context, w_v)
@@ -944,7 +1018,7 @@ def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v):
     logits *= logits.dtype.type(scale)
     _guard(logits, "attention logits", op)
     attn = _softmax(-1, logits, out=logits)     # logits are not kept
-    return _matmul(attn, v), (q, keys_t, v, attn)
+    return _matmul(attn, v, out=out), (q, keys_t, v, attn)
 
 
 def _cross_step_fwd(scale, queries, context, w_q, w_k, w_v, *tail):
@@ -971,6 +1045,45 @@ def _self_attend_fwd(aux, slots, w_q, w_k, w_v, *mlp):
     out = rows.copy()                           # unselected rows pass through
     out[picked] = refined.reshape(-1, shape[-1])
     return out.reshape(shape), _AttendSaved(sel, *head, x, hidden)
+
+
+def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
+                gs, bs, gf, bf):
+    """The chain layer norms of queries and slots -> attention head ->
+    residual -> layer norm -> affine -> relu -> affine -> residual, kernel
+    by kernel, with the checks its nodes' outputs had.  Every temporary
+    with a row per query row is formed in an array the node keeps, but one:
+    the MLP's pre-activation, whose array then holds the second layer."""
+    op = "decode"
+    buf = np.empty_like(queries)        # squares, normalized queries, x
+    xhat_q, inv_q = _normalize(queries, scratch=buf)
+    nq = np.multiply(xhat_q, gq, out=buf)
+    nq += bq
+    _guard(nq, "query layer-norm output", op)
+    ns, (xhat_s, inv_s) = _layer_norm_fwd(None, slots, gs, bs)
+    _guard(ns, "slot layer-norm output", op)
+    x, (q, keys_t, v, attn) = _attend_fwd(
+        op, scale, nq, ns, w_q, w_k, w_v,
+        out=buf if queries.ndim == slots.ndim else None)
+    for what, val in (("q", q), ("keys", keys_t), ("values", v),
+                      ("attention output", x)):
+        _guard(val, what, op)
+    x = np.add(queries, x, out=x)       # x = queries + attn @ v
+    _guard(x, "attended queries", op)
+    hidden = np.empty_like(x)           # squares, MLP input, hidden layer
+    xhat_f, inv_f = _normalize(x, scratch=hidden)
+    nf = np.multiply(xhat_f, gf, out=hidden)
+    nf += bf
+    _guard(nf, "MLP layer-norm output", op)
+    pre = _affine_fwd(None, nf, w1, b1)
+    _guard(pre, "MLP pre-activation", op)
+    _relu(pre, out=hidden)
+    ffn = _matmul(hidden, w2, out=pre)
+    ffn += b2
+    _guard(ffn, "MLP output", op)
+    x += ffn                            # the node's output
+    return x, _DecodeSaved(xhat_q, inv_q, xhat_s, inv_s, ns, q, keys_t, v,
+                           attn, xhat_f, inv_f, hidden)
 
 
 def _squared_error_fwd(_, a, b):
@@ -1016,6 +1129,7 @@ _FORWARD = {
     "slot_encode": _slot_encode_fwd,
     "cross_step": _cross_step_fwd,
     "self_attend": _self_attend_fwd,
+    "decode": _decode_fwd,
     "mean_pool": lambda _, a: _mean(a, -2),
     "sum": lambda axis, a: a.sum(axis=axis, keepdims=True),
     "concat": lambda axis, a, b: np.concatenate([a, b], axis=axis),
@@ -1031,10 +1145,11 @@ _FORWARD = {
 }
 
 # Every op kind the engine registers.  The model uses all of them but
-# col_softmax, gru_cell and gather_rows: slot_encode and cross_step run
-# the first two's kernels and adjoints, and self_attend gathers and
-# scatters its rows itself.  The three remain the vocabulary of the per-op
-# chains the fused ops are checked against bit for bit.
+# col_softmax, gru_cell, gather_rows and layer_norm: slot_encode and
+# cross_step run the first two's kernels and adjoints, self_attend gathers
+# and scatters its rows itself, and slot_encode and decode run the layer
+# norm's.  The four remain the vocabulary of the per-op chains the fused
+# ops are checked against bit for bit.
 OP_KINDS = ("input", "const", *_FORWARD)
 
 # Ops whose output is finite whenever their inputs are, which the guard
@@ -1254,16 +1369,14 @@ def _bw_gru(g, i, grad, grads):
         v[wn], v[un], [g._needs_grad[p] for p in parents]))
 
 
-def _mlp_adj(g, grads, grad, x, hidden, mlp):
-    """The adjoint of ``_mlp_fwd``, from a fused node's adjoint ``grad``,
-    the MLP input ``x`` and ``hidden`` layer: hands the MLP weights their
-    contributions in the chain's order and returns x's adjoint, an array
-    of its own."""
+def _ffn_adj(g, grads, grad, x, hidden, mlp):
+    """The adjoint of hidden @ w2 + b2 with hidden = relu(x @ w1 + b1),
+    from its adjoint ``grad``, the input ``x`` and the ``hidden`` layer:
+    hands the MLP weights their contributions in the chain's order and
+    returns x's adjoint, an array of its own."""
     w1, b1, w2, b2 = mlp
     v = g._values
     need = g._needs_grad
-
-    # out = x + (hidden @ w2 + b2); hidden = relu(x @ w1 + b1)
     d_b2 = _unbroadcast(grad, v[b2].shape) if need[b2] else None
     d_hidden, d_w2 = _matmul_adj(grad, hidden, v[w2], need_b=need[w2])
     _give(grads, (b2, w2), (d_b2, d_w2))
@@ -1271,7 +1384,14 @@ def _mlp_adj(g, grads, grad, x, hidden, mlp):
     d_b1 = _unbroadcast(d_pre, v[b1].shape) if need[b1] else None
     d_x, d_w1 = _matmul_adj(d_pre, x, v[w1], need_b=need[w1])
     _give(grads, (b1, w1), (d_b1, d_w1))
-    d_x += grad                         # the residual path's term
+    return d_x
+
+
+def _mlp_adj(g, grads, grad, x, hidden, mlp):
+    """The adjoint of ``_mlp_fwd``, out = x + the MLP of x, as
+    ``_ffn_adj``'s, with the residual path's term added."""
+    d_x = _ffn_adj(g, grads, grad, x, hidden, mlp)
+    d_x += grad
     return d_x
 
 
@@ -1456,6 +1576,51 @@ def _bw_self_attend(g, i, grad, grads):
         _acc(grads, si, d_rows.reshape(shape))
 
 
+def _bw_decode(g, i, grad, grads):
+    """The chain's adjoint rules in reverse, with each parent's
+    contributions in the per-op chain's order: the queries get the
+    residual's term before the layer norm's, and the normalized slots sum
+    the v path's term, then the k path's.  The MLP input and the
+    normalized queries are formed again from their saved layer norms."""
+    qi, si, wq, wk, wv, w1, b1, w2, b2, gq, bq, gs, bs, gf, bf = \
+        g._parents[i]
+    sv = g._saved[i]
+    v = g._values
+    need = g._needs_grad
+
+    # out = x + MLP(layer_norm(x)): x's adjoint is grad plus the layer
+    # norm's term, which is this rule's own array
+    nf = sv.xhat_f * v[gf]
+    nf += v[bf]
+    d_nf = _ffn_adj(g, grads, grad, nf, sv.hidden, (w1, b1, w2, b2))
+    del nf
+    d_x, d_gf, d_bf = _layer_norm_adj(d_nf, v[gf], sv.xhat_f, sv.inv_f, True,
+                                      need[gf], need[bf])
+    _give(grads, (gf, bf), (d_gf, d_bf))
+    del d_nf
+    d_x += grad
+
+    # x = queries + attn @ v
+    if need[qi]:
+        _acc(grads, qi, _unbroadcast(d_x, v[qi].shape))
+    d_q, d_k, d_v = _attend_adj(d_x, sv, g._aux[i])
+    del d_x
+    d_ns, d_wv = _matmul_adj(d_v, sv.ns, v[wv], need_b=need[wv])
+    _give(grads, (wv,), (d_wv,))
+    d_ns_k, d_wk = _matmul_adj(d_k, sv.ns, v[wk], need_b=need[wk])
+    _give(grads, (wk,), (d_wk,))
+    d_ns += d_ns_k
+    nq = sv.xhat_q * v[gq]
+    nq += v[bq]
+    d_nq, d_wq = _matmul_adj(d_q, nq, v[wq], need_b=need[wq])
+    _give(grads, (wq,), (d_wq,))
+    del nq, d_q
+    _give(grads, (si, gs, bs), _layer_norm_adj(
+        d_ns, v[gs], sv.xhat_s, sv.inv_s, need[si], need[gs], need[bs]))
+    _give(grads, (qi, gq, bq), _layer_norm_adj(
+        d_nq, v[gq], sv.xhat_q, sv.inv_q, need[qi], need[gq], need[bq]))
+
+
 def _bw_mean_pool(g, i, grad, grads):
     p = g._parents[i][0]
     shape = g._values[p].shape
@@ -1553,6 +1718,7 @@ _BACKWARD = {
     "slot_encode": _bw_slot_encode,
     "cross_step": _bw_cross_step,
     "self_attend": _bw_self_attend,
+    "decode": _bw_decode,
     "mean_pool": _bw_mean_pool,
     "sum": _bw_sum,
     "concat": _bw_concat,

@@ -21,8 +21,10 @@ group.
 
 Each slot encoder is one ``slot_encode`` node after its mask constant and
 the nodes that start its slots: two in the trunk, and the cross-modal
-encode of a training batch.  At the reference ``TrainConfig`` a training
-batch is one graph of 320 nodes and a served patient one of 141.
+encode of a training batch.  Each of a training batch's three
+reconstruction heads is one ``decode`` node.  At the reference
+``TrainConfig`` a training batch is one graph of 275 nodes and a served
+patient one of 141.
 """
 
 from __future__ import annotations

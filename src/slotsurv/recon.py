@@ -2,7 +2,8 @@
 unselected slots keep carrying information instead of collapsing.
 
 Three reconstruction targets share one decoder architecture (a single
-cross-attention block with a feed-forward tail):
+cross-attention block with a feed-forward tail), which each head runs as
+one ``decode`` graph node over every row it reconstructs:
 
 * genomic: learned per-pathway position embeddings query the genomic
   slots; mean-squared error against the original pathway features.
@@ -116,24 +117,17 @@ def init_query_map(rng: np.random.Generator, dim: int) -> FrozenQueryMap:
 def build_decode(g: Graph, head: ReconHeadParams, queries: Node,
                  slots: Node) -> Node:
     """Decode slots at M query positions: pre-norm cross-attention with a
-    residual, then a pre-norm feed-forward with a residual.  (M, d), or
-    (B, M, d) for batched slots; (M, d) queries are shared by the batch."""
+    residual, then a pre-norm feed-forward with a residual, as one
+    ``decode`` node.  (M, d), or (B, M, d) for batched slots; (M, d)
+    queries are shared by the batch."""
     dim = slots.shape[-1]
     if queries.shape[-1] != dim:
         raise ValueError(
             f"query width {queries.shape[-1]} != slot width {dim}")
-    nq = g.layer_norm(queries, head.ln_q_gamma, head.ln_q_beta)
-    ns = g.layer_norm(slots, head.ln_s_gamma, head.ln_s_beta)
-    q = g.matmul(nq, head.w_q)
-    k = g.matmul(ns, head.w_k)
-    v = g.matmul(ns, head.w_v)
-    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
-                                 1.0 / np.sqrt(dim)))
-    attended = g.add(queries, g.matmul(attn, v))
-    nf = g.layer_norm(attended, head.ln_f_gamma, head.ln_f_beta)
-    hidden = g.relu(g.affine(nf, head.ffn_w1, head.ffn_b1))
-    ffn = g.affine(hidden, head.ffn_w2, head.ffn_b2)
-    return g.add(attended, ffn)
+    return g.decode(queries, slots, head.w_q, head.w_k, head.w_v,
+                    head.ffn_w1, head.ffn_b1, head.ffn_w2, head.ffn_b2,
+                    head.ln_q_gamma, head.ln_q_beta, head.ln_s_gamma,
+                    head.ln_s_beta, head.ln_f_gamma, head.ln_f_beta)
 
 
 def build_recon_genomic(g: Graph, head: ReconHeadParams, positions: Node,

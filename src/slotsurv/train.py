@@ -530,8 +530,9 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
     Returns (PatientOutput, imputed) where ``imputed`` says whether the
     genomic bag was reconstructed from histology.  Every histology row is
     used (no subsampling at inference).  The histology bag must hold at
-    least one row and one column (``BagValueError``), and a genomic bag
-    one row per pathway of the checkpoint (``BagError``).
+    least one row and one column (``BagValueError``), a genomic bag one
+    row per pathway of the checkpoint, and both bags the checkpoint's
+    feature width (``BagError``).
     """
     cfg = ckpt.config
     data_mod.expect_modality(bag_h, "histology")
@@ -543,6 +544,12 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
             raise data_mod.BagError(
                 f"genomic bag has {bag_g.m} pathway rows but the checkpoint "
                 f"was trained on {m_gen}")
+    dim = ckpt.params.dim
+    for bag in (bag_h, bag_g):
+        if bag is not None and bag.d != dim:
+            raise data_mod.BagError(
+                f"{bag.modality} bag has width {bag.d} but the checkpoint "
+                f"was trained on width {dim}")
     imputed = bag_g is None
     if imputed:
         bag_g = imputed_genomic_bag(ckpt, bag_h)

@@ -7,8 +7,9 @@
   one Gumbel-top-K selection in numpy, with its soft relaxation; the
   statistical gate tests sample it.
 * ``out_of_place_acc``, adjoint accumulation that allocates every sum, for
-  checking ``autodiff.backward``'s in-place accumulation, and
-  ``saved_arrays``, a node's saved intermediates as one flat list.
+  checking ``autodiff.backward``'s in-place accumulation,
+  ``saved_arrays``, a node's saved intermediates as one flat list, and
+  ``owning_buffers``, the distinct buffers behind a list of arrays.
 * ``unfused_encode``, a slot encoder as the chain of per-op nodes that
   the fused ``slot_encode`` op replaces: ``keys_values`` (the bag's layer
   norm, the key and value projections and the value mask) and T times
@@ -20,6 +21,8 @@
 * ``unfused_self_attention``, masked self-attention over the selected
   slots as the chain of per-op nodes that the fused ``self_attend`` op
   replaces.
+* ``unfused_decode``, a reconstruction head as the chain of 16 per-op
+  nodes that the fused ``decode`` op replaces.
 * ``nll_loss``, the scalar likelihood of one subject under a hazard curve,
   which ``survival.build_nll_loss`` is checked against.
 * ``bootstrap_loop``, ``survival.bootstrap_stats`` with one Kaplan-Meier
@@ -147,6 +150,17 @@ def saved_arrays(saved) -> list:
     for a in saved:
         out.extend(saved_arrays(a) if isinstance(a, tuple) else [a])
     return out
+
+
+def owning_buffers(arrays) -> list:
+    """The buffers behind ``arrays``, each once: a view counts as its
+    base."""
+    seen = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        seen[id(a)] = a
+    return list(seen.values())
 
 
 # ---------------------------------------------------------- slot attention
@@ -310,6 +324,31 @@ def unfused_cross_attention(g: Graph, p, slots_h, slots_g, l_iters: int):
         slots_h, slots_g = (unfused_cross_update(g, p, slots_h, slots_g),
                             unfused_cross_update(g, p, slots_g, slots_h))
     return slots_h, slots_g
+
+
+# ------------------------------------------------------------ reconstruction
+
+
+def unfused_decode(g: Graph, head, queries, slots):
+    """``recon.build_decode`` as the chain of 16 per-op nodes that the
+    fused ``decode`` op replaces: pre-norm cross-attention with a
+    residual, then a pre-norm feed-forward with a residual."""
+    dim = slots.shape[-1]
+    if queries.shape[-1] != dim:
+        raise ValueError(
+            f"query width {queries.shape[-1]} != slot width {dim}")
+    nq = g.layer_norm(queries, head.ln_q_gamma, head.ln_q_beta)
+    ns = g.layer_norm(slots, head.ln_s_gamma, head.ln_s_beta)
+    q = g.matmul(nq, head.w_q)
+    k = g.matmul(ns, head.w_k)
+    v = g.matmul(ns, head.w_v)
+    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
+                                 1.0 / np.sqrt(dim)))
+    attended = g.add(queries, g.matmul(attn, v))
+    nf = g.layer_norm(attended, head.ln_f_gamma, head.ln_f_beta)
+    hidden = g.relu(g.affine(nf, head.ffn_w1, head.ffn_b1))
+    ffn = g.affine(hidden, head.ffn_w2, head.ffn_b2)
+    return g.add(attended, ffn)
 
 
 # ----------------------------------------------------------------- survival

@@ -2,7 +2,8 @@
 
 Every differentiable op is audited against central finite differences
 at 20 random points, in both 32-bit and 64-bit modes (the fused
-slot_encode, cross_step and self_attend in 64-bit only, see FLOAT64_ONLY).
+slot_encode, cross_step, self_attend and decode in 64-bit only, see
+FLOAT64_ONLY).
 Step sizes are dtype-matched: too small a step drowns the quotient in
 rounding noise.
 """
@@ -30,6 +31,7 @@ from oracles import (
     out_of_place_acc,
     saved_arrays,
     unfused_cross_update,
+    unfused_decode,
     unfused_self_attention,
     unfused_slot_encode,
 )
@@ -446,8 +448,46 @@ def _build_self_attend(g, rng, selected=((3, 1),)):
                                        mlp), rng)
 
 
+def _build_decode(g, rng, lead=(), shared=False):
+    """A reconstruction head as one decode node: 2 slots of width 3
+    decoded at 4 query rows, per set of slots or ``shared`` by the sets.
+    Each row of the queries and slots holds -0.8, 0 and 0.8 in a random
+    order, each moved by less than 0.2, as in the slot_encode builder, and
+    |w_v| < 0.05 moves a row of the attended queries by less than 0.35, so
+    no layer norm sees a row of nearly equal entries.  A normalized row of
+    width 3 has entries below sqrt(2); with the MLP's layer-norm gain below
+    1.5 and |shift| < 0.2, w1 in (-0.1, 0.1) and |b1| in (0.9, 1) keep
+    every MLP pre-activation at least 0.2 from relu's kink, which the
+    finite-difference stencil must not straddle."""
+    s, d, m = 2, 3, 4
+
+    def leaf(name, shape, lo=-1.0, hi=1.0):
+        return g.input(name, rng.uniform(lo, hi, size=shape))
+
+    def spread_rows(name, shape):
+        rows = rng.permuted(np.broadcast_to([-0.8, 0.0, 0.8], shape), axis=-1)
+        return g.input(name, rows + rng.uniform(-0.2, 0.2, size=shape))
+
+    queries = spread_rows("queries", (() if shared else lead) + (m, d))
+    slots = spread_rows("slots", lead + (s, d))
+    head = [leaf("w_q", (d, d)), leaf("w_k", (d, d)),
+            leaf("w_v", (d, d), -0.05, 0.05)]
+    b1 = rng.choice([-1.0, 1.0], size=(1, d)) * rng.uniform(0.9, 1.0, (1, d))
+    mlp = [leaf("w1", (d, d), -0.1, 0.1), g.input("b1", b1),
+           leaf("w2", (d, d)), leaf("b2", (1, d))]
+    norms = [leaf("gamma_q", (1, d), 0.5, 1.5), leaf("beta_q", (1, d)),
+             leaf("gamma_s", (1, d), 0.5, 1.5), leaf("beta_s", (1, d)),
+             leaf("gamma_f", (1, d), 0.5, 1.5),
+             leaf("beta_f", (1, d), -0.2, 0.2)]
+    return _se_target(g, g.decode(queries, slots, *head, *mlp, *norms), rng)
+
+
 OP_BUILDERS = {
     "matmul": _build_matmul,
+    "decode": _build_decode,
+    "decode_3d": lambda g, rng: _build_decode(g, rng, lead=(2,)),
+    "decode_shared": lambda g, rng: _build_decode(g, rng, lead=(2,),
+                                                  shared=True),
     "self_attend": _build_self_attend,
     "self_attend_3d": lambda g, rng: _build_self_attend(
         g, rng, selected=((3, 1), (0, 2))),
@@ -510,18 +550,19 @@ OP_BUILDERS = {
 # near zero by cancellation, where a float32 adjoint cannot reach a 1e-4
 # relative error.  It is audited in float64 here; at float32 its value
 # and every gradient are checked bitwise against the per-op chain it
-# replaces (tests/test_slots.py, tests/test_fusion.py), whose ops all pass
-# both modes here.
+# replaces (tests/test_slots.py, tests/test_fusion.py, tests/test_recon.py),
+# whose ops all pass both modes here.
 FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_t3",
                 "slot_step_masked_t3", "cross_step", "cross_step_3d",
-                "self_attend", "self_attend_3d"}
+                "self_attend", "self_attend_3d", "decode", "decode_3d",
+                "decode_shared"}
 
 
 def _fused_op(op_name: str) -> str:
     """The fused op an OP_BUILDERS case of a fused op records."""
     if op_name.startswith("slot_step"):
         return "slot_encode"
-    return op_name.removesuffix("_3d")
+    return op_name.removesuffix("_3d").removesuffix("_shared")
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_BUILDERS))
@@ -615,6 +656,13 @@ class _ChainGraph(_KeepInputsGraph):
                             **_tail_params((), mlp))
         return unfused_self_attention(self, p, slots, selected)
 
+    def decode(self, queries, slots, *weights):
+        names = ("w_q", "w_k", "w_v", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
+                 "ln_q_gamma", "ln_q_beta", "ln_s_gamma", "ln_s_beta",
+                 "ln_f_gamma", "ln_f_beta")
+        head = SimpleNamespace(**dict(zip(names, weights, strict=True)))
+        return unfused_decode(self, head, queries, slots)
+
 
 @pytest.mark.parametrize("op_name, keep", [
     ("slot_step", {"w2", "b2"}), ("slot_step", {"bag"}),
@@ -622,7 +670,11 @@ class _ChainGraph(_KeepInputsGraph):
     ("self_attend", {"w2", "b2"}), ("self_attend", {"slots"}),
     ("self_attend_3d", {"w_k"}), ("slot_step_t3", {"w_k", "beta_in"}),
     ("slot_step_masked_t3", {"slots", "w_q"}),
-    ("slot_step_masked", {"gamma_in", "w_v"})])
+    ("slot_step_masked", {"gamma_in", "w_v"}),
+    ("decode", {"w1", "b1"}), ("decode", {"queries"}),
+    ("decode_3d", {"slots", "gamma_s"}), ("decode_3d", {"w_q", "beta_f"}),
+    ("decode_shared", {"queries", "w_v"}),
+    ("decode_shared", {"beta_q", "w_k"})])
 def test_fused_adjoints_with_most_operands_constant(op_name, keep):
     """With every operand but a few constant, a fused node hands the
     inputs left the per-op chain's gradients bit for bit, and they pass
@@ -935,7 +987,8 @@ def test_forward_replay_matches_eager_build(op_name):
 @pytest.mark.parametrize("op_name", ["slot_step", "slot_step_masked",
                                      "cross_step", "cross_step_3d",
                                      "self_attend", "self_attend_3d",
-                                     "slot_step_t3", "slot_step_masked_t3"])
+                                     "slot_step_t3", "slot_step_masked_t3",
+                                     "decode", "decode_3d", "decode_shared"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_backward_leaves_fused_values_and_saved_intermediates_intact(
         op_name, dtype):
@@ -1044,6 +1097,66 @@ def test_fused_op_shape_errors_raise_graph_error():
                          mlp).shape == (2, d)
     assert g.self_attend(four, [[3, 1], [0, 2]], mat, mat, mat,
                          mlp).shape == (2, 4, d)
+
+
+def test_decode_shape_errors_raise_graph_error():
+    """decode takes slots (.., S, d) and queries (M, d) or with the slots'
+    leading axes, both with at least one row, and thirteen weights in the
+    reconstruction head's layout."""
+    g = Graph(dtype=np.float32)
+    d = 3
+    row, mat = g.const(np.ones((1, d))), g.const(np.eye(d))
+    weights = (mat, mat, mat, mat, row, mat, row) + (row,) * 6
+
+    def decode(queries, slots, weights=weights):
+        return g.decode(g.input(f"q{g.num_nodes}", np.ones(queries)),
+                        g.input(f"s{g.num_nodes}", np.ones(slots)), *weights)
+
+    for queries, slots in (((4, d), (2, d + 1)),        # widths differ
+                           ((2, 4, d), (2, d)),         # 3-d queries, 2-d slots
+                           ((3, 4, d), (2, 2, d)),      # other leading axes
+                           ((0, d), (2, d)),            # no query row
+                           ((4, d), (2, 0, d)),         # no slot
+                           ((d,), (2, d)),
+                           ((1, 2, 4, d), (2, d)),
+                           ((4, d), (1, 2, 2, d))):
+        with pytest.raises(GraphError, match="decode shapes"):
+            decode(queries, slots)
+    with pytest.raises(GraphError, match="weights"):
+        decode((4, d), (2, d), weights=(row,) + weights[1:])
+    with pytest.raises(GraphError, match="weights"):
+        decode((4, d), (2, d), weights=weights[:-1] + (mat,))
+    assert decode((4, d), (2, d)).shape == (4, d)
+    assert decode((4, d), (2, 2, d)).shape == (2, 4, d)
+    assert decode((2, 4, d), (2, 2, d)).shape == (2, 4, d)
+
+
+def test_decode_guard_catches_a_pre_activation_that_relu_would_hide():
+    """An MLP weight that overflows the pre-relu value to -inf raises,
+    although relu would turn the -inf into a finite 0."""
+    rng = np.random.default_rng(22)
+    d = 4
+    arrays = [rng.normal(size=(3, d)) * 2.0, rng.normal(size=(2, d))]
+    arrays += [rng.normal(size=(1, d) if c == "b" else (d, d))
+               for c in autodiff._DECODE_LAYOUT]
+
+    def run(w1):
+        g = Graph(dtype=np.float32)
+        nodes = [g.const(a) for a in arrays[:5] + [w1] + arrays[6:]]
+        return g, g.decode(*nodes)
+
+    g, node = run(arrays[5])
+    xhat_f = g._saved[node.idx].xhat_f          # (3, d); MLP-independent
+    gamma_f, beta_f = (g._values[p] for p in g._parents[node.idx][-2:])
+    nf = xhat_f * gamma_f + beta_f
+    big = -np.finfo(np.float32).max * np.sign(nf[0])[:, None] \
+        * np.ones((1, d), np.float32)
+    with np.errstate(over="ignore"):
+        pre = nf[:1] @ big.astype(np.float32)
+    assert np.isneginf(pre).all() and (np.maximum(pre, 0) == 0).all()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(GraphError, match="pre-activation in decode"):
+        run(big)
 
 
 def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():

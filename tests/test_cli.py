@@ -256,6 +256,30 @@ def test_genomic_bag_of_another_panel_exits_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_histology_bag_of_another_width_exits_2(workdir, tmp_path, capsys):
+    """A histology bag whose width is not the checkpoint's is a data error
+    for infer, with genomics given and imputed."""
+    from slotsurv.data import FeatureBag, load_bag, write_bag
+
+    doc = json.loads(workdir["manifest"].read_text())
+    first = doc["patients"][0]
+    cohort_dir = str(workdir["cohort_dir"])
+    bag_h = load_bag(os.path.join(cohort_dir, first["histology_path"]))
+    d = SYNTH_CFG["dim"]
+    wide = tmp_path / "wide_h.bag"
+    write_bag(FeatureBag("histology", np.resize(bag_h.matrix,
+                                                (bag_h.m, d + 1))), wide)
+    bag_g = os.path.join(cohort_dir, first["genomic_path"])
+    for genomic in (["--genomic", bag_g], []):
+        out = tmp_path / f"x{len(genomic)}"
+        assert main(["infer", "--checkpoint", str(workdir["ckpt"]),
+                     "--histology", str(wide), *genomic,
+                     "--out", str(out)]) == 2
+        assert f"histology bag has width {d + 1} but the checkpoint was " \
+            f"trained on width {d}" in capsys.readouterr().err
+        assert not (out / "prediction.json").exists()
+
+
 def test_report_aggregates_runs(workdir, tmp_path):
     out = tmp_path / "report"
     assert main(["report", "--runs", str(workdir["runs"]),

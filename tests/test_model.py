@@ -493,15 +493,17 @@ def test_served_patient_binds_the_trunk_only(monkeypatch):
 
 def test_training_step_graph_size(monkeypatch):
     """A training batch at the reference iteration counts is one graph of
-    320 nodes that binds every trainable tensor; each of its three slot
-    encoders is one slot_encode node."""
+    275 nodes that binds every trainable tensor; each of its three slot
+    encoders is one slot_encode node, and each of its three reconstruction
+    heads one decode node."""
     cfg = TrainConfig()
     cg = build_cohort_loss(_params(4), _patients(4), k_h=2, k_g=2,
                            temperature=0.01, t_iters=cfg.t_iters,
                            l_iters=cfg.l_iters, lam=cfg.lam,
                            rng=np.random.default_rng(0))
-    assert cg.graph.num_nodes == 320
+    assert cg.graph.num_nodes == 275
     assert cg.graph._ops.count("slot_encode") == 3
+    assert cg.graph._ops.count("decode") == 3
     assert cg.graph.input_names() == trainable_names(_params(4))
 
 

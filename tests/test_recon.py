@@ -21,6 +21,8 @@ from slotsurv.recon import (
 )
 from slotsurv.slots import init_slot_params
 
+from oracles import owning_buffers, saved_arrays, unfused_decode
+
 
 def _fixtures(seed=0, dim=5, n_slots=3, m_rows=4):
     rng = np.random.default_rng(seed)
@@ -249,3 +251,112 @@ def test_cross_modal_gradients_match_finite_differences():
     target = g.const(rng.normal(size=(4, 5)))
     _, loss = build_recon_genomic(g, head, positions, slots, target)
     assert finite_diff_check(g, loss) < 1e-4
+
+
+# ---------------------------------------------------- fused decode vs. chain
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+# (queries, slots) shapes: unbatched, the position table shared by a batch
+# of slot sets, and per-patient queries (the histology head)
+_DECODE_CASES = {"single": ((7, 5), (3, 5)),
+                 "shared": ((7, 5), (2, 3, 5)),
+                 "per_patient": ((2, 7, 5), (2, 3, 5))}
+
+
+def _decode_both(dtype, build, case):
+    """One loss over a decode, built through ``build``, with every head
+    tensor, the queries and the slots as inputs; returns (value,
+    gradients, graph)."""
+    q_shape, s_shape = _DECODE_CASES[case]
+    rng = np.random.default_rng(51)
+    head = init_recon_head(rng, 5)
+    # move the head off init so every tensor's gradient is generic
+    head = type(head)(**{f: v + 0.3 * rng.normal(size=v.shape)
+                         for f, v in vars(head).items()})
+    g = Graph(dtype=dtype)
+    h = bind_arrays(g, "head", head)
+    out = build(g, h, g.input("queries", rng.normal(size=q_shape)),
+                g.input("slots", rng.normal(size=s_shape)))
+    loss = g.squared_error(out, g.const(rng.normal(size=out.shape)))
+    if loss.value.ndim:
+        loss = g.reduce_sum(loss)
+    return out.value, backward(g, loss), g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_DECODE_CASES))
+def test_decode_is_bitwise_the_unfused_chain(dtype, case):
+    """The value and every gradient of one decode node match the per-op
+    chain of 16 nodes bit for bit: the queries (summed over the batch
+    when shared), the slots and all thirteen head tensors.  The node
+    counts the chain's multiply-adds."""
+    fused = _decode_both(dtype, build_decode, case)
+    chain = _decode_both(dtype, unfused_decode, case)
+    assert _bits(fused[0]) == _bits(chain[0])
+    assert set(fused[1]) == set(chain[1])
+    for name in chain[1]:
+        assert _bits(fused[1][name]) == _bits(chain[1][name]), name
+    assert fused[2]._ops.count("decode") == 1
+    assert "decode" not in chain[2]._ops
+    assert chain[2].num_nodes - fused[2].num_nodes == 15
+    assert fused[2].total_madds() == chain[2].total_madds()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decode_keeps_the_chains_order_for_a_shared_position_table(dtype):
+    """Two heads decode at the same position table, as the genomic and the
+    cross-modal heads of a training batch do, so its adjoint sums four
+    contributions; each decode hands over its two one by one, the
+    residual's before the layer norm's, as the chain does."""
+    rng = np.random.default_rng(52)
+    heads = [init_recon_head(rng, 5) for _ in range(2)]
+    table = rng.normal(size=(4, 5))
+    slot_sets = [rng.normal(size=(2, 3, 5)) for _ in range(2)]
+    target = rng.normal(size=(2, 4, 5))
+
+    def grads(build):
+        g = Graph(dtype=dtype)
+        positions = g.input("positions", table)
+        losses = [g.reduce_sum(g.squared_error(
+            build(g, bind_arrays(g, f"head{k}", head), positions,
+                  g.input(f"slots{k}", slots)), g.const(target)))
+            for k, (head, slots) in enumerate(zip(heads, slot_sets))]
+        return backward(g, g.add(*losses))
+
+    fused, chain = grads(build_decode), grads(unfused_decode)
+    assert set(fused) == set(chain)
+    for name in chain:
+        assert _bits(fused[name]) == _bits(chain[name]), name
+
+
+def test_decode_node_holds_six_bag_row_arrays():
+    """A padded batch's histology decode node holds at most six arrays with
+    a row per bag row, its value included: the output, the two normalized
+    query arrays, q, the attention and the MLP's hidden layer.  Everything
+    else it holds (per-row and per-slot vectors) is smaller than one more
+    bag-sized array.  An intermediate with a row per bag row kept by
+    mistake fails here."""
+    n, m, dim, n_slots = 2, 512, 8, 3
+    rng = np.random.default_rng(53)
+    g = Graph()
+    head = bind_arrays(g, "head", init_recon_head(rng, dim))
+    mask = np.ones((n, m))
+    mask[1, 300:] = 0.0
+    bag = rng.normal(size=(n, m, dim)) * mask[..., None]
+    build_recon_histology(g, head, init_query_map(rng, dim), g.const(bag),
+                          g.input("slots", rng.normal(size=(n, n_slots, dim))),
+                          mask=mask)
+    assert g._ops.count("decode") == 1
+    node = g._ops.index("decode")
+    buffers = owning_buffers([g._values[node],
+                              *saved_arrays(g._saved[node])])
+    sizes = [b.size for b in buffers]
+    bag_size, attn_size = n * m * dim, n * m * n_slots
+    assert sizes.count(bag_size) + sizes.count(attn_size) <= 6
+    rest = sum(b.nbytes for b in buffers
+               if b.size not in (bag_size, attn_size))
+    assert rest < bag_size * np.dtype(np.float32).itemsize

@@ -24,6 +24,7 @@ from slotsurv.slots import (
 
 from oracles import (
     init_slots,
+    owning_buffers,
     saved_arrays,
     slot_attention_step,
     unfused_encode,
@@ -307,17 +308,6 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
         step(huge)
 
 
-def _owning_buffers(arrays) -> list:
-    """The buffers behind ``arrays``, each once: a view counts as its
-    base."""
-    seen = {}
-    for a in arrays:
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        seen[id(a)] = a
-    return list(seen.values())
-
-
 def test_encode_node_holds_four_bag_sized_arrays_and_the_alphas():
     """A padded batch's slot_encode node holds, of the arrays the size of
     the bag, only the normalized bag, the layer norm's output, the keys
@@ -335,8 +325,8 @@ def test_encode_node_holds_four_bag_sized_arrays_and_the_alphas():
                             t_iters, mask=mask,
                             noise=rng.normal(size=(n, n_slots, dim)))
     assert g._ops.count("slot_encode") == 1
-    buffers = _owning_buffers([slots.value,
-                               *saved_arrays(g._saved[slots.idx])])
+    buffers = owning_buffers([slots.value,
+                              *saved_arrays(g._saved[slots.idx])])
     sizes = [b.size for b in buffers]
     bag, alpha = n * m * dim, n * n_slots * m
     assert sizes.count(bag) == 4

@@ -17,7 +17,7 @@ from slotsurv.data import SynthConfig, discretize_times, synth_cohort
 from slotsurv import recon as recon_mod
 from slotsurv import slots as slot_mod
 from slotsurv import train as train_mod
-from slotsurv.autodiff import GraphError
+from slotsurv.autodiff import OP_KINDS, Graph, GraphError
 from slotsurv.train import (
     AdamState,
     Checkpoint,
@@ -34,6 +34,8 @@ from slotsurv.train import (
     save_checkpoint,
     train,
 )
+
+from oracles import unfused_decode
 
 
 # A cohort small enough for whole-suite runtimes: 12 patients, micro bags.
@@ -616,6 +618,33 @@ def test_predict_patient_rejects_a_genomic_bag_of_another_panel(
         predict_patient(trained.checkpoint, bag_h, other)
 
 
+@pytest.mark.parametrize("wide, genomic", [("histology", True),
+                                           ("histology", False),
+                                           ("genomic", True)])
+def test_predict_patient_rejects_a_bag_of_another_width(
+        trained, small_cohort, monkeypatch, wide, genomic):
+    """Both bags must have the checkpoint's feature width, with genomics
+    given and imputed; the mismatch is a bag error naming both widths,
+    reported before imputation or any graph."""
+    rec = small_cohort.records[0]
+    bags = {"histology": data_mod.load_bag(rec.histology_path),
+            "genomic": data_mod.load_bag(rec.genomic_path)}
+    d = SMALL_SYNTH.dim
+    bags[wide] = data_mod.FeatureBag(wide, np.resize(bags[wide].matrix,
+                                                     (bags[wide].m, d + 2)))
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(train_mod, "patient_forward", no_graph)
+    monkeypatch.setattr(train_mod, "imputed_genomic_bag", no_graph)
+    with pytest.raises(data_mod.BagError,
+                       match=f"{wide} bag has width {d + 2} but the "
+                             f"checkpoint was trained on width {d}"):
+        predict_patient(trained.checkpoint, bags["histology"],
+                        bags["genomic"] if genomic else None)
+
+
 @pytest.mark.parametrize("genomic", [True, False])
 def test_predict_patient_rejects_a_histology_bag_without_rows(
         trained, small_cohort, genomic):
@@ -664,6 +693,78 @@ def test_prediction_ignores_cross_recon_params_when_genomics_present(
     out2, _ = predict_patient(bent, bag_h, bag_g)
     assert out1.risk == out2.risk
     assert np.array_equal(out1.curve.h, out2.curve.h)
+
+
+def _output_arrays(out) -> list:
+    """Every array of a ``PatientOutput``, the risks as 0-d arrays."""
+    return [np.asarray(a) for a in (
+        out.curve.h, out.curve.S, out.curve.risk, out.curve_h.h,
+        out.curve_h.S, out.curve_h.risk, out.curve_g.h, out.curve_g.S,
+        out.curve_g.risk, out.slots_h.slots, out.slots_h.attention,
+        out.slots_g.slots, out.slots_g.attention, out.mask_h.hard,
+        out.mask_h.scores, out.mask_g.hard, out.mask_g.scores,
+        out.weights_h, out.weights_g)]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_fused_decode_trains_and_imputes_with_the_chains_bits(
+        small_cohort, tmp_path, monkeypatch, precision):
+    """One epoch of training writes the same checkpoint bytes, and imputed
+    predictions have the same bits, whether each reconstruction head is
+    one decode node or the per-op chain it replaces."""
+    cfg = TrainConfig(**{**SMALL_TRAIN, "precision": precision})
+    bags = [data_mod.load_bag(rec.histology_path)
+            for rec in small_cohort.records[:4]]
+
+    def run(tag):
+        ckpt = train(cfg, small_cohort, fold=0).checkpoint
+        save_checkpoint(ckpt, tmp_path / f"{tag}.ckpt")
+        outs = [predict_patient(ckpt, bag_h, None) for bag_h in bags]
+        assert all(imputed for _, imputed in outs)
+        return ((tmp_path / f"{tag}.ckpt").read_bytes(),
+                [_output_arrays(out) for out, _ in outs])
+
+    fused = run("fused")
+    chains = []
+
+    def chain(*args):
+        chains.append(args)
+        return unfused_decode(*args)
+
+    monkeypatch.setattr(recon_mod, "build_decode", chain)
+    unfused = run("chain")
+    assert len(chains) > len(bags)
+    assert fused[0] == unfused[0]
+    for got, want in zip(fused[1], unfused[1], strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Op kinds the engine registers that no graph of the program records: the
+# vocabulary of the per-op chains the fused ops replace (see the comment
+# above autodiff.OP_KINDS).
+NEVER_EMITTED = {"col_softmax", "gru_cell", "gather_rows", "layer_norm"}
+
+
+def test_the_program_emits_every_op_kind_but_the_chain_vocabulary(
+        trained, small_cohort, monkeypatch):
+    """Training (selective on and off) and evaluation (genomics present and
+    imputed) record every registered op kind but the documented few."""
+    emitted = set()
+    append = Graph._append
+
+    def recording(self, op, *args, **kwargs):
+        emitted.add(op)
+        return append(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "_append", recording)
+    for selective in (True, False):
+        train(TrainConfig(**{**SMALL_TRAIN, "selective": selective}),
+              small_cohort, fold=0)
+    for missing in (False, True):
+        evaluate(trained.checkpoint, small_cohort, fold=0,
+                 missing_genomics=missing, n_boot=10)
+    assert emitted == set(OP_KINDS) - NEVER_EMITTED
 
 
 def test_overfit_tiny_cohort_reaches_high_c_index(tmp_path):
