@@ -118,10 +118,13 @@ axes, so one model builder serves both:
   next iteration starts from. The slots' layer norm has no shift: it
   would add one row to every slot's query, which the softmax over slots
   cancels. Of the bag-sized arrays the node keeps only the four its
-  adjoint reads: the normalized bag, y, the keys and the values. It keeps
-  every iteration's alpha among its saved intermediates;
-  ``slot_attention`` reads the last one back, as ``degenerate_rows``
-  reads a cosine node's.
+  adjoint reads: the normalized bag, y, the keys and the values. Of the
+  (.., S, M) attention maps it keeps the last iteration's alone;
+  ``slot_attention`` reads it back, as ``degenerate_rows`` reads a cosine
+  node's. For every iteration it keeps the column softmax's max and sum,
+  two (.., 1, M) rows, and the adjoint rebuilds each earlier map from
+  them, q and the keys with the forward's kernels in the forward's
+  order, so the rebuilt map has the forward's bits.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -844,14 +847,18 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
 
 class _StepSaved(typing.NamedTuple):
     """One slot-attention iteration's intermediates: the values its adjoint
-    reads.  The last seven are its GRU -> residual-MLP tail's, as in
+    reads.  ``alpha`` is None but in a node's last iteration; the adjoint
+    rebuilds it from q, the keys and the column rows (``_rebuild_alpha``).
+    The last seven are its GRU -> residual-MLP tail's, as in
     ``_CrossSaved``."""
 
     xhat: np.ndarray        # layer norm
     inv: np.ndarray
     normed: np.ndarray
     q: np.ndarray
-    alpha: np.ndarray       # (.., S, M) column-stochastic attention
+    col_max: np.ndarray     # (.., 1, M) column max of the logits
+    col_sum: np.ndarray     # (.., 1, M) column sum of their exponentials
+    alpha: np.ndarray       # (.., S, M) column-stochastic attention, or None
     u_raw: np.ndarray       # alpha @ values
     rec: np.ndarray         # 1 / (alpha @ ones + eps)
     u: np.ndarray           # the GRU input
@@ -865,7 +872,8 @@ class _StepSaved(typing.NamedTuple):
 
 class _EncodeSaved(typing.NamedTuple):
     """A slot_encode node's intermediates: of the bag-sized arrays, only the
-    four its adjoint reads."""
+    four its adjoint reads, and of the T attention maps only the last
+    (in ``steps[-1]``)."""
 
     xhat: np.ndarray        # bag layer norm, (.., M, d)
     inv: np.ndarray         # (.., M, 1)
@@ -963,7 +971,13 @@ def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
     q = _matmul(normed, w_q)
     logits = _matmul(q, keys_t)
     _guard(logits, "attention logits", "slot_encode")
-    alpha = _softmax(-2, logits, out=logits)    # logits are not kept
+    # _softmax(-2, logits, out=logits) with its column max and sum kept;
+    # the logits are not kept
+    col_max = logits.max(axis=-2, keepdims=True)
+    alpha = np.subtract(logits, col_max, out=logits)
+    np.exp(alpha, out=alpha)
+    col_sum = alpha.sum(axis=-2, keepdims=True)
+    alpha /= col_sum
     u_raw = _matmul(alpha, values)
     mass = _matmul(alpha, ones)
     mass += alpha.dtype.type(_AGG_EPS)
@@ -972,7 +986,19 @@ def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
     u = u_raw * rec
     out, saved = _gru_mlp_fwd("slot_encode", u, slots, *tail)
     _guard(out, "slots", "slot_encode")
-    return out, _StepSaved(xhat, inv, normed, q, alpha, u_raw, rec, *saved)
+    return out, _StepSaved(xhat, inv, normed, q, col_max, col_sum, alpha,
+                           u_raw, rec, *saved)
+
+
+def _rebuild_alpha(st, keys_t):
+    """An iteration's attention map formed again, in a new array, from its
+    saved q and column rows and the keys: ``_slot_step_fwd``'s operands
+    and kernels in its order, so the map has the forward's bits."""
+    alpha = _matmul(st.q, keys_t)
+    alpha -= st.col_max
+    np.exp(alpha, out=alpha)
+    alpha /= st.col_sum
+    return alpha
 
 
 def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
@@ -981,7 +1007,8 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
     of k, scaled -> values masked -> T iterations, kernel by kernel, with
     the checks the chain's node outputs had: the layer norm's output, the
     keys, the values and every iteration's slots.  The values are formed
-    in k's buffer once its transposed copy is made."""
+    in k's buffer once its transposed copy is made.  Each iteration's
+    attention map but the last is dropped as soon as its step ends."""
     t_iters, masked = aux
     y, (xhat, inv) = _layer_norm_fwd(None, bag, ln_gamma, ln_beta)
     _guard(y, "layer-norm output", "slot_encode")
@@ -994,11 +1021,11 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
         values *= ones
     _guard(values, "values", "slot_encode")
     states, steps = [], []
-    for _ in range(t_iters):
+    for t in range(t_iters):
         states.append(slots)
         slots, saved = _slot_step_fwd(slots, keys_t, values, ones,
                                       *step_weights)
-        steps.append(saved)
+        steps.append(saved if t == t_iters - 1 else saved._replace(alpha=None))
     return slots, _EncodeSaved(xhat, inv, y, keys_t, values, tuple(states),
                                tuple(steps))
 
@@ -1436,7 +1463,8 @@ def _bw_slot_encode(g, i, grad, grads):
     iterations in arrays this rule owns (one scratch array holds each
     later iteration's product), which it scales and masks in place, and
     the projections' adjoints are formed in those arrays as they fall
-    free."""
+    free.  Each iteration but the last forms its attention map again
+    (``_rebuild_alpha``) before it reads it."""
     bi, oi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
     t_iters, masked = g._aux[i]
     sv = g._saved[i]
@@ -1446,6 +1474,8 @@ def _bw_slot_encode(g, i, grad, grads):
     acc_k = acc_v = scratch = None
     for t in range(t_iters - 1, -1, -1):
         st = sv.steps[t]
+        alpha = st.alpha if st.alpha is not None else \
+            _rebuild_alpha(st, sv.keys_t)
         need_state = t > 0 or need[si]
         d_u, d_state = _gru_mlp_adj(g, grads, grad, st, sv.states[t],
                                     need_state, tail[:9], tail[9:])
@@ -1455,17 +1485,17 @@ def _bw_slot_encode(g, i, grad, grads):
         # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
         d_uraw, d_rec = _mul_adj(d_u, st.u_raw, st.rec)
         d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, st.rec),
-                                      st.alpha, ones, need_b=need[oi])
+                                      alpha, ones, need_b=need[oi])
         _give(grads, (oi,), (d_ones,))
-        d_au, _ = _matmul_adj(d_uraw, st.alpha, sv.values, need_b=False)
+        d_au, _ = _matmul_adj(d_uraw, alpha, sv.values, need_b=False)
         acc_v, scratch = _add_product(acc_v, scratch,
-                                      np.swapaxes(st.alpha, -1, -2), d_uraw)
+                                      np.swapaxes(alpha, -1, -2), d_uraw)
 
         # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
         # alpha terms are arrays this rule made, so the sum and the softmax
         # adjoint may overwrite them.
         d_alpha += d_au
-        d_logits = _softmax_adj(d_alpha, st.alpha, -2, out=d_alpha,
+        d_logits = _softmax_adj(d_alpha, alpha, -2, out=d_alpha,
                                 scratch=d_au)
         d_q, _ = _matmul_adj(d_logits, st.q, sv.keys_t, need_b=False)
         acc_k, scratch = _add_product(acc_k, scratch,

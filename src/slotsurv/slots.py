@@ -18,10 +18,12 @@ iterations (layer norm, attention, weighted mean, GRU and residual MLP)
 run as one kernel, with the per-op chain's values, gradients and
 multiply-add counts.  Of the bag-sized arrays the node keeps only the
 four its adjoint reads: the normalized bag, the layer norm's output, the
-keys and the values.  The attention map of the last
-iteration is read back from that node, as a plain array: it feeds no
-loss.  ``encode`` is a numpy-in/numpy-out convenience that builds a
-throwaway graph, at the parameters' precision, internally.
+keys and the values.  Of the T attention maps it keeps only the last
+iteration's, which is read back from that node as a plain array (it
+feeds no loss); the adjoint rebuilds the earlier ones, with their bits,
+from small per-iteration rows.  ``encode`` is a numpy-in/numpy-out
+convenience that builds a throwaway graph, at the parameters' precision,
+internally.
 
 Only training is random.  The slots start at the learned mean, plus
 exp(init_log_std) times standard-normal noise when noise is given; the

@@ -145,10 +145,15 @@ def out_of_place_acc(grads, idx, delta):
 
 def saved_arrays(saved) -> list:
     """A node's saved intermediates as a flat list, nested tuples (a
-    slot_encode node's per-iteration ones) flattened."""
+    slot_encode node's per-iteration ones) flattened and the None entries
+    (the attention maps of a slot_encode node's earlier iterations)
+    skipped."""
     out = []
     for a in saved:
-        out.extend(saved_arrays(a) if isinstance(a, tuple) else [a])
+        if isinstance(a, tuple):
+            out.extend(saved_arrays(a))
+        elif a is not None:
+            out.append(a)
     return out
 
 

@@ -1,0 +1,51 @@
+"""tools/bits.py, the bits harness: on the tiny configs it prints one
+sha256 per artefact, and two runs of one tree, each in its own process,
+agree on every digest."""
+
+import importlib.util
+import os
+import re
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+@pytest.fixture(scope="module")
+def bits():
+    spec = importlib.util.spec_from_file_location(
+        "bits", os.path.join(ROOT, "tools", "bits.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
+    report = bits.compare(SRC, SRC, tiny=True)
+    assert report["differ"] == report["only_tree"] == \
+        report["only_against"] == []
+    digests = report["tree"]
+    runs = ("ref_float32", "ref_float64", "ref_nonselective", "ref_lam0")
+    modes = ("present", "imputed")
+    files = ["assignment_genomic.csv", "assignment_histology.csv",
+             "gates_genomic.csv", "gates_histology.csv", "prediction.json"]
+    want = {f"checkpoint/{r}" for r in runs}
+    want |= {f"{kind}/{r}/{m}" for kind in ("evaluate", "predict")
+             for r in runs for m in modes}
+    for pid in ("P0000", "P0001", "P0002"):
+        want |= {f"infer/{pid}/present/{f}" for f in files}
+        want |= {f"infer/{pid}/imputed/{f}"
+                 for f in files + ["imputed_genomic.json"]}
+    assert set(digests) == want
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests.values())
+    # the two modes serve different genomic bags
+    assert digests["predict/ref_float32/present"] != \
+        digests["predict/ref_float32/imputed"]
+
+
+def test_diff_names_changed_and_one_sided_artefacts(bits):
+    ours = {"a": "1", "b": "2", "c": "3"}
+    theirs = {"a": "1", "b": "9", "d": "4"}
+    assert bits.diff(ours, theirs) == {
+        "differ": ["b"], "only_tree": ["c"], "only_against": ["d"]}

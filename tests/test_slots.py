@@ -225,6 +225,10 @@ _ORACLE_CASES = {
                                mask=_PADDING),
     "padded_batch_quiet_t1": dict(bag_shape=(2, 7, 5), t_iters=1,
                                   mask=_PADDING),
+    # the reference T: nine iterations rebuild their attention maps
+    "padded_batch_t10": dict(
+        bag_shape=(2, 7, 5), t_iters=10, mask=_PADDING,
+        noise=np.random.default_rng(35).normal(size=(2, 3, 5))),
 }
 
 
@@ -308,31 +312,46 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
         step(huge)
 
 
-def test_encode_node_holds_four_bag_sized_arrays_and_the_alphas():
+@pytest.mark.parametrize("t_iters", [1, 3, 10])
+def test_encode_node_holds_four_bag_sized_arrays_and_one_attention_map(
+        t_iters):
     """A padded batch's slot_encode node holds, of the arrays the size of
     the bag, only the normalized bag, the layer norm's output, the keys
-    and the values, plus one (B, S, M) alpha per iteration; everything
-    else it holds (per-row and per-slot vectors) is smaller than one more
-    bag-sized array.  An intermediate the size of the bag kept by mistake
+    and the values, and of the (B, S, M) attention maps only the last
+    iteration's, which ``slot_attention`` reads back.  Each iteration
+    keeps its column max and column sum, two (B, 1, M) rows, from which
+    the adjoint rebuilds the earlier maps; everything else it holds
+    (per-row and per-slot vectors) is smaller than one more bag-sized
+    array.  An intermediate the size of the bag or a map kept by mistake
     fails here."""
-    n, m, dim, n_slots, t_iters = 2, 512, 8, 3, 3
+    n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(41)
     g = Graph()
     p = bind_arrays(g, "p", init_slot_params(rng, n_slots, dim))
     mask = np.ones((n, m))
     mask[1, 300:] = 0.0
-    slots, _ = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
-                            t_iters, mask=mask,
-                            noise=rng.normal(size=(n, n_slots, dim)))
+    slots, alpha = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
+                                t_iters, mask=mask,
+                                noise=rng.normal(size=(n, n_slots, dim)))
     assert g._ops.count("slot_encode") == 1
+    steps = g._saved[slots.idx].steps
+    assert len(steps) == t_iters
+    assert [st.alpha is None for st in steps] == \
+        [True] * (t_iters - 1) + [False]
+    assert g.slot_attention(slots) is steps[-1].alpha
+    for st in steps:
+        assert st.col_max.shape == st.col_sum.shape == (n, 1, m)
     buffers = owning_buffers([slots.value,
                               *saved_arrays(g._saved[slots.idx])])
     sizes = [b.size for b in buffers]
-    bag, alpha = n * m * dim, n * n_slots * m
+    bag, amap, row = n * m * dim, n * n_slots * m, n * m
     assert sizes.count(bag) == 4
-    assert sizes.count(alpha) == t_iters
-    rest = sum(b.nbytes for b in buffers if b.size not in (bag, alpha))
+    assert sizes.count(amap) == 1
+    # the column rows, and the bag layer norm's inverse deviations
+    assert sizes.count(row) == 2 * t_iters + 1
+    rest = sum(b.nbytes for b in buffers if b.size not in (bag, amap, row))
     assert rest < bag * np.dtype(np.float32).itemsize
+    np.testing.assert_array_equal(alpha[1, :, 300:], 0.0)
 
 
 # ----------------------------------------------------------- cost accounting
