@@ -117,14 +117,17 @@ axes, so one model builder serves both:
   affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d), which the
   next iteration starts from. The slots' layer norm has no shift: it
   would add one row to every slot's query, which the softmax over slots
-  cancels. Of the bag-sized arrays the node keeps only the four its
-  adjoint reads: the normalized bag, y, the keys and the values. Of the
-  (.., S, M) attention maps it keeps the last iteration's alone;
-  ``slot_attention`` reads it back, as ``degenerate_rows`` reads a cosine
-  node's. For every iteration it keeps the column softmax's max and sum,
-  two (.., 1, M) rows, and the adjoint rebuilds each earlier map from
-  them, q and the keys with the forward's kernels in the forward's
-  order, so the rebuilt map has the forward's bits.
+  cancels. Of the bag-sized arrays the node keeps only two, the keys and
+  the values. Of the bag's layer norm it keeps the inverse deviations, a
+  (.., M, 1) row; after the iterations the adjoint forms the normalized
+  bag and y again from the bag and that row. Of the (.., S, M) attention
+  maps it keeps the last iteration's alone; ``slot_attention`` reads it
+  back, as ``degenerate_rows`` reads a cosine node's. For every
+  iteration it keeps the column softmax's max and sum, two (.., 1, M)
+  rows, and the adjoint rebuilds each earlier map from them, q and the
+  keys, in one of three maps it allocates once per call. Each rebuild
+  runs the forward's kernels in the forward's order, so the rebuilt
+  arrays have the forward's bits.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -152,10 +155,12 @@ axes, so one model builder serves both:
   layer_norm(slots) @ w_k, @ w_v; attn = row_softmax((q @ k^T) *
   1/sqrt(d)), (.., M, S), k^T a transposed copy; x = queries + attn @ v;
   out = x + affine(relu(affine(layer_norm(x), w1, b1)), w2, b2), (.., M,
-  d). Of the arrays with a row per query row it keeps six, the output
-  included: the normalized rows of the queries and of x, q, attn and the
-  MLP's hidden layer. The layer norms' outputs are formed again from
-  them for the w_q and w1 adjoints, with the same bits.
+  d). Of the arrays with a row per query row it keeps five, the output
+  included: q, attn, the normalized rows of x and the MLP's hidden layer.
+  Of the queries' layer norm it keeps the inverse deviations; the
+  adjoint forms the normalized queries again from the queries and those,
+  and both layer norms' outputs from the normalized rows, for the w_q and
+  w1 adjoints, with the forward's kernels, so with its bits.
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -811,6 +816,15 @@ def _normalize(x, scratch=None):
     return xhat, inv
 
 
+def _renormalize(x, inv):
+    """The rows ``_normalize`` returned for x, formed again in a new array
+    from x and the inverse deviations it returned: its kernels in its
+    order, so the rows have its bits."""
+    xhat = x - _mean(x, -1)
+    xhat *= inv
+    return xhat
+
+
 def _layer_norm_fwd(_, x, gamma, beta):
     xhat, inv = _normalize(x)
     y = xhat * gamma
@@ -872,12 +886,12 @@ class _StepSaved(typing.NamedTuple):
 
 class _EncodeSaved(typing.NamedTuple):
     """A slot_encode node's intermediates: of the bag-sized arrays, only the
-    four its adjoint reads, and of the T attention maps only the last
-    (in ``steps[-1]``)."""
+    keys and the values, and of the T attention maps only the last (in
+    ``steps[-1]``).  The bag layer norm keeps its inverse deviations
+    alone: the adjoint forms its normalized rows and output again from the
+    bag (``_renormalize``)."""
 
-    xhat: np.ndarray        # bag layer norm, (.., M, d)
-    inv: np.ndarray         # (.., M, 1)
-    y: np.ndarray           # the layer norm's output, (.., M, d)
+    inv: np.ndarray         # bag layer norm's inverse deviations, (.., M, 1)
     keys_t: np.ndarray      # (y @ w_k) transposed and scaled, (.., d, M)
     values: np.ndarray      # y @ w_v, masked, (.., M, d)
     states: tuple           # each iteration's input slots, (.., S, d)
@@ -915,10 +929,11 @@ class _AttendSaved(typing.NamedTuple):
 
 class _DecodeSaved(typing.NamedTuple):
     """A decode node's intermediates: of the arrays with a row per query
-    row, only the five its adjoint reads."""
+    row, only the four its adjoint reads.  The queries' layer norm keeps
+    its inverse deviations alone: the adjoint forms its normalized rows
+    again from the queries (``_renormalize``)."""
 
-    xhat_q: np.ndarray      # queries' layer norm
-    inv_q: np.ndarray
+    inv_q: np.ndarray       # queries' layer norm's inverse deviations
     xhat_s: np.ndarray      # slots' layer norm, (.., S, d)
     inv_s: np.ndarray
     ns: np.ndarray          # its output, which k and v project
@@ -990,11 +1005,12 @@ def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
                            u_raw, rec, *saved)
 
 
-def _rebuild_alpha(st, keys_t):
-    """An iteration's attention map formed again, in a new array, from its
-    saved q and column rows and the keys: ``_slot_step_fwd``'s operands
-    and kernels in its order, so the map has the forward's bits."""
-    alpha = _matmul(st.q, keys_t)
+def _rebuild_alpha(st, keys_t, out=None):
+    """An iteration's attention map formed again, in ``out`` (a new array
+    when it is None), from its saved q and column rows and the keys:
+    ``_slot_step_fwd``'s operands and kernels in its order, so the map has
+    the forward's bits."""
+    alpha = _matmul(st.q, keys_t, out=out)
     alpha -= st.col_max
     np.exp(alpha, out=alpha)
     alpha /= st.col_sum
@@ -1006,17 +1022,23 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
     """The chain bag layer norm -> k and v projections -> transposed copy
     of k, scaled -> values masked -> T iterations, kernel by kernel, with
     the checks the chain's node outputs had: the layer norm's output, the
-    keys, the values and every iteration's slots.  The values are formed
-    in k's buffer once its transposed copy is made.  Each iteration's
-    attention map but the last is dropped as soon as its step ends."""
+    keys, the values and every iteration's slots.  The layer norm's output
+    is formed in its normalized rows' buffer, and the values in k's once
+    its transposed copy is made; the layer norm's rows are dropped before
+    the iterations run.  Each iteration's attention map but the last is
+    dropped as soon as its step ends."""
     t_iters, masked = aux
-    y, (xhat, inv) = _layer_norm_fwd(None, bag, ln_gamma, ln_beta)
+    # _layer_norm_fwd(None, bag, ln_gamma, ln_beta), with y in xhat's array
+    xhat, inv = _normalize(bag)
+    y = np.multiply(xhat, ln_gamma, out=xhat)
+    y += ln_beta
     _guard(y, "layer-norm output", "slot_encode")
     k = _matmul(y, w_k)
     keys_t = np.swapaxes(k, -1, -2).copy()
     keys_t *= keys_t.dtype.type(1.0 / np.sqrt(bag.shape[-1]))
     _guard(keys_t, "keys", "slot_encode")
     values = _matmul(y, w_v, out=k)
+    del xhat, y
     if masked:
         values *= ones
     _guard(values, "values", "slot_encode")
@@ -1026,7 +1048,7 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
         slots, saved = _slot_step_fwd(slots, keys_t, values, ones,
                                       *step_weights)
         steps.append(saved if t == t_iters - 1 else saved._replace(alpha=None))
-    return slots, _EncodeSaved(xhat, inv, y, keys_t, values, tuple(states),
+    return slots, _EncodeSaved(inv, keys_t, values, tuple(states),
                                tuple(steps))
 
 
@@ -1078,20 +1100,22 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
                 gs, bs, gf, bf):
     """The chain layer norms of queries and slots -> attention head ->
     residual -> layer norm -> affine -> relu -> affine -> residual, kernel
-    by kernel, with the checks its nodes' outputs had.  Every temporary
-    with a row per query row is formed in an array the node keeps, but one:
-    the MLP's pre-activation, whose array then holds the second layer."""
+    by kernel, with the checks its nodes' outputs had.  The queries'
+    normalized rows are not kept: their array holds the layer norm's
+    output and then, when the queries are not shared, x.  Every other
+    temporary with a row per query row is formed in an array the node
+    keeps, but one: the MLP's pre-activation, whose array then holds the
+    second layer."""
     op = "decode"
-    buf = np.empty_like(queries)        # squares, normalized queries, x
-    xhat_q, inv_q = _normalize(queries, scratch=buf)
-    nq = np.multiply(xhat_q, gq, out=buf)
+    xhat_q, inv_q = _normalize(queries)
+    nq = np.multiply(xhat_q, gq, out=xhat_q)
     nq += bq
     _guard(nq, "query layer-norm output", op)
     ns, (xhat_s, inv_s) = _layer_norm_fwd(None, slots, gs, bs)
     _guard(ns, "slot layer-norm output", op)
     x, (q, keys_t, v, attn) = _attend_fwd(
         op, scale, nq, ns, w_q, w_k, w_v,
-        out=buf if queries.ndim == slots.ndim else None)
+        out=nq if queries.ndim == slots.ndim else None)
     for what, val in (("q", q), ("keys", keys_t), ("values", v),
                       ("attention output", x)):
         _guard(val, what, op)
@@ -1109,8 +1133,8 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
     ffn += b2
     _guard(ffn, "MLP output", op)
     x += ffn                            # the node's output
-    return x, _DecodeSaved(xhat_q, inv_q, xhat_s, inv_s, ns, q, keys_t, v,
-                           attn, xhat_f, inv_f, hidden)
+    return x, _DecodeSaved(inv_q, xhat_s, inv_s, ns, q, keys_t, v, attn,
+                           xhat_f, inv_f, hidden)
 
 
 def _squared_error_fwd(_, a, b):
@@ -1464,7 +1488,13 @@ def _bw_slot_encode(g, i, grad, grads):
     later iteration's product), which it scales and masks in place, and
     the projections' adjoints are formed in those arrays as they fall
     free.  Each iteration but the last forms its attention map again
-    (``_rebuild_alpha``) before it reads it."""
+    (``_rebuild_alpha``) before it reads it.  The rebuilt map and the
+    map's two adjoint terms are formed in three (.., S, M) arrays this
+    rule allocates once and reuses over the iterations (two when T = 1).
+    After the iterations it forms the bag layer norm's normalized rows
+    and output again from the bag and the saved inverse deviations
+    (``_renormalize``, then ``_layer_norm_fwd``'s kernels), so both have
+    the forward's bits."""
     bi, oi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
     t_iters, masked = g._aux[i]
     sv = g._saved[i]
@@ -1472,10 +1502,15 @@ def _bw_slot_encode(g, i, grad, grads):
     need = g._needs_grad
     ones = v[oi]
     acc_k = acc_v = scratch = None
+    # the map's two adjoint terms and, when T > 1, the rebuilt map: formed
+    # in these arrays by every iteration
+    last = sv.steps[-1].alpha
+    d_alpha_out, d_au_out = np.empty_like(last), np.empty_like(last)
+    rebuilt = np.empty_like(last) if t_iters > 1 else None
     for t in range(t_iters - 1, -1, -1):
         st = sv.steps[t]
         alpha = st.alpha if st.alpha is not None else \
-            _rebuild_alpha(st, sv.keys_t)
+            _rebuild_alpha(st, sv.keys_t, out=rebuilt)
         need_state = t > 0 or need[si]
         d_u, d_state = _gru_mlp_adj(g, grads, grad, st, sv.states[t],
                                     need_state, tail[:9], tail[9:])
@@ -1484,16 +1519,19 @@ def _bw_slot_encode(g, i, grad, grads):
 
         # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
         d_uraw, d_rec = _mul_adj(d_u, st.u_raw, st.rec)
-        d_alpha, d_ones = _matmul_adj(_reciprocal_adj(d_rec, st.rec),
-                                      alpha, ones, need_b=need[oi])
-        _give(grads, (oi,), (d_ones,))
-        d_au, _ = _matmul_adj(d_uraw, alpha, sv.values, need_b=False)
+        # alpha's two adjoint terms: the rank-1 product with the mask and
+        # d_uraw @ values^T
+        d_mass = _reciprocal_adj(d_rec, st.rec)
+        d_alpha = _matmul(d_mass, np.swapaxes(ones, -1, -2), out=d_alpha_out)
+        _give(grads, (oi,), (_matmul_adj(d_mass, alpha, ones, need_a=False,
+                                         need_b=need[oi])[1],))
+        d_au = _matmul(d_uraw, np.swapaxes(sv.values, -1, -2), out=d_au_out)
         acc_v, scratch = _add_product(acc_v, scratch,
                                       np.swapaxes(alpha, -1, -2), d_uraw)
 
         # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
-        # alpha terms are arrays this rule made, so the sum and the softmax
-        # adjoint may overwrite them.
+        # alpha terms are in arrays this rule made, so the sum and the
+        # softmax adjoint may overwrite them.
         d_alpha += d_au
         d_logits = _softmax_adj(d_alpha, alpha, -2, out=d_alpha,
                                 scratch=d_au)
@@ -1511,22 +1549,29 @@ def _bw_slot_encode(g, i, grad, grads):
         else:
             d_state += d_slots          # the previous iteration's adjoint
             grad = d_state
+    # the maps are spent: free them before the bag-sized rebuilds
+    del alpha, rebuilt, d_alpha, d_alpha_out, d_au, d_au_out, d_logits
+
+    # y = layer_norm(bag), formed again
+    xhat = _renormalize(v[bi], sv.inv)
+    y = xhat * v[lgi]
+    y += v[lbi]
 
     # values = (y @ w_v) * ones: the value path; y's adjoint takes the
     # scratch array's place
     if masked:
         if need[oi]:
-            _give(grads, (oi,), (_unbroadcast(acc_v * _matmul(sv.y, v[vi]),
+            _give(grads, (oi,), (_unbroadcast(acc_v * _matmul(y, v[vi]),
                                               ones.shape),))
         acc_v *= ones
-    _give(grads, (vi,), (_matmul_adj(acc_v, sv.y, v[vi], need_a=False,
+    _give(grads, (vi,), (_matmul_adj(acc_v, y, v[vi], need_a=False,
                                      need_b=need[vi])[1],))
     d_y = _matmul(acc_v, np.swapaxes(v[vi], -1, -2),
-                  out=None if scratch is None else scratch.reshape(sv.y.shape))
+                  out=None if scratch is None else scratch.reshape(y.shape))
     del scratch
 
     # keys = (y @ w_k)^T * c: the key path
-    acc_k *= acc_k.dtype.type(1.0 / np.sqrt(sv.y.shape[-1]))
+    acc_k *= acc_k.dtype.type(1.0 / np.sqrt(y.shape[-1]))
     d_keys, out = np.swapaxes(acc_k, -1, -2), None
     if d_keys.ndim == 3 and d_keys.shape[0] > 1 and d_keys.shape[-1] > 1:
         # both products read the rows of this view through a C-order copy:
@@ -1534,12 +1579,12 @@ def _bw_slot_encode(g, i, grad, grads):
         np.copyto(acc_v, d_keys)
         d_keys, out = acc_v, acc_k.reshape(acc_v.shape)
     del acc_v
-    _give(grads, (ki,), (_matmul_adj(d_keys, sv.y, v[ki], need_a=False,
+    _give(grads, (ki,), (_matmul_adj(d_keys, y, v[ki], need_a=False,
                                      need_b=need[ki])[1],))
     d_y += _matmul(d_keys, np.swapaxes(v[ki], -1, -2), out=out)
-    del acc_k, d_keys, out
+    del acc_k, d_keys, out, y
     _give(grads, (bi, lgi, lbi), _layer_norm_adj(
-        d_y, v[lgi], sv.xhat, sv.inv, need[bi], need[lgi], need[lbi]))
+        d_y, v[lgi], xhat, sv.inv, need[bi], need[lgi], need[lbi]))
 
 
 def _attend_adj(d_u, sv, scale):
@@ -1610,8 +1655,11 @@ def _bw_decode(g, i, grad, grads):
     """The chain's adjoint rules in reverse, with each parent's
     contributions in the per-op chain's order: the queries get the
     residual's term before the layer norm's, and the normalized slots sum
-    the v path's term, then the k path's.  The MLP input and the
-    normalized queries are formed again from their saved layer norms."""
+    the v path's term, then the k path's.  The MLP input is formed again
+    from its saved layer norm's rows, and the queries' normalized rows
+    from the queries and their saved inverse deviations
+    (``_renormalize``), then the layer norm's output from those rows, each
+    with the forward's kernels in its order, so with its bits."""
     qi, si, wq, wk, wv, w1, b1, w2, b2, gq, bq, gs, bs, gf, bf = \
         g._parents[i]
     sv = g._saved[i]
@@ -1640,7 +1688,8 @@ def _bw_decode(g, i, grad, grads):
     d_ns_k, d_wk = _matmul_adj(d_k, sv.ns, v[wk], need_b=need[wk])
     _give(grads, (wk,), (d_wk,))
     d_ns += d_ns_k
-    nq = sv.xhat_q * v[gq]
+    xhat_q = _renormalize(v[qi], sv.inv_q)
+    nq = xhat_q * v[gq]
     nq += v[bq]
     d_nq, d_wq = _matmul_adj(d_q, nq, v[wq], need_b=need[wq])
     _give(grads, (wq,), (d_wq,))
@@ -1648,7 +1697,7 @@ def _bw_decode(g, i, grad, grads):
     _give(grads, (si, gs, bs), _layer_norm_adj(
         d_ns, v[gs], sv.xhat_s, sv.inv_s, need[si], need[gs], need[bs]))
     _give(grads, (qi, gq, bq), _layer_norm_adj(
-        d_nq, v[gq], sv.xhat_q, sv.inv_q, need[qi], need[gq], need[bq]))
+        d_nq, v[gq], xhat_q, sv.inv_q, need[qi], need[gq], need[bq]))
 
 
 def _bw_mean_pool(g, i, grad, grads):

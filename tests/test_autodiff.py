@@ -994,7 +994,11 @@ def test_backward_leaves_fused_values_and_saved_intermediates_intact(
         op_name, dtype):
     """The fused kernels and adjoints write in place only into arrays they
     allocated: after ``backward`` every node value and every saved
-    intermediate has the bits it had before."""
+    intermediate has the bits it had before.  The node values include the
+    parents the adjoints form layer-norm rows again from, a slot_encode
+    node's bag and a decode node's queries; a second ``backward``, which
+    forms those rows again from them, gives the first one's gradients bit
+    for bit."""
     g = Graph(dtype=dtype)
     seed = OP_BUILDERS[op_name](g, np.random.default_rng(_seed(op_name, 0)))
     assert _fused_op(op_name) in g._ops
@@ -1002,13 +1006,17 @@ def test_backward_leaves_fused_values_and_saved_intermediates_intact(
     saved = [None if sv is None else
              [None if a is None else a.copy() for a in saved_arrays(sv)]
              for sv in g._saved]
-    backward(g, seed)
+    grads = backward(g, seed)
     for i in range(g.num_nodes):
         assert _same_bits(values[i], g._values[i]), (op_name, i)
         if saved[i] is not None:
             pairs = zip(saved[i], saved_arrays(g._saved[i]), strict=True)
             assert all(a is b is None or _same_bits(a, b)
                        for a, b in pairs), (op_name, i)
+    again = backward(g, seed)
+    assert list(again) == list(grads)
+    for name, grad in grads.items():
+        assert _same_bits(grad, again[name]), (op_name, name)
 
 
 def test_gather_rows_values_and_duplicates():

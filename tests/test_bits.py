@@ -3,8 +3,11 @@ sha256 per artefact, and two runs of one tree, each in its own process,
 agree on every digest."""
 
 import importlib.util
+import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +45,21 @@ def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
     # the two modes serve different genomic bags
     assert digests["predict/ref_float32/present"] != \
         digests["predict/ref_float32/imputed"]
+
+
+def test_record_writes_the_digests_with_the_machine_facts(tmp_path):
+    """``--record PATH`` writes the digests it prints, the machine facts
+    and whether the run was tiny."""
+    path = tmp_path / "BITS.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "bits.py"), "--tiny",
+         "--record", str(path)], capture_output=True, text=True, check=True)
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    assert set(recorded) == {"digests", "machine", "tiny"}
+    assert recorded["digests"] == json.loads(done.stdout)
+    assert recorded["tiny"] is True
+    assert {"nproc", "cpu", "python", "numpy", "blas", "blas_threads"} <= \
+        set(recorded["machine"])
 
 
 def test_diff_names_changed_and_one_sided_artefacts(bits):

@@ -25,7 +25,7 @@ from slotsurv.model import (
 
 from slotsurv.train import TrainConfig
 
-from oracles import out_of_place_acc
+from oracles import out_of_place_acc, owning_buffers, saved_arrays
 
 
 DIM, S_H, S_G, M_GEN, N_BINS = 8, 4, 4, 6, 3
@@ -505,6 +505,32 @@ def test_training_step_graph_size(monkeypatch):
     assert cg.graph._ops.count("slot_encode") == 3
     assert cg.graph._ops.count("decode") == 3
     assert cg.graph.input_names() == trainable_names(_params(4))
+
+
+def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
+    """Over every node's value and saved intermediates, a padded training
+    batch's graph holds ten distinct buffers the size of the histology bag,
+    (B, M, d): the bag, the keys and the values of each of the two slot
+    encoders that read it, the histology head's queries, and the decode
+    node's output, q, MLP input rows and hidden layer.  It holds three
+    with a row per bag row and a column per histology slot: the last
+    attention map of each of those encoders and the head's attention.  A
+    bag-sized array or a map kept by mistake in any node fails here."""
+    sizes = (301, 256, 180)
+    patients = _ragged_patients(6, sizes=sizes)
+    cg = build_cohort_loss(_params(6), patients, k_h=2, k_g=2,
+                           temperature=0.5, t_iters=3, l_iters=2, lam=0.1,
+                           rng=np.random.default_rng(6))
+    g = cg.graph
+    rows = len(sizes) * max(sizes)              # B * M
+    arrays = [g._values[i] for i in range(g.num_nodes)]
+    arrays += [a for sv in g._saved if sv is not None
+               for a in saved_arrays(sv)]
+    per_row = [b.size // rows for b in owning_buffers(arrays)
+               if b.size % rows == 0]
+    assert DIM != S_H
+    assert per_row.count(DIM) == 10
+    assert per_row.count(S_H) == 3
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -313,17 +313,18 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
 
 
 @pytest.mark.parametrize("t_iters", [1, 3, 10])
-def test_encode_node_holds_four_bag_sized_arrays_and_one_attention_map(
+def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
         t_iters):
     """A padded batch's slot_encode node holds, of the arrays the size of
-    the bag, only the normalized bag, the layer norm's output, the keys
-    and the values, and of the (B, S, M) attention maps only the last
-    iteration's, which ``slot_attention`` reads back.  Each iteration
-    keeps its column max and column sum, two (B, 1, M) rows, from which
-    the adjoint rebuilds the earlier maps; everything else it holds
-    (per-row and per-slot vectors) is smaller than one more bag-sized
-    array.  An intermediate the size of the bag or a map kept by mistake
-    fails here."""
+    the bag, only the keys and the values: the adjoint forms the bag layer
+    norm's normalized rows and output again from the bag and the inverse
+    deviations, a (B, M, 1) row.  Of the (B, S, M) attention maps it holds
+    only the last iteration's, which ``slot_attention`` reads back.  Each
+    iteration keeps its column max and column sum, two (B, 1, M) rows,
+    from which the adjoint rebuilds the earlier maps; everything else it
+    holds (per-row and per-slot vectors) is smaller than one more
+    bag-sized array.  An intermediate the size of the bag or a map kept by
+    mistake fails here."""
     n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(41)
     g = Graph()
@@ -345,7 +346,7 @@ def test_encode_node_holds_four_bag_sized_arrays_and_one_attention_map(
                               *saved_arrays(g._saved[slots.idx])])
     sizes = [b.size for b in buffers]
     bag, amap, row = n * m * dim, n * n_slots * m, n * m
-    assert sizes.count(bag) == 4
+    assert sizes.count(bag) == 2
     assert sizes.count(amap) == 1
     # the column rows, and the bag layer norm's inverse deviations
     assert sizes.count(row) == 2 * t_iters + 1

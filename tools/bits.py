@@ -17,11 +17,14 @@ The artefacts:
 
 Usage::
 
-    python tools/bits.py [--tiny] [--src DIR]
+    python tools/bits.py [--tiny] [--src DIR] [--record [PATH]]
     python tools/bits.py --against REV [--tiny]
 
 The first form prints the digests as one JSON object, artefact name ->
 sha256, for the package under ``DIR`` (default: this tree's ``src``).
+With ``--record`` it also writes them to ``PATH`` (default: ``BITS.json``
+in the repo root) with the facts of the machine they were built on, as
+``bench/run.py`` reports them, and whether the run was ``--tiny``.
 ``--against REV`` extracts ``git archive REV`` into a temporary
 directory, runs the first form once on this tree and once on REV's
 source, each in its own process, and prints both sides; it exits 1 when
@@ -37,6 +40,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -176,6 +180,23 @@ def diff(ours: dict, theirs: dict) -> dict:
     }
 
 
+def machine_facts() -> dict:
+    """The machine facts ``bench/run.py`` prints with a benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(ROOT, "bench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.machine_facts()
+
+
+def record(path: str, digests_: dict, tiny: bool) -> None:
+    """Write the digests and the machine facts to ``path`` as JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"machine": machine_facts(), "tiny": tiny,
+                   "digests": digests_}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def run_side(src: str, tiny: bool) -> dict:
     """The digests of the package under ``src``, from a new process."""
     argv = [sys.executable, os.path.abspath(__file__), "--src", src]
@@ -209,7 +230,13 @@ def main(argv=None) -> int:
                         help="also run REV's source and diff the two sides")
     parser.add_argument("--tiny", action="store_true",
                         help="the reference cohort only")
+    parser.add_argument("--record", nargs="?", metavar="PATH",
+                        const=os.path.join(ROOT, "BITS.json"),
+                        help="also write the digests and the machine facts "
+                             "to PATH (default: BITS.json in the repo root)")
     args = parser.parse_args(argv)
+    if args.record and args.against:
+        parser.error("--record writes one side's digests: drop --against")
     src = os.path.abspath(args.src)
 
     if args.against:
@@ -232,7 +259,10 @@ def main(argv=None) -> int:
         print(f"error: slotsurv imports from {where}, not from {src}",
               file=sys.stderr)
         return 2
-    print(json.dumps(digests(args.tiny), indent=1))
+    out = digests(args.tiny)
+    if args.record:
+        record(args.record, out, args.tiny)
+    print(json.dumps(out, indent=1))
     return 0
 
 
