@@ -118,16 +118,22 @@ axes, so one model builder serves both:
   next iteration starts from. The slots' layer norm has no shift: it
   would add one row to every slot's query, which the softmax over slots
   cancels. Of the bag-sized arrays the node keeps only two, the keys and
-  the values. Of the bag's layer norm it keeps the inverse deviations, a
-  (.., M, 1) row; after the iterations the adjoint forms the normalized
-  bag and y again from the bag and that row. Of the (.., S, M) attention
-  maps it keeps the last iteration's alone; ``slot_attention`` reads it
-  back, as ``degenerate_rows`` reads a cosine node's. For every
-  iteration it keeps the column softmax's max and sum, two (.., 1, M)
-  rows, and the adjoint rebuilds each earlier map from them, q and the
-  keys, in one of three maps it allocates once per call. Each rebuild
-  runs the forward's kernels in the forward's order, so the rebuilt
-  arrays have the forward's bits.
+  the values. Of the bag's layer norm it keeps the inverse deviations and
+  the row means, two (.., M, 1) rows; after the iterations the adjoint
+  forms the normalized bag and y again from the bag and those rows. Of
+  the (.., S, M) attention maps it keeps the last iteration's alone;
+  ``slot_attention`` reads it back, as ``degenerate_rows`` reads a cosine
+  node's. For every iteration it keeps four slot-sized buffers: the
+  input slots, alpha @ values, the GRU gates' z|r buffer and its
+  candidate n; besides them three (.., S, 1) rows (the layer norm's
+  inverse deviations and row means, the mass's reciprocal) and the
+  column softmax's max and sum, two (.., 1, M) rows. At the top of each
+  iteration the adjoint rebuilds from those the layer norm's rows, its
+  output, q, the GRU input, r * h, the GRU output and the MLP's hidden
+  layer, and, but in the last iteration, the map from q, the keys and
+  the column rows, in one of three maps it allocates once per call. Each
+  rebuild runs the forward's kernels in the forward's order, so the
+  rebuilt arrays have the forward's bits.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -135,7 +141,10 @@ axes, so one model builder serves both:
   attn = row_softmax((q @ k^T) * 1/sqrt(d)), (.., S_q, S_c), with k^T a
   transposed copy as the transpose op makes it; queries' =
   gru_cell(attn @ v, queries); out = queries' + affine(relu(affine(
-  queries', w1, b1)), w2, b2), (.., S_q, d).
+  queries', w1, b1)), w2, b2), (.., S_q, d). It keeps five buffers: k^T,
+  v, attn, the GRU gates' z|r buffer and its candidate n. The adjoint
+  rebuilds q, attn @ v, r * h, queries' and the MLP's hidden layer from
+  those, the queries and the weights, with the forward's kernels.
 * self_attend: self-attention among K selected rows of each set. From
   slots (.., S, d), each set's K distinct row indices, (n, K) with n the
   product of the leading axes (kept in the node's aux as flat row
@@ -157,10 +166,10 @@ axes, so one model builder serves both:
   out = x + affine(relu(affine(layer_norm(x), w1, b1)), w2, b2), (.., M,
   d). Of the arrays with a row per query row it keeps five, the output
   included: q, attn, the normalized rows of x and the MLP's hidden layer.
-  Of the queries' layer norm it keeps the inverse deviations; the
-  adjoint forms the normalized queries again from the queries and those,
-  and both layer norms' outputs from the normalized rows, for the w_q and
-  w1 adjoints, with the forward's kernels, so with its bits.
+  Of the queries' layer norm it keeps the inverse deviations and the row
+  means; the adjoint forms the normalized queries again from the queries
+  and those, and both layer norms' outputs from the normalized rows, for
+  the w_q and w1 adjoints, with the forward's kernels, so with its bits.
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -807,26 +816,27 @@ def _mean(x, axis):
 
 def _normalize(x, scratch=None):
     """Rows of x centred and scaled to unit variance along the last axis,
-    and the inverse standard deviations.  The squares go into ``scratch``
-    (an array of x's shape) when it is given."""
-    xhat = x - _mean(x, -1)
+    the inverse standard deviations and the row means.  The squares go
+    into ``scratch`` (an array of x's shape) when it is given."""
+    mean = _mean(x, -1)
+    xhat = x - mean
     var = _mean(np.square(xhat, out=scratch), -1)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
-    return xhat, inv
+    return xhat, inv, mean
 
 
-def _renormalize(x, inv):
+def _renormalize(x, inv, mean):
     """The rows ``_normalize`` returned for x, formed again in a new array
-    from x and the inverse deviations it returned: its kernels in its
-    order, so the rows have its bits."""
-    xhat = x - _mean(x, -1)
+    from x and the inverse deviations and row means it returned: its
+    kernels in its order, so the rows have its bits."""
+    xhat = x - mean
     xhat *= inv
     return xhat
 
 
 def _layer_norm_fwd(_, x, gamma, beta):
-    xhat, inv = _normalize(x)
+    xhat, inv, _ = _normalize(x)
     y = xhat * gamma
     y += beta
     return y, (xhat, inv)
@@ -853,45 +863,51 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     n += rh @ un
     n += bn
     np.tanh(n, out=n)
-    out = 1.0 - z                       # z * h + (1 - z) * n
+    return _gru_out(z, n, h).reshape(shape), (z, r, n, rh)
+
+
+def _gru_out(z, n, h):
+    """The GRU output z * h + (1 - z) * n from its gate z, its candidate n
+    and its state h, all with the same rows: ``_gru_fwd``'s last kernels,
+    which the fused adjoints run again."""
+    out = 1.0 - z
     out *= n
     out += z * h
-    return out.reshape(shape), (z, r, n, rh)
+    return out
 
 
 class _StepSaved(typing.NamedTuple):
-    """One slot-attention iteration's intermediates: the values its adjoint
-    reads.  ``alpha`` is None but in a node's last iteration; the adjoint
-    rebuilds it from q, the keys and the column rows (``_rebuild_alpha``).
-    The last seven are its GRU -> residual-MLP tail's, as in
-    ``_CrossSaved``."""
+    """One slot-attention iteration's intermediates.  Besides its input
+    slots (in ``_EncodeSaved.states``) it keeps three slot-sized buffers:
+    u_raw, the z|r buffer and n; z, r and n are its GRU -> residual-MLP
+    tail's, as in ``_CrossSaved``.  Of the rest it keeps the (.., S, 1)
+    rows of its layer norm and mass, the column rows and, in a node's last
+    iteration, the map.  The adjoint rebuilds the layer norm's rows, the
+    normalized slots, q, u = u_raw * rec and the tail's r * h, GRU output
+    and hidden layer (``_gru_mlp_adj``), and every map but the last from
+    q, the keys and the column rows (``_rebuild_alpha``)."""
 
-    xhat: np.ndarray        # layer norm
-    inv: np.ndarray
-    normed: np.ndarray
-    q: np.ndarray
+    inv: np.ndarray         # layer norm's inverse deviations, (.., S, 1)
+    mean: np.ndarray        # and its row means
     col_max: np.ndarray     # (.., 1, M) column max of the logits
     col_sum: np.ndarray     # (.., 1, M) column sum of their exponentials
     alpha: np.ndarray       # (.., S, M) column-stochastic attention, or None
     u_raw: np.ndarray       # alpha @ values
     rec: np.ndarray         # 1 / (alpha @ ones + eps)
-    u: np.ndarray           # the GRU input
-    z: np.ndarray           # GRU gates and products, rows flattened
-    r: np.ndarray
+    z: np.ndarray           # GRU gate and candidate, rows flattened; z and r
+    r: np.ndarray           # are the halves of one buffer
     n: np.ndarray
-    rh: np.ndarray
-    updated: np.ndarray     # the GRU output
-    hidden: np.ndarray      # relu of the first MLP layer
 
 
 class _EncodeSaved(typing.NamedTuple):
     """A slot_encode node's intermediates: of the bag-sized arrays, only the
     keys and the values, and of the T attention maps only the last (in
-    ``steps[-1]``).  The bag layer norm keeps its inverse deviations
-    alone: the adjoint forms its normalized rows and output again from the
-    bag (``_renormalize``)."""
+    ``steps[-1]``).  The bag layer norm keeps its inverse deviations and
+    row means alone: the adjoint forms its normalized rows and output
+    again from the bag (``_renormalize``)."""
 
     inv: np.ndarray         # bag layer norm's inverse deviations, (.., M, 1)
+    mean: np.ndarray        # and its row means, (.., M, 1)
     keys_t: np.ndarray      # (y @ w_k) transposed and scaled, (.., d, M)
     values: np.ndarray      # y @ w_v, masked, (.., M, d)
     states: tuple           # each iteration's input slots, (.., S, d)
@@ -899,20 +915,16 @@ class _EncodeSaved(typing.NamedTuple):
 
 
 class _CrossSaved(typing.NamedTuple):
-    """A cross_step node's intermediates, its tail's last as in
-    ``_StepSaved``."""
+    """A cross_step node's intermediates: five buffers.  The adjoint
+    rebuilds q from the queries, the GRU input attn @ v, and the tail's
+    r * h, GRU output and hidden layer (``_gru_mlp_adj``)."""
 
-    q: np.ndarray           # queries @ w_q
     keys_t: np.ndarray      # (context @ w_k) transposed, a contiguous copy
     v: np.ndarray           # context @ w_v
     attn: np.ndarray        # (.., S_q, S_c) row-stochastic attention
-    u: np.ndarray           # attn @ v, the GRU input
-    z: np.ndarray
+    z: np.ndarray           # GRU gate and candidate, as in _StepSaved
     r: np.ndarray
     n: np.ndarray
-    rh: np.ndarray
-    updated: np.ndarray
-    hidden: np.ndarray
 
 
 class _AttendSaved(typing.NamedTuple):
@@ -930,10 +942,11 @@ class _AttendSaved(typing.NamedTuple):
 class _DecodeSaved(typing.NamedTuple):
     """A decode node's intermediates: of the arrays with a row per query
     row, only the four its adjoint reads.  The queries' layer norm keeps
-    its inverse deviations alone: the adjoint forms its normalized rows
-    again from the queries (``_renormalize``)."""
+    its inverse deviations and row means alone: the adjoint forms its
+    normalized rows again from the queries (``_renormalize``)."""
 
     inv_q: np.ndarray       # queries' layer norm's inverse deviations
+    mean_q: np.ndarray      # and its row means
     xhat_s: np.ndarray      # slots' layer norm, (.., S, d)
     inv_s: np.ndarray
     ns: np.ndarray          # its output, which k and v project
@@ -967,22 +980,26 @@ def _mlp_fwd(op, x, w1, b1, w2, b2):
 def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn, *mlp):
     """The tail slot_encode's iterations and cross_step end in: updated =
     gru_cell(u, state), then the residual MLP.  It checks the GRU input
-    (sigmoid and tanh saturate); returns out and the tail's saved values
-    (u, z, r, n, rh, updated, hidden)."""
+    (sigmoid and tanh saturate); returns out and the tail's saved values,
+    the gates' z|r buffer and the candidate n: (z, r, n).  It drops r *
+    state, updated and the hidden layer, which ``_gru_mlp_adj`` rebuilds
+    from those, the state and the MLP weights."""
     _guard(u, "GRU input", op)
-    updated, (z, r, n, rh) = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br,
-                                      wn, un, bn)
-    out, hidden = _mlp_fwd(op, updated, *mlp)
-    return out, (u, z, r, n, rh, updated, hidden)
+    updated, (z, r, n, _) = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br,
+                                     wn, un, bn)
+    out, _ = _mlp_fwd(op, updated, *mlp)
+    return out, (z, r, n)
 
 
 def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
     """One iteration: the chain layer norm -> q -> logits -> column softmax
     -> weighted mean -> GRU -> residual MLP, kernel by kernel.  It checks
     the values that feed a kernel able to hide a non-finite entry
-    (softmax, reciprocal, GRU, relu), and the new slots."""
-    xhat, inv = _normalize(slots)
-    normed = xhat * gamma
+    (softmax, reciprocal, GRU, relu), and the new slots.  The normalized
+    slots hold the layer norm's output; neither they nor q and u are
+    kept."""
+    xhat, inv, mean = _normalize(slots)
+    normed = np.multiply(xhat, gamma, out=xhat)
     q = _matmul(normed, w_q)
     logits = _matmul(q, keys_t)
     _guard(logits, "attention logits", "slot_encode")
@@ -1001,16 +1018,16 @@ def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
     u = u_raw * rec
     out, saved = _gru_mlp_fwd("slot_encode", u, slots, *tail)
     _guard(out, "slots", "slot_encode")
-    return out, _StepSaved(xhat, inv, normed, q, col_max, col_sum, alpha,
-                           u_raw, rec, *saved)
+    return out, _StepSaved(inv, mean, col_max, col_sum, alpha, u_raw, rec,
+                           *saved)
 
 
-def _rebuild_alpha(st, keys_t, out=None):
+def _rebuild_alpha(q, st, keys_t, out=None):
     """An iteration's attention map formed again, in ``out`` (a new array
-    when it is None), from its saved q and column rows and the keys:
-    ``_slot_step_fwd``'s operands and kernels in its order, so the map has
-    the forward's bits."""
-    alpha = _matmul(st.q, keys_t, out=out)
+    when it is None), from its rebuilt q, its saved column rows and the
+    keys: ``_slot_step_fwd``'s operands and kernels in its order, so the
+    map has the forward's bits."""
+    alpha = _matmul(q, keys_t, out=out)
     alpha -= st.col_max
     np.exp(alpha, out=alpha)
     alpha /= st.col_sum
@@ -1029,7 +1046,7 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
     dropped as soon as its step ends."""
     t_iters, masked = aux
     # _layer_norm_fwd(None, bag, ln_gamma, ln_beta), with y in xhat's array
-    xhat, inv = _normalize(bag)
+    xhat, inv, mean = _normalize(bag)
     y = np.multiply(xhat, ln_gamma, out=xhat)
     y += ln_beta
     _guard(y, "layer-norm output", "slot_encode")
@@ -1048,7 +1065,7 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
         slots, saved = _slot_step_fwd(slots, keys_t, values, ones,
                                       *step_weights)
         steps.append(saved if t == t_iters - 1 else saved._replace(alpha=None))
-    return slots, _EncodeSaved(inv, keys_t, values, tuple(states),
+    return slots, _EncodeSaved(inv, mean, keys_t, values, tuple(states),
                                tuple(steps))
 
 
@@ -1074,10 +1091,10 @@ def _cross_step_fwd(scale, queries, context, w_q, w_k, w_v, *tail):
     """The chain attention head -> GRU -> residual MLP, kernel by kernel,
     checking the logits, the attention output and the MLP pre-activation;
     the node output is checked by the caller."""
-    u, head = _attend_fwd("cross_step", scale, queries, context, w_q, w_k,
-                          w_v)
+    u, (_, keys_t, v, attn) = _attend_fwd("cross_step", scale, queries,
+                                          context, w_q, w_k, w_v)
     out, saved = _gru_mlp_fwd("cross_step", u, queries, *tail)
-    return out, _CrossSaved(*head, *saved)
+    return out, _CrossSaved(keys_t, v, attn, *saved)
 
 
 def _self_attend_fwd(aux, slots, w_q, w_k, w_v, *mlp):
@@ -1107,7 +1124,7 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
     keeps, but one: the MLP's pre-activation, whose array then holds the
     second layer."""
     op = "decode"
-    xhat_q, inv_q = _normalize(queries)
+    xhat_q, inv_q, mean_q = _normalize(queries)
     nq = np.multiply(xhat_q, gq, out=xhat_q)
     nq += bq
     _guard(nq, "query layer-norm output", op)
@@ -1122,7 +1139,7 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
     x = np.add(queries, x, out=x)       # x = queries + attn @ v
     _guard(x, "attended queries", op)
     hidden = np.empty_like(x)           # squares, MLP input, hidden layer
-    xhat_f, inv_f = _normalize(x, scratch=hidden)
+    xhat_f, inv_f, _ = _normalize(x, scratch=hidden)
     nf = np.multiply(xhat_f, gf, out=hidden)
     nf += bf
     _guard(nf, "MLP layer-norm output", op)
@@ -1133,8 +1150,8 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
     ffn += b2
     _guard(ffn, "MLP output", op)
     x += ffn                            # the node's output
-    return x, _DecodeSaved(inv_q, xhat_s, inv_s, ns, q, keys_t, v, attn,
-                           xhat_f, inv_f, hidden)
+    return x, _DecodeSaved(inv_q, mean_q, xhat_s, inv_s, ns, q, keys_t, v,
+                           attn, xhat_f, inv_f, hidden)
 
 
 def _squared_error_fwd(_, a, b):
@@ -1446,17 +1463,28 @@ def _mlp_adj(g, grads, grad, x, hidden, mlp):
     return d_x
 
 
-def _gru_mlp_adj(g, grads, grad, sv, state, need_state, gru, mlp):
+def _gru_mlp_adj(g, grads, grad, sv, u, state, need_state, gru, mlp):
     """The adjoint of the tail ``_gru_mlp_fwd`` computes, from a fused
-    node's adjoint ``grad``, saved values ``sv`` and the GRU ``state``
-    value: hands the MLP weights and the GRU weights their contributions
-    in the chain's order, and returns the adjoints of the GRU input and,
-    when ``need_state``, of the state (None otherwise)."""
+    node's adjoint ``grad``, its saved z, r and n (``sv``), the GRU input
+    ``u`` (which the caller rebuilds) and the GRU ``state`` value: hands
+    the MLP weights and the GRU weights their contributions in the chain's
+    order, and returns the adjoints of the GRU input and, when
+    ``need_state``, of the state (None otherwise).  It first rebuilds what
+    the forward dropped, with the forward's kernels in its order, so with
+    its bits: rh = r * state, updated = ``_gru_out(z, n, state)`` in the
+    state's shape, and hidden = relu(updated @ w1 + b1)."""
     v = g._values
     need = g._needs_grad
-    d_upd = _mlp_adj(g, grads, grad, sv.updated, sv.hidden, mlp)
+    h = state.reshape(sv.z.shape)
+    rh = sv.r * h
+    updated = _gru_out(sv.z, sv.n, h).reshape(state.shape)
+    w1, b1 = mlp[:2]
+    hidden = _affine_fwd(None, updated, v[w1], v[b1])
+    _relu(hidden, out=hidden)
+    d_upd = _mlp_adj(g, grads, grad, updated, hidden, mlp)
+    del updated, hidden
     d_u, d_state, *d_gru = _gru_adj(
-        d_upd, (sv.z, sv.r, sv.n, sv.rh), sv.u, state,
+        d_upd, (sv.z, sv.r, sv.n, rh), u, state,
         *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
         [True, need_state, *(need[p] for p in gru)])
     _give(grads, gru, d_gru)
@@ -1491,10 +1519,15 @@ def _bw_slot_encode(g, i, grad, grads):
     (``_rebuild_alpha``) before it reads it.  The rebuilt map and the
     map's two adjoint terms are formed in three (.., S, M) arrays this
     rule allocates once and reuses over the iterations (two when T = 1).
-    After the iterations it forms the bag layer norm's normalized rows
-    and output again from the bag and the saved inverse deviations
-    (``_renormalize``, then ``_layer_norm_fwd``'s kernels), so both have
-    the forward's bits."""
+    At the top of each iteration it rebuilds the slot-sized values the
+    forward dropped from the iteration's input slots and saved rows: the
+    layer norm's rows (``_renormalize``), its output and q, and the GRU
+    input u_raw * rec; ``_gru_mlp_adj`` rebuilds the tail's.  After the
+    iterations it forms the bag layer norm's normalized rows and output
+    again from the bag and the saved inverse deviations and row means
+    (``_renormalize``, then ``_layer_norm_fwd``'s kernels).  Every
+    rebuild runs the forward's kernels in its order, so with its
+    bits."""
     bi, oi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
     t_iters, masked = g._aux[i]
     sv = g._saved[i]
@@ -1508,11 +1541,15 @@ def _bw_slot_encode(g, i, grad, grads):
     d_alpha_out, d_au_out = np.empty_like(last), np.empty_like(last)
     rebuilt = np.empty_like(last) if t_iters > 1 else None
     for t in range(t_iters - 1, -1, -1):
-        st = sv.steps[t]
+        st, h = sv.steps[t], sv.states[t]
+        # the slot-sized values the forward dropped: its kernels in its order
+        xhat = _renormalize(h, st.inv, st.mean)
+        normed = xhat * v[gi]
+        q = _matmul(normed, v[qi])
         alpha = st.alpha if st.alpha is not None else \
-            _rebuild_alpha(st, sv.keys_t, out=rebuilt)
+            _rebuild_alpha(q, st, sv.keys_t, out=rebuilt)
         need_state = t > 0 or need[si]
-        d_u, d_state = _gru_mlp_adj(g, grads, grad, st, sv.states[t],
+        d_u, d_state = _gru_mlp_adj(g, grads, grad, st, st.u_raw * st.rec, h,
                                     need_state, tail[:9], tail[9:])
         if t == 0:
             _give(grads, (si,), (d_state,))
@@ -1535,14 +1572,13 @@ def _bw_slot_encode(g, i, grad, grads):
         d_alpha += d_au
         d_logits = _softmax_adj(d_alpha, alpha, -2, out=d_alpha,
                                 scratch=d_au)
-        d_q, _ = _matmul_adj(d_logits, st.q, sv.keys_t, need_b=False)
+        d_q, _ = _matmul_adj(d_logits, q, sv.keys_t, need_b=False)
         acc_k, scratch = _add_product(acc_k, scratch,
-                                      np.swapaxes(st.q, -1, -2), d_logits)
-        d_normed, d_wq = _matmul_adj(d_q, st.normed, v[qi], need_b=need[qi])
+                                      np.swapaxes(q, -1, -2), d_logits)
+        d_normed, d_wq = _matmul_adj(d_q, normed, v[qi], need_b=need[qi])
         _give(grads, (qi,), (d_wq,))
-        d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], st.xhat,
-                                              st.inv, need_state, need[gi],
-                                              False)
+        d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], xhat, st.inv,
+                                              need_state, need[gi], False)
         _give(grads, (gi,), (d_gamma,))
         if t == 0:
             _give(grads, (si,), (d_slots,))
@@ -1553,7 +1589,7 @@ def _bw_slot_encode(g, i, grad, grads):
     del alpha, rebuilt, d_alpha, d_alpha_out, d_au, d_au_out, d_logits
 
     # y = layer_norm(bag), formed again
-    xhat = _renormalize(v[bi], sv.inv)
+    xhat = _renormalize(v[bi], sv.inv, sv.mean)
     y = xhat * v[lgi]
     y += v[lbi]
 
@@ -1587,16 +1623,16 @@ def _bw_slot_encode(g, i, grad, grads):
         d_y, v[lgi], xhat, sv.inv, need[bi], need[lgi], need[lbi]))
 
 
-def _attend_adj(d_u, sv, scale):
-    """The adjoint of ``_attend_fwd``, from the adjoint ``d_u`` of attn @ v
-    and the saved q, keys_t, v and attn: returns the adjoints of the q, k
+def _attend_adj(d_u, q, sv, scale):
+    """The adjoint of ``_attend_fwd``, from the adjoint ``d_u`` of attn @ v,
+    q and the saved keys_t, v and attn: returns the adjoints of the q, k
     and v projections."""
     d_attn, d_v = _matmul_adj(d_u, sv.attn, sv.v)
     # attn = row_softmax(scale * q @ keys_t); d_attn is this helper's own
     # array, so the softmax and scale adjoints may overwrite it
     d_logits = _softmax_adj(d_attn, sv.attn, -1, out=d_attn)
     d_logits *= d_logits.dtype.type(scale)
-    d_q, d_keys_t = _matmul_adj(d_logits, sv.q, sv.keys_t)
+    d_q, d_keys_t = _matmul_adj(d_logits, q, sv.keys_t)
     return d_q, np.swapaxes(d_keys_t, -1, -2), d_v
 
 
@@ -1604,15 +1640,16 @@ def _bw_cross_step(g, i, grad, grads):
     """The chain's adjoint rules in reverse, with each parent's
     contributions in the per-op chain's order: the queries get their GRU
     state term before their q-projection term, and the context its v term
-    before its k term."""
+    before its k term.  It first rebuilds the GRU input attn @ v and then
+    q = queries @ w_q, with the forward's kernels, so with its bits."""
     qi, ci, wq, wk, wv, *tail = g._parents[i]
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
-    d_u, d_state = _gru_mlp_adj(g, grads, grad, sv, v[qi], need[qi],
-                                tail[:9], tail[9:])
+    d_u, d_state = _gru_mlp_adj(g, grads, grad, sv, _matmul(sv.attn, sv.v),
+                                v[qi], need[qi], tail[:9], tail[9:])
     _give(grads, (qi,), (d_state,))
-    d_q, d_k, d_v = _attend_adj(d_u, sv, g._aux[i])
+    d_q, d_k, d_v = _attend_adj(d_u, _matmul(v[qi], v[wq]), sv, g._aux[i])
     _give(grads, (ci, wv), _matmul_adj(d_v, v[ci], v[wv], need[ci], need[wv]))
     _give(grads, (ci, wk), _matmul_adj(d_k, v[ci], v[wk], need[ci], need[wk]))
     _give(grads, (qi, wq), _matmul_adj(d_q, v[qi], v[wq], need[qi], need[wq]))
@@ -1637,7 +1674,7 @@ def _bw_self_attend(g, i, grad, grads):
     d_refined += 0
     d_x = _mlp_adj(g, grads, d_refined, sv.x, sv.hidden, mlp)
     # x = sel + attn @ v: the residual's term comes first
-    d_q, d_k, d_v = _attend_adj(d_x, sv, scale)
+    d_q, d_k, d_v = _attend_adj(d_x, sv.q, sv, scale)
     d_sel = d_x
     for d_proj, w in ((d_v, wv), (d_k, wk), (d_q, wq)):
         d_s, d_w = _matmul_adj(d_proj, sv.sel, v[w], need[si], need[w])
@@ -1681,14 +1718,14 @@ def _bw_decode(g, i, grad, grads):
     # x = queries + attn @ v
     if need[qi]:
         _acc(grads, qi, _unbroadcast(d_x, v[qi].shape))
-    d_q, d_k, d_v = _attend_adj(d_x, sv, g._aux[i])
+    d_q, d_k, d_v = _attend_adj(d_x, sv.q, sv, g._aux[i])
     del d_x
     d_ns, d_wv = _matmul_adj(d_v, sv.ns, v[wv], need_b=need[wv])
     _give(grads, (wv,), (d_wv,))
     d_ns_k, d_wk = _matmul_adj(d_k, sv.ns, v[wk], need_b=need[wk])
     _give(grads, (wk,), (d_wk,))
     d_ns += d_ns_k
-    xhat_q = _renormalize(v[qi], sv.inv_q)
+    xhat_q = _renormalize(v[qi], sv.inv_q, sv.mean_q)
     nq = xhat_q * v[gq]
     nq += v[bq]
     d_nq, d_wq = _matmul_adj(d_q, nq, v[wq], need_b=need[wq])

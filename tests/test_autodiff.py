@@ -29,6 +29,7 @@ from slotsurv.autodiff import (
 
 from oracles import (
     out_of_place_acc,
+    owning_buffers,
     saved_arrays,
     unfused_cross_update,
     unfused_decode,
@@ -874,9 +875,9 @@ def test_matmul_adjoint_of_a_constant_operand_is_never_computed(
         products = []
         real = autodiff._matmul
 
-        def counting(x, y):
+        def counting(x, y, out=None):
             products.append((x.shape, y.shape))
-            return real(x, y)
+            return real(x, y, out=out)
 
         with monkeypatch.context() as patch:
             patch.setattr(autodiff, "_matmul", counting)
@@ -1189,7 +1190,12 @@ def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():
         return g, node
 
     g, node = step(weights["w1"])
-    updated = g._saved[node.idx].updated            # (1, d); MLP-independent
+    # the GRU output, formed from the node's operands and its saved
+    # attention and values: (1, d), MLP-independent
+    sv = g._saved[node.idx]
+    operands = [g._values[p] for p in g._parents[node.idx]]
+    updated, _ = autodiff._gru_fwd(None, sv.attn @ sv.v, operands[0],
+                                   *operands[5:14])
     big = -np.finfo(np.float32).max * np.sign(updated[0])[:, None] \
         * np.ones((1, d), np.float32)
     with np.errstate(over="ignore"):
@@ -1198,6 +1204,27 @@ def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():
     with np.errstate(over="ignore"), \
             pytest.raises(GraphError, match="pre-activation in cross_step"):
         step(big)
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_cross_step_node_holds_five_saved_buffers(lead):
+    """A cross_step node keeps five buffers for its adjoint: the keys, the
+    values, the attention, the GRU gates' z|r buffer and the GRU
+    candidate.  The adjoint rebuilds q, the GRU input attn @ v, r * h, the
+    GRU output and the MLP's hidden layer from those, the queries and the
+    weights."""
+    g = Graph(dtype=np.float32)
+    _build_cross_step(g, np.random.default_rng(24), lead=lead)
+    i = g._ops.index("cross_step")
+    buffers = owning_buffers(saved_arrays(g._saved[i]))
+    assert len(buffers) == 5
+    # per set: keys_t and v (3 x 3 each), attn (2 x 3), z|r (2 x 2 x 3)
+    # and n (2 x 3)
+    sets = int(np.prod(lead))
+    assert sorted(b.size for b in buffers) == \
+        [6 * sets, 6 * sets, 9 * sets, 9 * sets, 12 * sets]
+    parents = [g._values[p] for p in g._parents[i]]
+    assert not any(b is p for b in buffers for p in parents)
 
 
 def test_non_finite_rejected_with_node_id():

@@ -1,6 +1,7 @@
 """tools/bits.py, the bits harness: on the tiny configs it prints one
 sha256 per artefact, and two runs of one tree, each in its own process,
-agree on every digest."""
+agree on every digest.  On the machine ``BITS.json`` was recorded on, a
+full run reproduces every digest recorded there."""
 
 import importlib.util
 import json
@@ -60,6 +61,38 @@ def test_record_writes_the_digests_with_the_machine_facts(tmp_path):
     assert recorded["tiny"] is True
     assert {"nproc", "cpu", "python", "numpy", "blas", "blas_threads"} <= \
         set(recorded["machine"])
+
+
+# the machine facts that decide the bits: a run on the machine BITS.json
+# was recorded on must reproduce every digest it holds
+PINNED_FACTS = ("cpu", "blas", "blas_threads", "numpy", "python")
+
+
+def test_full_run_reproduces_the_recorded_digests_on_their_machine(bits):
+    """On a machine whose CPU, BLAS, BLAS threads, numpy and Python equal
+    those ``BITS.json`` was recorded with, a full run of this tree gives
+    every recorded digest (about 6 s on a 2-vCPU VM).  Elsewhere it skips,
+    naming the first fact that differs."""
+    with open(os.path.join(ROOT, "BITS.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert recorded["tiny"] is False
+    # the facts of a process set up as a bits run sets itself up
+    probe = ("import importlib.util, json, sys; "
+             "spec = importlib.util.spec_from_file_location("
+             "'bits', sys.argv[1]); bits = importlib.util.module_from_spec("
+             "spec); spec.loader.exec_module(bits); "
+             "print(json.dumps(bits.machine_facts()))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, os.path.join(ROOT, "tools", "bits.py")],
+        capture_output=True, text=True, check=True)
+    facts = json.loads(done.stdout)
+    for key in PINNED_FACTS:
+        if facts[key] != recorded["machine"][key]:
+            pytest.skip(f"{key} is {facts[key]!r} here, "
+                        f"{recorded['machine'][key]!r} in BITS.json")
+    got = bits.run_side(SRC, tiny=False)
+    assert bits.diff(got, recorded["digests"]) == {
+        "differ": [], "only_tree": [], "only_against": []}
 
 
 def test_diff_names_changed_and_one_sided_artefacts(bits):

@@ -301,9 +301,13 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
         pn = bind_arrays(g, "p", params, trainable=False)
         return g, build_encode(g, pn, g.const(bag), 1)[0]
 
-    g, node = step(p)
-    # (1, d); MLP-independent
-    updated = g._saved[node.idx].steps[0].updated
+    # the GRU output of the one iteration, from the per-op chain over the
+    # same operands: (1, d), MLP-independent
+    g = Graph(dtype=np.float32)
+    unfused_encode(g, bind_arrays(g, "p", p, trainable=False), g.const(bag),
+                   1)
+    updated = g._values[g._ops.index("gru_cell")]
+    step(p)                             # the drawn weights pass the guard
     big = -np.finfo(np.float32).max * np.sign(updated[0])[:, None] \
         * np.ones((1, p.dim), np.float32)
     huge = type(p)(**{**vars(p), "mlp_w1": big.astype(np.float32)})
@@ -317,14 +321,14 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
         t_iters):
     """A padded batch's slot_encode node holds, of the arrays the size of
     the bag, only the keys and the values: the adjoint forms the bag layer
-    norm's normalized rows and output again from the bag and the inverse
-    deviations, a (B, M, 1) row.  Of the (B, S, M) attention maps it holds
-    only the last iteration's, which ``slot_attention`` reads back.  Each
-    iteration keeps its column max and column sum, two (B, 1, M) rows,
-    from which the adjoint rebuilds the earlier maps; everything else it
-    holds (per-row and per-slot vectors) is smaller than one more
-    bag-sized array.  An intermediate the size of the bag or a map kept by
-    mistake fails here."""
+    norm's normalized rows and output again from the bag, the inverse
+    deviations and the row means, two (B, M, 1) rows.  Of the (B, S, M)
+    attention maps it holds only the last iteration's, which
+    ``slot_attention`` reads back.  Each iteration keeps its column max
+    and column sum, two (B, 1, M) rows, from which the adjoint rebuilds
+    the earlier maps; everything else it holds (per-row and per-slot
+    vectors) is smaller than one more bag-sized array.  An intermediate
+    the size of the bag or a map kept by mistake fails here."""
     n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(41)
     g = Graph()
@@ -348,11 +352,42 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
     bag, amap, row = n * m * dim, n * n_slots * m, n * m
     assert sizes.count(bag) == 2
     assert sizes.count(amap) == 1
-    # the column rows, and the bag layer norm's inverse deviations
-    assert sizes.count(row) == 2 * t_iters + 1
+    # the column rows, and the bag layer norm's inverse deviations and
+    # row means
+    assert sizes.count(row) == 2 * t_iters + 2
     rest = sum(b.nbytes for b in buffers if b.size not in (bag, amap, row))
     assert rest < bag * np.dtype(np.float32).itemsize
     np.testing.assert_array_equal(alpha[1, :, 300:], 0.0)
+
+
+@pytest.mark.parametrize("t_iters", [1, 3, 10])
+def test_slot_iteration_holds_four_slot_sized_buffers(t_iters):
+    """Each iteration of a batch's slot_encode node holds four buffers
+    with a row per slot and d or 2d entries per row: its input slots,
+    alpha @ values, the GRU gates' z|r buffer and the GRU candidate.  The
+    adjoint rebuilds the layer norm's rows, the normalized slots, q, the
+    GRU input, r * h, the GRU output and the MLP's hidden layer from
+    those.  Besides them an iteration keeps three (B, S, 1) rows: the layer
+    norm's inverse deviations and row means, and the mass's reciprocal.
+    The node's output is the fifth slot-sized buffer of the last
+    iteration's, and no buffer is shared between iterations."""
+    n, m, dim, n_slots = 2, 50, 8, 3
+    rng = np.random.default_rng(43)
+    g = Graph()
+    p = bind_arrays(g, "p", init_slot_params(rng, n_slots, dim))
+    slots, _ = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
+                            t_iters, noise=rng.normal(size=(n, n_slots, dim)))
+    sv = g._saved[slots.idx]
+    rows = n * n_slots
+    held = []
+    for h, st in zip(sv.states, sv.steps, strict=True):
+        buffers = owning_buffers([h, *saved_arrays(st)])
+        per_row = [b.size // rows for b in buffers if b.size % rows == 0]
+        # the last iteration also holds its attention map, m per slot row
+        assert sorted(per_row) == [1, 1, 1, dim, dim, dim, 2 * dim] + \
+            [m] * (st.alpha is not None)
+        held += [b for b in buffers if b.size in (rows * dim, 2 * rows * dim)]
+    assert len(owning_buffers(held + [slots.value])) == 4 * t_iters + 1
 
 
 # ----------------------------------------------------------- cost accounting
