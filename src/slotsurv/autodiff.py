@@ -123,17 +123,16 @@ axes, so one model builder serves both:
   forms the normalized bag and y again from the bag and those rows. Of
   the (.., S, M) attention maps it keeps the last iteration's alone;
   ``slot_attention`` reads it back, as ``degenerate_rows`` reads a cosine
-  node's. For every iteration it keeps four slot-sized buffers: the
-  input slots, alpha @ values, the GRU gates' z|r buffer and its
-  candidate n; besides them three (.., S, 1) rows (the layer norm's
-  inverse deviations and row means, the mass's reciprocal) and the
-  column softmax's max and sum, two (.., 1, M) rows. At the top of each
-  iteration the adjoint rebuilds from those the layer norm's rows, its
-  output, q, the GRU input, r * h, the GRU output and the MLP's hidden
-  layer, and, but in the last iteration, the map from q, the keys and
-  the column rows, in one of three maps it allocates once per call. Each
-  rebuild runs the forward's kernels in the forward's order, so the
-  rebuilt arrays have the forward's bits.
+  node's. For every iteration it keeps two slot-sized buffers, the
+  input slots and alpha @ values, and three (.., S, 1) rows: the layer
+  norm's inverse deviations and row means and the mass's reciprocal. At
+  the top of each iteration the adjoint rebuilds from those the layer
+  norm's normalized rows, its output, q, the GRU input and, but in the
+  last iteration, the map from q and the keys (the column softmax's max
+  and sum with it), in one of three maps it allocates once per call;
+  then it runs the GRU again for its gates, r * h and output, and the
+  MLP's first layer. Each rebuild runs the forward's kernels in the
+  forward's order, so the rebuilt arrays have the forward's bits.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -141,10 +140,10 @@ axes, so one model builder serves both:
   attn = row_softmax((q @ k^T) * 1/sqrt(d)), (.., S_q, S_c), with k^T a
   transposed copy as the transpose op makes it; queries' =
   gru_cell(attn @ v, queries); out = queries' + affine(relu(affine(
-  queries', w1, b1)), w2, b2), (.., S_q, d). It keeps five buffers: k^T,
-  v, attn, the GRU gates' z|r buffer and its candidate n. The adjoint
-  rebuilds q, attn @ v, r * h, queries' and the MLP's hidden layer from
-  those, the queries and the weights, with the forward's kernels.
+  queries', w1, b1)), w2, b2), (.., S_q, d). It keeps three buffers:
+  k^T, v and attn. The adjoint rebuilds q and attn @ v from those, the
+  queries and the weights, and runs the GRU and the MLP's first layer
+  again, with the forward's kernels.
 * self_attend: self-attention among K selected rows of each set. From
   slots (.., S, d), each set's K distinct row indices, (n, K) with n the
   product of the leading axes (kept in the node's aux as flat row
@@ -166,10 +165,11 @@ axes, so one model builder serves both:
   out = x + affine(relu(affine(layer_norm(x), w1, b1)), w2, b2), (.., M,
   d). Of the arrays with a row per query row it keeps five, the output
   included: q, attn, the normalized rows of x and the MLP's hidden layer.
-  Of the queries' layer norm it keeps the inverse deviations and the row
-  means; the adjoint forms the normalized queries again from the queries
-  and those, and both layer norms' outputs from the normalized rows, for
-  the w_q and w1 adjoints, with the forward's kernels, so with its bits.
+  Of the layer norms of the queries and of the slots it keeps the
+  inverse deviations and the row means; the adjoint forms their
+  normalized rows again from the queries, the slots and those, and all
+  three layer norms' outputs from the normalized rows, for the w_q, w_k,
+  w_v and w1 adjoints, with the forward's kernels, so with its bits.
 
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
@@ -263,17 +263,17 @@ class Node:
 
 def _sigmoid(x, out=None):
     """Logistic function without branches or overflow: each entry is
-    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0, since exactly one of
-    e^min(x, 0) and e^-|x| differs from e^0 = 1.  The result goes into
-    ``out`` (which may be x itself) or a new array."""
-    den = np.empty_like(x)              # arrays, even where x is 0-d
-    np.abs(x, out=den)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    y = np.minimum(x, 0, out=np.empty_like(x) if out is None else out)
-    np.exp(y, out=y)
-    y /= den
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0, from one exponential
+    e = e^-|x|: the numerator max(e, x >= 0) is 1 where x >= 0 (e <= 1
+    there) and e elsewhere.  The result goes into ``out`` (which may be x
+    itself) or a new array."""
+    e = np.empty_like(x)                # arrays, even where x is 0-d
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.maximum(e, x >= 0, out=np.empty_like(x) if out is None else out)
+    e += 1.0
+    y /= e
     return y
 
 
@@ -863,40 +863,25 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     n += rh @ un
     n += bn
     np.tanh(n, out=n)
-    return _gru_out(z, n, h).reshape(shape), (z, r, n, rh)
-
-
-def _gru_out(z, n, h):
-    """The GRU output z * h + (1 - z) * n from its gate z, its candidate n
-    and its state h, all with the same rows: ``_gru_fwd``'s last kernels,
-    which the fused adjoints run again."""
-    out = 1.0 - z
+    out = 1.0 - z                       # z * h + (1 - z) * n
     out *= n
     out += z * h
-    return out
+    return out.reshape(shape), (z, r, n, rh)
 
 
 class _StepSaved(typing.NamedTuple):
     """One slot-attention iteration's intermediates.  Besides its input
-    slots (in ``_EncodeSaved.states``) it keeps three slot-sized buffers:
-    u_raw, the z|r buffer and n; z, r and n are its GRU -> residual-MLP
-    tail's, as in ``_CrossSaved``.  Of the rest it keeps the (.., S, 1)
-    rows of its layer norm and mass, the column rows and, in a node's last
-    iteration, the map.  The adjoint rebuilds the layer norm's rows, the
-    normalized slots, q, u = u_raw * rec and the tail's r * h, GRU output
-    and hidden layer (``_gru_mlp_adj``), and every map but the last from
-    q, the keys and the column rows (``_rebuild_alpha``)."""
+    slots (in ``_EncodeSaved.states``) it keeps one slot-sized buffer,
+    u_raw, the (.., S, 1) rows of its layer norm and mass and, in a node's
+    last iteration, the map.  The adjoint rebuilds the normalized slots, q,
+    u = u_raw * rec and every map but the last (``_rebuild_alpha``), and
+    its GRU -> residual-MLP tail reruns the GRU (``_gru_mlp_adj``)."""
 
     inv: np.ndarray         # layer norm's inverse deviations, (.., S, 1)
     mean: np.ndarray        # and its row means
-    col_max: np.ndarray     # (.., 1, M) column max of the logits
-    col_sum: np.ndarray     # (.., 1, M) column sum of their exponentials
     alpha: np.ndarray       # (.., S, M) column-stochastic attention, or None
     u_raw: np.ndarray       # alpha @ values
     rec: np.ndarray         # 1 / (alpha @ ones + eps)
-    z: np.ndarray           # GRU gate and candidate, rows flattened; z and r
-    r: np.ndarray           # are the halves of one buffer
-    n: np.ndarray
 
 
 class _EncodeSaved(typing.NamedTuple):
@@ -915,16 +900,13 @@ class _EncodeSaved(typing.NamedTuple):
 
 
 class _CrossSaved(typing.NamedTuple):
-    """A cross_step node's intermediates: five buffers.  The adjoint
-    rebuilds q from the queries, the GRU input attn @ v, and the tail's
-    r * h, GRU output and hidden layer (``_gru_mlp_adj``)."""
+    """A cross_step node's intermediates: three buffers.  The adjoint
+    rebuilds q from the queries and the GRU input attn @ v, and its tail
+    reruns the GRU (``_gru_mlp_adj``)."""
 
     keys_t: np.ndarray      # (context @ w_k) transposed, a contiguous copy
     v: np.ndarray           # context @ w_v
     attn: np.ndarray        # (.., S_q, S_c) row-stochastic attention
-    z: np.ndarray           # GRU gate and candidate, as in _StepSaved
-    r: np.ndarray
-    n: np.ndarray
 
 
 class _AttendSaved(typing.NamedTuple):
@@ -941,15 +923,16 @@ class _AttendSaved(typing.NamedTuple):
 
 class _DecodeSaved(typing.NamedTuple):
     """A decode node's intermediates: of the arrays with a row per query
-    row, only the four its adjoint reads.  The queries' layer norm keeps
-    its inverse deviations and row means alone: the adjoint forms its
-    normalized rows again from the queries (``_renormalize``)."""
+    row, only the four its adjoint reads, and none with a row per slot but
+    k^T and v.  The layer norms of the queries and of the slots keep their
+    inverse deviations and row means alone: the adjoint forms their
+    normalized rows again from the queries and the slots
+    (``_renormalize``)."""
 
     inv_q: np.ndarray       # queries' layer norm's inverse deviations
     mean_q: np.ndarray      # and its row means
-    xhat_s: np.ndarray      # slots' layer norm, (.., S, d)
-    inv_s: np.ndarray
-    ns: np.ndarray          # its output, which k and v project
+    inv_s: np.ndarray       # the slots' layer norm's, (.., S, 1)
+    mean_s: np.ndarray
     q: np.ndarray
     keys_t: np.ndarray      # k transposed, a contiguous copy, (.., d, S)
     v: np.ndarray
@@ -980,15 +963,12 @@ def _mlp_fwd(op, x, w1, b1, w2, b2):
 def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn, *mlp):
     """The tail slot_encode's iterations and cross_step end in: updated =
     gru_cell(u, state), then the residual MLP.  It checks the GRU input
-    (sigmoid and tanh saturate); returns out and the tail's saved values,
-    the gates' z|r buffer and the candidate n: (z, r, n).  It drops r *
-    state, updated and the hidden layer, which ``_gru_mlp_adj`` rebuilds
-    from those, the state and the MLP weights."""
+    (sigmoid and tanh saturate) and returns out.  It keeps nothing:
+    ``_gru_mlp_adj`` runs the GRU and the MLP's first layer again from u,
+    the state and the weights."""
     _guard(u, "GRU input", op)
-    updated, (z, r, n, _) = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br,
-                                     wn, un, bn)
-    out, _ = _mlp_fwd(op, updated, *mlp)
-    return out, (z, r, n)
+    updated, _ = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br, wn, un, bn)
+    return _mlp_fwd(op, updated, *mlp)[0]
 
 
 def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
@@ -996,42 +976,32 @@ def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
     -> weighted mean -> GRU -> residual MLP, kernel by kernel.  It checks
     the values that feed a kernel able to hide a non-finite entry
     (softmax, reciprocal, GRU, relu), and the new slots.  The normalized
-    slots hold the layer norm's output; neither they nor q and u are
-    kept."""
+    slots hold the layer norm's output and the logits the map; neither
+    they nor q, u and the map's column max and sum are kept."""
     xhat, inv, mean = _normalize(slots)
     normed = np.multiply(xhat, gamma, out=xhat)
     q = _matmul(normed, w_q)
     logits = _matmul(q, keys_t)
     _guard(logits, "attention logits", "slot_encode")
-    # _softmax(-2, logits, out=logits) with its column max and sum kept;
-    # the logits are not kept
-    col_max = logits.max(axis=-2, keepdims=True)
-    alpha = np.subtract(logits, col_max, out=logits)
-    np.exp(alpha, out=alpha)
-    col_sum = alpha.sum(axis=-2, keepdims=True)
-    alpha /= col_sum
+    alpha = _softmax(-2, logits, out=logits)
     u_raw = _matmul(alpha, values)
     mass = _matmul(alpha, ones)
     mass += alpha.dtype.type(_AGG_EPS)
     _guard(mass, "attention mass", "slot_encode")
     rec = _reciprocal_fwd(None, mass)
     u = u_raw * rec
-    out, saved = _gru_mlp_fwd("slot_encode", u, slots, *tail)
+    out = _gru_mlp_fwd("slot_encode", u, slots, *tail)
     _guard(out, "slots", "slot_encode")
-    return out, _StepSaved(inv, mean, col_max, col_sum, alpha, u_raw, rec,
-                           *saved)
+    return out, _StepSaved(inv, mean, alpha, u_raw, rec)
 
 
-def _rebuild_alpha(q, st, keys_t, out=None):
+def _rebuild_alpha(q, keys_t, out=None):
     """An iteration's attention map formed again, in ``out`` (a new array
-    when it is None), from its rebuilt q, its saved column rows and the
-    keys: ``_slot_step_fwd``'s operands and kernels in its order, so the
-    map has the forward's bits."""
-    alpha = _matmul(q, keys_t, out=out)
-    alpha -= st.col_max
-    np.exp(alpha, out=alpha)
-    alpha /= st.col_sum
-    return alpha
+    when it is None), from its rebuilt q and the keys: ``_slot_step_fwd``'s
+    operands and kernels in its order, the column max and sum included, so
+    the map has the forward's bits."""
+    logits = _matmul(q, keys_t, out=out)
+    return _softmax(-2, logits, out=logits)
 
 
 def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
@@ -1093,8 +1063,8 @@ def _cross_step_fwd(scale, queries, context, w_q, w_k, w_v, *tail):
     the node output is checked by the caller."""
     u, (_, keys_t, v, attn) = _attend_fwd("cross_step", scale, queries,
                                           context, w_q, w_k, w_v)
-    out, saved = _gru_mlp_fwd("cross_step", u, queries, *tail)
-    return out, _CrossSaved(keys_t, v, attn, *saved)
+    out = _gru_mlp_fwd("cross_step", u, queries, *tail)
+    return out, _CrossSaved(keys_t, v, attn)
 
 
 def _self_attend_fwd(aux, slots, w_q, w_k, w_v, *mlp):
@@ -1128,7 +1098,10 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
     nq = np.multiply(xhat_q, gq, out=xhat_q)
     nq += bq
     _guard(nq, "query layer-norm output", op)
-    ns, (xhat_s, inv_s) = _layer_norm_fwd(None, slots, gs, bs)
+    # _layer_norm_fwd(None, slots, gs, bs), with ns in xhat_s's array
+    xhat_s, inv_s, mean_s = _normalize(slots)
+    ns = np.multiply(xhat_s, gs, out=xhat_s)
+    ns += bs
     _guard(ns, "slot layer-norm output", op)
     x, (q, keys_t, v, attn) = _attend_fwd(
         op, scale, nq, ns, w_q, w_k, w_v,
@@ -1150,8 +1123,8 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
     ffn += b2
     _guard(ffn, "MLP output", op)
     x += ffn                            # the node's output
-    return x, _DecodeSaved(inv_q, mean_q, xhat_s, inv_s, ns, q, keys_t, v,
-                           attn, xhat_f, inv_f, hidden)
+    return x, _DecodeSaved(inv_q, mean_q, inv_s, mean_s, q, keys_t, v, attn,
+                           xhat_f, inv_f, hidden)
 
 
 def _squared_error_fwd(_, a, b):
@@ -1463,28 +1436,25 @@ def _mlp_adj(g, grads, grad, x, hidden, mlp):
     return d_x
 
 
-def _gru_mlp_adj(g, grads, grad, sv, u, state, need_state, gru, mlp):
+def _gru_mlp_adj(g, grads, grad, u, state, need_state, gru, mlp):
     """The adjoint of the tail ``_gru_mlp_fwd`` computes, from a fused
-    node's adjoint ``grad``, its saved z, r and n (``sv``), the GRU input
-    ``u`` (which the caller rebuilds) and the GRU ``state`` value: hands
-    the MLP weights and the GRU weights their contributions in the chain's
-    order, and returns the adjoints of the GRU input and, when
-    ``need_state``, of the state (None otherwise).  It first rebuilds what
-    the forward dropped, with the forward's kernels in its order, so with
-    its bits: rh = r * state, updated = ``_gru_out(z, n, state)`` in the
-    state's shape, and hidden = relu(updated @ w1 + b1)."""
+    node's adjoint ``grad``, the GRU input ``u`` (which the caller
+    rebuilds) and the GRU ``state`` value: hands the MLP weights and the
+    GRU weights their contributions in the chain's order, and returns the
+    adjoints of the GRU input and, when ``need_state``, of the state (None
+    otherwise).  It first runs the GRU again (``_gru_fwd``) for its gates,
+    r * state and output, and then hidden = relu(updated @ w1 + b1): the
+    forward's kernels in its order, so with its bits."""
     v = g._values
     need = g._needs_grad
-    h = state.reshape(sv.z.shape)
-    rh = sv.r * h
-    updated = _gru_out(sv.z, sv.n, h).reshape(state.shape)
+    updated, saved = _gru_fwd(None, u, state, *(v[p] for p in gru))
     w1, b1 = mlp[:2]
     hidden = _affine_fwd(None, updated, v[w1], v[b1])
     _relu(hidden, out=hidden)
     d_upd = _mlp_adj(g, grads, grad, updated, hidden, mlp)
     del updated, hidden
     d_u, d_state, *d_gru = _gru_adj(
-        d_upd, (sv.z, sv.r, sv.n, rh), u, state,
+        d_upd, saved, u, state,
         *(v[p] for k, p in enumerate(gru) if k % 3 != 2),
         [True, need_state, *(need[p] for p in gru)])
     _give(grads, gru, d_gru)
@@ -1515,14 +1485,15 @@ def _bw_slot_encode(g, i, grad, grads):
     iterations in arrays this rule owns (one scratch array holds each
     later iteration's product), which it scales and masks in place, and
     the projections' adjoints are formed in those arrays as they fall
-    free.  Each iteration but the last forms its attention map again
-    (``_rebuild_alpha``) before it reads it.  The rebuilt map and the
-    map's two adjoint terms are formed in three (.., S, M) arrays this
-    rule allocates once and reuses over the iterations (two when T = 1).
-    At the top of each iteration it rebuilds the slot-sized values the
-    forward dropped from the iteration's input slots and saved rows: the
-    layer norm's rows (``_renormalize``), its output and q, and the GRU
-    input u_raw * rec; ``_gru_mlp_adj`` rebuilds the tail's.  After the
+    free.  Each iteration but the last forms its attention map again from
+    q and the keys, its column max and sum included (``_rebuild_alpha``),
+    before it reads it.  The rebuilt map and the map's two adjoint terms
+    are formed in three (.., S, M) arrays this rule allocates once and
+    reuses over the iterations (two when T = 1).  At the top of each
+    iteration it rebuilds the slot-sized values the forward dropped from
+    the iteration's input slots and saved rows: the layer norm's
+    normalized rows (``_renormalize``), its output and q, and the GRU
+    input u_raw * rec; ``_gru_mlp_adj`` runs the GRU again.  After the
     iterations it forms the bag layer norm's normalized rows and output
     again from the bag and the saved inverse deviations and row means
     (``_renormalize``, then ``_layer_norm_fwd``'s kernels).  Every
@@ -1547,9 +1518,9 @@ def _bw_slot_encode(g, i, grad, grads):
         normed = xhat * v[gi]
         q = _matmul(normed, v[qi])
         alpha = st.alpha if st.alpha is not None else \
-            _rebuild_alpha(q, st, sv.keys_t, out=rebuilt)
+            _rebuild_alpha(q, sv.keys_t, out=rebuilt)
         need_state = t > 0 or need[si]
-        d_u, d_state = _gru_mlp_adj(g, grads, grad, st, st.u_raw * st.rec, h,
+        d_u, d_state = _gru_mlp_adj(g, grads, grad, st.u_raw * st.rec, h,
                                     need_state, tail[:9], tail[9:])
         if t == 0:
             _give(grads, (si,), (d_state,))
@@ -1640,13 +1611,14 @@ def _bw_cross_step(g, i, grad, grads):
     """The chain's adjoint rules in reverse, with each parent's
     contributions in the per-op chain's order: the queries get their GRU
     state term before their q-projection term, and the context its v term
-    before its k term.  It first rebuilds the GRU input attn @ v and then
-    q = queries @ w_q, with the forward's kernels, so with its bits."""
+    before its k term.  It first rebuilds the GRU input attn @ v, from
+    which ``_gru_mlp_adj`` runs the GRU again, and then q = queries @ w_q,
+    with the forward's kernels, so with its bits."""
     qi, ci, wq, wk, wv, *tail = g._parents[i]
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
-    d_u, d_state = _gru_mlp_adj(g, grads, grad, sv, _matmul(sv.attn, sv.v),
+    d_u, d_state = _gru_mlp_adj(g, grads, grad, _matmul(sv.attn, sv.v),
                                 v[qi], need[qi], tail[:9], tail[9:])
     _give(grads, (qi,), (d_state,))
     d_q, d_k, d_v = _attend_adj(d_u, _matmul(v[qi], v[wq]), sv, g._aux[i])
@@ -1693,10 +1665,11 @@ def _bw_decode(g, i, grad, grads):
     contributions in the per-op chain's order: the queries get the
     residual's term before the layer norm's, and the normalized slots sum
     the v path's term, then the k path's.  The MLP input is formed again
-    from its saved layer norm's rows, and the queries' normalized rows
-    from the queries and their saved inverse deviations
-    (``_renormalize``), then the layer norm's output from those rows, each
-    with the forward's kernels in its order, so with its bits."""
+    from its saved layer norm's rows, and the normalized rows of the slots
+    and of the queries from those and their saved inverse deviations and
+    row means (``_renormalize``), then each layer norm's output from its
+    rows, each with the forward's kernels in its order, so with its
+    bits."""
     qi, si, wq, wk, wv, w1, b1, w2, b2, gq, bq, gs, bs, gf, bf = \
         g._parents[i]
     sv = g._saved[i]
@@ -1720,11 +1693,15 @@ def _bw_decode(g, i, grad, grads):
         _acc(grads, qi, _unbroadcast(d_x, v[qi].shape))
     d_q, d_k, d_v = _attend_adj(d_x, sv.q, sv, g._aux[i])
     del d_x
-    d_ns, d_wv = _matmul_adj(d_v, sv.ns, v[wv], need_b=need[wv])
+    xhat_s = _renormalize(v[si], sv.inv_s, sv.mean_s)
+    ns = xhat_s * v[gs]
+    ns += v[bs]
+    d_ns, d_wv = _matmul_adj(d_v, ns, v[wv], need_b=need[wv])
     _give(grads, (wv,), (d_wv,))
-    d_ns_k, d_wk = _matmul_adj(d_k, sv.ns, v[wk], need_b=need[wk])
+    d_ns_k, d_wk = _matmul_adj(d_k, ns, v[wk], need_b=need[wk])
     _give(grads, (wk,), (d_wk,))
     d_ns += d_ns_k
+    del ns
     xhat_q = _renormalize(v[qi], sv.inv_q, sv.mean_q)
     nq = xhat_q * v[gq]
     nq += v[bq]
@@ -1732,7 +1709,7 @@ def _bw_decode(g, i, grad, grads):
     _give(grads, (wq,), (d_wq,))
     del nq, d_q
     _give(grads, (si, gs, bs), _layer_norm_adj(
-        d_ns, v[gs], sv.xhat_s, sv.inv_s, need[si], need[gs], need[bs]))
+        d_ns, v[gs], xhat_s, sv.inv_s, need[si], need[gs], need[bs]))
     _give(grads, (qi, gq, bq), _layer_norm_adj(
         d_nq, v[gq], xhat_q, sv.inv_q, need[qi], need[gq], need[bq]))
 

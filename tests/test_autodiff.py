@@ -1207,22 +1207,20 @@ def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():
 
 
 @pytest.mark.parametrize("lead", [(), (4,)])
-def test_cross_step_node_holds_five_saved_buffers(lead):
-    """A cross_step node keeps five buffers for its adjoint: the keys, the
-    values, the attention, the GRU gates' z|r buffer and the GRU
-    candidate.  The adjoint rebuilds q, the GRU input attn @ v, r * h, the
-    GRU output and the MLP's hidden layer from those, the queries and the
-    weights."""
+def test_cross_step_node_holds_three_saved_buffers(lead):
+    """A cross_step node keeps three buffers for its adjoint: the keys,
+    the values and the attention.  The adjoint rebuilds q and the GRU
+    input attn @ v from those, the queries and the weights, and runs the
+    GRU (its gates, r * h and output) and the MLP's hidden layer
+    again."""
     g = Graph(dtype=np.float32)
     _build_cross_step(g, np.random.default_rng(24), lead=lead)
     i = g._ops.index("cross_step")
     buffers = owning_buffers(saved_arrays(g._saved[i]))
-    assert len(buffers) == 5
-    # per set: keys_t and v (3 x 3 each), attn (2 x 3), z|r (2 x 2 x 3)
-    # and n (2 x 3)
+    assert len(buffers) == 3
+    # per set: keys_t and v (3 x 3 each) and attn (2 x 3)
     sets = int(np.prod(lead))
-    assert sorted(b.size for b in buffers) == \
-        [6 * sets, 6 * sets, 9 * sets, 9 * sets, 12 * sets]
+    assert sorted(b.size for b in buffers) == [6 * sets, 9 * sets, 9 * sets]
     parents = [g._values[p] for p in g._parents[i]]
     assert not any(b is p for b in buffers for p in parents)
 

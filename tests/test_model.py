@@ -517,9 +517,12 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
     attention map of each of those encoders and the head's attention.  A
     bag-sized array or a map kept by mistake in any node fails here.  Of
     the buffers with a row per slot of each set (both modalities have
-    S_H slots) and d or 2d entries per row, it holds at most 83: 39 the
-    three slot encoders' (four per iteration at T = 3, and the output)
-    and 20 the four cross_step nodes' (four saved and the output each)."""
+    S_H slots) and d or 2d entries per row, it holds exactly 51: 18 the
+    three slot encoders' (two per iteration at T = 3 and the output, less
+    the initial slots, which another node holds), 12 the four cross_step
+    nodes' (k^T, v and the output each), 6 the three decode nodes' (k^T
+    and v each) and 15 the values of other nodes.  A slot-sized
+    intermediate kept by mistake in any node fails here."""
     sizes = (301, 256, 180)
     patients = _ragged_patients(6, sizes=sizes)
     cg = build_cohort_loss(_params(6), patients, k_h=2, k_g=2,
@@ -539,7 +542,7 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
     slot_rows = len(sizes) * S_H                # B * S
     per_slot_row = [b.size // slot_rows for b in owning_buffers(arrays)
                     if b.size % slot_rows == 0]
-    assert per_slot_row.count(DIM) + per_slot_row.count(2 * DIM) <= 83
+    assert per_slot_row.count(DIM) + per_slot_row.count(2 * DIM) == 51
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -337,10 +337,13 @@ def test_decode_node_holds_five_bag_row_arrays():
     """A padded batch's histology decode node holds at most five arrays
     with a row per bag row, its value included: the output, q, the
     attention, the MLP input's normalized rows and the MLP's hidden layer.
-    The adjoint forms the queries' normalized rows again from the queries
-    and their inverse deviations.  Everything else it holds (per-row and
-    per-slot vectors) is smaller than one more bag-sized array.  An
-    intermediate with a row per bag row kept by mistake fails here."""
+    Of the (B, S, d) arrays it holds two, k^T and v.  The adjoint forms
+    the normalized rows of the queries and of the slots, and the slots'
+    layer norm's output, again from the queries, the slots and their
+    inverse deviations and row means.  Everything else it holds (per-row
+    and per-slot vectors) is smaller than one more bag-sized array.  An
+    intermediate with a row per bag row or per slot kept by mistake fails
+    here."""
     n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(53)
     g = Graph()
@@ -358,6 +361,7 @@ def test_decode_node_holds_five_bag_row_arrays():
     sizes = [b.size for b in buffers]
     bag_size, attn_size = n * m * dim, n * m * n_slots
     assert sizes.count(bag_size) + sizes.count(attn_size) <= 5
+    assert sizes.count(n * n_slots * dim) == 2
     rest = sum(b.nbytes for b in buffers
                if b.size not in (bag_size, attn_size))
     assert rest < bag_size * np.dtype(np.float32).itemsize

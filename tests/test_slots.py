@@ -322,13 +322,14 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
     """A padded batch's slot_encode node holds, of the arrays the size of
     the bag, only the keys and the values: the adjoint forms the bag layer
     norm's normalized rows and output again from the bag, the inverse
-    deviations and the row means, two (B, M, 1) rows.  Of the (B, S, M)
-    attention maps it holds only the last iteration's, which
-    ``slot_attention`` reads back.  Each iteration keeps its column max
-    and column sum, two (B, 1, M) rows, from which the adjoint rebuilds
-    the earlier maps; everything else it holds (per-row and per-slot
+    deviations and the row means, two (B, M, 1) rows, the only rows with
+    one entry per bag row it holds.  Of the (B, S, M) attention maps it
+    holds only the last iteration's, which ``slot_attention`` reads back;
+    the adjoint rebuilds the earlier maps, their column max and sum
+    included, from q and the keys.  Everything else it holds (per-slot
     vectors) is smaller than one more bag-sized array.  An intermediate
-    the size of the bag or a map kept by mistake fails here."""
+    the size of the bag, a map or a column row kept by mistake fails
+    here."""
     n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(41)
     g = Graph()
@@ -344,33 +345,30 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
     assert [st.alpha is None for st in steps] == \
         [True] * (t_iters - 1) + [False]
     assert g.slot_attention(slots) is steps[-1].alpha
-    for st in steps:
-        assert st.col_max.shape == st.col_sum.shape == (n, 1, m)
     buffers = owning_buffers([slots.value,
                               *saved_arrays(g._saved[slots.idx])])
     sizes = [b.size for b in buffers]
     bag, amap, row = n * m * dim, n * n_slots * m, n * m
     assert sizes.count(bag) == 2
     assert sizes.count(amap) == 1
-    # the column rows, and the bag layer norm's inverse deviations and
-    # row means
-    assert sizes.count(row) == 2 * t_iters + 2
+    # the bag layer norm's inverse deviations and row means
+    assert sizes.count(row) == 2
     rest = sum(b.nbytes for b in buffers if b.size not in (bag, amap, row))
     assert rest < bag * np.dtype(np.float32).itemsize
     np.testing.assert_array_equal(alpha[1, :, 300:], 0.0)
 
 
 @pytest.mark.parametrize("t_iters", [1, 3, 10])
-def test_slot_iteration_holds_four_slot_sized_buffers(t_iters):
-    """Each iteration of a batch's slot_encode node holds four buffers
-    with a row per slot and d or 2d entries per row: its input slots,
-    alpha @ values, the GRU gates' z|r buffer and the GRU candidate.  The
-    adjoint rebuilds the layer norm's rows, the normalized slots, q, the
-    GRU input, r * h, the GRU output and the MLP's hidden layer from
-    those.  Besides them an iteration keeps three (B, S, 1) rows: the layer
-    norm's inverse deviations and row means, and the mass's reciprocal.
-    The node's output is the fifth slot-sized buffer of the last
-    iteration's, and no buffer is shared between iterations."""
+def test_slot_iteration_holds_two_slot_sized_buffers(t_iters):
+    """Each iteration of a batch's slot_encode node holds two buffers
+    with a row per slot and d or 2d entries per row: its input slots and
+    alpha @ values.  The adjoint rebuilds the normalized slots, q and the
+    GRU input from those, and runs the GRU (its gates, r * h and output)
+    and the MLP's hidden layer again.  Besides them an iteration keeps
+    three (B, S, 1) rows: the layer norm's inverse deviations and row
+    means, and the mass's reciprocal.  The node's output is the third
+    slot-sized buffer of the last iteration's, and no buffer is shared
+    between iterations."""
     n, m, dim, n_slots = 2, 50, 8, 3
     rng = np.random.default_rng(43)
     g = Graph()
@@ -384,10 +382,10 @@ def test_slot_iteration_holds_four_slot_sized_buffers(t_iters):
         buffers = owning_buffers([h, *saved_arrays(st)])
         per_row = [b.size // rows for b in buffers if b.size % rows == 0]
         # the last iteration also holds its attention map, m per slot row
-        assert sorted(per_row) == [1, 1, 1, dim, dim, dim, 2 * dim] + \
+        assert sorted(per_row) == [1, 1, 1, dim, dim] + \
             [m] * (st.alpha is not None)
         held += [b for b in buffers if b.size in (rows * dim, 2 * rows * dim)]
-    assert len(owning_buffers(held + [slots.value])) == 4 * t_iters + 1
+    assert len(owning_buffers(held + [slots.value])) == 2 * t_iters + 1
 
 
 # ----------------------------------------------------------- cost accounting
