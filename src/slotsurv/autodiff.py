@@ -6,10 +6,8 @@ the moment its node is created, so data-dependent constants (hard
 top-K masks, gather index maps) can be derived mid-build from values
 already in the graph. A graph is built once and differentiated once:
 ``backward`` runs the adjoint rules in reverse creation order, which is
-topological. A replay under new inputs would keep those constants frozen,
-so the only replay is ``finite_diff_check``'s float64 copy
-(``Graph.clone``), on which it compares analytic gradients against
-central differences.
+topological. The eager build is the only evaluation path: a replay under
+new inputs would keep those constants frozen.
 
 Values are numpy arrays, float32 by default, float64 when a graph is
 constructed with dtype=np.float64 (used by gradient-check tests).
@@ -20,36 +18,40 @@ an adjoint it was handed, and with the same float operations in the same
 order as the out-of-place expression, so the bits are the same.
 
 Each op has one forward kernel in ``_FORWARD`` and one adjoint rule in
-``_BACKWARD``. Eager building and the ``clone`` replay run the same
-kernel through one helper that casts to the graph dtype and applies the
-non-finite guard; a ``Graph.<op>`` method only checks shapes and counts
-multiply-adds. Five ops fuse a chain of others into one node, to save the
-per-node cost where the model repeats the chain: ``affine``,
-``slot_encode``, ``cross_step``, ``self_attend`` and ``decode``. Their
-kernels call the chain's kernels in the chain's order, and their adjoint
-rules call the same array-level adjoint helpers as the chain's rules, in
-reverse, handing each parent its contributions in the chain's order, so
-values and gradients have the chain's bits. ``slot_encode``'s iterations
-and ``cross_step`` end in the same GRU -> residual-MLP tail, the three
-attention ops in the same residual MLP, and ``cross_step``,
-``self_attend`` and ``decode`` start with the same attention head, each
-with one forward and one adjoint helper.
+``_BACKWARD``. The eager build runs each kernel through one helper that
+casts to the graph dtype and applies the non-finite guard; a
+``Graph.<op>`` method only checks shapes and counts multiply-adds. Five
+ops fuse a chain of others into one node, to save the per-node cost
+where the model repeats the chain: ``affine``, ``slot_encode``,
+``cross_step``, ``self_attend`` and ``decode``. The per-op chains they
+replace need four ops the program never records (col_softmax, gru_cell,
+gather_rows and layer_norm); the tests keep those in
+``tests/oracles.py``, which adds their kernels and adjoint rules to
+these tables when imported. The fused kernels call the chain's kernels
+in the chain's order, and their adjoint rules call the same array-level
+adjoint helpers as the chain's rules, in reverse, handing each parent
+its contributions in the chain's order, so values and gradients have the
+chain's bits. ``slot_encode``'s iterations and ``cross_step`` end in the
+same GRU -> residual-MLP tail, the three attention ops in the same
+residual MLP, and ``cross_step``, ``self_attend`` and ``decode`` start
+with the same attention head, each with one forward and one adjoint
+helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` a whole parameter set is checked at once, and
 only when that fails leaf by leaf, to name the tensor. Every op output
 is checked, except for ops that map finite inputs to finite outputs
-(transpose, reshape, gather_rows, concat, stop_gradient, relu, clamp,
-sigmoid and both softmaxes). Inside the fused attention ops the values
-that feed a kernel able to hide a non-finite entry are checked: the
-logits (softmax maps -inf to 0), in ``slot_encode`` the attention mass
-(reciprocal maps inf to 0), in ``slot_encode`` and ``cross_step`` the GRU
-input, which in ``cross_step`` is the attention output (its sigmoid and
-tanh saturate), and the MLP pre-activation (relu maps -inf to 0). The other
+(transpose, reshape, concat, stop_gradient, relu, clamp, sigmoid and
+row_softmax). Inside the fused attention ops the values that feed a
+kernel able to hide a non-finite entry are checked: the logits (softmax
+maps -inf to 0), in ``slot_encode`` the attention mass (reciprocal maps
+inf to 0), in ``slot_encode`` and ``cross_step`` the GRU input, which in
+``cross_step`` is the attention output (its sigmoid and tanh saturate),
+and the MLP pre-activation (relu maps -inf to 0). The other
 intermediates feed only products and sums with finite operands, which
 carry a non-finite entry on to a checked value. ``slot_encode`` also
-checks what its chain's nodes output: the bag's layer norm, the keys, the
-values and each iteration's slots; ``decode`` checks every value its
+checks what its chain's nodes output: the bag's layer norm, the keys,
+the values and each iteration's slots; ``decode`` checks every value its
 chain's nodes output but the attention and the relu.
 
 Which adjoints ``backward`` computes. When a node is recorded, the graph
@@ -89,50 +91,47 @@ axes, so one model builder serves both:
   operand's shape (one unbroadcast helper; a (1, d) bias row is the
   common case).
 * transpose swaps the last two axes; reshape keeps the entries.
-* row_softmax / col_softmax: along the last / second-to-last axis.
-* layer_norm, gru_cell: row-wise over the last axis, (1, d) gains and
-  biases, 2-d or 3-d inputs.
+* row_softmax: along the last axis.
 * mean_pool: mean over the second-to-last axis; sum: keep-dims sum
   along one axis; reduce_sum: everything down to 0-d.
 * squared_error, cosine: mean over the last two axes, 0-d for 2-d
   operands and one value per batch entry, (B,), for 3-d ones.
-* concat along any axis of two equal-rank operands; gather_rows picks
-  rows of a 2-d operand.
+* concat along any axis of two equal-rank operands.
 * elementwise: scale, sigmoid, relu, reciprocal, log, exp, clamp,
   stop_gradient.
 * affine: x @ w + b, the matmul shapes, with a bias that broadcasts into
   the product without enlarging it (a (1, n) row).
 * slot_encode: a slot encoder, T slot-attention iterations over a bag.
   From the bag (.., M, d), the instance mask (.., M, 1) and the initial
-  slots (.., S, d), all with the same leading axes, T (kept in the
-  node's aux with whether the mask is applied) and nineteen weights: the
-  bag layer norm's (1, d) gain and shift, w_k, w_v, the slots' (1, d)
-  layer-norm gain, w_q, the nine GRU weights and the MLP's w1, b1, w2,
-  b2. The bag part runs once: y = layer_norm(bag); keys = (y @ w_k)^T *
-  1/sqrt(d), (.., d, M), a transposed copy; values = y @ w_v, times the
-  mask when it is applied, (.., M, d). Then each iteration: layer norm of
-  the slots with gain only -> @ w_q -> @ keys -> col_softmax = alpha
-  (.., S, M); u = (alpha @ values) * 1 / (alpha @ mask + 1e-8), the
-  weighted mean; slots' = gru_cell(u, slots); slots'' = slots' +
-  affine(relu(affine(slots', w1, b1)), w2, b2), (.., S, d), which the
-  next iteration starts from. The slots' layer norm has no shift: it
-  would add one row to every slot's query, which the softmax over slots
-  cancels. Of the bag-sized arrays the node keeps only two, the keys and
-  the values. Of the bag's layer norm it keeps the inverse deviations and
-  the row means, two (.., M, 1) rows; after the iterations the adjoint
-  forms the normalized bag and y again from the bag and those rows. Of
-  the (.., S, M) attention maps it keeps the last iteration's alone;
-  ``slot_attention`` reads it back, as ``degenerate_rows`` reads a cosine
-  node's. For every iteration it keeps two slot-sized buffers, the
+  slots (.., S, d), all with the same leading axes, T (kept in the node's
+  aux) and nineteen weights: the bag layer norm's (1, d) gain and shift,
+  w_k, w_v, the slots' (1, d) layer-norm gain, w_q, the nine GRU weights
+  and the MLP's w1, b1, w2, b2. The bag part runs once: y =
+  layer_norm(bag); keys = (y @ w_k)^T * 1/sqrt(d), (.., d, M), a
+  transposed copy; values = y @ w_v, times the mask, (.., M, d); an
+  unpadded bag's mask is all ones, which leaves every bit as it is. Then
+  each iteration: layer norm of the slots with gain only -> @ w_q -> @
+  keys -> col_softmax = alpha (.., S, M); u = (alpha @ values) * 1 /
+  (alpha @ mask + 1e-8), the weighted mean; slots' = gru_cell(u, slots);
+  slots'' = slots' + affine(relu(affine(slots', w1, b1)), w2, b2), (.., S,
+  d), which the next iteration starts from. The slots' layer norm has no
+  shift: it would add one row to every slot's query, which the softmax
+  over slots cancels. Of the bag-sized arrays the node keeps only two, the
+  keys and the values. Of the bag's layer norm it keeps the inverse
+  deviations and the row means, two (.., M, 1) rows; after the iterations
+  the adjoint forms the normalized bag and y again from the bag and those
+  rows. Of the (.., S, M) attention maps it keeps the last iteration's
+  alone; ``slot_attention`` reads it back, as ``degenerate_rows`` reads a
+  cosine node's. For every iteration it keeps two slot-sized buffers, the
   input slots and alpha @ values, and three (.., S, 1) rows: the layer
   norm's inverse deviations and row means and the mass's reciprocal. At
   the top of each iteration the adjoint rebuilds from those the layer
   norm's normalized rows, its output, q, the GRU input and, but in the
   last iteration, the map from q and the keys (the column softmax's max
-  and sum with it), in one of three maps it allocates once per call;
-  then it runs the GRU again for its gates, r * h and output, and the
-  MLP's first layer. Each rebuild runs the forward's kernels in the
-  forward's order, so the rebuilt arrays have the forward's bits.
+  and sum with it), in one of three maps it allocates once per call; then
+  it runs the GRU again for its gates, r * h and output, and the MLP's
+  first layer. Each rebuild runs the forward's kernels in the forward's
+  order, so the rebuilt arrays have the forward's bits.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -174,31 +173,30 @@ axes, so one model builder serves both:
 Multiply-add accounting (used by the complexity checks): matmul counts
 B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
 ten elementwise passes per row; layer norm 4 per element; softmaxes 3
-per element; squared_error 2 and cosine 4 per input element; add and
-mul 1 per element of the broadcast output; the other elementwise ops,
+per element; squared_error 2 and cosine 4 per input element; add and mul
+1 per element of the broadcast output; the other elementwise ops,
 mean_pool, sum and reduce_sum 1 per input element; pure data movement
 (transpose, reshape, gather, concat, stop_gradient) counts zero. A fused
 op counts what its chain counts: affine a matmul plus an add,
 slot_encode the sum over its chain (for the bag, with B*M rows: 4 B*M*d
-for the layer norm, 2 B*M*d*d for k and v, B*M*d for the key scale and
-B*M*d more for the mask when it is applied; for each of the T
-iterations, with B*S rows: 4 B*S*d for the layer norm, B*S*d*d for q,
-2 B*S*d*M for the logits and alpha @ values, 3 B*S*M for the softmax,
-the GRU cell, 2 (B*S*d*d + B*S*d) for the MLP layers, B*S*d each for
-relu and the residual, and B*S*M + 2 B*S + B*S*d for the mass, its
-floor, the reciprocal and the rescale), and cross_step the sum over its
-chain (with B*S_q query rows and B*S_c
-context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2
-B*S_q*S_c*d for the logits and attn @ v, 4 B*S_q*S_c for the scale and
-the row softmax, and the same GRU cell, MLP, relu and residual counts as
-a slot_encode iteration's over the query rows), and self_attend the sum
+for the layer norm, 2 B*M*d*d for k and v, B*M*d each for the key scale
+and the mask; for each of the T iterations, with B*S rows: 4 B*S*d for
+the layer norm, B*S*d*d for q, 2 B*S*d*M for the logits and alpha @
+values, 3 B*S*M for the softmax, the GRU cell, 2 (B*S*d*d + B*S*d) for
+the MLP layers, B*S*d each for relu and the residual, and B*S*M + 2 B*S
++ B*S*d for the mass, its floor, the reciprocal and the rescale), and
+cross_step the sum over its chain (with B*S_q query rows and B*S_c
+context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2 B*S_q*S_c*d
+for the logits and attn @ v, 4 B*S_q*S_c for the scale and the row
+softmax, and the same GRU cell, MLP, relu and residual counts as a
+slot_encode iteration's over the query rows), and self_attend the sum
 over its chain (with R = n*K selected rows: 5 R*d*d for the q, k and v
 projections and the two MLP layers, 2 R*K*d for the logits and attn @ v,
 4 R*K for the scale and the row softmax, and 5 R*d for the attention
 residual, the two MLP biases, the relu and the MLP residual; its gather
-and scatter count zero), and decode the sum over its chain (with R =
-n*M output rows, R_q query rows and R_s slot rows: 4 R_q*d + R_q*d*d for
-the queries' layer norm and q, 4 R_s*d + 2 R_s*d*d for the slots' layer
+and scatter count zero), and decode the sum over its chain (with R = n*M
+output rows, R_q query rows and R_s slot rows: 4 R_q*d + R_q*d*d for the
+queries' layer norm and q, 4 R_s*d + 2 R_s*d*d for the slots' layer
 norm, k and v, 2 R*S*d for the logits and attn @ v, 4 R*S for the scale
 and the row softmax, 2 R*d*d for the MLP layers and 9 R*d for the
 attention residual, the layer norm, the two MLP biases, the relu and the
@@ -221,7 +219,6 @@ __all__ = [
     "OP_KINDS",
     "backward",
     "bind_arrays",
-    "finite_diff_check",
     "init_block",
     "init_normal",
     "named_arrays",
@@ -279,7 +276,7 @@ def _sigmoid(x, out=None):
 
 # Weight layouts of the fused ops: "w" is a (d, d) weight and "b" a (1, d)
 # row.  The MLP is (w1, b1, w2, b2), and the GRU -> residual-MLP tail the
-# nine ``gru_cell`` weights in their argument order, then the MLP's.
+# nine GRU weights in ``_gru_fwd``'s argument order, then the MLP's.
 _MLP_LAYOUT = "wbwb"
 _TAIL_LAYOUT = "wwb" * 3 + _MLP_LAYOUT
 # bag ln gain and shift, w_k, w_v, slot ln gain, w_q, tail
@@ -400,17 +397,12 @@ class Graph:
 
     def row_softmax(self, a: Node) -> Node:
         """Softmax along the last axis."""
-        return self._softmax("row_softmax", a, axis=-1)
-
-    def col_softmax(self, a: Node) -> Node:
-        """Softmax along the second-to-last axis."""
-        return self._softmax("col_softmax", a, axis=-2)
-
-    def _softmax(self, op: str, a: Node, axis: int) -> Node:
         va = a.value
         if va.ndim not in (2, 3):
-            raise GraphError(f"{op} needs a 2-d or 3-d operand, got {va.shape}")
-        return self._append(op, (a.idx,), aux=axis, madds=3 * va.size)
+            raise GraphError(
+                f"row_softmax needs a 2-d or 3-d operand, got {va.shape}")
+        return self._append("row_softmax", (a.idx,), aux=-1,
+                            madds=3 * va.size)
 
     def sigmoid(self, a: Node) -> Node:
         return self._append("sigmoid", (a.idx,), madds=a.value.size)
@@ -421,48 +413,18 @@ class Graph:
     def reciprocal(self, a: Node) -> Node:
         return self._append("reciprocal", (a.idx,), madds=a.value.size)
 
-    def layer_norm(self, a: Node, gamma: Node, beta: Node) -> Node:
-        """Normalize along the last axis; gamma and beta are (1, d) rows."""
-        va = a.value
-        d = va.shape[-1]
-        if va.ndim not in (2, 3) or gamma.shape != (1, d) or beta.shape != (1, d):
-            raise GraphError(
-                f"layer_norm shapes: x {va.shape}, gamma {gamma.shape}, beta {beta.shape}"
-            )
-        return self._append("layer_norm", (a.idx, gamma.idx, beta.idx),
-                            madds=4 * va.size)
-
-    def gru_cell(self, x: Node, h: Node, wz, uz, bz, wr, ur, br, wn, un, bn) -> Node:
-        """Row-wise GRU update of state h (2-d or 3-d) from input x."""
-        vx, vh = x.value, h.value
-        d = vh.shape[-1]
-        if vx.shape != vh.shape or vx.ndim not in (2, 3):
-            raise GraphError(f"gru_cell input/state mismatch {vx.shape} vs {vh.shape}")
-        for w in (wz, uz, wr, ur, wn, un):
-            if w.shape != (d, d):
-                raise GraphError(f"gru_cell weight shape {w.shape}, want {(d, d)}")
-        for b in (bz, br, bn):
-            if b.shape != (1, d):
-                raise GraphError(f"gru_cell bias shape {b.shape}, want {(1, d)}")
-        s = vx.size // d
-        return self._append(
-            "gru_cell",
-            (x.idx, h.idx, wz.idx, uz.idx, bz.idx, wr.idx, ur.idx, br.idx,
-             wn.idx, un.idx, bn.idx),
-            madds=6 * s * d * d + 10 * s * d)
-
     def slot_encode(self, bag: Node, ones: Node, slots: Node, ln_gamma: Node,
                     ln_beta: Node, w_k: Node, w_v: Node, slot_gamma: Node,
-                    w_q: Node, gru: tuple, mlp: tuple, t_iters: int,
-                    masked: bool) -> Node:
+                    w_q: Node, gru: tuple, mlp: tuple,
+                    t_iters: int) -> Node:
         """A whole slot encoder as one node (see the module docstring):
         the ``bag`` (.., M, d), the instance mask ``ones`` (.., M, 1) and
         the initial ``slots`` (.., S, d) share their leading axes;
         ``ln_gamma`` and ``ln_beta`` are the bag layer norm's (1, d) gain
         and shift, ``slot_gamma`` the slots' (1, d) gain, ``gru`` the nine
-        ``gru_cell`` weights in its argument order and ``mlp`` is (w1, b1,
-        w2, b2).  ``masked`` says whether the values are multiplied by the
-        mask (a zero-padded batch) or the mask is all ones."""
+        GRU weights in ``_gru_fwd``'s argument order and ``mlp`` is (w1,
+        b1, w2, b2).  The values are multiplied by the mask: it zeroes a
+        padded batch's padded rows, and an unpadded bag's is all ones."""
         bs, ss = bag.shape, slots.shape
         if (len(bs) not in (2, 3) or len(ss) != len(bs)
                 or ss[:-2] + ss[-1:] != bs[:-2] + bs[-1:]
@@ -483,7 +445,7 @@ class Graph:
         # the per-op counts of the chain the node replaces
         bag_madds = (4 * n * m * d                      # layer norm
                      + 2 * n * m * d * d                # k, v
-                     + n * m * d * (1 + bool(masked)))  # key scale, mask
+                     + 2 * n * m * d)                   # key scale, mask
         step_madds = (4 * rows * d                      # layer norm
                       + rows * d * d + 2 * rows * d * m  # q, logits, alpha @ v
                       + 3 * rows * m                    # column softmax
@@ -491,7 +453,7 @@ class Graph:
                       + _tail_madds(rows, d))
         parents = (bag, ones, slots, *weights)
         return self._append("slot_encode", tuple(p.idx for p in parents),
-                            aux=(t_iters, bool(masked)),
+                            aux=t_iters,
                             madds=bag_madds + t_iters * step_madds)
 
     def cross_step(self, queries: Node, context: Node, w_q: Node, w_k: Node,
@@ -499,7 +461,7 @@ class Graph:
         """One direction of one cross-attention round as one node (see the
         module docstring): ``queries`` (.., S_q, d) attend over ``context``
         (.., S_c, d), with the same leading axes; ``gru`` holds the nine
-        ``gru_cell`` weights in its argument order and ``mlp`` is
+        GRU weights in ``_gru_fwd``'s argument order and ``mlp`` is
         (w1, b1, w2, b2)."""
         vq, vc = queries.value, context.value
         if (vq.ndim not in (2, 3) or vc.ndim != vq.ndim
@@ -535,7 +497,8 @@ class Graph:
                 and idx.shape[1] >= 1
                 and 0 <= idx.min() and idx.max() < vs.shape[-2]):
             raise GraphError(f"self_attend shapes: slots {vs.shape}, "
-                             f"selected {idx.shape}")
+                             f"selected {idx.shape}; want one non-empty "
+                             f"row of in-range slot indices per set")
         (n, k), (s, d) = idx.shape, vs.shape[-2:]
         weights = _fused_weights("self_attend", (w_q, w_k, w_v, *mlp),
                                  _SELF_ATTEND_LAYOUT, d)
@@ -642,15 +605,6 @@ class Graph:
             raise GraphError(f"clamp bounds [{lo}, {hi}]")
         return self._append("clamp", (a.idx,), aux=(lo, hi), madds=a.value.size)
 
-    def gather_rows(self, a: Node, indices) -> Node:
-        va = a.value
-        idx = np.asarray(indices, dtype=np.int64)
-        if va.ndim != 2 or idx.ndim != 1:
-            raise GraphError("gather_rows needs a 2-d source and 1-d index list")
-        if idx.size and (idx.min() < 0 or idx.max() >= va.shape[0]):
-            raise GraphError(f"gather_rows index out of range for {va.shape[0]} rows")
-        return self._append("gather_rows", (a.idx,), aux=idx)
-
     def reduce_sum(self, a: Node) -> Node:
         """Sum every entry down to a 0-d scalar."""
         return self._append("reduce_sum", (a.idx,), madds=a.value.size)
@@ -670,18 +624,6 @@ class Graph:
     def input_names(self):
         return list(self._inputs)
 
-    def ancestors(self, node: Node) -> set:
-        """All node ids reachable backwards from `node`, inclusive."""
-        seen = set()
-        stack = [node.idx]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(p for p in self._parents[i] if p not in seen)
-        return seen
-
     def slot_attention(self, node: Node) -> np.ndarray:
         """The column-stochastic attention (.., S, M) of a slot_encode
         node's last iteration, read back from its saved intermediates."""
@@ -695,21 +637,6 @@ class Graph:
             raise GraphError("degenerate_rows applies to cosine nodes")
         valid = self._saved[node.idx][3]
         return np.flatnonzero(~valid.ravel())
-
-    def clone(self, dtype) -> "Graph":
-        """Structural copy at another precision; used by the FD checker."""
-        out = Graph(dtype=dtype)
-        out._ops = list(self._ops)
-        out._parents = list(self._parents)
-        out._aux = list(self._aux)
-        out._madds = list(self._madds)
-        out._needs_grad = list(self._needs_grad)
-        out._inputs = dict(self._inputs)
-        out._saved = [None] * len(self._ops)
-        out._values = [np.asarray(v, dtype=dtype) for v in self._values]
-        _replay(out, [i for i, op in enumerate(out._ops)
-                      if op not in ("input", "const")])
-        return out
 
     # -------------------------------------------------------------- internal
 
@@ -835,13 +762,6 @@ def _renormalize(x, inv, mean):
     return xhat
 
 
-def _layer_norm_fwd(_, x, gamma, beta):
-    xhat, inv, _ = _normalize(x)
-    y = xhat * gamma
-    y += beta
-    return y, (xhat, inv)
-
-
 def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
     # row-wise: leading axes are flattened into rows
     shape = x.shape
@@ -894,7 +814,7 @@ class _EncodeSaved(typing.NamedTuple):
     inv: np.ndarray         # bag layer norm's inverse deviations, (.., M, 1)
     mean: np.ndarray        # and its row means, (.., M, 1)
     keys_t: np.ndarray      # (y @ w_k) transposed and scaled, (.., d, M)
-    values: np.ndarray      # y @ w_v, masked, (.., M, d)
+    values: np.ndarray      # y @ w_v times the mask, (.., M, d)
     states: tuple           # each iteration's input slots, (.., S, d)
     steps: tuple            # each iteration's _StepSaved
 
@@ -1007,15 +927,15 @@ def _rebuild_alpha(q, keys_t, out=None):
 def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
                      *step_weights):
     """The chain bag layer norm -> k and v projections -> transposed copy
-    of k, scaled -> values masked -> T iterations, kernel by kernel, with
-    the checks the chain's node outputs had: the layer norm's output, the
-    keys, the values and every iteration's slots.  The layer norm's output
-    is formed in its normalized rows' buffer, and the values in k's once
-    its transposed copy is made; the layer norm's rows are dropped before
-    the iterations run.  Each iteration's attention map but the last is
-    dropped as soon as its step ends."""
-    t_iters, masked = aux
-    # _layer_norm_fwd(None, bag, ln_gamma, ln_beta), with y in xhat's array
+    of k, scaled -> values times the mask -> T iterations, kernel by
+    kernel, with the checks the chain's node outputs had: the layer norm's
+    output, the keys, the values and every iteration's slots.  The layer
+    norm's output is formed in its normalized rows' buffer, and the values
+    in k's once its transposed copy is made; the layer norm's rows are
+    dropped before the iterations run.  Each iteration's attention map but
+    the last is dropped as soon as its step ends."""
+    t_iters = aux
+    # the layer norm of the bag, with y in xhat's array
     xhat, inv, mean = _normalize(bag)
     y = np.multiply(xhat, ln_gamma, out=xhat)
     y += ln_beta
@@ -1026,8 +946,7 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
     _guard(keys_t, "keys", "slot_encode")
     values = _matmul(y, w_v, out=k)
     del xhat, y
-    if masked:
-        values *= ones
+    values *= ones
     _guard(values, "values", "slot_encode")
     states, steps = [], []
     for t in range(t_iters):
@@ -1098,7 +1017,7 @@ def _decode_fwd(scale, queries, slots, w_q, w_k, w_v, w1, b1, w2, b2, gq, bq,
     nq = np.multiply(xhat_q, gq, out=xhat_q)
     nq += bq
     _guard(nq, "query layer-norm output", op)
-    # _layer_norm_fwd(None, slots, gs, bs), with ns in xhat_s's array
+    # the layer norm of the slots, with ns in xhat_s's array
     xhat_s, inv_s, mean_s = _normalize(slots)
     ns = np.multiply(xhat_s, gs, out=xhat_s)
     ns += bs
@@ -1161,12 +1080,9 @@ _FORWARD = {
     "add": lambda _, a, b: a + b,
     "scale": lambda c, a: a * a.dtype.type(c),
     "row_softmax": _softmax,
-    "col_softmax": _softmax,
     "sigmoid": lambda _, a: _sigmoid(a),
     "relu": lambda _, a: _relu(a),
     "reciprocal": _reciprocal_fwd,
-    "layer_norm": _layer_norm_fwd,
-    "gru_cell": _gru_fwd,
     "slot_encode": _slot_encode_fwd,
     "cross_step": _cross_step_fwd,
     "self_attend": _self_attend_fwd,
@@ -1180,24 +1096,18 @@ _FORWARD = {
     "log": _log_fwd,
     "exp": lambda _, a: np.exp(a),
     "clamp": lambda bounds, a: np.clip(a, *bounds),
-    "gather_rows": lambda idx, a: a[idx],
     "reduce_sum": lambda _, a: a.sum(),
     "stop_gradient": lambda _, a: a,
 }
 
-# Every op kind the engine registers.  The model uses all of them but
-# col_softmax, gru_cell, gather_rows and layer_norm: slot_encode and
-# cross_step run the first two's kernels and adjoints, self_attend gathers
-# and scatters its rows itself, and slot_encode and decode run the layer
-# norm's.  The four remain the vocabulary of the per-op chains the fused
-# ops are checked against bit for bit.
+# Every op kind the engine registers, and every one the program records.
 OP_KINDS = ("input", "const", *_FORWARD)
 
 # Ops whose output is finite whenever their inputs are, which the guard
 # has already checked: data movement, and maps into a bounded range.
 _ALWAYS_FINITE = frozenset({
-    "transpose", "reshape", "gather_rows", "concat", "stop_gradient",
-    "relu", "clamp", "sigmoid", "row_softmax", "col_softmax"})
+    "transpose", "reshape", "concat", "stop_gradient", "relu", "clamp",
+    "sigmoid", "row_softmax"})
 
 
 def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
@@ -1216,13 +1126,6 @@ def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
     return out, saved
 
 
-def _replay(g: Graph, nodes):
-    """Recompute the given op nodes, in order, from their parents' values."""
-    for i in nodes:
-        g._values[i], g._saved[i] = _evaluate(g, g._ops[i], g._parents[i],
-                                              g._aux[i], i)
-
-
 # ----------------------------------------------------------------- backward
 
 def _unbroadcast(grad, shape):
@@ -1236,9 +1139,9 @@ def _unbroadcast(grad, shape):
 
 
 # Array-level adjoint helpers: each op's math lives in one of these, and
-# both its own rule and the fused rules (affine, slot_encode, cross_step)
-# call it.  A helper forms an operand's adjoint only when asked to
-# (``need_*``).
+# both its own rule (for the layer norm and the GRU cell, the per-op
+# chain's rule in tests/oracles.py) and the fused rules call it.  A
+# helper forms an operand's adjoint only when asked to (``need_*``).
 
 def _give(grads, parents, contributions):
     """Hand each parent its contribution, in order; None means none."""
@@ -1295,7 +1198,7 @@ def _layer_norm_adj(grad, gamma, xhat, inv, need_x, need_gamma, need_beta):
 
 
 def _gru_adj(grad, saved, x, h, wz, uz, wr, ur, wn, un, need):
-    """Adjoints of a GRU cell's eleven operands, in ``gru_cell`` argument
+    """Adjoints of a GRU cell's eleven operands, in ``_gru_fwd``'s argument
     order; ``need`` flags which to form."""
     z, r, n, rh = saved
     shape = grad.shape
@@ -1393,23 +1296,6 @@ def _bw_reciprocal(g, i, grad, grads):
     _acc(grads, g._parents[i][0], _reciprocal_adj(grad, g._values[i]))
 
 
-def _bw_layer_norm(g, i, grad, grads):
-    parents = g._parents[i]
-    need = g._needs_grad
-    _give(grads, parents, _layer_norm_adj(
-        grad, g._values[parents[1]], *g._saved[i],
-        *(need[p] for p in parents)))
-
-
-def _bw_gru(g, i, grad, grads):
-    parents = g._parents[i]
-    xi, hi, wz, uz, _, wr, ur, _, wn, un, _ = parents
-    v = g._values
-    _give(grads, parents, _gru_adj(
-        grad, g._saved[i], v[xi], v[hi], v[wz], v[uz], v[wr], v[ur],
-        v[wn], v[un], [g._needs_grad[p] for p in parents]))
-
-
 def _ffn_adj(g, grads, grad, x, hidden, mlp):
     """The adjoint of hidden @ w2 + b2 with hidden = relu(x @ w1 + b1),
     from its adjoint ``grad``, the input ``x`` and the ``hidden`` layer:
@@ -1496,11 +1382,10 @@ def _bw_slot_encode(g, i, grad, grads):
     input u_raw * rec; ``_gru_mlp_adj`` runs the GRU again.  After the
     iterations it forms the bag layer norm's normalized rows and output
     again from the bag and the saved inverse deviations and row means
-    (``_renormalize``, then ``_layer_norm_fwd``'s kernels).  Every
-    rebuild runs the forward's kernels in its order, so with its
-    bits."""
+    (``_renormalize``, then the gain and the shift).  Every rebuild runs
+    the forward's kernels in its order, so with its bits."""
     bi, oi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
-    t_iters, masked = g._aux[i]
+    t_iters = g._aux[i]
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
@@ -1566,11 +1451,10 @@ def _bw_slot_encode(g, i, grad, grads):
 
     # values = (y @ w_v) * ones: the value path; y's adjoint takes the
     # scratch array's place
-    if masked:
-        if need[oi]:
-            _give(grads, (oi,), (_unbroadcast(acc_v * _matmul(y, v[vi]),
-                                              ones.shape),))
-        acc_v *= ones
+    if need[oi]:
+        _give(grads, (oi,), (_unbroadcast(acc_v * _matmul(y, v[vi]),
+                                          ones.shape),))
+    acc_v *= ones
     _give(grads, (vi,), (_matmul_adj(acc_v, y, v[vi], need_a=False,
                                      need_b=need[vi])[1],))
     d_y = _matmul(acc_v, np.swapaxes(v[vi], -1, -2),
@@ -1782,13 +1666,6 @@ def _bw_clamp(g, i, grad, grads):
     _acc(grads, p, grad * ((x >= lo) & (x <= hi)))
 
 
-def _bw_gather_rows(g, i, grad, grads):
-    p = g._parents[i][0]
-    buf = np.zeros_like(g._values[p])
-    np.add.at(buf, g._aux[i], grad)
-    _acc(grads, p, buf)
-
-
 def _bw_reduce_sum(g, i, grad, grads):
     p = g._parents[i][0]
     _acc(grads, p, np.broadcast_to(grad, g._values[p].shape).copy())
@@ -1802,12 +1679,9 @@ _BACKWARD = {
     "add": _bw_add,
     "scale": _bw_scale,
     "row_softmax": _bw_softmax,
-    "col_softmax": _bw_softmax,
     "sigmoid": _bw_sigmoid,
     "relu": _bw_relu,
     "reciprocal": _bw_reciprocal,
-    "layer_norm": _bw_layer_norm,
-    "gru_cell": _bw_gru,
     "slot_encode": _bw_slot_encode,
     "cross_step": _bw_cross_step,
     "self_attend": _bw_self_attend,
@@ -1821,7 +1695,6 @@ _BACKWARD = {
     "log": _bw_log,
     "exp": _bw_exp,
     "clamp": _bw_clamp,
-    "gather_rows": _bw_gather_rows,
     "reduce_sum": _bw_reduce_sum,
     # input/const/stop_gradient intentionally absent: adjoint is zero.
 }
@@ -1875,71 +1748,6 @@ def backward(graph: Graph, seed: Node) -> dict:
     for name, i in graph._inputs.items():
         out[name] = grads[i] if grads[i] is not None else np.zeros_like(graph._values[i])
     return out
-
-
-def finite_diff_check(graph: Graph, seed: Node, step: float = 1e-3,
-                      wrt=None) -> float:
-    """Max relative error between backward() and finite differences.
-
-    Relative error per element is |a - b| / max(|a|, |b|, 1e-8). The
-    numeric reference is a fourth-order central difference evaluated on
-    a float64 shadow replay of the graph, so the comparison measures
-    the backward implementation at the graph's own precision rather
-    than forward rounding or truncation noise. Exact for (piecewise)
-    polynomials of degree <= 4, hence 0.0 for linear functions at
-    power-of-two steps. Only meant for micro graphs: cost is four
-    replays per input element.
-    """
-    analytic = backward(graph, seed)
-    shadow = graph.clone(np.float64)
-    names = list(wrt) if wrt is not None else graph.input_names()
-
-    # Each perturbation only invalidates the perturbed input's descendant
-    # cone; everything else keeps its base value, so replaying just the
-    # cone (in node order) matches a full replay bitwise.
-    children = [[] for _ in range(shadow.num_nodes)]
-    for i, parents in enumerate(shadow._parents):
-        for p in set(parents):
-            children[p].append(i)
-
-    def cone(root: int):
-        seen = {root}
-        stack = [root]
-        while stack:
-            for c in children[stack.pop()]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        seen.discard(root)
-        return sorted(seen)
-
-    def eval_at(idx, affected, x, k, delta):
-        xp = x.copy()
-        xp.flat[k] += delta
-        shadow._values[idx] = xp
-        _replay(shadow, affected)
-        return shadow._values[seed.idx].item()
-
-    worst = 0.0
-    for name in names:
-        idx = shadow._inputs[name]
-        affected = cone(idx)
-        x = shadow._values[idx]         # eval_at perturbs a copy
-        g = analytic[name]
-        for k in range(x.size):
-            f_m2 = eval_at(idx, affected, x, k, -2.0 * step)
-            f_m1 = eval_at(idx, affected, x, k, -step)
-            f_p1 = eval_at(idx, affected, x, k, step)
-            f_p2 = eval_at(idx, affected, x, k, 2.0 * step)
-            # pairwise grouping: equal evaluations cancel exactly
-            num = ((f_m2 - f_p2) + 8.0 * (f_p1 - f_m1)) / (12.0 * step)
-            an = float(g.flat[k])
-            err = abs(num - an) / max(abs(num), abs(an), 1e-8)
-            worst = max(worst, err)
-        # restore the base values along the cone before the next input
-        shadow._values[idx] = x
-        _replay(shadow, affected)
-    return worst
 
 
 # ------------------------------------------------------- parameter dataclasses

@@ -136,13 +136,12 @@ def build_masked_self_attention(g: Graph, p: SelfAttentionParams,
     ``slots`` is one patient's (S, d) set or a batch (B, S, d);
     ``selected`` holds the retained slot indices (from the gate mask's
     forward value), (K,) or (B, K), with the same K for every patient.
-    Unselected rows are passed through exactly.  An empty selection or
-    one that repeats an index raises ValueError.
+    Unselected rows are passed through exactly.  A selection that repeats
+    an index raises ValueError, and an empty one ``self_attend``'s
+    ``GraphError`` (a ValueError).
     """
     n_sets = math.prod(slots.shape[:-2])
     selected = np.asarray(selected, dtype=np.int64).reshape(n_sets, -1)
-    if selected.shape[1] == 0:
-        raise ValueError("selection is empty")
     ordered = np.sort(selected, axis=1)
     if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError("selection has duplicate indices")

@@ -168,10 +168,6 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
     return params_from_arrays(arrays)
 
 
-def group_of(tensor_name: str) -> str:
-    return tensor_name.split(".", 1)[0]
-
-
 # ------------------------------------------------------------- graph building
 
 

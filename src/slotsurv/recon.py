@@ -119,11 +119,8 @@ def build_decode(g: Graph, head: ReconHeadParams, queries: Node,
     """Decode slots at M query positions: pre-norm cross-attention with a
     residual, then a pre-norm feed-forward with a residual, as one
     ``decode`` node.  (M, d), or (B, M, d) for batched slots; (M, d)
-    queries are shared by the batch."""
-    dim = slots.shape[-1]
-    if queries.shape[-1] != dim:
-        raise ValueError(
-            f"query width {queries.shape[-1]} != slot width {dim}")
+    queries are shared by the batch.  Queries of another width than the
+    slots' get ``decode``'s ``GraphError`` (a ValueError)."""
     return g.decode(queries, slots, head.w_q, head.w_k, head.w_v,
                     head.ffn_w1, head.ffn_b1, head.ffn_w2, head.ffn_b2,
                     head.ln_q_gamma, head.ln_q_beta, head.ln_s_gamma,

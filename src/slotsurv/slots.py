@@ -16,9 +16,8 @@ and the mask constant, for training, serving and the cross-modal encode
 alike: the bag's layer norm, the key and value projections and all T
 iterations (layer norm, attention, weighted mean, GRU and residual MLP)
 run as one kernel, with the per-op chain's values, gradients and
-multiply-add counts.  Of the bag-sized arrays the node keeps only the
-four its adjoint reads: the normalized bag, the layer norm's output, the
-keys and the values.  Of the T attention maps it keeps only the last
+multiply-add counts.  Of the bag-sized arrays the node keeps only two,
+the keys and the values.  Of the T attention maps it keeps only the last
 iteration's, which is read back from that node as a plain array (it
 feeds no loss); the adjoint rebuilds the earlier ones, with their bits,
 from small per-iteration rows.  ``encode`` is a numpy-in/numpy-out
@@ -141,12 +140,10 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
     but their values are zeroed, so they add nothing to the attention
     mass and receive no gradient.  ``noise`` is the standard-normal
     slot-init noise of a training pass, shaped like the slots; without it
-    the slots start at the learned mean.
+    the slots start at the learned mean.  ``slot_encode`` rejects a bag of
+    another width than the slots' and T < 1 (``GraphError``, a
+    ValueError).
     """
-    if t_iters < 1:
-        raise ValueError(f"t_iters must be >= 1, got {t_iters}")
-    if bag.shape[-1] != p.dim:
-        raise ValueError(f"bag width {bag.shape[-1]} != slot width {p.dim}")
     if mask is None:
         ones = g.const(np.ones(bag.shape[:-1] + (1,)))
     else:
@@ -158,7 +155,7 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
         (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
          p.gru_wn, p.gru_un, p.gru_bn),
         (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2),
-        t_iters, masked=mask is not None)
+        t_iters)
     alpha = g.slot_attention(slots)
     if mask is not None:
         alpha = alpha * np.swapaxes(ones.value, -1, -2)

@@ -1,5 +1,14 @@
 """Plain references the tests check the package against.
 
+* The per-op chain vocabulary: ``col_softmax``, ``layer_norm``,
+  ``gru_cell`` and ``gather_rows``, four ops the program never records
+  but the unfused chains below need, as builders that take the graph
+  first.  Importing this module adds their kernels and adjoint rules to
+  the engine's ``_FORWARD`` and ``_BACKWARD`` tables, and the two whose
+  output is finite for finite inputs to its ``_ALWAYS_FINITE`` set;
+  ``CHAIN_OPS`` names the four.  ``autodiff.OP_KINDS`` keeps listing
+  the program's ops alone.
+* ``group_of``, the parameter group of a tensor name.
 * Float64 numpy references for the selective slot decoder in
   ``slotsurv.moe``.  The graph builders there are what the model runs;
   these plain functions recompute the same decode independently so the
@@ -37,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slotsurv.autodiff import Graph, bind_arrays
+from slotsurv import autodiff
+from slotsurv.autodiff import Graph, GraphError, Node, bind_arrays
 from slotsurv.moe import GateMask, GateParams, PredictorParams, _check_k, _k_hot
 from slotsurv.slots import SlotParams, build_init_slots
 from slotsurv.survival import BootstrapSummary, HazardCurve, km_estimate, rmst
@@ -168,6 +178,113 @@ def owning_buffers(arrays) -> list:
     return list(seen.values())
 
 
+# ------------------------------------------------- per-op chain vocabulary
+
+
+def col_softmax(g: Graph, a: Node) -> Node:
+    """Softmax along the second-to-last axis."""
+    va = a.value
+    if va.ndim not in (2, 3):
+        raise GraphError(
+            f"col_softmax needs a 2-d or 3-d operand, got {va.shape}")
+    return g._append("col_softmax", (a.idx,), aux=-2, madds=3 * va.size)
+
+
+def layer_norm(g: Graph, a: Node, gamma: Node, beta: Node) -> Node:
+    """Normalize along the last axis; gamma and beta are (1, d) rows."""
+    va = a.value
+    d = va.shape[-1]
+    if va.ndim not in (2, 3) or gamma.shape != (1, d) or beta.shape != (1, d):
+        raise GraphError(f"layer_norm shapes: x {va.shape}, "
+                         f"gamma {gamma.shape}, beta {beta.shape}")
+    return g._append("layer_norm", (a.idx, gamma.idx, beta.idx),
+                     madds=4 * va.size)
+
+
+def gru_cell(g: Graph, x: Node, h: Node, wz, uz, bz, wr, ur, br, wn, un,
+             bn) -> Node:
+    """Row-wise GRU update of state h (2-d or 3-d) from input x."""
+    vx, vh = x.value, h.value
+    d = vh.shape[-1]
+    if vx.shape != vh.shape or vx.ndim not in (2, 3):
+        raise GraphError(
+            f"gru_cell input/state mismatch {vx.shape} vs {vh.shape}")
+    for w in (wz, uz, wr, ur, wn, un):
+        if w.shape != (d, d):
+            raise GraphError(
+                f"gru_cell weight shape {w.shape}, want {(d, d)}")
+    for b in (bz, br, bn):
+        if b.shape != (1, d):
+            raise GraphError(
+                f"gru_cell bias shape {b.shape}, want {(1, d)}")
+    s = vx.size // d
+    return g._append(
+        "gru_cell",
+        (x.idx, h.idx, wz.idx, uz.idx, bz.idx, wr.idx, ur.idx, br.idx,
+         wn.idx, un.idx, bn.idx),
+        madds=6 * s * d * d + 10 * s * d)
+
+
+def gather_rows(g: Graph, a: Node, indices) -> Node:
+    va = a.value
+    idx = np.asarray(indices, dtype=np.int64)
+    if va.ndim != 2 or idx.ndim != 1:
+        raise GraphError("gather_rows needs a 2-d source and 1-d index list")
+    if idx.size and (idx.min() < 0 or idx.max() >= va.shape[0]):
+        raise GraphError(
+            f"gather_rows index out of range for {va.shape[0]} rows")
+    return g._append("gather_rows", (a.idx,), aux=idx)
+
+
+def _layer_norm_fwd(_, x, gamma, beta):
+    xhat, inv, _ = autodiff._normalize(x)
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, inv)
+
+
+def _bw_layer_norm(g, i, grad, grads):
+    parents = g._parents[i]
+    need = g._needs_grad
+    autodiff._give(grads, parents, autodiff._layer_norm_adj(
+        grad, g._values[parents[1]], *g._saved[i],
+        *(need[p] for p in parents)))
+
+
+def _bw_gru(g, i, grad, grads):
+    parents = g._parents[i]
+    xi, hi, wz, uz, _, wr, ur, _, wn, un, _ = parents
+    v = g._values
+    autodiff._give(grads, parents, autodiff._gru_adj(
+        grad, g._saved[i], v[xi], v[hi], v[wz], v[uz], v[wr], v[ur],
+        v[wn], v[un], [g._needs_grad[p] for p in parents]))
+
+
+def _bw_gather_rows(g, i, grad, grads):
+    p = g._parents[i][0]
+    buf = np.zeros_like(g._values[p])
+    np.add.at(buf, g._aux[i], grad)
+    autodiff._acc(grads, p, buf)
+
+
+# op: (forward kernel, adjoint rule), registered with the engine here
+_CHAIN_TABLE = {
+    "col_softmax": (autodiff._softmax, autodiff._bw_softmax),
+    "layer_norm": (_layer_norm_fwd, _bw_layer_norm),
+    "gru_cell": (autodiff._gru_fwd, _bw_gru),
+    "gather_rows": (lambda idx, a: a[idx], _bw_gather_rows),
+}
+CHAIN_OPS = frozenset(_CHAIN_TABLE)
+autodiff._FORWARD.update({op: fw for op, (fw, _) in _CHAIN_TABLE.items()})
+autodiff._BACKWARD.update({op: bw for op, (_, bw) in _CHAIN_TABLE.items()})
+autodiff._ALWAYS_FINITE = autodiff._ALWAYS_FINITE | {"col_softmax",
+                                                     "gather_rows"}
+
+
+def group_of(tensor_name: str) -> str:
+    return tensor_name.split(".", 1)[0]
+
+
 # ---------------------------------------------------------- slot attention
 
 
@@ -179,16 +296,14 @@ def instance_mask(g: Graph, bag, mask):
     return g.const(np.asarray(mask)[..., None])
 
 
-def keys_values(g: Graph, p, bag, ones, masked: bool):
+def keys_values(g: Graph, p, bag, ones):
     """Projected keys (transposed, scaled) and values of a bag as per-op
-    nodes; with ``masked`` the values are multiplied by the instance mask
-    ``ones``, which zeroes padded rows."""
-    x = g.layer_norm(bag, p.ln_in_gamma, p.ln_in_beta)
+    nodes; the values are multiplied by the instance mask ``ones``, which
+    zeroes padded rows."""
+    x = layer_norm(g, bag, p.ln_in_gamma, p.ln_in_beta)
     keys_t = g.scale(g.transpose(g.matmul(x, p.w_k)),
                      1.0 / np.sqrt(bag.shape[-1]))
-    values = g.matmul(x, p.w_v)
-    if masked:
-        values = g.mul(values, ones)
+    values = g.mul(g.matmul(x, p.w_v), ones)
     return keys_t, values
 
 
@@ -197,26 +312,25 @@ def unfused_attention_step(g: Graph, p, slots, keys_t, values, ones):
     alpha, aggregated update) nodes.  The slots' layer norm has no shift,
     so the chain gives it a zero constant."""
     no_shift = g.const(np.zeros(p.ln_slot_gamma.shape))
-    normed = g.layer_norm(slots, p.ln_slot_gamma, no_shift)
+    normed = layer_norm(g, slots, p.ln_slot_gamma, no_shift)
     q = g.matmul(normed, p.w_q)
-    alpha = g.col_softmax(g.matmul(q, keys_t))
+    alpha = col_softmax(g, g.matmul(q, keys_t))
     u = g.matmul(alpha, values)
     mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), AGG_EPS)))
     u = g.mul(u, g.reciprocal(mass))
-    updated = g.gru_cell(u, slots,
-                         p.gru_wz, p.gru_uz, p.gru_bz,
-                         p.gru_wr, p.gru_ur, p.gru_br,
-                         p.gru_wn, p.gru_un, p.gru_bn)
+    updated = gru_cell(g, u, slots,
+                       p.gru_wz, p.gru_uz, p.gru_bz,
+                       p.gru_wr, p.gru_ur, p.gru_br,
+                       p.gru_wn, p.gru_un, p.gru_bn)
     hidden = g.relu(g.add(g.matmul(updated, p.mlp_w1), p.mlp_b1))
     residual = g.add(g.matmul(hidden, p.mlp_w2), p.mlp_b2)
     return g.add(updated, residual), alpha, u
 
 
-def unfused_slot_encode(g: Graph, p, bag, ones, slots, t_iters: int,
-                        masked: bool):
+def unfused_slot_encode(g: Graph, p, bag, ones, slots, t_iters: int):
     """``Graph.slot_encode`` as per-op nodes, from the initial ``slots``
     node; returns the slots and the last alpha (unmasked) as nodes."""
-    keys_t, values = keys_values(g, p, bag, ones, masked)
+    keys_t, values = keys_values(g, p, bag, ones)
     for _ in range(t_iters):
         slots, alpha, _ = unfused_attention_step(g, p, slots, keys_t, values,
                                                  ones)
@@ -229,8 +343,7 @@ def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
     the last alpha (masked) as nodes."""
     ones = instance_mask(g, bag, mask)
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
-    slots, alpha = unfused_slot_encode(g, p, bag, ones, slots, t_iters,
-                                       mask is not None)
+    slots, alpha = unfused_slot_encode(g, p, bag, ones, slots, t_iters)
     if mask is not None:
         alpha = g.mul(alpha, g.transpose(ones))
     return slots, alpha
@@ -266,7 +379,7 @@ def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
     p = bind_arrays(g, "p", params, trainable=False)
     bag = g.const(bag_matrix)
     ones = instance_mask(g, bag, None)
-    keys_t, values = keys_values(g, p, bag, ones, False)
+    keys_t, values = keys_values(g, p, bag, ones)
     out, alpha, u = unfused_attention_step(g, p, g.const(slots), keys_t,
                                            values, ones)
     return StepResult(slots=out.value.copy(), attention=alpha.value.copy(),
@@ -285,10 +398,10 @@ def unfused_cross_update(g: Graph, p, queries, context):
     v = g.matmul(context, p.w_v)
     attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
                                  1.0 / np.sqrt(dim)))
-    updated = g.gru_cell(g.matmul(attn, v), queries,
-                         p.gru_wz, p.gru_uz, p.gru_bz,
-                         p.gru_wr, p.gru_ur, p.gru_br,
-                         p.gru_wn, p.gru_un, p.gru_bn)
+    updated = gru_cell(g, g.matmul(attn, v), queries,
+                       p.gru_wz, p.gru_uz, p.gru_bz,
+                       p.gru_wr, p.gru_ur, p.gru_br,
+                       p.gru_wn, p.gru_un, p.gru_bn)
     hidden = g.relu(g.affine(updated, p.mlp_w1, p.mlp_b1))
     return g.add(updated, g.affine(hidden, p.mlp_w2, p.mlp_b2))
 
@@ -306,7 +419,7 @@ def unfused_self_attention(g: Graph, p, slots, selected):
     k = selected.shape[1]
     rows = g.reshape(slots, (n_sets * n_slots, dim))
     picked = (selected + n_slots * np.arange(n_sets)[:, None]).reshape(-1)
-    sel = g.reshape(g.gather_rows(rows, picked), lead + (k, dim))
+    sel = g.reshape(gather_rows(g, rows, picked), lead + (k, dim))
     q = g.matmul(sel, p.w_q)
     keys = g.matmul(sel, p.w_k)
     v = g.matmul(sel, p.w_v)
@@ -317,8 +430,8 @@ def unfused_self_attention(g: Graph, p, slots, selected):
     refined = g.add(x, g.affine(hidden, p.mlp_w2, p.mlp_b2))
     index_map = np.arange(rows.shape[0])
     index_map[picked] = rows.shape[0] + np.arange(picked.size)
-    out = g.gather_rows(
-        g.concat(rows, g.reshape(refined, (picked.size, dim)), axis=0),
+    out = gather_rows(
+        g, g.concat(rows, g.reshape(refined, (picked.size, dim)), axis=0),
         index_map)
     return g.reshape(out, slots.shape)
 
@@ -342,15 +455,15 @@ def unfused_decode(g: Graph, head, queries, slots):
     if queries.shape[-1] != dim:
         raise ValueError(
             f"query width {queries.shape[-1]} != slot width {dim}")
-    nq = g.layer_norm(queries, head.ln_q_gamma, head.ln_q_beta)
-    ns = g.layer_norm(slots, head.ln_s_gamma, head.ln_s_beta)
+    nq = layer_norm(g, queries, head.ln_q_gamma, head.ln_q_beta)
+    ns = layer_norm(g, slots, head.ln_s_gamma, head.ln_s_beta)
     q = g.matmul(nq, head.w_q)
     k = g.matmul(ns, head.w_k)
     v = g.matmul(ns, head.w_v)
     attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
                                  1.0 / np.sqrt(dim)))
     attended = g.add(queries, g.matmul(attn, v))
-    nf = g.layer_norm(attended, head.ln_f_gamma, head.ln_f_beta)
+    nf = layer_norm(g, attended, head.ln_f_gamma, head.ln_f_beta)
     hidden = g.relu(g.affine(nf, head.ffn_w1, head.ffn_b1))
     ffn = g.affine(hidden, head.ffn_w2, head.ffn_b2)
     return g.add(attended, ffn)

@@ -24,10 +24,15 @@ from slotsurv.autodiff import (
     Graph,
     GraphError,
     backward,
-    finite_diff_check,
 )
 
+from fd import ancestors, clone, finite_diff_check
 from oracles import (
+    CHAIN_OPS,
+    col_softmax,
+    gather_rows,
+    gru_cell,
+    layer_norm,
     out_of_place_acc,
     owning_buffers,
     saved_arrays,
@@ -117,7 +122,7 @@ def _build_row_softmax(g, rng):
 
 def _build_col_softmax(g, rng):
     a = g.input("a", rng.uniform(-2.0, 2.0, size=(3, 4)))
-    return _softmax_target(g, g.col_softmax(a), rng, axis=-2)
+    return _softmax_target(g, col_softmax(g, a), rng, axis=-2)
 
 
 def _build_sigmoid(g, rng):
@@ -159,7 +164,7 @@ def _build_layer_norm(g, rng, batch=None):
     a = g.input("a", x)
     gamma = g.input("gamma", gamma_v)
     beta = g.input("beta", rng.normal(size=(1, d)))
-    y = g.layer_norm(a, gamma, beta)
+    y = layer_norm(g, a, gamma, beta)
     off = (y.value.size / (2.0 * (batch or 1))) * qp / gamma_v
     return _batch_total(g, g.squared_error(y, g.const(y.value + off)))
 
@@ -174,8 +179,8 @@ def _build_gru(g, rng, lead=(2,)):
             for nm in ("wz", "uz", "wr", "ur", "wn", "un")]
     bias = [g.input(nm, rng.uniform(0.05, 0.25, size=(1, d)))
             for nm in ("bz", "br", "bn")]
-    out = g.gru_cell(x, h, mats[0], mats[1], bias[0], mats[2], mats[3],
-                     bias[1], mats[4], mats[5], bias[2])
+    out = gru_cell(g, x, h, mats[0], mats[1], bias[0], mats[2], mats[3],
+                   bias[1], mats[4], mats[5], bias[2])
     return _se_target(g, out, rng)
 
 
@@ -250,7 +255,7 @@ def _build_clamp(g, rng):
 def _build_gather_rows(g, rng):
     a = g.input("a", rng.normal(size=(5, 3)))
     # repeated index exercises adjoint accumulation
-    return _se_target(g, g.gather_rows(a, [4, 0, 2, 0]), rng)
+    return _se_target(g, gather_rows(g, a, [4, 0, 2, 0]), rng)
 
 
 def _build_reduce_sum(g, rng):
@@ -322,7 +327,7 @@ def _build_row_softmax_3d(g, rng):
 
 def _build_col_softmax_3d(g, rng):
     a = g.input("a", rng.uniform(-2.0, 2.0, size=(2, 3, 4)))
-    return _softmax_target(g, g.col_softmax(a), rng, axis=-2)
+    return _softmax_target(g, col_softmax(g, a), rng, axis=-2)
 
 
 def _build_reciprocal(g, rng):
@@ -395,8 +400,7 @@ def _build_slot_encode(g, rng, mask=None, t_iters=1):
     b1 = rng.choice([-1.0, 1.0], size=(1, d)) * rng.uniform(0.7, 1.0, (1, d))
     mlp = [leaf("w1", (d, d), -0.2, 0.2), g.input("b1", b1),
            leaf("w2", (d, d)), leaf("b2", (1, d))]
-    out = g.slot_encode(bag, ones, slots, *head, gru, mlp, t_iters,
-                        masked=mask is not None)
+    out = g.slot_encode(bag, ones, slots, *head, gru, mlp, t_iters)
     return _se_target(g, out, rng)
 
 
@@ -640,12 +644,11 @@ class _ChainGraph(_KeepInputsGraph):
     tests/oracles.py instead of one node."""
 
     def slot_encode(self, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
-                    slot_gamma, w_q, gru, mlp, t_iters, masked):
+                    slot_gamma, w_q, gru, mlp, t_iters):
         p = SimpleNamespace(ln_in_gamma=ln_gamma, ln_in_beta=ln_beta,
                             w_k=w_k, w_v=w_v, ln_slot_gamma=slot_gamma,
                             w_q=w_q, **_tail_params(gru, mlp))
-        return unfused_slot_encode(self, p, bag, ones, slots, t_iters,
-                                   masked)[0]
+        return unfused_slot_encode(self, p, bag, ones, slots, t_iters)[0]
 
     def cross_step(self, queries, context, w_q, w_k, w_v, gru, mlp):
         p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
@@ -707,6 +710,28 @@ def test_finite_diff_exact_for_linear_function():
         assert finite_diff_check(g, total, step=2.0**-13) == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_diff_check_fails_a_wrong_adjoint(monkeypatch, dtype):
+    """The checker can fail: with the ``scale`` adjoint handing twice its
+    contribution it reads a relative error of 0.5 on a linear graph, where
+    the differences are exact, and the true rule reads under the audit's
+    tolerance on the same graph."""
+    def build():
+        g = Graph(dtype=dtype)
+        x = g.input("x", np.arange(1.0, 7.0).reshape(1, 6))
+        return g, g.matmul(g.scale(x, 0.5), g.const(np.ones((6, 1))))
+
+    tol = next(t for d, _, t in MODES if d == dtype)
+    assert finite_diff_check(*build(), step=2.0**-13) < tol
+
+    def doubled(g, i, grad, grads):
+        autodiff._acc(grads, g._parents[i][0],
+                      grad * g.dtype.type(2.0 * g._aux[i]))
+
+    monkeypatch.setitem(autodiff._BACKWARD, "scale", doubled)
+    assert finite_diff_check(*build(), step=2.0**-13) >= 0.5
+
+
 def test_stop_gradient_identity_forward_zero_backward():
     rng = np.random.default_rng(7)
     g = Graph(dtype=np.float64)
@@ -746,7 +771,7 @@ def test_softmax_rows_and_cols_sum_to_one():
     g = Graph(dtype=np.float32)
     xn = g.input("x", x)
     rs = g.row_softmax(xn).value
-    cs = g.col_softmax(xn).value
+    cs = col_softmax(g, xn).value
     np.testing.assert_allclose(rs.sum(axis=1), 1.0, atol=1e-6)
     np.testing.assert_allclose(cs.sum(axis=0), 1.0, atol=1e-6)
     assert rs.min() > 0 and cs.min() > 0
@@ -756,8 +781,8 @@ def test_layer_norm_row_statistics():
     rng = np.random.default_rng(4)
     g = Graph(dtype=np.float64)
     x = g.input("x", rng.normal(size=(6, 32)) * 3 + 1)
-    y = g.layer_norm(x, g.input("g", np.ones((1, 32))),
-                     g.input("b", np.zeros((1, 32)))).value
+    y = layer_norm(g, x, g.input("g", np.ones((1, 32))),
+                   g.input("b", np.zeros((1, 32)))).value
     np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-10)
     np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-4)
 
@@ -970,12 +995,14 @@ def test_forward_replay_matches_eager_build(op_name):
     """A clone at the build's own dtype, which replays every node,
     reproduces every eager node value, and every saved intermediate, bit
     for bit."""
-    assert set(OP_KINDS) == {"input", "const"} | set(_FORWARD)
+    # the engine's tables plus the four chain ops tests/oracles.py adds
+    assert CHAIN_OPS.isdisjoint(OP_KINDS)
+    assert set(OP_KINDS) | CHAIN_OPS == {"input", "const"} | set(_FORWARD)
     assert set(_BACKWARD) <= set(_FORWARD)
     for dtype in (np.float32, np.float64):
         g = Graph(dtype=dtype)
         REPLAY_BUILDERS[op_name](g, np.random.default_rng(_seed(op_name, 0)))
-        replayed = g.clone(dtype)
+        replayed = clone(g, dtype)
         for i in range(g.num_nodes):
             assert _same_bits(g._values[i], replayed._values[i]), (op_name, i)
             if g._saved[i] is not None:
@@ -1023,7 +1050,7 @@ def test_backward_leaves_fused_values_and_saved_intermediates_intact(
 def test_gather_rows_values_and_duplicates():
     g = Graph(dtype=np.float32)
     x = g.input("x", np.arange(12.0).reshape(4, 3))
-    got = g.gather_rows(x, [3, 1, 3]).value
+    got = gather_rows(g, x, [3, 1, 3]).value
     np.testing.assert_array_equal(got, x.value[[3, 1, 3]])
 
 
@@ -1036,7 +1063,7 @@ def test_shape_errors_raise_graph_error():
     with pytest.raises(GraphError):
         g.add(a, g.const(np.ones((3, 2))))
     with pytest.raises(GraphError):
-        g.gather_rows(a, [5])
+        gather_rows(g, a, [5])
     with pytest.raises(GraphError):
         g.clamp(a, 2.0, -2.0)
 
@@ -1057,7 +1084,7 @@ def test_fused_op_shape_errors_raise_graph_error():
                head=(row, row, mat, mat, row, mat), mlp=mlp, t_iters=1):
         return g.slot_encode(g.input(f"bag{g.num_nodes}", np.ones(bag)),
                              g.const(np.ones(ones)), slots, *head, gru, mlp,
-                             t_iters, masked=False)
+                             t_iters)
 
     for bad in (dict(ones=(5, 1)), dict(ones=(4, d)),
                 dict(bag=(0, d), ones=(0, 1)),          # no instance
@@ -1269,7 +1296,7 @@ def test_ancestors_reachability():
     x = g.input("x", np.ones((2, 2)))
     y = g.input("y", np.ones((2, 2)))
     z = g.mul(x, x)
-    anc = g.ancestors(z)
+    anc = ancestors(g, z)
     assert x.idx in anc and z.idx in anc and y.idx not in anc
 
 
@@ -1303,7 +1330,7 @@ def test_fd_cone_replay_matches_full_replay_bitwise():
     # reference: a full replay (a fresh clone of the shadow with the
     # perturbed input set) for every stencil evaluation
     analytic = backward(g, loss)
-    shadow = g.clone(np.float64)
+    shadow = clone(g, np.float64)
     base = {n: shadow._values[shadow._inputs[n]].copy()
             for n in g.input_names()}
     worst = 0.0
@@ -1315,7 +1342,7 @@ def test_fd_cone_replay_matches_full_replay_bitwise():
                 xp = a.copy()
                 xp.flat[k] += delta
                 shadow._values[shadow._inputs[name]] = xp
-                vals.append(shadow.clone(np.float64)._values[loss.idx].item())
+                vals.append(clone(shadow, np.float64)._values[loss.idx].item())
             f_m2, f_m1, f_p1, f_p2 = vals
             num = ((f_m2 - f_p2) + 8.0 * (f_p1 - f_m1)) / (12.0 * step)
             an = float(analytic[name].flat[k])
@@ -1358,7 +1385,9 @@ def test_kernels_the_guard_skips_keep_finite_inputs_finite(dtype, data):
     """The guard skips exactly the ops whose kernel maps finite inputs to
     finite outputs; extreme finite inputs (the largest magnitudes,
     subnormals, signed zeros) stay finite through each of them."""
+    # the engine's set plus the two chain ops tests/oracles.py adds
     assert set(_FINITE_KERNEL_CASES) == autodiff._ALWAYS_FINITE
+    assert autodiff._ALWAYS_FINITE - CHAIN_OPS <= set(OP_KINDS)
     x = data.draw(_extreme_matrices(dtype))
     y = data.draw(_extreme_matrices(dtype))
     for op, auxes in _FINITE_KERNEL_CASES.items():

@@ -4,7 +4,7 @@ iterative bidirectional cross-attention, pooled fusion, risk head."""
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import Graph, backward, bind_arrays, finite_diff_check
+from slotsurv.autodiff import Graph, backward, bind_arrays
 from slotsurv.fusion import (
     RiskHeadParams,
     build_iterative_cross_attention,
@@ -17,6 +17,7 @@ from slotsurv.fusion import (
 )
 from slotsurv.survival import hazards_from_logits
 
+from fd import finite_diff_check
 from oracles import (
     gumbel_topk_mask,
     unfused_cross_attention,

@@ -6,12 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import (
-    Graph,
-    backward,
-    bind_arrays,
-    finite_diff_check,
-)
+from slotsurv.autodiff import Graph, backward, bind_arrays
 from slotsurv.moe import (
     GateMask,
     GateParams,
@@ -26,6 +21,7 @@ from slotsurv.moe import (
     write_gate_csv,
 )
 
+from fd import finite_diff_check
 from oracles import (
     decode,
     gate_scores,

@@ -4,7 +4,7 @@ encoding and genomic imputation."""
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import Graph, backward, bind_arrays, finite_diff_check
+from slotsurv.autodiff import Graph, backward, bind_arrays
 from slotsurv.data import FeatureBag
 from slotsurv.recon import (
     build_cosine_loss,
@@ -21,6 +21,7 @@ from slotsurv.recon import (
 )
 from slotsurv.slots import init_slot_params
 
+from fd import finite_diff_check
 from oracles import owning_buffers, saved_arrays, unfused_decode
 
 

@@ -6,13 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import (
-    Graph,
-    GraphError,
-    backward,
-    bind_arrays,
-    finite_diff_check,
-)
+from slotsurv.autodiff import Graph, GraphError, backward, bind_arrays
 from slotsurv.slots import (
     SlotSet,
     assignment_map,
@@ -22,8 +16,10 @@ from slotsurv.slots import (
     write_assignment_csv,
 )
 
+from fd import finite_diff_check
 from oracles import (
     init_slots,
+    layer_norm,
     owning_buffers,
     saved_arrays,
     slot_attention_step,
@@ -88,7 +84,7 @@ def test_single_slot_gets_all_attention_and_mean_update():
     # weighted mean with an all-ones row is the plain mean of projected values
     g = Graph()
     pn = bind_arrays(g, "p", p, trainable=False)
-    x = g.layer_norm(g.const(bag), pn.ln_in_gamma, pn.ln_in_beta)
+    x = layer_norm(g, g.const(bag), pn.ln_in_gamma, pn.ln_in_beta)
     v = g.matmul(x, pn.w_v).value
     assert np.allclose(step.update, v.mean(axis=0, keepdims=True),
                        atol=1e-5)
@@ -283,11 +279,11 @@ def test_fused_step_counts_the_chains_multiply_adds(case):
     masked = 0 if mask is None else 3 * mask.size   # S * B * M
     assert fused.total_madds() == chain.total_madds() - masked
     # the chain is 18 nodes per iteration, one of them the zero shift of
-    # its layer norm, and 5 for the bag (layer norm, k, its transpose and
-    # scale, v), plus a multiply for the value mask and a transpose and a
-    # multiply for the alpha mask; the fused encode is one node
+    # its layer norm, and 6 for the bag (layer norm, k, its transpose and
+    # scale, v and the value mask), plus a transpose and a multiply for
+    # the alpha mask; the fused encode is one node
     assert chain.num_nodes - fused.num_nodes == \
-        18 * _ORACLE_CASES[case]["t_iters"] + 4 + 3 * (mask is not None)
+        18 * _ORACLE_CASES[case]["t_iters"] + 5 + 2 * (mask is not None)
 
 
 def test_guard_catches_a_pre_activation_that_relu_would_hide():

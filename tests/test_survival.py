@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slotsurv.autodiff import Graph, finite_diff_check
+from slotsurv.autodiff import Graph
 from slotsurv.survival import (
     BootstrapSummary,
     HazardCurve,
@@ -24,6 +24,7 @@ from slotsurv.survival import (
     total_loss,
 )
 
+from fd import finite_diff_check
 from oracles import bootstrap_loop, nll_loss
 
 # ------------------------------------------------------------- hazard curves

@@ -6,6 +6,8 @@ import json
 import logging
 import os
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -35,7 +37,7 @@ from slotsurv.train import (
     train,
 )
 
-from oracles import unfused_decode
+from oracles import group_of, unfused_decode
 
 
 # A cohort small enough for whole-suite runtimes: 12 patients, micro bags.
@@ -424,7 +426,7 @@ def test_training_moves_parameters_and_spares_the_frozen_map(
     final_flat = model_mod.named_parameters(ck.params)
     moved = {name for name in init_flat
              if not np.array_equal(init_flat[name], final_flat[name])}
-    moved_groups = {model_mod.group_of(n) for n in moved}
+    moved_groups = {group_of(n) for n in moved}
     # every trainable group saw an update in one epoch; the frozen map not
     assert set(model_mod.TRAINABLE_GROUPS) <= moved_groups
     for name in init_flat:
@@ -683,8 +685,8 @@ def test_prediction_ignores_cross_recon_params_when_genomics_present(
     flat = {k: v.copy() for k, v in
             model_mod.named_parameters(ck.params).items()}
     for name in flat:
-        if model_mod.group_of(name) in ("recon_g", "recon_h", "recon_cross",
-                                        "positions"):
+        if group_of(name) in ("recon_g", "recon_h", "recon_cross",
+                              "positions"):
             flat[name] += 7.5
     bent = Checkpoint(params=model_mod.params_from_arrays(flat),
                       adam=ck.adam, config=ck.config, epoch=ck.epoch,
@@ -740,16 +742,10 @@ def test_fused_decode_trains_and_imputes_with_the_chains_bits(
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# Op kinds the engine registers that no graph of the program records: the
-# vocabulary of the per-op chains the fused ops replace (see the comment
-# above autodiff.OP_KINDS).
-NEVER_EMITTED = {"col_softmax", "gru_cell", "gather_rows", "layer_norm"}
-
-
-def test_the_program_emits_every_op_kind_but_the_chain_vocabulary(
-        trained, small_cohort, monkeypatch):
+def test_the_program_emits_every_op_kind(trained, small_cohort,
+                                         monkeypatch):
     """Training (selective on and off) and evaluation (genomics present and
-    imputed) record every registered op kind but the documented few."""
+    imputed) record every op kind the engine lists, and no other."""
     emitted = set()
     append = Graph._append
 
@@ -764,7 +760,49 @@ def test_the_program_emits_every_op_kind_but_the_chain_vocabulary(
     for missing in (False, True):
         evaluate(trained.checkpoint, small_cohort, fold=0,
                  missing_genomics=missing, n_boot=10)
-    assert emitted == set(OP_KINDS) - NEVER_EMITTED
+    assert emitted == set(OP_KINDS)
+
+
+# Run in a fresh interpreter whose path holds src/ and no test module.
+_PROGRAM_ALONE = """
+import math, os, sys
+assert not any(os.path.exists(os.path.join(p or ".", "oracles.py"))
+               for p in sys.path), sys.path
+from slotsurv import autodiff, data, train
+cohort = data.synth_cohort(data.SynthConfig(
+    n_patients=6, m_hist_lo=4, m_hist_hi=6, m_gen=4, dim=4, n_motifs=2,
+    seed=5), "cohort")
+result = train.train(train.TrainConfig(
+    epochs=1, batch_size=4, n_slots_h=2, n_slots_g=2, t_iters=1, l_iters=1,
+    k_fraction=0.5, n_bins=2, patch_subsample=4, n_folds=3, seed=2),
+    cohort, fold=0)
+assert result.checkpoint.steps_trained == 1
+rec = cohort.records[0]
+bag_h = data.load_bag(rec.histology_path)
+for bag_g in (data.load_bag(rec.genomic_path), None):
+    out, imputed = train.predict_patient(result.checkpoint, bag_h, bag_g)
+    assert imputed == (bag_g is None) and math.isfinite(out.risk)
+assert {"input", "const"} | set(autodiff._FORWARD) == set(autodiff.OP_KINDS)
+assert set(autodiff._BACKWARD) <= set(autodiff._FORWARD)
+assert autodiff._ALWAYS_FINITE <= set(autodiff.OP_KINDS)
+assert "oracles" not in sys.modules and "fd" not in sys.modules
+print("ok")
+"""
+
+
+def test_the_program_needs_nothing_from_the_tests(tmp_path):
+    """With only src/ on the path, one training step and one served
+    patient, with genomics and imputed, run, and the engine's tables list
+    the program's op kinds alone: the per-op chain vocabulary that
+    tests/oracles.py adds in a test process is not there."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _PROGRAM_ALONE],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_overfit_tiny_cohort_reaches_high_c_index(tmp_path):
