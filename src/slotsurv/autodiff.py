@@ -24,8 +24,8 @@ casts to the graph dtype and applies the non-finite guard; a
 ops fuse a chain of others into one node, to save the per-node cost
 where the model repeats the chain: ``affine``, ``slot_encode``,
 ``cross_step``, ``self_attend`` and ``decode``. The per-op chains they
-replace need four ops the program never records (col_softmax, gru_cell,
-gather_rows and layer_norm); the tests keep those in
+replace need five ops the program never records (transpose, col_softmax,
+gru_cell, gather_rows and layer_norm); the tests keep those in
 ``tests/oracles.py``, which adds their kernels and adjoint rules to
 these tables when imported. The fused kernels call the chain's kernels
 in the chain's order, and their adjoint rules call the same array-level
@@ -41,9 +41,9 @@ The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` a whole parameter set is checked at once, and
 only when that fails leaf by leaf, to name the tensor. Every op output
 is checked, except for ops that map finite inputs to finite outputs
-(transpose, reshape, concat, stop_gradient, relu, clamp, sigmoid and
-row_softmax). Inside the fused attention ops the values that feed a
-kernel able to hide a non-finite entry are checked: the logits (softmax
+(reshape, concat, stop_gradient, relu, clamp, sigmoid and row_softmax).
+Inside the fused attention ops the values that feed a kernel able to
+hide a non-finite entry are checked: the logits (softmax
 maps -inf to 0), in ``slot_encode`` the attention mass (reciprocal maps
 inf to 0), in ``slot_encode`` and ``cross_step`` the GRU input, which in
 ``cross_step`` is the attention output (its sigmoid and tanh saturate),
@@ -69,9 +69,9 @@ the same terms in the same order and the same bits.
 How ``backward`` accumulates. A node's adjoint is the sum of one
 contribution per use, added in the order the uses are visited. The first
 contribution is stored as given: it may be an array another node also
-holds, since ``add``, ``reshape``, ``transpose`` and ``concat`` hand their
-own adjoint, or a view of it, to their operands (and the fused ops hand
-a bias the adjoint of the rows it is added to when their shapes match). The
+holds, since ``add``, ``reshape`` and ``concat`` hand their own
+adjoint, or a view of it, to their operands (and the fused ops hand a
+bias the adjoint of the rows it is added to when their shapes match). The
 second allocates the sum, and the call records that it owns this buffer.
 Each later contribution of the same shape and dtype is added into the
 owned buffer in place. The record lives only for one ``backward`` call,
@@ -90,7 +90,8 @@ axes, so one model builder serves both:
 * add, mul: numpy broadcasting; the adjoint sums back down to each
   operand's shape (one unbroadcast helper; a (1, d) bias row is the
   common case).
-* transpose swaps the last two axes; reshape keeps the entries.
+* reshape keeps the entries; it turns (.., S, 1) score columns into
+  (.., 1, S) rows, the program's only transposes.
 * row_softmax: along the last axis.
 * mean_pool: mean over the second-to-last axis; sum: keep-dims sum
   along one axis; reduce_sum: everything down to 0-d.
@@ -137,7 +138,7 @@ axes, so one model builder serves both:
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
   b1, w2, b2: q = queries @ w_q, k = context @ w_k, v = context @ w_v;
   attn = row_softmax((q @ k^T) * 1/sqrt(d)), (.., S_q, S_c), with k^T a
-  transposed copy as the transpose op makes it; queries' =
+  transposed copy as the chain's transpose op makes it; queries' =
   gru_cell(attn @ v, queries); out = queries' + affine(relu(affine(
   queries', w1, b1)), w2, b2), (.., S_q, d). It keeps three buffers:
   k^T, v and attn. The adjoint rebuilds q and attn @ v from those, the
@@ -176,20 +177,20 @@ ten elementwise passes per row; layer norm 4 per element; softmaxes 3
 per element; squared_error 2 and cosine 4 per input element; add and mul
 1 per element of the broadcast output; the other elementwise ops,
 mean_pool, sum and reduce_sum 1 per input element; pure data movement
-(transpose, reshape, gather, concat, stop_gradient) counts zero. A fused
-op counts what its chain counts: affine a matmul plus an add,
-slot_encode the sum over its chain (for the bag, with B*M rows: 4 B*M*d
-for the layer norm, 2 B*M*d*d for k and v, B*M*d each for the key scale
-and the mask; for each of the T iterations, with B*S rows: 4 B*S*d for
-the layer norm, B*S*d*d for q, 2 B*S*d*M for the logits and alpha @
-values, 3 B*S*M for the softmax, the GRU cell, 2 (B*S*d*d + B*S*d) for
-the MLP layers, B*S*d each for relu and the residual, and B*S*M + 2 B*S
-+ B*S*d for the mass, its floor, the reciprocal and the rescale), and
-cross_step the sum over its chain (with B*S_q query rows and B*S_c
-context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2 B*S_q*S_c*d
-for the logits and attn @ v, 4 B*S_q*S_c for the scale and the row
-softmax, and the same GRU cell, MLP, relu and residual counts as a
-slot_encode iteration's over the query rows), and self_attend the sum
+(reshape, concat, stop_gradient, the chain's transpose and gather)
+counts zero. A fused op counts what its chain counts: affine a matmul
+plus an add, slot_encode the sum over its chain (for the bag, with B*M
+rows: 4 B*M*d for the layer norm, 2 B*M*d*d for k and v, B*M*d each for
+the key scale and the mask; for each of the T iterations, with B*S rows:
+4 B*S*d for the layer norm, B*S*d*d for q, 2 B*S*d*M for the logits and
+alpha @ values, 3 B*S*M for the softmax, the GRU cell, 2 (B*S*d*d +
+B*S*d) for the MLP layers, B*S*d each for relu and the residual, and
+B*S*M + 2 B*S + B*S*d for the mass, its floor, the reciprocal and the
+rescale), and cross_step the sum over its chain (with B*S_q query rows
+and B*S_c context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2
+B*S_q*S_c*d for the logits and attn @ v, 4 B*S_q*S_c for the scale and
+the row softmax, and the same GRU cell, MLP, relu and residual counts as
+a slot_encode iteration's over the query rows), and self_attend the sum
 over its chain (with R = n*K selected rows: 5 R*d*d for the q, k and v
 projections and the two MLP layers, 2 R*K*d for the logits and attn @ v,
 4 R*K for the scale and the row softmax, and 5 R*d for the attention
@@ -370,13 +371,6 @@ class Graph:
             raise GraphError(f"affine bias {b.shape} does not fit {shape}")
         return self._append("affine", (x.idx, w.idx, b.idx),
                             madds=madds + math.prod(shape))
-
-    def transpose(self, a: Node) -> Node:
-        """Swap the last two axes."""
-        va = a.value
-        if va.ndim not in (2, 3):
-            raise GraphError(f"transpose needs a 2-d or 3-d operand, got {va.shape}")
-        return self._append("transpose", (a.idx,))
 
     def reshape(self, a: Node, shape) -> Node:
         """Same entries in another shape; ``a`` itself when the shape already
@@ -1075,7 +1069,6 @@ def _reciprocal_fwd(_, x):
 _FORWARD = {
     "matmul": lambda _, a, b: _matmul(a, b),
     "affine": _affine_fwd,
-    "transpose": lambda _, a: np.swapaxes(a, -1, -2).copy(),
     "reshape": lambda shape, a: a.reshape(shape),
     "add": lambda _, a, b: a + b,
     "scale": lambda c, a: a * a.dtype.type(c),
@@ -1106,8 +1099,8 @@ OP_KINDS = ("input", "const", *_FORWARD)
 # Ops whose output is finite whenever their inputs are, which the guard
 # has already checked: data movement, and maps into a bounded range.
 _ALWAYS_FINITE = frozenset({
-    "transpose", "reshape", "concat", "stop_gradient", "relu", "clamp",
-    "sigmoid", "row_softmax"})
+    "reshape", "concat", "stop_gradient", "relu", "clamp", "sigmoid",
+    "row_softmax"})
 
 
 def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
@@ -1257,10 +1250,6 @@ def _bw_affine(g, i, grad, grads):
         _acc(grads, b, _unbroadcast(grad, g._values[b].shape))
     _give(grads, (x, w), _matmul_adj(grad, g._values[x], g._values[w],
                                      need[x], need[w]))
-
-
-def _bw_transpose(g, i, grad, grads):
-    _acc(grads, g._parents[i][0], np.swapaxes(grad, -1, -2))
 
 
 def _bw_reshape(g, i, grad, grads):
@@ -1674,7 +1663,6 @@ def _bw_reduce_sum(g, i, grad, grads):
 _BACKWARD = {
     "matmul": _bw_matmul,
     "affine": _bw_affine,
-    "transpose": _bw_transpose,
     "reshape": _bw_reshape,
     "add": _bw_add,
     "scale": _bw_scale,

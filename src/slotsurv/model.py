@@ -21,7 +21,8 @@ group.
 
 Each slot encoder is one ``slot_encode`` node after its mask constant and
 the nodes that start its slots: two in the trunk, and the cross-modal
-encode of a training batch.  Each of a training batch's three
+encode of a training batch; serving reads its last attention map from
+that node (``TrunkNodes`` holds none).  Each of a training batch's three
 reconstruction heads is one ``decode`` node.  At the reference
 ``TrainConfig`` a training batch is one graph of 275 nodes and a served
 patient one of 141.
@@ -178,8 +179,6 @@ class TrunkNodes:
 
     slots_h: Node              # (B, S_h, d)
     slots_g: Node
-    alpha_h: np.ndarray        # (B, S_h, M), padded columns zero
-    alpha_g: np.ndarray
     scores_h: Node             # (B, S_h, 1)
     scores_g: Node
     weights_h: Node            # (B, 1, S_h)
@@ -255,7 +254,8 @@ def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
         # K-hot rows: nonzero() lists each row's K indices in order
         selected = np.nonzero(mask.value[:, 0] > 0.5)[1].reshape(n_sets, k)
     else:
-        weights = g.row_softmax(g.scale(g.transpose(r), 1.0 / temperature))
+        row = g.reshape(r, r.shape[:-2] + (1, n_slots))
+        weights = g.row_softmax(g.scale(row, 1.0 / temperature))
         selected = np.tile(np.arange(n_slots), (n_sets, 1))
     logits = moe_mod.build_slot_logits(g, pred, slots)
     mixture = moe_mod.build_gated_mixture(g, weights, logits)
@@ -276,9 +276,9 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     (stochastic slot init, Gumbel top-K); without, in inference mode.
     Reconstruction stays out of the trunk."""
     noise = noise or TrainingNoise(None, None, None, None)
-    s_h, a_h = slot_mod.build_encode(
+    s_h = slot_mod.build_encode(
         g, p.slots_h, bag_h, t_iters, mask=mask_h, noise=noise.slots_h)
-    s_g, a_g = slot_mod.build_encode(
+    s_g = slot_mod.build_encode(
         g, p.slots_g, bag_g, t_iters, noise=noise.slots_g)
 
     r_h, w_h, mix_h, sel_h = _branch_mixture(
@@ -295,8 +295,7 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     z = fusion_mod.build_pool_concat(g, hat_h, hat_g, bar_h, bar_g)
     fused = fusion_mod.build_risk_head(g, p.risk, z)
 
-    return TrunkNodes(slots_h=s_h, slots_g=s_g, alpha_h=a_h, alpha_g=a_g,
-                      scores_h=r_h, scores_g=r_g,
+    return TrunkNodes(slots_h=s_h, slots_g=s_g, scores_h=r_h, scores_g=r_g,
                       weights_h=w_h, weights_g=w_g,
                       mix_h=mix_h, mix_g=mix_g, fused=fused,
                       selected_h=sel_h, selected_g=sel_g)
@@ -322,7 +321,7 @@ def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
             g, p.recon_g, p.positions.table, trunk.slots_g, target=bag_g)
         _, terms["recon_h"], _ = recon_mod.build_recon_histology(
             g, p.recon_h, p.qmap, bag_h, trunk.slots_h, mask=mask_h)
-        s_cross, _ = recon_mod.build_cross_modal_encode(
+        s_cross = recon_mod.build_cross_modal_encode(
             g, p.slots_g, bag_h, t_iters, mask=mask_h)
         _, terms["recon_cross"] = recon_mod.build_recon_genomic(
             g, p.recon_cross, p.positions.table, s_cross, target=bag_g)
@@ -448,14 +447,17 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         hard[selected[0]] = 1.0
         return moe_mod.GateMask(hard=hard, scores=scores.value[0, :, 0].copy())
 
+    def slot_set(slots):
+        # a batch of one is unpadded: its map has no padded columns
+        return slot_mod.SlotSet(slots=slots.value[0].copy(),
+                                attention=g.slot_attention(slots)[0].copy())
+
     return PatientOutput(
         curve=surv_mod.hazards_from_logits(trunk.fused.value[0, 0]),
         curve_h=surv_mod.hazards_from_logits(trunk.mix_h.value[0, 0]),
         curve_g=surv_mod.hazards_from_logits(trunk.mix_g.value[0, 0]),
-        slots_h=slot_mod.SlotSet(slots=trunk.slots_h.value[0].copy(),
-                                 attention=trunk.alpha_h[0].copy()),
-        slots_g=slot_mod.SlotSet(slots=trunk.slots_g.value[0].copy(),
-                                 attention=trunk.alpha_g[0].copy()),
+        slots_h=slot_set(trunk.slots_h),
+        slots_g=slot_set(trunk.slots_g),
         mask_h=gate_mask(trunk.scores_h, trunk.selected_h),
         mask_g=gate_mask(trunk.scores_g, trunk.selected_g),
         weights_h=trunk.weights_h.value[0, 0].copy(),

@@ -135,7 +135,8 @@ def build_gumbel_mask(g: Graph, r: Node, k: int, temperature: float,
         raise ValueError(f"temperature must be positive, got {temperature}")
     if noise is None:
         return g.const(_k_hot(np.swapaxes(r.value, -1, -2), k)), None
-    noisy = g.add(g.transpose(r), g.const(noise))
+    row = g.reshape(r, r.shape[:-2] + (1, r.shape[-2]))
+    noisy = g.add(row, g.const(noise))
     # top-K of the soft relaxation equals top-K of the perturbed scores
     # (softmax is monotone), so the hard vector is read off `noisy`
     soft = g.row_softmax(g.scale(noisy, 1.0 / temperature))
@@ -148,7 +149,8 @@ def build_renormalized_weights(g: Graph, r: Node, mask: Node,
                                temperature: float) -> Node:
     """Mixture weights w = softmax(r/temperature) * mask, renormalized to
     sum 1 over the selected slots.  Shape (..., 1, S)."""
-    relaxed = g.row_softmax(g.scale(g.transpose(r), 1.0 / temperature))
+    row = g.reshape(r, r.shape[:-2] + (1, r.shape[-2]))
+    relaxed = g.row_softmax(g.scale(row, 1.0 / temperature))
     if mask.shape != relaxed.shape:
         raise ValueError(
             f"mask shape {mask.shape} does not match {r.shape[-2]} scores")

@@ -11,9 +11,10 @@ one ``decode`` graph node over every row it reconstructs:
   features into queries for the histology slots; cosine loss, which is
   scale-invariant per patch.
 * cross-modal: the genomic branch's slot initialization is run over the
-  HISTOLOGY bag, and the resulting slots must reconstruct the genomic
-  features through the shared position table.  After training this same
-  path imputes a genomic bag when one is missing.
+  HISTOLOGY bag (``build_cross_modal_encode``), and the resulting slots
+  must reconstruct the genomic features through the shared position
+  table.  After training ``impute_genomic`` runs this same path, in
+  graphs of its own, when a genomic bag is missing.
 """
 
 from __future__ import annotations
@@ -184,13 +185,13 @@ def build_recon_histology(g: Graph, head: ReconHeadParams,
 
 
 def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
-                             t_iters: int, mask=None):
+                             t_iters: int, mask=None) -> Node:
     """Slot attention over the histology bag (or a padded batch of them,
     with its instance ``mask``) starting from the genomic branch's learned
     slot mean, without noise: one ``slot_encode`` node after its mask
     constant (and, for a batch, the two nodes that broadcast the mean).
-    Returns the slots node and the last alpha; cost is linear in the bag
-    size at fixed slot count."""
+    Returns the slots node; cost is linear in the bag size at fixed slot
+    count."""
     return slot_mod.build_encode(g, genomic_params, hist_bag, t_iters,
                                  mask=mask)
 
@@ -214,7 +215,11 @@ def cross_modal_encode(bag_h: FeatureBag, genomic_params,
                        t_iters: int) -> slot_mod.SlotSet:
     """Encode a histology bag with the genomic branch's slot parameters."""
     expect_modality(bag_h, "histology")
-    return slot_mod.encode(bag_h.matrix, genomic_params, t_iters)
+    g = Graph(dtype=genomic_params.init_mean.dtype)
+    p = bind_arrays(g, "p", genomic_params, trainable=False)
+    slots = build_cross_modal_encode(g, p, g.const(bag_h.matrix), t_iters)
+    return slot_mod.SlotSet(slots=slots.value.copy(),
+                            attention=g.slot_attention(slots).copy())
 
 
 def impute_genomic(bag_h: FeatureBag, genomic_params,

@@ -16,13 +16,11 @@ and the mask constant, for training, serving and the cross-modal encode
 alike: the bag's layer norm, the key and value projections and all T
 iterations (layer norm, attention, weighted mean, GRU and residual MLP)
 run as one kernel, with the per-op chain's values, gradients and
-multiply-add counts.  Of the bag-sized arrays the node keeps only two,
-the keys and the values.  Of the T attention maps it keeps only the last
-iteration's, which is read back from that node as a plain array (it
-feeds no loss); the adjoint rebuilds the earlier ones, with their bits,
-from small per-iteration rows.  ``encode`` is a numpy-in/numpy-out
-convenience that builds a throwaway graph, at the parameters' precision,
-internally.
+multiply-add counts; ``build_encode`` returns that node.  Of the
+bag-sized arrays it keeps only two, the keys and the values.  Of the T
+attention maps it keeps only the last iteration's, which serving reads
+back with ``Graph.slot_attention`` (it feeds no loss); the adjoint
+rebuilds the earlier ones, with their bits, from small rows.
 
 Only training is random.  The slots start at the learned mean, plus
 exp(init_log_std) times standard-normal noise when noise is given; the
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, bind_arrays, init_block, init_normal
+from .autodiff import Graph, Node, init_block, init_normal
 from .data import atomic_write
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "assignment_map",
     "build_encode",
     "build_init_slots",
-    "encode",
     "init_slot_params",
     "write_assignment_csv",
 ]
@@ -129,49 +126,35 @@ def build_init_slots(g: Graph, p: SlotParams, lead: tuple = (), noise=None):
 
 
 def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
-                 noise=None):
-    """T attention iterations over a bag node; returns the slots node and
-    the last iteration's alpha as an array (it feeds no loss).
+                 noise=None) -> Node:
+    """T attention iterations over a bag node; returns the slots, one
+    ``slot_encode`` node whose last map ``g.slot_attention`` reads.
 
     ``bag`` is one patient's (M, d) bag or a zero-padded batch (B, M, d)
     whose (B, M) instance ``mask`` marks the real rows; slots come out
-    (S, d) or (B, S, d) and alpha (S, M) or (B, S, M), with padded
-    columns zero.  Padded instances get softmax columns like real ones,
-    but their values are zeroed, so they add nothing to the attention
-    mass and receive no gradient.  ``noise`` is the standard-normal
-    slot-init noise of a training pass, shaped like the slots; without it
-    the slots start at the learned mean.  ``slot_encode`` rejects a bag of
-    another width than the slots' and T < 1 (``GraphError``, a
-    ValueError).
+    (S, d) or (B, S, d).  Padded instances get softmax columns like real
+    ones, but their values are zeroed, so they add nothing to the
+    attention mass and receive no gradient.  ``noise`` is the
+    standard-normal slot-init noise of a training pass, shaped like the
+    slots; without it the slots start at the learned mean.
+    ``slot_encode`` rejects a bag of another width than the slots' and
+    T < 1 (``GraphError``, a ValueError).
     """
     if mask is None:
         ones = g.const(np.ones(bag.shape[:-1] + (1,)))
     else:
         ones = g.const(np.asarray(mask)[..., None])
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
-    slots = g.slot_encode(
+    return g.slot_encode(
         bag, ones, slots, p.ln_in_gamma, p.ln_in_beta, p.w_k, p.w_v,
         p.ln_slot_gamma, p.w_q,
         (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
          p.gru_wn, p.gru_un, p.gru_bn),
         (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2),
         t_iters)
-    alpha = g.slot_attention(slots)
-    if mask is not None:
-        alpha = alpha * np.swapaxes(ones.value, -1, -2)
-    return slots, alpha
 
 
-# ------------------------------------------------------------ numpy interface
-
-
-def encode(bag_matrix: np.ndarray, params: SlotParams,
-           t_iters: int) -> SlotSet:
-    """Slots of one bag from the learned initial mean (no noise)."""
-    g = Graph(dtype=params.init_mean.dtype)
-    p = bind_arrays(g, "p", params, trainable=False)
-    slots, alpha = build_encode(g, p, g.const(bag_matrix), t_iters)
-    return SlotSet(slots=slots.value.copy(), attention=alpha.copy())
+# ------------------------------------------------------------------ export
 
 
 def assignment_map(slotset: SlotSet) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The estimation side (hazard curves, concordance, Kaplan-Meier, log-rank,
 RMST, bootstrap contrasts, the risk-stratified ``stratified_stats``) is
-pure numpy and operates on plain arrays.
+pure numpy and operates on plain arrays; ``chi2_sf`` is the one-dof tail
+of the log-rank statistic alone, in closed form (Mantel, 1966).
 ``build_nll_loss`` is the one graph-aware entry point: it attaches the
 negative log-likelihoods of one patient or of a batch to an existing
 autodiff graph so the training loop can differentiate through them.
@@ -226,55 +227,12 @@ def km_estimate(times, events) -> KMEstimate:
 # -------------------------------------------------------------------- log-rank
 
 
-def _chi2_series_p(a: float, x: float) -> float:
-    # lower regularized incomplete gamma by power series (x < a + 1)
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(500):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _chi2_contfrac_q(a: float, x: float) -> float:
-    # upper regularized incomplete gamma by Lentz continued fraction (x >= a+1)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return f * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def chi2_sf(x: float, dof: int = 1) -> float:
-    """Chi-square survival function P(X > x) via the incomplete gamma."""
-    if x < 0 or dof <= 0:
-        raise ValueError(f"chi2_sf: x={x}, dof={dof}")
-    if x == 0:
-        return 1.0
-    a = dof / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return 1.0 - _chi2_series_p(a, half)
-    return _chi2_contfrac_q(a, half)
+def chi2_sf(x: float) -> float:
+    """Chi-square tail P(X > x) at the log-rank test's one degree of
+    freedom: X is a squared standard normal, so it is erfc(sqrt(x / 2))."""
+    if x < 0:
+        raise ValueError(f"chi2_sf: x={x}")
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def logrank_test(times_a, events_a, times_b, events_b):
@@ -307,7 +265,7 @@ def logrank_test(times_a, events_a, times_b, events_b):
     if var <= 0.0:
         raise ValueError("logrank_test: zero variance (no usable events)")
     stat = o_minus_e * o_minus_e / var
-    return stat, chi2_sf(stat, dof=1)
+    return stat, chi2_sf(stat)
 
 
 # ------------------------------------------------------------------------ RMST

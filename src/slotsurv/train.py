@@ -515,14 +515,6 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
 # ------------------------------------------------------------------ evaluation
 
 
-def imputed_genomic_bag(ckpt: Checkpoint, bag_h: FeatureBag) -> FeatureBag:
-    """Genomic surrogate decoded from histology via the cross-modal head."""
-    return recon_mod.impute_genomic(
-        bag_h, ckpt.params.slots_g, ckpt.params.positions,
-        ckpt.params.recon_cross, t_iters=ckpt.config.t_iters,
-        steps_trained=ckpt.steps_trained)
-
-
 def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
                     bag_g: FeatureBag | None):
     """Deterministic inference for one patient.
@@ -552,7 +544,10 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
                 f"was trained on width {dim}")
     imputed = bag_g is None
     if imputed:
-        bag_g = imputed_genomic_bag(ckpt, bag_h)
+        bag_g = recon_mod.impute_genomic(
+            bag_h, ckpt.params.slots_g, ckpt.params.positions,
+            ckpt.params.recon_cross, t_iters=cfg.t_iters,
+            steps_trained=ckpt.steps_trained)
     out = patient_forward(
         ckpt.params, bag_h.matrix, bag_g.matrix, k_h=cfg.k_h, k_g=cfg.k_g,
         temperature=cfg.temperature, t_iters=cfg.t_iters,

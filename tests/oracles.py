@@ -1,13 +1,13 @@
 """Plain references the tests check the package against.
 
-* The per-op chain vocabulary: ``col_softmax``, ``layer_norm``,
-  ``gru_cell`` and ``gather_rows``, four ops the program never records
-  but the unfused chains below need, as builders that take the graph
-  first.  Importing this module adds their kernels and adjoint rules to
-  the engine's ``_FORWARD`` and ``_BACKWARD`` tables, and the two whose
-  output is finite for finite inputs to its ``_ALWAYS_FINITE`` set;
-  ``CHAIN_OPS`` names the four.  ``autodiff.OP_KINDS`` keeps listing
-  the program's ops alone.
+* The per-op chain vocabulary: ``transpose``, ``col_softmax``,
+  ``layer_norm``, ``gru_cell`` and ``gather_rows``, five ops the program
+  never records but the unfused chains below need, as builders that take
+  the graph first.  Importing this module adds their kernels and adjoint
+  rules to the engine's ``_FORWARD`` and ``_BACKWARD`` tables, and the
+  three whose output is finite for finite inputs to its
+  ``_ALWAYS_FINITE`` set; ``CHAIN_OPS`` names the five.
+  ``autodiff.OP_KINDS`` keeps listing the program's ops alone.
 * ``group_of``, the parameter group of a tensor name.
 * Float64 numpy references for the selective slot decoder in
   ``slotsurv.moe``.  The graph builders there are what the model runs;
@@ -181,6 +181,15 @@ def owning_buffers(arrays) -> list:
 # ------------------------------------------------- per-op chain vocabulary
 
 
+def transpose(g: Graph, a: Node) -> Node:
+    """Swap the last two axes."""
+    va = a.value
+    if va.ndim not in (2, 3):
+        raise GraphError(
+            f"transpose needs a 2-d or 3-d operand, got {va.shape}")
+    return g._append("transpose", (a.idx,))
+
+
 def col_softmax(g: Graph, a: Node) -> Node:
     """Softmax along the second-to-last axis."""
     va = a.value
@@ -260,6 +269,10 @@ def _bw_gru(g, i, grad, grads):
         v[wn], v[un], [g._needs_grad[p] for p in parents]))
 
 
+def _bw_transpose(g, i, grad, grads):
+    autodiff._acc(grads, g._parents[i][0], np.swapaxes(grad, -1, -2))
+
+
 def _bw_gather_rows(g, i, grad, grads):
     p = g._parents[i][0]
     buf = np.zeros_like(g._values[p])
@@ -269,6 +282,7 @@ def _bw_gather_rows(g, i, grad, grads):
 
 # op: (forward kernel, adjoint rule), registered with the engine here
 _CHAIN_TABLE = {
+    "transpose": (lambda _, a: np.swapaxes(a, -1, -2).copy(), _bw_transpose),
     "col_softmax": (autodiff._softmax, autodiff._bw_softmax),
     "layer_norm": (_layer_norm_fwd, _bw_layer_norm),
     "gru_cell": (autodiff._gru_fwd, _bw_gru),
@@ -277,8 +291,8 @@ _CHAIN_TABLE = {
 CHAIN_OPS = frozenset(_CHAIN_TABLE)
 autodiff._FORWARD.update({op: fw for op, (fw, _) in _CHAIN_TABLE.items()})
 autodiff._BACKWARD.update({op: bw for op, (_, bw) in _CHAIN_TABLE.items()})
-autodiff._ALWAYS_FINITE = autodiff._ALWAYS_FINITE | {"col_softmax",
-                                                     "gather_rows"}
+autodiff._ALWAYS_FINITE = autodiff._ALWAYS_FINITE | {
+    "transpose", "col_softmax", "gather_rows"}
 
 
 def group_of(tensor_name: str) -> str:
@@ -301,7 +315,7 @@ def keys_values(g: Graph, p, bag, ones):
     nodes; the values are multiplied by the instance mask ``ones``, which
     zeroes padded rows."""
     x = layer_norm(g, bag, p.ln_in_gamma, p.ln_in_beta)
-    keys_t = g.scale(g.transpose(g.matmul(x, p.w_k)),
+    keys_t = g.scale(transpose(g, g.matmul(x, p.w_k)),
                      1.0 / np.sqrt(bag.shape[-1]))
     values = g.mul(g.matmul(x, p.w_v), ones)
     return keys_t, values
@@ -340,13 +354,10 @@ def unfused_slot_encode(g: Graph, p, bag, ones, slots, t_iters: int):
 def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
                    noise=None):
     """``slots.build_encode`` over the unfused chain; returns the slots and
-    the last alpha (masked) as nodes."""
+    the last alpha as nodes."""
     ones = instance_mask(g, bag, mask)
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
-    slots, alpha = unfused_slot_encode(g, p, bag, ones, slots, t_iters)
-    if mask is not None:
-        alpha = g.mul(alpha, g.transpose(ones))
-    return slots, alpha
+    return unfused_slot_encode(g, p, bag, ones, slots, t_iters)
 
 
 @dataclass(frozen=True)
@@ -396,7 +407,7 @@ def unfused_cross_update(g: Graph, p, queries, context):
     q = g.matmul(queries, p.w_q)
     k = g.matmul(context, p.w_k)
     v = g.matmul(context, p.w_v)
-    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
+    attn = g.row_softmax(g.scale(g.matmul(q, transpose(g, k)),
                                  1.0 / np.sqrt(dim)))
     updated = gru_cell(g, g.matmul(attn, v), queries,
                        p.gru_wz, p.gru_uz, p.gru_bz,
@@ -423,7 +434,7 @@ def unfused_self_attention(g: Graph, p, slots, selected):
     q = g.matmul(sel, p.w_q)
     keys = g.matmul(sel, p.w_k)
     v = g.matmul(sel, p.w_v)
-    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(keys)),
+    attn = g.row_softmax(g.scale(g.matmul(q, transpose(g, keys)),
                                  1.0 / np.sqrt(dim)))
     x = g.add(sel, g.matmul(attn, v))
     hidden = g.relu(g.affine(x, p.mlp_w1, p.mlp_b1))
@@ -460,7 +471,7 @@ def unfused_decode(g: Graph, head, queries, slots):
     q = g.matmul(nq, head.w_q)
     k = g.matmul(ns, head.w_k)
     v = g.matmul(ns, head.w_v)
-    attn = g.row_softmax(g.scale(g.matmul(q, g.transpose(k)),
+    attn = g.row_softmax(g.scale(g.matmul(q, transpose(g, k)),
                                  1.0 / np.sqrt(dim)))
     attended = g.add(queries, g.matmul(attn, v))
     nf = layer_norm(g, attended, head.ln_f_gamma, head.ln_f_beta)

@@ -36,6 +36,7 @@ from oracles import (
     out_of_place_acc,
     owning_buffers,
     saved_arrays,
+    transpose,
     unfused_cross_update,
     unfused_decode,
     unfused_self_attention,
@@ -80,7 +81,7 @@ def _build_matmul(g, rng):
 
 def _build_transpose(g, rng):
     a = g.input("a", rng.normal(size=(3, 4)))
-    return _se_target(g, g.transpose(a), rng)
+    return _se_target(g, transpose(g, a), rng)
 
 
 def _build_add(g, rng):
@@ -298,7 +299,7 @@ def _build_matmul_rank1(g, rng):
 
 def _build_transpose_3d(g, rng):
     a = g.input("a", rng.normal(size=(2, 3, 4)))
-    return _se_target(g, g.transpose(a), rng)
+    return _se_target(g, transpose(g, a), rng)
 
 
 def _build_reshape(g, rng):
@@ -957,7 +958,7 @@ def test_backward_never_writes_a_buffer_it_did_not_allocate(
     b = g.scale(v, 2.0)
     y = g.add(a, b)                     # y's adjoint goes to a and to b
     r = g.reshape(y, (4, 3))
-    t = g.transpose(y)
+    t = transpose(g, y)
     z = g.add(r, t)                     # z's adjoint goes to r and to t
     twice = g.add(z, z)
     loss = g.add(
@@ -995,7 +996,7 @@ def test_forward_replay_matches_eager_build(op_name):
     """A clone at the build's own dtype, which replays every node,
     reproduces every eager node value, and every saved intermediate, bit
     for bit."""
-    # the engine's tables plus the four chain ops tests/oracles.py adds
+    # the engine's tables plus the five chain ops tests/oracles.py adds
     assert CHAIN_OPS.isdisjoint(OP_KINDS)
     assert set(OP_KINDS) | CHAIN_OPS == {"input", "const"} | set(_FORWARD)
     assert set(_BACKWARD) <= set(_FORWARD)
@@ -1385,7 +1386,7 @@ def test_kernels_the_guard_skips_keep_finite_inputs_finite(dtype, data):
     """The guard skips exactly the ops whose kernel maps finite inputs to
     finite outputs; extreme finite inputs (the largest magnitudes,
     subnormals, signed zeros) stay finite through each of them."""
-    # the engine's set plus the two chain ops tests/oracles.py adds
+    # the engine's set plus the three chain ops tests/oracles.py adds
     assert set(_FINITE_KERNEL_CASES) == autodiff._ALWAYS_FINITE
     assert autodiff._ALWAYS_FINITE - CHAIN_OPS <= set(OP_KINDS)
     x = data.draw(_extreme_matrices(dtype))

@@ -1,6 +1,8 @@
 """Full-model composition: parameter bookkeeping, the batched loss graph,
 gradient reach per parameter tensor, and the deterministic inference facade."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -543,6 +545,21 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
     per_slot_row = [b.size // slot_rows for b in owning_buffers(arrays)
                     if b.size % slot_rows == 0]
     assert per_slot_row.count(DIM) + per_slot_row.count(2 * DIM) == 51
+
+
+def test_padded_training_trunk_holds_no_array_with_a_bag_row_axis():
+    """A padded training batch's trunk holds its nodes and index arrays,
+    none with a row per bag row: each encoder's last attention map stays
+    in its slot_encode node, which ``Graph.slot_attention`` reads."""
+    sizes = (301, 256, 180)
+    cg = build_cohort_loss(_params(6), _ragged_patients(6, sizes=sizes),
+                           k_h=2, k_g=2, temperature=0.5, t_iters=3,
+                           l_iters=2, lam=0.1, rng=np.random.default_rng(6))
+    for field in dataclasses.fields(cg.trunk):
+        held = getattr(cg.trunk, field.name)
+        shape = held.shape if isinstance(held, autodiff.Node) else \
+            np.shape(held)
+        assert max(sizes) not in shape, field.name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -248,7 +248,7 @@ def test_cross_modal_gradients_match_finite_differences():
     head = bind_arrays(g, "head", init_recon_head(rng, 5))
     positions = g.input("positions", rng.normal(size=(4, 5)))
     bag = g.input("bag", rng.normal(size=(6, 5)))
-    slots, _ = build_cross_modal_encode(g, params, bag, t_iters=2)
+    slots = build_cross_modal_encode(g, params, bag, t_iters=2)
     target = g.const(rng.normal(size=(4, 5)))
     _, loss = build_recon_genomic(g, head, positions, slots, target)
     assert finite_diff_check(g, loss) < 1e-4

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from slotsurv.autodiff import Graph, GraphError, backward, bind_arrays
+from slotsurv.data import FeatureBag
+from slotsurv.recon import cross_modal_encode
 from slotsurv.slots import (
     SlotSet,
     assignment_map,
     build_encode,
-    encode,
     init_slot_params,
     write_assignment_csv,
 )
@@ -33,6 +34,11 @@ def _params(seed=0, n_slots=4, dim=8):
 
 def _bag(seed=1, m=10, dim=8):
     return np.random.default_rng(seed).normal(size=(m, dim)).astype(np.float32)
+
+
+def encode(bag, params, t_iters):
+    """One bag's slots and last attention map, as serving reads them."""
+    return cross_modal_encode(FeatureBag("histology", bag), params, t_iters)
 
 
 # ------------------------------------------------------------- initialization
@@ -146,7 +152,7 @@ def test_encode_rejects_a_bag_without_instances():
 
 
 def _micro_loss(g, p, bag_node, t_iters, rng):
-    slots, alpha = build_encode(g, p, bag_node, t_iters)
+    slots = build_encode(g, p, bag_node, t_iters)
     target = g.const(rng.normal(size=slots.shape) + 1.5)
     return g.squared_error(slots, target)
 
@@ -184,6 +190,12 @@ def test_single_step_gradients_across_seeds(seed):
 
 def _bits(a):
     return a.dtype, a.shape, a.tobytes()
+
+
+def _fused_encode(g, p, bag, t_iters, **kw):
+    """``build_encode`` as (slots node, last map), the chain's return."""
+    slots = build_encode(g, p, bag, t_iters, **kw)
+    return slots, g.slot_attention(slots)
 
 
 def _encode_both(dtype, build, **kw):
@@ -235,7 +247,7 @@ def test_fused_step_is_bitwise_the_unfused_chain(dtype, case):
     node match the per-op chain (18 nodes per iteration) bit for bit: the
     bag, the bag's layer norm, k and v, the iterations' weights and the
     slot-init parameters."""
-    fused = _encode_both(dtype, build_encode, **_ORACLE_CASES[case])
+    fused = _encode_both(dtype, _fused_encode, **_ORACLE_CASES[case])
     chain = _encode_both(dtype, unfused_encode, **_ORACLE_CASES[case])
     assert _bits(fused[0]) == _bits(chain[0])
     assert _bits(fused[1]) == _bits(chain[1])
@@ -264,26 +276,22 @@ def test_fused_step_keeps_the_chains_order_for_shared_initial_slots(dtype):
                   for bag in bags]
         return backward(g, g.add(*losses))
 
-    fused, chain = grads(build_encode), grads(unfused_encode)
+    fused, chain = grads(_fused_encode), grads(unfused_encode)
     for name in chain:
         assert _bits(fused[name]) == _bits(chain[name]), name
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_fused_step_counts_the_chains_multiply_adds(case):
-    """slot_encode counts what its chain counts; a masked encode no longer
-    counts the alpha mask, which is applied outside the graph."""
-    fused = _encode_both(np.float64, build_encode, **_ORACLE_CASES[case])[3]
+    """slot_encode counts what its chain counts."""
+    fused = _encode_both(np.float64, _fused_encode, **_ORACLE_CASES[case])[3]
     chain = _encode_both(np.float64, unfused_encode, **_ORACLE_CASES[case])[3]
-    mask = _ORACLE_CASES[case].get("mask")
-    masked = 0 if mask is None else 3 * mask.size   # S * B * M
-    assert fused.total_madds() == chain.total_madds() - masked
+    assert fused.total_madds() == chain.total_madds()
     # the chain is 18 nodes per iteration, one of them the zero shift of
     # its layer norm, and 6 for the bag (layer norm, k, its transpose and
-    # scale, v and the value mask), plus a transpose and a multiply for
-    # the alpha mask; the fused encode is one node
+    # scale, v and the value mask); the fused encode is one node
     assert chain.num_nodes - fused.num_nodes == \
-        18 * _ORACLE_CASES[case]["t_iters"] + 5 + 2 * (mask is not None)
+        18 * _ORACLE_CASES[case]["t_iters"] + 5
 
 
 def test_guard_catches_a_pre_activation_that_relu_would_hide():
@@ -295,7 +303,7 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
     def step(params):
         g = Graph(dtype=np.float32)
         pn = bind_arrays(g, "p", params, trainable=False)
-        return g, build_encode(g, pn, g.const(bag), 1)[0]
+        return g, build_encode(g, pn, g.const(bag), 1)
 
     # the GRU output of the one iteration, from the per-op chain over the
     # same operands: (1, d), MLP-independent
@@ -332,9 +340,9 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
     p = bind_arrays(g, "p", init_slot_params(rng, n_slots, dim))
     mask = np.ones((n, m))
     mask[1, 300:] = 0.0
-    slots, alpha = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
-                                t_iters, mask=mask,
-                                noise=rng.normal(size=(n, n_slots, dim)))
+    slots = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
+                         t_iters, mask=mask,
+                         noise=rng.normal(size=(n, n_slots, dim)))
     assert g._ops.count("slot_encode") == 1
     steps = g._saved[slots.idx].steps
     assert len(steps) == t_iters
@@ -351,7 +359,6 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
     assert sizes.count(row) == 2
     rest = sum(b.nbytes for b in buffers if b.size not in (bag, amap, row))
     assert rest < bag * np.dtype(np.float32).itemsize
-    np.testing.assert_array_equal(alpha[1, :, 300:], 0.0)
 
 
 @pytest.mark.parametrize("t_iters", [1, 3, 10])
@@ -369,8 +376,8 @@ def test_slot_iteration_holds_two_slot_sized_buffers(t_iters):
     rng = np.random.default_rng(43)
     g = Graph()
     p = bind_arrays(g, "p", init_slot_params(rng, n_slots, dim))
-    slots, _ = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
-                            t_iters, noise=rng.normal(size=(n, n_slots, dim)))
+    slots = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
+                         t_iters, noise=rng.normal(size=(n, n_slots, dim)))
     sv = g._saved[slots.idx]
     rows = n * n_slots
     held = []

@@ -17,7 +17,6 @@ from slotsurv import data as data_mod
 from slotsurv import model as model_mod
 from slotsurv.data import SynthConfig, discretize_times, synth_cohort
 from slotsurv import recon as recon_mod
-from slotsurv import slots as slot_mod
 from slotsurv import train as train_mod
 from slotsurv.autodiff import OP_KINDS, Graph, GraphError
 from slotsurv.train import (
@@ -29,7 +28,6 @@ from slotsurv.train import (
     adam_step,
     evaluate,
     fold_indices,
-    imputed_genomic_bag,
     k_from_fraction,
     load_checkpoint,
     predict_patient,
@@ -639,7 +637,7 @@ def test_predict_patient_rejects_a_bag_of_another_width(
         raise AssertionError("a graph was built")
 
     monkeypatch.setattr(train_mod, "patient_forward", no_graph)
-    monkeypatch.setattr(train_mod, "imputed_genomic_bag", no_graph)
+    monkeypatch.setattr(recon_mod, "impute_genomic", no_graph)
     with pytest.raises(data_mod.BagError,
                        match=f"{wide} bag has width {d + 2} but the "
                              f"checkpoint was trained on width {d}"):
@@ -664,11 +662,15 @@ def test_float64_checkpoint_imputes_and_scores_in_float64(small_cohort):
     cfg = TrainConfig(**{**SMALL_TRAIN, "precision": "float64"})
     ckpt = train(cfg, small_cohort, fold=0).checkpoint
     bag_h = data_mod.load_bag(small_cohort.records[0].histology_path)
-    assert imputed_genomic_bag(ckpt, bag_h).matrix.dtype == np.float64
+    assert recon_mod.impute_genomic(
+        bag_h, ckpt.params.slots_g, ckpt.params.positions,
+        ckpt.params.recon_cross, t_iters=cfg.t_iters,
+        steps_trained=ckpt.steps_trained).matrix.dtype == np.float64
     out, imputed = predict_patient(ckpt, bag_h, None)
     assert imputed
     assert out.slots_h.slots.dtype == out.slots_g.slots.dtype == np.float64
-    sset = slot_mod.encode(bag_h.matrix, ckpt.params.slots_g, cfg.t_iters)
+    sset = recon_mod.cross_modal_encode(bag_h, ckpt.params.slots_g,
+                                        cfg.t_iters)
     assert sset.slots.dtype == np.float64
     x_hat, _ = recon_mod.reconstruct_genomic(
         sset.slots, ckpt.params.positions, ckpt.params.recon_cross)
