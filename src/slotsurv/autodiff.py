@@ -11,7 +11,8 @@ new inputs would keep those constants frozen.
 
 Values are numpy arrays, float32 by default, float64 when a graph is
 constructed with dtype=np.float64 (used by gradient-check tests).
-Scalars are 0-d arrays. Stored values are never mutated in place: a
+Scalars are 0-d arrays, and a leaf keeps its value's rank: a 0-d
+constant stays 0-d. Stored values are never mutated in place: a
 forward kernel or adjoint helper writes in place only into arrays it
 allocated itself, never into a parent's value, a saved intermediate or
 an adjoint it was handed, and with the same float operations in the same
@@ -27,7 +28,8 @@ where the model repeats the chain: ``affine``, ``slot_encode``,
 replace need five ops the program never records (transpose, col_softmax,
 gru_cell, gather_rows and layer_norm); the tests keep those in
 ``tests/oracles.py``, which adds their kernels and adjoint rules to
-these tables when imported. The fused kernels call the chain's kernels
+these tables when imported, beside ``reduce_sum``, with which the
+gradient tests reduce a loss to a 0-d seed. The fused kernels call the chain's kernels
 in the chain's order, and their adjoint rules call the same array-level
 adjoint helpers as the chain's rules, in reverse, handing each parent
 its contributions in the chain's order, so values and gradients have the
@@ -38,7 +40,8 @@ with the same attention head, each with one forward and one adjoint
 helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
-bound; with ``inputs`` a whole parameter set is checked at once, and
+bound; with ``inputs`` (and ``bind_arrays``, which binds a parameter
+dataclass through it) a whole parameter set is checked at once, and
 only when that fails leaf by leaf, to name the tensor. Every op output
 is checked, except for ops that map finite inputs to finite outputs
 (reshape, concat, stop_gradient, relu, clamp, sigmoid and row_softmax).
@@ -94,7 +97,8 @@ axes, so one model builder serves both:
   (.., 1, S) rows, the program's only transposes.
 * row_softmax: along the last axis.
 * mean_pool: mean over the second-to-last axis; sum: keep-dims sum
-  along one axis; reduce_sum: everything down to 0-d.
+  along one axis (a batch's (B,) losses sum to (1,), which reshape makes
+  the 0-d loss).
 * squared_error, cosine: mean over the last two axes, 0-d for 2-d
   operands and one value per batch entry, (B,), for 3-d ones.
 * concat along any axis of two equal-rank operands.
@@ -176,7 +180,7 @@ B*m*k*n (B = 1 when unbatched); the GRU cell counts its six matmuls plus
 ten elementwise passes per row; layer norm 4 per element; softmaxes 3
 per element; squared_error 2 and cosine 4 per input element; add and mul
 1 per element of the broadcast output; the other elementwise ops,
-mean_pool, sum and reduce_sum 1 per input element; pure data movement
+mean_pool and sum 1 per input element; pure data movement
 (reshape, concat, stop_gradient, the chain's transpose and gather)
 counts zero. A fused op counts what its chain counts: affine a matmul
 plus an add, slot_encode the sum over its chain (for the bag, with B*M
@@ -599,10 +603,6 @@ class Graph:
             raise GraphError(f"clamp bounds [{lo}, {hi}]")
         return self._append("clamp", (a.idx,), aux=(lo, hi), madds=a.value.size)
 
-    def reduce_sum(self, a: Node) -> Node:
-        """Sum every entry down to a 0-d scalar."""
-        return self._append("reduce_sum", (a.idx,), madds=a.value.size)
-
     def stop_gradient(self, a: Node) -> Node:
         return self._append("stop_gradient", (a.idx,))
 
@@ -658,7 +658,9 @@ class Graph:
         return lead + (sa[-2], sb[-1]), batch * sa[-2] * sa[-1] * sb[-1]
 
     def _cast(self, value) -> np.ndarray:
-        return np.ascontiguousarray(np.asarray(value, dtype=self.dtype))
+        """``value`` as a C-contiguous array of the graph dtype, of the
+        same rank: a 0-d value stays 0-d."""
+        return np.asarray(value, dtype=self.dtype, order="C")
 
     def _coerce(self, value, what: str) -> np.ndarray:
         arr = self._cast(value)
@@ -1089,7 +1091,6 @@ _FORWARD = {
     "log": _log_fwd,
     "exp": lambda _, a: np.exp(a),
     "clamp": lambda bounds, a: np.clip(a, *bounds),
-    "reduce_sum": lambda _, a: a.sum(),
     "stop_gradient": lambda _, a: a,
 }
 
@@ -1655,11 +1656,6 @@ def _bw_clamp(g, i, grad, grads):
     _acc(grads, p, grad * ((x >= lo) & (x <= hi)))
 
 
-def _bw_reduce_sum(g, i, grad, grads):
-    p = g._parents[i][0]
-    _acc(grads, p, np.broadcast_to(grad, g._values[p].shape).copy())
-
-
 _BACKWARD = {
     "matmul": _bw_matmul,
     "affine": _bw_affine,
@@ -1683,7 +1679,6 @@ _BACKWARD = {
     "log": _bw_log,
     "exp": _bw_exp,
     "clamp": _bw_clamp,
-    "reduce_sum": _bw_reduce_sum,
     # input/const/stop_gradient intentionally absent: adjoint is zero.
 }
 
@@ -1765,16 +1760,13 @@ def init_block(rng: np.random.Generator, dim: int):
             lambda: np.ones((1, dim), dtype=np.float32))
 
 
-def bind_arrays(graph: Graph, prefix: str, obj, trainable: bool = True):
-    """Mirror a dataclass of ndarrays as graph leaves.
-
-    Returns an instance of the same dataclass type whose fields hold the
-    created Nodes: inputs named "<prefix>.<field>" when trainable, consts
-    otherwise (no gradient).
+def bind_arrays(graph: Graph, prefix: str, obj):
+    """Mirror a dataclass of ndarrays as graph inputs named
+    "<prefix>.<field>", declared in one ``Graph.inputs`` call, so one
+    non-finite check covers them all and a bad tensor is named
+    ``input '<prefix>.<field>'``.  Returns an instance of the same
+    dataclass type whose fields hold the created Nodes.
     """
-    if not trainable:
-        return type(obj)(**{f.name: graph.const(getattr(obj, f.name))
-                            for f in dataclasses.fields(obj)})
     nodes = graph.inputs(named_arrays(prefix, obj))
     return type(obj)(**{f.name: nodes[f"{prefix}.{f.name}"]
                         for f in dataclasses.fields(obj)})

@@ -401,7 +401,7 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
         rec = g.add(g.add(terms["recon_g"], terms["recon_h"]),
                     terms["recon_cross"])
         total = g.add(total, g.scale(rec, lam))
-    loss = g.scale(g.reduce_sum(total), 1.0 / len(patients))
+    loss = g.scale(g.reshape(g.sum(total, 0), ()), 1.0 / len(patients))
     return CohortGraph(graph=g, loss=loss, terms=terms, trunk=trunk)
 
 

@@ -14,7 +14,9 @@ one ``decode`` graph node over every row it reconstructs:
   HISTOLOGY bag (``build_cross_modal_encode``), and the resulting slots
   must reconstruct the genomic features through the shared position
   table.  After training ``impute_genomic`` runs this same path, in
-  graphs of its own, when a genomic bag is missing.
+  graphs of its own, when a genomic bag is missing: ``cross_modal_encode``
+  then ``reconstruct_genomic``, numpy facades that bind their parameter
+  group as graph inputs in one call and return values, no loss.
 """
 
 from __future__ import annotations
@@ -161,10 +163,7 @@ def build_cosine_loss(g: Graph, recon: Node, target: Node, mask=None):
     if mask is not None:
         mask = np.asarray(mask)
         score = g.mul(cos, g.const(mask.shape[-1] / mask.sum(axis=-1)))
-    # reduce_sum of a one-element constant builds the 0-d "1" that the
-    # 0-d cosine score needs (bare constants are kept at least 1-d)
-    one = g.reduce_sum(g.const(np.ones(1)))
-    loss = g.add(one, g.scale(score, -1.0))
+    loss = g.add(g.const(np.ones(())), g.scale(score, -1.0))
     return loss, cos
 
 
@@ -200,23 +199,24 @@ def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
 
 
 def reconstruct_genomic(slot_matrix: np.ndarray, positions: PositionTable,
-                        head: ReconHeadParams,
-                        target: np.ndarray | None = None):
+                        head: ReconHeadParams) -> np.ndarray:
+    """Genomic features decoded from one set of slots, (M_g, d).  The
+    head's tensors are bound in one call, so a non-finite one is named
+    ``input 'head.<field>'``."""
     g = Graph(dtype=head.w_q.dtype)
-    h = bind_arrays(g, "head", head, trainable=False)
-    pos = g.const(positions.table)
-    tgt = None if target is None else g.const(target)
-    x_hat, loss = build_recon_genomic(g, h, pos, g.const(slot_matrix), tgt)
-    return (x_hat.value.copy(),
-            None if loss is None else float(loss.value))
+    h = bind_arrays(g, "head", head)
+    x_hat, _ = build_recon_genomic(g, h, g.const(positions.table),
+                                   g.const(slot_matrix))
+    return x_hat.value.copy()
 
 
 def cross_modal_encode(bag_h: FeatureBag, genomic_params,
                        t_iters: int) -> slot_mod.SlotSet:
-    """Encode a histology bag with the genomic branch's slot parameters."""
+    """Encode a histology bag with the genomic branch's slot parameters,
+    bound in one call, so a non-finite one is named ``input 'p.<field>'``."""
     expect_modality(bag_h, "histology")
     g = Graph(dtype=genomic_params.init_mean.dtype)
-    p = bind_arrays(g, "p", genomic_params, trainable=False)
+    p = bind_arrays(g, "p", genomic_params)
     slots = build_cross_modal_encode(g, p, g.const(bag_h.matrix), t_iters)
     return slot_mod.SlotSet(slots=slots.value.copy(),
                             attention=g.slot_attention(slots).copy())
@@ -231,5 +231,5 @@ def impute_genomic(bag_h: FeatureBag, genomic_params,
         raise ValueError("imputation requires trained parameters "
                          f"(steps_trained={steps_trained})")
     sset = cross_modal_encode(bag_h, genomic_params, t_iters)
-    x_tilde, _ = reconstruct_genomic(sset.slots, positions, head)
-    return FeatureBag(modality="genomic", matrix=x_tilde)
+    return FeatureBag(modality="genomic",
+                      matrix=reconstruct_genomic(sset.slots, positions, head))

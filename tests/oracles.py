@@ -2,12 +2,15 @@
 
 * The per-op chain vocabulary: ``transpose``, ``col_softmax``,
   ``layer_norm``, ``gru_cell`` and ``gather_rows``, five ops the program
-  never records but the unfused chains below need, as builders that take
-  the graph first.  Importing this module adds their kernels and adjoint
-  rules to the engine's ``_FORWARD`` and ``_BACKWARD`` tables, and the
-  three whose output is finite for finite inputs to its
-  ``_ALWAYS_FINITE`` set; ``CHAIN_OPS`` names the five.
+  never records but the unfused chains below need, and ``reduce_sum``,
+  which sums a loss down to the 0-d seed a gradient test differentiates,
+  as builders that take the graph first.  Importing this module adds
+  their kernels and adjoint rules to the engine's ``_FORWARD`` and
+  ``_BACKWARD`` tables, and the three whose output is finite for finite
+  inputs to its ``_ALWAYS_FINITE`` set; ``CHAIN_OPS`` names the six.
   ``autodiff.OP_KINDS`` keeps listing the program's ops alone.
+* ``bind_consts``, a parameter dataclass bound as graph constants, for
+  tests that run a builder without differentiating its parameters.
 * ``group_of``, the parameter group of a tensor name.
 * Float64 numpy references for the selective slot decoder in
   ``slotsurv.moe``.  The graph builders there are what the model runs;
@@ -41,13 +44,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from slotsurv import autodiff
-from slotsurv.autodiff import Graph, GraphError, Node, bind_arrays
+from slotsurv.autodiff import Graph, GraphError, Node
 from slotsurv.moe import GateMask, GateParams, PredictorParams, _check_k, _k_hot
 from slotsurv.slots import SlotParams, build_init_slots
 from slotsurv.survival import BootstrapSummary, HazardCurve, km_estimate, rmst
@@ -245,6 +249,11 @@ def gather_rows(g: Graph, a: Node, indices) -> Node:
     return g._append("gather_rows", (a.idx,), aux=idx)
 
 
+def reduce_sum(g: Graph, a: Node) -> Node:
+    """Sum every entry down to a 0-d scalar."""
+    return g._append("reduce_sum", (a.idx,), madds=a.value.size)
+
+
 def _layer_norm_fwd(_, x, gamma, beta):
     xhat, inv, _ = autodiff._normalize(x)
     y = xhat * gamma
@@ -273,6 +282,11 @@ def _bw_transpose(g, i, grad, grads):
     autodiff._acc(grads, g._parents[i][0], np.swapaxes(grad, -1, -2))
 
 
+def _bw_reduce_sum(g, i, grad, grads):
+    p = g._parents[i][0]
+    autodiff._acc(grads, p, np.broadcast_to(grad, g._values[p].shape).copy())
+
+
 def _bw_gather_rows(g, i, grad, grads):
     p = g._parents[i][0]
     buf = np.zeros_like(g._values[p])
@@ -287,12 +301,20 @@ _CHAIN_TABLE = {
     "layer_norm": (_layer_norm_fwd, _bw_layer_norm),
     "gru_cell": (autodiff._gru_fwd, _bw_gru),
     "gather_rows": (lambda idx, a: a[idx], _bw_gather_rows),
+    "reduce_sum": (lambda _, a: a.sum(), _bw_reduce_sum),
 }
 CHAIN_OPS = frozenset(_CHAIN_TABLE)
 autodiff._FORWARD.update({op: fw for op, (fw, _) in _CHAIN_TABLE.items()})
 autodiff._BACKWARD.update({op: bw for op, (_, bw) in _CHAIN_TABLE.items()})
 autodiff._ALWAYS_FINITE = autodiff._ALWAYS_FINITE | {
     "transpose", "col_softmax", "gather_rows"}
+
+
+def bind_consts(g: Graph, obj):
+    """A dataclass of ndarrays as one of graph constants, field by field:
+    no gradient reaches them."""
+    return type(obj)(**{f.name: g.const(getattr(obj, f.name))
+                        for f in dataclasses.fields(obj)})
 
 
 def group_of(tensor_name: str) -> str:
@@ -378,7 +400,7 @@ def init_slots(params: SlotParams,
     g = _graph(params)
     noise = None if rng is None else rng.standard_normal(
         params.init_mean.shape)
-    node = build_init_slots(g, bind_arrays(g, "p", params, trainable=False),
+    node = build_init_slots(g, bind_consts(g, params),
                             noise=noise)
     return node.value.copy()
 
@@ -387,7 +409,7 @@ def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
                         params: SlotParams) -> StepResult:
     """One iteration from explicit slots over a raw bag (numpy in/out)."""
     g = _graph(params)
-    p = bind_arrays(g, "p", params, trainable=False)
+    p = bind_consts(g, params)
     bag = g.const(bag_matrix)
     ones = instance_mask(g, bag, None)
     keys_t, values = keys_values(g, p, bag, ones)

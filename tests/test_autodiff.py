@@ -35,6 +35,7 @@ from oracles import (
     layer_norm,
     out_of_place_acc,
     owning_buffers,
+    reduce_sum,
     saved_arrays,
     transpose,
     unfused_cross_update,
@@ -68,7 +69,7 @@ def _se_target(g, node, rng):
 
 def _batch_total(g, loss):
     """3-d operands give one loss per batch entry; sum them to a scalar."""
-    return loss if loss.value.ndim == 0 else g.reduce_sum(loss)
+    return loss if loss.value.ndim == 0 else reduce_sum(g, loss)
 
 
 # Each entry builds one op into a fresh graph and returns the scalar seed.
@@ -261,7 +262,7 @@ def _build_gather_rows(g, rng):
 
 def _build_reduce_sum(g, rng):
     a = g.input("a", rng.uniform(0.5, 1.5, size=(3, 4)))
-    return g.reduce_sum(a)
+    return reduce_sum(g, a)
 
 
 def _positive(rng, shape):
@@ -360,7 +361,7 @@ def _build_concat_3d(g, rng):
 def _build_squared_error_3d(g, rng):
     a = g.input("a", rng.normal(size=(2, 3, 4)))
     b = g.input("b", a.value + rng.uniform(1.0, 2.0, size=(2, 3, 4)))
-    return g.reduce_sum(g.squared_error(a, b))
+    return reduce_sum(g, g.squared_error(a, b))
 
 
 def _build_affine(g, rng, lead=()):
@@ -756,6 +757,24 @@ def test_stop_gradient_blocks_only_its_branch():
     np.testing.assert_allclose(grads["x"], expected, rtol=1e-12)
 
 
+def test_0d_leaves_keep_their_rank_through_add_scale_and_backward():
+    """A 0-d constant or input stays 0-d, as do the add and scale nodes it
+    feeds, and backward hands a 0-d input a 0-d gradient."""
+    rng = np.random.default_rng(9)
+    g = Graph(dtype=np.float64)
+    x = g.input("x", rng.normal(size=(2, 3)))
+    c = g.input("c", 3.0)
+    one = g.const(np.ones(()))
+    assert one.shape == c.shape == ()
+    err = g.squared_error(x, g.const(np.zeros((2, 3))))
+    loss = g.add(g.scale(one, 2.0), g.scale(g.add(err, c), -1.0))
+    assert loss.shape == ()
+    assert float(loss.value) == 2.0 - float(err.value) - 3.0
+    grads = backward(g, loss)
+    assert grads["c"].shape == () and float(grads["c"]) == -1.0
+    np.testing.assert_allclose(grads["x"], -2.0 / 6 * x.value, rtol=1e-12)
+
+
 def test_unreachable_input_gets_zero_gradient():
     g = Graph(dtype=np.float64)
     x = g.input("x", np.ones((2, 2)))
@@ -897,7 +916,7 @@ def test_matmul_adjoint_of_a_constant_operand_is_never_computed(
                 for side, v in zip(("left", "right"),
                                    (rng.normal(size=s) for s in shapes)))
         out = g.matmul(a, b)
-        loss = g.reduce_sum(g.mul(out, g.const(rng.normal(size=out.shape))))
+        loss = reduce_sum(g, g.mul(out, g.const(rng.normal(size=out.shape))))
         products = []
         real = autodiff._matmul
 
@@ -962,8 +981,8 @@ def test_backward_never_writes_a_buffer_it_did_not_allocate(
     z = g.add(r, t)                     # z's adjoint goes to r and to t
     twice = g.add(z, z)
     loss = g.add(
-        g.reduce_sum(g.mul(twice, g.const(rng.normal(size=(4, 3))))),
-        g.reduce_sum(g.mul(g.add(sq, y), g.const(rng.normal(size=(3, 4))))))
+        reduce_sum(g, g.mul(twice, g.const(rng.normal(size=(4, 3))))),
+        reduce_sum(g, g.mul(g.add(sq, y), g.const(rng.normal(size=(3, 4))))))
     values = [val.copy() for val in g._values]
 
     got = backward(g, loss)
@@ -996,7 +1015,8 @@ def test_forward_replay_matches_eager_build(op_name):
     """A clone at the build's own dtype, which replays every node,
     reproduces every eager node value, and every saved intermediate, bit
     for bit."""
-    # the engine's tables plus the five chain ops tests/oracles.py adds
+    # the engine's tables plus the six ops tests/oracles.py adds: the
+    # chain's five and reduce_sum
     assert CHAIN_OPS.isdisjoint(OP_KINDS)
     assert set(OP_KINDS) | CHAIN_OPS == {"input", "const"} | set(_FORWARD)
     assert set(_BACKWARD) <= set(_FORWARD)
@@ -1323,7 +1343,7 @@ def test_fd_cone_replay_matches_full_replay_bitwise():
     h = g.row_softmax(g.matmul(x, w1))
     shared = g.add(h, g.sigmoid(h))          # shared subexpression
     y = g.matmul(shared, w2)
-    loss = g.reduce_sum(g.mul(y, y))
+    loss = reduce_sum(g, g.mul(y, y))
 
     step = 1e-4
     fast = finite_diff_check(g, loss, step=step)

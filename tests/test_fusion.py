@@ -19,7 +19,9 @@ from slotsurv.survival import hazards_from_logits
 
 from fd import finite_diff_check
 from oracles import (
+    bind_consts,
     gumbel_topk_mask,
+    reduce_sum,
     unfused_cross_attention,
     unfused_self_attention,
 )
@@ -32,7 +34,7 @@ def _run(build, params, *arrays, **kw):
     leaves = [*arrays, *(() if params is None else vars(params).values())]
     g = Graph(dtype=np.result_type(*leaves, np.float32))
     bound = () if params is None else (
-        bind_arrays(g, "p", params, trainable=False),)
+        bind_consts(g, params),)
     out = build(g, *bound, *map(g.const, arrays), **kw)
     return tuple(n.value for n in out) if isinstance(out, tuple) else out.value
 
@@ -85,7 +87,7 @@ def test_singleton_selection_touches_only_that_slot():
     slots = rng.normal(size=(4, 5))
     g = Graph(dtype=np.float64)
     out = build_masked_self_attention(
-        g, bind_arrays(g, "p", p64, trainable=False), g.const(slots), [2])
+        g, bind_consts(g, p64), g.const(slots), [2])
     for row in (0, 1, 3):
         assert np.array_equal(out.value[row], slots[row])
     row = slots[2:3]
@@ -102,7 +104,7 @@ def test_full_selection_equals_plain_self_attention():
     slots = rng.normal(size=(6, 5))
     g = Graph(dtype=np.float64)
     out = build_masked_self_attention(
-        g, bind_arrays(g, "p", p64, trainable=False), g.const(slots),
+        g, bind_consts(g, p64), g.const(slots),
         np.arange(6))
     np.testing.assert_allclose(out.value, _self_reference(slots, p64),
                                atol=1e-12)
@@ -123,8 +125,7 @@ def test_unselected_rows_pass_through_bitwise():
 
 def test_bad_selections_rejected():
     g = Graph()
-    p = bind_arrays(g, "p", init_self_params(np.random.default_rng(3), 4),
-                    trainable=False)
+    p = bind_consts(g, init_self_params(np.random.default_rng(3), 4))
     slots = g.const(np.zeros((5, 4)))
     with pytest.raises(ValueError):
         build_masked_self_attention(g, p, slots, [])
@@ -167,7 +168,7 @@ def test_both_directions_read_the_same_iteration_state():
 
     g = Graph(dtype=np.float64)
     out_h, out_g = build_iterative_cross_attention(
-        g, bind_arrays(g, "p", p64, trainable=False),
+        g, bind_consts(g, p64),
         g.const(s_h), g.const(s_g), l_iters=2)
     np.testing.assert_allclose(out_h.value, h2, atol=1e-10)
     np.testing.assert_allclose(out_g.value, g2, atol=1e-10)
@@ -191,15 +192,14 @@ def test_rounds_share_one_parameter_set():
     out_h, out_g = build_iterative_cross_attention(g, p, s_h, s_g, 3)
     # 16 block tensors + 2 slot inputs: no per-iteration parameter copies
     assert len(g.input_names()) == 18
-    grads = backward(g, g.reduce_sum(g.add(g.mean_pool(out_h),
+    grads = backward(g, reduce_sum(g, g.add(g.mean_pool(out_h),
                                            g.mean_pool(out_g))))
     assert np.abs(grads["cross.w_q"]).max() > 0.0
 
 
 def test_l_must_be_positive():
     g = Graph()
-    p = bind_arrays(g, "p", init_cross_params(np.random.default_rng(8), 4),
-                    trainable=False)
+    p = bind_consts(g, init_cross_params(np.random.default_rng(8), 4))
     with pytest.raises(ValueError):
         build_iterative_cross_attention(g, p, g.const(np.zeros((2, 4))),
                                         g.const(np.zeros((2, 4))), 0)
@@ -211,7 +211,7 @@ def test_interaction_cost_is_quadratic_in_slot_count():
 
     def count(s):
         g = Graph()
-        p = bind_arrays(g, "p", params, trainable=False)
+        p = bind_consts(g, params)
         build_iterative_cross_attention(g, p, g.const(rng.normal(size=(s, 6))),
                                         g.const(rng.normal(size=(s, 6))), 2)
         return g.total_madds()
@@ -264,7 +264,7 @@ def _cross_both(dtype, build, case):
     loss = g.add(g.squared_error(out_h, g.const(rng.normal(size=out_h.shape))),
                  g.squared_error(out_g, g.const(rng.normal(size=out_g.shape))))
     if loss.value.ndim:
-        loss = g.reduce_sum(loss)
+        loss = reduce_sum(g, loss)
     return out_h.value, out_g.value, backward(g, loss), g, added
 
 
@@ -328,11 +328,11 @@ def _self_both(dtype, build, case):
         read = np.full(lead + (5, 1), float(reads == "unselected"))
         for b, row in enumerate(selected):
             read[(b, row) if lead else row] = float(reads == "selected")
-        loss = g.reduce_sum(g.mul(
+        loss = reduce_sum(g, g.mul(
             g.mul(out, g.const(read)),
             g.const(-rng.uniform(0.5, 1.5, size=out.shape))))
     if loss.value.ndim:
-        loss = g.reduce_sum(loss)
+        loss = reduce_sum(g, loss)
     return out.value, backward(g, loss), g, added
 
 
@@ -433,5 +433,5 @@ def test_end_to_end_gradients_match_finite_differences():
     hat_h, hat_g = build_iterative_cross_attention(g, cross, s_h, s_g, 2)
     z = build_pool_concat(g, hat_h, hat_g, bar_h, bar_g)
     logits = build_risk_head(g, risk, z)
-    loss = g.reduce_sum(g.mul(logits, g.const(rng.normal(size=(1, 4)))))
+    loss = reduce_sum(g, g.mul(logits, g.const(rng.normal(size=(1, 4)))))
     assert finite_diff_check(g, loss) < 1e-4

@@ -23,10 +23,12 @@ from slotsurv.moe import (
 
 from fd import finite_diff_check
 from oracles import (
+    bind_consts,
     decode,
     gate_scores,
     gated_mixture,
     gumbel_topk_mask,
+    reduce_sum,
     renormalize_weights,
     slot_logits,
 )
@@ -272,7 +274,7 @@ def _graph_moe(seed, temperature, training, k=2, dtype=np.float64,
                                    noise=noise if training else None)
     w = build_renormalized_weights(g, r, mask, temperature)
     y = build_gated_mixture(g, w, build_slot_logits(g, pred, slots))
-    loss = g.reduce_sum(g.mul(y, g.const(rng.normal(size=(1, 3)))))
+    loss = reduce_sum(g, g.mul(y, g.const(rng.normal(size=(1, 3)))))
     return g, loss, r, mask, soft, w
 
 
@@ -284,8 +286,8 @@ def test_graph_matches_numpy_reference():
 
     g = Graph(dtype=np.float64)
     slots = g.const(slots_val)
-    gp = bind_arrays(g, "gate", gate, trainable=False)
-    pp = bind_arrays(g, "pred", pred, trainable=False)
+    gp = bind_consts(g, gate)
+    pp = bind_consts(g, pred)
     r = build_gate_scores(g, gp, slots)
     mask, soft = build_gumbel_mask(
         g, r, 2, 0.7, noise=np.random.default_rng(99).gumbel(size=(1, 5)))

@@ -1,10 +1,12 @@
 """Reconstruction heads: losses, the frozen query map, cross-modal
 encoding and genomic imputation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import Graph, backward, bind_arrays
+from slotsurv.autodiff import Graph, GraphError, backward, bind_arrays
 from slotsurv.data import FeatureBag
 from slotsurv.recon import (
     build_cosine_loss,
@@ -22,7 +24,13 @@ from slotsurv.recon import (
 from slotsurv.slots import init_slot_params
 
 from fd import finite_diff_check
-from oracles import owning_buffers, saved_arrays, unfused_decode
+from oracles import (
+    bind_consts,
+    owning_buffers,
+    reduce_sum,
+    saved_arrays,
+    unfused_decode,
+)
 
 
 def _fixtures(seed=0, dim=5, n_slots=3, m_rows=4):
@@ -40,32 +48,52 @@ def _fixtures(seed=0, dim=5, n_slots=3, m_rows=4):
 # --------------------------------------------------------------- mse recon
 
 
+def _genomic_loss(f, target) -> float:
+    """The genomic reconstruction's mean squared error against ``target``,
+    from the builder a training batch runs."""
+    g = Graph(dtype=f["head"].w_q.dtype)
+    _, loss = build_recon_genomic(
+        g, bind_consts(g, f["head"]), g.const(f["positions"].table),
+        g.const(f["slots"]), g.const(target))
+    return float(loss.value)
+
+
 def test_perfect_reconstruction_has_zero_loss():
     f = _fixtures()
-    x_hat, _ = reconstruct_genomic(f["slots"], f["positions"], f["head"])
-    _, loss = reconstruct_genomic(f["slots"], f["positions"], f["head"],
-                                  target=x_hat)
-    assert loss == 0.0
+    x_hat = reconstruct_genomic(f["slots"], f["positions"], f["head"])
+    assert _genomic_loss(f, x_hat) == 0.0
 
 
 def test_unit_offset_costs_exactly_one():
     f = _fixtures()
-    x_hat, _ = reconstruct_genomic(f["slots"], f["positions"], f["head"])
-    _, loss = reconstruct_genomic(f["slots"], f["positions"], f["head"],
-                                  target=x_hat + 1.0)
-    assert loss == pytest.approx(1.0, abs=1e-6)
+    x_hat = reconstruct_genomic(f["slots"], f["positions"], f["head"])
+    assert _genomic_loss(f, x_hat + 1.0) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_position_count_mismatch_rejected():
     f = _fixtures()
     with pytest.raises(ValueError):
-        reconstruct_genomic(f["slots"], f["positions"], f["head"],
-                            target=np.zeros((7, 5)))
+        _genomic_loss(f, np.zeros((7, 5)))
+
+
+def test_facades_name_a_non_finite_parameter():
+    """Each numpy facade binds its parameter group in one call, whose
+    check names the bad tensor."""
+    f = _fixtures()
+    head = dataclasses.replace(f["head"], ffn_b1=np.full((1, 5), np.nan))
+    with pytest.raises(GraphError, match="input 'head.ffn_b1'"):
+        reconstruct_genomic(f["slots"], f["positions"], head)
+    params = dataclasses.replace(
+        f["genomic_params"],
+        init_mean=np.full_like(f["genomic_params"].init_mean, np.inf))
+    bag = FeatureBag("histology", np.ones((6, 5), dtype=np.float32))
+    with pytest.raises(GraphError, match="input 'p.init_mean'"):
+        cross_modal_encode(bag, params, t_iters=1)
 
 
 def test_query_width_mismatch_rejected():
     g = Graph()
-    head = bind_arrays(g, "head", _fixtures()["head"], trainable=False)
+    head = bind_consts(g, _fixtures()["head"])
     with pytest.raises(ValueError):
         build_decode(g, head, g.const(np.zeros((4, 3))),
                      g.const(np.zeros((2, 5))))
@@ -125,7 +153,7 @@ def test_histology_reconstruction_end_to_end():
     f = _fixtures()
     bag = f["rng"].normal(size=(8, 5)).astype(np.float32)
     g = Graph(dtype=f["head"].w_q.dtype)
-    head = bind_arrays(g, "head", f["head"], trainable=False)
+    head = bind_consts(g, f["head"])
     x_hat, loss, cos = build_recon_histology(g, head, f["qmap"], g.const(bag),
                                              g.const(f["slots"]))
     x_hat, loss, flagged = (x_hat.value, float(loss.value),
@@ -199,7 +227,7 @@ def test_cross_modal_cost_is_linear_in_bag_size():
     counts = {}
     for m in (64, 128, 256):
         g = Graph()
-        p = bind_arrays(g, "p", params, trainable=False)
+        p = bind_consts(g, params)
         build_cross_modal_encode(g, p, g.const(rng.normal(size=(m, 5))), 2)
         counts[m] = g.total_madds()
     assert counts[256] - counts[128] == 2 * (counts[128] - counts[64])
@@ -210,7 +238,7 @@ def test_cross_path_reduces_to_genomic_recon_on_same_slots():
     bag = FeatureBag("histology",
                      f["rng"].normal(size=(10, 5)).astype(np.float32))
     sset = cross_modal_encode(bag, f["genomic_params"], t_iters=2)
-    direct, _ = reconstruct_genomic(sset.slots, f["positions"], f["head"])
+    direct = reconstruct_genomic(sset.slots, f["positions"], f["head"])
     imputed = impute_genomic(bag, f["genomic_params"], f["positions"],
                              f["head"], t_iters=2, steps_trained=1)
     np.testing.assert_array_equal(imputed.matrix,
@@ -284,7 +312,7 @@ def _decode_both(dtype, build, case):
                 g.input("slots", rng.normal(size=s_shape)))
     loss = g.squared_error(out, g.const(rng.normal(size=out.shape)))
     if loss.value.ndim:
-        loss = g.reduce_sum(loss)
+        loss = reduce_sum(g, loss)
     return out.value, backward(g, loss), g
 
 
@@ -322,7 +350,7 @@ def test_decode_keeps_the_chains_order_for_a_shared_position_table(dtype):
     def grads(build):
         g = Graph(dtype=dtype)
         positions = g.input("positions", table)
-        losses = [g.reduce_sum(g.squared_error(
+        losses = [reduce_sum(g, g.squared_error(
             build(g, bind_arrays(g, f"head{k}", head), positions,
                   g.input(f"slots{k}", slots)), g.const(target)))
             for k, (head, slots) in enumerate(zip(heads, slot_sets))]

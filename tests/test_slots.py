@@ -19,9 +19,11 @@ from slotsurv.slots import (
 
 from fd import finite_diff_check
 from oracles import (
+    bind_consts,
     init_slots,
     layer_norm,
     owning_buffers,
+    reduce_sum,
     saved_arrays,
     slot_attention_step,
     unfused_encode,
@@ -89,7 +91,7 @@ def test_single_slot_gets_all_attention_and_mean_update():
     assert np.allclose(step.attention, 1.0, atol=1e-6)
     # weighted mean with an all-ones row is the plain mean of projected values
     g = Graph()
-    pn = bind_arrays(g, "p", p, trainable=False)
+    pn = bind_consts(g, p)
     x = layer_norm(g, g.const(bag), pn.ln_in_gamma, pn.ln_in_beta)
     v = g.matmul(x, pn.w_v).value
     assert np.allclose(step.update, v.mean(axis=0, keepdims=True),
@@ -213,7 +215,7 @@ def _encode_both(dtype, build, **kw):
     slots, alpha = build(g, p, g.input("bag", bag), **kw)
     loss = g.squared_error(slots, g.const(target))
     if loss.value.ndim:
-        loss = g.reduce_sum(loss)
+        loss = reduce_sum(g, loss)
     alpha = alpha if isinstance(alpha, np.ndarray) else alpha.value
     return slots.value, alpha, backward(g, loss), g
 
@@ -302,13 +304,13 @@ def test_guard_catches_a_pre_activation_that_relu_would_hide():
 
     def step(params):
         g = Graph(dtype=np.float32)
-        pn = bind_arrays(g, "p", params, trainable=False)
+        pn = bind_consts(g, params)
         return g, build_encode(g, pn, g.const(bag), 1)
 
     # the GRU output of the one iteration, from the per-op chain over the
     # same operands: (1, d), MLP-independent
     g = Graph(dtype=np.float32)
-    unfused_encode(g, bind_arrays(g, "p", p, trainable=False), g.const(bag),
+    unfused_encode(g, bind_consts(g, p), g.const(bag),
                    1)
     updated = g._values[g._ops.index("gru_cell")]
     step(p)                             # the drawn weights pass the guard
@@ -397,7 +399,7 @@ def test_slot_iteration_holds_two_slot_sized_buffers(t_iters):
 def _encode_madds(m, n_slots=4, dim=8, t_iters=3):
     p = init_slot_params(np.random.default_rng(0), n_slots, dim)
     g = Graph()
-    nodes = bind_arrays(g, "p", p, trainable=False)
+    nodes = bind_consts(g, p)
     build_encode(g, nodes, g.const(_bag(seed=m, m=m, dim=dim)), t_iters)
     return g.total_madds()
 

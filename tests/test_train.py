@@ -672,7 +672,7 @@ def test_float64_checkpoint_imputes_and_scores_in_float64(small_cohort):
     sset = recon_mod.cross_modal_encode(bag_h, ckpt.params.slots_g,
                                         cfg.t_iters)
     assert sset.slots.dtype == np.float64
-    x_hat, _ = recon_mod.reconstruct_genomic(
+    x_hat = recon_mod.reconstruct_genomic(
         sset.slots, ckpt.params.positions, ckpt.params.recon_cross)
     assert x_hat.dtype == np.float64
 
