@@ -48,6 +48,23 @@ def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
         digests["predict/ref_float32/imputed"]
 
 
+def test_an_evaluate_dict_with_a_nan_log_rank_p_is_refused(bits,
+                                                           monkeypatch):
+    """A NaN log-rank p-value means a risk group held fewer than 2
+    events, so the dict's stratified statistics are NaN whatever the code
+    computes: ``digests`` raises instead of hashing it."""
+    from slotsurv import train
+
+    evaluate = train.evaluate
+
+    def nan_logrank(*args, **kwargs):
+        return {**evaluate(*args, **kwargs), "logrank_p": float("nan")}
+
+    monkeypatch.setattr(train, "evaluate", nan_logrank)
+    with pytest.raises(RuntimeError, match="logrank_p is NaN"):
+        bits.digests(tiny=True)
+
+
 def test_record_writes_the_digests_with_the_machine_facts(tmp_path):
     """``--record PATH`` writes the digests it prints, the machine facts
     and whether the run was tiny."""

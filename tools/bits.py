@@ -7,9 +7,13 @@ The artefacts:
   cohort (fold 1) at float32, at float64, with ``selective=False`` and
   with ``lam=0``; the default cohort (fold 0) and a cohort of WSI-sized
   bags (fold 0), one epoch each;
-* the pickled fold ``evaluate`` dicts of the first five runs, with the
+* the pickled ``evaluate`` dicts of the first five runs, with the
   genomic bags present and imputed (``n_boot`` 200, 1000 for the
-  default cohort);
+  default cohort): the default cohort's over its validation fold, the
+  reference runs' over all 12 patients, since fold 1 holds 4, too few
+  for 2 events in each risk group.  A dict whose log-rank p-value is NaN
+  is refused: its stratified statistics would hash as NaN whatever the
+  code computes;
 * every ``predict_patient`` output of every patient of the reference
   and default cohorts, and of 3 large-bag patients, in both modes;
 * the files ``slotsurv infer`` writes for 3 reference patients, in both
@@ -68,7 +72,8 @@ _REFERENCE_TRAIN = dict(epochs=1, batch_size=6, n_slots_h=4, n_slots_g=4,
                         patch_subsample=8, n_folds=3, seed=1)
 
 # (run, cohort, fold, TrainConfig fields, evaluate's n_boot or None,
-# patients served: None for all)
+# patients served: None for all); evaluate scores the reference cohort
+# whole and the default cohort's fold
 RUNS = (
     ("ref_float32", "reference", 1, _REFERENCE_TRAIN, 200, None),
     ("ref_float64", "reference", 1,
@@ -125,11 +130,17 @@ def digests(tiny: bool = False) -> dict:
             train.save_checkpoint(ckpt, f"{run}.ckpt")
             with open(f"{run}.ckpt", "rb") as fh:
                 out[f"checkpoint/{run}"] = _sha(fh.read())
+            scored = range(len(cohort.records)) if name == "reference" \
+                else None
             for mode, missing in MODES:
                 if n_boot is not None:
                     metrics = train.evaluate(ckpt, cohort, fold,
                                              missing_genomics=missing,
-                                             n_boot=n_boot)
+                                             indices=scored, n_boot=n_boot)
+                    if np.isnan(metrics["logrank_p"]):
+                        raise RuntimeError(
+                            f"evaluate/{run}/{mode}: logrank_p is NaN, "
+                            "fewer than 2 events in a risk group")
                     out[f"evaluate/{run}/{mode}"] = _sha(
                         pickle.dumps(metrics, protocol=4))
                 h = hashlib.sha256()
