@@ -29,15 +29,15 @@ replace need five ops the program never records (transpose, col_softmax,
 gru_cell, gather_rows and layer_norm); the tests keep those in
 ``tests/oracles.py``, which adds their kernels and adjoint rules to
 these tables when imported, beside ``reduce_sum``, with which the
-gradient tests reduce a loss to a 0-d seed. The fused kernels call the chain's kernels
-in the chain's order, and their adjoint rules call the same array-level
-adjoint helpers as the chain's rules, in reverse, handing each parent
-its contributions in the chain's order, so values and gradients have the
-chain's bits. ``slot_encode``'s iterations and ``cross_step`` end in the
-same GRU -> residual-MLP tail, the three attention ops in the same
-residual MLP, and ``cross_step``, ``self_attend`` and ``decode`` start
-with the same attention head, each with one forward and one adjoint
-helper.
+gradient tests reduce a loss to a 0-d seed. The fused kernels call the
+chain's kernels in the chain's order, and their adjoint rules call the
+same array-level adjoint helpers as the chain's rules, in reverse,
+handing each parent its contributions in the chain's order, so values
+and gradients have the chain's bits. ``slot_encode``'s iterations and
+``cross_step`` end in the same GRU -> residual-MLP tail, the three
+attention ops in the same residual MLP, and ``cross_step``,
+``self_attend`` and ``decode`` start with the same attention head, each
+with one forward and one adjoint helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` (and ``bind_arrays``, which binds a parameter

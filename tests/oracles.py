@@ -44,9 +44,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -282,11 +281,6 @@ def _bw_transpose(g, i, grad, grads):
     autodiff._acc(grads, g._parents[i][0], np.swapaxes(grad, -1, -2))
 
 
-def _bw_reduce_sum(g, i, grad, grads):
-    p = g._parents[i][0]
-    autodiff._acc(grads, p, np.broadcast_to(grad, g._values[p].shape).copy())
-
-
 def _bw_gather_rows(g, i, grad, grads):
     p = g._parents[i][0]
     buf = np.zeros_like(g._values[p])
@@ -301,7 +295,8 @@ _CHAIN_TABLE = {
     "layer_norm": (_layer_norm_fwd, _bw_layer_norm),
     "gru_cell": (autodiff._gru_fwd, _bw_gru),
     "gather_rows": (lambda idx, a: a[idx], _bw_gather_rows),
-    "reduce_sum": (lambda _, a: a.sum(), _bw_reduce_sum),
+    # the keep-dims sum's adjoint rule: both broadcast back to the operand
+    "reduce_sum": (lambda _, a: a.sum(), autodiff._bw_sum),
 }
 CHAIN_OPS = frozenset(_CHAIN_TABLE)
 autodiff._FORWARD.update({op: fw for op, (fw, _) in _CHAIN_TABLE.items()})
@@ -314,7 +309,7 @@ def bind_consts(g: Graph, obj):
     """A dataclass of ndarrays as one of graph constants, field by field:
     no gradient reaches them."""
     return type(obj)(**{f.name: g.const(getattr(obj, f.name))
-                        for f in dataclasses.fields(obj)})
+                        for f in fields(obj)})
 
 
 def group_of(tensor_name: str) -> str:

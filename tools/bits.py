@@ -72,8 +72,7 @@ _REFERENCE_TRAIN = dict(epochs=1, batch_size=6, n_slots_h=4, n_slots_g=4,
                         patch_subsample=8, n_folds=3, seed=1)
 
 # (run, cohort, fold, TrainConfig fields, evaluate's n_boot or None,
-# patients served: None for all); evaluate scores the reference cohort
-# whole and the default cohort's fold
+# patients served: None for all)
 RUNS = (
     ("ref_float32", "reference", 1, _REFERENCE_TRAIN, 200, None),
     ("ref_float64", "reference", 1,
