@@ -40,11 +40,12 @@ attention ops in the same residual MLP, and ``cross_step``,
 with one forward and one adjoint helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
-bound; with ``inputs`` (and ``bind_arrays``, which binds a parameter
-dataclass through it) a whole parameter set is checked at once, and
-only when that fails leaf by leaf, to name the tensor. Every op output
-is checked, except for ops that map finite inputs to finite outputs
-(reshape, concat, stop_gradient, relu, clamp, sigmoid and row_softmax).
+bound; with ``inputs`` (and ``bind_arrays``, which binds any number of
+parameter dataclasses through one call of it) a whole parameter set is
+checked at once, and only when that fails leaf by leaf, to name the
+tensor. Every op output is checked, except for ops that map finite
+inputs to finite outputs (reshape, concat, stop_gradient, relu, clamp,
+sigmoid and row_softmax).
 Inside the fused attention ops the values that feed a kernel able to
 hide a non-finite entry are checked: the logits (softmax
 maps -inf to 0), in ``slot_encode`` the attention mass (reciprocal maps
@@ -126,17 +127,17 @@ axes, so one model builder serves both:
   deviations and the row means, two (.., M, 1) rows; after the iterations
   the adjoint forms the normalized bag and y again from the bag and those
   rows. Of the (.., S, M) attention maps it keeps the last iteration's
-  alone; ``slot_attention`` reads it back, as ``degenerate_rows`` reads a
-  cosine node's. For every iteration it keeps two slot-sized buffers, the
-  input slots and alpha @ values, and three (.., S, 1) rows: the layer
-  norm's inverse deviations and row means and the mass's reciprocal. At
-  the top of each iteration the adjoint rebuilds from those the layer
-  norm's normalized rows, its output, q, the GRU input and, but in the
-  last iteration, the map from q and the keys (the column softmax's max
-  and sum with it), in one of three maps it allocates once per call; then
-  it runs the GRU again for its gates, r * h and output, and the MLP's
-  first layer. Each rebuild runs the forward's kernels in the forward's
-  order, so the rebuilt arrays have the forward's bits.
+  alone; ``slot_attention`` reads it back. For every iteration it keeps
+  two slot-sized buffers, the input slots and alpha @ values, and three
+  (.., S, 1) rows: the layer norm's inverse deviations and row means and
+  the mass's reciprocal. At the top of each iteration the adjoint
+  rebuilds from those the layer norm's normalized rows, its output, q,
+  the GRU input and, but in the last iteration, the map from q and the
+  keys (the column softmax's max and sum with it), in one of three maps
+  it allocates once per call; then it runs the GRU again for its gates,
+  r * h and output, and the MLP's first layer. Each rebuild runs the
+  forward's kernels in the forward's order, so the rebuilt arrays have
+  the forward's bits.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -615,22 +616,12 @@ class Graph:
     def total_madds(self) -> int:
         return sum(self._madds)
 
-    def input_names(self):
-        return list(self._inputs)
-
     def slot_attention(self, node: Node) -> np.ndarray:
         """The column-stochastic attention (.., S, M) of a slot_encode
         node's last iteration, read back from its saved intermediates."""
         if self._ops[node.idx] != "slot_encode":
             raise GraphError("slot_attention applies to slot_encode nodes")
         return self._saved[node.idx].steps[-1].alpha
-
-    def degenerate_rows(self, node: Node) -> np.ndarray:
-        """Indices of zero-norm rows recorded by a cosine node."""
-        if self._ops[node.idx] != "cosine":
-            raise GraphError("degenerate_rows applies to cosine nodes")
-        valid = self._saved[node.idx][3]
-        return np.flatnonzero(~valid.ravel())
 
     # -------------------------------------------------------------- internal
 
@@ -1760,13 +1751,17 @@ def init_block(rng: np.random.Generator, dim: int):
             lambda: np.ones((1, dim), dtype=np.float32))
 
 
-def bind_arrays(graph: Graph, prefix: str, obj):
-    """Mirror a dataclass of ndarrays as graph inputs named
-    "<prefix>.<field>", declared in one ``Graph.inputs`` call, so one
-    non-finite check covers them all and a bad tensor is named
-    ``input '<prefix>.<field>'``.  Returns an instance of the same
-    dataclass type whose fields hold the created Nodes.
+def bind_arrays(graph: Graph, groups: dict) -> dict:
+    """Mirror parameter dataclasses as graph inputs.  ``groups`` maps a
+    group name to a dataclass of ndarrays; every tensor is named
+    "<group>.<field>" and all are declared in one ``Graph.inputs`` call,
+    group by group in the mapping's order, so one non-finite check covers
+    them all and a bad tensor is named ``input '<group>.<field>'``.
+    Returns the same mapping with each dataclass's arrays replaced by
+    their Nodes.
     """
-    nodes = graph.inputs(named_arrays(prefix, obj))
-    return type(obj)(**{f.name: nodes[f"{prefix}.{f.name}"]
-                        for f in dataclasses.fields(obj)})
+    nodes = graph.inputs({key: arr for name, obj in groups.items()
+                          for key, arr in named_arrays(name, obj).items()})
+    return {name: type(obj)(**{f.name: nodes[f"{name}.{f.name}"]
+                               for f in dataclasses.fields(obj)})
+            for name, obj in groups.items()}

@@ -17,15 +17,16 @@ Reconstruction heads never run in the inference trunk, so predictions with
 genomics present are bitwise-independent of those parameters.  Serving
 binds only the trunk's parameter groups (``TRUNK_GROUPS``, 86 tensors
 against the 126 a training batch binds); training binds every trainable
-group.
+group.  Either binds its groups in one ``bind_arrays`` call.
 
 Each slot encoder is one ``slot_encode`` node after its mask constant and
 the nodes that start its slots: two in the trunk, and the cross-modal
 encode of a training batch; serving reads its last attention map from
 that node (``TrunkNodes`` holds none).  Each of a training batch's three
-reconstruction heads is one ``decode`` node.  At the reference
-``TrainConfig`` a training batch is one graph of 275 nodes and a served
-patient one of 141.
+reconstruction heads is one ``decode`` node, and its builder returns the
+head's (B,) loss node alone.  At the reference ``TrainConfig`` a
+training batch is one graph of 275 nodes and a served patient one of
+141.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import moe as moe_mod
 from . import recon as recon_mod
 from . import slots as slot_mod
 from . import survival as surv_mod
-from .autodiff import Graph, Node, named_arrays
+from .autodiff import Graph, Node, bind_arrays, named_arrays
 from .fusion import CrossAttentionParams, RiskHeadParams, SelfAttentionParams
 from .moe import GateParams, PredictorParams
 from .recon import FrozenQueryMap, PositionTable, ReconHeadParams
@@ -74,10 +75,6 @@ class ModelParams:
     @property
     def dim(self) -> int:
         return self.slots_h.dim
-
-    @property
-    def n_bins(self) -> int:
-        return self.risk.w2.shape[1]
 
     @property
     def n_slots_h(self) -> int:
@@ -219,22 +216,6 @@ def draw_noise(rng: np.random.Generator, n_patients: int,
     return TrainingNoise(*stacked)
 
 
-def _bind_model(g: Graph, params: ModelParams, groups) -> ModelParams:
-    """Mirror the tensors of ``groups`` as named graph inputs, group by
-    group and declared in one call so that one non-finite check covers
-    them all.  The other groups keep their raw arrays: the recon builder
-    installs the frozen query map as constants itself, which keeps it out
-    of every gradient, and a graph that never reads a group need not bind
-    it."""
-    nodes = g.inputs({key: arr for name in groups for key, arr in
-                      named_arrays(name, getattr(params, name)).items()})
-    return dataclasses.replace(params, **{
-        name: type(getattr(params, name))(**{
-            f.name: nodes[f"{name}.{f.name}"]
-            for f in dataclasses.fields(getattr(params, name))})
-        for name in groups})
-
-
 def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
                     slots: Node, k: int, temperature: float,
                     gumbel, selective: bool):
@@ -269,7 +250,7 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
                         selective: bool = True,
                         mask_h=None) -> TrunkNodes:
     """Everything from raw bags to fused logits for a batch of patients;
-    ``p`` holds graph nodes (from _bind_model).  ``bag_h`` is the
+    ``p`` holds graph nodes (from ``bind_arrays``).  ``bag_h`` is the
     zero-padded (B, M, d) histology batch with its (B, M) instance
     ``mask_h`` (None when nothing is padded), ``bag_g`` the (B, M_g, d)
     genomic batch.  With ``noise`` the trunk runs in training mode
@@ -317,14 +298,14 @@ def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
         "surv_gen": surv_mod.build_nll_loss(g, trunk.mix_g, t_bins, censored),
     }
     if lam > 0.0:
-        _, terms["recon_g"] = recon_mod.build_recon_genomic(
-            g, p.recon_g, p.positions.table, trunk.slots_g, target=bag_g)
-        _, terms["recon_h"], _ = recon_mod.build_recon_histology(
+        terms["recon_g"] = recon_mod.build_recon_genomic(
+            g, p.recon_g, p.positions.table, trunk.slots_g, bag_g)
+        terms["recon_h"] = recon_mod.build_recon_histology(
             g, p.recon_h, p.qmap, bag_h, trunk.slots_h, mask=mask_h)
         s_cross = recon_mod.build_cross_modal_encode(
             g, p.slots_g, bag_h, t_iters, mask=mask_h)
-        _, terms["recon_cross"] = recon_mod.build_recon_genomic(
-            g, p.recon_cross, p.positions.table, s_cross, target=bag_g)
+        terms["recon_cross"] = recon_mod.build_recon_genomic(
+            g, p.recon_cross, p.positions.table, s_cross, bag_g)
     return terms
 
 
@@ -342,9 +323,6 @@ class CohortGraph:
         values = {k: v.value for k, v in self.terms.items()}
         return [{k: float(v[b]) for k, v in values.items()}
                 for b in range(self.trunk.fused.shape[0])]
-
-    def report(self, lam: float):
-        return surv_mod.total_loss(self.term_values(), lam=lam)
 
 
 def _pad_bags(bags) -> tuple:
@@ -387,7 +365,10 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     noise = None if rng is None else draw_noise(rng, len(patients), params,
                                                 selective)
     g = Graph(dtype=params.slots_h.init_mean.dtype)
-    p = _bind_model(g, params, TRAINABLE_GROUPS)
+    # the frozen query map keeps its arrays: the histology head installs
+    # them as constants, which keeps them out of every gradient
+    p = dataclasses.replace(params, **bind_arrays(
+        g, {name: getattr(params, name) for name in TRAINABLE_GROUPS}))
     xh = g.const(bag_h)
     xg = g.const(np.stack([np.asarray(b) for b in bags_g]))
     trunk = build_patient_trunk(
@@ -437,7 +418,8 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
     The graph runs at the parameters' precision, and each ``GateMask``
     reports the selection the trunk made."""
     g = Graph(dtype=params.slots_h.init_mean.dtype)
-    p = _bind_model(g, params, TRUNK_GROUPS)
+    p = dataclasses.replace(params, **bind_arrays(
+        g, {name: getattr(params, name) for name in TRUNK_GROUPS}))
     trunk = build_patient_trunk(
         g, p, g.const(np.asarray(bag_h)[None]), g.const(np.asarray(bag_g)[None]),
         k_h, k_g, temperature, t_iters, l_iters, selective=selective)

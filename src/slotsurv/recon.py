@@ -3,20 +3,26 @@ unselected slots keep carrying information instead of collapsing.
 
 Three reconstruction targets share one decoder architecture (a single
 cross-attention block with a feed-forward tail), which each head runs as
-one ``decode`` graph node over every row it reconstructs:
+one ``decode`` graph node (``build_decode``) over every row it
+reconstructs.  A training batch builds each head's loss, and the loss
+node alone is what its builder returns:
 
-* genomic: learned per-pathway position embeddings query the genomic
-  slots; mean-squared error against the original pathway features.
-* histology: a frozen random affine map turns the (subsampled) patch
-  features into queries for the histology slots; cosine loss, which is
-  scale-invariant per patch.
+* genomic (``build_recon_genomic``): learned per-pathway position
+  embeddings query the genomic slots; mean-squared error against the
+  original pathway features.
+* histology (``build_recon_histology``): a frozen random affine map turns
+  the (subsampled) patch features into queries for the histology slots;
+  cosine loss (``build_cosine_loss``), which is scale-invariant per patch
+  and averages over the real rows the instance mask marks.
 * cross-modal: the genomic branch's slot initialization is run over the
   HISTOLOGY bag (``build_cross_modal_encode``), and the resulting slots
   must reconstruct the genomic features through the shared position
-  table.  After training ``impute_genomic`` runs this same path, in
-  graphs of its own, when a genomic bag is missing: ``cross_modal_encode``
-  then ``reconstruct_genomic``, numpy facades that bind their parameter
-  group as graph inputs in one call and return values, no loss.
+  table, with ``build_recon_genomic`` and the cross-modal head.
+
+After training ``impute_genomic`` runs the cross-modal path, in graphs of
+its own, when a genomic bag is missing: ``cross_modal_encode`` then
+``reconstruct_genomic``, numpy facades that bind their parameter group as
+graph inputs in one ``bind_arrays`` call and return values, no loss.
 """
 
 from __future__ import annotations
@@ -65,10 +71,6 @@ class ReconHeadParams:
     ln_f_gamma: np.ndarray  # attended queries, before the feed-forward
     ln_f_beta: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.w_q.shape[0]
-
 
 @dataclass(frozen=True)
 class PositionTable:
@@ -79,10 +81,6 @@ class PositionTable:
     @property
     def m_rows(self) -> int:
         return self.table.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
 
 
 @dataclass(frozen=True)
@@ -131,56 +129,41 @@ def build_decode(g: Graph, head: ReconHeadParams, queries: Node,
 
 
 def build_recon_genomic(g: Graph, head: ReconHeadParams, positions: Node,
-                        slots: Node, target: Node | None = None):
-    """Reconstruct genomic features from slots at the position queries.
+                        slots: Node, target: Node) -> Node:
+    """Mean squared error of the genomic features decoded from ``slots``
+    at the position queries against ``target``: 0-d for one patient, (B,)
+    for a batch.  The same builder serves the cross-modal path: pass the
+    histology-derived slots instead of the genomic ones.  A target with
+    another row count than the position table gets ``squared_error``'s
+    ``GraphError`` (a ValueError)."""
+    return g.squared_error(build_decode(g, head, positions, slots), target)
 
-    Returns (x_hat, loss).  With target given, loss is the mean squared
-    error node (one per patient for a batch); without one (imputation)
-    loss is None.  The same builder serves the cross-modal path: pass the
-    histology-derived slots instead of the genomic ones.
+
+def build_cosine_loss(g: Graph, recon: Node, target: Node, mask) -> Node:
+    """Loss 1 - mean row cosine: 0-d for one patient, (B,) for a batch.
+
+    The instance ``mask``, (M,) or (B, M), marks the real rows: the mean
+    runs over each patient's real rows only, since padded target rows are
+    zero, so their cosines are zero, and the mean over all M rows is
+    rescaled by M / (real rows), which is 1 for an unpadded bag.
     """
-    if target is not None and target.shape[-2] != positions.shape[0]:
-        raise ValueError(
-            f"position table covers {positions.shape[0]} rows, "
-            f"target has {target.shape[-2]}")
-    x_hat = build_decode(g, head, positions, slots)
-    if target is None:
-        return x_hat, None
-    return x_hat, g.squared_error(x_hat, target)
-
-
-def build_cosine_loss(g: Graph, recon: Node, target: Node, mask=None):
-    """Loss 1 - mean row cosine (one per patient for a batch), plus the
-    cosine node whose zero-norm diagnostics (graph.degenerate_rows) flag
-    degenerate rows.
-
-    With a (B, M) instance ``mask`` the mean runs over each patient's
-    real rows only: padded target rows are zero, so their cosines are
-    zero, and the mean over all M rows is rescaled by M / (real rows).
-    """
-    cos = g.cosine(recon, target)
-    score = cos
-    if mask is not None:
-        mask = np.asarray(mask)
-        score = g.mul(cos, g.const(mask.shape[-1] / mask.sum(axis=-1)))
-    loss = g.add(g.const(np.ones(())), g.scale(score, -1.0))
-    return loss, cos
+    mask = np.asarray(mask)
+    score = g.mul(g.cosine(recon, target),
+                  g.const(mask.shape[-1] / mask.sum(axis=-1)))
+    return g.add(g.const(np.ones(())), g.scale(score, -1.0))
 
 
 def build_recon_histology(g: Graph, head: ReconHeadParams,
                           qmap: FrozenQueryMap, bag: Node, slots: Node,
-                          mask=None):
-    """Reconstruct patch features from histology slots; queries come from
-    the frozen random map of the patches themselves.  ``mask`` marks the
-    real rows of a zero-padded batch (see build_cosine_loss).
-
-    Returns (x_hat, loss, cosine_node).  The query map enters as graph
-    constants, so no gradient ever reaches it.
+                          mask) -> Node:
+    """Cosine loss of the patch features decoded from histology slots
+    (see build_cosine_loss, which ``mask`` is passed to); queries come
+    from the frozen random map of the patches themselves.  The query map
+    enters as graph constants, so no gradient ever reaches it.
     """
     queries = g.affine(bag, g.const(qmap.w), g.const(qmap.b))
-    x_hat = build_decode(g, head, queries, slots)
-    loss, cos = build_cosine_loss(g, x_hat, bag, mask)
-    return x_hat, loss, cos
+    return build_cosine_loss(g, build_decode(g, head, queries, slots), bag,
+                             mask)
 
 
 def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
@@ -200,13 +183,12 @@ def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
 
 def reconstruct_genomic(slot_matrix: np.ndarray, positions: PositionTable,
                         head: ReconHeadParams) -> np.ndarray:
-    """Genomic features decoded from one set of slots, (M_g, d).  The
-    head's tensors are bound in one call, so a non-finite one is named
-    ``input 'head.<field>'``."""
+    """Genomic features decoded from one set of slots, (M_g, d), by one
+    ``build_decode``.  The head's tensors are bound in one call, so a
+    non-finite one is named ``input 'head.<field>'``."""
     g = Graph(dtype=head.w_q.dtype)
-    h = bind_arrays(g, "head", head)
-    x_hat, _ = build_recon_genomic(g, h, g.const(positions.table),
-                                   g.const(slot_matrix))
+    h = bind_arrays(g, {"head": head})["head"]
+    x_hat = build_decode(g, h, g.const(positions.table), g.const(slot_matrix))
     return x_hat.value.copy()
 
 
@@ -216,7 +198,7 @@ def cross_modal_encode(bag_h: FeatureBag, genomic_params,
     bound in one call, so a non-finite one is named ``input 'p.<field>'``."""
     expect_modality(bag_h, "histology")
     g = Graph(dtype=genomic_params.init_mean.dtype)
-    p = bind_arrays(g, "p", genomic_params)
+    p = bind_arrays(g, {"p": genomic_params})["p"]
     slots = build_cross_modal_encode(g, p, g.const(bag_h.matrix), t_iters)
     return slot_mod.SlotSet(slots=slots.value.copy(),
                             attention=g.slot_attention(slots).copy())

@@ -7,6 +7,8 @@
   engine's own kernels and guard (``autodiff._evaluate``), so a replay at
   the build's dtype has the eager build's bits.
 * ``ancestors``, the node ids a node is computed from.
+* ``input_names``, a graph's input names in declaration order, and
+  ``degenerate_rows``, the zero-norm rows a cosine node recorded.
 """
 
 from __future__ import annotations
@@ -38,6 +40,20 @@ def clone(g: Graph, dtype) -> Graph:
     replay(out, [i for i, op in enumerate(out._ops)
                  if op not in ("input", "const")])
     return out
+
+
+def input_names(g: Graph) -> list:
+    """The names of the graph's inputs, in declaration order."""
+    return list(g._inputs)
+
+
+def degenerate_rows(g: Graph, node: Node) -> np.ndarray:
+    """Indices of the zero-norm rows a cosine node recorded: its saved
+    ``valid`` flags, raveled over the leading axes."""
+    if g._ops[node.idx] != "cosine":
+        raise autodiff.GraphError("degenerate_rows applies to cosine nodes")
+    valid = g._saved[node.idx][3]
+    return np.flatnonzero(~valid.ravel())
 
 
 def ancestors(g: Graph, node: Node) -> set:
@@ -78,7 +94,7 @@ def finite_diff_check(graph: Graph, seed: Node, step: float = 1e-3,
     """
     analytic = backward(graph, seed)
     shadow = clone(graph, np.float64)
-    names = list(wrt) if wrt is not None else graph.input_names()
+    names = list(wrt) if wrt is not None else input_names(graph)
 
     # Each perturbation only invalidates the perturbed input's descendant
     # cone; everything else keeps its base value, so replaying just the

@@ -26,7 +26,13 @@ from slotsurv.autodiff import (
     backward,
 )
 
-from fd import ancestors, clone, finite_diff_check
+from fd import (
+    ancestors,
+    clone,
+    degenerate_rows,
+    finite_diff_check,
+    input_names,
+)
 from oracles import (
     CHAIN_OPS,
     col_softmax,
@@ -372,17 +378,20 @@ def _build_affine(g, rng, lead=()):
     return _se_target(g, g.affine(x, w, b), rng)
 
 
-def _build_slot_encode(g, rng, mask=None, t_iters=1):
+def _build_slot_encode(g, rng, mask=None, t_iters=1, weighted=False):
     """A slot encoder as one slot_encode node: 2 slots of width 3 over a
     bag of 4 instances, ``t_iters`` iterations; with a (B, M) ``mask`` a
-    padded batch whose padded values are zeroed.  The GRU output lies in
+    padded batch whose padded values are zeroed.  With ``weighted`` the
+    instance mask of a batch of 2 is an input called ``mask``, weights in
+    (0.5, 1.5), so the two adjoint terms it takes, through the values and
+    through the attention mass, are audited too.  The GRU output lies in
     (-1, 1), so w1 in (-0.2, 0.2) and |b1| in (0.7, 1) keep every MLP
     pre-activation at least 0.1 from relu's kink, as in the cross_step
     builder.  A layer norm curves more sharply the closer a row's entries
     lie together, so each row of the bag and of the initial slots holds
     -0.8, 0 and 0.8 in a random order, each moved by less than 0.2."""
     s, d, m = 2, 3, 4
-    lead = () if mask is None else mask.shape[:1]
+    lead = (2,) if weighted else () if mask is None else mask.shape[:1]
 
     def leaf(name, shape, lo=-1.0, hi=1.0):
         return g.input(name, rng.uniform(lo, hi, size=shape))
@@ -391,7 +400,11 @@ def _build_slot_encode(g, rng, mask=None, t_iters=1):
         rows = rng.permuted(np.broadcast_to([-0.8, 0.0, 0.8], shape), axis=-1)
         return g.input(name, rows + rng.uniform(-0.2, 0.2, size=shape))
 
-    ones = g.const(np.ones(lead + (m, 1)) if mask is None else mask[..., None])
+    if weighted:
+        ones = leaf("mask", lead + (m, 1), 0.5, 1.5)
+    else:
+        ones = g.const(np.ones(lead + (m, 1)) if mask is None
+                       else mask[..., None])
     bag = spread_rows("bag", lead + (m, d))
     head = [leaf("gamma_in", (1, d), 0.5, 1.5), leaf("beta_in", (1, d)),
             leaf("w_k", (d, d)), leaf("w_v", (d, d))]
@@ -510,6 +523,10 @@ OP_BUILDERS = {
     "slot_step_t3": lambda g, rng: _build_slot_encode(g, rng, t_iters=3),
     "slot_step_masked_t3": lambda g, rng: _build_slot_encode(
         g, rng, mask=_PADDED, t_iters=3),
+    "slot_step_weighted": lambda g, rng: _build_slot_encode(g, rng,
+                                                            weighted=True),
+    "slot_step_weighted_t3": lambda g, rng: _build_slot_encode(
+        g, rng, t_iters=3, weighted=True),
     "matmul_batched": _build_matmul_batched,
     "matmul_shared_right": _build_matmul_shared_right,
     "matmul_shared_left": _build_matmul_shared_left,
@@ -560,7 +577,8 @@ OP_BUILDERS = {
 # replaces (tests/test_slots.py, tests/test_fusion.py, tests/test_recon.py),
 # whose ops all pass both modes here.
 FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_t3",
-                "slot_step_masked_t3", "cross_step", "cross_step_3d",
+                "slot_step_masked_t3", "slot_step_weighted",
+                "slot_step_weighted_t3", "cross_step", "cross_step_3d",
                 "self_attend", "self_attend_3d", "decode", "decode_3d",
                 "decode_shared"}
 
@@ -677,6 +695,8 @@ class _ChainGraph(_KeepInputsGraph):
     ("self_attend_3d", {"w_k"}), ("slot_step_t3", {"w_k", "beta_in"}),
     ("slot_step_masked_t3", {"slots", "w_q"}),
     ("slot_step_masked", {"gamma_in", "w_v"}),
+    ("slot_step_weighted", {"mask"}),
+    ("slot_step_weighted_t3", {"mask", "w_v"}),
     ("decode", {"w1", "b1"}), ("decode", {"queries"}),
     ("decode_3d", {"slots", "gamma_s"}), ("decode_3d", {"w_q", "beta_f"}),
     ("decode_shared", {"queries", "w_v"}),
@@ -1034,6 +1054,7 @@ def test_forward_replay_matches_eager_build(op_name):
 
 
 @pytest.mark.parametrize("op_name", ["slot_step", "slot_step_masked",
+                                     "slot_step_weighted",
                                      "cross_step", "cross_step_3d",
                                      "self_attend", "self_attend_3d",
                                      "slot_step_t3", "slot_step_masked_t3",
@@ -1326,7 +1347,7 @@ def test_cosine_degenerate_row_flagged_and_zero_grad():
     a = g.input("a", np.array([[1.0, 0.0], [0.0, 0.0]]))
     b = g.input("b", np.array([[1.0, 0.0], [1.0, 1.0]]))
     c = g.cosine(a, b)
-    assert list(g.degenerate_rows(c)) == [1]
+    assert list(degenerate_rows(g, c)) == [1]
     grads = backward(g, c)
     assert np.all(grads["a"][1] == 0.0)
     np.testing.assert_allclose(float(c.value), 0.5)
@@ -1353,9 +1374,9 @@ def test_fd_cone_replay_matches_full_replay_bitwise():
     analytic = backward(g, loss)
     shadow = clone(g, np.float64)
     base = {n: shadow._values[shadow._inputs[n]].copy()
-            for n in g.input_names()}
+            for n in input_names(g)}
     worst = 0.0
-    for name in g.input_names():
+    for name in input_names(g):
         a = base[name]
         for k in range(a.size):
             vals = []

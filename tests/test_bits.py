@@ -1,7 +1,9 @@
 """tools/bits.py, the bits harness: on the tiny configs it prints one
 sha256 per artefact, and two runs of one tree, each in its own process,
 agree on every digest.  On the machine ``BITS.json`` was recorded on, a
-full run reproduces every digest recorded there."""
+full run reproduces every digest recorded there.  When the other side's
+harness is another file, ``--against`` says that both sides ran the
+tree's and lists the recorded digests that differ."""
 
 import importlib.util
 import json
@@ -117,3 +119,41 @@ def test_diff_names_changed_and_one_sided_artefacts(bits):
     theirs = {"a": "1", "b": "9", "d": "4"}
     assert bits.diff(ours, theirs) == {
         "differ": ["b"], "only_tree": ["c"], "only_against": ["d"]}
+
+
+def _tree(root, harness: str, digests=None):
+    """A repo tree holding ``tools/bits.py`` and, unless ``digests`` is
+    None, a ``BITS.json`` that records them."""
+    os.makedirs(root / "tools")
+    (root / "tools" / "bits.py").write_text(harness, encoding="utf-8")
+    if digests is not None:
+        (root / "BITS.json").write_text(
+            json.dumps({"machine": {}, "tiny": False, "digests": digests}),
+            encoding="utf-8")
+    return str(root)
+
+
+def test_a_changed_harness_is_named_with_the_recorded_digests_it_moved(
+        bits, tmp_path):
+    """Both sides of ``--against`` run the tree's harness.  With REV's
+    ``tools/bits.py`` the same file, nothing is noted, even where the
+    recorded digests differ; with another file, the note says so and
+    lists every digest that differs between the two ``BITS.json``."""
+    recorded = {"checkpoint/a": "1", "evaluate/a/present": "2"}
+    moved = {"checkpoint/a": "1", "evaluate/a/present": "9",
+             "evaluate/b/present": "3"}
+    tree = _tree(tmp_path / "tree", "# harness\n", moved)
+    same = _tree(tmp_path / "same", "# harness\n", recorded)
+    assert bits.harness_note(tree, same, "REV") == ""
+    other = _tree(tmp_path / "other", "# older harness\n", recorded)
+    assert bits.harness_note(tree, other, "REV").splitlines() == [
+        "tools/bits.py differs at REV: both sides ran this tree's harness",
+        "BITS.json digests that differ between REV and this tree: 2",
+        "  differ evaluate/a/present",
+        "  only_tree evaluate/b/present"]
+    unrecorded = _tree(tmp_path / "unrecorded", "# older harness\n")
+    assert bits.harness_note(tree, unrecorded, "REV").splitlines()[1:] == [
+        "BITS.json digests that differ between REV and this tree: 3",
+        "  only_tree checkpoint/a",
+        "  only_tree evaluate/a/present",
+        "  only_tree evaluate/b/present"]

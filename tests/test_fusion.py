@@ -17,7 +17,7 @@ from slotsurv.fusion import (
 )
 from slotsurv.survival import hazards_from_logits
 
-from fd import finite_diff_check
+from fd import finite_diff_check, input_names
 from oracles import (
     bind_consts,
     gumbel_topk_mask,
@@ -186,12 +186,12 @@ def test_identical_slot_sets_stay_identical():
 def test_rounds_share_one_parameter_set():
     rng = np.random.default_rng(7)
     g = Graph(dtype=np.float64)
-    p = bind_arrays(g, "cross", _f64(init_cross_params(rng, 4)))
+    p = bind_arrays(g, {"cross": _f64(init_cross_params(rng, 4))})["cross"]
     s_h = g.input("s_h", rng.normal(size=(3, 4)))
     s_g = g.input("s_g", rng.normal(size=(2, 4)))
     out_h, out_g = build_iterative_cross_attention(g, p, s_h, s_g, 3)
     # 16 block tensors + 2 slot inputs: no per-iteration parameter copies
-    assert len(g.input_names()) == 18
+    assert len(input_names(g)) == 18
     grads = backward(g, reduce_sum(g, g.add(g.mean_pool(out_h),
                                            g.mean_pool(out_g))))
     assert np.abs(grads["cross.w_q"]).max() > 0.0
@@ -255,7 +255,7 @@ def _cross_both(dtype, build, case):
     s_h = rng.normal(size=lead + (4, 5))
     s_g = rng.normal(size=lead + (3, 5))
     g = Graph(dtype=dtype)
-    p = bind_arrays(g, "cross", params)
+    p = bind_arrays(g, {"cross": params})["cross"]
     h = g.input("s_h", s_h)
     other = h if same else g.input("s_g", s_g)
     before = g.num_nodes
@@ -317,7 +317,7 @@ def _self_both(dtype, build, case):
                              for f, v in vars(params).items()})
     slots = rng.normal(size=lead + (5, 5))
     g = Graph(dtype=dtype)
-    p = bind_arrays(g, "self", params)
+    p = bind_arrays(g, {"self": params})["self"]
     s = g.input("slots", slots)
     before = g.num_nodes
     out = build(g, p, s, selected[0] if not lead else selected)
@@ -422,10 +422,11 @@ def test_end_to_end_gradients_match_finite_differences():
     # (a kink within +-2h corrupts the quotient with correct gradients)
     rng = np.random.default_rng(1)
     g = Graph(dtype=np.float64)
-    self_h = bind_arrays(g, "self_h", _f64(init_self_params(rng, 5)))
-    self_g = bind_arrays(g, "self_g", _f64(init_self_params(rng, 5)))
-    cross = bind_arrays(g, "cross", _f64(init_cross_params(rng, 5)))
-    risk = bind_arrays(g, "risk", _f64(init_risk_params(rng, 5, 4)))
+    self_h, self_g, cross, risk = bind_arrays(g, {
+        "self_h": _f64(init_self_params(rng, 5)),
+        "self_g": _f64(init_self_params(rng, 5)),
+        "cross": _f64(init_cross_params(rng, 5)),
+        "risk": _f64(init_risk_params(rng, 5, 4))}).values()
     s_h = g.input("s_h", rng.normal(size=(4, 5)))
     s_g = g.input("s_g", rng.normal(size=(3, 5)))
     bar_h = build_masked_self_attention(g, self_h, s_h, [0, 2])

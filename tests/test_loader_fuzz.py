@@ -124,7 +124,7 @@ def test_corrupt_checkpoints_raise_checkpoint_error_or_keep_shapes(originals):
             return
         got = named_parameters(ckpt.params)
         assert {k: (v.shape, v.dtype) for k, v in got.items()} == want
-        assert ckpt.params.n_bins == ckpt.config.n_bins
+        assert ckpt.params.risk.w2.shape[1] == ckpt.config.n_bins
         assert ckpt.params.n_slots_h == ckpt.config.n_slots_h
         assert ckpt.params.n_slots_g == ckpt.config.n_slots_g
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slotsurv import autodiff, model
-from slotsurv.autodiff import backward
+from slotsurv.autodiff import backward, bind_arrays
 from slotsurv.model import (
     FROZEN_GROUPS,
     PARAM_GROUPS,
@@ -24,9 +24,10 @@ from slotsurv.model import (
     trainable_names,
 )
 
+from slotsurv.survival import total_loss
 from slotsurv.train import TrainConfig
 
-from fd import ancestors, finite_diff_check
+from fd import ancestors, finite_diff_check, input_names
 from oracles import group_of, out_of_place_acc, owning_buffers, saved_arrays
 
 
@@ -108,9 +109,14 @@ def test_init_model_rejects_degenerate_sizes():
 # ---------------------------------------------------------------- cohort graph
 
 
+def _report(cg, lam):
+    """The batch's per-patient terms under survival.total_loss."""
+    return total_loss(cg.term_values(), lam=lam)
+
+
 def test_loss_matches_component_accounting():
     cg = _cohort(seed=5, lam=0.1)
-    report = cg.report(lam=0.1)
+    report = _report(cg, lam=0.1)
     assert float(cg.loss.value) == pytest.approx(report.total, abs=1e-12)
     # every patient contributes all six terms when lam > 0
     for terms in cg.term_values():
@@ -122,7 +128,7 @@ def test_lam_zero_skips_reconstruction_terms():
     cg = _cohort(seed=5, lam=0.0)
     for terms in cg.term_values():
         assert set(terms) == {"surv_fused", "surv_hist", "surv_gen"}
-    report = cg.report(lam=0.0)
+    report = _report(cg, lam=0.0)
     assert float(cg.loss.value) == pytest.approx(report.total, abs=1e-12)
 
 
@@ -150,7 +156,7 @@ def test_frozen_query_map_outside_gradient():
     cg = _cohort(seed=5, lam=0.1)
     grads = backward(cg.graph, cg.loss)
     assert not any(k.startswith("qmap.") for k in grads)
-    assert not any(k.startswith("qmap.") for k in cg.graph.input_names())
+    assert not any(k.startswith("qmap.") for k in input_names(cg.graph))
 
 
 def test_reconstruction_stays_out_of_the_prediction_trunk():
@@ -378,6 +384,10 @@ def test_patient_forward_is_deterministic():
     assert np.array_equal(a.weights_g, b.weights_g)
 
 
+def _groups(params, names) -> dict:
+    return {name: getattr(params, name) for name in names}
+
+
 def test_binding_checks_parameters_once_and_names_a_bad_one(monkeypatch):
     """The trainable tensors are bound as inputs in ``trainable_names``
     order with one finite check over all of them; a non-finite tensor
@@ -388,16 +398,35 @@ def test_binding_checks_parameters_once_and_names_a_bad_one(monkeypatch):
     real = np.isfinite
     monkeypatch.setattr(autodiff.np, "isfinite",
                         lambda x: checks.append(x.size) or real(x))
-    model._bind_model(g, p, TRAINABLE_GROUPS)
+    bind_arrays(g, _groups(p, TRAINABLE_GROUPS))
     monkeypatch.undo()
-    assert g.input_names() == trainable_names(p)
+    assert input_names(g) == trainable_names(p)
     assert checks == [sum(a.size for n, a in named_parameters(p).items()
                           if group_of(n) not in FROZEN_GROUPS)]
     arrays = named_parameters(p)
     arrays["risk.b1"] = np.full_like(arrays["risk.b1"], np.inf)
     with pytest.raises(autodiff.GraphError, match="'risk.b1'"):
-        model._bind_model(autodiff.Graph(), params_from_arrays(arrays),
-                          TRAINABLE_GROUPS)
+        bind_arrays(autodiff.Graph(),
+                    _groups(params_from_arrays(arrays), TRAINABLE_GROUPS))
+
+
+def test_serving_names_a_non_finite_trunk_tensor():
+    """A served patient binds the trunk's many groups in one call, whose
+    check names the one bad entry of the cross-attention's query weight;
+    a reconstruction head, which serving never binds, is not checked."""
+    bag_h, bag_g, _, _ = _patients(9)[0]
+
+    def serve(name):
+        arrays = named_parameters(_params(9))
+        arrays[name] = arrays[name].copy()
+        arrays[name][1, 2] = np.nan
+        return patient_forward(params_from_arrays(arrays), bag_h, bag_g,
+                               k_h=2, k_g=2, temperature=0.01, t_iters=2,
+                               l_iters=2)
+
+    with pytest.raises(autodiff.GraphError, match="input 'cross.w_q'"):
+        serve("cross.w_q")
+    assert np.isfinite(serve("recon_g.w_q").risk)
 
 
 def test_patient_forward_shapes_and_masks():
@@ -486,8 +515,8 @@ def test_served_patient_binds_the_trunk_only(monkeypatch):
                     l_iters=cfg.l_iters)
     (g,) = graphs
     assert g.num_nodes == 141
-    assert g._ops.count("input") == len(g.input_names()) == 86
-    assert {group_of(n) for n in g.input_names()} == set(TRUNK_GROUPS)
+    assert g._ops.count("input") == len(input_names(g)) == 86
+    assert {group_of(n) for n in input_names(g)} == set(TRUNK_GROUPS)
     assert set(TRUNK_GROUPS) | set(RECON_GROUPS) == set(TRAINABLE_GROUPS)
     assert g._ops.count("self_attend") == 2
     assert g._ops.count("slot_encode") == 2
@@ -506,7 +535,7 @@ def test_training_step_graph_size(monkeypatch):
     assert cg.graph.num_nodes == 275
     assert cg.graph._ops.count("slot_encode") == 3
     assert cg.graph._ops.count("decode") == 3
-    assert cg.graph.input_names() == trainable_names(_params(4))
+    assert input_names(cg.graph) == trainable_names(_params(4))
 
 
 def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():

@@ -266,8 +266,8 @@ def _graph_moe(seed, temperature, training, k=2, dtype=np.float64,
     rng = np.random.default_rng(seed)
     g = Graph(dtype=dtype)
     slots = g.input("slots", rng.normal(size=(4, 5)) * slot_scale)
-    gate = bind_arrays(g, "gate", init_gate_params(rng, 5))
-    pred = bind_arrays(g, "pred", init_predictor_params(rng, 5, 3))
+    gate = bind_arrays(g, {"gate": init_gate_params(rng, 5)})["gate"]
+    pred = bind_arrays(g, {"pred": init_predictor_params(rng, 5, 3)})["pred"]
     r = build_gate_scores(g, gate, slots)
     noise = np.random.default_rng(seed + 1).gumbel(size=(1, 4))
     mask, soft = build_gumbel_mask(g, r, k, temperature,

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import Graph, GraphError, backward, bind_arrays
+from slotsurv.autodiff import Graph, GraphError, Node, backward, bind_arrays
 from slotsurv.data import FeatureBag
 from slotsurv.recon import (
     build_cosine_loss,
@@ -23,7 +23,7 @@ from slotsurv.recon import (
 )
 from slotsurv.slots import init_slot_params
 
-from fd import finite_diff_check
+from fd import degenerate_rows, finite_diff_check
 from oracles import (
     bind_consts,
     owning_buffers,
@@ -52,7 +52,7 @@ def _genomic_loss(f, target) -> float:
     """The genomic reconstruction's mean squared error against ``target``,
     from the builder a training batch runs."""
     g = Graph(dtype=f["head"].w_q.dtype)
-    _, loss = build_recon_genomic(
+    loss = build_recon_genomic(
         g, bind_consts(g, f["head"]), g.const(f["positions"].table),
         g.const(f["slots"]), g.const(target))
     return float(loss.value)
@@ -102,22 +102,27 @@ def test_query_width_mismatch_rejected():
 def test_mse_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     g = Graph(dtype=np.float64)
-    head = bind_arrays(g, "head", init_recon_head(rng, 5))
+    head = bind_arrays(g, {"head": init_recon_head(rng, 5)})["head"]
     positions = g.input("positions", rng.normal(size=(4, 5)))
     slots = g.input("slots", rng.normal(size=(3, 5)))
     target = g.const(rng.normal(size=(4, 5)))
-    _, loss = build_recon_genomic(g, head, positions, slots, target)
+    loss = build_recon_genomic(g, head, positions, slots, target)
     assert finite_diff_check(g, loss) < 1e-4
 
 
 # ------------------------------------------------------------- cosine recon
 
 
+def _cosine_node(g) -> Node:
+    """The one cosine node of a reconstruction loss's graph."""
+    return Node(g, g._ops.index("cosine"))
+
+
 def test_cosine_loss_is_scale_invariant():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 4))
     g = Graph(dtype=np.float64)
-    loss, _ = build_cosine_loss(g, g.const(2.0 * x), g.const(x))
+    loss = build_cosine_loss(g, g.const(2.0 * x), g.const(x), np.ones(6))
     assert abs(float(loss.value)) < 1e-12
 
 
@@ -125,7 +130,7 @@ def test_antipodal_reconstruction_costs_two():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 4))
     g = Graph(dtype=np.float64)
-    loss, _ = build_cosine_loss(g, g.const(-x), g.const(x))
+    loss = build_cosine_loss(g, g.const(-x), g.const(x), np.ones(6))
     assert float(loss.value) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -133,7 +138,7 @@ def test_orthogonal_reconstruction_costs_one():
     x = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
     y = np.array([[0.0, 5.0], [4.0, 0.0], [0.0, 1.0]])
     g = Graph(dtype=np.float64)
-    loss, _ = build_cosine_loss(g, g.const(x), g.const(y))
+    loss = build_cosine_loss(g, g.const(x), g.const(y), np.ones(3))
     assert float(loss.value) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -141,8 +146,8 @@ def test_zero_norm_rows_are_flagged_not_fatal():
     x = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, -1.0]])
     y = np.ones((3, 2))
     g = Graph(dtype=np.float64)
-    loss, cos = build_cosine_loss(g, g.const(x), g.const(y))
-    assert np.array_equal(g.degenerate_rows(cos), [1])
+    loss = build_cosine_loss(g, g.const(x), g.const(y), np.ones(3))
+    assert np.array_equal(degenerate_rows(g, _cosine_node(g)), [1])
     assert np.isfinite(float(loss.value))
     # the flagged row contributes cosine 0: mean over 3 rows of (1, 0, cos)
     expected = 1.0 - (1.0 + 0.0 + (2 - 1) / (np.sqrt(5) * np.sqrt(2))) / 3.0
@@ -154,10 +159,10 @@ def test_histology_reconstruction_end_to_end():
     bag = f["rng"].normal(size=(8, 5)).astype(np.float32)
     g = Graph(dtype=f["head"].w_q.dtype)
     head = bind_consts(g, f["head"])
-    x_hat, loss, cos = build_recon_histology(g, head, f["qmap"], g.const(bag),
-                                             g.const(f["slots"]))
-    x_hat, loss, flagged = (x_hat.value, float(loss.value),
-                            g.degenerate_rows(cos))
+    loss = build_recon_histology(g, head, f["qmap"], g.const(bag),
+                                 g.const(f["slots"]), np.ones(8))
+    x_hat = g._values[g._ops.index("decode")]
+    loss, flagged = float(loss.value), degenerate_rows(g, _cosine_node(g))
     assert x_hat.shape == (8, 5)
     assert 0.0 <= loss <= 2.0
     assert flagged.size == 0
@@ -166,11 +171,11 @@ def test_histology_reconstruction_end_to_end():
 def test_frozen_query_map_gets_no_gradient():
     rng = np.random.default_rng(4)
     g = Graph(dtype=np.float64)
-    head = bind_arrays(g, "head", init_recon_head(rng, 5))
+    head = bind_arrays(g, {"head": init_recon_head(rng, 5)})["head"]
     qmap = init_query_map(rng, 5)
     bag = g.input("bag", rng.normal(size=(6, 5)))
     slots = g.input("slots", rng.normal(size=(3, 5)))
-    _, loss, _ = build_recon_histology(g, head, qmap, bag, slots)
+    loss = build_recon_histology(g, head, qmap, bag, slots, np.ones(6))
     grads = backward(g, loss)
     assert not any(name.startswith("qmap") for name in grads)
     assert {"bag", "slots"} <= set(grads)
@@ -182,11 +187,11 @@ def test_cosine_gradients_match_finite_differences():
     # without any gradient being wrong)
     rng = np.random.default_rng(6)
     g = Graph(dtype=np.float64)
-    head = bind_arrays(g, "head", init_recon_head(rng, 5))
+    head = bind_arrays(g, {"head": init_recon_head(rng, 5)})["head"]
     qmap = init_query_map(rng, 5)
     bag = g.input("bag", rng.normal(size=(6, 5)))
     slots = g.input("slots", rng.normal(size=(3, 5)))
-    _, loss, _ = build_recon_histology(g, head, qmap, bag, slots)
+    loss = build_recon_histology(g, head, qmap, bag, slots, np.ones(6))
     assert finite_diff_check(g, loss) < 1e-4
 
 
@@ -272,13 +277,13 @@ def test_imputation_requires_training():
 def test_cross_modal_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     g = Graph(dtype=np.float64)
-    params = bind_arrays(g, "enc", init_slot_params(rng, 3, 5))
-    head = bind_arrays(g, "head", init_recon_head(rng, 5))
+    params = bind_arrays(g, {"enc": init_slot_params(rng, 3, 5)})["enc"]
+    head = bind_arrays(g, {"head": init_recon_head(rng, 5)})["head"]
     positions = g.input("positions", rng.normal(size=(4, 5)))
     bag = g.input("bag", rng.normal(size=(6, 5)))
     slots = build_cross_modal_encode(g, params, bag, t_iters=2)
     target = g.const(rng.normal(size=(4, 5)))
-    _, loss = build_recon_genomic(g, head, positions, slots, target)
+    loss = build_recon_genomic(g, head, positions, slots, target)
     assert finite_diff_check(g, loss) < 1e-4
 
 
@@ -307,7 +312,7 @@ def _decode_both(dtype, build, case):
     head = type(head)(**{f: v + 0.3 * rng.normal(size=v.shape)
                          for f, v in vars(head).items()})
     g = Graph(dtype=dtype)
-    h = bind_arrays(g, "head", head)
+    h = bind_arrays(g, {"head": head})["head"]
     out = build(g, h, g.input("queries", rng.normal(size=q_shape)),
                 g.input("slots", rng.normal(size=s_shape)))
     loss = g.squared_error(out, g.const(rng.normal(size=out.shape)))
@@ -351,8 +356,8 @@ def test_decode_keeps_the_chains_order_for_a_shared_position_table(dtype):
         g = Graph(dtype=dtype)
         positions = g.input("positions", table)
         losses = [reduce_sum(g, g.squared_error(
-            build(g, bind_arrays(g, f"head{k}", head), positions,
-                  g.input(f"slots{k}", slots)), g.const(target)))
+            build(g, bind_arrays(g, {f"head{k}": head})[f"head{k}"],
+                  positions, g.input(f"slots{k}", slots)), g.const(target)))
             for k, (head, slots) in enumerate(zip(heads, slot_sets))]
         return backward(g, g.add(*losses))
 
@@ -376,7 +381,7 @@ def test_decode_node_holds_five_bag_row_arrays():
     n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(53)
     g = Graph()
-    head = bind_arrays(g, "head", init_recon_head(rng, dim))
+    head = bind_arrays(g, {"head": init_recon_head(rng, dim)})["head"]
     mask = np.ones((n, m))
     mask[1, 300:] = 0.0
     bag = rng.normal(size=(n, m, dim)) * mask[..., None]

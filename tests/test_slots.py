@@ -169,7 +169,7 @@ def _micro_loss(g, p, bag_node, t_iters, rng):
 def test_encode_gradients_match_finite_differences(t_iters):
     rng = np.random.default_rng(105)
     g = Graph(dtype=np.float64)
-    p = bind_arrays(g, "enc", init_slot_params(rng, n_slots=3, dim=5))
+    p = bind_arrays(g, {"enc": init_slot_params(rng, n_slots=3, dim=5)})["enc"]
     bag = g.input("bag", rng.normal(size=(6, 5)))
     loss = _micro_loss(g, p, bag, t_iters, rng)
     assert finite_diff_check(g, loss) < 1e-4
@@ -181,7 +181,7 @@ def test_single_step_gradients_across_seeds(seed):
     # graph's many near-zero gradient elements would dominate the FD floor
     rng = np.random.default_rng(seed)
     g = Graph(dtype=np.float64)
-    p = bind_arrays(g, "enc", init_slot_params(rng, n_slots=3, dim=5))
+    p = bind_arrays(g, {"enc": init_slot_params(rng, n_slots=3, dim=5)})["enc"]
     bag = g.input("bag", rng.normal(size=(6, 5)))
     loss = _micro_loss(g, p, bag, 1, rng)
     assert finite_diff_check(g, loss) < 1e-4
@@ -211,7 +211,7 @@ def _encode_both(dtype, build, **kw):
     bag = rng.normal(size=kw.pop("bag_shape"))
     target = rng.normal(size=bag.shape[:-2] + (3, 5))
     g = Graph(dtype=dtype)
-    p = bind_arrays(g, "p", params)
+    p = bind_arrays(g, {"p": params})["p"]
     slots, alpha = build(g, p, g.input("bag", bag), **kw)
     loss = g.squared_error(slots, g.const(target))
     if loss.value.ndim:
@@ -272,7 +272,7 @@ def test_fused_step_keeps_the_chains_order_for_shared_initial_slots(dtype):
 
     def grads(build):
         g = Graph(dtype=dtype)
-        p = bind_arrays(g, "p", params)
+        p = bind_arrays(g, {"p": params})["p"]
         losses = [g.squared_error(build(g, p, g.const(bag), 2)[0],
                                   g.const(np.full((3, 5), 0.5)))
                   for bag in bags]
@@ -339,7 +339,7 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
     n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(41)
     g = Graph()
-    p = bind_arrays(g, "p", init_slot_params(rng, n_slots, dim))
+    p = bind_arrays(g, {"p": init_slot_params(rng, n_slots, dim)})["p"]
     mask = np.ones((n, m))
     mask[1, 300:] = 0.0
     slots = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
@@ -377,7 +377,7 @@ def test_slot_iteration_holds_two_slot_sized_buffers(t_iters):
     n, m, dim, n_slots = 2, 50, 8, 3
     rng = np.random.default_rng(43)
     g = Graph()
-    p = bind_arrays(g, "p", init_slot_params(rng, n_slots, dim))
+    p = bind_arrays(g, {"p": init_slot_params(rng, n_slots, dim)})["p"]
     slots = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
                          t_iters, noise=rng.normal(size=(n, n_slots, dim)))
     sv = g._saved[slots.idx]

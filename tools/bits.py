@@ -32,7 +32,11 @@ in the repo root) with the facts of the machine they were built on, as
 ``--against REV`` extracts ``git archive REV`` into a temporary
 directory, runs the first form once on this tree and once on REV's
 source, each in its own process, and prints both sides; it exits 1 when
-any digest differs or an artefact is on one side only.  ``--tiny`` keeps
+any digest differs or an artefact is on one side only.  Both sides run
+this tree's harness, so when REV's ``tools/bits.py`` is another file it
+says so and lists the digests that differ between REV's ``BITS.json``
+and this tree's: a change to the harness alone moves digests that the
+two sides' comparison cannot show.  ``--tiny`` keeps
 the reference cohort only (a few seconds).  BLAS runs on one thread
 unless the environment says otherwise, as ``bench/run.py`` pins it.
 Standard library and numpy only.
@@ -60,6 +64,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pins)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HARNESS = os.path.join("tools", "bits.py")
 
 COHORTS = {
     "reference": dict(n_patients=12, m_hist_lo=6, m_hist_hi=10, m_gen=8,
@@ -224,6 +229,37 @@ def compare(src: str, other_src: str, tiny: bool = False) -> dict:
     return {"tree": ours, "against": theirs, **diff(ours, theirs)}
 
 
+def _read(root: str, name: str):
+    path = os.path.join(root, name)
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def harness_note(tree: str, other: str, rev: str) -> str:
+    """A note for ``--against`` when the repo trees ``tree`` and ``other``
+    (REV's) hold different ``tools/bits.py`` files: both sides ran the
+    tree's harness, and these digests differ between the two trees'
+    ``BITS.json`` (a missing file records none).  Empty when the two
+    harnesses are the same file."""
+    if _read(tree, HARNESS) == _read(other, HARNESS):
+        return ""
+
+    def recorded(root):
+        blob = _read(root, "BITS.json")
+        return {} if blob is None else json.loads(blob)["digests"]
+
+    moved = diff(recorded(tree), recorded(other))
+    lines = [f"{HARNESS} differs at {rev}: both sides ran this tree's "
+             "harness",
+             f"BITS.json digests that differ between {rev} and this tree: "
+             f"{sum(map(len, moved.values()))}"]
+    lines += [f"  {kind} {name}" for kind, names in moved.items()
+              for name in names]
+    return "\n".join(lines)
+
+
 def _archive(rev: str, dest: str) -> None:
     blob = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                           capture_output=True, check=True).stdout
@@ -253,12 +289,15 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             _archive(args.against, tmp)
             report = compare(src, os.path.join(tmp, "src"), args.tiny)
+            note = harness_note(ROOT, tmp, args.against)
         report = {"rev": args.against, **report}
         print(json.dumps(report, indent=1))
         bad = report["differ"] + report["only_tree"] + report["only_against"]
         print(f"{len(report['tree'])} artefacts against {args.against}, "
               f"{len(bad)} differ or are on one side only"
               + "".join(f"\n  {name}" for name in bad), file=sys.stderr)
+        if note:
+            print(note, file=sys.stderr)
         return 1 if bad else 0
 
     sys.path.insert(0, src)
