@@ -25,14 +25,15 @@ casts to the graph dtype and applies the non-finite guard; a
 ops fuse a chain of others into one node, to save the per-node cost
 where the model repeats the chain: ``affine``, ``slot_encode``,
 ``cross_step``, ``self_attend`` and ``decode``. The per-op chains they
-replace need five ops the program never records (transpose, col_softmax,
-gru_cell, gather_rows and layer_norm); the tests keep those in
-``tests/oracles.py``, which adds their kernels and adjoint rules to
+replace need six ops the program never records (transpose, col_softmax,
+reciprocal, gru_cell, gather_rows and layer_norm); the tests keep those
+in ``tests/oracles.py``, which adds their kernels and adjoint rules to
 these tables when imported, beside ``reduce_sum``, with which the
-gradient tests reduce a loss to a 0-d seed. The fused kernels call the
-chain's kernels in the chain's order, and their adjoint rules call the
-same array-level adjoint helpers as the chain's rules, in reverse,
-handing each parent its contributions in the chain's order, so values
+gradient tests reduce a loss to a 0-d seed, and ``stop_gradient``, the
+identity with a zero adjoint. The fused kernels call the chain's
+kernels in the chain's order, and their adjoint rules call the same
+array-level adjoint helpers as the chain's rules, in reverse, handing
+each parent its contributions in the chain's order, so values
 and gradients have the chain's bits. ``slot_encode``'s iterations and
 ``cross_step`` end in the same GRU -> residual-MLP tail, the three
 attention ops in the same residual MLP, and ``cross_step``,
@@ -44,8 +45,8 @@ bound; with ``inputs`` (and ``bind_arrays``, which binds any number of
 parameter dataclasses through one call of it) a whole parameter set is
 checked at once, and only when that fails leaf by leaf, to name the
 tensor. Every op output is checked, except for ops that map finite
-inputs to finite outputs (reshape, concat, stop_gradient, relu, clamp,
-sigmoid and row_softmax).
+inputs to finite outputs (reshape, concat, relu, clamp, sigmoid and
+row_softmax).
 Inside the fused attention ops the values that feed a kernel able to
 hide a non-finite entry are checked: the logits (softmax
 maps -inf to 0), in ``slot_encode`` the attention mass (reciprocal maps
@@ -103,8 +104,7 @@ axes, so one model builder serves both:
 * squared_error, cosine: mean over the last two axes, 0-d for 2-d
   operands and one value per batch entry, (B,), for 3-d ones.
 * concat along any axis of two equal-rank operands.
-* elementwise: scale, sigmoid, relu, reciprocal, log, exp, clamp,
-  stop_gradient.
+* elementwise: scale, sigmoid, relu, log, exp, clamp.
 * affine: x @ w + b, the matmul shapes, with a bias that broadcasts into
   the product without enlarging it (a (1, n) row).
 * slot_encode: a slot encoder, T slot-attention iterations over a bag.
@@ -182,7 +182,7 @@ ten elementwise passes per row; layer norm 4 per element; softmaxes 3
 per element; squared_error 2 and cosine 4 per input element; add and mul
 1 per element of the broadcast output; the other elementwise ops,
 mean_pool and sum 1 per input element; pure data movement
-(reshape, concat, stop_gradient, the chain's transpose and gather)
+(reshape, concat, the chain's transpose, gather and stop_gradient)
 counts zero. A fused op counts what its chain counts: affine a matmul
 plus an add, slot_encode the sum over its chain (for the bag, with B*M
 rows: 4 B*M*d for the layer norm, 2 B*M*d*d for k and v, B*M*d each for
@@ -409,9 +409,6 @@ class Graph:
     def relu(self, a: Node) -> Node:
         return self._append("relu", (a.idx,), madds=a.value.size)
 
-    def reciprocal(self, a: Node) -> Node:
-        return self._append("reciprocal", (a.idx,), madds=a.value.size)
-
     def slot_encode(self, bag: Node, ones: Node, slots: Node, ln_gamma: Node,
                     ln_beta: Node, w_k: Node, w_v: Node, slot_gamma: Node,
                     w_q: Node, gru: tuple, mlp: tuple,
@@ -603,9 +600,6 @@ class Graph:
         if not lo < hi:
             raise GraphError(f"clamp bounds [{lo}, {hi}]")
         return self._append("clamp", (a.idx,), aux=(lo, hi), madds=a.value.size)
-
-    def stop_gradient(self, a: Node) -> Node:
-        return self._append("stop_gradient", (a.idx,))
 
     # ------------------------------------------------------------- utilities
 
@@ -1068,7 +1062,6 @@ _FORWARD = {
     "row_softmax": _softmax,
     "sigmoid": lambda _, a: _sigmoid(a),
     "relu": lambda _, a: _relu(a),
-    "reciprocal": _reciprocal_fwd,
     "slot_encode": _slot_encode_fwd,
     "cross_step": _cross_step_fwd,
     "self_attend": _self_attend_fwd,
@@ -1082,7 +1075,6 @@ _FORWARD = {
     "log": _log_fwd,
     "exp": lambda _, a: np.exp(a),
     "clamp": lambda bounds, a: np.clip(a, *bounds),
-    "stop_gradient": lambda _, a: a,
 }
 
 # Every op kind the engine registers, and every one the program records.
@@ -1091,8 +1083,7 @@ OP_KINDS = ("input", "const", *_FORWARD)
 # Ops whose output is finite whenever their inputs are, which the guard
 # has already checked: data movement, and maps into a bounded range.
 _ALWAYS_FINITE = frozenset({
-    "reshape", "concat", "stop_gradient", "relu", "clamp", "sigmoid",
-    "row_softmax"})
+    "reshape", "concat", "relu", "clamp", "sigmoid", "row_softmax"})
 
 
 def _evaluate(g: Graph, op: str, parents: tuple, aux, i: int):
@@ -1271,10 +1262,6 @@ def _bw_sigmoid(g, i, grad, grads):
 def _bw_relu(g, i, grad, grads):
     p = g._parents[i][0]
     _acc(grads, p, _relu_adj(grad, g._values[p]))
-
-
-def _bw_reciprocal(g, i, grad, grads):
-    _acc(grads, g._parents[i][0], _reciprocal_adj(grad, g._values[i]))
 
 
 def _ffn_adj(g, grads, grad, x, hidden, mlp):
@@ -1656,7 +1643,6 @@ _BACKWARD = {
     "row_softmax": _bw_softmax,
     "sigmoid": _bw_sigmoid,
     "relu": _bw_relu,
-    "reciprocal": _bw_reciprocal,
     "slot_encode": _bw_slot_encode,
     "cross_step": _bw_cross_step,
     "self_attend": _bw_self_attend,
@@ -1670,7 +1656,7 @@ _BACKWARD = {
     "log": _bw_log,
     "exp": _bw_exp,
     "clamp": _bw_clamp,
-    # input/const/stop_gradient intentionally absent: adjoint is zero.
+    # input/const intentionally absent: adjoint is zero.
 }
 
 

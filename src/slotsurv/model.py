@@ -25,8 +25,8 @@ encode of a training batch; serving reads its last attention map from
 that node (``TrunkNodes`` holds none).  Each of a training batch's three
 reconstruction heads is one ``decode`` node, and its builder returns the
 head's (B,) loss node alone.  At the reference ``TrainConfig`` a
-training batch is one graph of 275 nodes and a served patient one of
-141.
+training batch is one graph of 251 nodes and a served patient one of
+135.
 """
 
 from __future__ import annotations
@@ -217,27 +217,19 @@ def draw_noise(rng: np.random.Generator, n_patients: int,
 
 
 def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
-                    slots: Node, k: int, temperature: float,
-                    gumbel, selective: bool):
-    """Gate scores -> selection -> renormalized weights -> mixture logits.
+                    slots: Node, k: int, temperature: float, gumbel):
+    """Gate scores -> K-hot selection -> masked-softmax weights ->
+    mixture logits.
 
     Selection is noisy when ``gumbel`` noise is given (training) and the
-    plain top-K otherwise.  With ``selective`` off (ablation) every slot
-    stays active and the weights are the plain softmax of the scores.
+    plain top-K otherwise; with K = S (selection off) it keeps every slot.
     Returns (scores, weights, mixture, selected_indices).
     """
     r = moe_mod.build_gate_scores(g, gate, slots)
-    n_sets, n_slots = slots.shape[0], slots.shape[-2]
-    if selective:
-        mask, _ = moe_mod.build_gumbel_mask(g, r, k, temperature,
-                                            noise=gumbel)
-        weights = moe_mod.build_renormalized_weights(g, r, mask, temperature)
-        # K-hot rows: nonzero() lists each row's K indices in order
-        selected = np.nonzero(mask.value[:, 0] > 0.5)[1].reshape(n_sets, k)
-    else:
-        row = g.reshape(r, r.shape[:-2] + (1, n_slots))
-        weights = g.row_softmax(g.scale(row, 1.0 / temperature))
-        selected = np.tile(np.arange(n_slots), (n_sets, 1))
+    mask = moe_mod.build_gumbel_mask(g, r, k, noise=gumbel)
+    weights = moe_mod.build_renormalized_weights(g, r, mask, temperature)
+    # K-hot rows: nonzero() lists each row's K indices in order
+    selected = np.nonzero(mask.value[:, 0] > 0.5)[1].reshape(slots.shape[0], k)
     logits = moe_mod.build_slot_logits(g, pred, slots)
     mixture = moe_mod.build_gated_mixture(g, weights, logits)
     return r, weights, mixture, selected
@@ -255,19 +247,20 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     ``mask_h`` (None when nothing is padded), ``bag_g`` the (B, M_g, d)
     genomic batch.  With ``noise`` the trunk runs in training mode
     (stochastic slot init, Gumbel top-K); without, in inference mode.
-    Reconstruction stays out of the trunk."""
+    With ``selective`` off every slot is kept (K = S).  Reconstruction
+    stays out of the trunk."""
     noise = noise or TrainingNoise(None, None, None, None)
     s_h = slot_mod.build_encode(
         g, p.slots_h, bag_h, t_iters, mask=mask_h, noise=noise.slots_h)
     s_g = slot_mod.build_encode(
         g, p.slots_g, bag_g, t_iters, noise=noise.slots_g)
+    if not selective:
+        k_h, k_g = s_h.shape[-2], s_g.shape[-2]
 
     r_h, w_h, mix_h, sel_h = _branch_mixture(
-        g, p.gate_h, p.pred_h, s_h, k_h, temperature, noise.gumbel_h,
-        selective)
+        g, p.gate_h, p.pred_h, s_h, k_h, temperature, noise.gumbel_h)
     r_g, w_g, mix_g, sel_g = _branch_mixture(
-        g, p.gate_g, p.pred_g, s_g, k_g, temperature, noise.gumbel_g,
-        selective)
+        g, p.gate_g, p.pred_g, s_g, k_g, temperature, noise.gumbel_g)
 
     bar_h = fusion_mod.build_masked_self_attention(g, p.self_h, s_h, sel_h)
     bar_g = fusion_mod.build_masked_self_attention(g, p.self_g, s_g, sel_g)

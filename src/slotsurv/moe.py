@@ -1,21 +1,28 @@
 """Selective slot decoding: a linear gate scores each slot, a
-Gumbel-Top-K draw keeps K of them, and the survival logits of the kept
-slots are mixed with renormalized softmax weights.  The gate has no
-bias, since a shift shared by every score cancels in both the top-K and
-the softmax.
+Gumbel-Top-K draw keeps K of them (Kool et al., "Stochastic Beams and
+Where to Find Them: The Gumbel-Top-k Trick", ICML 2019), and the
+survival logits of the kept slots are mixed with softmax weights over
+the kept set.  The gate has no bias, since a shift shared by every score
+cancels in both the top-K and the softmax.
 
-The selection is made differentiable with a straight-through estimator:
-the forward value of the mask is exactly K-hot, while gradients flow
-through the soft relaxation, so unselected slots still receive learning
-signal.  Gumbel noise is given only in training (``model.draw_noise``
-draws it); without it the mask is the deterministic top-K of the raw
-scores.
+The selection is a K-hot constant.  The weights are one masked softmax,
+w = row_softmax(r / temperature + c), with c = 0 on the selected slots
+and a large negative finite constant (-finfo(dtype).max / 4) on the
+others: the unselected weights are exactly 0, the selected ones the
+softmax of their scores restricted to the selected set, and the
+gradient through them stays bounded whatever the draw.  The trade-off:
+unselected slots get no gradient through the gate weights; they still
+get it through the reconstruction heads, which decode every slot, and
+through cross-attention over all slots.  Gumbel noise is given only in
+training (``model.draw_noise`` draws it); without it the selection is
+the deterministic top-K of the raw scores.
 
 K comes from one rule, ``train.k_from_fraction``: K = round(f * S),
 clipped to [1, S], with f = ``TrainConfig.k_fraction`` (0.25 by
 default).  Training and inference both read K from it through
 ``TrainConfig.k_h``/``k_g``.  With selection off (the ``selective=False``
-ablation) every slot is kept, so K = S.
+ablation) every slot is kept, so K = S: the mask is all ones, c is not
+added, and the weights are the plain softmax of the scores.
 
 As in the encoder module, build_* functions append nodes to a
 caller-owned Graph; ``build_gumbel_mask`` is the one place a selection
@@ -116,56 +123,39 @@ def build_gate_scores(g: Graph, gate: GateParams, slots: Node) -> Node:
     return g.matmul(slots, gate.w)
 
 
-def build_gumbel_mask(g: Graph, r: Node, k: int, temperature: float,
-                      noise=None):
-    """Top-K selection mask over scores r of shape (..., S, 1).
-
-    Returns (mask, soft) nodes of shape (..., 1, S).  Given Gumbel(0,1)
-    ``noise`` of shape (..., 1, S) (training), the scores are perturbed
-    by it and the mask is the straight-through composition
-    hard + (soft - stopgrad(soft)): its forward value is exactly K-hot per
-    patient while its backward pass is that of the soft relaxation.
-    Without noise the mask is the deterministic top-K of the raw scores
-    (a constant) and soft is None.
-    """
+def build_gumbel_mask(g: Graph, r: Node, k: int, noise=None) -> Node:
+    """K-hot selection over scores r of shape (..., S, 1), a constant of
+    shape (..., 1, S): the top-K of the scores, perturbed by Gumbel(0,1)
+    ``noise`` of shape (..., 1, S) (cast to the graph dtype) when it is
+    given (training)."""
     if r.shape[-1] != 1:
         raise ValueError(f"scores must be a column, got shape {r.shape}")
     _check_k(k, r.shape[-2])
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if noise is None:
-        return g.const(_k_hot(np.swapaxes(r.value, -1, -2), k)), None
-    row = g.reshape(r, r.shape[:-2] + (1, r.shape[-2]))
-    noisy = g.add(row, g.const(noise))
-    # top-K of the soft relaxation equals top-K of the perturbed scores
-    # (softmax is monotone), so the hard vector is read off `noisy`
-    soft = g.row_softmax(g.scale(noisy, 1.0 / temperature))
-    hard = g.const(_k_hot(noisy.value, k))
-    mask = g.add(hard, g.add(soft, g.scale(g.stop_gradient(soft), -1.0)))
-    return mask, soft
+    scores = np.swapaxes(r.value, -1, -2)
+    if noise is not None:
+        scores = scores + np.asarray(noise, dtype=g.dtype)
+    return g.const(_k_hot(scores, k))
 
 
 def build_renormalized_weights(g: Graph, r: Node, mask: Node,
                                temperature: float) -> Node:
-    """Mixture weights w = softmax(r/temperature) * mask, renormalized to
-    sum 1 over the selected slots.  Shape (..., 1, S)."""
+    """Mixture weights w = row_softmax(r/temperature + c) over the slots
+    the K-hot ``mask`` selects, c = 0 there and -finfo.max/4 elsewhere (see
+    the module docstring).  Shape (..., 1, S)."""
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     row = g.reshape(r, r.shape[:-2] + (1, r.shape[-2]))
-    relaxed = g.row_softmax(g.scale(row, 1.0 / temperature))
-    if mask.shape != relaxed.shape:
+    if mask.shape != row.shape:
         raise ValueError(
             f"mask shape {mask.shape} does not match {r.shape[-2]} scores")
-    if not np.all(np.any(mask.value, axis=-1)):
+    selected = mask.value > 0.5
+    if not np.all(np.any(selected, axis=-1)):
         raise ValueError("mask selects no slots")
-    masked = g.mul(relaxed, mask)
-    total = g.sum(masked, axis=-1)
-    # At low temperature the relaxed weights of every selected slot can
-    # underflow to exact zero when some unselected slot dominates the
-    # scores; flooring the normalizer keeps the reciprocal finite (the
-    # weights of such a degenerate draw come out all-zero instead of NaN,
-    # and the clamp blocks the gradient so the step is not poisoned).  The
-    # floor must stay representable at the graph's own precision.
-    total = g.clamp(total, float(np.finfo(g.dtype).tiny), np.inf)
-    return g.mul(masked, g.reciprocal(total))
+    logits = g.scale(row, 1.0 / temperature)
+    if not selected.all():
+        off = -np.finfo(g.dtype).max / 4
+        logits = g.add(logits, g.const(np.where(selected, 0.0, off)))
+    return g.row_softmax(logits)
 
 
 def build_slot_logits(g: Graph, pred: PredictorParams, slots: Node) -> Node:

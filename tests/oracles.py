@@ -1,13 +1,14 @@
 """Plain references the tests check the package against.
 
 * The per-op chain vocabulary: ``transpose``, ``col_softmax``,
-  ``layer_norm``, ``gru_cell`` and ``gather_rows``, five ops the program
-  never records but the unfused chains below need, and ``reduce_sum``,
-  which sums a loss down to the 0-d seed a gradient test differentiates,
-  as builders that take the graph first.  Importing this module adds
-  their kernels and adjoint rules to the engine's ``_FORWARD`` and
-  ``_BACKWARD`` tables, and the three whose output is finite for finite
-  inputs to its ``_ALWAYS_FINITE`` set; ``CHAIN_OPS`` names the six.
+  ``reciprocal``, ``layer_norm``, ``gru_cell`` and ``gather_rows``, six
+  ops the program never records but the unfused chains below need,
+  ``reduce_sum``, which sums a loss down to the 0-d seed a gradient test
+  differentiates, and ``stop_gradient``, the identity with a zero
+  adjoint, as builders that take the graph first.  Importing this module
+  adds their kernels and adjoint rules to the engine's ``_FORWARD`` and
+  ``_BACKWARD`` tables, and the four whose output is finite for finite
+  inputs to its ``_ALWAYS_FINITE`` set; ``CHAIN_OPS`` names the eight.
   ``autodiff.OP_KINDS`` keeps listing the program's ops alone.
 * ``bind_consts``, a parameter dataclass bound as graph constants, for
   tests that run a builder without differentiating its parameters.
@@ -16,8 +17,8 @@
   ``slotsurv.moe``.  The graph builders there are what the model runs;
   these plain functions recompute the same decode independently so the
   tests can check the builders against them.  ``gumbel_topk_mask`` draws
-  one Gumbel-top-K selection in numpy, with its soft relaxation; the
-  statistical gate tests sample it.
+  one Gumbel-top-K selection in numpy; the statistical gate tests sample
+  it.
 * ``out_of_place_acc``, adjoint accumulation that allocates every sum, for
   checking ``autodiff.backward``'s in-place accumulation,
   ``saved_arrays``, a node's saved intermediates as one flat list, and
@@ -69,16 +70,9 @@ class SlotMixture:
     mixture: np.ndarray   # (n_bins,)
 
 
-@dataclass(frozen=True)
-class GumbelDraw(GateMask):
-    """A ``GateMask`` with the relaxed probabilities of its draw."""
-
-    soft: np.ndarray          # (S,), relaxed probabilities summing to 1
-
-
 def gumbel_topk_mask(r: np.ndarray, k: int, temperature: float,
                      rng: np.random.Generator | None = None,
-                     training: bool = True) -> GumbelDraw:
+                     training: bool = True) -> GateMask:
     r = np.asarray(r, dtype=np.float64).reshape(-1)
     _check_k(k, r.size)
     if temperature <= 0:
@@ -89,10 +83,7 @@ def gumbel_topk_mask(r: np.ndarray, k: int, temperature: float,
         perturbed = r + rng.gumbel(size=r.size)
     else:
         perturbed = r
-    shifted = (perturbed - perturbed.max()) / temperature
-    exp = np.exp(shifted)
-    return GumbelDraw(hard=_k_hot(perturbed, k), scores=r.copy(),
-                      soft=exp / exp.sum())
+    return GateMask(hard=_k_hot(perturbed, k), scores=r.copy())
 
 
 def gate_scores(slots: np.ndarray, gate: GateParams) -> np.ndarray:
@@ -248,9 +239,18 @@ def gather_rows(g: Graph, a: Node, indices) -> Node:
     return g._append("gather_rows", (a.idx,), aux=idx)
 
 
+def reciprocal(g: Graph, a: Node) -> Node:
+    return g._append("reciprocal", (a.idx,), madds=a.value.size)
+
+
 def reduce_sum(g: Graph, a: Node) -> Node:
     """Sum every entry down to a 0-d scalar."""
     return g._append("reduce_sum", (a.idx,), madds=a.value.size)
+
+
+def stop_gradient(g: Graph, a: Node) -> Node:
+    """The identity, with no adjoint: nothing flows back through it."""
+    return g._append("stop_gradient", (a.idx,))
 
 
 def _layer_norm_fwd(_, x, gamma, beta):
@@ -281,6 +281,11 @@ def _bw_transpose(g, i, grad, grads):
     autodiff._acc(grads, g._parents[i][0], np.swapaxes(grad, -1, -2))
 
 
+def _bw_reciprocal(g, i, grad, grads):
+    autodiff._acc(grads, g._parents[i][0],
+                  autodiff._reciprocal_adj(grad, g._values[i]))
+
+
 def _bw_gather_rows(g, i, grad, grads):
     p = g._parents[i][0]
     buf = np.zeros_like(g._values[p])
@@ -288,21 +293,25 @@ def _bw_gather_rows(g, i, grad, grads):
     autodiff._acc(grads, p, buf)
 
 
-# op: (forward kernel, adjoint rule), registered with the engine here
+# op: (forward kernel, adjoint rule), registered with the engine here; an
+# op without an adjoint rule (stop_gradient) passes no gradient back
 _CHAIN_TABLE = {
     "transpose": (lambda _, a: np.swapaxes(a, -1, -2).copy(), _bw_transpose),
     "col_softmax": (autodiff._softmax, autodiff._bw_softmax),
+    "reciprocal": (autodiff._reciprocal_fwd, _bw_reciprocal),
     "layer_norm": (_layer_norm_fwd, _bw_layer_norm),
     "gru_cell": (autodiff._gru_fwd, _bw_gru),
     "gather_rows": (lambda idx, a: a[idx], _bw_gather_rows),
     # the keep-dims sum's adjoint rule: both broadcast back to the operand
     "reduce_sum": (lambda _, a: a.sum(), autodiff._bw_sum),
+    "stop_gradient": (lambda _, a: a, None),
 }
 CHAIN_OPS = frozenset(_CHAIN_TABLE)
 autodiff._FORWARD.update({op: fw for op, (fw, _) in _CHAIN_TABLE.items()})
-autodiff._BACKWARD.update({op: bw for op, (_, bw) in _CHAIN_TABLE.items()})
+autodiff._BACKWARD.update({op: bw for op, (_, bw) in _CHAIN_TABLE.items()
+                           if bw is not None})
 autodiff._ALWAYS_FINITE = autodiff._ALWAYS_FINITE | {
-    "transpose", "col_softmax", "gather_rows"}
+    "transpose", "col_softmax", "gather_rows", "stop_gradient"}
 
 
 def bind_consts(g: Graph, obj):
@@ -348,7 +357,7 @@ def unfused_attention_step(g: Graph, p, slots, keys_t, values, ones):
     alpha = col_softmax(g, g.matmul(q, keys_t))
     u = g.matmul(alpha, values)
     mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), AGG_EPS)))
-    u = g.mul(u, g.reciprocal(mass))
+    u = g.mul(u, reciprocal(g, mass))
     updated = gru_cell(g, u, slots,
                        p.gru_wz, p.gru_uz, p.gru_bz,
                        p.gru_wr, p.gru_ur, p.gru_br,

@@ -41,8 +41,10 @@ from oracles import (
     layer_norm,
     out_of_place_acc,
     owning_buffers,
+    reciprocal,
     reduce_sum,
     saved_arrays,
+    stop_gradient,
     transpose,
     unfused_cross_update,
     unfused_decode,
@@ -340,7 +342,7 @@ def _build_col_softmax_3d(g, rng):
 
 def _build_reciprocal(g, rng):
     a = g.input("a", rng.uniform(0.5, 2.0, size=(3, 4)))
-    return _se_target(g, g.reciprocal(a), rng)
+    return _se_target(g, reciprocal(g, a), rng)
 
 
 def _build_sum_last(g, rng):
@@ -758,7 +760,7 @@ def test_stop_gradient_identity_forward_zero_backward():
     rng = np.random.default_rng(7)
     g = Graph(dtype=np.float64)
     x = g.input("x", rng.normal(size=(3, 3)))
-    sg = g.stop_gradient(x)
+    sg = stop_gradient(g, x)
     assert np.array_equal(sg.value, x.value)
     loss = g.squared_error(sg, g.const(np.zeros((3, 3))))
     grads = backward(g, loss)
@@ -770,7 +772,7 @@ def test_stop_gradient_blocks_only_its_branch():
     g = Graph(dtype=np.float64)
     x = g.input("x", rng.normal(size=(2, 2)))
     direct = g.squared_error(x, g.const(np.zeros((2, 2))))
-    blocked = g.squared_error(g.stop_gradient(x), g.const(np.zeros((2, 2))))
+    blocked = g.squared_error(stop_gradient(g, x), g.const(np.zeros((2, 2))))
     loss = g.add(direct, blocked)
     grads = backward(g, loss)
     expected = 2.0 / x.value.size * x.value
@@ -1020,8 +1022,8 @@ def test_backward_never_writes_a_buffer_it_did_not_allocate(
 # replays like every other op.
 REPLAY_BUILDERS = {
     **OP_BUILDERS,
-    "stop_gradient": lambda g, rng: g.stop_gradient(
-        g.input("a", rng.normal(size=(3, 4)))),
+    "stop_gradient": lambda g, rng: stop_gradient(
+        g, g.input("a", rng.normal(size=(3, 4)))),
 }
 
 
@@ -1035,8 +1037,8 @@ def test_forward_replay_matches_eager_build(op_name):
     """A clone at the build's own dtype, which replays every node,
     reproduces every eager node value, and every saved intermediate, bit
     for bit."""
-    # the engine's tables plus the six ops tests/oracles.py adds: the
-    # chain's five and reduce_sum
+    # the engine's tables plus the eight ops tests/oracles.py adds: the
+    # chain's six, reduce_sum and stop_gradient
     assert CHAIN_OPS.isdisjoint(OP_KINDS)
     assert set(OP_KINDS) | CHAIN_OPS == {"input", "const"} | set(_FORWARD)
     assert set(_BACKWARD) <= set(_FORWARD)
@@ -1427,7 +1429,7 @@ def test_kernels_the_guard_skips_keep_finite_inputs_finite(dtype, data):
     """The guard skips exactly the ops whose kernel maps finite inputs to
     finite outputs; extreme finite inputs (the largest magnitudes,
     subnormals, signed zeros) stay finite through each of them."""
-    # the engine's set plus the three chain ops tests/oracles.py adds
+    # the engine's set plus the four chain ops tests/oracles.py adds
     assert set(_FINITE_KERNEL_CASES) == autodiff._ALWAYS_FINITE
     assert autodiff._ALWAYS_FINITE - CHAIN_OPS <= set(OP_KINDS)
     x = data.draw(_extreme_matrices(dtype))

@@ -1,5 +1,5 @@
 """Selective slot decoding: gate scores, Gumbel-Top-K masks,
-renormalized mixture weights, straight-through gradients."""
+masked-softmax mixture weights and their gradients."""
 
 import csv
 
@@ -125,8 +125,6 @@ def test_masks_are_exactly_k_hot():
                                 training=True)
         assert np.isin(mask.hard, (0.0, 1.0)).all()
         assert mask.hard.sum() == 2.0
-        assert mask.soft.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (mask.soft >= 0.0).all()
 
 
 def test_selection_frequency_golden():
@@ -270,12 +268,11 @@ def _graph_moe(seed, temperature, training, k=2, dtype=np.float64,
     pred = bind_arrays(g, {"pred": init_predictor_params(rng, 5, 3)})["pred"]
     r = build_gate_scores(g, gate, slots)
     noise = np.random.default_rng(seed + 1).gumbel(size=(1, 4))
-    mask, soft = build_gumbel_mask(g, r, k, temperature,
-                                   noise=noise if training else None)
+    mask = build_gumbel_mask(g, r, k, noise=noise if training else None)
     w = build_renormalized_weights(g, r, mask, temperature)
     y = build_gated_mixture(g, w, build_slot_logits(g, pred, slots))
     loss = reduce_sum(g, g.mul(y, g.const(rng.normal(size=(1, 3)))))
-    return g, loss, r, mask, soft, w
+    return g, loss, r, mask, w
 
 
 def test_graph_matches_numpy_reference():
@@ -289,8 +286,8 @@ def test_graph_matches_numpy_reference():
     gp = bind_consts(g, gate)
     pp = bind_consts(g, pred)
     r = build_gate_scores(g, gp, slots)
-    mask, soft = build_gumbel_mask(
-        g, r, 2, 0.7, noise=np.random.default_rng(99).gumbel(size=(1, 5)))
+    mask = build_gumbel_mask(
+        g, r, 2, noise=np.random.default_rng(99).gumbel(size=(1, 5)))
     w = build_renormalized_weights(g, r, mask, 0.7)
     y = build_gated_mixture(g, w, build_slot_logits(g, pp, slots))
 
@@ -299,7 +296,6 @@ def test_graph_matches_numpy_reference():
                                 training=True)
     np.testing.assert_allclose(r.value[:, 0], ref_r, atol=1e-12)
     assert np.array_equal(mask.value[0], ref_mask.hard)
-    np.testing.assert_allclose(soft.value[0], ref_mask.soft, atol=1e-12)
     np.testing.assert_allclose(
         w.value[0], renormalize_weights(ref_r, ref_mask, 0.7), atol=1e-12)
     np.testing.assert_allclose(
@@ -307,56 +303,82 @@ def test_graph_matches_numpy_reference():
         gated_mixture(w.value[0], slot_logits(slots_val, pred)), atol=1e-12)
 
 
-def test_straight_through_forward_is_exactly_k_hot():
+def test_gumbel_mask_is_exactly_k_hot():
     mask = _graph_moe(12, temperature=0.7, training=True)[3]
+    assert mask.op == "const"
     assert np.isin(mask.value, (0.0, 1.0)).all()
     assert mask.value.sum() == 2.0
 
 
-def test_straight_through_backward_equals_soft_path():
-    scores = np.array([[0.8], [-0.2], [0.4], [0.1]])
-    coeff = np.random.default_rng(13).normal(size=(4, 1))
-    grads = {}
-    for variant in ("hard", "soft"):
-        g = Graph(dtype=np.float64)
-        r = g.input("r", scores)
-        mask, soft = build_gumbel_mask(
-            g, r, 2, 0.7, noise=np.random.default_rng(55).gumbel(size=(1, 4)))
-        carrier = mask if variant == "hard" else soft
-        grads[variant] = backward(g, g.matmul(carrier, g.const(coeff)))["r"]
-    np.testing.assert_allclose(grads["hard"], grads["soft"],
-                               rtol=0.0, atol=1e-12)
-
-
 def test_gradients_through_gate_and_mixture():
     # inference-mode mask (a constant): every differentiable path — gate
-    # affine, renormalizing softmax, per-slot MLP, mixture — is audited
+    # affine, masked softmax, per-slot MLP, mixture — is audited
     g, loss, *_ = _graph_moe(14, temperature=1.0, training=False)
     assert finite_diff_check(g, loss) < 1e-4
 
 
-def test_gradients_with_straight_through_selection():
-    # training-mode composed check at the operating temperature: the
-    # replayed mask is constant, so agreement with finite differences
-    # relies on the softmax paths being saturated.  The slot scale makes
-    # score gaps tens of temperature units wide, as in trained gates;
-    # with near-tied scores the straight-through estimator is biased and
-    # this agreement deliberately does not hold.
-    g, loss, *_ = _graph_moe(15, temperature=0.01, training=True,
-                             slot_scale=4.0)
+def test_gradients_with_gumbel_selection():
+    # training mode at the operating temperature: the selection is a
+    # constant and the weights a softmax over it, so the replay that keeps
+    # the selection agrees with finite differences
+    g, loss, *_ = _graph_moe(15, temperature=0.01, training=True)
     assert finite_diff_check(g, loss) < 1e-6
+
+
+def _weights_of(scores, k, noise, temperature, dtype=np.float64):
+    g = Graph(dtype=dtype)
+    r = g.input("r", np.asarray(scores, dtype=float)[:, None])
+    mask = build_gumbel_mask(g, r, k, noise=noise)
+    return g, build_renormalized_weights(g, r, mask, temperature)
+
+
+def test_degenerate_draw_gives_a_distribution_over_the_selected_slots():
+    """The noise selects slots 1 and 2, whose softmax weights over all
+    four slots underflow to 0 at temperature 0.01 (slot 0 is 100 score
+    units above them).  The weights are still the softmax over the two
+    selected slots, and their gradients are finite and reach the
+    selected scores alone."""
+    noise = np.array([[-1e3, 50.0, 50.0, -1e3]])
+    g, w = _weights_of([100.0, 0.0, 0.005, -50.0], 2, noise, 0.01)
+    assert np.array_equal(np.flatnonzero(w.value[0]), [1, 2])
+    np.testing.assert_allclose(w.value[0, 1:3],
+                               [1.0 / (1.0 + np.e ** 0.5),
+                                1.0 / (1.0 + np.e ** -0.5)], rtol=1e-12)
+    loss = reduce_sum(g, g.mul(w, g.const([[3.0, -1.0, 2.0, 5.0]])))
+    grad = backward(g, loss)["r"][:, 0]
+    assert np.isfinite(grad).all()
+    assert grad[0] == grad[3] == 0.0 and grad[1] != 0.0 != grad[2]
+    # a step of 1e-5 in r is 1e-3 in r / temperature
+    assert finite_diff_check(g, loss, step=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_full_selection_is_the_plain_softmax(dtype):
+    """With K = S and no noise (selection off) the mask is all ones, no
+    constant is added, and the weights are bitwise the softmax of the
+    scaled scores."""
+    scores = np.random.default_rng(17).normal(size=5) * 3.0
+    g, w = _weights_of(scores, 5, None, 0.01, dtype)
+    assert "add" not in g._ops
+    plain = Graph(dtype=dtype)
+    r = plain.const(scores[:, None])
+    want = plain.row_softmax(plain.scale(plain.reshape(r, (1, 5)), 100.0))
+    assert w.value.dtype == want.value.dtype
+    assert w.value.tobytes() == want.value.tobytes()
 
 
 def test_gumbel_mask_rejects_bad_shapes_and_ranges():
     g = Graph()
     wide = g.const(np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        build_gumbel_mask(g, wide, 1, 1.0)
+        build_gumbel_mask(g, wide, 1)
     col = g.const(np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        build_gumbel_mask(g, col, 4, 1.0)
-    with pytest.raises(ValueError):
-        build_gumbel_mask(g, col, 1, -1.0)
+        build_gumbel_mask(g, col, 4)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            build_renormalized_weights(g, col, build_gumbel_mask(g, col, 1),
+                                       bad)
     with pytest.raises(ValueError):
         build_renormalized_weights(g, col, g.const(np.ones((1, 4))), 1.0)
     with pytest.raises(ValueError):
