@@ -34,7 +34,8 @@ identity with a zero adjoint. The fused kernels call the chain's
 kernels in the chain's order, and their adjoint rules call the same
 array-level adjoint helpers as the chain's rules, in reverse, handing
 each parent its contributions in the chain's order, so values
-and gradients have the chain's bits. ``slot_encode``'s iterations and
+and gradients have the chain's bits; ``slot_encode``'s adjoint is the
+first-order one of its chain (below). ``slot_encode``'s iterations and
 ``cross_step`` end in the same GRU -> residual-MLP tail, the three
 attention ops in the same residual MLP, and ``cross_step``,
 ``self_attend`` and ``decode`` start with the same attention head, each
@@ -122,22 +123,34 @@ axes, so one model builder serves both:
   slots'' = slots' + affine(relu(affine(slots', w1, b1)), w2, b2), (.., S,
   d), which the next iteration starts from. The slots' layer norm has no
   shift: it would add one row to every slot's query, which the softmax
-  over slots cancels. Of the bag-sized arrays the node keeps only two, the
-  keys and the values. Of the bag's layer norm it keeps the inverse
-  deviations and the row means, two (.., M, 1) rows; after the iterations
-  the adjoint forms the normalized bag and y again from the bag and those
-  rows. Of the (.., S, M) attention maps it keeps the last iteration's
-  alone; ``slot_attention`` reads it back. For every iteration it keeps
-  two slot-sized buffers, the input slots and alpha @ values, and three
-  (.., S, 1) rows: the layer norm's inverse deviations and row means and
-  the mass's reciprocal. At the top of each iteration the adjoint
-  rebuilds from those the layer norm's normalized rows, its output, q,
-  the GRU input and, but in the last iteration, the map from q and the
-  keys (the column softmax's max and sum with it), in one of three maps
-  it allocates once per call; then it runs the GRU again for its gates,
-  r * h and output, and the MLP's first layer. Each rebuild runs the
-  forward's kernels in the forward's order, so the rebuilt arrays have
-  the forward's bits.
+  over slots cancels.
+  The gradient is first-order: the adjoint differentiates the last
+  iteration alone and hands the adjoint of that iteration's input slots
+  (GRU state, then layer norm) to the initial slots, as if the first
+  T - 1 iterations were the identity. That is the straight-through form
+  slots_{T-1} = sg(slots_{T-1}) + init - sg(init), with sg the stop
+  gradient, so the initial slots' mean and spread still learn (Jia et
+  al., "Improving Object-centric Learning with Query Optimization", ICLR
+  2023). It treats the iterations as a solver for a fixed point and the
+  last one as its implicit gradient's first-order estimate (Chang et
+  al., "Object Representations as Fixed Points", NeurIPS 2022; Fung et
+  al., "JFB: Jacobian-Free Backpropagation for Implicit Networks", AAAI
+  2022); backpropagating through all T iterations would cost T times the
+  adjoint of one, and at T = 1 the two are the same. The exact gradient
+  through all T lives in ``tests/oracles.py`` alone.
+  Of the bag-sized arrays the node keeps only two, the keys and the
+  values. Of the bag's layer norm it keeps the inverse deviations and
+  the row means, two (.., M, 1) rows; after the iteration the adjoint
+  forms the normalized bag and y again from the bag and those rows. Of
+  the T iterations it keeps the last alone (the first T - 1 keep
+  nothing): its (.., S, M) attention map, which ``slot_attention`` reads
+  back, two slot-sized buffers, the input slots and alpha @ values, and
+  three (.., S, 1) rows: the layer norm's inverse deviations and row
+  means and the mass's reciprocal. The adjoint rebuilds from those the
+  layer norm's normalized rows, its output, q and the GRU input; then it
+  runs the GRU again for its gates, r * h and output, and the MLP's
+  first layer. Each rebuild runs the forward's kernels in the forward's
+  order, so the rebuilt arrays have the forward's bits.
 * cross_step: one direction of one cross-attention round. From queries
   (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
   sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
@@ -615,7 +628,7 @@ class Graph:
         node's last iteration, read back from its saved intermediates."""
         if self._ops[node.idx] != "slot_encode":
             raise GraphError("slot_attention applies to slot_encode nodes")
-        return self._saved[node.idx].steps[-1].alpha
+        return self._saved[node.idx].step.alpha
 
     # -------------------------------------------------------------- internal
 
@@ -771,33 +784,33 @@ def _gru_fwd(_, x, h, wz, uz, bz, wr, ur, br, wn, un, bn):
 
 
 class _StepSaved(typing.NamedTuple):
-    """One slot-attention iteration's intermediates.  Besides its input
-    slots (in ``_EncodeSaved.states``) it keeps one slot-sized buffer,
-    u_raw, the (.., S, 1) rows of its layer norm and mass and, in a node's
-    last iteration, the map.  The adjoint rebuilds the normalized slots, q,
-    u = u_raw * rec and every map but the last (``_rebuild_alpha``), and
+    """The last slot-attention iteration's intermediates.  Besides its
+    input slots (``_EncodeSaved.state``) it keeps one slot-sized buffer,
+    u_raw, the (.., S, 1) rows of its layer norm and mass, and the map.
+    The adjoint rebuilds the normalized slots, q and u = u_raw * rec, and
     its GRU -> residual-MLP tail reruns the GRU (``_gru_mlp_adj``)."""
 
     inv: np.ndarray         # layer norm's inverse deviations, (.., S, 1)
     mean: np.ndarray        # and its row means
-    alpha: np.ndarray       # (.., S, M) column-stochastic attention, or None
+    alpha: np.ndarray       # (.., S, M) column-stochastic attention
     u_raw: np.ndarray       # alpha @ values
     rec: np.ndarray         # 1 / (alpha @ ones + eps)
 
 
 class _EncodeSaved(typing.NamedTuple):
     """A slot_encode node's intermediates: of the bag-sized arrays, only the
-    keys and the values, and of the T attention maps only the last (in
-    ``steps[-1]``).  The bag layer norm keeps its inverse deviations and
-    row means alone: the adjoint forms its normalized rows and output
-    again from the bag (``_renormalize``)."""
+    keys and the values, and of the T iterations only the last, which the
+    first-order adjoint differentiates (its map is the one
+    ``slot_attention`` reads).  The bag layer norm keeps its inverse
+    deviations and row means alone: the adjoint forms its normalized rows
+    and output again from the bag (``_renormalize``)."""
 
     inv: np.ndarray         # bag layer norm's inverse deviations, (.., M, 1)
     mean: np.ndarray        # and its row means, (.., M, 1)
     keys_t: np.ndarray      # (y @ w_k) transposed and scaled, (.., d, M)
     values: np.ndarray      # y @ w_v times the mask, (.., M, d)
-    states: tuple           # each iteration's input slots, (.., S, d)
-    steps: tuple            # each iteration's _StepSaved
+    state: np.ndarray       # the last iteration's input slots, (.., S, d)
+    step: _StepSaved        # the last iteration's intermediates
 
 
 class _CrossSaved(typing.NamedTuple):
@@ -896,15 +909,6 @@ def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
     return out, _StepSaved(inv, mean, alpha, u_raw, rec)
 
 
-def _rebuild_alpha(q, keys_t, out=None):
-    """An iteration's attention map formed again, in ``out`` (a new array
-    when it is None), from its rebuilt q and the keys: ``_slot_step_fwd``'s
-    operands and kernels in its order, the column max and sum included, so
-    the map has the forward's bits."""
-    logits = _matmul(q, keys_t, out=out)
-    return _softmax(-2, logits, out=logits)
-
-
 def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
                      *step_weights):
     """The chain bag layer norm -> k and v projections -> transposed copy
@@ -913,8 +917,9 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
     output, the keys, the values and every iteration's slots.  The layer
     norm's output is formed in its normalized rows' buffer, and the values
     in k's once its transposed copy is made; the layer norm's rows are
-    dropped before the iterations run.  Each iteration's attention map but
-    the last is dropped as soon as its step ends."""
+    dropped before the iterations run.  The adjoint differentiates the
+    last iteration alone, so the first T - 1 iterations keep nothing:
+    only the last one's input slots and ``_StepSaved`` are kept."""
     t_iters = aux
     # the layer norm of the bag, with y in xhat's array
     xhat, inv, mean = _normalize(bag)
@@ -929,14 +934,10 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
     del xhat, y
     values *= ones
     _guard(values, "values", "slot_encode")
-    states, steps = [], []
-    for t in range(t_iters):
-        states.append(slots)
-        slots, saved = _slot_step_fwd(slots, keys_t, values, ones,
-                                      *step_weights)
-        steps.append(saved if t == t_iters - 1 else saved._replace(alpha=None))
-    return slots, _EncodeSaved(inv, mean, keys_t, values, tuple(states),
-                               tuple(steps))
+    for _ in range(t_iters - 1):
+        slots = _slot_step_fwd(slots, keys_t, values, ones, *step_weights)[0]
+    out, step = _slot_step_fwd(slots, keys_t, values, ones, *step_weights)
+    return out, _EncodeSaved(inv, mean, keys_t, values, slots, step)
 
 
 def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v, out=None):
@@ -1315,133 +1316,93 @@ def _gru_mlp_adj(g, grads, grad, u, state, need_state, gru, mlp):
     return d_u, d_state
 
 
-def _add_product(acc, scratch, a, b):
-    """acc + a @ b as ``backward`` would accumulate the product into an
-    adjoint: the first product is the sum (a new array), and each later one
-    is formed in ``scratch``, a flat buffer the caller owns and passes back
-    in (allocated at first use), then added into ``acc`` in place.
-    Returns (acc, scratch)."""
-    if acc is None:
-        return _matmul(a, b), scratch
-    if scratch is None:
-        scratch = np.empty(acc.size, dtype=acc.dtype)
-    acc += _matmul(a, b, out=scratch.reshape(acc.shape))
-    return acc, scratch
-
-
 def _bw_slot_encode(g, i, grad, grads):
-    """The chain's adjoint rules in reverse: iterations T..1, then the
-    value path, the key path and the bag's layer norm.  Each parent gets
-    the same contributions in the same order as from the per-op chain:
-    the initial slots two from the first iteration (GRU state, then layer
-    norm), and the layer norm's output the value-path term, then the
-    key-path term.  The key and value adjoints accumulate over the
-    iterations in arrays this rule owns (one scratch array holds each
-    later iteration's product), which it scales and masks in place, and
-    the projections' adjoints are formed in those arrays as they fall
-    free.  Each iteration but the last forms its attention map again from
-    q and the keys, its column max and sum included (``_rebuild_alpha``),
-    before it reads it.  The rebuilt map and the map's two adjoint terms
-    are formed in three (.., S, M) arrays this rule allocates once and
-    reuses over the iterations (two when T = 1).  At the top of each
-    iteration it rebuilds the slot-sized values the forward dropped from
-    the iteration's input slots and saved rows: the layer norm's
-    normalized rows (``_renormalize``), its output and q, and the GRU
-    input u_raw * rec; ``_gru_mlp_adj`` runs the GRU again.  After the
-    iterations it forms the bag layer norm's normalized rows and output
-    again from the bag and the saved inverse deviations and row means
+    """The first-order adjoint (see the module docstring): the chain's
+    adjoint rules in reverse for the last iteration alone, whose input
+    slots hand their two contributions (GRU state, then layer norm) to the
+    initial slots; then the value path, the key path and the bag's layer
+    norm, the layer norm's output getting the value-path term, then the
+    key-path term, as from the per-op chain.  At the top it rebuilds the
+    slot-sized values the forward dropped from the iteration's input
+    slots and saved rows: the layer norm's normalized rows
+    (``_renormalize``), its output and q, and the GRU input u_raw * rec;
+    ``_gru_mlp_adj`` runs the GRU again.  The key and value adjoints are
+    arrays this rule owns, which it scales and masks in place and forms
+    the projections' adjoints in as they fall free.  After the iteration
+    it forms the bag layer norm's normalized rows and output again from
+    the bag and the saved inverse deviations and row means
     (``_renormalize``, then the gain and the shift).  Every rebuild runs
     the forward's kernels in its order, so with its bits."""
     bi, oi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
-    t_iters = g._aux[i]
     sv = g._saved[i]
+    st, h, alpha = sv.step, sv.state, sv.step.alpha
     v = g._values
     need = g._needs_grad
     ones = v[oi]
-    acc_k = acc_v = scratch = None
-    # the map's two adjoint terms and, when T > 1, the rebuilt map: formed
-    # in these arrays by every iteration
-    last = sv.steps[-1].alpha
-    d_alpha_out, d_au_out = np.empty_like(last), np.empty_like(last)
-    rebuilt = np.empty_like(last) if t_iters > 1 else None
-    for t in range(t_iters - 1, -1, -1):
-        st, h = sv.steps[t], sv.states[t]
-        # the slot-sized values the forward dropped: its kernels in its order
-        xhat = _renormalize(h, st.inv, st.mean)
-        normed = xhat * v[gi]
-        q = _matmul(normed, v[qi])
-        alpha = st.alpha if st.alpha is not None else \
-            _rebuild_alpha(q, sv.keys_t, out=rebuilt)
-        need_state = t > 0 or need[si]
-        d_u, d_state = _gru_mlp_adj(g, grads, grad, st.u_raw * st.rec, h,
-                                    need_state, tail[:9], tail[9:])
-        if t == 0:
-            _give(grads, (si,), (d_state,))
+    # the slot-sized values the forward dropped: its kernels in its order
+    xhat = _renormalize(h, st.inv, st.mean)
+    normed = xhat * v[gi]
+    q = _matmul(normed, v[qi])
+    d_u, d_state = _gru_mlp_adj(g, grads, grad, st.u_raw * st.rec, h,
+                                need[si], tail[:9], tail[9:])
+    _give(grads, (si,), (d_state,))
 
-        # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
-        d_uraw, d_rec = _mul_adj(d_u, st.u_raw, st.rec)
-        # alpha's two adjoint terms: the rank-1 product with the mask and
-        # d_uraw @ values^T
-        d_mass = _reciprocal_adj(d_rec, st.rec)
-        d_alpha = _matmul(d_mass, np.swapaxes(ones, -1, -2), out=d_alpha_out)
-        _give(grads, (oi,), (_matmul_adj(d_mass, alpha, ones, need_a=False,
-                                         need_b=need[oi])[1],))
-        d_au = _matmul(d_uraw, np.swapaxes(sv.values, -1, -2), out=d_au_out)
-        acc_v, scratch = _add_product(acc_v, scratch,
-                                      np.swapaxes(alpha, -1, -2), d_uraw)
+    # u = u_raw * rec with rec = 1 / (alpha @ ones + eps)
+    d_uraw, d_rec = _mul_adj(d_u, st.u_raw, st.rec)
+    # alpha's two adjoint terms: the rank-1 product with the mask and
+    # d_uraw @ values^T
+    d_mass = _reciprocal_adj(d_rec, st.rec)
+    d_alpha = _matmul(d_mass, np.swapaxes(ones, -1, -2))
+    _give(grads, (oi,), (_matmul_adj(d_mass, alpha, ones, need_a=False,
+                                     need_b=need[oi])[1],))
+    d_au = _matmul(d_uraw, np.swapaxes(sv.values, -1, -2))
+    d_values = _matmul(np.swapaxes(alpha, -1, -2), d_uraw)
 
-        # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
-        # alpha terms are in arrays this rule made, so the sum and the
-        # softmax adjoint may overwrite them.
-        d_alpha += d_au
-        d_logits = _softmax_adj(d_alpha, alpha, -2, out=d_alpha,
-                                scratch=d_au)
-        d_q, _ = _matmul_adj(d_logits, q, sv.keys_t, need_b=False)
-        acc_k, scratch = _add_product(acc_k, scratch,
-                                      np.swapaxes(q, -1, -2), d_logits)
-        d_normed, d_wq = _matmul_adj(d_q, normed, v[qi], need_b=need[qi])
-        _give(grads, (qi,), (d_wq,))
-        d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], xhat, st.inv,
-                                              need_state, need[gi], False)
-        _give(grads, (gi,), (d_gamma,))
-        if t == 0:
-            _give(grads, (si,), (d_slots,))
-        else:
-            d_state += d_slots          # the previous iteration's adjoint
-            grad = d_state
-    # the maps are spent: free them before the bag-sized rebuilds
-    del alpha, rebuilt, d_alpha, d_alpha_out, d_au, d_au_out, d_logits
+    # alpha = col_softmax(q @ keys_t), q = layer_norm(slots) @ w_q.  Both
+    # alpha terms are in arrays this rule made, so the sum and the softmax
+    # adjoint may overwrite them.
+    d_alpha += d_au
+    d_logits = _softmax_adj(d_alpha, alpha, -2, out=d_alpha, scratch=d_au)
+    d_q, _ = _matmul_adj(d_logits, q, sv.keys_t, need_b=False)
+    d_keys_t = _matmul(np.swapaxes(q, -1, -2), d_logits)
+    d_normed, d_wq = _matmul_adj(d_q, normed, v[qi], need_b=need[qi])
+    _give(grads, (qi,), (d_wq,))
+    d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], xhat, st.inv,
+                                          need[si], need[gi], False)
+    _give(grads, (gi,), (d_gamma,))
+    _give(grads, (si,), (d_slots,))
+    # the map's adjoint terms are spent: free them before the bag-sized
+    # rebuilds
+    del d_alpha, d_au, d_logits
 
     # y = layer_norm(bag), formed again
     xhat = _renormalize(v[bi], sv.inv, sv.mean)
     y = xhat * v[lgi]
     y += v[lbi]
 
-    # values = (y @ w_v) * ones: the value path; y's adjoint takes the
-    # scratch array's place
+    # values = (y @ w_v) * ones: the value path
     if need[oi]:
-        _give(grads, (oi,), (_unbroadcast(acc_v * _matmul(y, v[vi]),
+        _give(grads, (oi,), (_unbroadcast(d_values * _matmul(y, v[vi]),
                                           ones.shape),))
-    acc_v *= ones
-    _give(grads, (vi,), (_matmul_adj(acc_v, y, v[vi], need_a=False,
+    d_values *= ones
+    _give(grads, (vi,), (_matmul_adj(d_values, y, v[vi], need_a=False,
                                      need_b=need[vi])[1],))
-    d_y = _matmul(acc_v, np.swapaxes(v[vi], -1, -2),
-                  out=None if scratch is None else scratch.reshape(y.shape))
-    del scratch
+    d_y = _matmul(d_values, np.swapaxes(v[vi], -1, -2))
 
     # keys = (y @ w_k)^T * c: the key path
-    acc_k *= acc_k.dtype.type(1.0 / np.sqrt(y.shape[-1]))
-    d_keys, out = np.swapaxes(acc_k, -1, -2), None
+    d_keys_t *= d_keys_t.dtype.type(1.0 / np.sqrt(y.shape[-1]))
+    d_keys, out = np.swapaxes(d_keys_t, -1, -2), None
     if d_keys.ndim == 3 and d_keys.shape[0] > 1 and d_keys.shape[-1] > 1:
         # both products read the rows of this view through a C-order copy:
-        # make it once, in acc_v's array, and form the product in acc_k's
-        np.copyto(acc_v, d_keys)
-        d_keys, out = acc_v, acc_k.reshape(acc_v.shape)
-    del acc_v
+        # make it once, in d_values' array, and form the product in
+        # d_keys_t's
+        np.copyto(d_values, d_keys)
+        d_keys, out = d_values, d_keys_t.reshape(d_values.shape)
+    del d_values
     _give(grads, (ki,), (_matmul_adj(d_keys, y, v[ki], need_a=False,
                                      need_b=need[ki])[1],))
     d_y += _matmul(d_keys, np.swapaxes(v[ki], -1, -2), out=out)
-    del acc_k, d_keys, out, y
+    del d_keys_t, d_keys, out, y
     _give(grads, (bi, lgi, lbi), _layer_norm_adj(
         d_y, v[lgi], xhat, sv.inv, need[bi], need[lgi], need[lbi]))
 

@@ -15,12 +15,23 @@ instances carry no value and no attention mass.  One encode is one
 and the mask constant, for training, serving and the cross-modal encode
 alike: the bag's layer norm, the key and value projections and all T
 iterations (layer norm, attention, weighted mean, GRU and residual MLP)
-run as one kernel, with the per-op chain's values, gradients and
-multiply-add counts; ``build_encode`` returns that node.  Of the
-bag-sized arrays it keeps only two, the keys and the values.  Of the T
-attention maps it keeps only the last iteration's, which serving reads
-back with ``Graph.slot_attention`` (it feeds no loss); the adjoint
-rebuilds the earlier ones, with their bits, from small rows.
+run as one kernel, with the per-op chain's values and multiply-add
+counts; ``build_encode`` returns that node.  Of the bag-sized arrays it
+keeps only two, the keys and the values, and of the T iterations only
+the last, whose map serving reads back with ``Graph.slot_attention`` (it
+feeds no loss).
+
+The encoder's gradient is first-order: it differentiates the last
+iteration alone and passes the adjoint of its input slots straight
+through to the initial slots, so ``init_mean`` and ``init_log_std``
+still learn (the straight-through form of Jia et al., ICLR 2023).  The
+T iterations are read as a solver for a fixed point, whose implicit
+gradient the last iteration estimates to first order (Chang et al.,
+"Object Representations as Fixed Points", NeurIPS 2022; Fung et al.,
+"JFB: Jacobian-Free Backpropagation for Implicit Networks", AAAI 2022).
+Backward then costs one iteration's adjoint instead of T; at T = 1 the
+gradient is the exact one.  The forward, and so every served output,
+is the T-iteration chain's.
 
 Only training is random.  The slots start at the learned mean, plus
 exp(init_log_std) times standard-normal noise when noise is given; the

@@ -4,11 +4,13 @@
   ``reciprocal``, ``layer_norm``, ``gru_cell`` and ``gather_rows``, six
   ops the program never records but the unfused chains below need,
   ``reduce_sum``, which sums a loss down to the 0-d seed a gradient test
-  differentiates, and ``stop_gradient``, the identity with a zero
-  adjoint, as builders that take the graph first.  Importing this module
-  adds their kernels and adjoint rules to the engine's ``_FORWARD`` and
-  ``_BACKWARD`` tables, and the four whose output is finite for finite
-  inputs to its ``_ALWAYS_FINITE`` set; ``CHAIN_OPS`` names the eight.
+  differentiates, ``stop_gradient``, the identity with a zero adjoint,
+  and ``hand_over``, the straight-through input of a first-order slot
+  encoder's last iteration, as builders that take the graph first.
+  Importing this module adds their kernels and adjoint rules to the
+  engine's ``_FORWARD`` and ``_BACKWARD`` tables, and the five whose
+  output is finite for finite inputs to its ``_ALWAYS_FINITE`` set;
+  ``CHAIN_OPS`` names the nine.
   ``autodiff.OP_KINDS`` keeps listing the program's ops alone.
 * ``bind_consts``, a parameter dataclass bound as graph constants, for
   tests that run a builder without differentiating its parameters.
@@ -28,6 +30,11 @@
   norm, the key and value projections and the value mask) and T times
   ``unfused_attention_step`` (one iteration, 18 per-op nodes), and the
   numpy conveniences built on it (``init_slots``, ``slot_attention_step``).
+  It backpropagates through all T iterations, the exact gradient; with
+  ``first_order`` it is the chain whose gradient the fused node computes,
+  the last iteration's alone, its input slots handing their adjoint to
+  the initial slots.  ``exact_build_encode`` is ``unfused_encode`` as a
+  stand-in for ``slots.build_encode``.
 * ``unfused_cross_update``, one direction of one cross-attention round as
   the chain of 13 per-op nodes that the fused ``cross_step`` op replaces,
   and ``unfused_cross_attention``, L rounds of it.
@@ -149,14 +156,12 @@ def out_of_place_acc(grads, idx, delta):
 
 def saved_arrays(saved) -> list:
     """A node's saved intermediates as a flat list, nested tuples (a
-    slot_encode node's per-iteration ones) flattened and the None entries
-    (the attention maps of a slot_encode node's earlier iterations)
-    skipped."""
+    slot_encode node's last iteration's) flattened."""
     out = []
     for a in saved:
         if isinstance(a, tuple):
             out.extend(saved_arrays(a))
-        elif a is not None:
+        else:
             out.append(a)
     return out
 
@@ -253,6 +258,16 @@ def stop_gradient(g: Graph, a: Node) -> Node:
     return g._append("stop_gradient", (a.idx,))
 
 
+def hand_over(g: Graph, a: Node, to: Node) -> Node:
+    """``a``'s value, whose adjoint goes to ``to`` alone: the
+    straight-through sg(a) + to - sg(to), with sg the stop gradient, for
+    ``to`` of ``a``'s shape, but with no float operation, so with ``a``'s
+    bits."""
+    if a.shape != to.shape:
+        raise GraphError(f"hand_over shapes {a.shape} vs {to.shape}")
+    return g._append("hand_over", (a.idx, to.idx))
+
+
 def _layer_norm_fwd(_, x, gamma, beta):
     xhat, inv, _ = autodiff._normalize(x)
     y = xhat * gamma
@@ -286,6 +301,12 @@ def _bw_reciprocal(g, i, grad, grads):
                   autodiff._reciprocal_adj(grad, g._values[i]))
 
 
+def _bw_hand_over(g, i, grad, grads):
+    to = g._parents[i][1]
+    if g._needs_grad[to]:
+        autodiff._acc(grads, to, grad)
+
+
 def _bw_gather_rows(g, i, grad, grads):
     p = g._parents[i][0]
     buf = np.zeros_like(g._values[p])
@@ -305,13 +326,14 @@ _CHAIN_TABLE = {
     # the keep-dims sum's adjoint rule: both broadcast back to the operand
     "reduce_sum": (lambda _, a: a.sum(), autodiff._bw_sum),
     "stop_gradient": (lambda _, a: a, None),
+    "hand_over": (lambda _, a, to: a, _bw_hand_over),
 }
 CHAIN_OPS = frozenset(_CHAIN_TABLE)
 autodiff._FORWARD.update({op: fw for op, (fw, _) in _CHAIN_TABLE.items()})
 autodiff._BACKWARD.update({op: bw for op, (_, bw) in _CHAIN_TABLE.items()
                            if bw is not None})
 autodiff._ALWAYS_FINITE = autodiff._ALWAYS_FINITE | {
-    "transpose", "col_softmax", "gather_rows", "stop_gradient"}
+    "transpose", "col_softmax", "gather_rows", "stop_gradient", "hand_over"}
 
 
 def bind_consts(g: Graph, obj):
@@ -347,10 +369,12 @@ def keys_values(g: Graph, p, bag, ones):
     return keys_t, values
 
 
-def unfused_attention_step(g: Graph, p, slots, keys_t, values, ones):
+def unfused_attention_step(g: Graph, p, slots, keys_t, values, ones,
+                           state=None):
     """One attention iteration as per-op nodes; returns (updated slots,
     alpha, aggregated update) nodes.  The slots' layer norm has no shift,
-    so the chain gives it a zero constant."""
+    so the chain gives it a zero constant.  The GRU's state is ``slots``,
+    or ``state``, a node with its value, when one is given."""
     no_shift = g.const(np.zeros(p.ln_slot_gamma.shape))
     normed = layer_norm(g, slots, p.ln_slot_gamma, no_shift)
     q = g.matmul(normed, p.w_q)
@@ -358,7 +382,7 @@ def unfused_attention_step(g: Graph, p, slots, keys_t, values, ones):
     u = g.matmul(alpha, values)
     mass = g.add(g.matmul(alpha, ones), g.const(np.full((1, 1), AGG_EPS)))
     u = g.mul(u, reciprocal(g, mass))
-    updated = gru_cell(g, u, slots,
+    updated = gru_cell(g, u, slots if state is None else state,
                        p.gru_wz, p.gru_uz, p.gru_bz,
                        p.gru_wr, p.gru_ur, p.gru_br,
                        p.gru_wn, p.gru_un, p.gru_bn)
@@ -367,23 +391,43 @@ def unfused_attention_step(g: Graph, p, slots, keys_t, values, ones):
     return g.add(updated, residual), alpha, u
 
 
-def unfused_slot_encode(g: Graph, p, bag, ones, slots, t_iters: int):
+def unfused_slot_encode(g: Graph, p, bag, ones, slots, t_iters: int,
+                        first_order: bool = False):
     """``Graph.slot_encode`` as per-op nodes, from the initial ``slots``
-    node; returns the slots and the last alpha (unmasked) as nodes."""
+    node; returns the slots and the last alpha (unmasked) as nodes.  The
+    chain backpropagates through every iteration.  With ``first_order``
+    it computes the fused node's gradient instead: the first T - 1
+    iterations' output hands no adjoint back, and the last iteration's
+    input slots hand theirs to the initial slots, through two
+    ``hand_over`` nodes, so that the GRU state's contribution comes
+    before the layer norm's, as the fused node hands them over."""
     keys_t, values = keys_values(g, p, bag, ones)
-    for _ in range(t_iters):
+    init, state = slots, None
+    for t in range(t_iters):
+        if first_order and t == t_iters - 1 and t > 0:
+            slots, state = hand_over(g, slots, init), hand_over(g, slots, init)
         slots, alpha, _ = unfused_attention_step(g, p, slots, keys_t, values,
-                                                 ones)
+                                                 ones, state=state)
     return slots, alpha
 
 
 def unfused_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
-                   noise=None):
+                   noise=None, first_order: bool = False):
     """``slots.build_encode`` over the unfused chain; returns the slots and
-    the last alpha as nodes."""
+    the last alpha as nodes.  With ``first_order`` the chain's gradient is
+    the fused node's (``unfused_slot_encode``)."""
     ones = instance_mask(g, bag, mask)
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
-    return unfused_slot_encode(g, p, bag, ones, slots, t_iters)
+    return unfused_slot_encode(g, p, bag, ones, slots, t_iters, first_order)
+
+
+def exact_build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
+                       noise=None) -> Node:
+    """``slots.build_encode``'s signature and return over the exact chain,
+    which backpropagates through every iteration: a finite-difference test
+    patches it in for ``build_encode`` to check a whole model's true
+    gradient at T > 1."""
+    return unfused_encode(g, p, bag, t_iters, mask, noise)[0]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Every differentiable op is audited against central finite differences
 at 20 random points, in both 32-bit and 64-bit modes (the fused
 slot_encode, cross_step, self_attend and decode in 64-bit only, see
-FLOAT64_ONLY).
+FLOAT64_ONLY; slot_encode at T > 1, whose gradient is first-order,
+through the exact per-op chain, see FIRST_ORDER).
 Step sizes are dtype-matched: too small a step drowns the quotient in
 rounding noise.
 """
@@ -38,6 +39,7 @@ from oracles import (
     col_softmax,
     gather_rows,
     gru_cell,
+    hand_over,
     layer_norm,
     out_of_place_acc,
     owning_buffers,
@@ -518,7 +520,7 @@ OP_BUILDERS = {
     "affine": _build_affine,
     "affine_3d": lambda g, rng: _build_affine(g, rng, lead=(2,)),
     # the slot_step cases are one slot_encode node of one iteration, the
-    # _t3 cases of three
+    # _t3 cases of three (FIRST_ORDER)
     "slot_step": _build_slot_encode,
     "slot_step_masked": lambda g, rng: _build_slot_encode(g, rng,
                                                           mask=_PADDED),
@@ -585,6 +587,13 @@ FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_t3",
                 "decode_shared"}
 
 
+# A slot_encode node of T > 1 iterations differentiates its last iteration
+# alone (first-order): its gradient is pinned bitwise to the first-order
+# per-op chain, and the finite-difference audit of these cases runs on the
+# exact per-op chain, which backpropagates through all T iterations.
+FIRST_ORDER = {"slot_step_t3", "slot_step_masked_t3", "slot_step_weighted_t3"}
+
+
 def _fused_op(op_name: str) -> str:
     """The fused op an OP_BUILDERS case of a fused op records."""
     if op_name.startswith("slot_step"):
@@ -601,7 +610,8 @@ def test_op_gradients_match_finite_differences(op_name):
         worst = 0.0
         for point in range(N_POINTS):
             rng = np.random.default_rng(_seed(op_name, point))
-            g = Graph(dtype=dtype)
+            g = _ExactChainGraph(None, dtype) if op_name in FIRST_ORDER \
+                else Graph(dtype=dtype)
             seed = builder(g, rng)
             worst = max(worst, finite_diff_check(g, seed, step=step))
         assert worst < tol, f"{op_name} {np.dtype(dtype).name}: {worst:.3g}"
@@ -643,14 +653,14 @@ def test_constant_operand_leaves_the_other_adjoints_bitwise(op_name):
 
 class _KeepInputsGraph(Graph):
     """A graph that declares every input not named in ``keep`` as a
-    constant."""
+    constant (none when ``keep`` is None)."""
 
     def __init__(self, keep, dtype):
         super().__init__(dtype=dtype)
         self.keep = keep
 
     def input(self, name, value):
-        if name not in self.keep:
+        if self.keep is not None and name not in self.keep:
             return self.const(value)
         return super().input(name, value)
 
@@ -663,14 +673,18 @@ def _tail_params(gru, mlp):
 
 class _ChainGraph(_KeepInputsGraph):
     """A ``_KeepInputsGraph`` whose fused ops record the per-op chains of
-    tests/oracles.py instead of one node."""
+    tests/oracles.py instead of one node, with slot_encode's first-order
+    gradient."""
+
+    first_order = True
 
     def slot_encode(self, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
                     slot_gamma, w_q, gru, mlp, t_iters):
         p = SimpleNamespace(ln_in_gamma=ln_gamma, ln_in_beta=ln_beta,
                             w_k=w_k, w_v=w_v, ln_slot_gamma=slot_gamma,
                             w_q=w_q, **_tail_params(gru, mlp))
-        return unfused_slot_encode(self, p, bag, ones, slots, t_iters)[0]
+        return unfused_slot_encode(self, p, bag, ones, slots, t_iters,
+                                   self.first_order)[0]
 
     def cross_step(self, queries, context, w_q, w_k, w_v, gru, mlp):
         p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
@@ -690,6 +704,13 @@ class _ChainGraph(_KeepInputsGraph):
         return unfused_decode(self, head, queries, slots)
 
 
+class _ExactChainGraph(_ChainGraph):
+    """A ``_ChainGraph`` whose slot_encode chain backpropagates through
+    every iteration: the exact gradient the finite differences check."""
+
+    first_order = False
+
+
 @pytest.mark.parametrize("op_name, keep", [
     ("slot_step", {"w2", "b2"}), ("slot_step", {"bag"}),
     ("cross_step", {"w2", "b2"}), ("cross_step", {"context"}),
@@ -706,14 +727,18 @@ class _ChainGraph(_KeepInputsGraph):
 def test_fused_adjoints_with_most_operands_constant(op_name, keep):
     """With every operand but a few constant, a fused node hands the
     inputs left the per-op chain's gradients bit for bit, and they pass
-    the finite-difference audit (in float64 only, see FLOAT64_ONLY)."""
+    the finite-difference audit (in float64 only, see FLOAT64_ONLY).  A
+    FIRST_ORDER case is pinned to the first-order chain, and the audit
+    checks the exact chain's gradients with the same operands constant."""
     for dtype, step, tol in MODES:
         for point in range(4):
             graphs = [graph_type(keep, dtype)
-                      for graph_type in (_KeepInputsGraph, _ChainGraph)]
+                      for graph_type in (_KeepInputsGraph, _ChainGraph,
+                                         _ExactChainGraph)]
             seeds = [OP_BUILDERS[op_name](g, np.random.default_rng(
                 _seed(op_name, point))) for g in graphs]
-            fused, chain = (backward(g, s) for g, s in zip(graphs, seeds))
+            fused, chain = (backward(g, s)
+                            for g, s in zip(graphs[:2], seeds[:2]))
             fused_op = _fused_op(op_name)
             assert fused_op in graphs[0]._ops
             assert fused_op not in graphs[1]._ops
@@ -721,7 +746,9 @@ def test_fused_adjoints_with_most_operands_constant(op_name, keep):
             for name in keep:
                 assert _same_bits(fused[name], chain[name]), (dtype, name)
             if op_name not in FLOAT64_ONLY or dtype == np.float64:
-                assert finite_diff_check(graphs[0], seeds[0], step=step) < tol
+                audited = 2 if op_name in FIRST_ORDER else 0
+                assert finite_diff_check(graphs[audited], seeds[audited],
+                                         step=step) < tol
 
 
 def test_finite_diff_exact_for_linear_function():
@@ -777,6 +804,27 @@ def test_stop_gradient_blocks_only_its_branch():
     grads = backward(g, loss)
     expected = 2.0 / x.value.size * x.value
     np.testing.assert_allclose(grads["x"], expected, rtol=1e-12)
+
+
+def test_hand_over_keeps_its_operands_bits_and_hands_its_adjoint_on():
+    """hand_over(a, to) has a's value, bit for bit, and hands its whole
+    adjoint to ``to``: the straight-through sg(a) + to - sg(to), whose
+    float sum would move a's bits.  ``a`` gets nothing through it."""
+    rng = np.random.default_rng(10)
+    g = Graph(dtype=np.float64)
+    x = g.input("x", rng.normal(size=(2, 3)))
+    to = g.input("to", rng.normal(size=(2, 3)))
+    h = hand_over(g, g.scale(x, 3.0), to)
+    assert _same_bits(h.value, g.scale(x, 3.0).value)
+    target = g.const(np.zeros((2, 3)))
+    grads = backward(g, g.squared_error(h, target))
+    g2 = Graph(dtype=np.float64)
+    y = g2.input("y", h.value)
+    direct = backward(g2, g2.squared_error(y, g2.const(np.zeros((2, 3)))))
+    assert _same_bits(grads["to"], direct["y"])
+    assert np.all(grads["x"] == 0.0)
+    with pytest.raises(GraphError):
+        hand_over(g, x, g.input("short", np.zeros((1, 3))))
 
 
 def test_0d_leaves_keep_their_rank_through_add_scale_and_backward():
@@ -1018,12 +1066,15 @@ def test_backward_never_writes_a_buffer_it_did_not_allocate(
         assert _same_bits(got[name], want[name]), name
 
 
-# stop_gradient has no FD audit (its adjoint is zero by design), but it
-# replays like every other op.
+# stop_gradient and hand_over have no FD audit (their adjoints are zero
+# and straight-through by design), but they replay like every other op.
 REPLAY_BUILDERS = {
     **OP_BUILDERS,
     "stop_gradient": lambda g, rng: stop_gradient(
         g, g.input("a", rng.normal(size=(3, 4)))),
+    "hand_over": lambda g, rng: hand_over(
+        g, g.input("a", rng.normal(size=(3, 4))),
+        g.input("to", rng.normal(size=(3, 4)))),
 }
 
 
@@ -1037,8 +1088,8 @@ def test_forward_replay_matches_eager_build(op_name):
     """A clone at the build's own dtype, which replays every node,
     reproduces every eager node value, and every saved intermediate, bit
     for bit."""
-    # the engine's tables plus the eight ops tests/oracles.py adds: the
-    # chain's six, reduce_sum and stop_gradient
+    # the engine's tables plus the nine ops tests/oracles.py adds: the
+    # chain's six, reduce_sum, stop_gradient and hand_over
     assert CHAIN_OPS.isdisjoint(OP_KINDS)
     assert set(OP_KINDS) | CHAIN_OPS == {"input", "const"} | set(_FORWARD)
     assert set(_BACKWARD) <= set(_FORWARD)
@@ -1051,8 +1102,7 @@ def test_forward_replay_matches_eager_build(op_name):
             if g._saved[i] is not None:
                 pairs = zip(saved_arrays(g._saved[i]),
                             saved_arrays(replayed._saved[i]), strict=True)
-                assert all(a is b is None or _same_bits(a, b)
-                           for a, b in pairs), (op_name, i)
+                assert all(_same_bits(a, b) for a, b in pairs), (op_name, i)
 
 
 @pytest.mark.parametrize("op_name", ["slot_step", "slot_step_masked",
@@ -1076,15 +1126,14 @@ def test_backward_leaves_fused_values_and_saved_intermediates_intact(
     assert _fused_op(op_name) in g._ops
     values = [v.copy() for v in g._values]
     saved = [None if sv is None else
-             [None if a is None else a.copy() for a in saved_arrays(sv)]
+             [a.copy() for a in saved_arrays(sv)]
              for sv in g._saved]
     grads = backward(g, seed)
     for i in range(g.num_nodes):
         assert _same_bits(values[i], g._values[i]), (op_name, i)
         if saved[i] is not None:
             pairs = zip(saved[i], saved_arrays(g._saved[i]), strict=True)
-            assert all(a is b is None or _same_bits(a, b)
-                       for a, b in pairs), (op_name, i)
+            assert all(_same_bits(a, b) for a, b in pairs), (op_name, i)
     again = backward(g, seed)
     assert list(again) == list(grads)
     for name, grad in grads.items():
@@ -1404,6 +1453,7 @@ _FINITE_KERNEL_CASES = {
     "gather_rows": [np.array([2, 0, 2])],
     "concat": [0, 1],
     "stop_gradient": [None],
+    "hand_over": [None],
     "relu": [None],
     "clamp": [(-2.0, 2.0), (1e-30, np.inf)],
     "sigmoid": [None],
@@ -1429,14 +1479,14 @@ def test_kernels_the_guard_skips_keep_finite_inputs_finite(dtype, data):
     """The guard skips exactly the ops whose kernel maps finite inputs to
     finite outputs; extreme finite inputs (the largest magnitudes,
     subnormals, signed zeros) stay finite through each of them."""
-    # the engine's set plus the four chain ops tests/oracles.py adds
+    # the engine's set plus the five chain ops tests/oracles.py adds
     assert set(_FINITE_KERNEL_CASES) == autodiff._ALWAYS_FINITE
     assert autodiff._ALWAYS_FINITE - CHAIN_OPS <= set(OP_KINDS)
     x = data.draw(_extreme_matrices(dtype))
     y = data.draw(_extreme_matrices(dtype))
     for op, auxes in _FINITE_KERNEL_CASES.items():
         for aux in auxes:
-            operands = (x, y) if op == "concat" else (x,)
+            operands = (x, y) if op in ("concat", "hand_over") else (x,)
             # x - max(x) may overflow to -inf inside a softmax, which exp
             # maps to 0: a warning, not a non-finite value
             with np.errstate(over="ignore"):

@@ -39,6 +39,8 @@ def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
     want = {f"checkpoint/{r}" for r in runs}
     want |= {f"{kind}/{r}/{m}" for kind in ("evaluate", "predict")
              for r in runs for m in modes}
+    # the untrained checkpoint serves with the genomic bags present only
+    want |= {"checkpoint/untrained_ref", "predict/untrained_ref/present"}
     for pid in ("P0000", "P0001", "P0002"):
         want |= {f"infer/{pid}/present/{f}" for f in files}
         want |= {f"infer/{pid}/imputed/{f}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slotsurv import autodiff, model
+from slotsurv import slots as slot_mod
 from slotsurv.autodiff import backward, bind_arrays
 from slotsurv.model import (
     FROZEN_GROUPS,
@@ -28,7 +29,13 @@ from slotsurv.survival import total_loss
 from slotsurv.train import TrainConfig
 
 from fd import ancestors, finite_diff_check, input_names
-from oracles import group_of, out_of_place_acc, owning_buffers, saved_arrays
+from oracles import (
+    exact_build_encode,
+    group_of,
+    out_of_place_acc,
+    owning_buffers,
+    saved_arrays,
+)
 
 
 DIM, S_H, S_G, M_GEN, N_BINS = 8, 4, 4, 6, 3
@@ -272,11 +279,14 @@ def test_batch_draws_noise_patient_by_patient():
         assert used.bit_generator.state == manual.bit_generator.state
 
 
-def test_full_model_gradients_on_padded_ragged_batch():
+def test_full_model_gradients_on_padded_ragged_batch(monkeypatch):
     """Finite differences through every stage of a padded ragged batch,
     reconstruction heads and stochastic slot init included (selection off,
     so that at K = 1 the gate still reaches the loss through its
-    weights)."""
+    weights).  At T = 2 a slot_encode node's gradient is first-order, so
+    the three slot encoders run as the exact per-op chain here, whose
+    gradient is the true one."""
+    monkeypatch.setattr(slot_mod, "build_encode", exact_build_encode)
     params = _perturbed(init_model(np.random.default_rng(8), dim=4,
                                    n_slots_h=2, n_slots_g=2, m_gen=3,
                                    n_bins=2), 8)
@@ -290,6 +300,7 @@ def test_full_model_gradients_on_padded_ragged_batch():
            "slots_g.ln_in_gamma", "gate_h.w", "pred_g.w2", "self_h.w_q",
            "cross.w_v", "risk.w1", "recon_h.w_q", "recon_g.ffn_w1",
            "recon_cross.w_k", "positions.table"]
+    assert "slot_encode" not in cg.graph._ops
     assert finite_diff_check(cg.graph, cg.loss, step=1e-3, wrt=wrt) < 1e-6
 
 
@@ -562,9 +573,10 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
     attention map of each of those encoders and the head's attention.  A
     bag-sized array or a map kept by mistake in any node fails here.  Of
     the buffers with a row per slot of each set (both modalities have
-    S_H slots) and d or 2d entries per row, it holds exactly 51: 18 the
-    three slot encoders' (two per iteration at T = 3 and the output, less
-    the initial slots, which another node holds), 12 the four cross_step
+    S_H slots) and d or 2d entries per row, it holds exactly 42: 9 the
+    three slot encoders' (the last iteration's input slots and alpha @
+    values, and the output, each: the earlier iterations keep nothing,
+    whatever T is), 12 the four cross_step
     nodes' (k^T, v and the output each), 6 the three decode nodes' (k^T
     and v each) and 15 the values of other nodes.  A slot-sized
     intermediate kept by mistake in any node fails here."""
@@ -587,7 +599,7 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
     slot_rows = len(sizes) * S_H                # B * S
     per_slot_row = [b.size // slot_rows for b in owning_buffers(arrays)
                     if b.size % slot_rows == 0]
-    assert per_slot_row.count(DIM) + per_slot_row.count(2 * DIM) == 51
+    assert per_slot_row.count(DIM) + per_slot_row.count(2 * DIM) == 42
 
 
 def test_padded_training_trunk_holds_no_array_with_a_bag_row_axis():

@@ -21,11 +21,13 @@ from slotsurv.recon import (
     init_recon_head,
     reconstruct_genomic,
 )
+from slotsurv import slots as slot_mod
 from slotsurv.slots import init_slot_params
 
 from fd import degenerate_rows, finite_diff_check
 from oracles import (
     bind_consts,
+    exact_build_encode,
     owning_buffers,
     reduce_sum,
     saved_arrays,
@@ -274,7 +276,11 @@ def test_imputation_requires_training():
                        t_iters=2, steps_trained=0)
 
 
-def test_cross_modal_gradients_match_finite_differences():
+def test_cross_modal_gradients_match_finite_differences(monkeypatch):
+    """At T = 2 a slot_encode node's gradient is first-order, so the
+    cross-modal encoder runs as the exact per-op chain here, whose
+    gradient is the true one."""
+    monkeypatch.setattr(slot_mod, "build_encode", exact_build_encode)
     rng = np.random.default_rng(10)
     g = Graph(dtype=np.float64)
     params = bind_arrays(g, {"enc": init_slot_params(rng, 3, 5)})["enc"]
@@ -282,6 +288,7 @@ def test_cross_modal_gradients_match_finite_differences():
     positions = g.input("positions", rng.normal(size=(4, 5)))
     bag = g.input("bag", rng.normal(size=(6, 5)))
     slots = build_cross_modal_encode(g, params, bag, t_iters=2)
+    assert g._ops.count("gru_cell") == 2
     target = g.const(rng.normal(size=(4, 5)))
     loss = build_recon_genomic(g, head, positions, slots, target)
     assert finite_diff_check(g, loss) < 1e-4

@@ -2,11 +2,18 @@
 semantics, gradient integrity, and cost accounting."""
 
 import csv
+import functools
 
 import numpy as np
 import pytest
 
-from slotsurv.autodiff import Graph, GraphError, backward, bind_arrays
+from slotsurv.autodiff import (
+    Graph,
+    GraphError,
+    _StepSaved,
+    backward,
+    bind_arrays,
+)
 from slotsurv.data import FeatureBag
 from slotsurv.recon import cross_modal_encode
 from slotsurv.slots import (
@@ -20,6 +27,7 @@ from slotsurv.slots import (
 from fd import finite_diff_check
 from oracles import (
     bind_consts,
+    exact_build_encode,
     init_slots,
     layer_norm,
     owning_buffers,
@@ -153,8 +161,8 @@ def test_encode_rejects_a_bag_without_instances():
 # ------------------------------------------------------------------ gradients
 
 
-def _micro_loss(g, p, bag_node, t_iters, rng):
-    slots = build_encode(g, p, bag_node, t_iters)
+def _micro_loss(g, p, bag_node, t_iters, rng, build=build_encode):
+    slots = build(g, p, bag_node, t_iters)
     target = g.const(rng.normal(size=slots.shape) + 1.5)
     return g.squared_error(slots, target)
 
@@ -167,11 +175,18 @@ def _micro_loss(g, p, bag_node, t_iters, rng):
 
 @pytest.mark.parametrize("t_iters", [1, 3])
 def test_encode_gradients_match_finite_differences(t_iters):
+    """At T = 1 the fused encode's gradient is the exact one and is
+    checked; at T > 1 it is first-order, pinned bitwise to the
+    first-order chain below, and the gradient checked is the exact one
+    through every iteration, the per-op chain's."""
     rng = np.random.default_rng(105)
     g = Graph(dtype=np.float64)
     p = bind_arrays(g, {"enc": init_slot_params(rng, n_slots=3, dim=5)})["enc"]
     bag = g.input("bag", rng.normal(size=(6, 5)))
-    loss = _micro_loss(g, p, bag, t_iters, rng)
+    build = build_encode if t_iters == 1 else exact_build_encode
+    loss = _micro_loss(g, p, bag, t_iters, rng, build)
+    assert (g._ops.count("slot_encode"), g._ops.count("gru_cell")) == \
+        ((1, 0) if t_iters == 1 else (0, t_iters))
     assert finite_diff_check(g, loss) < 1e-4
 
 
@@ -198,6 +213,12 @@ def _fused_encode(g, p, bag, t_iters, **kw):
     """``build_encode`` as (slots node, last map), the chain's return."""
     slots = build_encode(g, p, bag, t_iters, **kw)
     return slots, g.slot_attention(slots)
+
+
+# the per-op chain whose gradient is the fused node's: the last
+# iteration's alone, its input slots handing their adjoint to the
+# initial slots
+_first_order_encode = functools.partial(unfused_encode, first_order=True)
 
 
 def _encode_both(dtype, build, **kw):
@@ -235,7 +256,7 @@ _ORACLE_CASES = {
                                mask=_PADDING),
     "padded_batch_quiet_t1": dict(bag_shape=(2, 7, 5), t_iters=1,
                                   mask=_PADDING),
-    # the reference T: nine iterations rebuild their attention maps
+    # the reference T
     "padded_batch_t10": dict(
         bag_shape=(2, 7, 5), t_iters=10, mask=_PADDING,
         noise=np.random.default_rng(35).normal(size=(2, 3, 5))),
@@ -246,11 +267,14 @@ _ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_fused_step_is_bitwise_the_unfused_chain(dtype, case):
     """The slots, the last alpha and every gradient of one slot_encode
-    node match the per-op chain (18 nodes per iteration) bit for bit: the
-    bag, the bag's layer norm, k and v, the iterations' weights and the
-    slot-init parameters."""
+    node match the first-order per-op chain (18 nodes per iteration) bit
+    for bit: the bag, the bag's layer norm, k and v, the iterations'
+    weights and the slot-init parameters.  At T > 1 the chain runs all T
+    iterations, and its last iteration's input slots hand their adjoint
+    to the initial slots through two ``hand_over`` nodes; at T = 1 it is
+    the exact chain."""
     fused = _encode_both(dtype, _fused_encode, **_ORACLE_CASES[case])
-    chain = _encode_both(dtype, unfused_encode, **_ORACLE_CASES[case])
+    chain = _encode_both(dtype, _first_order_encode, **_ORACLE_CASES[case])
     assert _bits(fused[0]) == _bits(chain[0])
     assert _bits(fused[1]) == _bits(chain[1])
     assert set(fused[2]) == set(chain[2])
@@ -258,14 +282,17 @@ def test_fused_step_is_bitwise_the_unfused_chain(dtype, case):
         assert _bits(fused[2][name]) == _bits(chain[2][name]), name
     t_iters = _ORACLE_CASES[case]["t_iters"]
     assert [fused[3]._ops.count("slot_encode"),
-            chain[3]._ops.count("gru_cell")] == [1, t_iters]
+            chain[3]._ops.count("gru_cell"),
+            chain[3]._ops.count("hand_over")] == \
+        [1, t_iters, 2 * (t_iters > 1)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_step_keeps_the_chains_order_for_shared_initial_slots(dtype):
-    """Two unbatched encodes start from the same init_mean input, so its
-    adjoint sums four contributions per graph; the fused step hands them
-    over one by one, GRU state then layer norm, as the chain does."""
+    """Two unbatched encodes of T = 2 start from the same init_mean input,
+    so its adjoint sums four contributions per graph; the fused step hands
+    them over one by one, GRU state then layer norm, as the first-order
+    chain's two ``hand_over`` nodes do."""
     rng = np.random.default_rng(33)
     params = init_slot_params(rng, n_slots=3, dim=5)
     bags = [rng.normal(size=(m, 5)) for m in (6, 9)]
@@ -278,7 +305,7 @@ def test_fused_step_keeps_the_chains_order_for_shared_initial_slots(dtype):
                   for bag in bags]
         return backward(g, g.add(*losses))
 
-    fused, chain = grads(_fused_encode), grads(unfused_encode)
+    fused, chain = grads(_fused_encode), grads(_first_order_encode)
     for name in chain:
         assert _bits(fused[name]) == _bits(chain[name]), name
 
@@ -330,12 +357,11 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
     norm's normalized rows and output again from the bag, the inverse
     deviations and the row means, two (B, M, 1) rows, the only rows with
     one entry per bag row it holds.  Of the (B, S, M) attention maps it
-    holds only the last iteration's, which ``slot_attention`` reads back;
-    the adjoint rebuilds the earlier maps, their column max and sum
-    included, from q and the keys.  Everything else it holds (per-slot
-    vectors) is smaller than one more bag-sized array.  An intermediate
-    the size of the bag, a map or a column row kept by mistake fails
-    here."""
+    holds only the last iteration's, which ``slot_attention`` reads back
+    and the first-order adjoint reads; the earlier iterations keep
+    nothing.  Everything else it holds (per-slot vectors) is smaller than
+    one more bag-sized array.  An intermediate the size of the bag, a map
+    or a column row kept by mistake fails here, whatever T is."""
     n, m, dim, n_slots = 2, 512, 8, 3
     rng = np.random.default_rng(41)
     g = Graph()
@@ -346,13 +372,9 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
                          t_iters, mask=mask,
                          noise=rng.normal(size=(n, n_slots, dim)))
     assert g._ops.count("slot_encode") == 1
-    steps = g._saved[slots.idx].steps
-    assert len(steps) == t_iters
-    assert [st.alpha is None for st in steps] == \
-        [True] * (t_iters - 1) + [False]
-    assert g.slot_attention(slots) is steps[-1].alpha
-    buffers = owning_buffers([slots.value,
-                              *saved_arrays(g._saved[slots.idx])])
+    sv = g._saved[slots.idx]
+    assert g.slot_attention(slots) is sv.step.alpha
+    buffers = owning_buffers([slots.value, *saved_arrays(sv)])
     sizes = [b.size for b in buffers]
     bag, amap, row = n * m * dim, n * n_slots * m, n * m
     assert sizes.count(bag) == 2
@@ -365,15 +387,14 @@ def test_encode_node_holds_two_bag_sized_arrays_and_one_attention_map(
 
 @pytest.mark.parametrize("t_iters", [1, 3, 10])
 def test_slot_iteration_holds_two_slot_sized_buffers(t_iters):
-    """Each iteration of a batch's slot_encode node holds two buffers
-    with a row per slot and d or 2d entries per row: its input slots and
-    alpha @ values.  The adjoint rebuilds the normalized slots, q and the
-    GRU input from those, and runs the GRU (its gates, r * h and output)
-    and the MLP's hidden layer again.  Besides them an iteration keeps
-    three (B, S, 1) rows: the layer norm's inverse deviations and row
-    means, and the mass's reciprocal.  The node's output is the third
-    slot-sized buffer of the last iteration's, and no buffer is shared
-    between iterations."""
+    """The last iteration of a batch's slot_encode node, the one it keeps,
+    holds two buffers with a row per slot and d or 2d entries per row: its
+    input slots and alpha @ values.  The adjoint rebuilds the normalized
+    slots, q and the GRU input from those, and runs the GRU (its gates,
+    r * h and output) and the MLP's hidden layer again.  Besides them it
+    keeps three (B, S, 1) rows, the layer norm's inverse deviations and
+    row means and the mass's reciprocal, and the map.  The node's output
+    is the third slot-sized buffer."""
     n, m, dim, n_slots = 2, 50, 8, 3
     rng = np.random.default_rng(43)
     g = Graph()
@@ -382,15 +403,35 @@ def test_slot_iteration_holds_two_slot_sized_buffers(t_iters):
                          t_iters, noise=rng.normal(size=(n, n_slots, dim)))
     sv = g._saved[slots.idx]
     rows = n * n_slots
-    held = []
-    for h, st in zip(sv.states, sv.steps, strict=True):
-        buffers = owning_buffers([h, *saved_arrays(st)])
-        per_row = [b.size // rows for b in buffers if b.size % rows == 0]
-        # the last iteration also holds its attention map, m per slot row
-        assert sorted(per_row) == [1, 1, 1, dim, dim] + \
-            [m] * (st.alpha is not None)
-        held += [b for b in buffers if b.size in (rows * dim, 2 * rows * dim)]
-    assert len(owning_buffers(held + [slots.value])) == 2 * t_iters + 1
+    buffers = owning_buffers([sv.state, *saved_arrays(sv.step)])
+    per_row = [b.size // rows for b in buffers if b.size % rows == 0]
+    assert sorted(per_row) == [1, 1, 1, dim, dim, m]
+    held = [b for b in buffers if b.size in (rows * dim, 2 * rows * dim)]
+    assert len(owning_buffers(held + [slots.value])) == 3
+
+
+def test_encode_node_keeps_one_iteration_at_the_reference_t():
+    """At the reference T = 10 the node keeps one ``_StepSaved``, the last
+    iteration's, and no per-iteration tuple: it holds the same buffers,
+    byte for byte, as at T = 1."""
+    n, m, dim, n_slots = 2, 50, 8, 3
+
+    def saved(t_iters):
+        rng = np.random.default_rng(47)
+        g = Graph()
+        p = bind_arrays(g, {"p": init_slot_params(rng, n_slots, dim)})["p"]
+        slots = build_encode(g, p, g.const(rng.normal(size=(n, m, dim))),
+                             t_iters, noise=rng.normal(size=(n, n_slots, dim)))
+        return g._saved[slots.idx]
+
+    sv = saved(10)
+    assert [type(a) for a in sv if isinstance(a, tuple)] == [_StepSaved]
+    assert sv.step.alpha.shape == (n, n_slots, m)
+
+    def nbytes(sv):
+        return sorted(b.nbytes for b in owning_buffers(saved_arrays(sv)))
+
+    assert nbytes(sv) == nbytes(saved(1))
 
 
 # ----------------------------------------------------------- cost accounting

@@ -6,7 +6,10 @@ The artefacts:
 * the checkpoint files of six training runs: the 12-patient reference
   cohort (fold 1) at float32, at float64, with ``selective=False`` and
   with ``lam=0``; the default cohort (fold 0) and a cohort of WSI-sized
-  bags (fold 0), one epoch each;
+  bags (fold 0), one epoch each; and of two untrained ones,
+  ``epochs=0`` on the reference (fold 1) and default (fold 0) cohorts,
+  whose served outputs depend on the forward alone: a change to a
+  gradient alone leaves their digests as they are;
 * the pickled ``evaluate`` dicts of the first five runs, with the
   genomic bags present and imputed (``n_boot`` 200, 1000 for the
   default cohort): the default cohort's over its validation fold, the
@@ -15,7 +18,9 @@ The artefacts:
   is refused: its stratified statistics would hash as NaN whatever the
   code computes;
 * every ``predict_patient`` output of every patient of the reference
-  and default cohorts, and of 3 large-bag patients, in both modes;
+  and default cohorts, and of 3 large-bag patients, in both modes, but
+  for the untrained checkpoints with the genomic bags present only
+  (imputation refuses a checkpoint trained for no step);
 * the files ``slotsurv infer`` writes for 3 reference patients, in both
   modes.
 
@@ -87,6 +92,9 @@ RUNS = (
     ("ref_lam0", "reference", 1, {**_REFERENCE_TRAIN, "lam": 0.0}, 200, None),
     ("default_cohort", "default", 0, {"epochs": 1}, 1000, None),
     ("large_bags", "large", 0, {"epochs": 1}, None, 3),
+    ("untrained_ref", "reference", 1, {**_REFERENCE_TRAIN, "epochs": 0},
+     None, None),
+    ("untrained_default", "default", 0, {"epochs": 0}, None, None),
 )
 INFER_RUN, INFER_PATIENTS = "ref_float32", 3
 MODES = (("present", False), ("imputed", True))
@@ -137,6 +145,8 @@ def digests(tiny: bool = False) -> dict:
             scored = range(len(cohort.records)) if name == "reference" \
                 else None
             for mode, missing in MODES:
+                if missing and not ckpt.steps_trained:
+                    continue
                 if n_boot is not None:
                     metrics = train.evaluate(ckpt, cohort, fold,
                                              missing_genomics=missing,

@@ -19,7 +19,7 @@ prints one JSON object, cohort name -> ``{"total_bytes": N, "by_field":
 {"<op>.<field>": N, ...}}``, for the package under ``DIR`` (default: this
 tree's ``src``) and the named cohorts (default: both).  A field is
 ``value`` for a node's value, the name of a saved intermediate (a
-slot_encode node's per-iteration ones as ``steps.<name>``), or its
+slot_encode node's last iteration's ones as ``step.<name>``), or its
 position when the op saves a plain tuple.  A buffer behind several arrays
 counts once, for the first node (in creation order) and field that hold
 it; a view counts as its base.  The flattening and the base lookup are
@@ -89,10 +89,8 @@ def _fields(saved, prefix=""):
     out = []
     for field in names:
         value = getattr(saved, field)
-        if isinstance(value, tuple) and value and \
-                hasattr(value[0], "_fields"):
-            for item in value:
-                out += _fields(item, f"{prefix}{field}.")
+        if hasattr(value, "_fields"):
+            out += _fields(value, f"{prefix}{field}.")
         else:
             out.append((prefix + field, value))
     return out
