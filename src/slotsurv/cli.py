@@ -148,9 +148,6 @@ def cmd_infer(args) -> int:
                    os.path.join(args.out, "gates_histology.csv"))
     write_gate_csv(out.mask_g, out.weights_g,
                    os.path.join(args.out, "gates_genomic.csv"))
-    if imputed:
-        write_json({"imputed": True, "source": args.histology},
-                   os.path.join(args.out, "imputed_genomic.json"))
     print(f"risk {out.risk:.6g} -> {args.out}"
           + (" (genomics imputed)" if imputed else ""))
     return EXIT_OK

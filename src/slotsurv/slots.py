@@ -1,5 +1,7 @@
 """Slot attention encoder: T competitive-attention iterations compress an
-M x d feature bag into S x d slots.
+M x d feature bag into S x d slots.  The reference T is 3, slot attention's
+own (Locatello et al., "Object-Centric Learning with Slot Attention",
+NeurIPS 2020), which at 30 epochs scores above T = 10 in both modes.
 
 Attention is normalized over SLOTS per instance (column-stochastic alpha),
 which is what makes slots compete for instances.  The per-iteration update

@@ -61,7 +61,8 @@ class TrainConfig:
     lam: float = 0.1                  # reconstruction weight; 0 disables
     n_slots_h: int = 16
     n_slots_g: int = 16
-    t_iters: int = 10                 # slot-attention refinement steps
+    t_iters: int = 3                  # slot attention's own T (Locatello
+    # et al., NeurIPS 2020); at 30 epochs it beats T = 10 (see slots)
     l_iters: int = 3                  # cross-attention exchange rounds
     k_fraction: float = 0.25          # retained fraction of slots per gate
     temperature: float = 0.01

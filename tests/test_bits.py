@@ -41,10 +41,8 @@ def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
              for r in runs for m in modes}
     # the untrained checkpoint serves with the genomic bags present only
     want |= {"checkpoint/untrained_ref", "predict/untrained_ref/present"}
-    for pid in ("P0000", "P0001", "P0002"):
-        want |= {f"infer/{pid}/present/{f}" for f in files}
-        want |= {f"infer/{pid}/imputed/{f}"
-                 for f in files + ["imputed_genomic.json"]}
+    want |= {f"infer/{pid}/{m}/{f}" for pid in ("P0000", "P0001", "P0002")
+             for m in modes for f in files}
     assert set(digests) == want
     assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests.values())
     # the two modes serve different genomic bags

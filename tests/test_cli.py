@@ -191,16 +191,20 @@ def test_infer_outputs_and_determinism(workdir, tmp_path):
 
 
 def test_infer_imputes_when_genomic_missing(workdir, tmp_path):
+    """Without a genomic bag infer imputes one; ``prediction.json`` says
+    which mode ran, and no other file does, in either mode."""
     records = json.loads(workdir["manifest"].read_text())["patients"]
     bag_h = os.path.join(str(workdir["cohort_dir"]),
                          records[1]["histology_path"])
-    out = tmp_path / "imp"
-    assert main(["infer", "--checkpoint", str(workdir["ckpt"]),
-                 "--histology", bag_h, "--out", str(out)]) == 0
-    pred = json.loads((out / "prediction.json").read_text())
-    assert pred["imputed_genomic"] is True
-    sidecar = json.loads((out / "imputed_genomic.json").read_text())
-    assert sidecar["imputed"] is True
+    bag_g = os.path.join(str(workdir["cohort_dir"]),
+                         records[1]["genomic_path"])
+    for imputed, extra in ((True, []), (False, ["--genomic", bag_g])):
+        out = tmp_path / f"imputed_{imputed}"
+        assert main(["infer", "--checkpoint", str(workdir["ckpt"]),
+                     "--histology", bag_h, "--out", str(out)] + extra) == 0
+        pred = json.loads((out / "prediction.json").read_text())
+        assert pred["imputed_genomic"] is imputed
+        assert not (out / "imputed_genomic.json").exists()
 
 
 def test_bag_of_the_wrong_modality_exits_2(workdir, tmp_path, capsys):

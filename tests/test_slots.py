@@ -410,10 +410,10 @@ def test_slot_iteration_holds_two_slot_sized_buffers(t_iters):
     assert len(owning_buffers(held + [slots.value])) == 3
 
 
-def test_encode_node_keeps_one_iteration_at_the_reference_t():
-    """At the reference T = 10 the node keeps one ``_StepSaved``, the last
-    iteration's, and no per-iteration tuple: it holds the same buffers,
-    byte for byte, as at T = 1."""
+def test_encode_node_keeps_only_the_last_iteration_at_ten_iterations():
+    """At T = 10 the node keeps one ``_StepSaved``, the last iteration's,
+    and no per-iteration tuple: it holds the same buffers, byte for byte,
+    as at T = 1, so what a node saves does not grow with T."""
     n, m, dim, n_slots = 2, 50, 8, 3
 
     def saved(t_iters):

@@ -68,7 +68,7 @@ def test_config_defaults_match_reference_recipe():
     assert cfg.batch_size == 32
     assert cfg.lam == 0.1
     assert cfg.n_slots_h == cfg.n_slots_g == 16
-    assert cfg.t_iters == 10
+    assert cfg.t_iters == 3
     assert cfg.l_iters == 3
     assert cfg.k_fraction == 0.25
     assert cfg.temperature == 0.01
@@ -595,6 +595,46 @@ def test_predict_patient_deterministic_and_flagged(trained, small_cohort):
     assert ic is True and np.isfinite(c.risk)
     with pytest.raises(data_mod.BagError, match="histology"):
         predict_patient(trained.checkpoint, bag_g, bag_g)
+
+
+def test_serving_runs_the_checkpoints_t_not_the_default(trained,
+                                                        small_cohort,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """A checkpoint serves with the T it was trained with: after a save
+    and a load, every encoder that ``predict_patient`` (genomics present
+    and imputed) and ``evaluate`` build runs ``ckpt.config.t_iters``, so a
+    checkpoint trained before the default changed serves as it did."""
+    from slotsurv import slots as slot_mod
+
+    assert SMALL_TRAIN["t_iters"] != TrainConfig().t_iters
+    path = tmp_path / "fold.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    ckpt = load_checkpoint(path)
+    assert ckpt.config.t_iters == SMALL_TRAIN["t_iters"]
+
+    seen = []
+    build_encode = slot_mod.build_encode
+
+    def spy(g, p, bag, t_iters, *args, **kwargs):
+        seen.append(t_iters)
+        return build_encode(g, p, bag, t_iters, *args, **kwargs)
+
+    monkeypatch.setattr(slot_mod, "build_encode", spy)
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    bag_g = data_mod.load_bag(rec.genomic_path)
+    # two encoders with genomics present, a third when it imputes
+    for bag, encoders in ((bag_g, 2), (None, 3)):
+        seen.clear()
+        predict_patient(ckpt, bag_h, bag)
+        assert seen == [SMALL_TRAIN["t_iters"]] * encoders
+    for missing in (False, True):
+        seen.clear()
+        evaluate(ckpt, small_cohort, 0, missing_genomics=missing, n_boot=10)
+        _, val = fold_indices(small_cohort, ckpt.config, 0)
+        assert seen == [SMALL_TRAIN["t_iters"]] * ((3 if missing else 2)
+                                                   * len(val))
 
 
 @pytest.mark.parametrize("delta", [1, -1])

@@ -22,7 +22,8 @@ The artefacts:
   for the untrained checkpoints with the genomic bags present only
   (imputation refuses a checkpoint trained for no step);
 * the files ``slotsurv infer`` writes for 3 reference patients, in both
-  modes.
+  modes: ``prediction.json`` (which says whether the genomic bag was
+  imputed) and the two slot-assignment and two gate CSVs.
 
 Usage::
 
@@ -133,7 +134,6 @@ def digests(tiny: bool = False) -> dict:
             if tiny and name != "reference":
                 continue
             if name not in cohorts:
-                # relative paths: the infer files name the bag they read
                 cohorts[name] = data.synth_cohort(
                     data.SynthConfig(**COHORTS[name]), name)
             cohort = cohorts[name]

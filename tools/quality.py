@@ -4,30 +4,45 @@ a change to training (a gradient, the optimizer, a gate rule) shows what
 it does to the model it trains.
 
 For each synth seed s (``SynthConfig(seed=s)``, 200 patients) and each of
-the folds it trains ``TrainConfig(epochs=E, n_folds=F)`` on the fold's
-training split and scores the fold's validation split with ``evaluate``
-(``--n-boot`` bootstrap replicates), genomics present and imputed.  It
-prints one line per fold: the two C-indices, the optimizer steps skipped
-for a non-finite gradient, the Adam second-moment entries above 1e6 at
-the end of training, the largest of them, and the fold's wall time
-(training and both evaluations).  Then, per seed and pooled over every
-fold, the mean and the population standard deviation (ddof 0) over folds
-of each C-index, as ``slotsurv.reporting`` states its spread.
+the folds it trains ``TrainConfig(epochs=E, n_folds=F)``, with the fields
+that ``--train`` sets, on the fold's training split and scores the fold's
+validation split with ``evaluate`` (``--n-boot`` bootstrap replicates),
+genomics present and imputed.  It prints one line per fold: the two
+C-indices, the optimizer steps skipped for a non-finite gradient, the
+Adam second-moment entries above 1e6 at the end of training, the largest
+of them, and the fold's wall time (training and both evaluations).  Then,
+per seed and pooled over every fold, the mean and the population
+standard deviation (ddof 0) over folds of each C-index, as
+``slotsurv.reporting`` states its spread.
 
 Usage::
 
     python tools/quality.py [--src DIR] [--seeds 0 1 2] [--folds 5]
-        [--epochs 10] [--n-boot 200] [--record [PATH]] [--label NAME]
+        [--epochs E] [--train FIELD=VALUE ...] [--n-boot 200]
+        [--record [PATH]] [--label NAME] [--against LABEL]
 
-runs the package under ``DIR`` (default: this tree's ``src``).  With
-``--record`` it also writes the report, under ``NAME`` (default
+runs the package under ``DIR`` (default: this tree's ``src``).  ``E``
+defaults to the reference ``TrainConfig``'s epochs, so the harness runs
+the reference recipe unless told otherwise.  Each ``--train FIELD=VALUE``
+sets one other ``TrainConfig`` field (VALUE is read as JSON, else kept as
+a string: ``t_iters=3``, ``selective=false``, ``precision=float64``); the
+report's ``config`` records them.
+
+``--against LABEL`` pairs each fold with the same seed and fold of the
+report recorded under ``LABEL`` and prints, per mode, the paired verdict:
+the mean of this run's C-index minus the recorded one, its standard
+error (fold std, ddof 1, over the square root of the folds), the folds
+this run wins and the largest loss on one fold.  It refuses, before any
+training, a recorded report whose seeds or folds are not this run's.
+
+With ``--record`` it also writes the report, under ``NAME`` (default
 ``tree``), to ``PATH`` (default: ``BENCH_quality.json`` in the repo
 root), with the machine facts ``bench/run.py`` reports; the reports the
 file holds under other names stay, so one file can hold a parent's and a
-change's runs side by side.  BLAS runs on one thread unless the
-environment says otherwise.  The default protocol, 3 seeds x 5 folds of
-10 epochs, takes a few minutes on a 2-vCPU VM.  Standard library and
-numpy only.
+change's runs side by side.  ``--against`` reads the same file.  BLAS
+runs on one thread unless the environment says otherwise.  The default
+protocol, 3 seeds x 5 folds of 30 epochs, takes 2.5-4 minutes on a 2-vCPU
+VM.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -46,16 +61,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pins)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEFAULT_RECORD = os.path.join(ROOT, "BENCH_quality.json")
 BIG_MOMENT = 1e6
 MODES = (("present", False), ("imputed", True))
 
 
-def run_fold(cohort, fold: int, folds: int, epochs: int, n_boot: int) -> dict:
-    """Train one fold and score it in both modes."""
+def run_fold(cohort, fold: int, config, n_boot: int) -> dict:
+    """Train one fold with ``config`` and score it in both modes."""
     from slotsurv import train
 
     start = time.perf_counter()
-    config = train.TrainConfig(epochs=epochs, n_folds=folds)
     ckpt = train.train(config, cohort, fold).checkpoint
     row = {f"c_index_{mode}": train.evaluate(
         ckpt, cohort, fold, missing_genomics=missing,
@@ -102,13 +117,31 @@ def _summary_line(name: str, s: dict) -> str:
             f"{s['wall_s']:.1f} s")
 
 
+def train_config(epochs: int, folds: int, fields=None):
+    """The ``TrainConfig`` of a run: ``epochs`` and ``folds`` over the
+    reference recipe, with the other ``fields`` set, each of its field's
+    type."""
+    from slotsurv import data, train
+
+    fields = dict(fields or {})
+    own = {"epochs", "n_folds"} & set(fields)
+    if own:
+        raise ValueError(f"set {sorted(own)} with --epochs and --folds, "
+                         "not --train")
+    config = train.TrainConfig(**fields, epochs=epochs, n_folds=folds)
+    data.check_field_types(config)
+    return config
+
+
 def quality(seeds, folds: int, epochs: int, n_boot: int, synth=None,
-            out=sys.stdout) -> dict:
+            train=None, out=sys.stdout) -> dict:
     """The report of ``seeds`` x ``folds`` runs, printed as it goes to
-    ``out``; ``synth`` holds ``SynthConfig`` fields besides the seed
-    (default: none, the default cohort)."""
+    ``out``; ``synth`` holds ``SynthConfig`` fields besides the seed and
+    ``train`` ``TrainConfig`` fields besides the epochs and folds
+    (default: none, the default cohort and the reference recipe)."""
     from slotsurv import data
 
+    config = train_config(epochs, folds, train)
     rows, per_seed = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
@@ -118,7 +151,7 @@ def quality(seeds, folds: int, epochs: int, n_boot: int, synth=None,
             seed_rows = []
             for fold in range(folds):
                 row = {"seed": seed, "fold": fold,
-                       **run_fold(cohort, fold, folds, epochs, n_boot)}
+                       **run_fold(cohort, fold, config, n_boot)}
                 print(_fold_line(row), file=out, flush=True)
                 seed_rows.append(row)
             per_seed[str(seed)] = _summary(seed_rows)
@@ -130,8 +163,63 @@ def quality(seeds, folds: int, epochs: int, n_boot: int, synth=None,
           flush=True)
     return {"config": {"seeds": list(seeds), "folds": folds,
                        "epochs": epochs, "n_boot": n_boot,
-                       "synth": dict(synth or {})},
+                       "synth": dict(synth or {}),
+                       "train": dict(train or {})},
             "folds": rows, "seeds": per_seed, "pooled": pooled}
+
+
+def _pairs(report: dict) -> list:
+    return [(r["seed"], r["fold"]) for r in report["folds"]]
+
+
+def check_pairable(config: dict, base: dict, label: str) -> None:
+    """Raise ValueError unless the recorded report ``base`` ran the seeds
+    and folds of ``config``."""
+    for key in ("seeds", "folds"):
+        if base["config"][key] != config[key]:
+            raise ValueError(
+                f"report {label!r} ran {key} {base['config'][key]}, "
+                f"this run {config[key]}: the folds do not pair")
+
+
+def verdict(report: dict, base: dict, label: str = "base") -> dict:
+    """Per mode, the paired verdict of ``report`` against ``base``: over
+    folds of the same seed and fold, the mean C-index difference (report
+    minus base), its standard error, the folds ``report`` wins and the
+    largest loss on one fold (0 when it loses none)."""
+    check_pairable(report["config"], base, label)
+    if _pairs(report) != _pairs(base):
+        raise ValueError(f"report {label!r} holds folds {_pairs(base)}, "
+                         f"this run {_pairs(report)}")
+    out = {}
+    for mode, _ in MODES:
+        key = f"c_index_{mode}"
+        delta = np.array([r[key] - b[key]
+                          for r, b in zip(report["folds"], base["folds"])])
+        out[mode] = {
+            "mean": float(delta.mean()),
+            "se": float(delta.std(ddof=1) / np.sqrt(delta.size)),
+            "wins": int((delta > 0).sum()),
+            "n": int(delta.size),
+            "largest_loss": float(max(0.0, -delta.min())),
+        }
+    return out
+
+
+def _verdict_line(label: str, v: dict) -> str:
+    return f"against {label}: " + ", ".join(
+        f"{mode} {v[mode]['mean']:+.3f} ± {v[mode]['se']:.3f} "
+        f"(wins {v[mode]['wins']}/{v[mode]['n']}, largest loss "
+        f"{v[mode]['largest_loss']:.3f})" for mode, _ in MODES)
+
+
+def load_runs(path: str) -> dict:
+    """The reports recorded in the JSON file at ``path``, by label (none
+    when it does not exist)."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["runs"]
 
 
 def machine_facts() -> dict:
@@ -146,14 +234,23 @@ def machine_facts() -> dict:
 def record(path: str, label: str, report: dict) -> None:
     """Write ``report`` under ``label`` into the JSON file at ``path``,
     keeping the reports it holds under other labels."""
-    runs = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            runs = json.load(fh)["runs"]
+    runs = load_runs(path)
     runs[label] = {**report, "machine": machine_facts()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"runs": runs}, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _field_value(text: str) -> tuple:
+    """``FIELD=VALUE`` as (field, value), the value read as JSON where it
+    parses and kept as a string where it does not."""
+    name, sep, raw = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected FIELD=VALUE, got {text!r}")
+    try:
+        return name, json.loads(raw)
+    except json.JSONDecodeError:
+        return name, raw
 
 
 def main(argv=None) -> int:
@@ -163,18 +260,46 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                         help="synth cohort seeds")
     parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--epochs", type=int, default=10)
+    parser.add_argument("--epochs", type=int,
+                        help="default: the reference TrainConfig's")
+    parser.add_argument("--train", action="append", default=[],
+                        metavar="FIELD=VALUE", type=_field_value,
+                        help="set a TrainConfig field (repeatable)")
     parser.add_argument("--n-boot", type=int, default=200,
                         help="evaluate's bootstrap replicates")
     parser.add_argument("--record", nargs="?", metavar="PATH",
-                        const=os.path.join(ROOT, "BENCH_quality.json"),
+                        const=DEFAULT_RECORD,
                         help="also write the report to PATH (default: "
                              "BENCH_quality.json in the repo root)")
     parser.add_argument("--label", default="tree",
                         help="the name the report is recorded under")
+    parser.add_argument("--against", metavar="LABEL",
+                        help="pair each fold with the report recorded "
+                             "under LABEL and print the paired verdict")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    report = quality(args.seeds, args.folds, args.epochs, args.n_boot)
+    from slotsurv import train
+
+    epochs = train.TrainConfig().epochs if args.epochs is None \
+        else args.epochs
+    fields = dict(args.train)
+    try:
+        train_config(epochs, args.folds, fields)
+        base = None
+        if args.against:
+            runs = load_runs(args.record or DEFAULT_RECORD)
+            if args.against not in runs:
+                raise ValueError(f"no report recorded under {args.against!r}")
+            base = runs[args.against]
+            check_pairable({"seeds": args.seeds, "folds": args.folds}, base,
+                           args.against)
+    except (TypeError, ValueError) as err:
+        parser.error(str(err))
+    report = quality(args.seeds, args.folds, epochs, args.n_boot,
+                     train=fields)
+    if base is not None:
+        print(_verdict_line(args.against,
+                            verdict(report, base, args.against)), flush=True)
     if args.record:
         record(args.record, args.label, report)
     return 0
