@@ -386,14 +386,14 @@ def kfold_split(cohort: Cohort, k: int, seed: int):
 # ------------------------------------------------------------------- synthesis
 
 # A float field also takes an int; a bool is neither an int nor a float.
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def check_field_types(config) -> None:
     """Raise ValueError naming the first field not of its annotated type."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if (isinstance(value, bool) != (f.type == "bool")
+        if (isinstance(value, bool)
                 or not isinstance(value, _FIELD_TYPES[f.type])):
             raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
 

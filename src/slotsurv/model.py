@@ -190,7 +190,7 @@ class TrunkNodes:
 @dataclass(frozen=True)
 class TrainingNoise:
     """The random draws of one training batch: slot-init noise (B, S, d)
-    and Gumbel noise (B, 1, S) per branch (None with selection off)."""
+    and Gumbel noise (B, 1, S) per branch (None when no gate has K < S)."""
 
     slots_h: np.ndarray
     slots_g: np.ndarray
@@ -199,19 +199,21 @@ class TrainingNoise:
 
 
 def draw_noise(rng: np.random.Generator, n_patients: int,
-               params: ModelParams, selective: bool) -> TrainingNoise:
+               params: ModelParams, k_h: int, k_g: int) -> TrainingNoise:
     """Draw a batch's noise patient by patient, in a fixed order: slot-init
-    noise h, slot-init noise g, Gumbel noise h, Gumbel noise g."""
+    noise h, slot-init noise g, Gumbel noise h, Gumbel noise g.  Gumbel
+    noise is drawn only when some gate has K < S: no draw moves K = S."""
+    gumbel = k_h < params.n_slots_h or k_g < params.n_slots_g
     draws = []
     for _ in range(n_patients):
         row = [rng.standard_normal(params.slots_h.init_mean.shape),
                rng.standard_normal(params.slots_g.init_mean.shape)]
-        if selective:
+        if gumbel:
             row += [rng.gumbel(size=(1, params.n_slots_h)),
                     rng.gumbel(size=(1, params.n_slots_g))]
         draws.append(row)
     stacked = [np.stack(col) for col in zip(*draws)]
-    if not selective:
+    if not gumbel:
         stacked += [None, None]
     return TrainingNoise(*stacked)
 
@@ -222,7 +224,7 @@ def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
     mixture logits.
 
     Selection is noisy when ``gumbel`` noise is given (training) and the
-    plain top-K otherwise; with K = S (selection off) it keeps every slot.
+    plain top-K otherwise; with K = S it keeps every slot.
     Returns (scores, weights, mixture, selected_indices).
     """
     r = moe_mod.build_gate_scores(g, gate, slots)
@@ -239,7 +241,6 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
                         k_h: int, k_g: int, temperature: float,
                         t_iters: int, l_iters: int,
                         noise: TrainingNoise | None = None,
-                        selective: bool = True,
                         mask_h=None) -> TrunkNodes:
     """Everything from raw bags to fused logits for a batch of patients;
     ``p`` holds graph nodes (from ``bind_arrays``).  ``bag_h`` is the
@@ -247,15 +248,13 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     ``mask_h`` (None when nothing is padded), ``bag_g`` the (B, M_g, d)
     genomic batch.  With ``noise`` the trunk runs in training mode
     (stochastic slot init, Gumbel top-K); without, in inference mode.
-    With ``selective`` off every slot is kept (K = S).  Reconstruction
-    stays out of the trunk."""
+    At K = S a gate keeps every slot.  Reconstruction stays out of the
+    trunk."""
     noise = noise or TrainingNoise(None, None, None, None)
     s_h = slot_mod.build_encode(
         g, p.slots_h, bag_h, t_iters, mask=mask_h, noise=noise.slots_h)
     s_g = slot_mod.build_encode(
         g, p.slots_g, bag_g, t_iters, noise=noise.slots_g)
-    if not selective:
-        k_h, k_g = s_h.shape[-2], s_g.shape[-2]
 
     r_h, w_h, mix_h, sel_h = _branch_mixture(
         g, p.gate_h, p.pred_h, s_h, k_h, temperature, noise.gumbel_h)
@@ -333,14 +332,13 @@ def _pad_bags(bags) -> tuple:
 
 def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
                       temperature: float, t_iters: int, l_iters: int,
-                      lam: float, rng=None,
-                      selective: bool = True) -> CohortGraph:
+                      lam: float, rng=None) -> CohortGraph:
     """One graph holding every patient of a batch, at the precision of
     ``params``.
 
     ``patients`` is a sequence of (bag_h, bag_g, t_bin, censored) tuples of
     raw arrays/ints.  With an ``rng`` the batch runs in training mode: its
-    slot-init and Gumbel noise are drawn from it (``draw_noise``).  With
+    noise is drawn from it (``draw_noise``, Gumbel noise if K < S).  With
     ``rng=None`` it runs in inference mode, the trunk serving runs.
     Histology bags are zero-padded to the longest one, and an instance
     mask keeps the padding out of every result, so each patient's terms
@@ -356,7 +354,7 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     bags_h, bags_g, t_bins, censored = zip(*patients)
     bag_h, mask_h = _pad_bags([np.asarray(b) for b in bags_h])
     noise = None if rng is None else draw_noise(rng, len(patients), params,
-                                                selective)
+                                                k_h, k_g)
     g = Graph(dtype=params.slots_h.init_mean.dtype)
     # the frozen query map keeps its arrays: the histology head installs
     # them as constants, which keeps them out of every gradient
@@ -366,7 +364,7 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     xg = g.const(np.stack([np.asarray(b) for b in bags_g]))
     trunk = build_patient_trunk(
         g, p, xh, xg, k_h, k_g, temperature, t_iters, l_iters,
-        noise=noise, selective=selective, mask_h=mask_h)
+        noise=noise, mask_h=mask_h)
     terms = build_patient_losses(g, p, trunk, xh, xg, t_bins, censored,
                                  lam, t_iters, mask_h=mask_h)
     total = g.add(g.add(terms["surv_fused"], terms["surv_hist"]),
@@ -403,8 +401,8 @@ class PatientOutput:
 
 def patient_forward(params: ModelParams, bag_h: np.ndarray,
                     bag_g: np.ndarray, k_h: int, k_g: int,
-                    temperature: float, t_iters: int, l_iters: int,
-                    selective: bool = True) -> PatientOutput:
+                    temperature: float, t_iters: int,
+                    l_iters: int) -> PatientOutput:
     """Inference pass: the trunk of a batch of one, with deterministic slot
     init and noise-free top-K selection.  Only the trunk's groups are
     bound (``TRUNK_GROUPS``); the reconstruction heads are never touched.
@@ -415,7 +413,7 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         g, {name: getattr(params, name) for name in TRUNK_GROUPS}))
     trunk = build_patient_trunk(
         g, p, g.const(np.asarray(bag_h)[None]), g.const(np.asarray(bag_g)[None]),
-        k_h, k_g, temperature, t_iters, l_iters, selective=selective)
+        k_h, k_g, temperature, t_iters, l_iters)
 
     def gate_mask(scores, selected):
         hard = np.zeros(scores.shape[1])

@@ -20,9 +20,9 @@ the deterministic top-K of the raw scores.
 K comes from one rule, ``train.k_from_fraction``: K = round(f * S),
 clipped to [1, S], with f = ``TrainConfig.k_fraction`` (0.25 by
 default).  Training and inference both read K from it through
-``TrainConfig.k_h``/``k_g``.  With selection off (the ``selective=False``
-ablation) every slot is kept, so K = S: the mask is all ones, c is not
-added, and the weights are the plain softmax of the scores.
+``TrainConfig.k_h``/``k_g``.  At K = S (``k_fraction = 1.0``, the
+keep-every-slot ablation) the mask is all ones, c is not added, and the
+weights are the plain softmax of the scores.
 
 As in the encoder module, build_* functions append nodes to a
 caller-owned Graph; ``build_gumbel_mask`` is the one place a selection

@@ -71,13 +71,12 @@ class TrainConfig:
     seed: int = 0
     precision: str = "float32"
     n_folds: int = 5
-    selective: bool = True            # gated top-K mixture (off: plain softmax)
 
     def validate(self) -> None:
         data_mod.check_field_types(self)
         positive = ("learning_rate", "batch_size", "n_slots_h",
-                    "n_slots_g", "t_iters", "l_iters", "k_fraction",
-                    "temperature", "patch_subsample", "n_bins")
+                    "n_slots_g", "t_iters", "l_iters", "temperature",
+                    "patch_subsample", "n_bins")
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got "
@@ -86,8 +85,8 @@ class TrainConfig:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.k_fraction > 1.0:
-            raise ValueError(f"k_fraction must be <= 1, got {self.k_fraction}")
+        for n_slots in (self.n_slots_h, self.n_slots_g):
+            k_from_fraction(self.k_fraction, n_slots)
         if self.precision not in _PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(_PRECISIONS)}")
         if self.n_folds < 2:
@@ -124,7 +123,7 @@ class TrainConfig:
 def k_from_fraction(fraction: float, n_slots: int) -> int:
     """Slots retained by a gate: round(fraction * S), at least 1."""
     if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        raise ValueError(f"k_fraction must be in (0, 1], got {fraction}")
     return int(min(n_slots, max(1, round(fraction * n_slots))))
 
 
@@ -349,7 +348,14 @@ def load_checkpoint(path) -> Checkpoint:
         adam = AdamState(m=moments[0], v=moments[1],
                          t=int(index["adam_t"]),
                          skipped=int(index["skipped_steps"]))
-        config = TrainConfig.from_dict(index["config"])
+        config = dict(index["config"])
+        # a retired switch, true by default; false kept every slot (K = S)
+        selective = config.pop("selective", True)
+        if selective is False:
+            config["k_fraction"] = 1.0
+        elif selective is not True:
+            raise CheckpointError(f"{path}: selective is {selective!r}")
+        config = TrainConfig.from_dict(config)
         _check_geometry(path, params, config)
         _check_rng_state(path, index["rng_state"])
         ckpt = Checkpoint(params=params, adam=adam, config=config,
@@ -482,8 +488,7 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
                 cg = build_cohort_loss(
                     current, patients, k_h=config.k_h, k_g=config.k_g,
                     temperature=config.temperature, t_iters=config.t_iters,
-                    l_iters=config.l_iters, lam=config.lam, rng=rng,
-                    selective=config.selective)
+                    l_iters=config.l_iters, lam=config.lam, rng=rng)
             except GraphError as err:
                 # the graph guards every op output, the loss included
                 bad_streak += 1
@@ -551,8 +556,7 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
             steps_trained=ckpt.steps_trained)
     out = patient_forward(
         ckpt.params, bag_h.matrix, bag_g.matrix, k_h=cfg.k_h, k_g=cfg.k_g,
-        temperature=cfg.temperature, t_iters=cfg.t_iters,
-        l_iters=cfg.l_iters, selective=cfg.selective)
+        temperature=cfg.temperature, t_iters=cfg.t_iters, l_iters=cfg.l_iters)
     return out, imputed
 
 

@@ -95,9 +95,10 @@ def test_bad_config_values_exit_2(workdir, tmp_path):
     cfg.write_text("{not json")
     assert main(["synth", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
-    # values of the wrong type: each names its field and exits 2
-    for bad in ({"epochs": "3"}, {"batch_size": 2.5}, {"selective": "no"},
-                {"t_iters": True}):
+    # values of the wrong type, and the retired selective switch (an
+    # unknown key): each names its field and exits 2
+    for bad in ({"epochs": "3"}, {"batch_size": 2.5}, {"precision": 64},
+                {"t_iters": True}, {"selective": False}):
         cfg.write_text(json.dumps({**TRAIN_CFG, **bad}))
         assert main(["train", "--manifest", str(workdir["manifest"]),
                      "--config", str(cfg), "--fold", "0",

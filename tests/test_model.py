@@ -26,7 +26,7 @@ from slotsurv.model import (
 )
 
 from slotsurv.survival import total_loss
-from slotsurv.train import TrainConfig
+from slotsurv.train import TrainConfig, k_from_fraction
 
 from fd import ancestors, finite_diff_check, input_names
 from oracles import (
@@ -52,11 +52,11 @@ def _patients(seed=0, n=4):
              1 + i % N_BINS, i % 2) for i in range(n)]
 
 
-def _cohort(seed=0, lam=0.1, **kw):
+def _cohort(seed=0, lam=0.1, k=2):
     return build_cohort_loss(cast_params(_params(seed), np.float64),
-                             _patients(seed), k_h=2, k_g=2,
+                             _patients(seed), k_h=k, k_g=k,
                              temperature=0.01, t_iters=2, l_iters=2, lam=lam,
-                             rng=np.random.default_rng(seed + 1000), **kw)
+                             rng=np.random.default_rng(seed + 1000))
 
 
 # ------------------------------------------------------------- parameter trees
@@ -201,8 +201,10 @@ def test_selected_indices_are_k_hot():
         assert np.all(w[off] == 0.0)
 
 
-def test_non_selective_ablation_keeps_every_slot():
-    cg = _cohort(seed=5, selective=False)
+def test_full_k_fraction_keeps_every_slot():
+    """``k_fraction = 1.0``, the keep-every-slot ablation, is K = S."""
+    assert k_from_fraction(1.0, S_H) == S_H == S_G
+    cg = _cohort(seed=5, k=S_H)
     trunk = cg.trunk
     for b in range(len(_patients(5))):
         assert np.array_equal(trunk.selected_h[b], np.arange(S_H))
@@ -241,7 +243,7 @@ def test_padded_batch_matches_batches_of_one(dtype, tol, training):
     for b, patient in enumerate(patients):
         rng = np.random.default_rng(7) if training else None
         if training and b:  # skip the draws of the patients before b
-            draw_noise(rng, b, params, selective=True)
+            draw_noise(rng, b, params, kw["k_h"], kw["k_g"])
         one = build_cohort_loss(params, [patient], rng=rng, **kw)
         (want,) = one.term_values()
         assert set(terms[b]) == set(want)
@@ -262,30 +264,35 @@ def test_node_count_does_not_grow_with_batch_size():
 
 def test_batch_draws_noise_patient_by_patient():
     """Per patient, in order: slot-init noise h, slot-init noise g, Gumbel
-    noise h, Gumbel noise g."""
+    noise h, Gumbel noise g.  Both Gumbel rows are drawn when some gate
+    keeps K < S slots, and none when both keep K = S."""
     params = _params(6)
-    for selective in (True, False):
+    for k_h, k_g in ((2, 2), (2, S_G), (S_H, 2), (S_H, S_G)):
+        gumbel = k_h < S_H or k_g < S_G
         used = np.random.default_rng(12)
-        build_cohort_loss(params, _patients(6), k_h=2, k_g=2,
+        build_cohort_loss(params, _patients(6), k_h=k_h, k_g=k_g,
                           temperature=0.01, t_iters=2, l_iters=2, lam=0.1,
-                          rng=used, selective=selective)
+                          rng=used)
         manual = np.random.default_rng(12)
         for _ in _patients(6):
             manual.standard_normal((S_H, DIM))
             manual.standard_normal((S_G, DIM))
-            if selective:
+            if gumbel:
                 manual.gumbel(size=(1, S_H))
                 manual.gumbel(size=(1, S_G))
         assert used.bit_generator.state == manual.bit_generator.state
+        noise = draw_noise(np.random.default_rng(12), 2, params, k_h, k_g)
+        for rows in (noise.gumbel_h, noise.gumbel_g):
+            assert (rows is not None) == gumbel
 
 
 def test_full_model_gradients_on_padded_ragged_batch(monkeypatch):
     """Finite differences through every stage of a padded ragged batch,
-    reconstruction heads and stochastic slot init included (selection off,
-    so that at K = 1 the gate still reaches the loss through its
-    weights).  At T = 2 a slot_encode node's gradient is first-order, so
-    the three slot encoders run as the exact per-op chain here, whose
-    gradient is the true one."""
+    reconstruction heads and stochastic slot init included (K = S, so
+    that the gate reaches the loss through its weights, where at K = 1
+    the one weight is constant).  At T = 2 a slot_encode node's gradient
+    is first-order, so the three slot encoders run as the exact per-op
+    chain here, whose gradient is the true one."""
     monkeypatch.setattr(slot_mod, "build_encode", exact_build_encode)
     params = _perturbed(init_model(np.random.default_rng(8), dim=4,
                                    n_slots_h=2, n_slots_g=2, m_gen=3,
@@ -293,9 +300,9 @@ def test_full_model_gradients_on_padded_ragged_batch(monkeypatch):
     rng = np.random.default_rng(9)
     patients = [(rng.normal(size=(m, 4)), rng.normal(size=(3, 4)), 1 + i % 2,
                  i % 2) for i, m in enumerate((2, 5, 3))]
-    cg = build_cohort_loss(params, patients, k_h=1, k_g=1, temperature=0.5,
+    cg = build_cohort_loss(params, patients, k_h=2, k_g=2, temperature=0.5,
                            t_iters=2, l_iters=1, lam=0.5,
-                           rng=np.random.default_rng(10), selective=False)
+                           rng=np.random.default_rng(10))
     wrt = ["slots_h.w_k", "slots_h.init_log_std", "slots_g.gru_wz",
            "slots_g.ln_in_gamma", "gate_h.w", "pred_g.w2", "self_h.w_q",
            "cross.w_v", "risk.w1", "recon_h.w_q", "recon_g.ffn_w1",
@@ -469,9 +476,9 @@ def test_patient_forward_shapes_and_masks():
     # inference selection is the noise-free top-K of the gate scores
     top = np.argsort(out.mask_g.scores)[::-1][:2]
     assert set(np.flatnonzero(out.mask_g.hard)) == set(top)
-    # with selection off every slot is kept, and the mask says K = S
-    full = patient_forward(p, bag_h, bag_g, k_h=2, k_g=2, temperature=0.01,
-                           t_iters=2, l_iters=2, selective=False)
+    # at K = S every slot is kept, and the mask says so
+    full = patient_forward(p, bag_h, bag_g, k_h=S_H, k_g=S_G,
+                           temperature=0.01, t_iters=2, l_iters=2)
     for mask, s in ((full.mask_h, S_H), (full.mask_g, S_G)):
         assert mask.hard.sum() == s
 
@@ -494,17 +501,16 @@ def test_inference_risk_matches_training_trunk_in_inference_mode():
         assert out.risk == pytest.approx(ref.risk, abs=1e-12)
 
 
-@pytest.mark.parametrize("selective", [True, False])
-def test_served_gate_masks_report_the_trunks_selection(selective):
+@pytest.mark.parametrize("k", [2, S_H])
+def test_served_gate_masks_report_the_trunks_selection(k):
     """Serving reports the selection and scores of the inference trunk,
-    the one the batched graph builds without an rng."""
+    the one the batched graph builds without an rng, at K < S and K = S."""
     p = _params(12)
     patient = _patients(12)[0]
-    out = patient_forward(p, *patient[:2], k_h=2, k_g=2, temperature=0.01,
-                          t_iters=2, l_iters=2, selective=selective)
-    trunk = build_cohort_loss(p, [patient], k_h=2, k_g=2, temperature=0.01,
-                              t_iters=2, l_iters=2, lam=0.0, rng=None,
-                              selective=selective).trunk
+    out = patient_forward(p, *patient[:2], k_h=k, k_g=k, temperature=0.01,
+                          t_iters=2, l_iters=2)
+    trunk = build_cohort_loss(p, [patient], k_h=k, k_g=k, temperature=0.01,
+                              t_iters=2, l_iters=2, lam=0.0, rng=None).trunk
     for mask, selected, scores in (
             (out.mask_h, trunk.selected_h, trunk.scores_h),
             (out.mask_g, trunk.selected_g, trunk.scores_g)):

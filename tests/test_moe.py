@@ -354,9 +354,9 @@ def test_degenerate_draw_gives_a_distribution_over_the_selected_slots():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_full_selection_is_the_plain_softmax(dtype):
-    """With K = S and no noise (selection off) the mask is all ones, no
-    constant is added, and the weights are bitwise the softmax of the
-    scaled scores."""
+    """With K = S (``k_fraction = 1.0``) and no noise the mask is all
+    ones, no constant is added, and the weights are bitwise the softmax
+    of the scaled scores."""
     scores = np.random.default_rng(17).normal(size=5) * 3.0
     g, w = _weights_of(scores, 5, None, 0.01, dtype)
     assert "add" not in g._ops

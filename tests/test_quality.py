@@ -117,4 +117,4 @@ def test_train_fields_are_checked_before_any_training():
             quality.train_config(1, 2, fields)
     assert quality._field_value("precision=float64") == \
         ("precision", "float64")
-    assert quality._field_value("selective=false") == ("selective", False)
+    assert quality._field_value("k_fraction=1.0") == ("k_fraction", 1.0)

@@ -340,6 +340,59 @@ def test_checkpoint_rejects_malformed_rng_state(trained, tmp_path, edit):
         load_checkpoint(path)
 
 
+def _served_bytes(ckpt, bag_h, bag_g) -> list:
+    """Every array ``predict_patient`` serves, with its dtype and shape."""
+    def leaves(obj):
+        if dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                yield from leaves(getattr(obj, f.name))
+        else:
+            yield np.asarray(obj)
+
+    out, imputed = predict_patient(ckpt, bag_h, bag_g)
+    return [imputed] + [(a.dtype, a.shape, a.tobytes()) for a in leaves(out)]
+
+
+def test_checkpoint_from_before_k_fraction_was_the_one_knob(
+        trained, small_cohort, tmp_path):
+    """A checkpoint whose config still holds the retired ``selective``
+    switch loads: ``false`` reads as ``k_fraction = 1.0`` and serves what
+    a ``k_fraction = 1.0`` checkpoint serves, bit for bit; ``true`` is
+    dropped; any other value is refused.  Only the checkpoint reader
+    knows the old key."""
+    full = dataclasses.replace(trained.checkpoint, config=dataclasses.replace(
+        trained.checkpoint.config, k_fraction=1.0))
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(full, path)
+    index, payload = _index_and_payload(path)
+    assert "selective" not in index["config"]
+    legacy = tmp_path / "legacy.ckpt"
+    _write_raw(legacy, {**index, "config": {**index["config"],
+                                            "k_fraction": 0.25,
+                                            "selective": False}}, payload)
+    old = load_checkpoint(legacy)
+    assert old.config.k_fraction == 1.0
+    assert old.config == load_checkpoint(path).config
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    bag_g = data_mod.load_bag(rec.genomic_path)
+    for bag in (bag_g, None):
+        assert (_served_bytes(old, bag_h, bag)
+                == _served_bytes(load_checkpoint(path), bag_h, bag))
+
+    save_checkpoint(trained.checkpoint, path)
+    index, payload = _index_and_payload(path)
+    _write_raw(legacy, {**index, "config": {**index["config"],
+                                            "selective": True}}, payload)
+    assert load_checkpoint(legacy).config == trained.checkpoint.config
+    _write_raw(legacy, {**index, "config": {**index["config"],
+                                            "selective": "no"}}, payload)
+    with pytest.raises(CheckpointError, match="selective"):
+        load_checkpoint(legacy)
+    with pytest.raises(ValueError, match="unknown config keys"):
+        TrainConfig.from_dict({**index["config"], "selective": False})
+
+
 def test_failed_checkpoint_save_keeps_previous_file(trained, tmp_path,
                                                     monkeypatch):
     path = tmp_path / "c.ckpt"
@@ -786,7 +839,7 @@ def test_fused_decode_trains_and_imputes_with_the_chains_bits(
 
 def test_the_program_emits_every_op_kind(trained, small_cohort,
                                          monkeypatch):
-    """Training (selective on and off) and evaluation (genomics present and
+    """Training (K < S and K = S) and evaluation (genomics present and
     imputed) record every op kind the engine lists, and no other."""
     emitted = set()
     append = Graph._append
@@ -796,8 +849,8 @@ def test_the_program_emits_every_op_kind(trained, small_cohort,
         return append(self, op, *args, **kwargs)
 
     monkeypatch.setattr(Graph, "_append", recording)
-    for selective in (True, False):
-        train(TrainConfig(**{**SMALL_TRAIN, "selective": selective}),
+    for k_fraction in (0.5, 1.0):
+        train(TrainConfig(**{**SMALL_TRAIN, "k_fraction": k_fraction}),
               small_cohort, fold=0)
     for missing in (False, True):
         evaluate(trained.checkpoint, small_cohort, fold=0,

@@ -4,12 +4,12 @@ seeds, so that a change meant to keep every bit can show it did.
 The artefacts:
 
 * the checkpoint files of six training runs: the 12-patient reference
-  cohort (fold 1) at float32, at float64, with ``selective=False`` and
-  with ``lam=0``; the default cohort (fold 0) and a cohort of WSI-sized
-  bags (fold 0), one epoch each; and of two untrained ones,
-  ``epochs=0`` on the reference (fold 1) and default (fold 0) cohorts,
-  whose served outputs depend on the forward alone: a change to a
-  gradient alone leaves their digests as they are;
+  cohort (fold 1) at float32, at float64, with ``k_fraction=1.0`` (every
+  gate keeps all its slots) and with ``lam=0``; the default cohort
+  (fold 0) and a cohort of WSI-sized bags (fold 0), one epoch each; and
+  of two untrained ones, ``epochs=0`` on the reference (fold 1) and
+  default (fold 0) cohorts, whose served outputs depend on the forward
+  alone: a change to a gradient alone leaves their digests as they are;
 * the pickled ``evaluate`` dicts of the first five runs, with the
   genomic bags present and imputed (``n_boot`` 200, 1000 for the
   default cohort): the default cohort's over its validation fold, the
@@ -89,7 +89,7 @@ RUNS = (
     ("ref_float64", "reference", 1,
      {**_REFERENCE_TRAIN, "precision": "float64"}, 200, None),
     ("ref_nonselective", "reference", 1,
-     {**_REFERENCE_TRAIN, "selective": False}, 200, None),
+     {**_REFERENCE_TRAIN, "k_fraction": 1.0}, 200, None),
     ("ref_lam0", "reference", 1, {**_REFERENCE_TRAIN, "lam": 0.0}, 200, None),
     ("default_cohort", "default", 0, {"epochs": 1}, 1000, None),
     ("large_bags", "large", 0, {"epochs": 1}, None, 3),

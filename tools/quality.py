@@ -25,7 +25,7 @@ runs the package under ``DIR`` (default: this tree's ``src``).  ``E``
 defaults to the reference ``TrainConfig``'s epochs, so the harness runs
 the reference recipe unless told otherwise.  Each ``--train FIELD=VALUE``
 sets one other ``TrainConfig`` field (VALUE is read as JSON, else kept as
-a string: ``t_iters=3``, ``selective=false``, ``precision=float64``); the
+a string: ``t_iters=3``, ``k_fraction=1.0``, ``precision=float64``); the
 report's ``config`` records them.
 
 ``--against LABEL`` pairs each fold with the same seed and fold of the
