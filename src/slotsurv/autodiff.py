@@ -2,12 +2,12 @@
 
 The engine exposes exactly the operations the survival model needs,
 nothing generic. A Graph is built eagerly: every op computes its value
-the moment its node is created, so data-dependent constants (hard
-top-K masks, gather index maps) can be derived mid-build from values
+the moment its node is created, so data-dependent arrays (K-hot gate
+selections, gather indices) can be derived mid-build from values
 already in the graph. A graph is built once and differentiated once:
 ``backward`` runs the adjoint rules in reverse creation order, which is
 topological. The eager build is the only evaluation path: a replay under
-new inputs would keep those constants frozen.
+new inputs would keep those arrays frozen.
 
 Values are numpy arrays, float32 by default, float64 when a graph is
 constructed with dtype=np.float64 (used by gradient-check tests).
@@ -63,14 +63,14 @@ chain's nodes output but the attention and the relu.
 Which adjoints ``backward`` computes. When a node is recorded, the graph
 notes whether it needs an adjoint: an input does, and so does every node
 with a parent that does. A constant, and every node built from
-constants alone (bags, masks, noise, targets), does not. ``backward``
+constants alone (bags, noise, targets), does not. ``backward``
 skips the nodes that need none, and each adjoint rule forms an operand's
 adjoint only when that operand needs one: a constant bag fed to a weight
 costs no ``grad @ W^T``. A fused rule runs when any operand needs an
 adjoint; it then forms every adjoint inside its chain, and prunes only
-its operands' (the instance mask's costs nothing). A skipped adjoint
-could only have flowed into constants, so every input gradient keeps
-the same terms in the same order and the same bits.
+its operands'; the arrays in its aux, such as the instance mask, take none.
+A skipped adjoint could only have flowed into constants, so every input
+gradient keeps the same terms in the same order and the same bits.
 
 How ``backward`` accumulates. A node's adjoint is the sum of one
 contribution per use, added in the order the uses are visited. The first
@@ -109,13 +109,13 @@ axes, so one model builder serves both:
 * affine: x @ w + b, the matmul shapes, with a bias that broadcasts into
   the product without enlarging it (a (1, n) row).
 * slot_encode: a slot encoder, T slot-attention iterations over a bag.
-  From the bag (.., M, d), the instance mask (.., M, 1) and the initial
-  slots (.., S, d), all with the same leading axes, T (kept in the node's
-  aux) and nineteen weights: the bag layer norm's (1, d) gain and shift,
-  w_k, w_v, the slots' (1, d) layer-norm gain, w_q, the nine GRU weights
-  and the MLP's w1, b1, w2, b2. The bag part runs once: y =
-  layer_norm(bag); keys = (y @ w_k)^T * 1/sqrt(d), (.., d, M), a
-  transposed copy; values = y @ w_v, times the mask, (.., M, d); an
+  From the bag (.., M, d) and the initial slots (.., S, d), with the
+  same leading axes, the instance mask, an array (.., M, 1) kept in the
+  node's aux beside T, and nineteen weights: the bag layer norm's gain
+  and shift, (1, d) each, w_k, w_v, the slots' (1, d) layer-norm gain,
+  w_q, the nine GRU weights and the MLP's w1, b1, w2, b2. The bag part
+  runs once: y = layer_norm(bag); keys = (y @ w_k)^T * 1/sqrt(d), (.., d,
+  M), a transposed copy; values = y @ w_v, times the mask, (.., M, d); an
   unpadded bag's mask is all ones, which leaves every bit as it is. Then
   each iteration: layer norm of the slots with gain only -> @ w_q -> @
   keys -> col_softmax = alpha (.., S, M); u = (alpha @ values) * 1 /
@@ -163,9 +163,10 @@ axes, so one model builder serves both:
   queries and the weights, and runs the GRU and the MLP's first layer
   again, with the forward's kernels.
 * self_attend: self-attention among K selected rows of each set. From
-  slots (.., S, d), each set's K distinct row indices, (n, K) with n the
-  product of the leading axes (kept in the node's aux as flat row
-  indices, with the scale), and seven weights: w_q, w_k, w_v and the
+  slots (.., S, d), the K-hot selection over each set's S rows, an array
+  of n*S entries with n the product of the leading axes and the same K
+  >= 1 in every set (kept in the node's aux as its flat row indices,
+  ascending, with the scale), and seven weights: w_q, w_k, w_v and the
   MLP's w1, b1, w2, b2: sel = the selected rows, (.., K, d); q, k, v =
   sel @ w_q, sel @ w_k, sel @ w_v; attn = row_softmax((q @ k^T) *
   1/sqrt(d)), (.., K, K), k^T a transposed copy; x = sel + attn @ v;
@@ -422,19 +423,21 @@ class Graph:
     def relu(self, a: Node) -> Node:
         return self._append("relu", (a.idx,), madds=a.value.size)
 
-    def slot_encode(self, bag: Node, ones: Node, slots: Node, ln_gamma: Node,
+    def slot_encode(self, bag: Node, ones, slots: Node, ln_gamma: Node,
                     ln_beta: Node, w_k: Node, w_v: Node, slot_gamma: Node,
                     w_q: Node, gru: tuple, mlp: tuple,
                     t_iters: int) -> Node:
         """A whole slot encoder as one node (see the module docstring):
-        the ``bag`` (.., M, d), the instance mask ``ones`` (.., M, 1) and
-        the initial ``slots`` (.., S, d) share their leading axes;
-        ``ln_gamma`` and ``ln_beta`` are the bag layer norm's (1, d) gain
-        and shift, ``slot_gamma`` the slots' (1, d) gain, ``gru`` the nine
-        GRU weights in ``_gru_fwd``'s argument order and ``mlp`` is (w1,
-        b1, w2, b2).  The values are multiplied by the mask: it zeroes a
-        padded batch's padded rows, and an unpadded bag's is all ones."""
+        the ``bag`` (.., M, d), the instance mask ``ones``, an array
+        (.., M, 1) the node keeps beside T, and the initial ``slots``
+        (.., S, d) share their leading axes; ``ln_gamma`` and ``ln_beta``
+        are the bag layer norm's (1, d) gain and shift, ``slot_gamma`` the
+        slots' (1, d) gain, ``gru`` the nine GRU weights in ``_gru_fwd``'s
+        argument order and ``mlp`` is (w1, b1, w2, b2).  The values are
+        multiplied by the mask: it zeroes a padded batch's padded rows,
+        and an unpadded bag's is all ones."""
         bs, ss = bag.shape, slots.shape
+        ones = self._cast(ones)
         if (len(bs) not in (2, 3) or len(ss) != len(bs)
                 or ss[:-2] + ss[-1:] != bs[:-2] + bs[-1:]
                 or bs[-2] < 1 or ss[-2] < 1
@@ -460,9 +463,9 @@ class Graph:
                       + 3 * rows * m                    # column softmax
                       + rows * m + 2 * rows + rows * d  # mass, floor, 1/., *
                       + _tail_madds(rows, d))
-        parents = (bag, ones, slots, *weights)
+        parents = (bag, slots, *weights)
         return self._append("slot_encode", tuple(p.idx for p in parents),
-                            aux=t_iters,
+                            aux=(t_iters, ones),
                             madds=bag_madds + t_iters * step_madds)
 
     def cross_step(self, queries: Node, context: Node, w_q: Node, w_k: Node,
@@ -492,23 +495,23 @@ class Graph:
         return self._append("cross_step", tuple(p.idx for p in parents),
                             aux=float(1.0 / np.sqrt(d)), madds=madds)
 
-    def self_attend(self, slots: Node, selected, w_q: Node, w_k: Node,
+    def self_attend(self, slots: Node, hot, w_q: Node, w_k: Node,
                     w_v: Node, mlp: tuple) -> Node:
         """Self-attention among selected rows as one node (see the module
-        docstring): ``slots`` is (.., S, d) and ``selected`` holds each
-        set's K row indices, (n, K) with n the product of the leading
-        axes; ``mlp`` is (w1, b1, w2, b2).  The indices of a set must be
-        distinct (the caller's check)."""
-        vs = slots.value
-        idx = np.asarray(selected, dtype=np.int64)
-        if not (vs.ndim in (2, 3) and idx.ndim == 2
-                and idx.shape[0] == math.prod(vs.shape[:-2])
-                and idx.shape[1] >= 1
-                and 0 <= idx.min() and idx.max() < vs.shape[-2]):
-            raise GraphError(f"self_attend shapes: slots {vs.shape}, "
-                             f"selected {idx.shape}; want one non-empty "
-                             f"row of in-range slot indices per set")
-        (n, k), (s, d) = idx.shape, vs.shape[-2:]
+        docstring): ``slots`` is (.., S, d) and ``hot`` the K-hot
+        selection over each set's S rows, an array of n*S entries, last
+        axis S, with n the product of the leading axes; ``mlp`` is (w1,
+        b1, w2, b2).  Every set must select the same K >= 1 rows."""
+        vs, hot = slots.value, np.asarray(hot)
+        n = math.prod(vs.shape[:-2])
+        counts = (hot.reshape(-1, hot.shape[-1]).sum(axis=1)
+                  if vs.ndim in (2, 3) and hot.shape[-1:] == vs.shape[-2:-1]
+                  else np.zeros(0))
+        if not (counts.size == n > 0 and np.isin(hot, (0, 1)).all()
+                and counts[0] >= 1 and (counts == counts[0]).all()):
+            raise GraphError(f"self_attend shapes: slots {vs.shape}, selection "
+                             f"{hot.shape}; want K-hot sets, one K >= 1")
+        k, d = int(counts[0]), vs.shape[-1]
         weights = _fused_weights("self_attend", (w_q, w_k, w_v, *mlp),
                                  _SELF_ATTEND_LAYOUT, d)
         rows = n * k
@@ -517,10 +520,10 @@ class Graph:
                  + 2 * rows * k * d                   # logits, attn @ v
                  + 4 * rows * k                       # scale, row softmax
                  + 5 * rows * d)                      # adds, biases, relu
-        picked = (idx + s * np.arange(n)[:, None]).reshape(-1)
         return self._append("self_attend",
                             tuple(p.idx for p in (slots, *weights)),
-                            aux=(picked, float(1.0 / np.sqrt(d))),
+                            aux=(np.flatnonzero(hot),
+                                 float(1.0 / np.sqrt(d))),
                             madds=madds)
 
     def decode(self, queries: Node, slots: Node, w_q: Node, w_k: Node,
@@ -909,7 +912,7 @@ def _slot_step_fwd(slots, keys_t, values, ones, gamma, w_q, *tail):
     return out, _StepSaved(inv, mean, alpha, u_raw, rec)
 
 
-def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
+def _slot_encode_fwd(aux, bag, slots, ln_gamma, ln_beta, w_k, w_v,
                      *step_weights):
     """The chain bag layer norm -> k and v projections -> transposed copy
     of k, scaled -> values times the mask -> T iterations, kernel by
@@ -920,7 +923,7 @@ def _slot_encode_fwd(aux, bag, ones, slots, ln_gamma, ln_beta, w_k, w_v,
     dropped before the iterations run.  The adjoint differentiates the
     last iteration alone, so the first T - 1 iterations keep nothing:
     only the last one's input slots and ``_StepSaved`` are kept."""
-    t_iters = aux
+    t_iters, ones = aux
     # the layer norm of the bag, with y in xhat's array
     xhat, inv, mean = _normalize(bag)
     y = np.multiply(xhat, ln_gamma, out=xhat)
@@ -1333,12 +1336,12 @@ def _bw_slot_encode(g, i, grad, grads):
     the bag and the saved inverse deviations and row means
     (``_renormalize``, then the gain and the shift).  Every rebuild runs
     the forward's kernels in its order, so with its bits."""
-    bi, oi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
+    bi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
     sv = g._saved[i]
     st, h, alpha = sv.step, sv.state, sv.step.alpha
     v = g._values
     need = g._needs_grad
-    ones = v[oi]
+    ones = g._aux[i][1]
     # the slot-sized values the forward dropped: its kernels in its order
     xhat = _renormalize(h, st.inv, st.mean)
     normed = xhat * v[gi]
@@ -1353,8 +1356,6 @@ def _bw_slot_encode(g, i, grad, grads):
     # d_uraw @ values^T
     d_mass = _reciprocal_adj(d_rec, st.rec)
     d_alpha = _matmul(d_mass, np.swapaxes(ones, -1, -2))
-    _give(grads, (oi,), (_matmul_adj(d_mass, alpha, ones, need_a=False,
-                                     need_b=need[oi])[1],))
     d_au = _matmul(d_uraw, np.swapaxes(sv.values, -1, -2))
     d_values = _matmul(np.swapaxes(alpha, -1, -2), d_uraw)
 
@@ -1381,9 +1382,6 @@ def _bw_slot_encode(g, i, grad, grads):
     y += v[lbi]
 
     # values = (y @ w_v) * ones: the value path
-    if need[oi]:
-        _give(grads, (oi,), (_unbroadcast(d_values * _matmul(y, v[vi]),
-                                          ones.shape),))
     d_values *= ones
     _give(grads, (vi,), (_matmul_adj(d_values, y, v[vi], need_a=False,
                                      need_b=need[vi])[1],))

@@ -75,11 +75,13 @@ def cmd_synth(args) -> int:
 
 def cmd_discretize(args) -> int:
     from .data import discretize_times, load_manifest, save_manifest
+    from .train import TrainConfig
 
+    bins = TrainConfig().n_bins if args.bins is None else args.bins
     cohort = load_manifest(args.manifest)
-    cohort = discretize_times(cohort, args.bins)
+    cohort = discretize_times(cohort, bins)
     save_manifest(cohort, args.manifest)
-    print(f"assigned {args.bins} time bins to {cohort.n_patients} patients")
+    print(f"assigned {bins} time bins to {cohort.n_patients} patients")
     return EXIT_OK
 
 
@@ -185,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discretize", help="assign discrete time bins")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--bins", type=int, default=4)
+    p.add_argument("--bins", type=int, help="default: TrainConfig's n_bins")
     p.set_defaults(func=cmd_discretize)
 
     p = sub.add_parser("train", help="train one fold")

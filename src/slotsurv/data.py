@@ -390,12 +390,15 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def check_field_types(config) -> None:
-    """Raise ValueError naming the first field not of its annotated type."""
+    """Raise ValueError naming the first field not of its annotated type,
+    or a NaN or infinite float (JSON reads ``NaN`` and ``Infinity``)."""
     for f in fields(config):
         value = getattr(config, f.name)
         if (isinstance(value, bool)
                 or not isinstance(value, _FIELD_TYPES[f.type])):
             raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ batch of patients, (B, S, d):
   slots pass through bitwise unchanged (selection restricts the
   computation rather than adding -inf masking); each branch is one
   ``self_attend`` graph node (gather, q/k/v projections, scaled row
-  softmax, attention and MLP residuals, scatter);
+  softmax, attention and MLP residuals, scatter) that reads the gate's
+  K-hot array, the one the mixture weights and ``moe.GateMask`` read;
 * iterative cross-attention in which histology and genomic slots attend
   to each other for L rounds through ONE shared parameter set, with
   GRU + residual-MLP updates applied to both directions simultaneously
@@ -29,7 +30,6 @@ heads' (``model.TRUNK_GROUPS``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,23 +129,17 @@ def init_risk_params(rng: np.random.Generator, dim: int,
 
 
 def build_masked_self_attention(g: Graph, p: SelfAttentionParams,
-                                slots: Node, selected) -> Node:
+                                slots: Node, hot) -> Node:
     """Self-attention among the selected slots only, one ``self_attend``
     node per call.
 
-    ``slots`` is one patient's (S, d) set or a batch (B, S, d);
-    ``selected`` holds the retained slot indices (from the gate mask's
-    forward value), (K,) or (B, K), with the same K for every patient.
-    Unselected rows are passed through exactly.  A selection that repeats
-    an index raises ValueError, and an empty one ``self_attend``'s
-    ``GraphError`` (a ValueError).
+    ``slots`` is one patient's (S, d) set or a batch (B, S, d); ``hot``
+    is the gate's K-hot selection (``moe.build_gumbel_mask``), (1, S) or
+    (B, 1, S), with the same K for every patient.  Unselected rows are
+    passed through exactly.  A selection that is not K-hot with one K >=
+    1 raises ``self_attend``'s ``GraphError`` (a ValueError).
     """
-    n_sets = math.prod(slots.shape[:-2])
-    selected = np.asarray(selected, dtype=np.int64).reshape(n_sets, -1)
-    ordered = np.sort(selected, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise ValueError("selection has duplicate indices")
-    return g.self_attend(slots, selected, p.w_q, p.w_k, p.w_v,
+    return g.self_attend(slots, hot, p.w_q, p.w_k, p.w_v,
                          (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2))
 
 

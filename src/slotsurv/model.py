@@ -19,14 +19,16 @@ binds only the trunk's parameter groups (``TRUNK_GROUPS``, 86 tensors
 against the 126 a training batch binds); training binds every trainable
 group.  Either binds its groups in one ``bind_arrays`` call.
 
-Each slot encoder is one ``slot_encode`` node after its mask constant and
-the nodes that start its slots: two in the trunk, and the cross-modal
-encode of a training batch; serving reads its last attention map from
-that node (``TrunkNodes`` holds none).  Each of a training batch's three
-reconstruction heads is one ``decode`` node, and its builder returns the
-head's (B,) loss node alone.  At the reference ``TrainConfig`` a
-training batch is one graph of 251 nodes and a served patient one of
-135.
+Each slot encoder is one ``slot_encode`` node after the nodes that start
+its slots, with its instance mask kept in the node: two in the trunk, and
+the cross-modal encode of a training batch; serving reads its last
+attention map from that node (``TrunkNodes`` holds none).  Each gate's
+selection is one K-hot array, read by the mixture weights, the masked
+self-attention and the served ``GateMask``.  Each of a training batch's
+three reconstruction heads is one ``decode`` node, and its builder
+returns the head's (B,) loss node alone.  At the reference
+``TrainConfig`` a training batch is one graph of 246 nodes and a served
+patient one of 131.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
 @dataclass(frozen=True)
 class TrunkNodes:
     """Graph nodes of a batch's prediction trunk; row b of every node (and
-    of the index arrays) belongs to patient b."""
+    of the K-hot selections) belongs to patient b."""
 
     slots_h: Node              # (B, S_h, d)
     slots_g: Node
@@ -183,8 +185,8 @@ class TrunkNodes:
     mix_h: Node                # (B, 1, n_bins) histology-only logits
     mix_g: Node                # (B, 1, n_bins) genomic-only logits
     fused: Node                # (B, 1, n_bins) fused logits
-    selected_h: np.ndarray     # (B, K_h) indices retained by the gate
-    selected_g: np.ndarray
+    hot_h: np.ndarray          # (B, 1, S_h) the gate's K-hot selection
+    hot_g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -225,16 +227,14 @@ def _branch_mixture(g: Graph, gate: GateParams, pred: PredictorParams,
 
     Selection is noisy when ``gumbel`` noise is given (training) and the
     plain top-K otherwise; with K = S it keeps every slot.
-    Returns (scores, weights, mixture, selected_indices).
+    Returns (scores, weights, mixture, K-hot selection).
     """
     r = moe_mod.build_gate_scores(g, gate, slots)
-    mask = moe_mod.build_gumbel_mask(g, r, k, noise=gumbel)
-    weights = moe_mod.build_renormalized_weights(g, r, mask, temperature)
-    # K-hot rows: nonzero() lists each row's K indices in order
-    selected = np.nonzero(mask.value[:, 0] > 0.5)[1].reshape(slots.shape[0], k)
+    hot = moe_mod.build_gumbel_mask(g, r, k, noise=gumbel)
+    weights = moe_mod.build_renormalized_weights(g, r, hot, temperature)
     logits = moe_mod.build_slot_logits(g, pred, slots)
     mixture = moe_mod.build_gated_mixture(g, weights, logits)
-    return r, weights, mixture, selected
+    return r, weights, mixture, hot
 
 
 def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
@@ -256,13 +256,13 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     s_g = slot_mod.build_encode(
         g, p.slots_g, bag_g, t_iters, noise=noise.slots_g)
 
-    r_h, w_h, mix_h, sel_h = _branch_mixture(
+    r_h, w_h, mix_h, hot_h = _branch_mixture(
         g, p.gate_h, p.pred_h, s_h, k_h, temperature, noise.gumbel_h)
-    r_g, w_g, mix_g, sel_g = _branch_mixture(
+    r_g, w_g, mix_g, hot_g = _branch_mixture(
         g, p.gate_g, p.pred_g, s_g, k_g, temperature, noise.gumbel_g)
 
-    bar_h = fusion_mod.build_masked_self_attention(g, p.self_h, s_h, sel_h)
-    bar_g = fusion_mod.build_masked_self_attention(g, p.self_g, s_g, sel_g)
+    bar_h = fusion_mod.build_masked_self_attention(g, p.self_h, s_h, hot_h)
+    bar_g = fusion_mod.build_masked_self_attention(g, p.self_g, s_g, hot_g)
     hat_h, hat_g = fusion_mod.build_iterative_cross_attention(
         g, p.cross, s_h, s_g, l_iters)
     z = fusion_mod.build_pool_concat(g, hat_h, hat_g, bar_h, bar_g)
@@ -271,7 +271,7 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
     return TrunkNodes(slots_h=s_h, slots_g=s_g, scores_h=r_h, scores_g=r_g,
                       weights_h=w_h, weights_g=w_g,
                       mix_h=mix_h, mix_g=mix_g, fused=fused,
-                      selected_h=sel_h, selected_g=sel_g)
+                      hot_h=hot_h, hot_g=hot_g)
 
 
 def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
@@ -415,10 +415,9 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         g, p, g.const(np.asarray(bag_h)[None]), g.const(np.asarray(bag_g)[None]),
         k_h, k_g, temperature, t_iters, l_iters)
 
-    def gate_mask(scores, selected):
-        hard = np.zeros(scores.shape[1])
-        hard[selected[0]] = 1.0
-        return moe_mod.GateMask(hard=hard, scores=scores.value[0, :, 0].copy())
+    def gate_mask(scores, hot):
+        return moe_mod.GateMask(hard=hot[0, 0].astype(np.float64),
+                                scores=scores.value[0, :, 0].copy())
 
     def slot_set(slots):
         # a batch of one is unpadded: its map has no padded columns
@@ -431,8 +430,8 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
         curve_g=surv_mod.hazards_from_logits(trunk.mix_g.value[0, 0]),
         slots_h=slot_set(trunk.slots_h),
         slots_g=slot_set(trunk.slots_g),
-        mask_h=gate_mask(trunk.scores_h, trunk.selected_h),
-        mask_g=gate_mask(trunk.scores_g, trunk.selected_g),
+        mask_h=gate_mask(trunk.scores_h, trunk.hot_h),
+        mask_g=gate_mask(trunk.scores_g, trunk.hot_g),
         weights_h=trunk.weights_h.value[0, 0].copy(),
         weights_g=trunk.weights_g.value[0, 0].copy(),
     )

@@ -5,7 +5,10 @@ survival logits of the kept slots are mixed with softmax weights over
 the kept set.  The gate has no bias, since a shift shared by every score
 cancels in both the top-K and the softmax.
 
-The selection is a K-hot constant.  The weights are one masked softmax,
+The selection is one K-hot array, not a graph node, which three
+readers share: the weights below, the masked self-attention
+(``fusion.build_masked_self_attention``) and the ``GateMask`` serving
+reports.  The weights are one masked softmax,
 w = row_softmax(r / temperature + c), with c = 0 on the selected slots
 and a large negative finite constant (-finfo(dtype).max / 4) on the
 others: the unselected weights are exactly 0, the selected ones the
@@ -26,8 +29,8 @@ weights are the plain softmax of the scores.
 
 As in the encoder module, build_* functions append nodes to a
 caller-owned Graph; ``build_gumbel_mask`` is the one place a selection
-is made.  Serving reports the selection the model's graph made as a
-``GateMask``, which ``write_gate_csv`` exports.
+is made, and it appends none.  Serving reports the selection the
+model's graph made as a ``GateMask``, which ``write_gate_csv`` exports.
 """
 
 from __future__ import annotations
@@ -94,11 +97,6 @@ class GateMask:
     hard: np.ndarray          # (S,), exactly K entries equal to 1
     scores: np.ndarray        # (S,), raw retention scores r
 
-    @property
-    def selected(self) -> np.ndarray:
-        """Indices of the retained slots, ascending."""
-        return np.flatnonzero(self.hard > 0.5)
-
 
 def _k_hot(values: np.ndarray, k: int) -> np.ndarray:
     """K-hot array marking the k largest entries along the last axis (ties
@@ -123,21 +121,21 @@ def build_gate_scores(g: Graph, gate: GateParams, slots: Node) -> Node:
     return g.matmul(slots, gate.w)
 
 
-def build_gumbel_mask(g: Graph, r: Node, k: int, noise=None) -> Node:
-    """K-hot selection over scores r of shape (..., S, 1), a constant of
-    shape (..., 1, S): the top-K of the scores, perturbed by Gumbel(0,1)
-    ``noise`` of shape (..., 1, S) (cast to the graph dtype) when it is
-    given (training)."""
+def build_gumbel_mask(g: Graph, r: Node, k: int, noise=None) -> np.ndarray:
+    """K-hot selection over scores r of shape (..., S, 1), an array of the
+    graph dtype and shape (..., 1, S): the top-K of the scores, perturbed
+    by Gumbel(0,1) ``noise`` of shape (..., 1, S) (cast to the graph
+    dtype) when it is given (training)."""
     if r.shape[-1] != 1:
         raise ValueError(f"scores must be a column, got shape {r.shape}")
     _check_k(k, r.shape[-2])
     scores = np.swapaxes(r.value, -1, -2)
     if noise is not None:
         scores = scores + np.asarray(noise, dtype=g.dtype)
-    return g.const(_k_hot(scores, k))
+    return _k_hot(scores, k)
 
 
-def build_renormalized_weights(g: Graph, r: Node, mask: Node,
+def build_renormalized_weights(g: Graph, r: Node, mask: np.ndarray,
                                temperature: float) -> Node:
     """Mixture weights w = row_softmax(r/temperature + c) over the slots
     the K-hot ``mask`` selects, c = 0 there and -finfo.max/4 elsewhere (see
@@ -148,7 +146,7 @@ def build_renormalized_weights(g: Graph, r: Node, mask: Node,
     if mask.shape != row.shape:
         raise ValueError(
             f"mask shape {mask.shape} does not match {r.shape[-2]} scores")
-    selected = mask.value > 0.5
+    selected = mask > 0.5
     if not np.all(np.any(selected, axis=-1)):
         raise ValueError("mask selects no slots")
     logits = g.scale(row, 1.0 / temperature)

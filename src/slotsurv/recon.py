@@ -170,8 +170,8 @@ def build_cross_modal_encode(g: Graph, genomic_params, hist_bag: Node,
                              t_iters: int, mask=None) -> Node:
     """Slot attention over the histology bag (or a padded batch of them,
     with its instance ``mask``) starting from the genomic branch's learned
-    slot mean, without noise: one ``slot_encode`` node after its mask
-    constant (and, for a batch, the two nodes that broadcast the mean).
+    slot mean, without noise: one ``slot_encode`` node, which keeps the
+    mask (after, for a batch, the two nodes that broadcast the mean).
     Returns the slots node; cost is linear in the bag size at fixed slot
     count."""
     return slot_mod.build_encode(g, genomic_params, hist_bag, t_iters,

@@ -12,15 +12,16 @@ varies patient to patient.
 Graph builders (build_*) append to a caller-owned autodiff Graph and are
 what the trainer composes.  They take one patient's (M, d) bag or a
 zero-padded batch (B, M, d) with its (B, M) instance mask; padded
-instances carry no value and no attention mass.  One encode is one
-``slot_encode`` node of the engine, after the nodes of the slots' start
-and the mask constant, for training, serving and the cross-modal encode
-alike: the bag's layer norm, the key and value projections and all T
-iterations (layer norm, attention, weighted mean, GRU and residual MLP)
-run as one kernel, with the per-op chain's values and multiply-add
-counts; ``build_encode`` returns that node.  Of the bag-sized arrays it
-keeps only two, the keys and the values, and of the T iterations only
-the last, whose map serving reads back with ``Graph.slot_attention`` (it
+instances carry no value and no attention mass.  The instance mask is
+not a node: the ``slot_encode`` node keeps it as an array beside T.  One
+encode is one ``slot_encode`` node of the engine, after the nodes of the
+slots' start, for training, serving and the cross-modal encode alike:
+the bag's layer norm, the key and value projections and all T iterations
+(layer norm, attention, weighted mean, GRU and residual MLP) run as one
+kernel, with the per-op chain's values and multiply-add counts;
+``build_encode`` returns that node.  Of the bag-sized arrays it keeps
+only two, the keys and the values, and of the T iterations only the
+last, whose map serving reads back with ``Graph.slot_attention`` (it
 feeds no loss).
 
 The encoder's gradient is first-order: it differentiates the last
@@ -153,10 +154,8 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
     ``slot_encode`` rejects a bag of another width than the slots' and
     T < 1 (``GraphError``, a ValueError).
     """
-    if mask is None:
-        ones = g.const(np.ones(bag.shape[:-1] + (1,)))
-    else:
-        ones = g.const(np.asarray(mask)[..., None])
+    ones = (np.ones(bag.shape[:-1] + (1,)) if mask is None
+            else np.asarray(mask)[..., None])
     slots = build_init_slots(g, p, lead=bag.shape[:-2], noise=noise)
     return g.slot_encode(
         bag, ones, slots, p.ln_in_gamma, p.ln_in_beta, p.w_k, p.w_v,

@@ -40,7 +40,7 @@
   and ``unfused_cross_attention``, L rounds of it.
 * ``unfused_self_attention``, masked self-attention over the selected
   slots as the chain of per-op nodes that the fused ``self_attend`` op
-  replaces.
+  replaces, and ``k_hot``, the K-hot selection of given slot indices.
 * ``unfused_decode``, a reconstruction head as the chain of 16 per-op
   nodes that the fused ``decode`` op replaces.
 * ``nll_loss``, the scalar likelihood of one subject under a hazard curve,
@@ -487,19 +487,29 @@ def unfused_cross_update(g: Graph, p, queries, context):
     return g.add(updated, g.affine(hidden, p.mlp_w2, p.mlp_b2))
 
 
-def unfused_self_attention(g: Graph, p, slots, selected):
+def k_hot(selected, n_slots: int) -> np.ndarray:
+    """The K-hot selection, (1, S) or (B, 1, S), that marks the slot
+    indices ``selected``, (K,) or (B, K): the form
+    ``moe.build_gumbel_mask`` returns."""
+    selected = np.asarray(selected, dtype=np.int64)
+    hot = np.zeros(selected.shape[:-1] + (1, n_slots))
+    np.put_along_axis(hot, selected[..., None, :], 1.0, axis=-1)
+    return hot
+
+
+def unfused_self_attention(g: Graph, p, slots, hot):
     """``fusion.build_masked_self_attention`` as the chain of per-op nodes
     that the fused ``self_attend`` op replaces, 20 for a batch and 16 for
     an unbatched set: gather the selected rows, attend among them, refine
     them with the residual MLP and scatter them back among the untouched
-    rows.  ``selected`` is (K,) or (B, K), distinct within each set."""
+    rows.  ``hot`` is the K-hot selection, (1, S) or (B, 1, S), with the
+    same K in every set."""
     lead = slots.shape[:-2]
     n_slots, dim = slots.shape[-2:]
     n_sets = int(np.prod(lead, dtype=np.int64))
-    selected = np.asarray(selected, dtype=np.int64).reshape(n_sets, -1)
-    k = selected.shape[1]
+    picked = np.flatnonzero(hot)
+    k = picked.size // n_sets
     rows = g.reshape(slots, (n_sets * n_slots, dim))
-    picked = (selected + n_slots * np.arange(n_sets)[:, None]).reshape(-1)
     sel = g.reshape(gather_rows(g, rows, picked), lead + (k, dim))
     q = g.matmul(sel, p.w_q)
     keys = g.matmul(sel, p.w_k)

@@ -40,6 +40,7 @@ from oracles import (
     gather_rows,
     gru_cell,
     hand_over,
+    k_hot,
     layer_norm,
     out_of_place_acc,
     owning_buffers,
@@ -386,9 +387,9 @@ def _build_slot_encode(g, rng, mask=None, t_iters=1, weighted=False):
     """A slot encoder as one slot_encode node: 2 slots of width 3 over a
     bag of 4 instances, ``t_iters`` iterations; with a (B, M) ``mask`` a
     padded batch whose padded values are zeroed.  With ``weighted`` the
-    instance mask of a batch of 2 is an input called ``mask``, weights in
-    (0.5, 1.5), so the two adjoint terms it takes, through the values and
-    through the attention mass, are audited too.  The GRU output lies in
+    instance mask of a batch of 2 holds weights in (0.5, 1.5), so the
+    adjoints are audited through both of its uses, the values and the
+    attention mass, at entries other than 0 and 1.  The GRU output lies in
     (-1, 1), so w1 in (-0.2, 0.2) and |b1| in (0.7, 1) keep every MLP
     pre-activation at least 0.1 from relu's kink, as in the cross_step
     builder.  A layer norm curves more sharply the closer a row's entries
@@ -405,10 +406,9 @@ def _build_slot_encode(g, rng, mask=None, t_iters=1, weighted=False):
         return g.input(name, rows + rng.uniform(-0.2, 0.2, size=shape))
 
     if weighted:
-        ones = leaf("mask", lead + (m, 1), 0.5, 1.5)
+        ones = rng.uniform(0.5, 1.5, size=lead + (m, 1))
     else:
-        ones = g.const(np.ones(lead + (m, 1)) if mask is None
-                       else mask[..., None])
+        ones = np.ones(lead + (m, 1)) if mask is None else mask[..., None]
     bag = spread_rows("bag", lead + (m, d))
     head = [leaf("gamma_in", (1, d), 0.5, 1.5), leaf("beta_in", (1, d)),
             leaf("w_k", (d, d)), leaf("w_v", (d, d))]
@@ -451,11 +451,11 @@ def _build_cross_step(g, rng, lead=()):
 
 def _build_self_attend(g, rng, selected=((3, 1),)):
     """Self-attention among the selected rows of 4 slots of width 3, one
-    set per row of ``selected``.  The rows lie in (-1, 1) and w_v in
-    (-0.2, 0.2), so the MLP input lies in (-1.6, 1.6); w1 in (-0.1, 0.1)
-    and |b1| in (0.7, 1) then keep every MLP pre-activation at least 0.2
-    from relu's kink, which the finite-difference stencil must not
-    straddle."""
+    set per row of ``selected``, passed as its K-hot selection.  The rows
+    lie in (-1, 1) and w_v in (-0.2, 0.2), so the MLP input lies in (-1.6,
+    1.6); w1 in (-0.1, 0.1) and |b1| in (0.7, 1) then keep every MLP
+    pre-activation at least 0.2 from relu's kink, which the
+    finite-difference stencil must not straddle."""
     d = 3
     lead = (len(selected),) if len(selected) > 1 else ()
 
@@ -468,7 +468,7 @@ def _build_self_attend(g, rng, selected=((3, 1),)):
     b1 = rng.choice([-1.0, 1.0], size=(1, d)) * rng.uniform(0.7, 1.0, (1, d))
     mlp = [leaf("w1", (d, d), -0.1, 0.1), g.input("b1", b1),
            leaf("w2", (d, d)), leaf("b2", (1, d))]
-    return _se_target(g, g.self_attend(slots, np.array(selected), *head,
+    return _se_target(g, g.self_attend(slots, k_hot(selected, 4), *head,
                                        mlp), rng)
 
 
@@ -683,18 +683,18 @@ class _ChainGraph(_KeepInputsGraph):
         p = SimpleNamespace(ln_in_gamma=ln_gamma, ln_in_beta=ln_beta,
                             w_k=w_k, w_v=w_v, ln_slot_gamma=slot_gamma,
                             w_q=w_q, **_tail_params(gru, mlp))
-        return unfused_slot_encode(self, p, bag, ones, slots, t_iters,
-                                   self.first_order)[0]
+        return unfused_slot_encode(self, p, bag, self.const(ones), slots,
+                                   t_iters, self.first_order)[0]
 
     def cross_step(self, queries, context, w_q, w_k, w_v, gru, mlp):
         p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
                             **_tail_params(gru, mlp))
         return unfused_cross_update(self, p, queries, context)
 
-    def self_attend(self, slots, selected, w_q, w_k, w_v, mlp):
+    def self_attend(self, slots, hot, w_q, w_k, w_v, mlp):
         p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
                             **_tail_params((), mlp))
-        return unfused_self_attention(self, p, slots, selected)
+        return unfused_self_attention(self, p, slots, hot)
 
     def decode(self, queries, slots, *weights):
         names = ("w_q", "w_k", "w_v", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
@@ -718,8 +718,8 @@ class _ExactChainGraph(_ChainGraph):
     ("self_attend_3d", {"w_k"}), ("slot_step_t3", {"w_k", "beta_in"}),
     ("slot_step_masked_t3", {"slots", "w_q"}),
     ("slot_step_masked", {"gamma_in", "w_v"}),
-    ("slot_step_weighted", {"mask"}),
-    ("slot_step_weighted_t3", {"mask", "w_v"}),
+    ("slot_step_weighted", {"slots"}),
+    ("slot_step_weighted_t3", {"bag", "w_v"}),
     ("decode", {"w1", "b1"}), ("decode", {"queries"}),
     ("decode_3d", {"slots", "gamma_s"}), ("decode_3d", {"w_q", "beta_f"}),
     ("decode_shared", {"queries", "w_v"}),
@@ -1176,8 +1176,7 @@ def test_fused_op_shape_errors_raise_graph_error():
     def encode(bag=(4, d), ones=(4, 1), slots=slots,
                head=(row, row, mat, mat, row, mat), mlp=mlp, t_iters=1):
         return g.slot_encode(g.input(f"bag{g.num_nodes}", np.ones(bag)),
-                             g.const(np.ones(ones)), slots, *head, gru, mlp,
-                             t_iters)
+                             np.ones(ones), slots, *head, gru, mlp, t_iters)
 
     for bad in (dict(ones=(5, 1)), dict(ones=(4, d)),
                 dict(bag=(0, d), ones=(0, 1)),          # no instance
@@ -1210,21 +1209,23 @@ def test_fused_op_shape_errors_raise_graph_error():
     assert g.cross_step(batched, g.const(np.ones((2, 5, d))), mat, mat, mat,
                         gru, mlp).shape == (2, 2, d)
     four = g.input("four", np.ones((2, 4, d)))
-    for sets, selected in ((slots, [0, 1]),         # not (n, K)
-                           (slots, [[0, 2]]),       # row 2 of 2
-                           (slots, [[-1, 0]]),
-                           (slots, np.zeros((1, 0))),
-                           (four, [[0, 1]]),        # one row for two sets
-                           (g.input("flat", np.ones(d)), [[0]])):
-        with pytest.raises(GraphError, match="shapes"):
-            g.self_attend(sets, selected, mat, mat, mat, mlp)
+    for sets, hot in ((slots, [1, 0, 0]),           # 3 entries for 2 rows
+                      (slots, [[1], [0]]),          # last axis not S
+                      (slots, [[0, 0]]),            # K = 0
+                      (slots, [[2, 0]]),            # not 0 or 1
+                      (slots, [[0.5, 0.5]]),
+                      (four, [[0, 1, 0, 0]]),       # one row for two sets
+                      (four, [[1, 1, 0, 0], [0, 1, 0, 0]]),  # two Ks
+                      (g.input("flat", np.ones(d)), [[1, 0, 0]])):
+        with pytest.raises(GraphError, match="K-hot"):
+            g.self_attend(sets, hot, mat, mat, mat, mlp)
     with pytest.raises(GraphError, match="weights"):
-        g.self_attend(slots, [[1]], mat, mat, row, mlp)
+        g.self_attend(slots, [[0, 1]], mat, mat, row, mlp)
     with pytest.raises(GraphError, match="weights"):
-        g.self_attend(slots, [[1]], mat, mat, mat, (mat, row, mat))
-    assert g.self_attend(slots, [[1, 0]], mat, mat, mat,
+        g.self_attend(slots, [[0, 1]], mat, mat, mat, (mat, row, mat))
+    assert g.self_attend(slots, [[1, 1]], mat, mat, mat,
                          mlp).shape == (2, d)
-    assert g.self_attend(four, [[3, 1], [0, 2]], mat, mat, mat,
+    assert g.self_attend(four, k_hot([[3, 1], [0, 2]], 4), mat, mat, mat,
                          mlp).shape == (2, 4, d)
 
 

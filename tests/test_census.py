@@ -25,4 +25,8 @@ def test_default_cohort_batch_graph_holds_at_most_13_mb():
     assert census["total_bytes"] == sum(census["by_field"].values())
     assert census["by_field"]["slot_encode.keys_t"] > 0
     assert census["by_field"]["slot_encode.step.alpha"] > 0
+    # the arrays nodes keep in their aux: the instance masks and the
+    # self-attention row indices
+    assert census["by_field"]["slot_encode.aux"] > 0
+    assert census["by_field"]["self_attend.aux"] > 0
     assert census["total_bytes"] <= 13_000_000

@@ -1,6 +1,7 @@
 """End-to-end command-line flows and the exit-code contract."""
 
 import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -77,6 +78,24 @@ def test_thread_env_rejects_garbage(monkeypatch):
     assert main(["--help"]) == 1
 
 
+def test_discretize_defaults_to_the_training_bin_count(tmp_path, capsys,
+                                                       monkeypatch):
+    """Without --bins, discretize assigns TrainConfig's n_bins, the count
+    a default training run expects, whatever that default is."""
+    from slotsurv import train
+
+    monkeypatch.setattr(train, "TrainConfig",
+                        functools.partial(train.TrainConfig, n_bins=3))
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(SYNTH_CFG))
+    assert main(["synth", "--config", str(cfg),
+                 "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    assert main(["discretize", "--manifest",
+                 str(tmp_path / "c" / "manifest.json")]) == 0
+    assert capsys.readouterr().out.startswith("assigned 3 time bins")
+
+
 def test_missing_files_exit_2(workdir, tmp_path):
     assert main(["discretize", "--manifest",
                  str(tmp_path / "nope.json")]) == 2
@@ -95,10 +114,12 @@ def test_bad_config_values_exit_2(workdir, tmp_path):
     cfg.write_text("{not json")
     assert main(["synth", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
-    # values of the wrong type, and the retired selective switch (an
-    # unknown key): each names its field and exits 2
+    # values of the wrong type, non-finite floats (json writes and reads
+    # NaN and Infinity), and the retired selective switch (an unknown
+    # key): each names its field and exits 2
     for bad in ({"epochs": "3"}, {"batch_size": 2.5}, {"precision": 64},
-                {"t_iters": True}, {"selective": False}):
+                {"t_iters": True}, {"lam": float("nan")},
+                {"learning_rate": float("inf")}, {"selective": False}):
         cfg.write_text(json.dumps({**TRAIN_CFG, **bad}))
         assert main(["train", "--manifest", str(workdir["manifest"]),
                      "--config", str(cfg), "--fold", "0",

@@ -446,6 +446,10 @@ def test_synth_config_validation():
         _small_config(n_motifs=5).validate()   # would push times negative
     with pytest.raises(ValueError):
         _small_config(m_hist_lo=20, m_hist_hi=10).validate()
+    # JSON's NaN and Infinity parse as floats
+    for bad in (dict(strength=float("nan")), dict(noise=float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            _small_config(**bad).validate()
 
 
 def test_synth_default_config_is_valid():

@@ -21,6 +21,7 @@ from fd import finite_diff_check, input_names
 from oracles import (
     bind_consts,
     gumbel_topk_mask,
+    k_hot,
     reduce_sum,
     unfused_cross_attention,
     unfused_self_attention,
@@ -87,7 +88,7 @@ def test_singleton_selection_touches_only_that_slot():
     slots = rng.normal(size=(4, 5))
     g = Graph(dtype=np.float64)
     out = build_masked_self_attention(
-        g, bind_consts(g, p64), g.const(slots), [2])
+        g, bind_consts(g, p64), g.const(slots), k_hot([2], 4))
     for row in (0, 1, 3):
         assert np.array_equal(out.value[row], slots[row])
     row = slots[2:3]
@@ -104,8 +105,7 @@ def test_full_selection_equals_plain_self_attention():
     slots = rng.normal(size=(6, 5))
     g = Graph(dtype=np.float64)
     out = build_masked_self_attention(
-        g, bind_consts(g, p64), g.const(slots),
-        np.arange(6))
+        g, bind_consts(g, p64), g.const(slots), np.ones((1, 6)))
     np.testing.assert_allclose(out.value, _self_reference(slots, p64),
                                atol=1e-12)
 
@@ -116,26 +116,27 @@ def test_unselected_rows_pass_through_bitwise():
     slots = rng.normal(size=(5, 4)).astype(np.float32)
     mask = gumbel_topk_mask(rng.normal(size=5), k=2, temperature=1.0,
                             training=False)
-    out = _run(build_masked_self_attention, p, slots, selected=mask.selected)
+    out = _run(build_masked_self_attention, p, slots, hot=mask.hard[None])
     unselected = np.flatnonzero(mask.hard == 0.0)
     assert np.array_equal(out[unselected], slots[unselected])
-    changed = out[mask.selected] != slots[mask.selected]
+    selected = np.flatnonzero(mask.hard)
+    changed = out[selected] != slots[selected]
     assert changed.any()
 
 
 def test_bad_selections_rejected():
+    """A selection must be K-hot over each set's slots, with one K >= 1."""
     g = Graph()
     p = bind_consts(g, init_self_params(np.random.default_rng(3), 4))
     slots = g.const(np.zeros((5, 4)))
-    with pytest.raises(ValueError):
-        build_masked_self_attention(g, p, slots, [])
-    with pytest.raises(ValueError, match="duplicate"):
-        build_masked_self_attention(g, p, slots, [1, 1])
     batch = g.const(np.zeros((2, 5, 4)))
-    with pytest.raises(ValueError, match="duplicate"):
-        build_masked_self_attention(g, p, batch, [[0, 3], [2, 2]])
-    with pytest.raises(ValueError, match="empty"):
-        build_masked_self_attention(g, p, batch, np.zeros((2, 0)))
+    for sets, hot in ((slots, np.zeros((1, 5))),             # K = 0
+                      (slots, [[0, 2, 0, 0, 0]]),            # slot 1 twice
+                      (slots, np.ones((1, 4))),              # 4 of 5 slots
+                      (batch, k_hot([0, 3], 5)),             # one set of two
+                      (batch, [[[1, 0, 0, 1, 0]], [[0, 0, 1, 0, 0]]])):
+        with pytest.raises(ValueError, match="K-hot"):
+            build_masked_self_attention(g, p, sets, hot)
 
 
 # ------------------------------------------------------------ cross-attention
@@ -320,7 +321,7 @@ def _self_both(dtype, build, case):
     p = bind_arrays(g, {"self": params})["self"]
     s = g.input("slots", slots)
     before = g.num_nodes
-    out = build(g, p, s, selected[0] if not lead else selected)
+    out = build(g, p, s, k_hot(selected[0] if not lead else selected, 5))
     added = g.num_nodes - before
     if reads == "all":
         loss = g.squared_error(out, g.const(rng.normal(size=out.shape)))
@@ -429,8 +430,8 @@ def test_end_to_end_gradients_match_finite_differences():
         "risk": _f64(init_risk_params(rng, 5, 4))}).values()
     s_h = g.input("s_h", rng.normal(size=(4, 5)))
     s_g = g.input("s_g", rng.normal(size=(3, 5)))
-    bar_h = build_masked_self_attention(g, self_h, s_h, [0, 2])
-    bar_g = build_masked_self_attention(g, self_g, s_g, [1])
+    bar_h = build_masked_self_attention(g, self_h, s_h, k_hot([0, 2], 4))
+    bar_g = build_masked_self_attention(g, self_g, s_g, k_hot([1], 3))
     hat_h, hat_g = build_iterative_cross_attention(g, cross, s_h, s_g, 2)
     z = build_pool_concat(g, hat_h, hat_g, bar_h, bar_g)
     logits = build_risk_head(g, risk, z)

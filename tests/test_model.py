@@ -188,17 +188,18 @@ def test_reconstruction_stays_out_of_the_prediction_trunk():
             assert idx not in upstream
 
 
-def test_selected_indices_are_k_hot():
+def test_selections_are_k_hot():
     cg = _cohort(seed=5)
     trunk = cg.trunk
+    assert trunk.hot_h.shape == (len(_patients(5)), 1, S_H)
+    assert trunk.hot_g.shape == (len(_patients(5)), 1, S_G)
     for b in range(len(_patients(5))):
-        assert len(trunk.selected_h[b]) == 2
-        assert len(trunk.selected_g[b]) == 2
+        for hot in (trunk.hot_h[b, 0], trunk.hot_g[b, 0]):
+            assert np.isin(hot, (0.0, 1.0)).all() and hot.sum() == 2
         # weights live only on the selected slots and sum to one
         w = trunk.weights_g.value[b, 0]
         assert np.allclose(w.sum(), 1.0, atol=1e-9)
-        off = np.setdiff1d(np.arange(S_G), trunk.selected_g[b])
-        assert np.all(w[off] == 0.0)
+        assert np.all(w[trunk.hot_g[b, 0] == 0.0] == 0.0)
 
 
 def test_full_k_fraction_keeps_every_slot():
@@ -207,7 +208,7 @@ def test_full_k_fraction_keeps_every_slot():
     cg = _cohort(seed=5, k=S_H)
     trunk = cg.trunk
     for b in range(len(_patients(5))):
-        assert np.array_equal(trunk.selected_h[b], np.arange(S_H))
+        assert np.array_equal(trunk.hot_h[b, 0], np.ones(S_H))
         w = trunk.weights_h.value[b, 0]
         assert np.all(w > 0.0) and np.allclose(w.sum(), 1.0, atol=1e-9)
 
@@ -511,10 +512,11 @@ def test_served_gate_masks_report_the_trunks_selection(k):
                           t_iters=2, l_iters=2)
     trunk = build_cohort_loss(p, [patient], k_h=k, k_g=k, temperature=0.01,
                               t_iters=2, l_iters=2, lam=0.0, rng=None).trunk
-    for mask, selected, scores in (
-            (out.mask_h, trunk.selected_h, trunk.scores_h),
-            (out.mask_g, trunk.selected_g, trunk.scores_g)):
-        np.testing.assert_array_equal(mask.selected, selected[0])
+    for mask, hot, scores in (
+            (out.mask_h, trunk.hot_h, trunk.scores_h),
+            (out.mask_g, trunk.hot_g, trunk.scores_g)):
+        assert mask.hard.dtype == np.float64
+        np.testing.assert_array_equal(mask.hard, hot[0, 0])
         np.testing.assert_array_equal(mask.scores, scores.value[0, :, 0])
 
 
@@ -536,7 +538,7 @@ def _recorded_graphs(monkeypatch):
 
 def test_served_patient_binds_the_trunk_only(monkeypatch):
     """At the reference iteration counts a served patient is one graph of
-    135 nodes, 86 of them parameter leaves: the trunk's groups, without
+    131 nodes, 86 of them parameter leaves: the trunk's groups, without
     the reconstruction heads and their position table.  Each slot encoder
     is one slot_encode node."""
     cfg = TrainConfig()
@@ -545,7 +547,7 @@ def test_served_patient_binds_the_trunk_only(monkeypatch):
                     temperature=0.01, t_iters=cfg.t_iters,
                     l_iters=cfg.l_iters)
     (g,) = graphs
-    assert g.num_nodes == 135
+    assert g.num_nodes == 131
     assert g._ops.count("input") == len(input_names(g)) == 86
     assert {group_of(n) for n in input_names(g)} == set(TRUNK_GROUPS)
     assert set(TRUNK_GROUPS) | set(RECON_GROUPS) == set(TRAINABLE_GROUPS)
@@ -555,7 +557,7 @@ def test_served_patient_binds_the_trunk_only(monkeypatch):
 
 def test_training_step_graph_size(monkeypatch):
     """A training batch at the reference iteration counts is one graph of
-    251 nodes that binds every trainable tensor; each of its three slot
+    246 nodes that binds every trainable tensor; each of its three slot
     encoders is one slot_encode node, and each of its three reconstruction
     heads one decode node."""
     cfg = TrainConfig()
@@ -563,10 +565,43 @@ def test_training_step_graph_size(monkeypatch):
                            temperature=0.01, t_iters=cfg.t_iters,
                            l_iters=cfg.l_iters, lam=cfg.lam,
                            rng=np.random.default_rng(0))
-    assert cg.graph.num_nodes == 251
+    assert cg.graph.num_nodes == 246
     assert cg.graph._ops.count("slot_encode") == 3
     assert cg.graph._ops.count("decode") == 3
     assert input_names(cg.graph) == trainable_names(_params(4))
+
+
+def _unread(graph) -> set:
+    """The nodes of ``graph`` that no node takes as a parent."""
+    read = {p for parents in graph._parents for p in parents}
+    return set(range(graph.num_nodes)) - read
+
+
+def test_every_node_is_read_but_the_outputs(monkeypatch):
+    """At the reference ``TrainConfig`` every node of a training batch's
+    graph but the loss feeds another node, and every node of a served
+    patient's graph but its three logit outputs and the two encoders'
+    ``init_log_std`` leaves, which only a training pass's slot noise
+    reads: a selection or an instance mask recorded as a node no one
+    reads fails here."""
+    cfg = TrainConfig()
+    cg = build_cohort_loss(_params(4), _patients(4), k_h=2, k_g=2,
+                           temperature=0.01, t_iters=cfg.t_iters,
+                           l_iters=cfg.l_iters, lam=cfg.lam,
+                           rng=np.random.default_rng(0))
+    assert _unread(cg.graph) == {cg.loss.idx}
+    graphs, trunks = _recorded_graphs(monkeypatch), []
+    build_trunk = model.build_patient_trunk
+    monkeypatch.setattr(model, "build_patient_trunk", lambda *a, **kw:
+                        trunks.append(build_trunk(*a, **kw)) or trunks[-1])
+    patient_forward(_params(9), *_patients(9)[0][:2], k_h=2, k_g=2,
+                    temperature=0.01, t_iters=cfg.t_iters,
+                    l_iters=cfg.l_iters)
+    (g,), (trunk,) = graphs, trunks
+    names = {idx: name for name, idx in g._inputs.items()}
+    assert {names.get(i, i) for i in _unread(g)} == {
+        trunk.fused.idx, trunk.mix_h.idx, trunk.mix_g.idx,
+        "slots_h.init_log_std", "slots_g.init_log_std"}
 
 
 def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
@@ -609,9 +644,10 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
 
 
 def test_padded_training_trunk_holds_no_array_with_a_bag_row_axis():
-    """A padded training batch's trunk holds its nodes and index arrays,
-    none with a row per bag row: each encoder's last attention map stays
-    in its slot_encode node, which ``Graph.slot_attention`` reads."""
+    """A padded training batch's trunk holds its nodes and K-hot
+    selections, none with a row per bag row: each encoder's last attention
+    map stays in its slot_encode node, which ``Graph.slot_attention``
+    reads."""
     sizes = (301, 256, 180)
     cg = build_cohort_loss(_params(6), _ragged_patients(6, sizes=sizes),
                            k_h=2, k_g=2, temperature=0.5, t_iters=3,

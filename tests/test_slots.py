@@ -317,10 +317,11 @@ def test_fused_step_counts_the_chains_multiply_adds(case):
     chain = _encode_both(np.float64, unfused_encode, **_ORACLE_CASES[case])[3]
     assert fused.total_madds() == chain.total_madds()
     # the chain is 18 nodes per iteration, one of them the zero shift of
-    # its layer norm, and 6 for the bag (layer norm, k, its transpose and
-    # scale, v and the value mask); the fused encode is one node
+    # its layer norm, 6 for the bag (layer norm, k, its transpose and
+    # scale, v and the value mask) and the instance mask's constant; the
+    # fused encode is one node, which keeps the mask as an array
     assert chain.num_nodes - fused.num_nodes == \
-        18 * _ORACLE_CASES[case]["t_iters"] + 5
+        18 * _ORACLE_CASES[case]["t_iters"] + 6
 
 
 def test_guard_catches_a_pre_activation_that_relu_would_hide():

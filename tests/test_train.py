@@ -82,7 +82,9 @@ def test_config_defaults_match_reference_recipe():
     dict(batch_size=0), dict(n_slots_h=0), dict(t_iters=0), dict(l_iters=0),
     dict(k_fraction=0.0), dict(k_fraction=1.5), dict(temperature=0.0),
     dict(patch_subsample=0), dict(n_bins=0), dict(precision="float16"),
-    dict(n_folds=1), dict(lam=-0.1),
+    dict(n_folds=1), dict(lam=-0.1), dict(lam=float("nan")),
+    dict(lam=float("inf")), dict(learning_rate=float("inf")),
+    dict(temperature=float("inf")),
 ])
 def test_config_rejects_nonpositive_fields(bad):
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Memory census of a training batch graph: the bytes of the distinct
-buffers behind every node value and saved intermediate of the first batch
-graph ``train()`` builds, the graph whose arrays are alive when its
-``backward`` runs.
+buffers behind every node value, saved intermediate and array a node
+keeps in its aux of the first batch graph ``train()`` builds, the graph
+whose arrays are alive when its ``backward`` runs.
 
 The cohorts:
 
@@ -19,10 +19,12 @@ prints one JSON object, cohort name -> ``{"total_bytes": N, "by_field":
 {"<op>.<field>": N, ...}}``, for the package under ``DIR`` (default: this
 tree's ``src``) and the named cohorts (default: both).  A field is
 ``value`` for a node's value, the name of a saved intermediate (a
-slot_encode node's last iteration's ones as ``step.<name>``), or its
-position when the op saves a plain tuple.  A buffer behind several arrays
-counts once, for the first node (in creation order) and field that hold
-it; a view counts as its base.  The flattening and the base lookup are
+slot_encode node's last iteration's ones as ``step.<name>``), its
+position when the op saves a plain tuple, or ``aux`` for an array in the
+node's aux (a slot_encode node's instance mask, a self_attend node's row
+indices).  A buffer behind several arrays counts once, for the first
+node (in creation order) and field that hold it; a view counts as its
+base.  The flattening and the base lookup are
 ``saved_arrays`` and ``owning_buffers`` from ``tests/oracles.py``.
 Standard library and numpy only.
 """
@@ -35,6 +37,8 @@ import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -97,14 +101,18 @@ def _fields(saved, prefix=""):
 
 
 def census(graph) -> dict:
-    """The bytes of the distinct buffers behind ``graph``'s node values and
-    saved arrays, as a total and per (op, field)."""
+    """The bytes of the distinct buffers behind ``graph``'s node values,
+    saved arrays and aux arrays, as a total and per (op, field)."""
     oracles = _oracles()
     seen, by_field = set(), {}
     for i, op in enumerate(graph._ops):
         held = [("value", graph._values[i])]
         if graph._saved[i] is not None:
             held += _fields(graph._saved[i])
+        aux = graph._aux[i]
+        held += [("aux", a) for a in oracles.saved_arrays(
+            aux if isinstance(aux, tuple) else (aux,))
+                 if isinstance(a, np.ndarray)]
         for field, value in held:
             arrays = oracles.saved_arrays((value,))
             for buf in oracles.owning_buffers(arrays):
