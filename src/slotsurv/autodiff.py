@@ -24,7 +24,7 @@ casts to the graph dtype and applies the non-finite guard; a
 ``Graph.<op>`` method only checks shapes and counts multiply-adds. Five
 ops fuse a chain of others into one node, to save the per-node cost
 where the model repeats the chain: ``affine``, ``slot_encode``,
-``cross_step``, ``self_attend`` and ``decode``. The per-op chains they
+``cross_attend``, ``self_attend`` and ``decode``. The per-op chains they
 replace need six ops the program never records (transpose, col_softmax,
 reciprocal, gru_cell, gather_rows and layer_norm); the tests keep those
 in ``tests/oracles.py``, which adds their kernels and adjoint rules to
@@ -35,11 +35,16 @@ kernels in the chain's order, and their adjoint rules call the same
 array-level adjoint helpers as the chain's rules, in reverse, handing
 each parent its contributions in the chain's order, so values
 and gradients have the chain's bits; ``slot_encode``'s adjoint is the
-first-order one of its chain (below). ``slot_encode``'s iterations and
-``cross_step`` end in the same GRU -> residual-MLP tail, the three
-attention ops in the same residual MLP, and ``cross_step``,
-``self_attend`` and ``decode`` start with the same attention head, each
-with one forward and one adjoint helper.
+first-order one of its chain (below). ``cross_attend`` runs both
+directions of a round in one pass over the stacked rows of its two slot
+sets, where its chain runs one per direction; BLAS forms each row of a
+matrix product alone, so the rows have the chain's bits, unless a set of
+one patient has one slot: the chain's products of that one row run as
+matrix-vector products, which may round otherwise. ``slot_encode``'s
+iterations and ``cross_attend``'s rounds end in the same GRU ->
+residual-MLP tail, the three attention ops in the same residual MLP, and
+``cross_attend``, ``self_attend`` and ``decode`` in the same attention
+head, each with one forward and one adjoint helper.
 
 The non-finite guard always runs. Inputs and constants are checked when
 bound; with ``inputs`` (and ``bind_arrays``, which binds any number of
@@ -51,14 +56,15 @@ row_softmax).
 Inside the fused attention ops the values that feed a kernel able to
 hide a non-finite entry are checked: the logits (softmax
 maps -inf to 0), in ``slot_encode`` the attention mass (reciprocal maps
-inf to 0), in ``slot_encode`` and ``cross_step`` the GRU input, which in
-``cross_step`` is the attention output (its sigmoid and tanh saturate),
-and the MLP pre-activation (relu maps -inf to 0). The other
+inf to 0), in ``slot_encode`` and ``cross_attend`` the GRU input, which
+in ``cross_attend`` is the attention output (its sigmoid and tanh
+saturate), and the MLP pre-activation (relu maps -inf to 0). The other
 intermediates feed only products and sums with finite operands, which
 carry a non-finite entry on to a checked value. ``slot_encode`` also
 checks what its chain's nodes output: the bag's layer norm, the keys,
-the values and each iteration's slots; ``decode`` checks every value its
-chain's nodes output but the attention and the relu.
+the values and each iteration's slots, and ``cross_attend`` each
+round's slots; ``decode`` checks every value its chain's nodes output but
+the attention and the relu.
 
 Which adjoints ``backward`` computes. When a node is recorded, the graph
 notes whether it needs an adjoint: an input does, and so does every node
@@ -67,8 +73,10 @@ constants alone (bags, noise, targets), does not. ``backward``
 skips the nodes that need none, and each adjoint rule forms an operand's
 adjoint only when that operand needs one: a constant bag fed to a weight
 costs no ``grad @ W^T``. A fused rule runs when any operand needs an
-adjoint; it then forms every adjoint inside its chain, and prunes only
-its operands'; the arrays in its aux, such as the instance mask, take none.
+adjoint; it then forms every adjoint inside its chain (``cross_attend``
+the adjoints of each round's rows, which every chain node needs when any
+operand does), and prunes only its operands'; the arrays in its aux,
+such as the instance mask, take none.
 A skipped adjoint could only have flowed into constants, so every input
 gradient keeps the same terms in the same order and the same bits.
 
@@ -151,17 +159,20 @@ axes, so one model builder serves both:
   runs the GRU again for its gates, r * h and output, and the MLP's
   first layer. Each rebuild runs the forward's kernels in the forward's
   order, so the rebuilt arrays have the forward's bits.
-* cross_step: one direction of one cross-attention round. From queries
-  (.., S_q, d) and context (.., S_c, d) with the same leading axes, and
-  sixteen weights: w_q, w_k, w_v, the nine GRU weights and the MLP's w1,
-  b1, w2, b2: q = queries @ w_q, k = context @ w_k, v = context @ w_v;
-  attn = row_softmax((q @ k^T) * 1/sqrt(d)), (.., S_q, S_c), with k^T a
-  transposed copy as the chain's transpose op makes it; queries' =
-  gru_cell(attn @ v, queries); out = queries' + affine(relu(affine(
-  queries', w1, b1)), w2, b2), (.., S_q, d). It keeps three buffers:
-  k^T, v and attn. The adjoint rebuilds q and attn @ v from those, the
-  queries and the weights, and runs the GRU and the MLP's first layer
-  again, with the forward's kernels.
+* cross_attend: L cross-attention rounds between two slot sets. From
+  slots_h (.., S_h, d) and slots_g (.., S_g, d) with the same leading
+  axes, L in the aux and sixteen weights shared by every round and both
+  directions (w_q, w_k, w_v, the nine GRU weights and the MLP's w1, b1,
+  w2, b2), with x = [h; g] (.., S_h + S_g, d), each round: q, k, v = x @
+  w_q, x @ w_k, x @ w_v; attn_h = row_softmax((q_h @ k_g^T) * 1/sqrt(d)),
+  (.., S_h, S_g), and attn_g likewise, k^T a transposed copy; x' =
+  gru_cell([attn_h @ v_g; attn_g @ v_h], x); x'' = x' + affine(relu(
+  affine(x', w1, b1)), w2, b2), the next round's x. The value is the last
+  x. Its chain is, per round, a 13-node update per direction, and the
+  concat of the refined sets. Per round it keeps x, v, both k^T and both
+  attn; the adjoint runs round L first, the g direction before the h
+  direction, and rebuilds each direction's q and attn @ v and runs its
+  GRU and the MLP's first layer again, with the forward's kernels.
 * self_attend: self-attention among K selected rows of each set. From
   slots (.., S, d), the K-hot selection over each set's S rows, an array
   of n*S entries with n the product of the leading axes and the same K
@@ -205,11 +216,12 @@ the key scale and the mask; for each of the T iterations, with B*S rows:
 alpha @ values, 3 B*S*M for the softmax, the GRU cell, 2 (B*S*d*d +
 B*S*d) for the MLP layers, B*S*d each for relu and the residual, and
 B*S*M + 2 B*S + B*S*d for the mass, its floor, the reciprocal and the
-rescale), and cross_step the sum over its chain (with B*S_q query rows
-and B*S_c context rows: B*S_q*d*d for q and 2 B*S_c*d*d for k and v, 2
-B*S_q*S_c*d for the logits and attn @ v, 4 B*S_q*S_c for the scale and
-the row softmax, and the same GRU cell, MLP, relu and residual counts as
-a slot_encode iteration's over the query rows), and self_attend the sum
+rescale), and cross_attend the sum over its chain (per round, with R =
+B*(S_h + S_g) rows and P = B*S_h*S_g pairs: 3 R*d*d for q, k and v, 4
+P*d for both directions' logits and attn @ v, 8 P for their scale and
+row softmax, and the same GRU cell, MLP, relu and residual counts as a
+slot_encode iteration's over the R rows; the concat counts zero), and
+self_attend the sum
 over its chain (with R = n*K selected rows: 5 R*d*d for the q, k and v
 projections and the two MLP layers, 2 R*K*d for the logits and attn @ v,
 4 R*K for the scale and the row softmax, and 5 R*d for the attention
@@ -301,7 +313,7 @@ _MLP_LAYOUT = "wbwb"
 _TAIL_LAYOUT = "wwb" * 3 + _MLP_LAYOUT
 # bag ln gain and shift, w_k, w_v, slot ln gain, w_q, tail
 _ENCODE_LAYOUT = "bbww" + "bw" + _TAIL_LAYOUT
-_CROSS_STEP_LAYOUT = "www" + _TAIL_LAYOUT       # w_q, w_k, w_v, tail
+_CROSS_LAYOUT = "www" + _TAIL_LAYOUT            # w_q, w_k, w_v, tail
 _SELF_ATTEND_LAYOUT = "www" + _MLP_LAYOUT       # w_q, w_k, w_v, MLP
 # w_q, w_k, w_v, MLP, three layer norms' gains and shifts
 _DECODE_LAYOUT = "www" + _MLP_LAYOUT + "bb" * 3
@@ -468,32 +480,40 @@ class Graph:
                             aux=(t_iters, ones),
                             madds=bag_madds + t_iters * step_madds)
 
-    def cross_step(self, queries: Node, context: Node, w_q: Node, w_k: Node,
-                   w_v: Node, gru: tuple, mlp: tuple) -> Node:
-        """One direction of one cross-attention round as one node (see the
-        module docstring): ``queries`` (.., S_q, d) attend over ``context``
-        (.., S_c, d), with the same leading axes; ``gru`` holds the nine
-        GRU weights in ``_gru_fwd``'s argument order and ``mlp`` is
-        (w1, b1, w2, b2)."""
-        vq, vc = queries.value, context.value
-        if (vq.ndim not in (2, 3) or vc.ndim != vq.ndim
-                or vc.shape[:-2] != vq.shape[:-2]
-                or vc.shape[-1] != vq.shape[-1]):
-            raise GraphError(f"cross_step shapes: queries {vq.shape}, "
-                             f"context {vc.shape}")
-        lead, (s, d) = vq.shape[:-2], vq.shape[-2:]
-        weights = _fused_weights("cross_step", (w_q, w_k, w_v, *gru, *mlp),
-                                 _CROSS_STEP_LAYOUT, d)
+    def cross_attend(self, slots_h: Node, slots_g: Node, w_q: Node,
+                     w_k: Node, w_v: Node, gru: tuple, mlp: tuple,
+                     l_iters: int) -> Node:
+        """All L cross-attention rounds as one node (see the module
+        docstring): ``slots_h`` (.., S_h, d) and ``slots_g`` (.., S_g, d),
+        with the same leading axes, attend to each other; ``gru`` holds
+        the nine GRU weights in ``_gru_fwd``'s argument order and ``mlp``
+        is (w1, b1, w2, b2).  The value is the refined rows [h; g],
+        (.., S_h + S_g, d)."""
+        vh, vg = slots_h.value, slots_g.value
+        if (vh.ndim not in (2, 3) or vg.ndim != vh.ndim
+                or vg.shape[:-2] != vh.shape[:-2]
+                or vg.shape[-1] != vh.shape[-1]
+                or vh.shape[-2] < 1 or vg.shape[-2] < 1):
+            raise GraphError(f"cross_attend shapes: slots_h {vh.shape}, "
+                             f"slots_g {vg.shape}")
+        l_iters = int(l_iters)
+        if l_iters < 1:
+            raise GraphError(
+                f"cross_attend: l_iters must be >= 1, got {l_iters}")
+        lead, (s_h, d), s_g = vh.shape[:-2], vh.shape[-2:], vg.shape[-2]
+        weights = _fused_weights("cross_attend", (w_q, w_k, w_v, *gru, *mlp),
+                                 _CROSS_LAYOUT, d)
         n = math.prod(lead)
-        rows, c = n * s, vc.shape[-2]
-        # the per-op counts of the chain the node replaces
-        madds = (rows * d * d + 2 * n * c * d * d     # q, k, v
-                 + 2 * rows * c * d                   # logits, attn @ v
-                 + 4 * rows * c                       # scale, row softmax
-                 + _tail_madds(rows, d))
-        parents = (queries, context, *weights)
-        return self._append("cross_step", tuple(p.idx for p in parents),
-                            aux=float(1.0 / np.sqrt(d)), madds=madds)
+        rows, pairs = n * (s_h + s_g), n * s_h * s_g
+        # the per-op counts of the chain the node replaces, both directions
+        round_madds = (3 * rows * d * d               # q, k, v
+                       + 4 * pairs * d                # logits, attn @ v
+                       + 8 * pairs                    # scale, row softmax
+                       + _tail_madds(rows, d))
+        parents = (slots_h, slots_g, *weights)
+        return self._append("cross_attend", tuple(p.idx for p in parents),
+                            aux=(l_iters, float(1.0 / np.sqrt(d))),
+                            madds=l_iters * round_madds)
 
     def self_attend(self, slots: Node, hot, w_q: Node, w_k: Node,
                     w_v: Node, mlp: tuple) -> Node:
@@ -817,13 +837,15 @@ class _EncodeSaved(typing.NamedTuple):
 
 
 class _CrossSaved(typing.NamedTuple):
-    """A cross_step node's intermediates: three buffers.  The adjoint
-    rebuilds q from the queries and the GRU input attn @ v, and its tail
-    reruns the GRU (``_gru_mlp_adj``)."""
+    """A cross_attend node's intermediates, one entry per round: its input
+    rows, their values, each set's keys and each direction's map.  The
+    adjoint rebuilds each direction's q and GRU input attn @ v from those,
+    and its tail reruns the GRU (``_gru_mlp_adj``)."""
 
-    keys_t: np.ndarray      # (context @ w_k) transposed, a contiguous copy
-    v: np.ndarray           # context @ w_v
-    attn: np.ndarray        # (.., S_q, S_c) row-stochastic attention
+    states: tuple           # the round's input rows [h; g], (.., S_h + S_g, d)
+    keys_t: tuple           # (h's keys, g's keys), each a transposed copy
+    v: tuple                # the values of the rows [h; g]
+    attn: tuple             # (h over g, (.., S_h, S_g); g over h)
 
 
 class _AttendSaved(typing.NamedTuple):
@@ -878,11 +900,11 @@ def _mlp_fwd(op, x, w1, b1, w2, b2):
 
 
 def _gru_mlp_fwd(op, u, state, wz, uz, bz, wr, ur, br, wn, un, bn, *mlp):
-    """The tail slot_encode's iterations and cross_step end in: updated =
-    gru_cell(u, state), then the residual MLP.  It checks the GRU input
-    (sigmoid and tanh saturate) and returns out.  It keeps nothing:
-    ``_gru_mlp_adj`` runs the GRU and the MLP's first layer again from u,
-    the state and the weights."""
+    """The tail slot_encode's iterations and cross_attend's rounds end in:
+    updated = gru_cell(u, state), then the residual MLP.  It checks the
+    GRU input (sigmoid and tanh saturate) and returns out.  It keeps
+    nothing: ``_gru_mlp_adj`` runs the GRU and the MLP's first layer again
+    from u, the state and the weights."""
     _guard(u, "GRU input", op)
     updated, _ = _gru_fwd(None, u, state, wz, uz, bz, wr, ur, br, wn, un, bn)
     return _mlp_fwd(op, updated, *mlp)[0]
@@ -943,32 +965,54 @@ def _slot_encode_fwd(aux, bag, slots, ln_gamma, ln_beta, w_k, w_v,
     return out, _EncodeSaved(inv, mean, keys_t, values, slots, step)
 
 
-def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v, out=None):
-    """The attention head cross_step, self_attend and decode start with:
-    the q, k, v projections -> transpose copy of k -> logits -> scale ->
-    row softmax -> @ v, kernel by kernel, checking the logits.  Returns
-    attn @ v, formed in ``out`` when it is given (the queries' own array
-    may be passed: they are read first), and the saved (q, keys_t, v,
-    attn)."""
-    q = _matmul(queries, w_q)
-    k = _matmul(context, w_k)
-    v = _matmul(context, w_v)
+def _attend_head(op, scale, q, k, v, out=None):
+    """Attention from projected rows: transposed copy of k -> logits ->
+    scale -> row softmax -> @ v, kernel by kernel, checking the logits.
+    Returns attn @ v, formed in ``out`` when it is given, keys_t and
+    attn."""
     keys_t = np.swapaxes(k, -1, -2).copy()
     logits = _matmul(q, keys_t)
     logits *= logits.dtype.type(scale)
     _guard(logits, "attention logits", op)
     attn = _softmax(-1, logits, out=logits)     # logits are not kept
-    return _matmul(attn, v, out=out), (q, keys_t, v, attn)
+    return _matmul(attn, v, out=out), keys_t, attn
 
 
-def _cross_step_fwd(scale, queries, context, w_q, w_k, w_v, *tail):
-    """The chain attention head -> GRU -> residual MLP, kernel by kernel,
-    checking the logits, the attention output and the MLP pre-activation;
-    the node output is checked by the caller."""
-    u, (_, keys_t, v, attn) = _attend_fwd("cross_step", scale, queries,
-                                          context, w_q, w_k, w_v)
-    out = _gru_mlp_fwd("cross_step", u, queries, *tail)
-    return out, _CrossSaved(keys_t, v, attn)
+def _attend_fwd(op, scale, queries, context, w_q, w_k, w_v, out=None):
+    """The attention head self_attend and decode start with: the q, k, v
+    projections, then ``_attend_head``.  Returns attn @ v, formed in
+    ``out`` when it is given (the queries' own array may be passed: they
+    are read first), and the saved (q, keys_t, v, attn)."""
+    q = _matmul(queries, w_q)
+    k = _matmul(context, w_k)
+    v = _matmul(context, w_v)
+    u, keys_t, attn = _attend_head(op, scale, q, k, v, out=out)
+    return u, (q, keys_t, v, attn)
+
+
+def _cross_attend_fwd(aux, slots_h, slots_g, w_q, w_k, w_v, *tail):
+    """L rounds over the rows x = [h; g], each the two directions' chains
+    at once: the q, k and v projections of all rows, the attention head of
+    h over g and of g over h (``_attend_head``), and one GRU ->
+    residual-MLP tail over all rows, from the same round's state.  Every
+    product reads rows in C order, whole or in row blocks, so BLAS runs
+    it.  It checks the logits, the GRU input, the MLP pre-activation and
+    every round's output but the last, which the caller checks."""
+    l_iters, scale = aux
+    op, s_h = "cross_attend", slots_h.shape[-2]
+    x = np.concatenate([slots_h, slots_g], axis=-2)
+    rounds = []
+    for r in range(l_iters):
+        if r:
+            _guard(x, "slots", op)
+        q, k, v = _matmul(x, w_q), _matmul(x, w_k), _matmul(x, w_v)
+        u_h, kt_g, a_h = _attend_head(op, scale, q[..., :s_h, :],
+                                      k[..., s_h:, :], v[..., s_h:, :])
+        u_g, kt_h, a_g = _attend_head(op, scale, q[..., s_h:, :],
+                                      k[..., :s_h, :], v[..., :s_h, :])
+        rounds.append((x, (kt_h, kt_g), v, (a_h, a_g)))
+        x = _gru_mlp_fwd(op, np.concatenate([u_h, u_g], axis=-2), x, *tail)
+    return x, _CrossSaved(*zip(*rounds))
 
 
 def _self_attend_fwd(aux, slots, w_q, w_k, w_v, *mlp):
@@ -1067,7 +1111,7 @@ _FORWARD = {
     "sigmoid": lambda _, a: _sigmoid(a),
     "relu": lambda _, a: _relu(a),
     "slot_encode": _slot_encode_fwd,
-    "cross_step": _cross_step_fwd,
+    "cross_attend": _cross_attend_fwd,
     "self_attend": _self_attend_fwd,
     "decode": _decode_fwd,
     "mean_pool": lambda _, a: _mean(a, -2),
@@ -1405,37 +1449,58 @@ def _bw_slot_encode(g, i, grad, grads):
         d_y, v[lgi], xhat, sv.inv, need[bi], need[lgi], need[lbi]))
 
 
-def _attend_adj(d_u, q, sv, scale):
-    """The adjoint of ``_attend_fwd``, from the adjoint ``d_u`` of attn @ v,
-    q and the saved keys_t, v and attn: returns the adjoints of the q, k
-    and v projections."""
-    d_attn, d_v = _matmul_adj(d_u, sv.attn, sv.v)
+def _attend_adj(d_u, q, keys_t, v, attn, scale):
+    """The adjoint of ``_attend_head``, from the adjoint ``d_u`` of attn @
+    v, q, keys_t, v and attn: returns the adjoints of q, k and v."""
+    d_attn, d_v = _matmul_adj(d_u, attn, v)
     # attn = row_softmax(scale * q @ keys_t); d_attn is this helper's own
     # array, so the softmax and scale adjoints may overwrite it
-    d_logits = _softmax_adj(d_attn, sv.attn, -1, out=d_attn)
+    d_logits = _softmax_adj(d_attn, attn, -1, out=d_attn)
     d_logits *= d_logits.dtype.type(scale)
-    d_q, d_keys_t = _matmul_adj(d_logits, q, sv.keys_t)
+    d_q, d_keys_t = _matmul_adj(d_logits, q, keys_t)
     return d_q, np.swapaxes(d_keys_t, -1, -2), d_v
 
 
-def _bw_cross_step(g, i, grad, grads):
-    """The chain's adjoint rules in reverse, with each parent's
-    contributions in the per-op chain's order: the queries get their GRU
-    state term before their q-projection term, and the context its v term
-    before its k term.  It first rebuilds the GRU input attn @ v, from
-    which ``_gru_mlp_adj`` runs the GRU again, and then q = queries @ w_q,
+def _bw_cross_attend(g, i, grad, grads):
+    """The per-op chain's adjoint rules in reverse, round L first and in
+    each round the g direction (queries g, context h) before the h
+    direction, as the chain's 2 L nodes ran: each direction's tail, its
+    attention head, then its v, k and q projections.  So the weights get
+    the g direction's terms, then the h direction's; a round's h rows get
+    v, k, GRU state, q and its g rows GRU state, q, v, k, one by one,
+    summed as the chain's nodes summed them and, in round 1, handed to
+    the two parents.  Each direction first rebuilds its GRU input attn @
+    v, from which ``_gru_mlp_adj`` runs the GRU again, and then its q,
     with the forward's kernels, so with its bits."""
-    qi, ci, wq, wk, wv, *tail = g._parents[i]
+    hi, gi, wq, wk, wv, *tail = g._parents[i]
     sv = g._saved[i]
     v = g._values
     need = g._needs_grad
-    d_u, d_state = _gru_mlp_adj(g, grads, grad, _matmul(sv.attn, sv.v),
-                                v[qi], need[qi], tail[:9], tail[9:])
-    _give(grads, (qi,), (d_state,))
-    d_q, d_k, d_v = _attend_adj(d_u, _matmul(v[qi], v[wq]), sv, g._aux[i])
-    _give(grads, (ci, wv), _matmul_adj(d_v, v[ci], v[wv], need[ci], need[wv]))
-    _give(grads, (ci, wk), _matmul_adj(d_k, v[ci], v[wk], need[ci], need[wk]))
-    _give(grads, (qi, wq), _matmul_adj(d_q, v[qi], v[wq], need[qi], need[wq]))
+    s_h, scale = v[hi].shape[-2], g._aux[i][1]
+    d_rows = (grad[..., :s_h, :], grad[..., s_h:, :])
+    for r in reversed(range(len(sv.states))):
+        x, vals = sv.states[r], sv.v[r]
+        sets = (x[..., :s_h, :], x[..., s_h:, :])
+        keys_t, maps = sv.keys_t[r], sv.attn[r]
+        values = (vals[..., :s_h, :], vals[..., s_h:, :])
+        into, at, needs = ((_Adjoints(2), (0, 1), (True, True)) if r else
+                           (grads, (hi, gi), (need[hi], need[gi])))
+        for qs, cs in ((1, 0), (0, 1)):     # g over h, then h over g
+            d_u, d_state = _gru_mlp_adj(
+                g, grads, d_rows[qs], _matmul(maps[qs], values[cs]),
+                sets[qs], needs[qs], tail[:9], tail[9:])
+            _give(into, (at[qs],), (d_state,))
+            d_q, d_k, d_v = _attend_adj(d_u, _matmul(sets[qs], v[wq]),
+                                        keys_t[cs], values[cs], maps[qs],
+                                        scale)
+            for d_proj, w, k in ((d_v, wv, cs), (d_k, wk, cs),
+                                 (d_q, wq, qs)):
+                d_set, d_w = _matmul_adj(d_proj, sets[k], v[w], needs[k],
+                                         need[w])
+                _give(into, (at[k],), (d_set,))
+                _give(grads, (w,), (d_w,))
+        if r:
+            d_rows = (into[0], into[1])
 
 
 def _bw_self_attend(g, i, grad, grads):
@@ -1457,7 +1522,7 @@ def _bw_self_attend(g, i, grad, grads):
     d_refined += 0
     d_x = _mlp_adj(g, grads, d_refined, sv.x, sv.hidden, mlp)
     # x = sel + attn @ v: the residual's term comes first
-    d_q, d_k, d_v = _attend_adj(d_x, sv.q, sv, scale)
+    d_q, d_k, d_v = _attend_adj(d_x, sv.q, sv.keys_t, sv.v, sv.attn, scale)
     d_sel = d_x
     for d_proj, w in ((d_v, wv), (d_k, wk), (d_q, wq)):
         d_s, d_w = _matmul_adj(d_proj, sv.sel, v[w], need[si], need[w])
@@ -1502,7 +1567,8 @@ def _bw_decode(g, i, grad, grads):
     # x = queries + attn @ v
     if need[qi]:
         _acc(grads, qi, _unbroadcast(d_x, v[qi].shape))
-    d_q, d_k, d_v = _attend_adj(d_x, sv.q, sv, g._aux[i])
+    d_q, d_k, d_v = _attend_adj(d_x, sv.q, sv.keys_t, sv.v, sv.attn,
+                                g._aux[i])
     del d_x
     xhat_s = _renormalize(v[si], sv.inv_s, sv.mean_s)
     ns = xhat_s * v[gs]
@@ -1603,7 +1669,7 @@ _BACKWARD = {
     "sigmoid": _bw_sigmoid,
     "relu": _bw_relu,
     "slot_encode": _bw_slot_encode,
-    "cross_step": _bw_cross_step,
+    "cross_attend": _bw_cross_attend,
     "self_attend": _bw_self_attend,
     "decode": _bw_decode,
     "mean_pool": _bw_mean_pool,
@@ -1696,17 +1762,21 @@ def init_block(rng: np.random.Generator, dim: int):
             lambda: np.ones((1, dim), dtype=np.float32))
 
 
-def bind_arrays(graph: Graph, groups: dict) -> dict:
+def bind_arrays(graph: Graph, groups: dict, skip=()) -> dict:
     """Mirror parameter dataclasses as graph inputs.  ``groups`` maps a
     group name to a dataclass of ndarrays; every tensor is named
     "<group>.<field>" and all are declared in one ``Graph.inputs`` call,
     group by group in the mapping's order, so one non-finite check covers
     them all and a bad tensor is named ``input '<group>.<field>'``.
-    Returns the same mapping with each dataclass's arrays replaced by
-    their Nodes.
+    Fields named in ``skip`` are not declared: they keep their arrays, for
+    a graph that never reads them.  Returns the same mapping with each
+    dataclass's other arrays replaced by their Nodes.
     """
-    nodes = graph.inputs({key: arr for name, obj in groups.items()
-                          for key, arr in named_arrays(name, obj).items()})
-    return {name: type(obj)(**{f.name: nodes[f"{name}.{f.name}"]
-                               for f in dataclasses.fields(obj)})
+    nodes = graph.inputs({f"{name}.{f.name}": getattr(obj, f.name)
+                          for name, obj in groups.items()
+                          for f in dataclasses.fields(obj)
+                          if f.name not in skip})
+    return {name: dataclasses.replace(obj, **{
+                f.name: nodes[f"{name}.{f.name}"]
+                for f in dataclasses.fields(obj) if f.name not in skip})
             for name, obj in groups.items()}

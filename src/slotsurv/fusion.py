@@ -12,12 +12,14 @@ batch of patients, (B, S, d):
 * iterative cross-attention in which histology and genomic slots attend
   to each other for L rounds through ONE shared parameter set, with
   GRU + residual-MLP updates applied to both directions simultaneously
-  from the same iteration's state; each direction of each round is one
-  ``cross_step`` graph node (q/k/v projections, scaled row softmax,
-  GRU, residual MLP), so L rounds are 2 L nodes;
-* mean-pooled concatenation of the cross-refined pair and the two
-  self-refined sets into a 3d vector, mapped to survival logits by a
-  one-hidden-layer head.
+  from the same iteration's state; all L rounds are one
+  ``cross_attend`` graph node over the stacked rows [h; g] (per round:
+  q/k/v projections of all rows, each direction's scaled row softmax,
+  one GRU and residual MLP over all rows), whose value is the refined
+  rows [h; g];
+* mean-pooled concatenation of the cross-refined rows, pooled straight
+  from that node, and the two self-refined sets into a 3d vector, mapped
+  to survival logits by a one-hidden-layer head.
 
 Cost note: everything here works on slot matrices, so multiply-adds grow
 with slot counts only, never with bag sizes.
@@ -145,29 +147,25 @@ def build_masked_self_attention(g: Graph, p: SelfAttentionParams,
 
 def build_iterative_cross_attention(g: Graph, p: CrossAttentionParams,
                                     slots_h: Node, slots_g: Node,
-                                    l_iters: int):
+                                    l_iters: int) -> Node:
     """L rounds of bidirectional attention through the single shared
-    block, one ``cross_step`` node per direction and round; both
-    directions read the same iteration's state before either is swapped
-    in.  Returns (refined_h, refined_g)."""
-    if l_iters < 1:
-        raise ValueError(f"l_iters must be >= 1, got {l_iters}")
+    block, one ``cross_attend`` node; both directions read the same
+    iteration's state before either is swapped in.  Returns the refined
+    rows [h; g], (.., S_h + S_g, d).  L < 1 raises ``cross_attend``'s
+    ``GraphError`` (a ValueError)."""
     gru = (p.gru_wz, p.gru_uz, p.gru_bz, p.gru_wr, p.gru_ur, p.gru_br,
            p.gru_wn, p.gru_un, p.gru_bn)
     mlp = (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2)
-    for _ in range(l_iters):
-        slots_h, slots_g = (
-            g.cross_step(slots_h, slots_g, p.w_q, p.w_k, p.w_v, gru, mlp),
-            g.cross_step(slots_g, slots_h, p.w_q, p.w_k, p.w_v, gru, mlp))
-    return slots_h, slots_g
+    return g.cross_attend(slots_h, slots_g, p.w_q, p.w_k, p.w_v, gru, mlp,
+                          l_iters)
 
 
-def build_pool_concat(g: Graph, cross_h: Node, cross_g: Node,
-                      self_h: Node, self_g: Node) -> Node:
-    """z = [pool(cross_h | cross_g) || pool(self_h) || pool(self_g)],
-    shape (1, 3d), or (B, 1, 3d) for batched slot sets."""
-    joint = g.mean_pool(g.concat(cross_h, cross_g, axis=-2))
-    z = g.concat(joint, g.mean_pool(self_h), axis=-1)
+def build_pool_concat(g: Graph, cross: Node, self_h: Node,
+                      self_g: Node) -> Node:
+    """z = [pool(cross) || pool(self_h) || pool(self_g)], shape (1, 3d),
+    or (B, 1, 3d) for batched slot sets; ``cross`` is the refined rows
+    [h; g] of ``build_iterative_cross_attention``."""
+    z = g.concat(g.mean_pool(cross), g.mean_pool(self_h), axis=-1)
     return g.concat(z, g.mean_pool(self_g), axis=-1)
 
 

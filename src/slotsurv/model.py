@@ -15,9 +15,10 @@ The composition order, for every patient of the batch at once:
 
 Reconstruction heads never run in the inference trunk, so predictions with
 genomics present are bitwise-independent of those parameters.  Serving
-binds only the trunk's parameter groups (``TRUNK_GROUPS``, 86 tensors
-against the 126 a training batch binds); training binds every trainable
-group.  Either binds its groups in one ``bind_arrays`` call.
+binds only the trunk's parameter groups (``TRUNK_GROUPS``), less the two
+encoders' slot-init spread, which only training's noise reads: 84
+tensors against the 126 a training batch binds; training binds every
+trainable group.  Either binds its groups in one ``bind_arrays`` call.
 
 Each slot encoder is one ``slot_encode`` node after the nodes that start
 its slots, with its instance mask kept in the node: two in the trunk, and
@@ -26,9 +27,10 @@ attention map from that node (``TrunkNodes`` holds none).  Each gate's
 selection is one K-hot array, read by the mixture weights, the masked
 self-attention and the served ``GateMask``.  Each of a training batch's
 three reconstruction heads is one ``decode`` node, and its builder
-returns the head's (B,) loss node alone.  At the reference
-``TrainConfig`` a training batch is one graph of 246 nodes and a served
-patient one of 131.
+returns the head's (B,) loss node alone.  The L cross-attention rounds
+are one ``cross_attend`` node over the rows [h; g], which the pooling
+reads.  At the reference ``TrainConfig`` a training batch is one graph
+of 240 nodes and a served patient one of 123.
 """
 
 from __future__ import annotations
@@ -263,9 +265,9 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
 
     bar_h = fusion_mod.build_masked_self_attention(g, p.self_h, s_h, hot_h)
     bar_g = fusion_mod.build_masked_self_attention(g, p.self_g, s_g, hot_g)
-    hat_h, hat_g = fusion_mod.build_iterative_cross_attention(
+    cross = fusion_mod.build_iterative_cross_attention(
         g, p.cross, s_h, s_g, l_iters)
-    z = fusion_mod.build_pool_concat(g, hat_h, hat_g, bar_h, bar_g)
+    z = fusion_mod.build_pool_concat(g, cross, bar_h, bar_g)
     fused = fusion_mod.build_risk_head(g, p.risk, z)
 
     return TrunkNodes(slots_h=s_h, slots_g=s_g, scores_h=r_h, scores_g=r_g,
@@ -405,12 +407,15 @@ def patient_forward(params: ModelParams, bag_h: np.ndarray,
                     l_iters: int) -> PatientOutput:
     """Inference pass: the trunk of a batch of one, with deterministic slot
     init and noise-free top-K selection.  Only the trunk's groups are
-    bound (``TRUNK_GROUPS``); the reconstruction heads are never touched.
+    bound (``TRUNK_GROUPS``), without the slot-init spread, which only
+    training's noise reads (``slots.NOISE_FIELDS``); the reconstruction
+    heads are never touched.
     The graph runs at the parameters' precision, and each ``GateMask``
     reports the selection the trunk made."""
     g = Graph(dtype=params.slots_h.init_mean.dtype)
     p = dataclasses.replace(params, **bind_arrays(
-        g, {name: getattr(params, name) for name in TRUNK_GROUPS}))
+        g, {name: getattr(params, name) for name in TRUNK_GROUPS},
+        skip=slot_mod.NOISE_FIELDS))
     trunk = build_patient_trunk(
         g, p, g.const(np.asarray(bag_h)[None]), g.const(np.asarray(bag_g)[None]),
         k_h, k_g, temperature, t_iters, l_iters)

@@ -195,10 +195,13 @@ def reconstruct_genomic(slot_matrix: np.ndarray, positions: PositionTable,
 def cross_modal_encode(bag_h: FeatureBag, genomic_params,
                        t_iters: int) -> slot_mod.SlotSet:
     """Encode a histology bag with the genomic branch's slot parameters,
-    bound in one call, so a non-finite one is named ``input 'p.<field>'``."""
+    bound in one call, so a non-finite one is named ``input 'p.<field>'``;
+    the slot-init spread, which no pass without noise reads, stays
+    unbound (``slots.NOISE_FIELDS``)."""
     expect_modality(bag_h, "histology")
     g = Graph(dtype=genomic_params.init_mean.dtype)
-    p = bind_arrays(g, {"p": genomic_params})["p"]
+    p = bind_arrays(g, {"p": genomic_params},
+                    skip=slot_mod.NOISE_FIELDS)["p"]
     slots = build_cross_modal_encode(g, p, g.const(bag_h.matrix), t_iters)
     return slot_mod.SlotSet(slots=slots.value.copy(),
                             attention=g.slot_attention(slots).copy())

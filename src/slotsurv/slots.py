@@ -53,6 +53,7 @@ from .autodiff import Graph, Node, init_block, init_normal
 from .data import atomic_write
 
 __all__ = [
+    "NOISE_FIELDS",
     "SlotParams",
     "SlotSet",
     "assignment_map",
@@ -97,6 +98,11 @@ class SlotParams:
     @property
     def dim(self) -> int:
         return self.init_mean.shape[1]
+
+
+# The slot-init spread, which only a training pass's noise reads: a pass
+# without noise (serving, imputation) leaves it unbound (``bind_arrays``).
+NOISE_FIELDS = ("init_log_std",)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@
   the initial slots.  ``exact_build_encode`` is ``unfused_encode`` as a
   stand-in for ``slots.build_encode``.
 * ``unfused_cross_update``, one direction of one cross-attention round as
-  the chain of 13 per-op nodes that the fused ``cross_step`` op replaces,
-  and ``unfused_cross_attention``, L rounds of it.
+  a chain of 13 per-op nodes, and ``unfused_cross_attention``, L rounds
+  of it in both directions and the concat of the two refined sets: the
+  chain the fused ``cross_attend`` op replaces.
 * ``unfused_self_attention``, masked self-attention over the selected
   slots as the chain of per-op nodes that the fused ``self_attend`` op
   replaces, and ``k_hot``, the K-hot selection of given slot indices.
@@ -471,8 +472,8 @@ def slot_attention_step(slots: np.ndarray, bag_matrix: np.ndarray,
 
 
 def unfused_cross_update(g: Graph, p, queries, context):
-    """One direction of one cross-attention round as the 13 per-op nodes
-    that the fused ``cross_step`` op replaces."""
+    """One direction of one cross-attention round as 13 per-op nodes;
+    ``unfused_cross_attention`` runs 2 L of them."""
     dim = queries.shape[-1]
     q = g.matmul(queries, p.w_q)
     k = g.matmul(context, p.w_k)
@@ -528,11 +529,13 @@ def unfused_self_attention(g: Graph, p, slots, hot):
 
 
 def unfused_cross_attention(g: Graph, p, slots_h, slots_g, l_iters: int):
-    """``fusion.build_iterative_cross_attention`` over the unfused chain."""
+    """``fusion.build_iterative_cross_attention`` over the unfused chain:
+    2 L updates, then the concat of the two refined sets, the rows [h;
+    g]."""
     for _ in range(l_iters):
         slots_h, slots_g = (unfused_cross_update(g, p, slots_h, slots_g),
                             unfused_cross_update(g, p, slots_g, slots_h))
-    return slots_h, slots_g
+    return g.concat(slots_h, slots_g, axis=-2)
 
 
 # ------------------------------------------------------------ reconstruction

@@ -2,7 +2,7 @@
 
 Every differentiable op is audited against central finite differences
 at 20 random points, in both 32-bit and 64-bit modes (the fused
-slot_encode, cross_step, self_attend and decode in 64-bit only, see
+slot_encode, cross_attend, self_attend and decode in 64-bit only, see
 FLOAT64_ONLY; slot_encode at T > 1, whose gradient is first-order,
 through the exact per-op chain, see FIRST_ORDER).
 Step sizes are dtype-matched: too small a step drowns the quotient in
@@ -49,7 +49,7 @@ from oracles import (
     saved_arrays,
     stop_gradient,
     transpose,
-    unfused_cross_update,
+    unfused_cross_attention,
     unfused_decode,
     unfused_self_attention,
     unfused_slot_encode,
@@ -391,8 +391,7 @@ def _build_slot_encode(g, rng, mask=None, t_iters=1, weighted=False):
     adjoints are audited through both of its uses, the values and the
     attention mass, at entries other than 0 and 1.  The GRU output lies in
     (-1, 1), so w1 in (-0.2, 0.2) and |b1| in (0.7, 1) keep every MLP
-    pre-activation at least 0.1 from relu's kink, as in the cross_step
-    builder.  A layer norm curves more sharply the closer a row's entries
+    pre-activation at least 0.1 from relu's kink.  A layer norm curves more sharply the closer a row's entries
     lie together, so each row of the bag and of the initial slots holds
     -0.8, 0 and 0.8 in a random order, each moved by less than 0.2."""
     s, d, m = 2, 3, 4
@@ -426,11 +425,13 @@ def _build_slot_encode(g, rng, mask=None, t_iters=1, weighted=False):
 _PADDED = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
 
 
-def _build_cross_step(g, rng, lead=()):
-    """One direction of one cross-attention round: 2 query slots of width
-    3 attend over 3 context slots.  The GRU output lies in (-1, 1) for
-    queries in (-1, 1), so w1 in (-0.2, 0.2) and |b1| in (0.7, 1) keep
-    every MLP pre-activation at least 0.1 from relu's kink, which the
+def _build_cross_attend(g, rng, lead=(), l_iters=1):
+    """``l_iters`` cross-attention rounds: 2 histology slots of width 3
+    and 3 genomic slots attend to each other.  A GRU output is a convex
+    mix of its state and a tanh, so it lies within max(1, |state|); w1 in
+    (-0.08, 0.08), |b1| in (0.7, 1) and w2, b2 in (-0.1, 0.1) keep each of
+    three rounds' input within 2 from slots in (-1, 1), and every MLP
+    pre-activation at least 0.2 from relu's kink, which the
     finite-difference stencil must not straddle; a unit with b1 < 0 is
     off for every row."""
     d = 3
@@ -438,15 +439,16 @@ def _build_cross_step(g, rng, lead=()):
     def leaf(name, shape, lo=-1.0, hi=1.0):
         return g.input(name, rng.uniform(lo, hi, size=shape))
 
-    queries = leaf("queries", lead + (2, d))
-    context = leaf("context", lead + (3, d))
+    slots_h = leaf("slots_h", lead + (2, d))
+    slots_g = leaf("slots_g", lead + (3, d))
     head = [leaf(nm, (d, d)) for nm in ("w_q", "w_k", "w_v")]
     gru = [leaf(nm, (1, d) if nm[0] == "b" else (d, d))
            for nm in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")]
     b1 = rng.choice([-1.0, 1.0], size=(1, d)) * rng.uniform(0.7, 1.0, (1, d))
-    mlp = [leaf("w1", (d, d), -0.2, 0.2), g.input("b1", b1),
-           leaf("w2", (d, d)), leaf("b2", (1, d))]
-    return _se_target(g, g.cross_step(queries, context, *head, gru, mlp), rng)
+    mlp = [leaf("w1", (d, d), -0.08, 0.08), g.input("b1", b1),
+           leaf("w2", (d, d), -0.1, 0.1), leaf("b2", (1, d), -0.1, 0.1)]
+    return _se_target(g, g.cross_attend(slots_h, slots_g, *head, gru, mlp,
+                                        l_iters), rng)
 
 
 def _build_self_attend(g, rng, selected=((3, 1),)):
@@ -515,8 +517,11 @@ OP_BUILDERS = {
     "self_attend": _build_self_attend,
     "self_attend_3d": lambda g, rng: _build_self_attend(
         g, rng, selected=((3, 1), (0, 2))),
-    "cross_step": _build_cross_step,
-    "cross_step_3d": lambda g, rng: _build_cross_step(g, rng, lead=(2,)),
+    "cross_attend": _build_cross_attend,
+    "cross_attend_3d": lambda g, rng: _build_cross_attend(g, rng, lead=(2,)),
+    "cross_attend_l3": lambda g, rng: _build_cross_attend(g, rng, l_iters=3),
+    "cross_attend_3d_l3": lambda g, rng: _build_cross_attend(
+        g, rng, lead=(2,), l_iters=3),
     "affine": _build_affine,
     "affine_3d": lambda g, rng: _build_affine(g, rng, lead=(2,)),
     # the slot_step cases are one slot_encode node of one iteration, the
@@ -582,7 +587,8 @@ OP_BUILDERS = {
 # whose ops all pass both modes here.
 FLOAT64_ONLY = {"slot_step", "slot_step_masked", "slot_step_t3",
                 "slot_step_masked_t3", "slot_step_weighted",
-                "slot_step_weighted_t3", "cross_step", "cross_step_3d",
+                "slot_step_weighted_t3", "cross_attend", "cross_attend_3d",
+                "cross_attend_l3", "cross_attend_3d_l3",
                 "self_attend", "self_attend_3d", "decode", "decode_3d",
                 "decode_shared"}
 
@@ -598,6 +604,8 @@ def _fused_op(op_name: str) -> str:
     """The fused op an OP_BUILDERS case of a fused op records."""
     if op_name.startswith("slot_step"):
         return "slot_encode"
+    if op_name.startswith("cross_attend"):
+        return "cross_attend"
     return op_name.removesuffix("_3d").removesuffix("_shared")
 
 
@@ -686,10 +694,11 @@ class _ChainGraph(_KeepInputsGraph):
         return unfused_slot_encode(self, p, bag, self.const(ones), slots,
                                    t_iters, self.first_order)[0]
 
-    def cross_step(self, queries, context, w_q, w_k, w_v, gru, mlp):
+    def cross_attend(self, slots_h, slots_g, w_q, w_k, w_v, gru, mlp,
+                     l_iters):
         p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
                             **_tail_params(gru, mlp))
-        return unfused_cross_update(self, p, queries, context)
+        return unfused_cross_attention(self, p, slots_h, slots_g, l_iters)
 
     def self_attend(self, slots, hot, w_q, w_k, w_v, mlp):
         p = SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v,
@@ -713,7 +722,11 @@ class _ExactChainGraph(_ChainGraph):
 
 @pytest.mark.parametrize("op_name, keep", [
     ("slot_step", {"w2", "b2"}), ("slot_step", {"bag"}),
-    ("cross_step", {"w2", "b2"}), ("cross_step", {"context"}),
+    ("cross_attend", {"w2", "b2"}), ("cross_attend", {"slots_g"}),
+    ("cross_attend_3d", {"slots_h", "w_k"}),
+    ("cross_attend_l3", {"slots_h", "wz"}),
+    ("cross_attend_3d_l3", {"w_v", "bn"}),
+    ("cross_attend_3d_l3", {"slots_g", "w_q"}),
     ("self_attend", {"w2", "b2"}), ("self_attend", {"slots"}),
     ("self_attend_3d", {"w_k"}), ("slot_step_t3", {"w_k", "beta_in"}),
     ("slot_step_masked_t3", {"slots", "w_q"}),
@@ -1107,7 +1120,8 @@ def test_forward_replay_matches_eager_build(op_name):
 
 @pytest.mark.parametrize("op_name", ["slot_step", "slot_step_masked",
                                      "slot_step_weighted",
-                                     "cross_step", "cross_step_3d",
+                                     "cross_attend", "cross_attend_3d",
+                                     "cross_attend_3d_l3",
                                      "self_attend", "self_attend_3d",
                                      "slot_step_t3", "slot_step_masked_t3",
                                      "decode", "decode_3d", "decode_shared"])
@@ -1196,18 +1210,23 @@ def test_fused_op_shape_errors_raise_graph_error():
     assert encode(slots=g.input("slots3", np.ones((2, 2, d))),
                   bag=(2, 4, d), ones=(2, 4, 1)).shape == (2, 2, d)
     context = g.input("context", np.ones((4, d)))
-    for bad in (np.ones((1, 4, d)), np.ones((4, d + 1)), np.ones(d)):
-        with pytest.raises(GraphError, match="shapes"):
-            g.cross_step(slots, g.const(bad), mat, mat, mat, gru, mlp)
-    with pytest.raises(GraphError, match="weights"):
-        g.cross_step(slots, context, mat, row, mat, gru, mlp)
-    with pytest.raises(GraphError, match="weights"):
-        g.cross_step(slots, context, mat, mat, mat, gru[:-1], (*mlp, row))
-    assert g.cross_step(slots, context, mat, mat, mat, gru,
-                        mlp).shape == (2, d)
     batched = g.input("batched", np.ones((2, 2, d)))
-    assert g.cross_step(batched, g.const(np.ones((2, 5, d))), mat, mat, mat,
-                        gru, mlp).shape == (2, 2, d)
+    for sets, bad in ((slots, np.ones((1, 4, d))), (slots, np.ones((4, d + 1))),
+                      (slots, np.ones(d)), (slots, np.ones((0, d))),
+                      (batched, np.ones((3, 5, d)))):   # other lead axes
+        with pytest.raises(GraphError, match="shapes"):
+            g.cross_attend(sets, g.const(bad), mat, mat, mat, gru, mlp, 1)
+    with pytest.raises(GraphError, match="weights"):
+        g.cross_attend(slots, context, mat, row, mat, gru, mlp, 1)
+    with pytest.raises(GraphError, match="weights"):
+        g.cross_attend(slots, context, mat, mat, mat, gru[:-1], (*mlp, row),
+                       1)
+    with pytest.raises(GraphError, match="l_iters"):
+        g.cross_attend(slots, context, mat, mat, mat, gru, mlp, 0)
+    assert g.cross_attend(slots, context, mat, mat, mat, gru, mlp,
+                          3).shape == (6, d)
+    assert g.cross_attend(batched, g.const(np.ones((2, 5, d))), mat, mat,
+                          mat, gru, mlp, 1).shape == (2, 7, d)
     four = g.input("four", np.ones((2, 4, d)))
     for sets, hot in ((slots, [1, 0, 0]),           # 3 entries for 2 rows
                       (slots, [[1], [0]]),          # last axis not S
@@ -1289,13 +1308,13 @@ def test_decode_guard_catches_a_pre_activation_that_relu_would_hide():
         run(big)
 
 
-def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():
+def test_cross_attend_guard_catches_a_pre_activation_that_relu_would_hide():
     """An MLP weight that overflows the pre-relu value to -inf raises,
     although relu would turn the -inf into a finite 0."""
     rng = np.random.default_rng(21)
     d = 4
-    queries = rng.normal(size=(1, d)) * 2.0
-    context = rng.normal(size=(3, d))
+    slots_h = rng.normal(size=(1, d)) * 2.0
+    slots_g = rng.normal(size=(3, d))
     weights = {nm: rng.normal(size=(1, d) if nm[0] == "b" else (d, d))
                for nm in ("w_q", "w_k", "w_v", "wz", "uz", "bz", "wr", "ur",
                           "br", "wn", "un", "bn", "w1", "b1", "w2", "b2")}
@@ -1303,45 +1322,52 @@ def test_cross_step_guard_catches_a_pre_activation_that_relu_would_hide():
     def step(w1):
         g = Graph(dtype=np.float32)
         w = {nm: g.const(v) for nm, v in {**weights, "w1": w1}.items()}
-        node = g.cross_step(
-            g.const(queries), g.const(context), w["w_q"], w["w_k"], w["w_v"],
+        node = g.cross_attend(
+            g.const(slots_h), g.const(slots_g), w["w_q"], w["w_k"], w["w_v"],
             [w[nm] for nm in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un",
                               "bn")],
-            [w["w1"], w["b1"], w["w2"], w["b2"]])
+            [w["w1"], w["b1"], w["w2"], w["b2"]], 1)
         return g, node
 
     g, node = step(weights["w1"])
-    # the GRU output, formed from the node's operands and its saved
-    # attention and values: (1, d), MLP-independent
+    # the histology row's GRU output, formed from the node's operands and
+    # its saved attention and values: (1, d), MLP-independent
     sv = g._saved[node.idx]
     operands = [g._values[p] for p in g._parents[node.idx]]
-    updated, _ = autodiff._gru_fwd(None, sv.attn @ sv.v, operands[0],
-                                   *operands[5:14])
+    updated, _ = autodiff._gru_fwd(None, sv.attn[0][0] @ sv.v[0][1:],
+                                   operands[0], *operands[5:14])
     big = -np.finfo(np.float32).max * np.sign(updated[0])[:, None] \
         * np.ones((1, d), np.float32)
     with np.errstate(over="ignore"):
         pre = updated @ big.astype(np.float32)
     assert np.isneginf(pre).all() and (np.maximum(pre, 0) == 0).all()
     with np.errstate(over="ignore"), \
-            pytest.raises(GraphError, match="pre-activation in cross_step"):
+            pytest.raises(GraphError, match="pre-activation in cross_attend"):
         step(big)
 
 
 @pytest.mark.parametrize("lead", [(), (4,)])
-def test_cross_step_node_holds_three_saved_buffers(lead):
-    """A cross_step node keeps three buffers for its adjoint: the keys,
-    the values and the attention.  The adjoint rebuilds q and the GRU
-    input attn @ v from those, the queries and the weights, and runs the
-    GRU (its gates, r * h and output) and the MLP's hidden layer
-    again."""
+@pytest.mark.parametrize("l_iters", [1, 3])
+def test_cross_attend_node_holds_six_saved_buffers_per_round(lead, l_iters):
+    """A cross_attend node keeps six buffers per round for its adjoint:
+    the round's input rows [h; g], the values of those rows, each set's
+    keys (transposed) and each direction's attention.  The adjoint
+    rebuilds each direction's q and GRU input attn @ v from those and the
+    weights, and runs the GRU (its gates, r * h and output) and the MLP's
+    hidden layer again.  Round 1's input rows are a new array, not a
+    parent's value."""
     g = Graph(dtype=np.float32)
-    _build_cross_step(g, np.random.default_rng(24), lead=lead)
-    i = g._ops.index("cross_step")
+    _build_cross_attend(g, np.random.default_rng(24), lead=lead,
+                        l_iters=l_iters)
+    i = g._ops.index("cross_attend")
     buffers = owning_buffers(saved_arrays(g._saved[i]))
-    assert len(buffers) == 3
-    # per set: keys_t and v (3 x 3 each) and attn (2 x 3)
+    assert len(buffers) == 6 * l_iters
+    # per set and round: the rows and the values (5 x 3 each), g's keys
+    # (3 x 3), h's keys (2 x 3) and the two maps (2 x 3 each)
     sets = int(np.prod(lead))
-    assert sorted(b.size for b in buffers) == [6 * sets, 9 * sets, 9 * sets]
+    assert sorted(b.size for b in buffers) == sorted(
+        [6 * sets] * 3 * l_iters + [9 * sets] * l_iters
+        + [15 * sets] * 2 * l_iters)
     parents = [g._values[p] for p in g._parents[i]]
     assert not any(b is p for b in buffers for p in parents)
 

@@ -13,9 +13,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_default_cohort_batch_graph_holds_at_most_13_mb():
     """The per-iteration saved state of the slot encoders kept again (it
     held 15.1 MB with all T iterations' input slots and alpha @ values),
-    their per-iteration GRU buffers and column rows, the cross_step GRU
-    buffers, or the decode nodes' normalized slots would put the default
-    cohort's batch graph above 13 MB (it holds 11.6 MB)."""
+    their per-iteration GRU buffers and column rows, the cross_attend
+    GRU buffers, or the decode nodes' normalized slots would put the
+    default cohort's batch graph above 13 MB (it holds 11.6 MB)."""
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "census.py"), "default"],
         capture_output=True, text=True, check=True)
@@ -25,6 +25,9 @@ def test_default_cohort_batch_graph_holds_at_most_13_mb():
     assert census["total_bytes"] == sum(census["by_field"].values())
     assert census["by_field"]["slot_encode.keys_t"] > 0
     assert census["by_field"]["slot_encode.step.alpha"] > 0
+    # the cross_attend node's saved fields, named, each over its rounds
+    for field in ("states", "keys_t", "v", "attn"):
+        assert census["by_field"][f"cross_attend.{field}"] > 0
     # the arrays nodes keep in their aux: the instance masks and the
     # self-attention row indices
     assert census["by_field"]["slot_encode.aux"] > 0

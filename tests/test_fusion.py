@@ -142,13 +142,18 @@ def test_bad_selections_rejected():
 # ------------------------------------------------------------ cross-attention
 
 
+def _split(rows, s_h):
+    """The refined rows [h; g] of a cross_attend node as (h, g)."""
+    return rows[..., :s_h, :], rows[..., s_h:, :]
+
+
 def test_single_round_is_one_bidirectional_block():
     rng = np.random.default_rng(4)
     p64 = _f64(init_cross_params(rng, 5))
     s_h = rng.normal(size=(4, 5))
     s_g = rng.normal(size=(3, 5))
-    out_h, out_g = _run(build_iterative_cross_attention, p64, s_h, s_g,
-                        l_iters=1)
+    out_h, out_g = _split(_run(build_iterative_cross_attention, p64, s_h,
+                               s_g, l_iters=1), 4)
     np.testing.assert_allclose(out_h, _cross_reference(s_h, s_g, p64),
                                atol=1e-5)
     np.testing.assert_allclose(out_g, _cross_reference(s_g, s_h, p64),
@@ -168,19 +173,20 @@ def test_both_directions_read_the_same_iteration_state():
     g2 = _cross_reference(g1, h1, p64)
 
     g = Graph(dtype=np.float64)
-    out_h, out_g = build_iterative_cross_attention(
+    out = build_iterative_cross_attention(
         g, bind_consts(g, p64),
         g.const(s_h), g.const(s_g), l_iters=2)
-    np.testing.assert_allclose(out_h.value, h2, atol=1e-10)
-    np.testing.assert_allclose(out_g.value, g2, atol=1e-10)
+    out_h, out_g = _split(out.value, 3)
+    np.testing.assert_allclose(out_h, h2, atol=1e-10)
+    np.testing.assert_allclose(out_g, g2, atol=1e-10)
 
 
 def test_identical_slot_sets_stay_identical():
     rng = np.random.default_rng(6)
     p = init_cross_params(rng, 5)
     s = rng.normal(size=(4, 5)).astype(np.float32)
-    out_h, out_g = _run(build_iterative_cross_attention, p, s, s.copy(),
-                        l_iters=3)
+    out_h, out_g = _split(_run(build_iterative_cross_attention, p, s,
+                               s.copy(), l_iters=3), 4)
     np.testing.assert_allclose(out_h, out_g, atol=1e-5)
 
 
@@ -190,11 +196,10 @@ def test_rounds_share_one_parameter_set():
     p = bind_arrays(g, {"cross": _f64(init_cross_params(rng, 4))})["cross"]
     s_h = g.input("s_h", rng.normal(size=(3, 4)))
     s_g = g.input("s_g", rng.normal(size=(2, 4)))
-    out_h, out_g = build_iterative_cross_attention(g, p, s_h, s_g, 3)
+    out = build_iterative_cross_attention(g, p, s_h, s_g, 3)
     # 16 block tensors + 2 slot inputs: no per-iteration parameter copies
     assert len(input_names(g)) == 18
-    grads = backward(g, reduce_sum(g, g.add(g.mean_pool(out_h),
-                                           g.mean_pool(out_g))))
+    grads = backward(g, reduce_sum(g, g.mean_pool(out)))
     assert np.abs(grads["cross.w_q"]).max() > 0.0
 
 
@@ -227,72 +232,97 @@ def test_interaction_cost_is_quadratic_in_slot_count():
     assert coeffs[0] > 0  # genuinely quadratic
 
 
-# ------------------------------------------------- fused step vs. the chain
+# ------------------------------------------------ fused node vs. the chain
 
 
 def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-# lead axes, rounds, and whether both slot sets are one node
+# lead axes, rounds, each set's slot count, and whether both slot sets
+# are one node.  The "padded" cases stand for a training batch: a batch
+# of B sets whose values a zero-padded bag made.
 _CROSS_CASES = {
-    "single": ((), 1, False),
-    "batched": ((2,), 1, False),
-    "rounds": ((), 3, False),
-    "batched_rounds": ((2,), 3, False),
-    "same_node": ((), 2, True),
+    "single": ((), 1, (4, 3), False),
+    "single_equal": ((), 1, (4, 4), False),
+    "batched": ((2,), 1, (4, 3), False),
+    "batch_of_one": ((1,), 3, (4, 3), False),
+    "rounds": ((), 3, (4, 3), False),
+    "rounds_fewer_h": ((), 3, (2, 5), False),
+    "batched_rounds": ((2,), 3, (4, 3), False),
+    "padded_rounds": ((6,), 3, (16, 16), False),
+    "padded_unequal": ((5,), 3, (16, 8), False),
+    "same_node": ((), 2, (4, 4), True),
 }
 
 
 def _cross_both(dtype, build, case):
-    """One loss over L rounds built by ``build``; returns (refined_h,
-    refined_g, gradients, graph, nodes the rounds added)."""
-    lead, l_iters, same = _CROSS_CASES[case]
+    """One loss over L rounds built by ``build`` for ``case``, a
+    ``_CROSS_CASES`` entry; returns (refined rows [h; g], gradients,
+    graph, nodes the rounds added)."""
+    lead, l_iters, (n_h, n_g), same = case
     rng = np.random.default_rng(41)
     params = init_cross_params(rng, 5)
     # move the parameters off init so every tensor's gradient is generic
     params = type(params)(**{f: v + 0.3 * rng.normal(size=v.shape)
                              for f, v in vars(params).items()})
-    s_h = rng.normal(size=lead + (4, 5))
-    s_g = rng.normal(size=lead + (3, 5))
+    s_h = rng.normal(size=lead + (n_h, 5))
+    s_g = rng.normal(size=lead + (n_g, 5))
     g = Graph(dtype=dtype)
     p = bind_arrays(g, {"cross": params})["cross"]
     h = g.input("s_h", s_h)
     other = h if same else g.input("s_g", s_g)
     before = g.num_nodes
-    out_h, out_g = build(g, p, h, other, l_iters)
+    out = build(g, p, h, other, l_iters)
     added = g.num_nodes - before
-    loss = g.add(g.squared_error(out_h, g.const(rng.normal(size=out_h.shape))),
-                 g.squared_error(out_g, g.const(rng.normal(size=out_g.shape))))
+    loss = g.squared_error(out, g.const(rng.normal(size=out.shape)))
     if loss.value.ndim:
         loss = reduce_sum(g, loss)
-    return out_h.value, out_g.value, backward(g, loss), g, added
+    return out.value, backward(g, loss), g, added
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", sorted(_CROSS_CASES))
-def test_cross_step_is_bitwise_the_unfused_chain(dtype, case):
-    """Both refined sets and every gradient of one cross_step node per
-    direction and round match the 13-node chain bit for bit."""
-    fused = _cross_both(dtype, build_iterative_cross_attention, case)
-    chain = _cross_both(dtype, unfused_cross_attention, case)
+def test_cross_attend_is_bitwise_the_unfused_chain(dtype, case):
+    """The refined rows [h; g] and every gradient of one cross_attend node
+    match the chain of 2 L 13-node updates and the concat of the two
+    refined sets bit for bit."""
+    fused = _cross_both(dtype, build_iterative_cross_attention,
+                        _CROSS_CASES[case])
+    chain = _cross_both(dtype, unfused_cross_attention, _CROSS_CASES[case])
     assert _bits(fused[0]) == _bits(chain[0])
-    assert _bits(fused[1]) == _bits(chain[1])
-    assert set(fused[2]) == set(chain[2])
-    for name in chain[2]:
-        assert _bits(fused[2][name]) == _bits(chain[2][name]), name
+    assert set(fused[1]) == set(chain[1])
+    for name in chain[1]:
+        assert _bits(fused[1][name]) == _bits(chain[1][name]), name
+
+
+@pytest.mark.parametrize("n_h, n_g", [(1, 4), (4, 1), (1, 1)])
+def test_one_slot_set_matches_the_chain_to_rounding(n_h, n_g):
+    """A set of one slot in a batch of one: the chain projects its one row
+    with a matrix-vector product where cross_attend forms a matrix
+    product over the stacked rows, so values and gradients agree to
+    rounding, not bit for bit."""
+    case = ((), 3, (n_h, n_g), False)
+    fused = _cross_both(np.float64, build_iterative_cross_attention, case)
+    chain = _cross_both(np.float64, unfused_cross_attention, case)
+    np.testing.assert_allclose(fused[0], chain[0], rtol=1e-13, atol=1e-13)
+    for name in chain[1]:
+        np.testing.assert_allclose(fused[1][name], chain[1][name],
+                                   rtol=1e-11, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("case", sorted(_CROSS_CASES))
-def test_cross_step_counts_the_chains_multiply_adds(case):
-    """cross_step counts what its chain counts, and each of the 2 L updates
-    is one node instead of the chain's 13: 12 fewer per update."""
-    fused = _cross_both(np.float64, build_iterative_cross_attention, case)
-    chain = _cross_both(np.float64, unfused_cross_attention, case)
+def test_cross_attend_counts_the_chains_multiply_adds(case):
+    """cross_attend counts what its chain counts, and all L rounds are one
+    node instead of the chain's 2 L updates of 13 nodes and the concat."""
+    fused = _cross_both(np.float64, build_iterative_cross_attention,
+                        _CROSS_CASES[case])
+    chain = _cross_both(np.float64, unfused_cross_attention,
+                        _CROSS_CASES[case])
     l_iters = _CROSS_CASES[case][1]
-    assert fused[3].total_madds() == chain[3].total_madds()
-    assert fused[4] == fused[3]._ops.count("cross_step") == 2 * l_iters
-    assert chain[4] - fused[4] == 12 * 2 * l_iters
+    assert fused[2].total_madds() == chain[2].total_madds()
+    assert fused[3] == fused[2]._ops.count("cross_attend") == 1
+    assert chain[3] == 13 * 2 * l_iters + 1
 
 
 # lead axes, each set's selection, and the rows the loss reads.  A loss
@@ -374,7 +404,7 @@ def test_self_attend_counts_the_chains_multiply_adds(case):
 
 def test_pool_concat_of_constant_sets_tiles_the_vector():
     v = np.array([1.5, -2.0, 0.25])
-    z = _run(build_pool_concat, None, np.tile(v, (4, 1)), np.tile(v, (2, 1)),
+    z = _run(build_pool_concat, None, np.tile(v, (6, 1)),
              np.tile(v, (3, 1)), np.tile(v, (5, 1)))[0]
     np.testing.assert_allclose(z, np.concatenate([v, v, v]), atol=1e-7)
     assert z.shape == (9,)
@@ -382,7 +412,7 @@ def test_pool_concat_of_constant_sets_tiles_the_vector():
 
 def test_pool_concat_ignores_slot_order():
     rng = np.random.default_rng(10)
-    sets = [rng.normal(size=(n, 6)) for n in (4, 3, 5, 2)]
+    sets = [rng.normal(size=(n, 6)) for n in (7, 5, 2)]
     g = Graph(dtype=np.float64)
     base = build_pool_concat(g, *[g.const(s) for s in sets]).value
     g2 = Graph(dtype=np.float64)
@@ -395,7 +425,7 @@ def test_fused_width_is_three_d():
     rng = np.random.default_rng(11)
     z = _run(build_pool_concat, None,
              *[rng.normal(size=(3, 8)).astype(np.float32)
-               for _ in range(4)])[0]
+               for _ in range(3)])[0]
     assert z.shape == (24,)
 
 
@@ -432,8 +462,8 @@ def test_end_to_end_gradients_match_finite_differences():
     s_g = g.input("s_g", rng.normal(size=(3, 5)))
     bar_h = build_masked_self_attention(g, self_h, s_h, k_hot([0, 2], 4))
     bar_g = build_masked_self_attention(g, self_g, s_g, k_hot([1], 3))
-    hat_h, hat_g = build_iterative_cross_attention(g, cross, s_h, s_g, 2)
-    z = build_pool_concat(g, hat_h, hat_g, bar_h, bar_g)
+    hat = build_iterative_cross_attention(g, cross, s_h, s_g, 2)
+    z = build_pool_concat(g, hat, bar_h, bar_g)
     logits = build_risk_head(g, risk, z)
     loss = reduce_sum(g, g.mul(logits, g.const(rng.normal(size=(1, 4)))))
     assert finite_diff_check(g, loss) < 1e-4

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from slotsurv import autodiff, model
+from slotsurv import recon as recon_mod
 from slotsurv import slots as slot_mod
 from slotsurv.autodiff import backward, bind_arrays
+from slotsurv.data import FeatureBag
 from slotsurv.model import (
     FROZEN_GROUPS,
     PARAM_GROUPS,
@@ -538,35 +540,41 @@ def _recorded_graphs(monkeypatch):
 
 def test_served_patient_binds_the_trunk_only(monkeypatch):
     """At the reference iteration counts a served patient is one graph of
-    131 nodes, 86 of them parameter leaves: the trunk's groups, without
-    the reconstruction heads and their position table.  Each slot encoder
-    is one slot_encode node."""
+    123 nodes, 84 of them parameter leaves: the trunk's groups, without
+    the reconstruction heads and their position table, and without the
+    two encoders' ``init_log_std``, which only training's slot noise
+    reads.  Each slot encoder is one slot_encode node, and the L
+    cross-attention rounds one cross_attend node."""
     cfg = TrainConfig()
     graphs = _recorded_graphs(monkeypatch)
     patient_forward(_params(9), *_patients(9)[0][:2], k_h=2, k_g=2,
                     temperature=0.01, t_iters=cfg.t_iters,
                     l_iters=cfg.l_iters)
     (g,) = graphs
-    assert g.num_nodes == 131
-    assert g._ops.count("input") == len(input_names(g)) == 86
+    assert g.num_nodes == 123
+    assert g._ops.count("input") == len(input_names(g)) == 84
     assert {group_of(n) for n in input_names(g)} == set(TRUNK_GROUPS)
+    assert not any(n.endswith(".init_log_std") for n in input_names(g))
     assert set(TRUNK_GROUPS) | set(RECON_GROUPS) == set(TRAINABLE_GROUPS)
     assert g._ops.count("self_attend") == 2
     assert g._ops.count("slot_encode") == 2
+    assert g._ops.count("cross_attend") == 1
 
 
 def test_training_step_graph_size(monkeypatch):
     """A training batch at the reference iteration counts is one graph of
-    246 nodes that binds every trainable tensor; each of its three slot
-    encoders is one slot_encode node, and each of its three reconstruction
-    heads one decode node."""
+    240 nodes that binds every trainable tensor; each of its three slot
+    encoders is one slot_encode node, each of its three reconstruction
+    heads one decode node, and its L cross-attention rounds one
+    cross_attend node."""
     cfg = TrainConfig()
     cg = build_cohort_loss(_params(4), _patients(4), k_h=2, k_g=2,
                            temperature=0.01, t_iters=cfg.t_iters,
                            l_iters=cfg.l_iters, lam=cfg.lam,
                            rng=np.random.default_rng(0))
-    assert cg.graph.num_nodes == 246
+    assert cg.graph.num_nodes == 240
     assert cg.graph._ops.count("slot_encode") == 3
+    assert cg.graph._ops.count("cross_attend") == 1
     assert cg.graph._ops.count("decode") == 3
     assert input_names(cg.graph) == trainable_names(_params(4))
 
@@ -579,11 +587,11 @@ def _unread(graph) -> set:
 
 def test_every_node_is_read_but_the_outputs(monkeypatch):
     """At the reference ``TrainConfig`` every node of a training batch's
-    graph but the loss feeds another node, and every node of a served
-    patient's graph but its three logit outputs and the two encoders'
-    ``init_log_std`` leaves, which only a training pass's slot noise
-    reads: a selection or an instance mask recorded as a node no one
-    reads fails here."""
+    graph but the loss feeds another node; so does every node of a served
+    patient's graph but its three logit outputs, and every node of the two
+    imputation graphs, the cross-modal encode (22 nodes) and the genomic
+    decode, but their outputs: a selection, an instance mask or a tensor
+    bound as a leaf that no one reads fails here."""
     cfg = TrainConfig()
     cg = build_cohort_loss(_params(4), _patients(4), k_h=2, k_g=2,
                            temperature=0.01, t_iters=cfg.t_iters,
@@ -598,10 +606,18 @@ def test_every_node_is_read_but_the_outputs(monkeypatch):
                     temperature=0.01, t_iters=cfg.t_iters,
                     l_iters=cfg.l_iters)
     (g,), (trunk,) = graphs, trunks
-    names = {idx: name for name, idx in g._inputs.items()}
-    assert {names.get(i, i) for i in _unread(g)} == {
-        trunk.fused.idx, trunk.mix_h.idx, trunk.mix_g.idx,
-        "slots_h.init_log_std", "slots_g.init_log_std"}
+    assert _unread(g) == {trunk.fused.idx, trunk.mix_h.idx, trunk.mix_g.idx}
+    graphs.clear()
+    monkeypatch.setattr(recon_mod, "Graph", model.Graph)
+    p = _params(9)
+    recon_mod.impute_genomic(
+        FeatureBag(modality="histology", matrix=_patients(9)[0][0]),
+        p.slots_g, p.positions, p.recon_cross, cfg.t_iters, steps_trained=1)
+    encode, decode = graphs
+    assert encode.num_nodes == 22
+    for g, op in ((encode, "slot_encode"), (decode, "decode")):
+        assert _unread(g) == {g.num_nodes - 1}
+        assert g._ops[-1] == op
 
 
 def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
@@ -614,13 +630,14 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
     attention map of each of those encoders and the head's attention.  A
     bag-sized array or a map kept by mistake in any node fails here.  Of
     the buffers with a row per slot of each set (both modalities have
-    S_H slots) and d or 2d entries per row, it holds exactly 42: 9 the
+    S_H slots) and d or 2d entries per row, it holds exactly 38: 9 the
     three slot encoders' (the last iteration's input slots and alpha @
     values, and the output, each: the earlier iterations keep nothing,
-    whatever T is), 12 the four cross_step
-    nodes' (k^T, v and the output each), 6 the three decode nodes' (k^T
-    and v each) and 15 the values of other nodes.  A slot-sized
-    intermediate kept by mistake in any node fails here."""
+    whatever T is), 9 the cross_attend node's (for each of the L = 2
+    rounds its input rows [h; g], the values of those rows and each set's
+    k^T, and its output), 6 the three decode nodes' (k^T and v each) and
+    14 the values of other nodes.  A slot-sized intermediate kept by
+    mistake in any node fails here."""
     sizes = (301, 256, 180)
     patients = _ragged_patients(6, sizes=sizes)
     cg = build_cohort_loss(_params(6), patients, k_h=2, k_g=2,
@@ -640,7 +657,7 @@ def test_padded_batch_graph_holds_ten_bag_sized_arrays_and_three_maps():
     slot_rows = len(sizes) * S_H                # B * S
     per_slot_row = [b.size // slot_rows for b in owning_buffers(arrays)
                     if b.size % slot_rows == 0]
-    assert per_slot_row.count(DIM) + per_slot_row.count(2 * DIM) == 42
+    assert per_slot_row.count(DIM) + per_slot_row.count(2 * DIM) == 38
 
 
 def test_padded_training_trunk_holds_no_array_with_a_bag_row_axis():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from slotsurv import data as data_mod
+from slotsurv import fusion as fusion_mod
 from slotsurv import model as model_mod
 from slotsurv.data import SynthConfig, discretize_times, synth_cohort
 from slotsurv import recon as recon_mod
@@ -35,7 +36,7 @@ from slotsurv.train import (
     train,
 )
 
-from oracles import group_of, unfused_decode
+from oracles import group_of, unfused_cross_attention, unfused_decode
 
 
 # A cohort small enough for whole-suite runtimes: 12 patients, micro bags.
@@ -650,6 +651,42 @@ def test_predict_patient_deterministic_and_flagged(trained, small_cohort):
     assert ic is True and np.isfinite(c.risk)
     with pytest.raises(data_mod.BagError, match="histology"):
         predict_patient(trained.checkpoint, bag_g, bag_g)
+
+
+def test_unequal_slot_counts_train_and_serve_the_per_op_chains_bits(
+        small_cohort, monkeypatch):
+    """With n_slots_h != n_slots_g, which the reference recipe never runs,
+    a checkpoint trained through the cross_attend node holds the bits the
+    per-op cross-attention chain trains, and serves its risks bit for
+    bit: every ``predict_patient`` risk and hazard curve in both modes,
+    and ``evaluate`` with the genomic bags present and imputed."""
+    cfg = TrainConfig(**{**SMALL_TRAIN, "n_slots_h": 6, "n_slots_g": 3,
+                         "l_iters": 3})
+    bags = [(data_mod.load_bag(rec.histology_path),
+             data_mod.load_bag(rec.genomic_path))
+            for rec in small_cohort.records]
+
+    def run():
+        ckpt = train(cfg, small_cohort, fold=0).checkpoint
+        served = [predict_patient(ckpt, bag_h, bag_g)[0].curve.h.tobytes()
+                  for bag_h, bag_g in bags for bag_g in (bag_g, None)]
+        scores = [json.dumps(evaluate(ckpt, small_cohort, fold=0, n_boot=20,
+                                      missing_genomics=missing),
+                             sort_keys=True) for missing in (False, True)]
+        return model_mod.named_parameters(ckpt.params), served, scores
+
+    fused = run()
+    chains = []
+    monkeypatch.setattr(fusion_mod, "build_iterative_cross_attention",
+                        lambda *args: chains.append(args[2].shape) or
+                        unfused_cross_attention(*args))
+    chain = run()
+    assert chains and all(shape[-2] == 6 for shape in chains)
+    assert fused[0].keys() == chain[0].keys()
+    for name, arr in fused[0].items():
+        assert arr.tobytes() == chain[0][name].tobytes(), name
+    assert fused[1] == chain[1]
+    assert fused[2] == chain[2]
 
 
 def test_serving_runs_the_checkpoints_t_not_the_default(trained,

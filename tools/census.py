@@ -19,7 +19,9 @@ prints one JSON object, cohort name -> ``{"total_bytes": N, "by_field":
 {"<op>.<field>": N, ...}}``, for the package under ``DIR`` (default: this
 tree's ``src``) and the named cohorts (default: both).  A field is
 ``value`` for a node's value, the name of a saved intermediate (a
-slot_encode node's last iteration's ones as ``step.<name>``), its
+slot_encode node's last iteration's ones as ``step.<name>``; a
+cross_attend node's ``states``, ``keys_t``, ``v`` and ``attn``, each
+summed over its rounds and, for the keys and maps, both directions), its
 position when the op saves a plain tuple, or ``aux`` for an array in the
 node's aux (a slot_encode node's instance mask, a self_attend node's row
 indices).  A buffer behind several arrays counts once, for the first
