@@ -21,6 +21,14 @@ batch of patients, (B, S, d):
   from that node, and the two self-refined sets into a 3d vector, mapped
   to survival logits by a one-hidden-layer head.
 
+The reference L is 1 (``TrainConfig.l_iters``): one exchange round
+matches three.  Paired fold by fold over synth seeds 0-2 x 5 folds at 30
+epochs, L = 1 against L = 3 reads a C-index difference of -0.002 +/-
+0.006 with genomics present and +0.001 +/- 0.011 imputed (mean +/-
+standard error), for a third of the exchange's multiply-adds and saved
+buffers.  The iterative exchange stays available through ``l_iters``,
+and a checkpoint serves with the L it was trained with.
+
 Cost note: everything here works on slot matrices, so multiply-adds grow
 with slot counts only, never with bag sizes.
 

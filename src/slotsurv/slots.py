@@ -27,14 +27,21 @@ feeds no loss).
 The encoder's gradient is first-order: it differentiates the last
 iteration alone and passes the adjoint of its input slots straight
 through to the initial slots, so ``init_mean`` and ``init_log_std``
-still learn (the straight-through form of Jia et al., ICLR 2023).  The
-T iterations are read as a solver for a fixed point, whose implicit
-gradient the last iteration estimates to first order (Chang et al.,
-"Object Representations as Fixed Points", NeurIPS 2022; Fung et al.,
-"JFB: Jacobian-Free Backpropagation for Implicit Networks", AAAI 2022).
-Backward then costs one iteration's adjoint instead of T; at T = 1 the
-gradient is the exact one.  The forward, and so every served output,
-is the T-iteration chain's.
+still learn (the straight-through form of Jia et al., ICLR 2023).  That
+is the implicit gradient's first-order estimate for iterations that
+solve for a fixed point (Chang et al., "Object Representations as Fixed
+Points", NeurIPS 2022; Fung et al., "JFB: Jacobian-Free Backpropagation
+for Implicit Networks", AAAI 2022), but these iterations reach none:
+after 30 epochs of the reference recipe the last of T = 3 still moves
+the slots by ||s_T - s_{T-1}|| / ||s_T|| = 0.42 / 0.39 / 0.44 (the
+histology, genomic and cross-modal encoders; mean over the 40 validation
+patients of synth seed 0, fold 0), and by 0.29 / 0.19 / 0.20 at T = 10.
+The first-order gradient is kept as a measured trade-off, not because
+the premise holds: backward costs one iteration's adjoint instead of T,
+which trained 1.7x faster at T = 10, for a present C-index 0.026 lower
+than the exact gradient's at 10 epochs and an imputed one higher on 10
+of 15 folds.  At T = 1 the gradient is the exact one.  The forward, and
+so every served output, is the T-iteration chain's.
 
 Only training is random.  The slots start at the learned mean, plus
 exp(init_log_std) times standard-normal noise when noise is given; the

@@ -70,7 +70,7 @@ def test_config_defaults_match_reference_recipe():
     assert cfg.lam == 0.1
     assert cfg.n_slots_h == cfg.n_slots_g == 16
     assert cfg.t_iters == 3
-    assert cfg.l_iters == 3
+    assert cfg.l_iters == 1
     assert cfg.k_fraction == 0.25
     assert cfg.temperature == 0.01
     assert cfg.patch_subsample == 4096
@@ -727,6 +727,42 @@ def test_serving_runs_the_checkpoints_t_not_the_default(trained,
         _, val = fold_indices(small_cohort, ckpt.config, 0)
         assert seen == [SMALL_TRAIN["t_iters"]] * ((3 if missing else 2)
                                                    * len(val))
+
+
+def test_serving_runs_the_checkpoints_l_not_the_default(trained,
+                                                        small_cohort,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """A checkpoint serves with the L it was trained with: after a save
+    and a load, the one cross-attention exchange that ``predict_patient``
+    (genomics present and imputed) and ``evaluate`` build per patient
+    runs ``ckpt.config.l_iters`` rounds, so a checkpoint trained before
+    the default changed serves as it did."""
+    assert SMALL_TRAIN["l_iters"] != TrainConfig().l_iters
+    path = tmp_path / "fold.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    ckpt = load_checkpoint(path)
+    assert ckpt.config.l_iters == SMALL_TRAIN["l_iters"]
+
+    seen = []
+    build = fusion_mod.build_iterative_cross_attention
+
+    def spy(g, p, slots_h, slots_g, l_iters):
+        seen.append(l_iters)
+        return build(g, p, slots_h, slots_g, l_iters)
+
+    monkeypatch.setattr(fusion_mod, "build_iterative_cross_attention", spy)
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    for bag_g in (data_mod.load_bag(rec.genomic_path), None):
+        seen.clear()
+        predict_patient(ckpt, bag_h, bag_g)
+        assert seen == [SMALL_TRAIN["l_iters"]]
+    _, val = fold_indices(small_cohort, ckpt.config, 0)
+    for missing in (False, True):
+        seen.clear()
+        evaluate(ckpt, small_cohort, 0, missing_genomics=missing, n_boot=10)
+        assert seen == [SMALL_TRAIN["l_iters"]] * len(val)
 
 
 @pytest.mark.parametrize("delta", [1, -1])
