@@ -119,7 +119,8 @@ axes, so one model builder serves both:
 * slot_encode: a slot encoder, T slot-attention iterations over a bag.
   From the bag (.., M, d) and the initial slots (.., S, d), with the
   same leading axes, the instance mask, an array (.., M, 1) kept in the
-  node's aux beside T, and nineteen weights: the bag layer norm's gain
+  node's aux beside T and the scale 1/sqrt(d), as the other attention
+  ops keep theirs, and nineteen weights: the bag layer norm's gain
   and shift, (1, d) each, w_k, w_v, the slots' (1, d) layer-norm gain,
   w_q, the nine GRU weights and the MLP's w1, b1, w2, b2. The bag part
   runs once: y = layer_norm(bag); keys = (y @ w_k)^T * 1/sqrt(d), (.., d,
@@ -163,11 +164,11 @@ axes, so one model builder serves both:
   order, so the rebuilt arrays have the forward's bits.
 * cross_attend: L cross-attention rounds between two slot sets. From
   slots_h (.., S_h, d) and slots_g (.., S_g, d) with the same leading
-  axes, L in the aux and sixteen weights shared by every round and both
-  directions (w_q, w_k, w_v, the nine GRU weights and the MLP's w1, b1,
-  w2, b2), with x = [h; g] (.., S_h + S_g, d), each round: q, k, v = x @
-  w_q, x @ w_k, x @ w_v; attn_h = row_softmax((q_h @ k_g^T) * 1/sqrt(d)),
-  (.., S_h, S_g), and attn_g likewise, k^T a transposed copy; x' =
+  axes, L and the scale in the aux, and sixteen weights shared by every
+  round and both directions (w_q, w_k, w_v, the nine GRU weights and the
+  MLP's w1, b1, w2, b2), with x = [h; g] (.., S_h + S_g, d), each
+  round: q, k, v = x @ w_q, x @ w_k, x @ w_v; attn_h = row_softmax((q_h
+  @ k_g^T) * 1/sqrt(d)), (.., S_h, S_g), and attn_g likewise, k^T a transposed copy; x' =
   gru_cell([attn_h @ v_g; attn_g @ v_h], x); x'' = x' + affine(relu(
   affine(x', w1, b1)), w2, b2), the next round's x. The value is the last
   x. Its chain is, per round, a 13-node update per direction, and the
@@ -255,7 +256,9 @@ __all__ = [
     "bind_arrays",
     "init_block",
     "init_normal",
+    "init_weight",
     "named_arrays",
+    "zero_row",
 ]
 
 _LN_EPS = 1e-5
@@ -340,6 +343,12 @@ def _tail_madds(rows: int, d: int) -> int:
     per row 6 d*d + 10 d for the GRU cell, d*d + d for each affine layer
     and d each for the relu and the residual add."""
     return rows * (8 * d * d + 14 * d)
+
+
+def _attention_scale(d: int) -> float:
+    """The scale 1/sqrt(d) of every attention logit at width d, which the
+    attention ops keep in their aux."""
+    return float(1.0 / np.sqrt(d))
 
 
 class Graph:
@@ -479,7 +488,7 @@ class Graph:
                       + _tail_madds(rows, d))
         parents = (bag, slots, *weights)
         return self._append("slot_encode", tuple(p.idx for p in parents),
-                            aux=(t_iters, ones),
+                            aux=(t_iters, ones, _attention_scale(d)),
                             madds=bag_madds + t_iters * step_madds)
 
     def cross_attend(self, slots_h: Node, slots_g: Node, w_q: Node,
@@ -514,7 +523,7 @@ class Graph:
                        + _tail_madds(rows, d))
         parents = (slots_h, slots_g, *weights)
         return self._append("cross_attend", tuple(p.idx for p in parents),
-                            aux=(l_iters, float(1.0 / np.sqrt(d))),
+                            aux=(l_iters, _attention_scale(d)),
                             madds=l_iters * round_madds)
 
     def self_attend(self, slots: Node, hot, w_q: Node, w_k: Node,
@@ -544,8 +553,7 @@ class Graph:
                  + 5 * rows * d)                      # adds, biases, relu
         return self._append("self_attend",
                             tuple(p.idx for p in (slots, *weights)),
-                            aux=(np.flatnonzero(hot),
-                                 float(1.0 / np.sqrt(d))),
+                            aux=(np.flatnonzero(hot), _attention_scale(d)),
                             madds=madds)
 
     def decode(self, queries: Node, slots: Node, w_q: Node, w_k: Node,
@@ -576,7 +584,7 @@ class Graph:
                  + 2 * rows * d * d + 9 * rows * d)   # MLP, adds, layer norm
         parents = (queries, slots, *weights)
         return self._append("decode", tuple(p.idx for p in parents),
-                            aux=float(1.0 / np.sqrt(d)), madds=madds)
+                            aux=_attention_scale(d), madds=madds)
 
     def mean_pool(self, a: Node) -> Node:
         """Mean over the second-to-last axis, kept as a length-1 axis."""
@@ -947,7 +955,7 @@ def _slot_encode_fwd(aux, bag, slots, ln_gamma, ln_beta, w_k, w_v,
     dropped before the iterations run.  The adjoint differentiates the
     last iteration alone, so the first T - 1 iterations keep nothing:
     only the last one's input slots and ``_StepSaved`` are kept."""
-    t_iters, ones = aux
+    t_iters, ones, scale = aux
     # the layer norm of the bag, with y in xhat's array
     xhat, inv, mean = _normalize(bag)
     y = np.multiply(xhat, ln_gamma, out=xhat)
@@ -955,7 +963,7 @@ def _slot_encode_fwd(aux, bag, slots, ln_gamma, ln_beta, w_k, w_v,
     _guard(y, "layer-norm output", "slot_encode")
     k = _matmul(y, w_k)
     keys_t = np.swapaxes(k, -1, -2).copy()
-    keys_t *= keys_t.dtype.type(1.0 / np.sqrt(bag.shape[-1]))
+    keys_t *= keys_t.dtype.type(scale)
     _guard(keys_t, "keys", "slot_encode")
     values = _matmul(y, w_v, out=k)
     del xhat, y
@@ -1387,7 +1395,7 @@ def _bw_slot_encode(g, i, grad, grads):
     st, h, alpha = sv.step, sv.state, sv.step.alpha
     v = g._values
     need = g._needs_grad
-    ones = g._aux[i][1]
+    _, ones, scale = g._aux[i]
     # the slot-sized values the forward dropped: its kernels in its order
     xhat = _renormalize(h, st.inv, st.mean)
     normed = xhat * v[gi]
@@ -1434,7 +1442,7 @@ def _bw_slot_encode(g, i, grad, grads):
     d_y = _matmul(d_values, np.swapaxes(v[vi], -1, -2))
 
     # keys = (y @ w_k)^T * c: the key path
-    d_keys_t *= d_keys_t.dtype.type(1.0 / np.sqrt(y.shape[-1]))
+    d_keys_t *= d_keys_t.dtype.type(scale)
     d_keys, out = np.swapaxes(d_keys_t, -1, -2), None
     if d_keys.ndim == 3 and d_keys.shape[0] > 1 and d_keys.shape[-1] > 1:
         # both products read the rows of this view through a C-order copy:
@@ -1753,14 +1761,25 @@ def init_normal(rng: np.random.Generator, shape, scale) -> np.ndarray:
     return (rng.normal(size=shape) * scale).astype(np.float32)
 
 
+def init_weight(rng: np.random.Generator, fan_in: int,
+                fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) weight drawn at scale 1/sqrt(fan_in); every
+    weight matrix's init."""
+    return init_normal(rng, (fan_in, fan_out), 1.0 / np.sqrt(fan_in))
+
+
+def zero_row(n: int) -> np.ndarray:
+    """A (1, n) float32 row of zeros; every bias's and shift's init."""
+    return np.zeros((1, n), dtype=np.float32)
+
+
 def init_block(rng: np.random.Generator, dim: int):
     """(mat, bias, gamma) makers for a width-``dim`` parameter block:
-    ``mat()`` draws a (dim, dim) weight at scale 1/sqrt(dim); ``bias()``
-    and ``gamma()`` return (1, dim) float32 rows of zeros and ones.  The
+    ``mat()`` draws a (dim, dim) weight (``init_weight``); ``bias()`` and
+    ``gamma()`` return (1, dim) float32 rows of zeros and ones.  The
     order of the ``mat()`` calls fixes every tensor."""
-    scale = 1.0 / np.sqrt(dim)
-    return (lambda: init_normal(rng, (dim, dim), scale),
-            lambda: np.zeros((1, dim), dtype=np.float32),
+    return (lambda: init_weight(rng, dim, dim),
+            lambda: zero_row(dim),
             lambda: np.ones((1, dim), dtype=np.float32))
 
 

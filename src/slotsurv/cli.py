@@ -61,14 +61,10 @@ def _read_json(path, what: str) -> dict:
 
 
 def cmd_synth(args) -> int:
-    from .data import SynthConfig, synth_cohort
+    from .data import SynthConfig, config_from_dict, synth_cohort
 
     doc = _read_json(args.config, "synth config") if args.config else {}
-    known = set(SynthConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown synth config keys {sorted(unknown)}")
-    cohort = synth_cohort(SynthConfig(**doc), args.out)
+    cohort = synth_cohort(config_from_dict(SynthConfig, doc), args.out)
     print(f"wrote {cohort.n_patients} patients under {args.out}")
     return EXIT_OK
 

@@ -45,6 +45,7 @@ __all__ = [
     "atomic_write",
     "check_bag_shape",
     "check_field_types",
+    "config_from_dict",
     "discretize_times",
     "expect_modality",
     "kfold_split",
@@ -399,6 +400,19 @@ def check_field_types(config) -> None:
             raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def config_from_dict(cls, doc: dict):
+    """The config dataclass ``cls`` holding ``doc``'s fields, the others
+    at their defaults, and validated; a key that names no field raises
+    ValueError."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)} for "
+                         f"{cls.__name__}")
+    config = cls(**doc)
+    config.validate()
+    return config
 
 
 @dataclass(frozen=True)

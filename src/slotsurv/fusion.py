@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Node, init_block, init_normal
+from .autodiff import Graph, Node, init_block, init_weight, zero_row
 
 __all__ = [
     "CrossAttentionParams",
@@ -128,10 +128,8 @@ def init_cross_params(rng: np.random.Generator,
 def init_risk_params(rng: np.random.Generator, dim: int,
                      n_bins: int) -> RiskHeadParams:
     return RiskHeadParams(
-        w1=init_normal(rng, (3 * dim, dim), 1.0 / np.sqrt(3 * dim)),
-        b1=np.zeros((1, dim), dtype=np.float32),
-        w2=init_normal(rng, (dim, n_bins), 1.0 / np.sqrt(dim)),
-        b2=np.zeros((1, n_bins), dtype=np.float32),
+        w1=init_weight(rng, 3 * dim, dim), b1=zero_row(dim),
+        w2=init_weight(rng, dim, n_bins), b2=zero_row(n_bins),
     )
 
 

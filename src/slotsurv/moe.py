@@ -23,7 +23,9 @@ the deterministic top-K of the raw scores.
 K comes from one rule, ``train.k_from_fraction``: K = round(f * S),
 clipped to [1, S], with f = ``TrainConfig.k_fraction`` (0.25 by
 default).  Training and inference both read K from it through
-``TrainConfig.k_h``/``k_g``.  At K = S (``k_fraction = 1.0``, the
+``TrainConfig.k_h``/``k_g``.  That rule is where K is checked, and
+``TrainConfig.validate`` is where the temperature is checked positive;
+the builders here take both as given.  At K = S (``k_fraction = 1.0``, the
 keep-every-slot ablation) the mask is all ones, c is not added, and the
 weights are the plain softmax of the scores.
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Node, init_block, init_normal
+from .autodiff import Graph, Node, init_block, init_weight, zero_row
 from .data import atomic_write
 
 __all__ = [
@@ -77,7 +79,7 @@ class PredictorParams:
 
 
 def init_gate_params(rng: np.random.Generator, dim: int) -> GateParams:
-    return GateParams(w=init_normal(rng, (dim, 1), 1.0 / np.sqrt(dim)))
+    return GateParams(w=init_weight(rng, dim, 1))
 
 
 def init_predictor_params(rng: np.random.Generator, dim: int,
@@ -85,8 +87,7 @@ def init_predictor_params(rng: np.random.Generator, dim: int,
     mat, bias, _ = init_block(rng, dim)
     return PredictorParams(
         w1=mat(), b1=bias(),
-        w2=init_normal(rng, (dim, n_bins), 1.0 / np.sqrt(dim)),
-        b2=np.zeros((1, n_bins), dtype=np.float32),
+        w2=init_weight(rng, dim, n_bins), b2=zero_row(n_bins),
     )
 
 
@@ -107,11 +108,6 @@ def _k_hot(values: np.ndarray, k: int) -> np.ndarray:
     return hard
 
 
-def _check_k(k: int, n_slots: int) -> None:
-    if not 1 <= k <= n_slots:
-        raise ValueError(f"K must be in [1, {n_slots}], got {k}")
-
-
 # -------------------------------------------------------------- graph builders
 
 
@@ -126,9 +122,6 @@ def build_gumbel_mask(g: Graph, r: Node, k: int, noise=None) -> np.ndarray:
     graph dtype and shape (..., 1, S): the top-K of the scores, perturbed
     by Gumbel(0,1) ``noise`` of shape (..., 1, S) (cast to the graph
     dtype) when it is given (training)."""
-    if r.shape[-1] != 1:
-        raise ValueError(f"scores must be a column, got shape {r.shape}")
-    _check_k(k, r.shape[-2])
     scores = np.swapaxes(r.value, -1, -2)
     if noise is not None:
         scores = scores + np.asarray(noise, dtype=g.dtype)
@@ -140,15 +133,8 @@ def build_renormalized_weights(g: Graph, r: Node, mask: np.ndarray,
     """Mixture weights w = row_softmax(r/temperature + c) over the slots
     the K-hot ``mask`` selects, c = 0 there and -finfo.max/4 elsewhere (see
     the module docstring).  Shape (..., 1, S)."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     row = g.reshape(r, r.shape[:-2] + (1, r.shape[-2]))
-    if mask.shape != row.shape:
-        raise ValueError(
-            f"mask shape {mask.shape} does not match {r.shape[-2]} scores")
     selected = mask > 0.5
-    if not np.all(np.any(selected, axis=-1)):
-        raise ValueError("mask selects no slots")
     logits = g.scale(row, 1.0 / temperature)
     if not selected.all():
         off = -np.finfo(g.dtype).max / 4
@@ -165,9 +151,6 @@ def build_slot_logits(g: Graph, pred: PredictorParams, slots: Node) -> Node:
 
 def build_gated_mixture(g: Graph, weights: Node, logits: Node) -> Node:
     """Weighted mixture of slot logit rows, shape (..., 1, n_bins)."""
-    if weights.shape[-2:] != (1, logits.shape[-2]):
-        raise ValueError(
-            f"weights {weights.shape} do not match logits {logits.shape}")
     return g.matmul(weights, logits)
 
 

@@ -61,7 +61,7 @@ def _pooled_groups(fold_metrics):
             np.asarray(high, dtype=bool))
 
 
-def summarize(fold_metrics, n_boot: int = 1000) -> dict:
+def summarize(fold_metrics, n_boot: int = surv_mod.N_BOOT) -> dict:
     """Aggregate fold metrics: C-index mean +- population std, plus the
     pooled two-group survival contrast (log-rank, RMST at the folds' tau).
     A repeated fold, or a mix of present and imputed genomics, is an error."""
@@ -74,7 +74,7 @@ def summarize(fold_metrics, n_boot: int = 1000) -> dict:
         raise ValueError("folds mix present and imputed genomics; report "
                          "each mode from its own runs directory")
     c_mean, c_std = mean_std(m["c_index"] for m in fold_metrics)
-    taus = {float(m.get("rmst_tau", 60.0)) for m in fold_metrics}
+    taus = {float(m.get("rmst_tau", surv_mod.RMST_TAU)) for m in fold_metrics}
     if len(taus) != 1:
         raise ValueError(f"folds disagree on rmst tau: {sorted(taus)}")
     tau = taus.pop()
@@ -206,7 +206,7 @@ def annotations_lines(annotations: dict) -> list:
     if "logrank_p" in annotations:
         out.append(f"log-rank p = {annotations['logrank_p']:.4g}")
     if "delta" in annotations:
-        tau = annotations.get("rmst_tau", 60.0)
+        tau = annotations.get("rmst_tau", surv_mod.RMST_TAU)
         out.append(
             f"ΔRMST(τ={tau:g}) = {annotations['delta']:.2f} months")
     if "ratio" in annotations:
@@ -227,7 +227,7 @@ def write_km_svg(fold_metrics, summary: dict, path) -> None:
                                    xml_declaration=True)
 
 
-def write_report(fold_metrics, out_dir, n_boot: int = 1000) -> dict:
+def write_report(fold_metrics, out_dir, n_boot: int = surv_mod.N_BOOT) -> dict:
     """Write folds.csv, summary.json and km.svg; returns the summary."""
     if not fold_metrics:
         raise ValueError("no fold metrics to report")

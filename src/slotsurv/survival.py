@@ -8,6 +8,10 @@ of the log-rank statistic alone, in closed form (Mantel, 1966).
 negative log-likelihoods of one patient or of a batch to an existing
 autodiff graph so the training loop can differentiate through them.
 
+Two constants fix the evaluation protocol: ``RMST_TAU``, the horizon in
+months of every restricted mean survival time an evaluation reports, and
+``N_BOOT``, the bootstrap replicates of its RMST contrasts.
+
 Conventions used throughout:
 
 * ``censored`` flags are 1/True when the subject is censored (no event).
@@ -33,6 +37,8 @@ __all__ = [
     "KMEstimate",
     "LossReport",
     "LOSS_TERMS",
+    "N_BOOT",
+    "RMST_TAU",
     "build_nll_loss",
     "bootstrap_stats",
     "chi2_sf",
@@ -49,6 +55,9 @@ __all__ = [
 # finite even for saturated logits.
 H_MIN = 1e-7
 H_MAX = 1.0 - 1e-7
+
+RMST_TAU = 60.0         # months
+N_BOOT = 1000
 
 
 # --------------------------------------------------------------------- hazards
@@ -139,7 +148,7 @@ class LossReport:
         return asdict(self)
 
 
-def total_loss(per_subject, lam: float = 0.1) -> LossReport:
+def total_loss(per_subject, lam: float) -> LossReport:
     """Combine per-subject loss terms into a batch-mean report.
 
     ``per_subject`` is a sequence of mappings; missing keys count as 0
@@ -341,7 +350,7 @@ def _replicate_rmst(t, ev, idx, tau) -> np.ndarray:
 
 
 def bootstrap_stats(times_high, events_high, times_low, events_low,
-                    tau: float, n_boot: int = 1000, seed: int = 0
+                    tau: float, n_boot: int = N_BOOT, seed: int = 0
                     ) -> BootstrapSummary:
     """Bootstrap the RMST difference and ratio between two groups.
 
@@ -400,7 +409,7 @@ def bootstrap_stats(times_high, events_high, times_low, events_low,
 
 
 def stratified_stats(risks, times, events, threshold: float,
-                     tau: float = 60.0, n_boot: int = 1000) -> dict:
+                     tau: float = RMST_TAU, n_boot: int = N_BOOT) -> dict:
     """Two-group survival contrast at a risk threshold (>= goes high).
 
     A degenerate split or resample gives NaN contrasts; a bad ``n_boot``

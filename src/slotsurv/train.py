@@ -19,7 +19,7 @@ import dataclasses
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,13 +112,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
+        return data_mod.config_from_dict(cls, doc)
 
 
 def k_from_fraction(fraction: float, n_slots: int) -> int:
@@ -130,6 +124,9 @@ def k_from_fraction(fraction: float, n_slots: int) -> int:
 
 # ------------------------------------------------------------------- optimizer
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
@@ -148,10 +145,10 @@ class AdamState:
                    v={k: np.zeros(v.shape) for k, v in arrays.items()})
 
 
-def adam_step(arrays: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> dict:
-    """One Adam update over a flat name->array mapping.
+def adam_step(arrays: dict, grads: dict, state: AdamState,
+              lr: float) -> dict:
+    """One Adam update over a flat name->array mapping, with the module's
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     Missing gradient entries count as zero.  Any non-finite gradient skips
     the whole step (parameters and moments untouched) and bumps the skip
@@ -165,19 +162,19 @@ def adam_step(arrays: dict, grads: dict, state: AdamState, lr: float,
                         name)
             return arrays
     state.t += 1
-    corr1 = 1.0 - beta1 ** state.t
-    corr2 = 1.0 - beta2 ** state.t
+    corr1 = 1.0 - ADAM_BETA1 ** state.t
+    corr2 = 1.0 - ADAM_BETA2 ** state.t
     out = {}
     for name, x in arrays.items():
         g = grads.get(name)
         g = np.zeros(x.shape) if g is None else np.asarray(g, np.float64)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        step = lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        step = lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
         out[name] = (x - step).astype(x.dtype, copy=False)
     return out
 
@@ -563,7 +560,7 @@ def predict_patient(ckpt: Checkpoint, bag_h: FeatureBag,
 
 def evaluate(ckpt: Checkpoint, cohort: Cohort, fold: int,
              missing_genomics: bool = False, indices=None,
-             n_boot: int = 1000, rmst_tau: float = 60.0) -> dict:
+             n_boot: int = surv_mod.N_BOOT) -> dict:
     """Risk metrics over one validation fold.
 
     ``indices`` overrides the fold split (useful for scoring a training
@@ -572,7 +569,7 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort, fold: int,
     bags are replaced by cross-modal reconstructions; the genomic files
     are never opened.  Stratified statistics compare the groups
     above/below the median risk of this fold; with fewer than 2 events
-    per group they come out NaN.
+    per group they come out NaN.  RMSTs run to ``survival.RMST_TAU``.
     """
     if indices is None:
         _, indices = fold_indices(cohort, ckpt.config, fold)
@@ -614,13 +611,14 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort, fold: int,
         "missing_genomics": bool(missing_genomics),
         "c_index": float(c_index),
         "median_risk": median,
-        "rmst_tau": float(rmst_tau),
+        "rmst_tau": surv_mod.RMST_TAU,
         "patient_ids": ids,
         "risks": [float(r) for r in risks],
         "times": [float(t) for t in times],
         "events": [bool(e) for e in events],
     }
     metrics.update(surv_mod.stratified_stats(risks, times, events, median,
-                                             tau=rmst_tau, n_boot=n_boot))
+                                             tau=surv_mod.RMST_TAU,
+                                             n_boot=n_boot))
     return metrics
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from slotsurv import autodiff
 from slotsurv.autodiff import Graph, GraphError, Node
-from slotsurv.moe import GateMask, GateParams, PredictorParams, _check_k, _k_hot
+from slotsurv.moe import GateMask, GateParams, PredictorParams, _k_hot
 from slotsurv.slots import SlotParams, build_init_slots
 from slotsurv.survival import BootstrapSummary, HazardCurve, km_estimate, rmst
 
@@ -82,7 +82,8 @@ def gumbel_topk_mask(r: np.ndarray, k: int, temperature: float,
                      rng: np.random.Generator | None = None,
                      training: bool = True) -> GateMask:
     r = np.asarray(r, dtype=np.float64).reshape(-1)
-    _check_k(k, r.size)
+    if not 1 <= k <= r.size:
+        raise ValueError(f"K must be in [1, {r.size}], got {k}")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if training:

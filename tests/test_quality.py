@@ -118,3 +118,18 @@ def test_train_fields_are_checked_before_any_training():
     assert quality._field_value("precision=float64") == \
         ("precision", "float64")
     assert quality._field_value("k_fraction=1.0") == ("k_fraction", 1.0)
+
+
+def test_an_invalid_train_field_is_refused_before_any_training(monkeypatch):
+    """``--train`` fields pass ``TrainConfig.validate``, as any config
+    built from a dict does, before a cohort is drawn."""
+    quality = _quality()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("trained with an invalid config")
+    monkeypatch.setattr(quality, "quality", no_run)
+    with pytest.raises(SystemExit) as exit_:
+        quality.main(["--train", "temperature=-1"])
+    assert exit_.value.code == 2
+    with pytest.raises(ValueError, match="temperature"):
+        quality.train_config(1, 2, {"temperature": -1.0})

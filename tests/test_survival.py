@@ -214,7 +214,7 @@ def test_total_loss_missing_terms_count_as_zero():
 
 def test_total_loss_empty_batch_rejected():
     with pytest.raises(ValueError):
-        total_loss([])
+        total_loss([], lam=0.1)
 
 
 # ----------------------------------------------------------------- concordance

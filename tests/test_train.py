@@ -18,6 +18,8 @@ from slotsurv import fusion as fusion_mod
 from slotsurv import model as model_mod
 from slotsurv.data import SynthConfig, discretize_times, synth_cohort
 from slotsurv import recon as recon_mod
+from slotsurv import reporting
+from slotsurv import survival as surv_mod
 from slotsurv import train as train_mod
 from slotsurv.autodiff import OP_KINDS, Graph, GraphError
 from slotsurv.train import (
@@ -85,7 +87,8 @@ def test_config_defaults_match_reference_recipe():
     dict(patch_subsample=0), dict(n_bins=0), dict(precision="float16"),
     dict(n_folds=1), dict(lam=-0.1), dict(lam=float("nan")),
     dict(lam=float("inf")), dict(learning_rate=float("inf")),
-    dict(temperature=float("inf")),
+    dict(temperature=float("inf")), dict(temperature=-0.5),
+    dict(k_fraction=-0.25),
 ])
 def test_config_rejects_nonpositive_fields(bad):
     with pytest.raises(ValueError):
@@ -104,8 +107,9 @@ def test_k_from_fraction():
     assert k_from_fraction(0.25, 4) == 1
     assert k_from_fraction(0.05, 4) == 1        # never below one slot
     assert k_from_fraction(1.0, 7) == 7
-    with pytest.raises(ValueError):
-        k_from_fraction(0.0, 8)
+    for bad in (0.0, -0.25, 1.01, float("nan")):
+        with pytest.raises(ValueError, match="k_fraction"):
+            k_from_fraction(bad, 8)
 
 
 # ------------------------------------------------------------------- optimizer
@@ -600,6 +604,20 @@ def test_evaluate_schema_and_determinism(trained, small_cohort):
         assert key in m1
     assert 0.0 <= m1["c_index"] <= 1.0
     assert len(m1["risks"]) == m1["n_patients"]
+
+
+def test_evaluation_runs_rmst_to_the_one_tau(trained, small_cohort):
+    """``evaluate`` reports RMSTs to ``survival.RMST_TAU`` over
+    ``survival.N_BOOT`` = 1000 replicates by default, and a summary of
+    folds that carry no ``rmst_tau`` runs to the same tau."""
+    every = range(len(small_cohort.records))
+    m = evaluate(trained.checkpoint, small_cohort, fold=0, indices=every)
+    assert surv_mod.N_BOOT == 1000
+    assert m["rmst_tau"] == surv_mod.RMST_TAU and m["n_boot"] == 1000
+    folds = [{k: v for k, v in dict(m, fold=f).items() if k != "rmst_tau"}
+             for f in (0, 1)]
+    assert reporting.summarize(folds, n_boot=20)["rmst_tau"] == \
+        surv_mod.RMST_TAU
 
 
 def test_evaluate_rejects_empty_fold(trained, small_cohort):

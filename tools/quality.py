@@ -118,19 +118,17 @@ def _summary_line(name: str, s: dict) -> str:
 
 
 def train_config(epochs: int, folds: int, fields=None):
-    """The ``TrainConfig`` of a run: ``epochs`` and ``folds`` over the
-    reference recipe, with the other ``fields`` set, each of its field's
-    type."""
-    from slotsurv import data, train
+    """The validated ``TrainConfig`` of a run: ``epochs`` and ``folds``
+    over the reference recipe, with the other ``fields`` set."""
+    from slotsurv import train
 
     fields = dict(fields or {})
     own = {"epochs", "n_folds"} & set(fields)
     if own:
         raise ValueError(f"set {sorted(own)} with --epochs and --folds, "
                          "not --train")
-    config = train.TrainConfig(**fields, epochs=epochs, n_folds=folds)
-    data.check_field_types(config)
-    return config
+    return train.TrainConfig.from_dict(
+        {**fields, "epochs": epochs, "n_folds": folds})
 
 
 def quality(seeds, folds: int, epochs: int, n_boot: int, synth=None,
