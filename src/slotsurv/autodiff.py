@@ -346,8 +346,7 @@ def _tail_madds(rows: int, d: int) -> int:
 
 
 def _attention_scale(d: int) -> float:
-    """The scale 1/sqrt(d) of every attention logit at width d, which the
-    attention ops keep in their aux."""
+    """1/sqrt(d), every attention op's logit scale at width d."""
     return float(1.0 / np.sqrt(d))
 
 
@@ -1761,10 +1760,9 @@ def init_normal(rng: np.random.Generator, shape, scale) -> np.ndarray:
     return (rng.normal(size=shape) * scale).astype(np.float32)
 
 
-def init_weight(rng: np.random.Generator, fan_in: int,
-                fan_out: int) -> np.ndarray:
-    """A (fan_in, fan_out) weight drawn at scale 1/sqrt(fan_in); every
-    weight matrix's init."""
+def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int):
+    """A float32 (fan_in, fan_out) weight drawn at scale 1/sqrt(fan_in);
+    every weight matrix's init."""
     return init_normal(rng, (fan_in, fan_out), 1.0 / np.sqrt(fan_in))
 
 

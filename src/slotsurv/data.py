@@ -403,9 +403,8 @@ def check_field_types(config) -> None:
 
 
 def config_from_dict(cls, doc: dict):
-    """The config dataclass ``cls`` holding ``doc``'s fields, the others
-    at their defaults, and validated; a key that names no field raises
-    ValueError."""
+    """``cls(**doc)``, validated; a key of ``doc`` that names no field of
+    the config dataclass ``cls`` raises ValueError."""
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)} for "

@@ -25,9 +25,9 @@ clipped to [1, S], with f = ``TrainConfig.k_fraction`` (0.25 by
 default).  Training and inference both read K from it through
 ``TrainConfig.k_h``/``k_g``.  That rule is where K is checked, and
 ``TrainConfig.validate`` is where the temperature is checked positive;
-the builders here take both as given.  At K = S (``k_fraction = 1.0``, the
-keep-every-slot ablation) the mask is all ones, c is not added, and the
-weights are the plain softmax of the scores.
+the builders here take both as given.  At K = S (``k_fraction = 1.0``,
+the keep-every-slot ablation) the mask is all ones, c is not added, and
+the weights are the plain softmax of the scores.
 
 As in the encoder module, build_* functions append nodes to a
 caller-owned Graph; ``build_gumbel_mask`` is the one place a selection

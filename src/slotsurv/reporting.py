@@ -74,7 +74,8 @@ def summarize(fold_metrics, n_boot: int = surv_mod.N_BOOT) -> dict:
         raise ValueError("folds mix present and imputed genomics; report "
                          "each mode from its own runs directory")
     c_mean, c_std = mean_std(m["c_index"] for m in fold_metrics)
-    taus = {float(m.get("rmst_tau", surv_mod.RMST_TAU)) for m in fold_metrics}
+    taus = {float(m.get("rmst_tau", surv_mod.RMST_TAU))
+            for m in fold_metrics}
     if len(taus) != 1:
         raise ValueError(f"folds disagree on rmst tau: {sorted(taus)}")
     tau = taus.pop()
@@ -227,7 +228,8 @@ def write_km_svg(fold_metrics, summary: dict, path) -> None:
                                    xml_declaration=True)
 
 
-def write_report(fold_metrics, out_dir, n_boot: int = surv_mod.N_BOOT) -> dict:
+def write_report(fold_metrics, out_dir,
+                 n_boot: int = surv_mod.N_BOOT) -> dict:
     """Write folds.csv, summary.json and km.svg; returns the summary."""
     if not fold_metrics:
         raise ValueError("no fold metrics to report")

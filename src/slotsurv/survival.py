@@ -3,14 +3,12 @@
 The estimation side (hazard curves, concordance, Kaplan-Meier, log-rank,
 RMST, bootstrap contrasts, the risk-stratified ``stratified_stats``) is
 pure numpy and operates on plain arrays; ``chi2_sf`` is the one-dof tail
-of the log-rank statistic alone, in closed form (Mantel, 1966).
+of the log-rank statistic alone, in closed form (Mantel, 1966).  Two
+constants fix the evaluation protocol: ``RMST_TAU``, the RMST horizon in
+months, and ``N_BOOT``, the bootstrap replicates per contrast.
 ``build_nll_loss`` is the one graph-aware entry point: it attaches the
 negative log-likelihoods of one patient or of a batch to an existing
 autodiff graph so the training loop can differentiate through them.
-
-Two constants fix the evaluation protocol: ``RMST_TAU``, the horizon in
-months of every restricted mean survival time an evaluation reports, and
-``N_BOOT``, the bootstrap replicates of its RMST contrasts.
 
 Conventions used throughout:
 

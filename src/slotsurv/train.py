@@ -7,9 +7,9 @@ batch, and an instance mask keeps the padding out of every result.  A run
 holds one batch graph at a time: each is freed, with its values, saved
 intermediates and gradients, before the next batch is built.
 Inference runs the same trunk on a batch of one, with every histology
-row.  The optimizer state, parameter tensors, config snapshot and rng
-state round-trip through a single checkpoint file byte-for-byte; a
-corrupt or inconsistent file, or one holding a non-finite tensor, raises
+row.  The parameter tensors, optimizer state and config snapshot
+round-trip through a single checkpoint file byte-for-byte; a corrupt
+or inconsistent file, or one holding a non-finite tensor, raises
 ``CheckpointError``, and saves are atomic.
 """
 
@@ -128,6 +128,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+
 @dataclass
 class AdamState:
     """First/second moment estimates plus step and skip counters."""
@@ -184,16 +185,14 @@ def adam_step(arrays: dict, grads: dict, state: AdamState,
 
 @dataclass
 class Checkpoint:
-    """Everything needed to evaluate a run: parameters, Adam moments, the
-    config, and the PCG64 state of the run's rng at its end.  It cannot
-    resume a run: ``train()`` always starts its rng from ``config.seed``
-    and reads no checkpoint."""
+    """Everything needed to evaluate a run: the parameters, the Adam
+    moments with their step and skip counts, the config and the number of
+    optimizer steps taken.  It cannot resume a run: ``train()`` always
+    starts its rng from ``config.seed`` and reads no checkpoint."""
 
     params: ModelParams
     adam: AdamState
     config: TrainConfig
-    epoch: int
-    rng_state: dict
     steps_trained: int
 
     def named_tensors(self) -> dict:
@@ -209,8 +208,12 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Named-tensor container: JSON index + raw little-endian payloads.
 
-    Tensors are laid out in sorted name order and the index is dumped with
-    sorted keys, so identical state always produces identical bytes.
+    The index holds the format version, ``steps_trained``, the Adam step
+    and skip counts, the config and one row per tensor (name, dtype,
+    shape, offset, byte count); the tensors are the model parameters and
+    the Adam moments (``adam.m.*``, ``adam.v.*``).  Tensors are laid out
+    in sorted name order and the index is dumped with sorted keys, so
+    identical state always produces identical bytes.
     """
     tensors = ckpt.named_tensors()
     index_rows = []
@@ -227,12 +230,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         payload.extend(blob)
     index = {
         "version": CHECKPOINT_VERSION,
-        "epoch": ckpt.epoch,
         "steps_trained": ckpt.steps_trained,
         "skipped_steps": ckpt.adam.skipped,
         "adam_t": ckpt.adam.t,
         "config": ckpt.config.as_dict(),
-        "rng_state": ckpt.rng_state,
         "tensors": index_rows,
     }
     doc = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
@@ -308,21 +309,10 @@ def _check_geometry(path, params, config: TrainConfig) -> None:
                 f"{list(fresh[name].shape)}")
 
 
-def _check_rng_state(path, state) -> None:
-    """The rng state must be a PCG64 state that a fresh generator reads back
-    unchanged.  Malformed input makes the setter raise TypeError, ValueError,
-    OverflowError or KeyError.  The setter does not check that ``has_uint32``
-    is a 0/1 flag or that the increment is odd, as every PCG64 increment is,
-    so those are checked here."""
-    bit_generator = np.random.PCG64()
-    bit_generator.state = state
-    if (bit_generator.state != state or state["has_uint32"] not in (0, 1)
-            or state["state"]["inc"] % 2 != 1):
-        raise CheckpointError(f"{path}: rng_state is not a PCG64 state")
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any inconsistency raises CheckpointError."""
+    """Read a checkpoint; any inconsistency raises CheckpointError.  Index
+    keys it does not read, as older files' ``epoch`` and ``rng_state``,
+    are ignored."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _CKPT_HEADER.size:
@@ -355,10 +345,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: selective is {selective!r}")
         config = TrainConfig.from_dict(config)
         _check_geometry(path, params, config)
-        _check_rng_state(path, index["rng_state"])
         ckpt = Checkpoint(params=params, adam=adam, config=config,
-                          epoch=int(index["epoch"]),
-                          rng_state=index["rng_state"],
                           steps_trained=int(index["steps_trained"]))
     except CheckpointError:
         raise
@@ -430,10 +417,10 @@ class TrainResult:
 def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
     """Train one fold; deterministic given (config, cohort, fold).
 
-    The rng stream covers parameter init, slot-init noise, gate noise,
-    epoch shuffles and patch subsampling, and its end-of-run state is
-    carried in the checkpoint.  At most one batch graph is alive at a
-    time, so peak memory is one graph's, not two.
+    One rng stream, seeded from ``config.seed`` and the fold, covers
+    parameter init, slot-init noise, gate noise, epoch shuffles and patch
+    subsampling.  At most one batch graph is alive at a time, so peak
+    memory is one graph's, not two.
     """
     config.validate()
     if cohort.bin_edges is None:
@@ -510,9 +497,7 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
             epoch_reports.append(surv_mod.total_loss(epoch_terms,
                                                      lam=config.lam))
     ckpt = Checkpoint(params=model_mod.params_from_arrays(arrays),
-                      adam=adam, config=config, epoch=config.epochs,
-                      rng_state=rng.bit_generator.state,
-                      steps_trained=steps)
+                      adam=adam, config=config, steps_trained=steps)
     return TrainResult(checkpoint=ckpt, epoch_reports=epoch_reports)
 
 

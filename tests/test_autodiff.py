@@ -1520,3 +1520,38 @@ def test_kernels_the_guard_skips_keep_finite_inputs_finite(dtype, data):
                 out = _FORWARD[op](aux, *operands)
             assert out.dtype == dtype, op
             assert np.isfinite(out).all(), (op, aux, x)
+
+
+@pytest.mark.parametrize("op", ["slot_encode", "cross_attend", "self_attend",
+                                "decode"])
+def test_attention_ops_carry_their_logit_scale_in_aux(op):
+    """Every attention node's aux ends in its logit scale, 1/sqrt(d) of its
+    width d (3 in every builder here), as ``_attention_scale`` gives it."""
+    g = Graph(np.float64)
+    OP_BUILDERS["slot_step" if op == "slot_encode" else op](
+        g, np.random.default_rng(0))
+    aux = g._aux[g._ops.index(op)]
+    scale = aux[-1] if isinstance(aux, tuple) else aux
+    assert type(scale) is float
+    assert scale == autodiff._attention_scale(3) == float(1.0 / np.sqrt(3))
+
+
+def test_weights_draw_at_one_over_sqrt_fan_in_and_rows_start_at_zero():
+    """``init_weight`` draws N(0, 1) / sqrt(fan_in) as float32, in the draw
+    order of ``init_normal``; ``zero_row`` is a (1, n) float32 row of zeros,
+    and ``init_block``'s makers are these two and a row of ones."""
+    w = autodiff.init_weight(np.random.default_rng(5), 4, 3)
+    want = autodiff.init_normal(np.random.default_rng(5), (4, 3),
+                                1.0 / np.sqrt(4))
+    assert w.dtype == np.float32 and w.shape == (4, 3)
+    assert w.tobytes() == want.tobytes()
+    zero = autodiff.zero_row(3)
+    assert zero.dtype == np.float32 and zero.shape == (1, 3)
+    assert not zero.any()
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    mat, bias, gamma = autodiff.init_block(rng, 3)
+    for _ in range(2):
+        assert mat().tobytes() == autodiff.init_weight(ref, 3, 3).tobytes()
+    assert bias().tobytes() == zero.tobytes()
+    assert gamma().tobytes() == np.ones((1, 3), np.float32).tobytes()
+

@@ -129,6 +129,17 @@ def test_bad_config_values_exit_2(workdir, tmp_path):
                  "--out", str(tmp_path / "typed")]) == 2
 
 
+def test_synth_config_with_unknown_key_or_bad_value_exits_2(tmp_path):
+    """A synth config passes the same key and value checks as a train
+    config before a cohort is drawn: nothing is written."""
+    cfg = tmp_path / "bad.json"
+    for bad in ({"no_such_field": 1}, {"n_motifs": 0}):
+        cfg.write_text(json.dumps({**SYNTH_CFG, **bad}))
+        out = tmp_path / "cohort"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists(), bad
+
+
 def test_divergence_exits_3(workdir, tmp_path):
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps({**TRAIN_CFG, "learning_rate": 1e6,

@@ -21,6 +21,7 @@ from slotsurv.data import (
     SynthConfig,
     assign_bins,
     atomic_write,
+    config_from_dict,
     discretize_times,
     kfold_split,
     load_bag,
@@ -29,6 +30,7 @@ from slotsurv.data import (
     synth_cohort,
     write_bag,
 )
+from slotsurv.train import TrainConfig
 
 # ------------------------------------------------------------------- bag files
 
@@ -454,3 +456,17 @@ def test_synth_config_validation():
 
 def test_synth_default_config_is_valid():
     SynthConfig().validate()
+
+
+@pytest.mark.parametrize("cls, bad", [
+    (SynthConfig, {"n_motifs": 0}),
+    (TrainConfig, {"temperature": -1.0}),
+], ids=["synth", "train"])
+def test_config_from_dict_checks_keys_and_values(cls, bad):
+    """Either config class built from a dict rejects a key that names no
+    field, and passes the class's ``validate`` before it is returned."""
+    assert config_from_dict(cls, {}) == cls()
+    with pytest.raises(ValueError, match="unknown config keys"):
+        config_from_dict(cls, {"no_such_field": 1})
+    with pytest.raises(ValueError):
+        config_from_dict(cls, bad)

@@ -133,3 +133,11 @@ def test_an_invalid_train_field_is_refused_before_any_training(monkeypatch):
     assert exit_.value.code == 2
     with pytest.raises(ValueError, match="temperature"):
         quality.train_config(1, 2, {"temperature": -1.0})
+
+
+def test_a_package_from_outside_src_is_refused(tmp_path, capsys):
+    """With ``slotsurv`` imported from elsewhere than ``--src``, the
+    harness exits 2 before it trains anything."""
+    quality = _quality()
+    assert quality.main(["--src", str(tmp_path)]) == 2
+    assert "not from" in capsys.readouterr().err

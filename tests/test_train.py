@@ -185,9 +185,7 @@ def test_checkpoint_restores_every_field(trained, tmp_path):
     got = load_checkpoint(path)
     want = trained.checkpoint
     assert got.config == want.config
-    assert got.epoch == want.epoch
     assert got.steps_trained == want.steps_trained
-    assert got.rng_state == want.rng_state
     assert got.adam.t == want.adam.t
     assert got.adam.skipped == want.adam.skipped
     for name, arr in model_mod.named_parameters(want.params).items():
@@ -308,45 +306,6 @@ def test_checkpoint_rejects_non_finite_tensor(trained, tmp_path, name, value):
         load_checkpoint(path)
 
 
-def _set(name, value):
-    return lambda st: {**st, name: value}
-
-
-def _set_inner(name, value):
-    return lambda st: {**st, "state": {**st["state"], name: value}}
-
-
-# each edit breaks a saved PCG64 rng state in one way
-_BAD_RNG_STATES = [
-    pytest.param(lambda st: [1, 2], id="not_a_dict"),
-    pytest.param(_set("bit_generator", "MT19937"), id="other_generator"),
-    pytest.param(lambda st: {k: v for k, v in st.items() if k != "state"},
-                 id="missing_state"),
-    pytest.param(_set("state", {"state": 1}), id="missing_inc"),
-    pytest.param(_set_inner("state", -1), id="state_negative"),
-    pytest.param(_set_inner("state", 2**200), id="state_too_big"),
-    pytest.param(_set_inner("state", 1.5), id="state_fraction"),
-    pytest.param(_set_inner("state", "1"), id="state_a_string"),
-    pytest.param(lambda st: {**st, "state": {**st["state"],
-                                             "inc": st["state"]["inc"] - 1}},
-                 id="inc_even"),
-    pytest.param(_set("has_uint32", 7), id="has_uint32_not_a_flag"),
-    pytest.param(_set("uinteger", -1), id="uinteger_negative"),
-    pytest.param(_set("extra", 0), id="extra_key"),
-]
-
-
-@pytest.mark.parametrize("edit", _BAD_RNG_STATES)
-def test_checkpoint_rejects_malformed_rng_state(trained, tmp_path, edit):
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(trained.checkpoint, path)
-    index, payload = _index_and_payload(path)
-    index["rng_state"] = edit(index["rng_state"])
-    _write_raw(path, index, payload)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
-
-
 def _served_bytes(ckpt, bag_h, bag_g) -> list:
     """Every array ``predict_patient`` serves, with its dtype and shape."""
     def leaves(obj):
@@ -400,6 +359,30 @@ def test_checkpoint_from_before_k_fraction_was_the_one_knob(
         TrainConfig.from_dict({**index["config"], "selective": False})
 
 
+def test_checkpoint_written_with_epoch_and_rng_state_still_serves(
+        trained, small_cohort, tmp_path):
+    """Files written before the checkpoint dropped the ``epoch`` and
+    ``rng_state`` index keys, which nothing read, load and serve what the
+    same file without them serves, bit for bit, in both modes; saved
+    again, they lose the two keys."""
+    path = tmp_path / "new.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    index, payload = _index_and_payload(path)
+    assert not {"epoch", "rng_state"} & set(index)
+    old = tmp_path / "old.ckpt"
+    state = np.random.default_rng([1, 0]).bit_generator.state
+    _write_raw(old, {**index, "epoch": 1, "rng_state": state}, payload)
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    bag_g = data_mod.load_bag(rec.genomic_path)
+    for bag in (bag_g, None):
+        assert (_served_bytes(load_checkpoint(old), bag_h, bag)
+                == _served_bytes(load_checkpoint(path), bag_h, bag))
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(load_checkpoint(old), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_failed_checkpoint_save_keeps_previous_file(trained, tmp_path,
                                                     monkeypatch):
     path = tmp_path / "c.ckpt"
@@ -410,7 +393,8 @@ def test_failed_checkpoint_save_keeps_previous_file(trained, tmp_path,
         raise OSError("disk full")
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(dataclasses.replace(trained.checkpoint, epoch=99),
+        save_checkpoint(dataclasses.replace(trained.checkpoint,
+                                            steps_trained=99),
                         path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["c.ckpt"]
@@ -463,7 +447,6 @@ def test_training_is_deterministic(small_cohort, tmp_path):
     pb = model_mod.named_parameters(b.checkpoint.params)
     for name in pa:
         assert np.array_equal(pa[name], pb[name])
-    assert a.checkpoint.rng_state == b.checkpoint.rng_state
     assert [r.as_dict() for r in a.epoch_reports] == \
            [r.as_dict() for r in b.epoch_reports]
 
@@ -877,8 +860,7 @@ def test_prediction_ignores_cross_recon_params_when_genomics_present(
                               "positions"):
             flat[name] += 7.5
     bent = Checkpoint(params=model_mod.params_from_arrays(flat),
-                      adam=ck.adam, config=ck.config, epoch=ck.epoch,
-                      rng_state=ck.rng_state,
+                      adam=ck.adam, config=ck.config,
                       steps_trained=ck.steps_trained)
     out2, _ = predict_patient(bent, bag_h, bag_g)
     assert out1.risk == out2.risk

@@ -28,7 +28,9 @@ indices).  A buffer behind several arrays counts once, for the first
 node (in creation order) and field that hold it; a view counts as its
 base.  The flattening and the base lookup are
 ``saved_arrays`` and ``owning_buffers`` from ``tests/oracles.py``.
-Standard library and numpy only.
+BLAS runs on one thread unless the environment says otherwise.  A
+``slotsurv`` that imports from elsewhere than ``DIR`` exits 2.  Standard
+library and numpy only.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread pins)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -138,7 +140,15 @@ def main(argv=None) -> int:
         if name not in COHORTS:
             parser.error(f"unknown cohort {name!r}: pick from "
                          f"{', '.join(COHORTS)}")
-    sys.path.insert(0, os.path.abspath(args.src))
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import slotsurv
+
+    where = os.path.dirname(os.path.realpath(slotsurv.__file__))
+    if os.path.dirname(where) != os.path.realpath(src):
+        print(f"error: slotsurv imports from {where}, not from {src}",
+              file=sys.stderr)
+        return 2
     report = {name: census(first_batch_graph(name))
               for name in args.cohorts or COHORTS}
     print(json.dumps(report, indent=1))

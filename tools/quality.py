@@ -21,12 +21,14 @@ Usage::
         [--epochs E] [--train FIELD=VALUE ...] [--n-boot 200]
         [--record [PATH]] [--label NAME] [--against LABEL]
 
-runs the package under ``DIR`` (default: this tree's ``src``).  ``E``
-defaults to the reference ``TrainConfig``'s epochs, so the harness runs
-the reference recipe unless told otherwise.  Each ``--train FIELD=VALUE``
+runs the package under ``DIR`` (default: this tree's ``src``), and exits
+2 when ``slotsurv`` imports from elsewhere.  ``E`` defaults to the
+reference ``TrainConfig``'s epochs, so the harness runs the reference
+recipe unless told otherwise.  Each ``--train FIELD=VALUE``
 sets one other ``TrainConfig`` field (VALUE is read as JSON, else kept as
 a string: ``t_iters=3``, ``k_fraction=1.0``, ``precision=float64``); the
-report's ``config`` records them.
+report's ``config`` records them.  A config ``TrainConfig.validate``
+refuses is refused before any training.
 
 ``--against LABEL`` pairs each fold with the same seed and fold of the
 report recorded under ``LABEL`` and prints, per mode, the paired verdict:
@@ -275,8 +277,16 @@ def main(argv=None) -> int:
                         help="pair each fold with the report recorded "
                              "under LABEL and print the paired verdict")
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import slotsurv
     from slotsurv import train
+
+    where = os.path.dirname(os.path.realpath(slotsurv.__file__))
+    if os.path.dirname(where) != os.path.realpath(src):
+        print(f"error: slotsurv imports from {where}, not from {src}",
+              file=sys.stderr)
+        return 2
 
     epochs = train.TrainConfig().epochs if args.epochs is None \
         else args.epochs
