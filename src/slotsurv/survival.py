@@ -203,13 +203,6 @@ class KMEstimate:
     n_event: np.ndarray
     survival: np.ndarray
 
-    def at(self, t) -> np.ndarray:
-        """Step-function value(s) at time(s) t."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64),
-                              side="right")
-        padded = np.concatenate([[1.0], self.survival])
-        return padded[idx]
-
 
 def km_estimate(times, events) -> KMEstimate:
     """Kaplan-Meier estimator.

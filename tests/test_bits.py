@@ -2,7 +2,8 @@
 sha256 per artefact, and two runs of one tree, each in its own process,
 agree on every digest.  On the machine ``BITS.json`` was recorded on, a
 full run reproduces every digest recorded there.  When the other side's
-harness is another file, ``--against`` says that both sides ran the
+copy of a harness file (``tools/bits.py``, ``tools/common.py``) is
+another file, ``--against`` names it, says that both sides ran the
 tree's and lists the recorded digests that differ."""
 
 import importlib.util
@@ -96,20 +97,17 @@ def test_full_run_reproduces_the_recorded_digests_on_their_machine(bits):
         recorded = json.load(fh)
     assert recorded["tiny"] is False
     # the facts of a process set up as a bits run sets itself up
-    probe = ("import importlib.util, json, sys; "
-             "spec = importlib.util.spec_from_file_location("
-             "'bits', sys.argv[1]); bits = importlib.util.module_from_spec("
-             "spec); spec.loader.exec_module(bits); "
-             "print(json.dumps(bits.machine_facts()))")
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "import common; print(json.dumps(common.machine_facts()))")
     done = subprocess.run(
-        [sys.executable, "-c", probe, os.path.join(ROOT, "tools", "bits.py")],
+        [sys.executable, "-c", probe, os.path.join(ROOT, "tools")],
         capture_output=True, text=True, check=True)
     facts = json.loads(done.stdout)
     for key in PINNED_FACTS:
         if facts[key] != recorded["machine"][key]:
             pytest.skip(f"{key} is {facts[key]!r} here, "
                         f"{recorded['machine'][key]!r} in BITS.json")
-    got = bits.run_side(SRC, tiny=False)
+    got = bits.common.run_side("bits.py", SRC)
     assert bits.diff(got, recorded["digests"]) == {
         "differ": [], "only_tree": [], "only_against": []}
 
@@ -121,11 +119,13 @@ def test_diff_names_changed_and_one_sided_artefacts(bits):
         "differ": ["b"], "only_tree": ["c"], "only_against": ["d"]}
 
 
-def _tree(root, harness: str, digests=None):
-    """A repo tree holding ``tools/bits.py`` and, unless ``digests`` is
-    None, a ``BITS.json`` that records them."""
+def _tree(root, harness: str, digests=None, shared="# shared\n"):
+    """A repo tree holding ``tools/bits.py`` (``harness``),
+    ``tools/common.py`` (``shared``) and, unless ``digests`` is None, a
+    ``BITS.json`` that records them."""
     os.makedirs(root / "tools")
     (root / "tools" / "bits.py").write_text(harness, encoding="utf-8")
+    (root / "tools" / "common.py").write_text(shared, encoding="utf-8")
     if digests is not None:
         (root / "BITS.json").write_text(
             json.dumps({"machine": {}, "tiny": False, "digests": digests}),
@@ -136,9 +136,10 @@ def _tree(root, harness: str, digests=None):
 def test_a_changed_harness_is_named_with_the_recorded_digests_it_moved(
         bits, tmp_path):
     """Both sides of ``--against`` run the tree's harness.  With REV's
-    ``tools/bits.py`` the same file, nothing is noted, even where the
-    recorded digests differ; with another file, the note says so and
-    lists every digest that differs between the two ``BITS.json``."""
+    ``tools/bits.py`` and ``tools/common.py`` the same files, nothing is
+    noted, even where the recorded digests differ; with another copy of
+    either, the note names it and lists every digest that differs between
+    the two ``BITS.json``."""
     recorded = {"checkpoint/a": "1", "evaluate/a/present": "2"}
     moved = {"checkpoint/a": "1", "evaluate/a/present": "9",
              "evaluate/b/present": "3"}
@@ -151,8 +152,18 @@ def test_a_changed_harness_is_named_with_the_recorded_digests_it_moved(
         "BITS.json digests that differ between REV and this tree: 2",
         "  differ evaluate/a/present",
         "  only_tree evaluate/b/present"]
-    unrecorded = _tree(tmp_path / "unrecorded", "# older harness\n")
-    assert bits.harness_note(tree, unrecorded, "REV").splitlines()[1:] == [
+    shared = _tree(tmp_path / "shared", "# harness\n", recorded,
+                   shared="# older shared\n")
+    assert bits.harness_note(tree, shared, "REV").splitlines()[:2] == [
+        "tools/common.py differs at REV: both sides ran this tree's harness",
+        "BITS.json digests that differ between REV and this tree: 2"]
+    # both files differ, and REV records no digests
+    unrecorded = _tree(tmp_path / "unrecorded", "# older harness\n",
+                       shared="# older shared\n")
+    lines = bits.harness_note(tree, unrecorded, "REV").splitlines()
+    assert [line.split()[0] for line in lines[:2]] == [
+        "tools/bits.py", "tools/common.py"]
+    assert lines[2:] == [
         "BITS.json digests that differ between REV and this tree: 3",
         "  only_tree checkpoint/a",
         "  only_tree evaluate/a/present",

@@ -306,18 +306,9 @@ def test_km_golden_with_censoring():
     assert np.array_equal(km.n_risk, [3, 1])
 
 
-def test_km_step_evaluation():
-    km = km_estimate([1.0, 2.0, 3.0], [1, 1, 1])
-    assert km.at(0.5) == 1.0
-    assert km.at(1.0) == pytest.approx(2 / 3)
-    assert km.at(2.9) == pytest.approx(1 / 3)
-    assert np.allclose(km.at([0.0, 1.5, 10.0]), [1.0, 2 / 3, 0.0])
-
-
 def test_km_no_events_stays_at_one():
     km = km_estimate([4.0, 7.0], [0, 0])
     assert km.times.size == 0
-    assert km.at(100.0) == 1.0
     assert rmst(km, 60.0) == 60.0
 
 

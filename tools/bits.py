@@ -39,10 +39,11 @@ in the repo root) with the facts of the machine they were built on, as
 directory, runs the first form once on this tree and once on REV's
 source, each in its own process, and prints both sides; it exits 1 when
 any digest differs or an artefact is on one side only.  Both sides run
-this tree's harness, so when REV's ``tools/bits.py`` is another file it
-says so and lists the digests that differ between REV's ``BITS.json``
-and this tree's: a change to the harness alone moves digests that the
-two sides' comparison cannot show.  ``--tiny`` keeps
+this tree's harness, ``tools/bits.py`` and ``tools/common.py``, so when
+REV's copy of either is another file it names the file and lists the
+digests that differ between REV's ``BITS.json`` and this tree's: a
+change to the harness alone moves digests that the two sides'
+comparison cannot show.  ``--tiny`` keeps
 the reference cohort only (a few seconds).  BLAS runs on one thread
 unless the environment says otherwise, as ``bench/run.py`` pins it.
 Standard library and numpy only.
@@ -50,27 +51,21 @@ Standard library and numpy only.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import pickle
-import subprocess
 import sys
-import tarfile
 import tempfile
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import common  # noqa: E402  (pins BLAS before numpy loads)
+import numpy as np  # noqa: E402
 
-import numpy as np  # noqa: E402  (after the BLAS thread pins)
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-HARNESS = os.path.join("tools", "bits.py")
+HARNESS = ("tools/bits.py", "tools/common.py")  # both sides of --against
 
 COHORTS = {
     "reference": dict(n_patients=12, m_hist_lo=6, m_hist_hi=10, m_gen=8,
@@ -205,37 +200,16 @@ def diff(ours: dict, theirs: dict) -> dict:
     }
 
 
-def machine_facts() -> dict:
-    """The machine facts ``bench/run.py`` prints with a benchmark run."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_run", os.path.join(ROOT, "bench", "run.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.machine_facts()
-
-
 def record(path: str, digests_: dict, tiny: bool) -> None:
     """Write the digests and the machine facts to ``path`` as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"machine": machine_facts(), "tiny": tiny,
-                   "digests": digests_}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def run_side(src: str, tiny: bool) -> dict:
-    """The digests of the package under ``src``, from a new process."""
-    argv = [sys.executable, os.path.abspath(__file__), "--src", src]
-    if tiny:
-        argv.append("--tiny")
-    done = subprocess.run(argv, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise RuntimeError(f"bits run on {src} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
+    common.write_json(path, {"machine": common.machine_facts(), "tiny": tiny,
+                             "digests": digests_})
 
 
 def compare(src: str, other_src: str, tiny: bool = False) -> dict:
     """Both sides' digests, each from its own process, and their diff."""
-    ours, theirs = run_side(src, tiny), run_side(other_src, tiny)
+    (ours,), (theirs,) = common.run_sides(
+        "bits.py", src, other_src, 1, *(["--tiny"] if tiny else []))
     return {"tree": ours, "against": theirs, **diff(ours, theirs)}
 
 
@@ -249,11 +223,13 @@ def _read(root: str, name: str):
 
 def harness_note(tree: str, other: str, rev: str) -> str:
     """A note for ``--against`` when the repo trees ``tree`` and ``other``
-    (REV's) hold different ``tools/bits.py`` files: both sides ran the
-    tree's harness, and these digests differ between the two trees'
-    ``BITS.json`` (a missing file records none).  Empty when the two
-    harnesses are the same file."""
-    if _read(tree, HARNESS) == _read(other, HARNESS):
+    (REV's) hold different copies of a ``HARNESS`` file: both sides ran
+    the tree's harness, and these digests differ between the two trees'
+    ``BITS.json`` (a missing file records none).  Empty when every
+    harness file is the same in both."""
+    changed = [name for name in HARNESS
+               if _read(tree, name) != _read(other, name)]
+    if not changed:
         return ""
 
     def recorded(root):
@@ -261,45 +237,33 @@ def harness_note(tree: str, other: str, rev: str) -> str:
         return {} if blob is None else json.loads(blob)["digests"]
 
     moved = diff(recorded(tree), recorded(other))
-    lines = [f"{HARNESS} differs at {rev}: both sides ran this tree's "
-             "harness",
-             f"BITS.json digests that differ between {rev} and this tree: "
-             f"{sum(map(len, moved.values()))}"]
+    lines = [f"{name} differs at {rev}: both sides ran this tree's harness"
+             for name in changed]
+    lines += [f"BITS.json digests that differ between {rev} and this tree: "
+              f"{sum(map(len, moved.values()))}"]
     lines += [f"  {kind} {name}" for kind, names in moved.items()
               for name in names]
     return "\n".join(lines)
 
 
-def _archive(rev: str, dest: str) -> None:
-    blob = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
-                          capture_output=True, check=True).stdout
-    extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
-    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-        tar.extractall(dest, **extra)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the slotsurv package")
+    parser = common.parser(__doc__)
     parser.add_argument("--against", metavar="REV",
                         help="also run REV's source and diff the two sides")
     parser.add_argument("--tiny", action="store_true",
                         help="the reference cohort only")
     parser.add_argument("--record", nargs="?", metavar="PATH",
-                        const=os.path.join(ROOT, "BITS.json"),
+                        const=os.path.join(common.ROOT, "BITS.json"),
                         help="also write the digests and the machine facts "
                              "to PATH (default: BITS.json in the repo root)")
     args = parser.parse_args(argv)
     if args.record and args.against:
         parser.error("--record writes one side's digests: drop --against")
-    src = os.path.abspath(args.src)
 
     if args.against:
-        with tempfile.TemporaryDirectory() as tmp:
-            _archive(args.against, tmp)
-            report = compare(src, os.path.join(tmp, "src"), args.tiny)
-            note = harness_note(ROOT, tmp, args.against)
+        with common.extracted(args.against) as tmp:
+            report = compare(args.src, os.path.join(tmp, "src"), args.tiny)
+            note = harness_note(common.ROOT, tmp, args.against)
         report = {"rev": args.against, **report}
         print(json.dumps(report, indent=1))
         bad = report["differ"] + report["only_tree"] + report["only_against"]
@@ -310,13 +274,7 @@ def main(argv=None) -> int:
             print(note, file=sys.stderr)
         return 1 if bad else 0
 
-    sys.path.insert(0, src)
-    import slotsurv
-
-    where = os.path.dirname(os.path.realpath(slotsurv.__file__))
-    if os.path.dirname(where) != os.path.realpath(src):
-        print(f"error: slotsurv imports from {where}, not from {src}",
-              file=sys.stderr)
+    if not common.import_slotsurv(args.src):
         return 2
     out = digests(args.tiny)
     if args.record:

@@ -35,19 +35,14 @@ library and numpy only.
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
 import json
 import os
 import sys
 import tempfile
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402  (after the BLAS thread pins)
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import common  # noqa: E402  (pins BLAS before numpy loads)
+import numpy as np  # noqa: E402
 
 COHORTS = {
     "default": dict(seed=11),
@@ -58,14 +53,6 @@ TRAIN = dict(epochs=1, seed=3)
 
 class _Captured(Exception):
     """Carries the batch graph out of ``train()`` at its first backward."""
-
-
-def _oracles():
-    spec = importlib.util.spec_from_file_location(
-        "census_oracles", os.path.join(ROOT, "tests", "oracles.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def first_batch_graph(name: str):
@@ -107,7 +94,7 @@ def _fields(saved, prefix=""):
 def census(graph) -> dict:
     """The bytes of the distinct buffers behind ``graph``'s node values,
     saved arrays and aux arrays, as a total and per (op, field)."""
-    oracles = _oracles()
+    oracles = common.load(os.path.join("tests", "oracles.py"))
     seen, by_field = set(), {}
     for i, op in enumerate(graph._ops):
         held = [("value", graph._values[i])]
@@ -130,9 +117,7 @@ def census(graph) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the slotsurv package")
+    parser = common.parser(__doc__)
     parser.add_argument("cohorts", nargs="*", metavar="COHORT",
                         help="default or large (default: both)")
     args = parser.parse_args(argv)
@@ -140,14 +125,7 @@ def main(argv=None) -> int:
         if name not in COHORTS:
             parser.error(f"unknown cohort {name!r}: pick from "
                          f"{', '.join(COHORTS)}")
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    import slotsurv
-
-    where = os.path.dirname(os.path.realpath(slotsurv.__file__))
-    if os.path.dirname(where) != os.path.realpath(src):
-        print(f"error: slotsurv imports from {where}, not from {src}",
-              file=sys.stderr)
+    if not common.import_slotsurv(args.src):
         return 2
     report = {name: census(first_batch_graph(name))
               for name in args.cohorts or COHORTS}

@@ -32,43 +32,32 @@ directory and runs the first form ``PAIRS`` (10) times on each tree,
 in alternating processes (the side that goes first alternates too), both
 with this tree's harness.  It prints, per entry, both sides' median ms
 and the median and quartiles over the pairs of the ratio this tree
-/ REV.  BLAS runs on one thread unless the environment says otherwise,
-as ``bench/run.py`` pins it.  Standard library and numpy only.
+/ REV.  An op with a bag-sized fresh output swings between sets of
+pairs of the same code (the large-bag ``affine`` forward read x1.51,
+then x0.96): read its ratio over two sets.  BLAS runs on one thread
+unless the environment says otherwise, as ``bench/run.py`` pins it.
+Standard library and numpy only.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import importlib.util
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import common  # noqa: E402  (pins BLAS before numpy loads)
+import numpy as np  # noqa: E402
+from census import COHORTS  # noqa: E402
 
-import numpy as np  # noqa: E402  (after the BLAS thread pins)
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAIN_SEED = 3
 EPOCHS = 3          # of the timed training run
 PATIENTS = 40       # served per mode
 PAIRS = 10          # alternating pairs of processes of --against
 MODES = (("serve_present", False), ("serve_imputed", True))
-
-
-def _tool(name: str):
-    """The module of ``tools/<name>.py``: ``census`` holds the cohorts,
-    ``bits`` the ``git archive`` extraction."""
-    spec = importlib.util.spec_from_file_location(
-        f"opsplit_{name}", os.path.join(ROOT, "tools", f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class OpTimer:
@@ -187,11 +176,10 @@ def run_cohorts() -> dict:
     """``measure`` on each census cohort, synthesized afresh."""
     from slotsurv import data
 
-    cohorts = _tool("census").COHORTS
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in cohorts:
-            cohort = data.synth_cohort(data.SynthConfig(**cohorts[name]),
+        for name, fields in COHORTS.items():
+            cohort = data.synth_cohort(data.SynthConfig(**fields),
                                        os.path.join(tmp, name))
             out[name] = measure(cohort)
     return out
@@ -247,16 +235,6 @@ def table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def run_side(src: str) -> dict:
-    """The report of the package under ``src``, from a new process."""
-    argv = [sys.executable, os.path.abspath(__file__), "--src", src,
-            "--json"]
-    done = subprocess.run(argv, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise RuntimeError(f"opsplit run on {src} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
-
-
 def paired(ours: list, theirs: list) -> dict:
     """Per flattened entry on both sides: each side's median ms and the
     quartiles and median of the per-pair ratio ours / theirs; entries on
@@ -296,36 +274,23 @@ def _paired_table(rows: dict, rev: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the slotsurv package")
+    parser = common.parser(__doc__)
     parser.add_argument("--json", action="store_true",
                         help="print the report as one JSON object")
     parser.add_argument("--against", metavar="REV",
                         help="also run REV's source, in alternating "
                              "processes, and print the per-entry ratios")
     args = parser.parse_args(argv)
-    src = os.path.abspath(args.src)
 
     if args.against:
-        ours, theirs = [], []
-        with tempfile.TemporaryDirectory() as tmp:
-            _tool("bits")._archive(args.against, tmp)
-            other = os.path.join(tmp, "src")
-            for pair in range(PAIRS):
-                sides = [(src, ours), (other, theirs)]
-                for side, into in sides[::1 if pair % 2 == 0 else -1]:
-                    into.append(run_side(side))
+        with common.extracted(args.against) as tmp:
+            ours, theirs = common.run_sides(
+                "opsplit.py", args.src, os.path.join(tmp, "src"), PAIRS,
+                "--json")
         print(_paired_table(paired(ours, theirs), args.against))
         return 0
 
-    sys.path.insert(0, src)
-    import slotsurv
-
-    where = os.path.dirname(os.path.realpath(slotsurv.__file__))
-    if os.path.dirname(where) != os.path.realpath(src):
-        print(f"error: slotsurv imports from {where}, not from {src}",
-              file=sys.stderr)
+    if not common.import_slotsurv(args.src):
         return 2
     report = run_cohorts()
     print(json.dumps(report, indent=1) if args.json else table(report))

@@ -50,20 +50,17 @@ VM.  Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
 import tempfile
 import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import common  # noqa: E402  (pins BLAS before numpy loads)
+import numpy as np  # noqa: E402
 
-import numpy as np  # noqa: E402  (after the BLAS thread pins)
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_RECORD = os.path.join(ROOT, "BENCH_quality.json")
+DEFAULT_RECORD = os.path.join(common.ROOT, "BENCH_quality.json")
 BIG_MOMENT = 1e6
 MODES = (("present", False), ("imputed", True))
 
@@ -222,23 +219,12 @@ def load_runs(path: str) -> dict:
         return json.load(fh)["runs"]
 
 
-def machine_facts() -> dict:
-    """The machine facts ``bench/run.py`` prints with a benchmark run."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_run", os.path.join(ROOT, "bench", "run.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.machine_facts()
-
-
 def record(path: str, label: str, report: dict) -> None:
     """Write ``report`` under ``label`` into the JSON file at ``path``,
     keeping the reports it holds under other labels."""
     runs = load_runs(path)
-    runs[label] = {**report, "machine": machine_facts()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"runs": runs}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    runs[label] = {**report, "machine": common.machine_facts()}
+    common.write_json(path, {"runs": runs})
 
 
 def _field_value(text: str) -> tuple:
@@ -254,9 +240,7 @@ def _field_value(text: str) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the slotsurv package")
+    parser = common.parser(__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                         help="synth cohort seeds")
     parser.add_argument("--folds", type=int, default=5)
@@ -277,16 +261,9 @@ def main(argv=None) -> int:
                         help="pair each fold with the report recorded "
                              "under LABEL and print the paired verdict")
     args = parser.parse_args(argv)
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    import slotsurv
-    from slotsurv import train
-
-    where = os.path.dirname(os.path.realpath(slotsurv.__file__))
-    if os.path.dirname(where) != os.path.realpath(src):
-        print(f"error: slotsurv imports from {where}, not from {src}",
-              file=sys.stderr)
+    if not common.import_slotsurv(args.src):
         return 2
+    from slotsurv import train
 
     epochs = train.TrainConfig().epochs if args.epochs is None \
         else args.epochs
