@@ -27,10 +27,13 @@ attention map from that node (``TrunkNodes`` holds none).  Each gate's
 selection is one K-hot array, read by the mixture weights, the masked
 self-attention and the served ``GateMask``.  Each of a training batch's
 three reconstruction heads is one ``decode`` node, and its builder
-returns the head's (B,) loss node alone.  The L cross-attention rounds
-are one ``cross_attend`` node over the rows [h; g], which the pooling
-reads.  At the reference ``TrainConfig`` a training batch is one graph
-of 240 nodes and a served patient one of 123.
+returns the head's (B,) loss node alone.  The histology head reads at
+most ``TrainConfig.recon_rows`` rows of each bag (``build_cohort_loss``'s
+``recon_h``); the trunk and the cross-modal encode read every row.  The
+L cross-attention rounds are one ``cross_attend`` node over the rows
+[h; g], which the pooling reads.  At the reference ``TrainConfig`` a
+training batch is one graph of 240 nodes (241 when the histology head
+reads rows of its own) and a served patient one of 123.
 """
 
 from __future__ import annotations
@@ -278,14 +281,20 @@ def build_patient_trunk(g: Graph, p: ModelParams, bag_h: Node, bag_g: Node,
 
 def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
                          bag_h: Node, bag_g: Node, t_bins, censored,
-                         lam: float, t_iters: int, mask_h=None) -> dict:
+                         lam: float, t_iters: int, mask_h=None,
+                         rows_h: Node | None = None, rows_mask=None) -> dict:
     """The six loss terms of a batch as (B,) nodes, one entry per patient.
 
     Reconstruction terms are only built when lam > 0 (the graphs are the
     expensive part of training, and a zero weight would sever their
-    gradients anyway).  The cross-modal encode pools with the weighted
-    mean, as the trunk's slot encoders do.
+    gradients anyway).  The histology head reads ``rows_h``, a padded
+    (B, M_r, d) batch of rows with its instance ``rows_mask``, or the
+    trunk's bag and mask when it is None; the cross-modal encode reads
+    the trunk's bag and pools with the weighted mean, as the trunk's slot
+    encoders do.
     """
+    if rows_h is None:
+        rows_h, rows_mask = bag_h, mask_h
     terms = {
         "surv_fused": surv_mod.build_nll_loss(g, trunk.fused, t_bins, censored),
         "surv_hist": surv_mod.build_nll_loss(g, trunk.mix_h, t_bins, censored),
@@ -295,7 +304,7 @@ def build_patient_losses(g: Graph, p: ModelParams, trunk: TrunkNodes,
         terms["recon_g"] = recon_mod.build_recon_genomic(
             g, p.recon_g, p.positions.table, trunk.slots_g, bag_g)
         terms["recon_h"] = recon_mod.build_recon_histology(
-            g, p.recon_h, p.qmap, bag_h, trunk.slots_h, mask=mask_h)
+            g, p.recon_h, p.qmap, rows_h, trunk.slots_h, mask=rows_mask)
         s_cross = recon_mod.build_cross_modal_encode(
             g, p.slots_g, bag_h, t_iters, mask=mask_h)
         terms["recon_cross"] = recon_mod.build_recon_genomic(
@@ -334,7 +343,7 @@ def _pad_bags(bags) -> tuple:
 
 def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
                       temperature: float, t_iters: int, l_iters: int,
-                      lam: float, rng=None) -> CohortGraph:
+                      lam: float, rng=None, recon_h=None) -> CohortGraph:
     """One graph holding every patient of a batch, at the precision of
     ``params``.
 
@@ -344,8 +353,12 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     ``rng=None`` it runs in inference mode, the trunk serving runs.
     Histology bags are zero-padded to the longest one, and an instance
     mask keeps the padding out of every result, so each patient's terms
-    match a batch of one up to rounding.  The graph's node count does not
-    depend on the batch size.  The batch loss is the mean over patients of
+    match a batch of one up to rounding.  ``recon_h``, one array per
+    patient, holds the histology rows the histology reconstruction head
+    reads, its queries and cosine targets, padded with their own instance
+    mask; None, the default, has it read each patient's whole bag.  The
+    graph's node count does not depend on the batch size.  The batch loss
+    is the mean over patients of
 
         surv_fused + surv_hist + surv_gen + lam * (recon terms),
 
@@ -367,8 +380,13 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     trunk = build_patient_trunk(
         g, p, xh, xg, k_h, k_g, temperature, t_iters, l_iters,
         noise=noise, mask_h=mask_h)
+    rows_h = rows_mask = None
+    if recon_h is not None:
+        rows, rows_mask = _pad_bags([np.asarray(b) for b in recon_h])
+        rows_h = g.const(rows)
     terms = build_patient_losses(g, p, trunk, xh, xg, t_bins, censored,
-                                 lam, t_iters, mask_h=mask_h)
+                                 lam, t_iters, mask_h=mask_h, rows_h=rows_h,
+                                 rows_mask=rows_mask)
     total = g.add(g.add(terms["surv_fused"], terms["surv_hist"]),
                   terms["surv_gen"])
     if lam > 0.0:

@@ -11,13 +11,20 @@ node alone is what its builder returns:
   embeddings query the genomic slots; mean-squared error against the
   original pathway features.
 * histology (``build_recon_histology``): a frozen random affine map turns
-  the (subsampled) patch features into queries for the histology slots;
-  cosine loss (``build_cosine_loss``), which is scale-invariant per patch
-  and averages over the real rows the instance mask marks.
+  patch features into queries for the histology slots; cosine loss
+  (``build_cosine_loss``), which is scale-invariant per patch and
+  averages over the real rows the instance mask marks.  It reads at most
+  ``TrainConfig.recon_rows`` (512) of a patient's subsampled rows, a
+  uniform draw when the bag has more: the loss is a mean over rows, so a
+  uniform subset estimates it without bias (He et al., "Masked
+  Autoencoders Are Scalable Vision Learners", CVPR 2022), and on bags
+  of 4096 rows decoding every row cost more than the slot encoders.
 * cross-modal: the genomic branch's slot initialization is run over the
-  HISTOLOGY bag (``build_cross_modal_encode``), and the resulting slots
-  must reconstruct the genomic features through the shared position
-  table, with ``build_recon_genomic`` and the cross-modal head.
+  HISTOLOGY bag (``build_cross_modal_encode``), every subsampled row of
+  it, and the resulting slots must reconstruct the genomic features
+  through the shared position table, with ``build_recon_genomic`` and
+  the cross-modal head.  Serving imputes through this encode, so it
+  reads no row budget.
 
 After training ``impute_genomic`` runs the cross-modal path, in graphs of
 its own, when a genomic bag is missing: ``cross_modal_encode`` then

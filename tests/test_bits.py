@@ -4,8 +4,10 @@ agree on every digest.  On the machine ``BITS.json`` was recorded on, a
 full run reproduces every digest recorded there.  When the other side's
 copy of a harness file (``tools/bits.py``, ``tools/common.py``) is
 another file, ``--against`` names it, says that both sides ran the
-tree's and lists the recorded digests that differ."""
+tree's and lists the recorded digests that differ.  A checkpoint's
+``params/`` digest follows its tensors, not its config."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -37,11 +39,13 @@ def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
     modes = ("present", "imputed")
     files = ["assignment_genomic.csv", "assignment_histology.csv",
              "gates_genomic.csv", "gates_histology.csv", "prediction.json"]
-    want = {f"checkpoint/{r}" for r in runs}
+    want = {f"{kind}/{r}" for kind in ("checkpoint", "params")
+            for r in runs}
     want |= {f"{kind}/{r}/{m}" for kind in ("evaluate", "predict")
              for r in runs for m in modes}
     # the untrained checkpoint serves with the genomic bags present only
-    want |= {"checkpoint/untrained_ref", "predict/untrained_ref/present"}
+    want |= {"checkpoint/untrained_ref", "params/untrained_ref",
+             "predict/untrained_ref/present"}
     want |= {f"infer/{pid}/{m}/{f}" for pid in ("P0000", "P0001", "P0002")
              for m in modes for f in files}
     assert set(digests) == want
@@ -49,6 +53,35 @@ def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
     # the two modes serve different genomic bags
     assert digests["predict/ref_float32/present"] != \
         digests["predict/ref_float32/imputed"]
+
+
+def test_a_changed_config_moves_the_checkpoint_digest_not_the_params_one(
+        bits, tmp_path):
+    """The ``params/`` digest hashes a checkpoint's named tensors, so the
+    same tensors under another config keep it while the file, whose index
+    holds the config, moves its ``checkpoint/`` digest; a moved tensor
+    moves both."""
+    from slotsurv import data, train
+
+    cohort = data.synth_cohort(data.SynthConfig(**bits.COHORTS["reference"]),
+                               tmp_path / "cohort")
+    ckpt = train.train(train.TrainConfig(**bits._REFERENCE_TRAIN), cohort,
+                       1).checkpoint
+    before = bits.checkpoint_digests(ckpt, str(tmp_path / "a.ckpt"))
+    assert before == bits.checkpoint_digests(ckpt, str(tmp_path / "b.ckpt"))
+    relabelled = dataclasses.replace(ckpt, config=dataclasses.replace(
+        ckpt.config, recon_rows=ckpt.config.recon_rows + 1))
+    after = bits.checkpoint_digests(relabelled, str(tmp_path / "c.ckpt"))
+    assert after["params"] == before["params"]
+    assert after["checkpoint"] != before["checkpoint"]
+    arrays = {**ckpt.adam.v}
+    name = sorted(arrays)[0]
+    arrays[name] = arrays[name] + 1.0
+    moved = dataclasses.replace(ckpt, adam=dataclasses.replace(ckpt.adam,
+                                                               v=arrays))
+    moved_digests = bits.checkpoint_digests(moved, str(tmp_path / "d.ckpt"))
+    assert moved_digests["params"] != before["params"]
+    assert moved_digests["checkpoint"] != before["checkpoint"]
 
 
 def test_an_evaluate_dict_with_a_nan_log_rank_p_is_refused(bits,

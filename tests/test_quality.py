@@ -1,7 +1,8 @@
 """tools/quality.py, the quality harness: on one tiny cohort, 2 folds of
 1 epoch, the report it records has the shape the harness documents.  The
 paired verdict of two hand-made reports reads as the harness documents,
-and a report whose seeds or folds do not pair is refused."""
+and a report whose seeds, folds, epochs or synth fields do not pair is
+refused."""
 
 import importlib.util
 import io
@@ -86,7 +87,8 @@ def test_verdict_pairs_folds_and_reads_mean_se_wins_and_largest_loss():
     assert "(wins 3/4, largest loss 0.020)" in line
 
 
-def test_a_report_whose_seeds_or_folds_do_not_pair_is_refused(tmp_path):
+def test_a_report_whose_seeds_or_folds_do_not_pair_is_refused(tmp_path,
+                                                              monkeypatch):
     quality = _quality()
     base = _report([0, 1], 2, [0.7] * 4, [0.6] * 4)
     for other in (_report([0, 2], 2, [0.7] * 4, [0.6] * 4),
@@ -107,6 +109,30 @@ def test_a_report_whose_seeds_or_folds_do_not_pair_is_refused(tmp_path):
         assert exit_.value.code == 2
     with pytest.raises(SystemExit):
         quality.main(["--against", "missing", "--record", str(path)])
+    # folds of the same seeds pair only when they trained as many epochs
+    # on cohorts drawn with the same synth fields
+    base["config"].update(epochs=30, synth={})
+    for key, value in (("epochs", 10), ("synth", {"m_hist_lo": 1024})):
+        other = {**base, "config": {**base["config"], key: value}}
+        with pytest.raises(ValueError, match=f"ran {key} .* do not pair"):
+            quality.verdict(other, base)
+
+    class Trained(Exception):
+        pass
+
+    def trained(*args, **kwargs):
+        raise Trained
+    monkeypatch.setattr(quality, "quality", trained)
+    path.write_text(json.dumps({"runs": {"base": base}}), encoding="utf-8")
+    argv = ["--seeds", "0", "1", "--folds", "2", "--against", "base",
+            "--record", str(path)]
+    for extra in (["--epochs", "10"], ["--synth", "m_hist_lo=100"]):
+        with pytest.raises(SystemExit) as exit_:
+            quality.main(argv + extra)
+        assert exit_.value.code == 2
+    # the same epochs on the same cohort pair, and go on to train
+    with pytest.raises(Trained):
+        quality.main(argv + ["--epochs", "30"])
 
 
 def test_train_fields_are_checked_before_any_training():
@@ -118,6 +144,41 @@ def test_train_fields_are_checked_before_any_training():
     assert quality._field_value("precision=float64") == \
         ("precision", "float64")
     assert quality._field_value("k_fraction=1.0") == ("k_fraction", 1.0)
+
+
+def test_synth_fields_are_recorded_in_the_report(tmp_path):
+    """Each ``--synth FIELD=VALUE`` sets one field of the cohorts the run
+    draws, and the recorded report's ``config.synth`` holds them."""
+    quality = _quality()
+    path = tmp_path / "BENCH_quality.json"
+    argv = ["--seeds", "0", "--folds", "2", "--epochs", "1", "--n-boot",
+            "20", "--record", str(path)]
+    for name, value in TINY.items():
+        argv += ["--synth", f"{name}={value}"]
+    assert quality.main(argv) == 0
+    run = json.loads(path.read_text(encoding="utf-8"))["runs"]["tree"]
+    assert run["config"]["synth"] == TINY
+    assert len(run["folds"]) == 2
+
+
+def test_an_invalid_synth_field_is_refused_before_any_training(
+        monkeypatch):
+    """``--synth`` fields pass ``SynthConfig.validate`` before a cohort is
+    drawn; an unknown field, or the seed, which ``--seeds`` sets, is
+    refused too."""
+    quality = _quality()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("trained with an invalid cohort")
+    monkeypatch.setattr(quality, "quality", no_run)
+    for field in ("m_hist_lo=4096", "no_such_field=1", "seed=3",
+                  "n_patients=1.5"):
+        with pytest.raises(SystemExit) as exit_:
+            quality.main(["--synth", field])
+        assert exit_.value.code == 2
+    assert quality.synth_config({"m_hist_lo": 100}, seed=2).seed == 2
+    with pytest.raises(ValueError, match="m_hist_lo"):
+        quality.synth_config({"m_hist_lo": 4096})
 
 
 def test_an_invalid_train_field_is_refused_before_any_training(monkeypatch):

@@ -76,6 +76,7 @@ def test_config_defaults_match_reference_recipe():
     assert cfg.k_fraction == 0.25
     assert cfg.temperature == 0.01
     assert cfg.patch_subsample == 4096
+    assert cfg.recon_rows == 512
     assert cfg.n_bins == 4
     cfg.validate()
 
@@ -88,7 +89,8 @@ def test_config_defaults_match_reference_recipe():
     dict(n_folds=1), dict(lam=-0.1), dict(lam=float("nan")),
     dict(lam=float("inf")), dict(learning_rate=float("inf")),
     dict(temperature=float("inf")), dict(temperature=-0.5),
-    dict(k_fraction=-0.25),
+    dict(k_fraction=-0.25), dict(recon_rows=0), dict(recon_rows=-1),
+    dict(recon_rows=True),
 ])
 def test_config_rejects_nonpositive_fields(bad):
     with pytest.raises(ValueError):
@@ -383,6 +385,35 @@ def test_checkpoint_written_with_epoch_and_rng_state_still_serves(
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_checkpoint_from_before_the_row_budget_reads_patch_subsample(
+        trained, small_cohort, tmp_path):
+    """A config written before ``recon_rows`` existed loads with the
+    file's ``patch_subsample`` as its budget, which never binds, serves
+    what the same checkpoint with that budget serves, in both modes, and
+    saves back as that checkpoint, byte for byte."""
+    ckpt = trained.checkpoint
+    unbound = dataclasses.replace(ckpt, config=dataclasses.replace(
+        ckpt.config, recon_rows=ckpt.config.patch_subsample))
+    path = tmp_path / "unbound.ckpt"
+    save_checkpoint(unbound, path)
+    index, payload = _index_and_payload(path)
+    old = tmp_path / "old.ckpt"
+    config = {k: v for k, v in index["config"].items() if k != "recon_rows"}
+    _write_raw(old, {**index, "config": config}, payload)
+    loaded = load_checkpoint(old)
+    assert loaded.config.recon_rows == loaded.config.patch_subsample == 8
+    assert loaded.config == unbound.config
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    bag_g = data_mod.load_bag(rec.genomic_path)
+    for bag in (bag_g, None):
+        assert (_served_bytes(loaded, bag_h, bag)
+                == _served_bytes(load_checkpoint(path), bag_h, bag))
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_failed_checkpoint_save_keeps_previous_file(trained, tmp_path,
                                                     monkeypatch):
     path = tmp_path / "c.ckpt"
@@ -573,6 +604,100 @@ def test_training_holds_one_batch_graph_at_a_time(small_cohort, monkeypatch):
     monkeypatch.setattr(train_mod, "build_cohort_loss", tracked)
     ck = train(cfg, small_cohort, fold=0).checkpoint
     assert len(built) == ck.steps_trained == 6
+
+
+# ------------------------------------------------- the histology head's budget
+
+
+def _tensor_bytes(ckpt) -> dict:
+    return {k: (v.dtype, v.shape, v.tobytes())
+            for k, v in ckpt.named_tensors().items()}
+
+
+def test_bags_within_the_row_budget_train_the_bits_of_no_budget(
+        trained, small_cohort):
+    """Where no subsampled bag has more than ``recon_rows`` rows nothing
+    is drawn: the default budget trains every tensor and loss bit for bit
+    as a budget of ``patch_subsample`` does, which never binds."""
+    cfg = TrainConfig(**{**SMALL_TRAIN, "recon_rows": 8})
+    assert trained.checkpoint.config.recon_rows == 512
+    unbound = train(cfg, small_cohort, fold=0)
+    assert (_tensor_bytes(unbound.checkpoint)
+            == _tensor_bytes(trained.checkpoint))
+    assert ([r.as_dict() for r in unbound.epoch_reports]
+            == [r.as_dict() for r in trained.epoch_reports])
+
+
+def _head_inputs(monkeypatch) -> list:
+    """Per training batch: (the rows and instance mask the histology head
+    reads, the rows and mask the cross-modal encode reads, the shapes of
+    every batched query node a decode reads)."""
+    seen = []
+    head, encode = (recon_mod.build_recon_histology,
+                    recon_mod.build_cross_modal_encode)
+    decode = recon_mod.build_decode
+
+    def recorded_head(g, head_p, qmap, bag, slots, mask):
+        seen.append({"head": (bag.value.copy(), np.asarray(mask)),
+                     "queries": []})
+        return head(g, head_p, qmap, bag, slots, mask)
+
+    def recorded_encode(g, params, bag, t_iters, mask=None):
+        seen[-1]["encode"] = (bag.value.copy(), np.asarray(mask))
+        return encode(g, params, bag, t_iters, mask=mask)
+
+    def recorded_decode(g, head_p, queries, slots):
+        if seen and queries.value.ndim == 3:
+            seen[-1]["queries"].append(queries.shape)
+        return decode(g, head_p, queries, slots)
+
+    monkeypatch.setattr(recon_mod, "build_recon_histology", recorded_head)
+    monkeypatch.setattr(recon_mod, "build_cross_modal_encode",
+                        recorded_encode)
+    monkeypatch.setattr(recon_mod, "build_decode", recorded_decode)
+    return seen
+
+
+def test_over_the_budget_the_head_reads_a_sorted_draw_of_the_bag(
+        small_cohort, monkeypatch):
+    """Over the budget the histology head reads ``recon_rows`` of a
+    patient's subsampled rows, in their order, as its decode queries
+    (through the frozen map) and cosine targets, while the cross-modal
+    encode reads every subsampled row.  A batch mixing bags under and over
+    the budget pads the head's rows with their own mask, which marks the
+    real rows only: a bag of no more rows keeps them all."""
+    seen = _head_inputs(monkeypatch)
+    budget = 7        # subsampled bags hold 6, 7 or 8 rows
+    cfg = TrainConfig(**{**SMALL_TRAIN, "recon_rows": budget})
+    train(cfg, small_cohort, fold=0)
+    assert len(seen) == 2
+    sizes = set()
+    for batch in seen:
+        (rows, mask), (bag, bag_mask) = batch["head"], batch["encode"]
+        n_bag = bag_mask.sum(axis=1).astype(int)
+        sizes.update(n_bag.tolist())
+        assert rows.shape == (len(n_bag), budget, bag.shape[2])
+        assert batch["queries"] == [rows.shape]
+        assert mask.shape == rows.shape[:2]
+        for b, n in enumerate(n_bag):
+            kept = min(n, budget)
+            assert mask[b].tolist() == [1.0] * kept + [0.0] * (budget - kept)
+            assert not rows[b, kept:].any()
+            # every row the head reads is a row of the bag, in its order
+            at = [next(i for i in range(n)
+                       if np.array_equal(bag[b, i], row))
+                  for row in rows[b, :kept]]
+            assert at == sorted(set(at))
+    assert min(sizes) <= budget < max(sizes)
+
+
+def test_the_budget_draws_nothing_when_lam_builds_no_head(small_cohort):
+    """lam = 0 builds no reconstruction head, so a binding budget draws
+    nothing and trains the bits of one that does not bind."""
+    def run(budget):
+        cfg = TrainConfig(**{**SMALL_TRAIN, "lam": 0.0, "recon_rows": budget})
+        return _tensor_bytes(train(cfg, small_cohort, fold=0).checkpoint)
+    assert run(4) == run(8)
 
 
 # ------------------------------------------------------------------ evaluation

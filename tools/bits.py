@@ -10,6 +10,10 @@ The artefacts:
   of two untrained ones, ``epochs=0`` on the reference (fold 1) and
   default (fold 0) cohorts, whose served outputs depend on the forward
   alone: a change to a gradient alone leaves their digests as they are;
+* the named tensors of each of those checkpoints, parameters and Adam
+  moments, as ``params/<run>``: the checkpoint's index holds its config,
+  so a new config field moves every ``checkpoint/`` digest, and this one
+  shows whether the tensors moved with it;
 * the pickled ``evaluate`` dicts of the first five runs, with the
   genomic bags present and imputed (``n_boot`` 200, 1000 for the
   default cohort): the default cohort's over its validation fold, the
@@ -117,6 +121,20 @@ def _feed(h, obj) -> None:
         h.update(repr(obj).encode())
 
 
+def checkpoint_digests(ckpt, path: str) -> dict:
+    """Save ``ckpt`` to ``path``: the sha256 of the file, as
+    ``checkpoint``, and of its named tensors fed in sorted name order, as
+    ``params``."""
+    from slotsurv import train
+
+    train.save_checkpoint(ckpt, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    h = hashlib.sha256()
+    _feed(h, sorted(ckpt.named_tensors().items()))
+    return {"checkpoint": _sha(blob), "params": h.hexdigest()}
+
+
 def digests(tiny: bool = False) -> dict:
     """Every artefact's sha256, built in a temporary working directory
     from the ``slotsurv`` this process imports."""
@@ -134,9 +152,9 @@ def digests(tiny: bool = False) -> dict:
             cohort = cohorts[name]
             ckpt = train.train(train.TrainConfig(**fields), cohort,
                                fold).checkpoint
-            train.save_checkpoint(ckpt, f"{run}.ckpt")
-            with open(f"{run}.ckpt", "rb") as fh:
-                out[f"checkpoint/{run}"] = _sha(fh.read())
+            for kind, digest in checkpoint_digests(ckpt,
+                                                   f"{run}.ckpt").items():
+                out[f"{kind}/{run}"] = digest
             scored = range(len(cohort.records)) if name == "reference" \
                 else None
             for mode, missing in MODES:

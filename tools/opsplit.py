@@ -34,7 +34,11 @@ with this tree's harness.  It prints, per entry, both sides' median ms
 and the median and quartiles over the pairs of the ratio this tree
 / REV.  An op with a bag-sized fresh output swings between sets of
 pairs of the same code (the large-bag ``affine`` forward read x1.51,
-then x0.96): read its ratio over two sets.  BLAS runs on one thread
+then x0.96): read its ratio over two sets.  So does the large cohort's
+whole step: against a tree whose training code was the same,
+``large.train.total`` read x1.032 [1.004, 1.060], quartiles excluding
+1, so a whole-step ratio there under about 5% needs a second set of
+pairs before it is read as a change.  BLAS runs on one thread
 unless the environment says otherwise, as ``bench/run.py`` pins it.
 Standard library and numpy only.
 """

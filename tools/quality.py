@@ -18,8 +18,8 @@ standard deviation (ddof 0) over folds of each C-index, as
 Usage::
 
     python tools/quality.py [--src DIR] [--seeds 0 1 2] [--folds 5]
-        [--epochs E] [--train FIELD=VALUE ...] [--n-boot 200]
-        [--record [PATH]] [--label NAME] [--against LABEL]
+        [--epochs E] [--synth FIELD=VALUE ...] [--train FIELD=VALUE ...]
+        [--n-boot 200] [--record [PATH]] [--label NAME] [--against LABEL]
 
 runs the package under ``DIR`` (default: this tree's ``src``), and exits
 2 when ``slotsurv`` imports from elsewhere.  ``E`` defaults to the
@@ -27,15 +27,20 @@ reference ``TrainConfig``'s epochs, so the harness runs the reference
 recipe unless told otherwise.  Each ``--train FIELD=VALUE``
 sets one other ``TrainConfig`` field (VALUE is read as JSON, else kept as
 a string: ``t_iters=3``, ``k_fraction=1.0``, ``precision=float64``); the
-report's ``config`` records them.  A config ``TrainConfig.validate``
-refuses is refused before any training.
+report's ``config`` records them.  Each ``--synth FIELD=VALUE`` sets one
+``SynthConfig`` field other than the seed in the same way
+(``m_hist_lo=1024``), and the report's ``config.synth`` records them.  A
+config ``TrainConfig.validate`` or ``SynthConfig.validate`` refuses is
+refused before any training.
 
 ``--against LABEL`` pairs each fold with the same seed and fold of the
 report recorded under ``LABEL`` and prints, per mode, the paired verdict:
 the mean of this run's C-index minus the recorded one, its standard
 error (fold std, ddof 1, over the square root of the folds), the folds
 this run wins and the largest loss on one fold.  It refuses, before any
-training, a recorded report whose seeds or folds are not this run's.
+training, a recorded report whose seeds, folds, epochs or synth fields
+are not this run's: its folds would pair models of another length or
+cohorts of another kind.
 
 With ``--record`` it also writes the report, under ``NAME`` (default
 ``tree``), to ``PATH`` (default: ``BENCH_quality.json`` in the repo
@@ -130,6 +135,17 @@ def train_config(epochs: int, folds: int, fields=None):
         {**fields, "epochs": epochs, "n_folds": folds})
 
 
+def synth_config(fields=None, seed: int = 0):
+    """The validated ``SynthConfig`` of seed ``seed`` with the other
+    ``fields`` set."""
+    from slotsurv import data
+
+    fields = dict(fields or {})
+    if "seed" in fields:
+        raise ValueError("set the seed with --seeds, not --synth")
+    return data.config_from_dict(data.SynthConfig, {**fields, "seed": seed})
+
+
 def quality(seeds, folds: int, epochs: int, n_boot: int, synth=None,
             train=None, out=sys.stdout) -> dict:
     """The report of ``seeds`` x ``folds`` runs, printed as it goes to
@@ -142,9 +158,8 @@ def quality(seeds, folds: int, epochs: int, n_boot: int, synth=None,
     rows, per_seed = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            cohort = data.synth_cohort(
-                data.SynthConfig(**(synth or {}), seed=seed),
-                os.path.join(tmp, f"seed{seed}"))
+            cohort = data.synth_cohort(synth_config(synth, seed),
+                                       os.path.join(tmp, f"seed{seed}"))
             seed_rows = []
             for fold in range(folds):
                 row = {"seed": seed, "fold": fold,
@@ -169,14 +184,18 @@ def _pairs(report: dict) -> list:
     return [(r["seed"], r["fold"]) for r in report["folds"]]
 
 
+PAIRED = ("seeds", "folds", "epochs", "synth")
+
+
 def check_pairable(config: dict, base: dict, label: str) -> None:
-    """Raise ValueError unless the recorded report ``base`` ran the seeds
-    and folds of ``config``."""
-    for key in ("seeds", "folds"):
-        if base["config"][key] != config[key]:
+    """Raise ValueError unless the recorded report ``base`` ran the seeds,
+    folds, epochs and synth fields of ``config``; a key that neither
+    config holds pairs."""
+    for key in PAIRED:
+        if base["config"].get(key) != config.get(key):
             raise ValueError(
-                f"report {label!r} ran {key} {base['config'][key]}, "
-                f"this run {config[key]}: the folds do not pair")
+                f"report {label!r} ran {key} {base['config'].get(key)}, "
+                f"this run {config.get(key)}: the folds do not pair")
 
 
 def verdict(report: dict, base: dict, label: str = "base") -> dict:
@@ -246,6 +265,9 @@ def main(argv=None) -> int:
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--epochs", type=int,
                         help="default: the reference TrainConfig's")
+    parser.add_argument("--synth", action="append", default=[],
+                        metavar="FIELD=VALUE", type=_field_value,
+                        help="set a SynthConfig field (repeatable)")
     parser.add_argument("--train", action="append", default=[],
                         metavar="FIELD=VALUE", type=_field_value,
                         help="set a TrainConfig field (repeatable)")
@@ -267,21 +289,23 @@ def main(argv=None) -> int:
 
     epochs = train.TrainConfig().epochs if args.epochs is None \
         else args.epochs
-    fields = dict(args.train)
+    fields, synth = dict(args.train), dict(args.synth)
     try:
         train_config(epochs, args.folds, fields)
+        synth_config(synth)
         base = None
         if args.against:
             runs = load_runs(args.record or DEFAULT_RECORD)
             if args.against not in runs:
                 raise ValueError(f"no report recorded under {args.against!r}")
             base = runs[args.against]
-            check_pairable({"seeds": args.seeds, "folds": args.folds}, base,
+            check_pairable({"seeds": args.seeds, "folds": args.folds,
+                            "epochs": epochs, "synth": synth}, base,
                            args.against)
     except (TypeError, ValueError) as err:
         parser.error(str(err))
     report = quality(args.seeds, args.folds, epochs, args.n_boot,
-                     train=fields)
+                     synth=synth, train=fields)
     if base is not None:
         print(_verdict_line(args.against,
                             verdict(report, base, args.against)), flush=True)
