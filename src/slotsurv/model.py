@@ -28,8 +28,8 @@ selection is one K-hot array, read by the mixture weights, the masked
 self-attention and the served ``GateMask``.  Each of a training batch's
 three reconstruction heads is one ``decode`` node, and its builder
 returns the head's (B,) loss node alone.  The histology head reads at
-most ``TrainConfig.recon_rows`` rows of each bag (``build_cohort_loss``'s
-``recon_h``); the trunk and the cross-modal encode read every row.  The
+most ``recon.RECON_ROWS`` rows of each bag (``build_cohort_loss``'s
+``rows_h``); the trunk and the cross-modal encode read every row.  The
 L cross-attention rounds are one ``cross_attend`` node over the rows
 [h; g], which the pooling reads.  At the reference ``TrainConfig`` a
 training batch is one graph of 240 nodes (241 when the histology head
@@ -343,7 +343,7 @@ def _pad_bags(bags) -> tuple:
 
 def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
                       temperature: float, t_iters: int, l_iters: int,
-                      lam: float, rng=None, recon_h=None) -> CohortGraph:
+                      lam: float, rng=None, rows_h=None) -> CohortGraph:
     """One graph holding every patient of a batch, at the precision of
     ``params``.
 
@@ -353,7 +353,7 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     ``rng=None`` it runs in inference mode, the trunk serving runs.
     Histology bags are zero-padded to the longest one, and an instance
     mask keeps the padding out of every result, so each patient's terms
-    match a batch of one up to rounding.  ``recon_h``, one array per
+    match a batch of one up to rounding.  ``rows_h``, one array per
     patient, holds the histology rows the histology reconstruction head
     reads, its queries and cosine targets, padded with their own instance
     mask; None, the default, has it read each patient's whole bag.  The
@@ -380,13 +380,13 @@ def build_cohort_loss(params: ModelParams, patients, k_h: int, k_g: int,
     trunk = build_patient_trunk(
         g, p, xh, xg, k_h, k_g, temperature, t_iters, l_iters,
         noise=noise, mask_h=mask_h)
-    rows_h = rows_mask = None
-    if recon_h is not None:
-        rows, rows_mask = _pad_bags([np.asarray(b) for b in recon_h])
-        rows_h = g.const(rows)
+    rows_node = rows_mask = None
+    if rows_h is not None:
+        rows, rows_mask = _pad_bags([np.asarray(b) for b in rows_h])
+        rows_node = g.const(rows)
     terms = build_patient_losses(g, p, trunk, xh, xg, t_bins, censored,
-                                 lam, t_iters, mask_h=mask_h, rows_h=rows_h,
-                                 rows_mask=rows_mask)
+                                 lam, t_iters, mask_h=mask_h,
+                                 rows_h=rows_node, rows_mask=rows_mask)
     total = g.add(g.add(terms["surv_fused"], terms["surv_hist"]),
                   terms["surv_gen"])
     if lam > 0.0:

@@ -14,11 +14,11 @@ node alone is what its builder returns:
   patch features into queries for the histology slots; cosine loss
   (``build_cosine_loss``), which is scale-invariant per patch and
   averages over the real rows the instance mask marks.  It reads at most
-  ``TrainConfig.recon_rows`` (512) of a patient's subsampled rows, a
-  uniform draw when the bag has more: the loss is a mean over rows, so a
-  uniform subset estimates it without bias (He et al., "Masked
-  Autoencoders Are Scalable Vision Learners", CVPR 2022), and on bags
-  of 4096 rows decoding every row cost more than the slot encoders.
+  ``RECON_ROWS`` (512) of a patient's subsampled rows, a uniform draw
+  when the bag has more: the loss is a mean over rows, so a uniform
+  subset estimates it without bias (He et al., "Masked Autoencoders Are
+  Scalable Vision Learners", CVPR 2022), and on bags of 4096 rows
+  decoding every row cost more than the slot encoders.
 * cross-modal: the genomic branch's slot initialization is run over the
   HISTOLOGY bag (``build_cross_modal_encode``), every subsampled row of
   it, and the resulting slots must reconstruct the genomic features
@@ -42,9 +42,12 @@ from . import slots as slot_mod
 from .autodiff import Graph, Node, bind_arrays, init_block, init_normal
 from .data import FeatureBag, expect_modality
 
+RECON_ROWS = 512        # subsampled histology rows the histology head reads
+
 __all__ = [
     "FrozenQueryMap",
     "PositionTable",
+    "RECON_ROWS",
     "ReconHeadParams",
     "build_cosine_loss",
     "build_cross_modal_encode",

@@ -68,7 +68,6 @@ class TrainConfig:
     k_fraction: float = 0.25          # retained fraction of slots per gate
     temperature: float = 0.01
     patch_subsample: int = 4096       # histology rows per training pass
-    recon_rows: int = 512             # of those, rows the histology head reads
     n_bins: int = 4                   # discrete time intervals
     seed: int = 0
     precision: str = "float32"
@@ -78,7 +77,7 @@ class TrainConfig:
         data_mod.check_field_types(self)
         positive = ("learning_rate", "batch_size", "n_slots_h",
                     "n_slots_g", "t_iters", "l_iters", "temperature",
-                    "patch_subsample", "recon_rows", "n_bins")
+                    "patch_subsample", "n_bins")
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got "
@@ -313,9 +312,7 @@ def _check_geometry(path, params, config: TrainConfig) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any inconsistency raises CheckpointError.  Index
     keys it does not read, as older files' ``epoch`` and ``rng_state``,
-    are ignored.  A config without ``recon_rows``, written before the
-    histology head had a row budget, reads the file's ``patch_subsample``
-    as its budget, which never binds: the recipe it was trained with."""
+    are ignored."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _CKPT_HEADER.size:
@@ -346,8 +343,6 @@ def load_checkpoint(path) -> Checkpoint:
             config["k_fraction"] = 1.0
         elif selective is not True:
             raise CheckpointError(f"{path}: selective is {selective!r}")
-        config.setdefault("recon_rows", config.get(
-            "patch_subsample", TrainConfig.patch_subsample))
         config = TrainConfig.from_dict(config)
         _check_geometry(path, params, config)
         ckpt = Checkpoint(params=params, adam=adam, config=config,
@@ -413,16 +408,16 @@ def _subsample_rows(matrix: np.ndarray, limit: int,
     return matrix[keep]
 
 
-def _recon_rows(patients, config: TrainConfig, rng: np.random.Generator):
+def _recon_rows(patients, lam: float, rng: np.random.Generator):
     """The rows the histology reconstruction head reads, one array per
-    patient of the batch: ``recon_rows`` of the patient's subsampled rows,
-    drawn by ``_subsample_rows`` when it has more, else all of them.
+    patient of the batch: ``recon.RECON_ROWS`` of the patient's subsampled
+    rows, drawn by ``_subsample_rows`` when it has more, else all of them.
     None, and no draw, when no patient has more or lam = 0 builds no
     head: the head then reads the trunk's bags."""
-    if config.lam == 0.0 or all(p[0].shape[0] <= config.recon_rows
-                                for p in patients):
+    limit = recon_mod.RECON_ROWS
+    if lam == 0.0 or all(p[0].shape[0] <= limit for p in patients):
         return None
-    return [_subsample_rows(p[0], config.recon_rows, rng) for p in patients]
+    return [_subsample_rows(p[0], limit, rng) for p in patients]
 
 
 @dataclass
@@ -436,9 +431,10 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
 
     One rng stream, seeded from ``config.seed`` and the fold, covers
     parameter init, then each epoch's shuffle, then for each batch its
-    patch subsampling, the histology head's rows over ``recon_rows``
-    (``_recon_rows``), slot-init noise and gate noise.  At most one batch
-    graph is alive at a time, so peak memory is one graph's, not two.
+    patch subsampling, the histology head's rows over
+    ``recon.RECON_ROWS`` (``_recon_rows``), slot-init noise and gate
+    noise.  At most one batch graph is alive at a time, so peak memory is
+    one graph's, not two.
     """
     config.validate()
     if cohort.bin_edges is None:
@@ -486,14 +482,14 @@ def train(config: TrainConfig, cohort: Cohort, fold: int) -> TrainResult:
                 patients.append((
                     _subsample_rows(bag_h.matrix, config.patch_subsample, rng),
                     bag_g.matrix, t_bin, censor))
-            recon_h = _recon_rows(patients, config, rng)
+            rows_h = _recon_rows(patients, config.lam, rng)
             current = model_mod.params_from_arrays(arrays)
             try:
                 cg = build_cohort_loss(
                     current, patients, k_h=config.k_h, k_g=config.k_g,
                     temperature=config.temperature, t_iters=config.t_iters,
                     l_iters=config.l_iters, lam=config.lam, rng=rng,
-                    recon_h=recon_h)
+                    rows_h=rows_h)
             except GraphError as err:
                 # the graph guards every op output, the loss included
                 bad_streak += 1

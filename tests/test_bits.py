@@ -70,7 +70,7 @@ def test_a_changed_config_moves_the_checkpoint_digest_not_the_params_one(
     before = bits.checkpoint_digests(ckpt, str(tmp_path / "a.ckpt"))
     assert before == bits.checkpoint_digests(ckpt, str(tmp_path / "b.ckpt"))
     relabelled = dataclasses.replace(ckpt, config=dataclasses.replace(
-        ckpt.config, recon_rows=ckpt.config.recon_rows + 1))
+        ckpt.config, epochs=ckpt.config.epochs + 1))
     after = bits.checkpoint_digests(relabelled, str(tmp_path / "c.ckpt"))
     assert after["params"] == before["params"]
     assert after["checkpoint"] != before["checkpoint"]

@@ -258,15 +258,15 @@ def test_padded_batch_matches_batches_of_one(dtype, tol, training):
 
 def test_the_histology_head_reads_its_own_rows_under_their_own_mask(
         monkeypatch):
-    """With ``recon_h`` the histology head reads those rows, padded with
+    """With ``rows_h`` the histology head reads those rows, padded with
     an instance mask of their own that marks only the real rows, in a
     batch that mixes bags under and over the rows' count: each patient's
     histology term is its batch of one with the same rows, and every
-    other term is the batch's without ``recon_h``, drawing the same
+    other term is the batch's without ``rows_h``, drawing the same
     noise.  Given the bags themselves, the head's term is unchanged."""
     params = _perturbed(_params(5), 5)
     patients = _ragged_patients(5, sizes=(5, 9, 3, 7, 9))
-    recon_h = [bag[::2][:4] for bag, *_ in patients]       # 3, 4, 2, 4, 4
+    rows_h = [bag[::2][:4] for bag, *_ in patients]       # 3, 4, 2, 4, 4
     kw = dict(k_h=2, k_g=2, temperature=0.01, t_iters=2, l_iters=2, lam=0.1)
     masks = []
     cosine = recon_mod.build_cosine_loss
@@ -275,7 +275,7 @@ def test_the_histology_head_reads_its_own_rows_under_their_own_mask(
     whole = build_cohort_loss(params, patients, rng=np.random.default_rng(8),
                               **kw).term_values()
     drawn = build_cohort_loss(params, patients, rng=np.random.default_rng(8),
-                              recon_h=recon_h, **kw)
+                              rows_h=rows_h, **kw)
     np.testing.assert_array_equal(masks[-1], [
         [1, 1, 1, 0], [1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1], [1, 1, 1, 1]])
     assert drawn.graph._ops.count("decode") == 3
@@ -287,11 +287,11 @@ def test_the_histology_head_reads_its_own_rows_under_their_own_mask(
         if b:
             draw_noise(rng, b, params, kw["k_h"], kw["k_g"])
         (one,) = build_cohort_loss(params, [patients[b]], rng=rng,
-                                   recon_h=[recon_h[b]], **kw).term_values()
+                                   rows_h=[rows_h[b]], **kw).term_values()
         assert terms["recon_h"] == pytest.approx(one["recon_h"], abs=1e-12)
         assert terms["recon_h"] != pytest.approx(whole[b]["recon_h"])
     same = build_cohort_loss(params, patients, rng=np.random.default_rng(8),
-                             recon_h=[bag for bag, *_ in patients], **kw)
+                             rows_h=[bag for bag, *_ in patients], **kw)
     for b, terms in enumerate(same.term_values()):
         assert terms["recon_h"] == pytest.approx(whole[b]["recon_h"],
                                                  abs=1e-12)
@@ -623,7 +623,7 @@ def test_training_step_graph_size(monkeypatch):
                               temperature=0.01, t_iters=cfg.t_iters,
                               l_iters=cfg.l_iters, lam=cfg.lam,
                               rng=np.random.default_rng(0),
-                              recon_h=[p[0][:3] for p in _patients(4)])
+                              rows_h=[p[0][:3] for p in _patients(4)])
     assert drawn.graph.num_nodes == 241
     assert drawn.graph._ops.count("decode") == 3
 

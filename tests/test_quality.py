@@ -12,6 +12,8 @@ import os
 import numpy as np
 import pytest
 
+from slotsurv.data import SynthConfig
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TINY = dict(n_patients=16, m_hist_lo=6, m_hist_hi=10, m_gen=8, dim=8,
             n_motifs=2)
@@ -112,10 +114,14 @@ def test_a_report_whose_seeds_or_folds_do_not_pair_is_refused(tmp_path,
     # folds of the same seeds pair only when they trained as many epochs
     # on cohorts drawn with the same synth fields
     base["config"].update(epochs=30, synth={})
-    for key, value in (("epochs", 10), ("synth", {"m_hist_lo": 1024})):
+    for key, value in (("epochs", 10), ("synth", {"m_hist_lo": 100})):
         other = {**base, "config": {**base["config"], key: value}}
         with pytest.raises(ValueError, match=f"ran {key} .* do not pair"):
             quality.verdict(other, base)
+    # a synth field set to its default draws the cohorts of none
+    default = SynthConfig().m_hist_lo
+    quality.check_pairable({**base["config"],
+                            "synth": {"m_hist_lo": default}}, base, "base")
 
     class Trained(Exception):
         pass
@@ -131,8 +137,9 @@ def test_a_report_whose_seeds_or_folds_do_not_pair_is_refused(tmp_path,
             quality.main(argv + extra)
         assert exit_.value.code == 2
     # the same epochs on the same cohort pair, and go on to train
-    with pytest.raises(Trained):
-        quality.main(argv + ["--epochs", "30"])
+    for extra in ([], ["--synth", f"m_hist_lo={default}"]):
+        with pytest.raises(Trained):
+            quality.main(argv + ["--epochs", "30"] + extra)
 
 
 def test_train_fields_are_checked_before_any_training():

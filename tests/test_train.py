@@ -76,7 +76,7 @@ def test_config_defaults_match_reference_recipe():
     assert cfg.k_fraction == 0.25
     assert cfg.temperature == 0.01
     assert cfg.patch_subsample == 4096
-    assert cfg.recon_rows == 512
+    assert recon_mod.RECON_ROWS == 512
     assert cfg.n_bins == 4
     cfg.validate()
 
@@ -89,8 +89,7 @@ def test_config_defaults_match_reference_recipe():
     dict(n_folds=1), dict(lam=-0.1), dict(lam=float("nan")),
     dict(lam=float("inf")), dict(learning_rate=float("inf")),
     dict(temperature=float("inf")), dict(temperature=-0.5),
-    dict(k_fraction=-0.25), dict(recon_rows=0), dict(recon_rows=-1),
-    dict(recon_rows=True),
+    dict(k_fraction=-0.25),
 ])
 def test_config_rejects_nonpositive_fields(bad):
     with pytest.raises(ValueError):
@@ -385,35 +384,6 @@ def test_checkpoint_written_with_epoch_and_rng_state_still_serves(
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_checkpoint_from_before_the_row_budget_reads_patch_subsample(
-        trained, small_cohort, tmp_path):
-    """A config written before ``recon_rows`` existed loads with the
-    file's ``patch_subsample`` as its budget, which never binds, serves
-    what the same checkpoint with that budget serves, in both modes, and
-    saves back as that checkpoint, byte for byte."""
-    ckpt = trained.checkpoint
-    unbound = dataclasses.replace(ckpt, config=dataclasses.replace(
-        ckpt.config, recon_rows=ckpt.config.patch_subsample))
-    path = tmp_path / "unbound.ckpt"
-    save_checkpoint(unbound, path)
-    index, payload = _index_and_payload(path)
-    old = tmp_path / "old.ckpt"
-    config = {k: v for k, v in index["config"].items() if k != "recon_rows"}
-    _write_raw(old, {**index, "config": config}, payload)
-    loaded = load_checkpoint(old)
-    assert loaded.config.recon_rows == loaded.config.patch_subsample == 8
-    assert loaded.config == unbound.config
-    rec = small_cohort.records[0]
-    bag_h = data_mod.load_bag(rec.histology_path)
-    bag_g = data_mod.load_bag(rec.genomic_path)
-    for bag in (bag_g, None):
-        assert (_served_bytes(loaded, bag_h, bag)
-                == _served_bytes(load_checkpoint(path), bag_h, bag))
-    again = tmp_path / "again.ckpt"
-    save_checkpoint(loaded, again)
-    assert again.read_bytes() == path.read_bytes()
-
-
 def test_failed_checkpoint_save_keeps_previous_file(trained, tmp_path,
                                                     monkeypatch):
     path = tmp_path / "c.ckpt"
@@ -615,13 +585,13 @@ def _tensor_bytes(ckpt) -> dict:
 
 
 def test_bags_within_the_row_budget_train_the_bits_of_no_budget(
-        trained, small_cohort):
-    """Where no subsampled bag has more than ``recon_rows`` rows nothing
-    is drawn: the default budget trains every tensor and loss bit for bit
-    as a budget of ``patch_subsample`` does, which never binds."""
-    cfg = TrainConfig(**{**SMALL_TRAIN, "recon_rows": 8})
-    assert trained.checkpoint.config.recon_rows == 512
-    unbound = train(cfg, small_cohort, fold=0)
+        trained, small_cohort, monkeypatch):
+    """Where no subsampled bag has more than ``recon.RECON_ROWS`` rows
+    nothing is drawn: the default budget trains every tensor and loss bit
+    for bit as a budget of ``patch_subsample`` does, which never binds."""
+    monkeypatch.setattr(recon_mod, "RECON_ROWS",
+                        SMALL_TRAIN["patch_subsample"])
+    unbound = train(TrainConfig(**SMALL_TRAIN), small_cohort, fold=0)
     assert (_tensor_bytes(unbound.checkpoint)
             == _tensor_bytes(trained.checkpoint))
     assert ([r.as_dict() for r in unbound.epoch_reports]
@@ -660,7 +630,7 @@ def _head_inputs(monkeypatch) -> list:
 
 def test_over_the_budget_the_head_reads_a_sorted_draw_of_the_bag(
         small_cohort, monkeypatch):
-    """Over the budget the histology head reads ``recon_rows`` of a
+    """Over the budget the histology head reads ``RECON_ROWS`` of a
     patient's subsampled rows, in their order, as its decode queries
     (through the frozen map) and cosine targets, while the cross-modal
     encode reads every subsampled row.  A batch mixing bags under and over
@@ -668,8 +638,8 @@ def test_over_the_budget_the_head_reads_a_sorted_draw_of_the_bag(
     real rows only: a bag of no more rows keeps them all."""
     seen = _head_inputs(monkeypatch)
     budget = 7        # subsampled bags hold 6, 7 or 8 rows
-    cfg = TrainConfig(**{**SMALL_TRAIN, "recon_rows": budget})
-    train(cfg, small_cohort, fold=0)
+    monkeypatch.setattr(recon_mod, "RECON_ROWS", budget)
+    train(TrainConfig(**SMALL_TRAIN), small_cohort, fold=0)
     assert len(seen) == 2
     sizes = set()
     for batch in seen:
@@ -691,11 +661,13 @@ def test_over_the_budget_the_head_reads_a_sorted_draw_of_the_bag(
     assert min(sizes) <= budget < max(sizes)
 
 
-def test_the_budget_draws_nothing_when_lam_builds_no_head(small_cohort):
+def test_the_budget_draws_nothing_when_lam_builds_no_head(small_cohort,
+                                                         monkeypatch):
     """lam = 0 builds no reconstruction head, so a binding budget draws
     nothing and trains the bits of one that does not bind."""
     def run(budget):
-        cfg = TrainConfig(**{**SMALL_TRAIN, "lam": 0.0, "recon_rows": budget})
+        monkeypatch.setattr(recon_mod, "RECON_ROWS", budget)
+        cfg = TrainConfig(**{**SMALL_TRAIN, "lam": 0.0})
         return _tensor_bytes(train(cfg, small_cohort, fold=0).checkpoint)
     assert run(4) == run(8)
 

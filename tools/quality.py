@@ -55,6 +55,7 @@ VM.  Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -187,12 +188,24 @@ def _pairs(report: dict) -> list:
 PAIRED = ("seeds", "folds", "epochs", "synth")
 
 
+def _drawn(synth) -> dict:
+    """Every ``SynthConfig`` field but the seed that the cohorts of
+    ``synth`` are drawn with, so that a field set to its default pairs
+    with one left unset."""
+    fields = dataclasses.asdict(synth_config(synth))
+    del fields["seed"]
+    return fields
+
+
 def check_pairable(config: dict, base: dict, label: str) -> None:
     """Raise ValueError unless the recorded report ``base`` ran the seeds,
     folds, epochs and synth fields of ``config``; a key that neither
-    config holds pairs."""
+    config holds pairs, and synth fields pair by the cohorts they draw."""
     for key in PAIRED:
-        if base["config"].get(key) != config.get(key):
+        ours, theirs = config.get(key), base["config"].get(key)
+        if key == "synth":
+            ours, theirs = _drawn(ours), _drawn(theirs)
+        if theirs != ours:
             raise ValueError(
                 f"report {label!r} ran {key} {base['config'].get(key)}, "
                 f"this run {config.get(key)}: the folds do not pair")
