@@ -7,10 +7,12 @@ batch, and an instance mask keeps the padding out of every result.  A run
 holds one batch graph at a time: each is freed, with its values, saved
 intermediates and gradients, before the next batch is built.
 Inference runs the same trunk on a batch of one, with every histology
-row.  The parameter tensors, optimizer state and config snapshot
-round-trip through a single checkpoint file byte-for-byte; a corrupt
-or inconsistent file, or one holding a non-finite tensor, raises
-``CheckpointError``, and saves are atomic.
+row.  The parameter tensors, the optimizer's step and skip counts and
+the config snapshot round-trip through a single checkpoint file
+byte-for-byte; the Adam moments stay with the run that made them, since
+nothing resumes a run from a file.  A corrupt or inconsistent file, or
+one holding a non-finite tensor, raises ``CheckpointError``, and saves
+are atomic.
 """
 
 from __future__ import annotations
@@ -185,24 +187,21 @@ def adam_step(arrays: dict, grads: dict, state: AdamState,
 
 @dataclass
 class Checkpoint:
-    """Everything needed to evaluate a run: the parameters, the Adam
-    moments with their step and skip counts, the config and the number of
-    optimizer steps taken.  It cannot resume a run: ``train()`` always
-    starts its rng from ``config.seed`` and reads no checkpoint."""
+    """Everything needed to evaluate a run: the parameters, the Adam state,
+    the config and the number of optimizer steps taken.  ``train()`` fills
+    ``adam`` with the run's moments and counters; a loaded checkpoint
+    carries the step and skip counts and no moments, which the file does
+    not hold.  It cannot resume a run: ``train()`` always starts its rng
+    from ``config.seed`` and reads no checkpoint."""
 
     params: ModelParams
     adam: AdamState
     config: TrainConfig
     steps_trained: int
 
-    def named_tensors(self) -> dict:
-        """Flat tensor map: model parameters plus optimizer moments."""
-        out = dict(model_mod.named_parameters(self.params))
-        for name, arr in self.adam.m.items():
-            out[f"adam.m.{name}"] = arr
-        for name, arr in self.adam.v.items():
-            out[f"adam.v.{name}"] = arr
-        return out
+
+# the little-endian codes a checkpoint tensor may be stored as
+_CKPT_DTYPES = frozenset({"<f4", "<f8"})
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -210,18 +209,18 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
     The index holds the format version, ``steps_trained``, the Adam step
     and skip counts, the config and one row per tensor (name, dtype,
-    shape, offset, byte count); the tensors are the model parameters and
-    the Adam moments (``adam.m.*``, ``adam.v.*``).  Tensors are laid out
-    in sorted name order and the index is dumped with sorted keys, so
-    identical state always produces identical bytes.
+    shape, offset, byte count); the tensors are the model parameters,
+    ``model.named_parameters``.  Tensors are laid out in sorted name order
+    and the index is dumped with sorted keys, so identical state always
+    produces identical bytes.
     """
-    tensors = ckpt.named_tensors()
+    tensors = model_mod.named_parameters(ckpt.params)
     index_rows = []
     payload = bytearray()
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
-        code = {"float32": "<f4", "float64": "<f8"}.get(arr.dtype.name)
-        if code is None:
+        code = arr.dtype.newbyteorder("<").str
+        if code not in _CKPT_DTYPES:
             raise ValueError(f"tensor {name} has unsupported dtype {arr.dtype}")
         blob = arr.astype(code, copy=False).tobytes()
         index_rows.append({"name": name, "dtype": code,
@@ -244,9 +243,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(payload)
 
 
-_CKPT_DTYPES = {"<f4": 4, "<f8": 8}
-
-
 def _checkpoint_tensors(path, payload: bytes, rows) -> dict:
     """Decode the tensor table.  The tensors must tile the payload exactly:
     no negative or overlapping offsets, no gaps, no trailing bytes; each
@@ -256,11 +252,11 @@ def _checkpoint_tensors(path, payload: bytes, rows) -> dict:
     end = 0
     for row in sorted(rows, key=lambda r: r["offset"]):
         name, shape = row["name"], tuple(row["shape"])
-        size = _CKPT_DTYPES.get(row["dtype"])
-        if size is None:
+        if row["dtype"] not in _CKPT_DTYPES:
             raise CheckpointError(f"{path}: tensor {name} has dtype {row['dtype']!r}")
         if any(not isinstance(n, int) or n < 0 for n in shape):
             raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)}")
+        size = np.dtype(row["dtype"]).itemsize
         if row["nbytes"] != size * int(np.prod(shape, dtype=np.int64)):
             raise CheckpointError(f"{path}: tensor {name} declares {row['nbytes']} "
                                   f"bytes for shape {list(shape)}")
@@ -310,9 +306,11 @@ def _check_geometry(path, params, config: TrainConfig) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any inconsistency raises CheckpointError.  Index
-    keys it does not read, as older files' ``epoch`` and ``rng_state``,
-    are ignored."""
+    """Read a checkpoint; any inconsistency raises CheckpointError.  Its
+    ``adam`` holds the step and skip counts and no moments.  Index keys it
+    does not read, as older files' ``epoch`` and ``rng_state``, are
+    ignored, and so are older files' Adam moments (``adam.m.*``,
+    ``adam.v.*``) once they pass the tensor table's checks."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _CKPT_HEADER.size:
@@ -330,11 +328,7 @@ def load_checkpoint(path) -> Checkpoint:
                                       index["tensors"])
         params = model_mod.params_from_arrays(
             {k: v for k, v in tensors.items() if not k.startswith("adam.")})
-        moments = [{k[len(prefix):]: v for k, v in tensors.items()
-                    if k.startswith(prefix)}
-                   for prefix in ("adam.m.", "adam.v.")]
-        adam = AdamState(m=moments[0], v=moments[1],
-                         t=int(index["adam_t"]),
+        adam = AdamState(m={}, v={}, t=int(index["adam_t"]),
                          skipped=int(index["skipped_steps"]))
         config = dict(index["config"])
         # a retired switch, true by default; false kept every slot (K = S)
@@ -345,21 +339,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: selective is {selective!r}")
         config = TrainConfig.from_dict(config)
         _check_geometry(path, params, config)
-        ckpt = Checkpoint(params=params, adam=adam, config=config,
+        return Checkpoint(params=params, adam=adam, config=config,
                           steps_trained=int(index["steps_trained"]))
     except CheckpointError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError, IndexError,
             OverflowError) as err:
         raise CheckpointError(f"{path}: corrupt checkpoint index ({err!r})") from err
-    arrays = model_mod.named_parameters(params)
-    trainable = set(model_mod.trainable_names(params))
-    for which, moment in zip("mv", moments):
-        for name, arr in moment.items():
-            if name not in trainable or arr.shape != arrays[name].shape:
-                raise CheckpointError(f"{path}: Adam moment adam.{which}.{name} "
-                                      "matches no trainable parameter")
-    return ckpt
 
 
 # -------------------------------------------------------------------- training

@@ -57,11 +57,11 @@ def test_tiny_runs_agree_on_one_sha256_per_artefact(bits):
 
 def test_a_changed_config_moves_the_checkpoint_digest_not_the_params_one(
         bits, tmp_path):
-    """The ``params/`` digest hashes a checkpoint's named tensors, so the
+    """The ``params/`` digest hashes a checkpoint's parameters, so the
     same tensors under another config keep it while the file, whose index
-    holds the config, moves its ``checkpoint/`` digest; a moved tensor
+    holds the config, moves its ``checkpoint/`` digest; a moved parameter
     moves both."""
-    from slotsurv import data, train
+    from slotsurv import data, model, train
 
     cohort = data.synth_cohort(data.SynthConfig(**bits.COHORTS["reference"]),
                                tmp_path / "cohort")
@@ -74,11 +74,10 @@ def test_a_changed_config_moves_the_checkpoint_digest_not_the_params_one(
     after = bits.checkpoint_digests(relabelled, str(tmp_path / "c.ckpt"))
     assert after["params"] == before["params"]
     assert after["checkpoint"] != before["checkpoint"]
-    arrays = {**ckpt.adam.v}
+    arrays = model.named_parameters(ckpt.params)
     name = sorted(arrays)[0]
     arrays[name] = arrays[name] + 1.0
-    moved = dataclasses.replace(ckpt, adam=dataclasses.replace(ckpt.adam,
-                                                               v=arrays))
+    moved = dataclasses.replace(ckpt, params=model.params_from_arrays(arrays))
     moved_digests = bits.checkpoint_digests(moved, str(tmp_path / "d.ckpt"))
     assert moved_digests["params"] != before["params"]
     assert moved_digests["checkpoint"] != before["checkpoint"]

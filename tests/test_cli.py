@@ -10,9 +10,9 @@ import struct
 import numpy as np
 import pytest
 
+from slotsurv import model as model_mod
 from slotsurv.cli import main
-from slotsurv.train import (Checkpoint, CheckpointError, load_checkpoint,
-                            save_checkpoint)
+from slotsurv.train import CheckpointError, load_checkpoint, save_checkpoint
 
 
 SYNTH_CFG = {"n_patients": 12, "m_hist_lo": 6, "m_hist_hi": 10, "m_gen": 8,
@@ -402,11 +402,12 @@ def test_infer_rejects_checkpoint_with_unknown_tensor(workdir, tmp_path,
     """A checkpoint holding a tensor the model does not have, such as the
     gate bias of earlier models, exits with the data-error code at load,
     naming the tensor."""
-    full = Checkpoint.named_tensors
-    monkeypatch.setattr(Checkpoint, "named_tensors", lambda self: {
-        **full(self), "gate_h.b": np.zeros((1, 1), dtype=np.float32)})
+    ckpt = load_checkpoint(workdir["ckpt"])
+    full = model_mod.named_parameters
+    monkeypatch.setattr(model_mod, "named_parameters", lambda params: {
+        **full(params), "gate_h.b": np.zeros((1, 1), dtype=np.float32)})
     bad = tmp_path / "extra.ckpt"
-    save_checkpoint(load_checkpoint(workdir["ckpt"]), bad)
+    save_checkpoint(ckpt, bad)
     monkeypatch.undo()
     records = json.loads(workdir["manifest"].read_text())["patients"]
     bag_h = os.path.join(str(workdir["cohort_dir"]),

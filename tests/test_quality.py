@@ -2,12 +2,13 @@
 1 epoch, the report it records has the shape the harness documents.  The
 paired verdict of two hand-made reports reads as the harness documents,
 and a report whose seeds, folds, epochs or synth fields do not pair is
-refused."""
+refused.  A run records the tree it imported, which pairing ignores."""
 
 import importlib.util
 import io
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -202,3 +203,60 @@ def test_an_invalid_train_field_is_refused_before_any_training(monkeypatch):
     with pytest.raises(ValueError, match="temperature"):
         quality.train_config(1, 2, {"temperature": -1.0})
 
+
+
+def test_a_run_records_the_tree_it_imported(tmp_path, monkeypatch):
+    """``config.src`` holds ``--src`` relative to the repo root, with the
+    revision and state of the git work tree holding it."""
+    quality = _quality()
+    monkeypatch.setattr(quality, "quality", lambda *args, **kwargs: {
+        "config": {"seeds": [0], "folds": 2}, "folds": []})
+    path = tmp_path / "BENCH_quality.json"
+    src = os.path.join(ROOT, "src")
+    assert quality.main(["--src", src, "--record", str(path)]) == 0
+    run = json.loads(path.read_text(encoding="utf-8"))["runs"]["tree"]
+    assert run["config"]["src"]["dir"] == "src"
+    assert run["config"]["src"] == quality.source(src)
+
+
+def test_the_tree_record_reads_the_git_work_tree(tmp_path, monkeypatch):
+    """Outside a git work tree the revision and state are null; inside
+    one, the revision of HEAD and whether the directory has changes."""
+    quality = _quality()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    tree = tmp_path / "tree"
+    src = tree / "src"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\n", encoding="utf-8")
+    assert quality.source(str(src)) == {"dir": str(src), "rev": None,
+                                        "dirty": None}
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tree), "-c", "user.name=t",
+             "-c", "user.email=t@example.com", *args],
+            capture_output=True, text=True, check=True).stdout.strip()
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "one")
+    rev = git("rev-parse", "HEAD")
+    assert quality.source(str(src)) == {"dir": str(src), "rev": rev,
+                                        "dirty": False}
+    (src / "a.py").write_text("x = 2\n", encoding="utf-8")
+    assert quality.source(str(src)) == {"dir": str(src), "rev": rev,
+                                        "dirty": True}
+
+
+def test_reports_of_other_trees_or_of_none_recorded_pair():
+    """Pairing two trees is what ``--against`` is for: a report that
+    records another tree, or none, as those recorded before the key, pairs
+    with this run's."""
+    quality = _quality()
+    base = _report([0, 1], 2, [0.7] * 4, [0.6] * 4)
+    change = _report([0, 1], 2, [0.8] * 4, [0.6] * 4)
+    change["config"]["src"] = {"dir": "src", "rev": "0" * 40, "dirty": True}
+    assert "src" not in base["config"]
+    assert quality.verdict(change, base)["present"]["wins"] == 4
+    other = {**base, "config": {**base["config"], "src": {
+        "dir": "/elsewhere/src", "rev": None, "dirty": None}}}
+    assert quality.verdict(change, other)["present"]["wins"] == 4

@@ -192,9 +192,6 @@ def test_checkpoint_restores_every_field(trained, tmp_path):
     for name, arr in model_mod.named_parameters(want.params).items():
         back = model_mod.named_parameters(got.params)[name]
         assert np.array_equal(back, arr) and back.dtype == arr.dtype
-    for name, arr in want.adam.m.items():
-        assert np.array_equal(got.adam.m[name], arr)
-        assert np.array_equal(got.adam.v[name], want.adam.v[name])
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -217,6 +214,26 @@ def _write_raw(path, index, payload):
     doc = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(struct.pack("<4sHHI", b"SSCK", 1, 0, len(doc))
                      + doc + payload)
+
+
+def _write_tensors(path, index, tensors):
+    """Write ``index`` with a tensor table of ``tensors``, laid out in
+    sorted name order as ``save_checkpoint`` lays them out."""
+    rows, payload = [], b""
+    for name in sorted(tensors):
+        code = tensors[name].dtype.newbyteorder("<").str
+        blob = tensors[name].astype(code).tobytes()
+        rows.append({"name": name, "dtype": code,
+                     "shape": list(tensors[name].shape),
+                     "offset": len(payload), "nbytes": len(blob)})
+        payload += blob
+    _write_raw(path, {**index, "tensors": rows}, payload)
+
+
+def _moments(adam) -> dict:
+    """The Adam moments under the names checkpoints once stored them as."""
+    return {**{f"adam.m.{k}": v for k, v in adam.m.items()},
+            **{f"adam.v.{k}": v for k, v in adam.v.items()}}
 
 
 def test_checkpoint_rejects_trailing_bytes(trained, tmp_path):
@@ -252,38 +269,39 @@ def test_checkpoint_rejects_nbytes_disagreeing_with_shape(trained, tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_missing_parameter(trained, tmp_path, monkeypatch):
-    full = Checkpoint.named_tensors
-    monkeypatch.setattr(Checkpoint, "named_tensors", lambda self: {
-        k: v for k, v in full(self).items() if k != "risk.w1"})
+def test_checkpoint_index_lists_exactly_the_parameters(trained, tmp_path):
+    """A checkpoint holds the model parameters and no other tensor: the
+    Adam moments stay in memory."""
     path = tmp_path / "c.ckpt"
     save_checkpoint(trained.checkpoint, path)
+    index, _ = _index_and_payload(path)
+    assert trained.checkpoint.adam.m and trained.checkpoint.adam.v
+    assert [r["name"] for r in index["tensors"]] == \
+        sorted(model_mod.named_parameters(trained.checkpoint.params))
+
+
+def test_checkpoint_rejects_missing_parameter(trained, tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    index, _ = _index_and_payload(path)
+    tensors = model_mod.named_parameters(trained.checkpoint.params)
+    del tensors["risk.w1"]
+    _write_tensors(path, index, tensors)
     with pytest.raises(CheckpointError, match="risk.w1"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("name", ["gate_h.b", "risk.w3"])
-def test_checkpoint_rejects_unknown_parameter(trained, tmp_path, monkeypatch,
-                                              name):
+def test_checkpoint_rejects_unknown_parameter(trained, tmp_path, name):
     """A tensor the model does not have fails at load, naming it, instead
     of being dropped: e.g. the gate bias that earlier models carried."""
-    full = Checkpoint.named_tensors
-    monkeypatch.setattr(Checkpoint, "named_tensors", lambda self: {
-        **full(self), name: np.zeros((1, 1), dtype=np.float32)})
     path = tmp_path / "c.ckpt"
     save_checkpoint(trained.checkpoint, path)
+    index, _ = _index_and_payload(path)
+    _write_tensors(path, index, {
+        **model_mod.named_parameters(trained.checkpoint.params),
+        name: np.zeros((1, 1), dtype=np.float32)})
     with pytest.raises(CheckpointError, match=name):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_orphan_adam_moments(trained, tmp_path):
-    ckpt = trained.checkpoint
-    ghost = {"ghost.w": np.zeros((2, 2))}
-    adam = AdamState(m={**ckpt.adam.m, **ghost}, v={**ckpt.adam.v, **ghost},
-                     t=ckpt.adam.t, skipped=ckpt.adam.skipped)
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(dataclasses.replace(ckpt, adam=adam), path)
-    with pytest.raises(CheckpointError, match="ghost.w"):
         load_checkpoint(path)
 
 
@@ -292,17 +310,18 @@ def test_checkpoint_rejects_orphan_adam_moments(trained, tmp_path):
     ("adam.v.slots_g.w_q", -np.inf)])
 def test_checkpoint_rejects_non_finite_tensor(trained, tmp_path, name, value):
     """A non-finite tensor fails at load, naming the tensor, instead of at
-    the first forward pass that binds it."""
-    tensors = trained.checkpoint.named_tensors()
+    the first forward pass that binds it; an Adam moment of a file written
+    before checkpoints dropped them is checked as a parameter is."""
+    ckpt = trained.checkpoint
+    tensors = model_mod.named_parameters(ckpt.params)
+    if name.startswith("adam."):
+        tensors = {**tensors, **_moments(ckpt.adam)}
     bad = tensors[name].copy()
     bad.flat[0] = value
     path = tmp_path / "c.ckpt"
-    save_checkpoint(trained.checkpoint, path)
-    index, payload = _index_and_payload(path)
-    row = next(r for r in index["tensors"] if r["name"] == name)
-    payload = (payload[:row["offset"]] + bad.astype(row["dtype"]).tobytes()
-               + payload[row["offset"] + row["nbytes"]:])
-    _write_raw(path, index, payload)
+    save_checkpoint(ckpt, path)
+    index, _ = _index_and_payload(path)
+    _write_tensors(path, index, {**tensors, name: bad})
     with pytest.raises(CheckpointError, match=f"{name} has non-finite"):
         load_checkpoint(path)
 
@@ -381,6 +400,34 @@ def test_checkpoint_written_with_epoch_and_rng_state_still_serves(
                 == _served_bytes(load_checkpoint(path), bag_h, bag))
     again = tmp_path / "again.ckpt"
     save_checkpoint(load_checkpoint(old), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_written_with_adam_moments_still_serves(
+        trained, small_cohort, tmp_path):
+    """Files written before the checkpoint dropped the Adam moments, which
+    nothing reads after a load, load the same counters and no moments and
+    serve what the same file without them serves, bit for bit, in both
+    modes; saved again, they lose the moments."""
+    ckpt = trained.checkpoint
+    path = tmp_path / "new.ckpt"
+    save_checkpoint(ckpt, path)
+    index, _ = _index_and_payload(path)
+    old = tmp_path / "old.ckpt"
+    _write_tensors(old, index, {**model_mod.named_parameters(ckpt.params),
+                                **_moments(ckpt.adam)})
+    loaded = load_checkpoint(old)
+    assert loaded.adam == AdamState(m={}, v={}, t=ckpt.adam.t,
+                                    skipped=ckpt.adam.skipped)
+    assert loaded.adam == load_checkpoint(path).adam
+    rec = small_cohort.records[0]
+    bag_h = data_mod.load_bag(rec.histology_path)
+    bag_g = data_mod.load_bag(rec.genomic_path)
+    for bag in (bag_g, None):
+        assert (_served_bytes(loaded, bag_h, bag)
+                == _served_bytes(load_checkpoint(path), bag_h, bag))
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -580,8 +627,9 @@ def test_training_holds_one_batch_graph_at_a_time(small_cohort, monkeypatch):
 
 
 def _tensor_bytes(ckpt) -> dict:
-    return {k: (v.dtype, v.shape, v.tobytes())
-            for k, v in ckpt.named_tensors().items()}
+    tensors = {**model_mod.named_parameters(ckpt.params),
+               **_moments(ckpt.adam)}
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in tensors.items()}
 
 
 def test_bags_within_the_row_budget_train_the_bits_of_no_budget(

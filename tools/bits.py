@@ -10,8 +10,8 @@ The artefacts:
   of two untrained ones, ``epochs=0`` on the reference (fold 1) and
   default (fold 0) cohorts, whose served outputs depend on the forward
   alone: a change to a gradient alone leaves their digests as they are;
-* the named tensors of each of those checkpoints, parameters and Adam
-  moments, as ``params/<run>``: the checkpoint's index holds its config,
+* the parameters of each of those checkpoints, every tensor its file
+  holds, as ``params/<run>``: the checkpoint's index holds its config,
   so a new config field moves every ``checkpoint/`` digest, and this one
   shows whether the tensors moved with it;
 * the pickled ``evaluate`` dicts of the first five runs, with the
@@ -123,15 +123,15 @@ def _feed(h, obj) -> None:
 
 def checkpoint_digests(ckpt, path: str) -> dict:
     """Save ``ckpt`` to ``path``: the sha256 of the file, as
-    ``checkpoint``, and of its named tensors fed in sorted name order, as
-    ``params``."""
-    from slotsurv import train
+    ``checkpoint``, and of its parameters, the tensors the file holds, fed
+    in sorted name order, as ``params``."""
+    from slotsurv import model, train
 
     train.save_checkpoint(ckpt, path)
     with open(path, "rb") as fh:
         blob = fh.read()
     h = hashlib.sha256()
-    _feed(h, sorted(ckpt.named_tensors().items()))
+    _feed(h, sorted(model.named_parameters(ckpt.params).items()))
     return {"checkpoint": _sha(blob), "params": h.hexdigest()}
 
 

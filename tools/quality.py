@@ -22,7 +22,11 @@ Usage::
         [--n-boot 200] [--record [PATH]] [--label NAME] [--against LABEL]
 
 runs the package under ``DIR`` (default: this tree's ``src``), and exits
-2 when ``slotsurv`` imports from elsewhere.  ``E`` defaults to the
+2 when ``slotsurv`` imports from elsewhere.  The report's ``config.src``
+records that tree: ``DIR``, relative to the repo root when it is inside
+it, the git revision of the work tree holding it and whether the tree
+has changes under ``DIR``, the last two null outside a git work tree.
+``E`` defaults to the
 reference ``TrainConfig``'s epochs, so the harness runs the reference
 recipe unless told otherwise.  Each ``--train FIELD=VALUE``
 sets one other ``TrainConfig`` field (VALUE is read as JSON, else kept as
@@ -40,7 +44,8 @@ error (fold std, ddof 1, over the square root of the folds), the folds
 this run wins and the largest loss on one fold.  It refuses, before any
 training, a recorded report whose seeds, folds, epochs or synth fields
 are not this run's: its folds would pair models of another length or
-cohorts of another kind.
+cohorts of another kind.  The trees may differ: pairing two trees is what
+``--against`` is for.
 
 With ``--record`` it also writes the report, under ``NAME`` (default
 ``tree``), to ``PATH`` (default: ``BENCH_quality.json`` in the repo
@@ -58,6 +63,7 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -145,6 +151,27 @@ def synth_config(fields=None, seed: int = 0):
     if "seed" in fields:
         raise ValueError("set the seed with --seeds, not --synth")
     return data.config_from_dict(data.SynthConfig, {**fields, "seed": seed})
+
+
+def source(src: str) -> dict:
+    """The tree a run imports from ``src``: the directory, relative to the
+    repo root when it is inside it, the git revision of the work tree
+    holding it and whether that tree has changes under it, the last two
+    None outside a git work tree."""
+    def git(*args):
+        try:
+            done = subprocess.run(["git", "-C", src, *args],
+                                  capture_output=True, text=True, check=False)
+        except OSError:
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    inside = os.path.commonpath([src, common.ROOT]) == common.ROOT
+    rev, status = git("rev-parse", "HEAD"), git("status", "--porcelain",
+                                                 "--", ".")
+    return {"dir": os.path.relpath(src, common.ROOT) if inside else src,
+            "rev": rev, "dirty": None if None in (rev, status)
+            else status != ""}
 
 
 def quality(seeds, folds: int, epochs: int, n_boot: int, synth=None,
@@ -317,8 +344,10 @@ def main(argv=None) -> int:
                            args.against)
     except (TypeError, ValueError) as err:
         parser.error(str(err))
+    tree = source(args.src)
     report = quality(args.seeds, args.folds, epochs, args.n_boot,
                      synth=synth, train=fields)
+    report["config"]["src"] = tree
     if base is not None:
         print(_verdict_line(args.against,
                             verdict(report, base, args.against)), flush=True)
