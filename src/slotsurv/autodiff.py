@@ -35,7 +35,8 @@ kernels in the chain's order, and their adjoint rules call the same
 array-level adjoint helpers as the chain's rules, in reverse, handing
 each parent its contributions in the chain's order, so values
 and gradients have the chain's bits; ``slot_encode``'s adjoint is the
-first-order one of its chain (below). ``cross_attend`` runs both
+first-order one of its chain, and its bag side's four parameter
+gradients round otherwise (below). ``cross_attend`` runs both
 directions of a round in one pass over the stacked rows of its two slot
 sets, where its chain runs one per direction; BLAS forms each row of a
 matrix product alone, so the rows have the chain's bits, unless a set of
@@ -76,7 +77,8 @@ costs no ``grad @ W^T``. A fused rule runs when any operand needs an
 adjoint; it then forms every adjoint inside its chain (``cross_attend``
 the adjoints of each round's rows, which every chain node needs when any
 operand does), and prunes only its operands'; the arrays in its aux,
-such as the instance mask, take none.
+such as the instance mask, take none, and ``slot_encode`` refuses a bag
+that needs one.
 A skipped adjoint could only have flowed into constants, so every input
 gradient keeps the same terms in the same order and the same bits.
 
@@ -149,19 +151,16 @@ axes, so one model builder serves both:
   backpropagating through all T iterations would cost T times the
   adjoint of one, and at T = 1 the two are the same. The exact gradient
   through all T lives in ``tests/oracles.py`` alone.
-  Of the bag-sized arrays the node keeps only two, the keys and the
-  values. Of the bag's layer norm it keeps the inverse deviations and
-  the row means, two (.., M, 1) rows; after the iteration the adjoint
-  forms the normalized bag and y again from the bag and those rows. Of
-  the T iterations it keeps the last alone (the first T - 1 keep
-  nothing): its (.., S, M) attention map, which ``slot_attention`` reads
-  back, two slot-sized buffers, the input slots and alpha @ values, and
-  three (.., S, 1) rows: the layer norm's inverse deviations and row
-  means and the mass's reciprocal. The adjoint rebuilds from those the
-  layer norm's normalized rows, its output, q and the GRU input; then it
-  runs the GRU again for its gates, r * h and output, and the MLP's
-  first layer. Each rebuild runs the forward's kernels in the forward's
-  order, so the rebuilt arrays have the forward's bits.
+  The bag is data (``Graph.slot_encode`` refuses one that needs an
+  adjoint). With y = xhat * gamma + beta, and for p the adjoint of y @
+  w_k or of y @ w_v, G = xhat^T @ p (d x d) and c = colsum(p): d w =
+  diag(gamma) G + beta^T c, d gamma = rowsum(G_k * w_k) + rowsum(G_v *
+  w_v), d beta = w_k c_k^T + w_v c_v^T, with no bag-sized product. These
+  four match the chain's bits only to rounding.
+  The node keeps two bag-sized arrays, the keys and the values, and the
+  last iteration's intermediates alone; ``_EncodeSaved`` and
+  ``_StepSaved`` say what, and what the adjoint forms again from them
+  with the forward's kernels in its order, so with its bits.
 * cross_attend: L cross-attention rounds between two slot sets. From
   slots_h (.., S_h, d) and slots_g (.., S_g, d) with the same leading
   axes, L and the scale in the aux, and sixteen weights shared by every
@@ -457,7 +456,8 @@ class Graph:
         slots' (1, d) gain, ``gru`` the nine GRU weights in ``_gru_fwd``'s
         argument order and ``mlp`` is (w1, b1, w2, b2).  The values are
         multiplied by the mask: it zeroes a padded batch's padded rows,
-        and an unpadded bag's is all ones."""
+        and an unpadded bag's is all ones.  The bag is data: one that
+        needs an adjoint raises."""
         bs, ss = bag.shape, slots.shape
         ones = self._cast(ones)
         if (len(bs) not in (2, 3) or len(ss) != len(bs)
@@ -470,6 +470,8 @@ class Graph:
         if t_iters < 1:
             raise GraphError(
                 f"slot_encode: t_iters must be >= 1, got {t_iters}")
+        if self._needs_grad[bag.idx]:
+            raise GraphError("slot_encode: the bag is data, not an input")
         lead, (m, d), s = bs[:-2], bs[-2:], ss[-2]
         weights = _fused_weights(
             "slot_encode", (ln_gamma, ln_beta, w_k, w_v, slot_gamma, w_q,
@@ -835,7 +837,7 @@ class _EncodeSaved(typing.NamedTuple):
     first-order adjoint differentiates (its map is the one
     ``slot_attention`` reads).  The bag layer norm keeps its inverse
     deviations and row means alone: the adjoint forms its normalized rows
-    and output again from the bag (``_renormalize``)."""
+    again from the bag (``_renormalize``)."""
 
     inv: np.ndarray         # bag layer norm's inverse deviations, (.., M, 1)
     mean: np.ndarray        # and its row means, (.., M, 1)
@@ -1376,19 +1378,12 @@ def _bw_slot_encode(g, i, grad, grads):
     """The first-order adjoint (see the module docstring): the chain's
     adjoint rules in reverse for the last iteration alone, whose input
     slots hand their two contributions (GRU state, then layer norm) to the
-    initial slots; then the value path, the key path and the bag's layer
-    norm, the layer norm's output getting the value-path term, then the
-    key-path term, as from the per-op chain.  At the top it rebuilds the
-    slot-sized values the forward dropped from the iteration's input
-    slots and saved rows: the layer norm's normalized rows
-    (``_renormalize``), its output and q, and the GRU input u_raw * rec;
-    ``_gru_mlp_adj`` runs the GRU again.  The key and value adjoints are
-    arrays this rule owns, which it scales and masks in place and forms
-    the projections' adjoints in as they fall free.  After the iteration
-    it forms the bag layer norm's normalized rows and output again from
-    the bag and the saved inverse deviations and row means
-    (``_renormalize``, then the gain and the shift).  Every rebuild runs
-    the forward's kernels in its order, so with its bits."""
+    initial slots, then the bag side's parameters from two d x d products.
+    It rebuilds what the forward dropped, the slots' normalized rows, their
+    layer norm's output, q, the GRU input u_raw * rec and the bag's
+    normalized rows, with the forward's kernels in its order, so with its
+    bits; ``_gru_mlp_adj`` runs the GRU again.  The key and value adjoints
+    are arrays this rule owns, which it scales and masks in place."""
     bi, si, lgi, lbi, ki, vi, gi, qi, *tail = g._parents[i]
     sv = g._saved[i]
     st, h, alpha = sv.step, sv.state, sv.step.alpha
@@ -1423,39 +1418,28 @@ def _bw_slot_encode(g, i, grad, grads):
     _give(grads, (qi,), (d_wq,))
     d_slots, d_gamma, _ = _layer_norm_adj(d_normed, v[gi], xhat, st.inv,
                                           need[si], need[gi], False)
-    _give(grads, (gi,), (d_gamma,))
-    _give(grads, (si,), (d_slots,))
-    # the map's adjoint terms are spent: free them before the bag-sized
-    # rebuilds
+    _give(grads, (gi, si), (d_gamma, d_slots))
+    # the map's adjoint terms are spent: free them before the bag's rows
     del d_alpha, d_au, d_logits
 
-    # y = layer_norm(bag), formed again
+    # the bag side, value path first, from G = xhat^T @ p and c = colsum(p)
+    # for p the adjoints of y @ w_v and y @ w_k (the module docstring)
+    d_values *= ones                            # values = (y @ w_v) * ones
+    d_keys_t *= d_keys_t.dtype.type(scale)      # keys = (y @ w_k)^T * c
     xhat = _renormalize(v[bi], sv.inv, sv.mean)
-    y = xhat * v[lgi]
-    y += v[lbi]
-
-    # values = (y @ w_v) * ones: the value path
-    d_values *= ones
-    _give(grads, (vi,), (_matmul_adj(d_values, y, v[vi], need_a=False,
-                                     need_b=need[vi])[1],))
-    d_y = _matmul(d_values, np.swapaxes(v[vi], -1, -2))
-
-    # keys = (y @ w_k)^T * c: the key path
-    d_keys_t *= d_keys_t.dtype.type(scale)
-    d_keys, out = np.swapaxes(d_keys_t, -1, -2), None
-    if d_keys.ndim == 3 and d_keys.shape[0] > 1 and d_keys.shape[-1] > 1:
-        # both products read the rows of this view through a C-order copy:
-        # make it once, in d_values' array, and form the product in
-        # d_keys_t's
-        np.copyto(d_values, d_keys)
-        d_keys, out = d_values, d_keys_t.reshape(d_values.shape)
-    del d_values
-    _give(grads, (ki,), (_matmul_adj(d_keys, y, v[ki], need_a=False,
-                                     need_b=need[ki])[1],))
-    d_y += _matmul(d_keys, np.swapaxes(v[ki], -1, -2), out=out)
-    del d_keys_t, d_keys, out, y
-    _give(grads, (bi, lgi, lbi), _layer_norm_adj(
-        d_y, v[lgi], xhat, sv.inv, need[bi], need[lgi], need[lbi]))
+    rows, lead = xhat.reshape(-1, xhat.shape[-1]), tuple(range(xhat.ndim - 2))
+    grams = (rows.T @ d_values.reshape(rows.shape),
+             np.matmul(d_keys_t, xhat).sum(axis=lead).T)
+    cols = (d_values.sum(axis=lead + (-2,))[None],
+            d_keys_t.sum(axis=lead + (-1,))[None])
+    gamma, beta = v[lgi], v[lbi]
+    d_ln_gamma = d_ln_beta = 0
+    for wi, gm, c in zip((vi, ki), grams, cols):
+        _give(grads, (wi,), (gamma.T * gm + beta.T * c if need[wi] else None,))
+        d_ln_gamma = d_ln_gamma + (gm * v[wi]).sum(-1)[None]
+        d_ln_beta = d_ln_beta + c @ v[wi].T
+    _give(grads, (lgi, lbi), (d_ln_gamma if need[lgi] else None,
+                              d_ln_beta if need[lbi] else None))
 
 
 def _attend_adj(d_u, q, keys_t, v, attn, scale):

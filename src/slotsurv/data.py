@@ -296,17 +296,23 @@ def load_manifest(path) -> Cohort:
             return None
         return p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
 
+    def integral(row, key):
+        value = row[key]        # int() reads 0.7 as 0, 1.9 as 1, true as 1
+        if isinstance(value, bool) or not float(value).is_integer():
+            raise ManifestError(f"{path}: {key} {value!r} is not an integer")
+        return int(value)
+
     records = []
     for row in doc["patients"]:
         try:
             rec = SurvivalRecord(
                 patient_id=str(row["id"]),
                 time_months=float(row["time_months"]),
-                censor=int(row["censor"]),
+                censor=integral(row, "censor"),
                 histology_path=resolve(row["histology_path"]),
                 genomic_path=resolve(row.get("genomic_path")),
                 time_bin=(None if row.get("time_bin") is None
-                          else int(row["time_bin"])),
+                          else integral(row, "time_bin")),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             if isinstance(err, ManifestError):

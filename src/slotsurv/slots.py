@@ -22,7 +22,9 @@ kernel, with the per-op chain's values and multiply-add counts;
 ``build_encode`` returns that node.  Of the bag-sized arrays it keeps
 only two, the keys and the values, and of the T iterations only the
 last, whose map serving reads back with ``Graph.slot_attention`` (it
-feeds no loss).
+feeds no loss).  The bag is observed data and takes no gradient: the
+node refuses a bag built from an input, and its adjoint forms the bag
+side's parameter gradients from two d x d products.
 
 The encoder's gradient is first-order: it differentiates the last
 iteration alone and passes the adjoint of its input slots straight
@@ -161,11 +163,11 @@ def build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
     whose (B, M) instance ``mask`` marks the real rows; slots come out
     (S, d) or (B, S, d).  Padded instances get softmax columns like real
     ones, but their values are zeroed, so they add nothing to the
-    attention mass and receive no gradient.  ``noise`` is the
-    standard-normal slot-init noise of a training pass, shaped like the
-    slots; without it the slots start at the learned mean.
-    ``slot_encode`` rejects a bag of another width than the slots' and
-    T < 1 (``GraphError``, a ValueError).
+    attention mass.  ``noise`` is the standard-normal slot-init noise of a
+    training pass, shaped like the slots; without it the slots start at
+    the learned mean.  ``slot_encode`` rejects a bag built from an input
+    (the bag is data), a bag of another width than the slots' and T < 1
+    (``GraphError``, a ValueError).
     """
     ones = (np.ones(bag.shape[:-1] + (1,)) if mask is None
             else np.asarray(mask)[..., None])

@@ -321,15 +321,22 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: checkpoint version {version}, "
                               f"expected {CHECKPOINT_VERSION}")
+    if reserved != 0:
+        raise CheckpointError(f"{path}: reserved header field {reserved}")
     start = _CKPT_HEADER.size
     try:
         index = json.loads(blob[start:start + doc_len])
+        counts = {k: index[k] for k in ("steps_trained", "adam_t",
+                                         "skipped_steps")}
+        for key, n in counts.items():   # int() reads 2.7 as 2, true as 1
+            if type(n) is not int or n < 0:
+                raise CheckpointError(f"{path}: {key} {n!r} is not a count")
         tensors = _checkpoint_tensors(path, blob[start + doc_len:],
                                       index["tensors"])
         params = model_mod.params_from_arrays(
             {k: v for k, v in tensors.items() if not k.startswith("adam.")})
-        adam = AdamState(m={}, v={}, t=int(index["adam_t"]),
-                         skipped=int(index["skipped_steps"]))
+        adam = AdamState(m={}, v={}, t=counts["adam_t"],
+                         skipped=counts["skipped_steps"])
         config = dict(index["config"])
         # a retired switch, true by default; false kept every slot (K = S)
         selective = config.pop("selective", True)
@@ -340,7 +347,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig.from_dict(config)
         _check_geometry(path, params, config)
         return Checkpoint(params=params, adam=adam, config=config,
-                          steps_trained=int(index["steps_trained"]))
+                          steps_trained=counts["steps_trained"])
     except CheckpointError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError, IndexError,

@@ -34,7 +34,9 @@
   ``first_order`` it is the chain whose gradient the fused node computes,
   the last iteration's alone, its input slots handing their adjoint to
   the initial slots.  ``exact_build_encode`` is ``unfused_encode`` as a
-  stand-in for ``slots.build_encode``.
+  stand-in for ``slots.build_encode``.  ``assert_near_float64_chain``
+  holds the four bag-side gradients of a fused encode, which match the
+  chain's bits only to rounding, to the float64 chain.
 * ``unfused_cross_update``, one direction of one cross-attention round as
   a chain of 13 per-op nodes, and ``unfused_cross_attention``, L rounds
   of it in both directions and the concat of the two refined sets: the
@@ -430,6 +432,35 @@ def exact_build_encode(g: Graph, p: SlotParams, bag, t_iters: int, mask=None,
     patches it in for ``build_encode`` to check a whole model's true
     gradient at T > 1."""
     return unfused_encode(g, p, bag, t_iters, mask, noise)[0]
+
+
+# The fused slot_encode forms its bag side's four parameter gradients (the
+# bag layer norm's gain and shift, w_k and w_v) from d x d products where
+# the chain forms the layer-norm output's bag-sized adjoint, so they match
+# the chain's bits only to rounding.  A test holds each to the chain run in
+# float64 on the same draws, by its gap: the largest |difference|, over
+# the float64 chain's largest |entry|.  The fused gradient's gap may exceed
+# the gap of the chain run at its own dtype (0 in float64) by
+# BAG_SIDE_ULPS units of that dtype's roundoff.  Measured: on the encoder
+# cases of tests/test_slots.py the float64 gap is at most 5.4e-16 (2.4
+# units) and the float32 one 1.5e-7 to 1.4e-6, at most 0.8 units above the
+# float32 chain's own (its other tensors read 6e-8 to 2.5e-6); on the
+# width-3 op cases of tests/test_autodiff.py, at 20 points each, the
+# float64 gap reaches 2e-15 (9.1 units) and the float32 excess 3.8 units,
+# where a float32 chain's own gap reaches 9e-5.
+BAG_SIDE = ("ln_in_gamma", "ln_in_beta", "w_k", "w_v")
+BAG_SIDE_ULPS = 32
+
+
+def assert_near_float64_chain(grad, chain, chain64, what: str = "") -> None:
+    """``grad``, a fused encode's bag-side gradient, is no farther from
+    ``chain64``, the float64 chain's, than ``chain``, the chain's at
+    ``grad``'s dtype, plus ``BAG_SIDE_ULPS`` units of roundoff."""
+    assert chain64.dtype == np.float64 and grad.dtype == chain.dtype, what
+    scale = np.max(np.abs(chain64))
+    gap, own = (np.max(np.abs(a - chain64)) / scale for a in (grad, chain))
+    bound = own + BAG_SIDE_ULPS * np.finfo(grad.dtype).eps
+    assert gap <= bound, f"{what}: gap {gap:.3g} > {bound:.3g}"
 
 
 @dataclass(frozen=True)

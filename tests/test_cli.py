@@ -161,6 +161,21 @@ def test_corrupt_checkpoint_exits_2(workdir, tmp_path):
     assert code == 2
 
 
+def test_checkpoint_with_an_impossible_counter_exits_2(workdir, tmp_path):
+    """A negative steps_trained fails to load, so the command exits 2."""
+    blob = workdir["ckpt"].read_bytes()
+    _, _, _, doc_len = struct.unpack_from("<4sHHI", blob)
+    index = json.loads(blob[12:12 + doc_len])
+    doc = json.dumps({**index, "steps_trained": -4}).encode()
+    bad = tmp_path / "negative.ckpt"
+    bad.write_bytes(struct.pack("<4sHHI", b"SSCK", 1, 0, len(doc)) + doc
+                    + blob[12 + doc_len:])
+    code = main(["eval", "--checkpoint", str(bad),
+                 "--manifest", str(workdir["manifest"]), "--fold", "0",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
+
+
 def test_checkpoint_with_the_removed_aggregation_key_exits_2(workdir,
                                                             tmp_path):
     """A config that still names the pooling rule every slot update now

@@ -244,6 +244,27 @@ def test_manifest_rejects_time_bin_outside_bin_edges(tmp_path, time_bin):
     assert [r.time_bin for r in load_manifest(p).records] == [1, 3]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("censor", 0.7), ("censor", True), ("censor", False),
+    ("time_bin", 1.9), ("time_bin", True), ("time_bin", float("nan"))])
+def test_manifest_rejects_a_non_integral_censor_or_time_bin(tmp_path, key,
+                                                            value):
+    """int() would read censor 0.7 as 0, an observed event, time_bin 1.9
+    as bin 1 and true as 1; the loader refuses a bool or a non-integral
+    number, and still reads an integral one written as a float."""
+    p = tmp_path / "m.json"
+    row = {"id": "a", "time_months": 1.0, "censor": 1, "time_bin": 2,
+           "histology_path": "a.bag"}
+    doc = {"patients": [{**row, key: value}], "bin_edges": [10.0, 20.0]}
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=f"{key} .* is not an integer"):
+        load_manifest(p)
+    doc["patients"] = [{**row, key: 1.0}]
+    p.write_text(json.dumps(doc))
+    (rec,) = load_manifest(p).records
+    assert getattr(rec, key) == 1 and type(getattr(rec, key)) is int
+
+
 def test_record_validation():
     with pytest.raises(ManifestError):
         SurvivalRecord("p", -1.0, 0, "h.bag")

@@ -359,7 +359,10 @@ def test_constants_receive_no_adjoint_and_change_no_gradient(monkeypatch):
     """Backward computes no adjoint for a constant: bags, instance mask,
     noise, reconstruction targets, hard gate masks.  Declaring every one of
     them an input leaf instead, so its adjoint is computed, leaves every
-    parameter gradient of a float64 batch bitwise the same."""
+    parameter gradient of a float64 batch bitwise the same.  A slot
+    encoder's bag stays data (``slot_encode`` refuses a bag that needs an
+    adjoint): it reads a constant copy of the bag's input leaf, which the
+    reconstruction targets and queries still read."""
     params = _perturbed(_params(5), 5)
     patients = _ragged_patients(5)
 
@@ -374,6 +377,9 @@ def test_constants_receive_no_adjoint_and_change_no_gradient(monkeypatch):
     class ConstantsAsInputs(model.Graph):
         def const(self, value):
             return self.input(f"const.{self.num_nodes}", value)
+
+        def slot_encode(self, bag, *rest):
+            return super().slot_encode(super().const(bag.value), *rest)
 
     monkeypatch.setattr(model, "Graph", ConstantsAsInputs)
     _, with_inputs = gradients()

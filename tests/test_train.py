@@ -216,6 +216,40 @@ def _write_raw(path, index, payload):
                      + doc + payload)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("steps_trained", -4), ("steps_trained", "3"), ("adam_t", 2.7),
+    ("adam_t", 2.0), ("skipped_steps", True), ("skipped_steps", None)])
+def test_checkpoint_rejects_impossible_counters(trained, tmp_path, key,
+                                                value):
+    """steps_trained, adam_t and skipped_steps are non-negative JSON
+    integers: int() would read -4 as a count, 2.7 as 2, true as 1 and "3"
+    as 3."""
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    index, payload = _index_and_payload(path)
+    bad = tmp_path / "bad.ckpt"
+    _write_raw(bad, {**index, key: value}, payload)
+    with pytest.raises(CheckpointError, match=f"{key} .* is not a count"):
+        load_checkpoint(bad)
+    _write_raw(bad, {**index, key: 0}, payload)
+    assert load_checkpoint(bad).steps_trained == (
+        0 if key == "steps_trained" else trained.checkpoint.steps_trained)
+
+
+def test_checkpoint_rejects_a_nonzero_reserved_header_field(trained,
+                                                            tmp_path):
+    """``save_checkpoint`` writes the header's reserved field as 0, and the
+    loader refuses any other value, as the bag loader its reserved byte."""
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(trained.checkpoint, path)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack_from("<H", blob, 6) == (0,)
+    struct.pack_into("<H", blob, 6, 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="reserved header field 1"):
+        load_checkpoint(path)
+
+
 def _write_tensors(path, index, tensors):
     """Write ``index`` with a tensor table of ``tensors``, laid out in
     sorted name order as ``save_checkpoint`` lays them out."""

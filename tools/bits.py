@@ -97,7 +97,6 @@ RUNS = (
     ("untrained_default", "default", 0, {"epochs": 0}, None, None),
 )
 INFER_RUN, INFER_PATIENTS = "ref_float32", 3
-MODES = (("present", False), ("imputed", True))
 
 
 def _sha(payload: bytes) -> str:
@@ -157,7 +156,7 @@ def digests(tiny: bool = False) -> dict:
                 out[f"{kind}/{run}"] = digest
             scored = range(len(cohort.records)) if name == "reference" \
                 else None
-            for mode, missing in MODES:
+            for mode, missing in common.MODES:
                 if missing and not ckpt.steps_trained:
                     continue
                 if n_boot is not None:
@@ -179,7 +178,7 @@ def digests(tiny: bool = False) -> dict:
                 out[f"predict/{run}/{mode}"] = h.hexdigest()
 
         for rec in cohorts["reference"].records[:INFER_PATIENTS]:
-            for mode, missing in MODES:
+            for mode, missing in common.MODES:
                 dest = os.path.join("infer", rec.patient_id, mode)
                 argv = ["infer", "--checkpoint", f"{INFER_RUN}.ckpt",
                         "--histology", rec.histology_path, "--out", dest]

@@ -1,7 +1,7 @@
 """What the four tools in this directory share: the BLAS pins, ``--src``
-and the import of ``slotsurv`` from it, loading a repo file as a module,
-the machine facts, the atomic write of a JSON record, and the runs of a
-tool on this tree and on ``git archive REV``.
+and the import of ``slotsurv`` from it, the two serving modes, loading a
+repo file as a module, the machine facts, the atomic write of a JSON
+record, and the runs of a tool on this tree and on ``git archive REV``.
 
 Importing this module pins BLAS to one thread unless the environment
 says otherwise, as ``bench/run.py`` does, so each tool puts its own
@@ -27,6 +27,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TOOLS)
+
+# the serving modes, (name, missing_genomics): the genomic bag present, or
+# imputed from histology
+MODES = (("present", False), ("imputed", True))
 
 
 def parser(doc: str) -> argparse.ArgumentParser:

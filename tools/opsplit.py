@@ -61,7 +61,6 @@ TRAIN_SEED = 3
 EPOCHS = 3          # of the timed training run
 PATIENTS = 40       # served per mode
 PAIRS = 10          # alternating pairs of processes of --against
-MODES = (("serve_present", False), ("serve_imputed", True))
 
 
 class OpTimer:
@@ -165,14 +164,14 @@ def measure(cohort, epochs: int = EPOCHS, patients: int = PATIENTS,
     bags = [(data.load_bag(rec.histology_path),
              data.load_bag(rec.genomic_path))
             for rec in cohort.records[:patients]]
-    for scope, missing in MODES:
+    for mode, missing in common.MODES:
         def serve():
             start = time.perf_counter()
             for bag_h, bag_g in bags:
                 train.predict_patient(ckpt, bag_h, None if missing else bag_g)
             return time.perf_counter() - start, len(bags)
         serve()
-        out[scope] = _timed(serve)
+        out[f"serve_{mode}"] = _timed(serve)
     return out
 
 

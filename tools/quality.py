@@ -74,7 +74,6 @@ import numpy as np  # noqa: E402
 
 DEFAULT_RECORD = os.path.join(common.ROOT, "BENCH_quality.json")
 BIG_MOMENT = 1e6
-MODES = (("present", False), ("imputed", True))
 
 
 def run_fold(cohort, fold: int, config, n_boot: int) -> dict:
@@ -85,7 +84,7 @@ def run_fold(cohort, fold: int, config, n_boot: int) -> dict:
     ckpt = train.train(config, cohort, fold).checkpoint
     row = {f"c_index_{mode}": train.evaluate(
         ckpt, cohort, fold, missing_genomics=missing,
-        n_boot=n_boot)["c_index"] for mode, missing in MODES}
+        n_boot=n_boot)["c_index"] for mode, missing in common.MODES}
     moments = list(ckpt.adam.v.values())
     row.update({
         "skipped_steps": int(ckpt.adam.skipped),
@@ -100,7 +99,7 @@ def _summary(rows) -> dict:
     """Mean and population std over folds of each mode's C-index, and the
     folds' totals."""
     out = {}
-    for mode, _ in MODES:
+    for mode, _ in common.MODES:
         values = np.array([r[f"c_index_{mode}"] for r in rows])
         out[mode] = {"mean": float(values.mean()),
                      "std": float(values.std(ddof=0))}
@@ -248,7 +247,7 @@ def verdict(report: dict, base: dict, label: str = "base") -> dict:
         raise ValueError(f"report {label!r} holds folds {_pairs(base)}, "
                          f"this run {_pairs(report)}")
     out = {}
-    for mode, _ in MODES:
+    for mode, _ in common.MODES:
         key = f"c_index_{mode}"
         delta = np.array([r[key] - b[key]
                           for r, b in zip(report["folds"], base["folds"])])
@@ -266,7 +265,7 @@ def _verdict_line(label: str, v: dict) -> str:
     return f"against {label}: " + ", ".join(
         f"{mode} {v[mode]['mean']:+.3f} ± {v[mode]['se']:.3f} "
         f"(wins {v[mode]['wins']}/{v[mode]['n']}, largest loss "
-        f"{v[mode]['largest_loss']:.3f})" for mode, _ in MODES)
+        f"{v[mode]['largest_loss']:.3f})" for mode, _ in common.MODES)
 
 
 def load_runs(path: str) -> dict:
